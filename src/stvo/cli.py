@@ -160,6 +160,7 @@ def play(alg, stream, r, n_nodes, tau_rule):
 
 def calibrated_r(alg, stream, budget_ms, n_nodes, tau_rule):
     p0 = stream.problems[0]
+    steps_per_call = 1
     if alg == "odr":
         step = runner.odr_step_timer(p0)
     elif alg == "oist":
@@ -170,7 +171,8 @@ def calibrated_r(alg, stream, budget_ms, n_nodes, tau_rule):
         tau = runner.odista_taus(stream.blocks[:1], n_nodes, tau_rule)[0]
         step = runner.odista_step_timer(graph, data, stream.blocks[0].lam / n_nodes,
                                         tau, stream.n)
-    r = runner.calibrate_r(step, budget_ms)
+        steps_per_call = 2
+    r = runner.calibrate_r(step, budget_ms, steps_per_call=steps_per_call)
     print(f"calibrated r = {r} for {alg} ({budget_ms} ms budget)",
           file=sys.stderr)
     return r

@@ -14,6 +14,16 @@ import numpy as np
 import scipy.linalg
 
 
+class _OperatorCache:
+    """Derived data of one Q, filled on first use by whichever slice asks."""
+
+    __slots__ = ("prox_factor", "eig_extremes")
+
+    def __init__(self):
+        self.prox_factor = None
+        self.eig_extremes = None
+
+
 class QuadraticL1Problem:
     """One time slice of the composite objective.
 
@@ -30,9 +40,11 @@ class QuadraticL1Problem:
     -----
     Instances are treated as read-only after construction and are safe to
     share across threads.  The factorization of Q + I used by the proximal
-    solve is computed lazily and cached; :meth:`with_phi` produces a slice
-    with a different linear term that shares Q and all cached factors, which
-    is the cheap path for streams where only phi changes.
+    solve and the extreme eigenvalues of Q are computed lazily and kept in a
+    cache holder; :meth:`with_phi` produces a slice with a different linear
+    term that holds the same Q and the same holder by reference, so a stream
+    whose slices differ only in phi factors Q once, whichever slice asks
+    first.
     """
 
     SYMMETRY_TOL = 1e-10
@@ -61,29 +73,34 @@ class QuadraticL1Problem:
         self.phi = phi
         self.lam = float(lam)
         self.n = n
-        self._prox_factor = None
-        self._eig_extremes = None
+        self._cache = _OperatorCache()
+
+    @property
+    def _prox_factor(self):
+        return self._cache.prox_factor
 
     def prox_factor(self):
         """Cached Cholesky factor of Q + I for the quadratic proximal solve."""
-        if self._prox_factor is None:
-            self._prox_factor = scipy.linalg.cho_factor(
+        cache = self._cache
+        if cache.prox_factor is None:
+            cache.prox_factor = scipy.linalg.cho_factor(
                 self.Q + np.eye(self.n), lower=False)
-        return self._prox_factor
+        return cache.prox_factor
 
     def eig_extremes(self):
         """Smallest and largest eigenvalue of Q, cached."""
-        if self._eig_extremes is None:
+        cache = self._cache
+        if cache.eig_extremes is None:
             w = scipy.linalg.eigvalsh(self.Q)
-            self._eig_extremes = (float(w[0]), float(w[-1]))
-        return self._eig_extremes
+            cache.eig_extremes = (float(w[0]), float(w[-1]))
+        return cache.eig_extremes
 
     @property
     def lambda_max(self):
         return self.eig_extremes()[1]
 
     def with_phi(self, phi):
-        """New slice with a different linear term, sharing Q and caches."""
+        """New slice with a different linear term, sharing Q and its cache."""
         phi = np.asarray(phi, dtype=float)
         if phi.shape != (self.n,):
             raise ValueError(f"phi must have shape ({self.n},), got {phi.shape}")
@@ -94,8 +111,7 @@ class QuadraticL1Problem:
         other.phi = phi
         other.lam = self.lam
         other.n = self.n
-        other._prox_factor = self._prox_factor
-        other._eig_extremes = self._eig_extremes
+        other._cache = self._cache
         return other
 
     def __repr__(self):
@@ -173,7 +189,15 @@ def soft_threshold(z, beta):
     """
     if not beta > 0:
         raise ValueError(f"threshold must be positive, got {beta}")
-    z = np.asarray(z, dtype=float)
+    return _shrink(np.asarray(z, dtype=float), beta)
+
+
+def _shrink(z, beta):
+    """:func:`soft_threshold` on a float array, without argument checks.
+
+    For inner loops that validated their threshold once per round; beta may
+    also be an array broadcast against z.
+    """
     return np.sign(z) * np.maximum(np.abs(z) - beta, 0.0)
 
 

@@ -9,11 +9,11 @@ Both half-steps are synchronous: every node reads the pre-step state.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuadraticL1Problem, soft_threshold
+from .core import QuadraticL1Problem, _shrink
 
 
 @dataclass
@@ -21,6 +21,9 @@ class Graph:
     """Undirected communication graph with implicit self-loops.
 
     neighbors[v] is the sorted array of nodes v receives from, v included.
+    mean_plan gathers the neighborhood means of all nodes at once: its entry
+    k pairs the nodes with more than k neighbors (None when that is every
+    node) with their k-th neighbor.
     """
 
     n_nodes: int
@@ -47,6 +50,12 @@ class Graph:
         self.degrees = np.array([len(a) for a in nbrs])
         self.regular = bool(np.all(self.degrees == self.degrees[0]))
         self.connected = self._connected()
+        self.mean_plan = []
+        for k in range(int(self.degrees.max())):
+            nodes = np.flatnonzero(self.degrees > k)
+            slot = np.array([nbrs[v][k] for v in nodes])
+            self.mean_plan.append(
+                (None if nodes.size == self.n_nodes else nodes, slot))
 
     @property
     def degree(self):
@@ -201,15 +210,32 @@ def read_edge_list(path, n_nodes=None):
 
 
 def local_mean(X, graph, v):
-    """Average of the columns of X over node v's neighborhood (v included)."""
+    """Average of the columns of X over node v's neighborhood (v included).
+
+    The sum is a left fold over the sorted neighbors, the order in which
+    :func:`dista_even_step` sums for all nodes at once.
+    """
     nbrs = graph.neighbors[v]
-    return np.sum(X[:, nbrs], axis=1) / len(nbrs)
+    acc = np.zeros(X.shape[0])
+    for w in nbrs:
+        acc += X[:, w]
+    return acc / len(nbrs)
 
 
 def _local_means(X, graph):
-    cols = [np.sum(X[:, graph.neighbors[v]], axis=1) / len(graph.neighbors[v])
-            for v in range(graph.n_nodes)]
-    return np.stack(cols, axis=1)
+    """Neighborhood means of all columns of X, bitwise :func:`local_mean`.
+
+    One gather and add per neighbor slot of ``graph.mean_plan``, so every
+    column is the same left fold from zero that local_mean performs.
+    """
+    acc = np.zeros(X.shape)
+    for nodes, slot in graph.mean_plan:
+        if nodes is None:
+            acc += X.take(slot, axis=1)
+        else:
+            acc[:, nodes] += X.take(slot, axis=1)
+    acc /= graph.degrees
+    return acc
 
 
 def _as_node_tau(tau, n_nodes):
@@ -224,6 +250,31 @@ def dista_even_step(state, graph):
     return NetworkState(state.X, _local_means(state.X, graph))
 
 
+def _descent(graph, data, lam, tau):
+    """The descent half-step as a map (X, C) -> X+, its inputs checked once.
+
+    Per-node matrix-vector products stay a loop; everything else runs on
+    the stacked columns in the order of :func:`dista_odd_step`'s formula, so
+    each column is bitwise the per-node update.
+    """
+    n_nodes = graph.n_nodes
+    if len(data) != n_nodes:
+        raise ValueError("one NodeData per node required")
+    tau = _as_node_tau(tau, n_nodes)
+    Qs = [nd.Q for nd in data]
+    tau_phi = tau * np.stack([nd.phi for nd in data], axis=1)
+    thr = lam * tau / 2.0
+
+    def descend(X, C):
+        QX = np.empty_like(X)
+        for v, Q in enumerate(Qs):
+            QX[:, v] = Q @ X[:, v]
+        return _shrink((X + _local_means(C, graph) - tau * QX - tau_phi) / 2.0,
+                       thr)
+
+    return descend
+
+
 def dista_odd_step(state, graph, data, lam, tau):
     """Descent half-step, synchronous over nodes.
 
@@ -232,18 +283,8 @@ def dista_odd_step(state, graph, data, lam, tau):
     reads refer to the pre-step state, so the result does not depend on node
     order.
     """
-    n_nodes = graph.n_nodes
-    if len(data) != n_nodes:
-        raise ValueError("one NodeData per node required")
-    tau = _as_node_tau(tau, n_nodes)
-    cbar = _local_means(state.C, graph)
-    X_new = np.empty_like(state.X)
-    for v in range(n_nodes):
-        x_v = state.X[:, v]
-        arg = (x_v + cbar[:, v]
-               - tau[v] * (data[v].Q @ x_v) - tau[v] * data[v].phi) / 2.0
-        X_new[:, v] = soft_threshold(arg, lam * tau[v] / 2.0)
-    return NetworkState(X_new, state.C)
+    descend = _descent(graph, data, lam, tau)
+    return NetworkState(descend(state.X, state.C), state.C)
 
 
 def odista_round(state, graph, data, lam, tau, r):
@@ -251,16 +292,20 @@ def odista_round(state, graph, data, lam, tau, r):
 
     The round always opens with a communication half-step, so C is refreshed
     from the carried X before any descent reads it; r = 2 is exactly one
-    communication followed by one descent.
+    communication followed by one descent.  X and C are carried as arrays
+    and the round's inputs are checked once, so every half-step is bitwise
+    :func:`dista_even_step` or :func:`dista_odd_step`.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    descend = _descent(graph, data, lam, tau)
+    X, C = state.X, state.C
     for h in range(r):
         if h % 2 == 0:
-            state = dista_even_step(state, graph)
+            C = _local_means(X, graph)
         else:
-            state = dista_odd_step(state, graph, data, lam, tau)
-    return state
+            X = descend(X, C)
+    return NetworkState(X, C)
 
 
 def batch_dista(graph, data, lam, tau, tol=1e-10, max_pairs=100000,

@@ -31,8 +31,9 @@ class PlayResult:
 def problems_from_blocks(blocks):
     """Quadratic forms of a stream of elastic-net slices.
 
-    Consecutive slices holding the same sensing matrix object share one
-    problem's cached factorization instead of refactoring per round.
+    Consecutive slices holding the same sensing matrix object are built
+    with ``with_phi`` and so share one Q and its cache: the factorization
+    and the extreme eigenvalues are computed once for the run of slices.
     """
     out = []
     base = None
@@ -184,12 +185,13 @@ def build_trace(problems, result, oracles=None):
                     z=result.z)
 
 
-def calibrate_r(single_step, budget_ms, repeats=7):
+def calibrate_r(single_step, budget_ms, repeats=7, steps_per_call=1):
     """Inner iterations affordable inside a round's time budget.
 
-    Times repeated calls of single_step and divides the budget by the
-    median, which rides out scheduler noise better than the mean.  At least
-    one iteration is always granted.
+    Times repeated calls of single_step, which performs steps_per_call
+    inner iterations, and divides the budget by the median time per
+    iteration; the median rides out scheduler noise better than the mean.
+    At least one iteration is always granted.
     """
     if budget_ms <= 0:
         raise ValueError("time budget must be positive")
@@ -199,7 +201,7 @@ def calibrate_r(single_step, budget_ms, repeats=7):
         t0 = time.perf_counter()
         single_step()
         samples.append(time.perf_counter() - t0)
-    med = float(np.median(samples))
+    med = float(np.median(samples)) / steps_per_call
     if med <= 0.0:
         return 1000
     return max(1, int((budget_ms / 1000.0) / med))
@@ -218,7 +220,12 @@ def oist_step_timer(problem, tau):
 
 
 def odista_step_timer(graph, data, lam_node, tau, n):
+    """Closure timing one communication/descent pair: two of odista's r.
+
+    A single half-step would time only the cheap communication, so
+    calibrate with steps_per_call=2.
+    """
     from .distributed import odista_round
 
     state = NetworkState.zeros(n, graph.n_nodes)
-    return lambda: odista_round(state, graph, data, lam_node, tau, 1)
+    return lambda: odista_round(state, graph, data, lam_node, tau, 2)

@@ -6,7 +6,7 @@ reproducible and adding a consumer never perturbs the draws of another.
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

@@ -9,11 +9,12 @@ batch solve and certifies it against the subgradient optimality condition.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs
 
-from .core import prox_quadratic, soft_threshold
+from .core import _shrink, prox_quadratic, soft_threshold
 
 
 class OracleError(RuntimeError):
@@ -94,15 +95,31 @@ def consistent_state(problem, z=None):
     return DRState(prox_quadratic(z, problem), z)
 
 
+def _dr_iterate(x, z, problem, r):
+    """r splitting iterations on plain arrays, inputs already validated.
+
+    Thresholding is ``soft_threshold`` without its checks and the solve is
+    the LAPACK routine behind ``prox_quadratic`` on the cached factor, so
+    every iterate is bitwise the one those two functions give.
+    """
+    c, lower = problem.prox_factor()
+    phi, lam = problem.phi, problem.lam
+    for _ in range(r):
+        u = _shrink(2.0 * x - z, lam)
+        z = z + 2.0 * (u - x)
+        x, _ = dpotrs(c, z - phi, lower=lower, overwrite_b=True)
+    return x, z
+
+
 def dr_step(state, problem):
     """One splitting iteration.
 
     u = S_lam(2x - z); z+ = z + 2(u - x); x+ = (Q + I)^{-1} (z+ - phi).
     """
-    u = soft_threshold(2.0 * state.x - state.z, problem.lam)
-    z_new = state.z + 2.0 * (u - state.x)
-    x_new = prox_quadratic(z_new, problem)
-    return DRState(x_new, z_new)
+    if state.z.shape != (problem.n,):
+        raise ValueError(
+            f"state must have shape ({problem.n},), got {state.z.shape}")
+    return DRState(*_dr_iterate(state.x, state.z, problem, 1))
 
 
 def batch_dr(problem, tol=1e-10, max_iter=10000, initial=None):
@@ -158,12 +175,11 @@ def odr_round(state, problem, cfg):
     current reflected operator and the per-round contraction guarantee would
     pick up an extra drift term.  From a state already consistent with
     ``problem`` the refresh reproduces x bitwise, so on a static stream the
-    round sequence coincides with the batch iteration.
+    round sequence coincides with the batch iteration.  The state is checked
+    on the way in and the result on the way out, not at every iteration.
     """
-    state = DRState(prox_quadratic(state.z, problem), state.z)
-    for _ in range(cfg.r):
-        state = dr_step(state, problem)
-    return state
+    x = prox_quadratic(state.z, problem)
+    return DRState(*_dr_iterate(x, state.z, problem, cfg.r))
 
 
 def oist_round(x, problem, cfg):
@@ -183,8 +199,9 @@ def oist_round(x, problem, cfg):
             f"tau < 1/lambda_max(Q) = {1.0 / problem.lambda_max:.3e}; "
             "iterating anyway", RuntimeWarning)
     thr = problem.lam * tau
+    Q, phi = problem.Q, problem.phi
     for _ in range(cfg.r):
-        x = soft_threshold(x - tau * (problem.Q @ x + problem.phi), thr)
+        x = _shrink(x - tau * (Q @ x + phi), thr)
     return x
 
 

@@ -7,6 +7,7 @@ library from both sides would prove nothing.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def soft_scalar(v, b):
@@ -79,6 +80,33 @@ def objective_reference(x, Q, phi, lam):
     for i in range(x.size):
         total += lam * abs(x[i])
     return total
+
+
+def direct_prox(z, Q, phi):
+    """(Q + I)^{-1} (z - phi), refactoring Q + I on every call."""
+    factor = scipy.linalg.cho_factor(Q + np.eye(len(phi)), lower=False)
+    return scipy.linalg.cho_solve(factor, z - phi)
+
+
+def direct_dr_step(x, z, Q, phi, lam):
+    """Literal splitting iteration.
+
+    u = S_lam(2x - z); z+ = z + 2(u - x); x+ = (Q + I)^{-1} (z+ - phi)
+    """
+    u = soft_vector(2.0 * x - z, lam)
+    z_new = np.empty_like(z)
+    for i in range(z.size):
+        z_new[i] = z[i] + 2.0 * (u[i] - x[i])
+    return direct_prox(z_new, Q, phi), z_new
+
+
+def direct_oist_sweep(x, Q, phi, lam, tau):
+    """Literal thresholded-gradient sweep x <- S_{lam tau}(x - tau (Qx + phi))."""
+    g = Q @ x
+    v = np.empty_like(x)
+    for i in range(x.size):
+        v[i] = x[i] - tau * (g[i] + phi[i])
+    return soft_vector(v, lam * tau)
 
 
 def mean_of_columns(M, idx):

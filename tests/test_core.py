@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stvo.core import (
     ContractionConstants,
@@ -13,6 +14,7 @@ from stvo.core import (
     prox_quadratic,
     soft_threshold,
 )
+from stvo.runner import problems_from_blocks
 from stvo.solvers import oracle_minimizer
 
 from oracles import objective_reference, soft_vector
@@ -215,6 +217,33 @@ def test_with_phi_shares_quadratic_term_and_caches():
     np.testing.assert_allclose(q.phi, [1.0, -1.0])
     with pytest.raises(ValueError):
         p.with_phi(np.zeros(3))
+
+
+def test_slices_of_one_sensing_matrix_factor_and_solve_eig_once(monkeypatch):
+    calls = {"cho_factor": 0, "eigvalsh": 0}
+
+    def counted(name):
+        fn = getattr(scipy.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scipy.linalg, name, counted(name))
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((3, 5))
+    blocks = [ElasticNetData(A=A, y=rng.standard_normal(3), lam=0.1, mu=0.2)
+              for _ in range(6)]
+    # problems_from_blocks derives every later slice before anything is
+    # factored; the cache must still be filled once for all of them
+    problems = problems_from_blocks(blocks)
+    for p in reversed(problems):
+        p.prox_factor()
+        p.eig_extremes()
+    assert calls == {"cho_factor": 1, "eigvalsh": 1}
+    assert all(p.prox_factor() is problems[0].prox_factor() for p in problems)
 
 
 def test_elastic_net_data_validation():

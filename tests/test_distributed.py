@@ -23,6 +23,7 @@ from stvo.distributed import (
     theta_tau,
     write_edge_list,
 )
+from stvo.runner import odista_step_timer
 from stvo.solvers import oracle_minimizer
 
 from oracles import (
@@ -408,6 +409,15 @@ def test_batch_descent_on_regular_graph():
         cur = global_objective(state.X, g, data, lam, tau)
         assert cur <= prev + 1e-9
         prev = cur
+
+
+def test_odista_step_timer_runs_a_descent_half_step():
+    g = ring4()
+    rng = np.random.default_rng(46)
+    data = random_node_data(rng, 5, 4)
+    step = odista_step_timer(g, data, 0.01, 0.1, 5)
+    # from the zero state a communication half-step alone leaves X at zero
+    assert np.any(step().X != 0.0)
 
 
 def test_theta_tau_values():
