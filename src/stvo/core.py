@@ -17,11 +17,12 @@ import scipy.linalg
 class _OperatorCache:
     """Derived data of one Q, filled on first use by whichever slice asks."""
 
-    __slots__ = ("prox_factor", "eig_extremes")
+    __slots__ = ("prox_factor", "eig_extremes", "spectral_norm")
 
     def __init__(self):
         self.prox_factor = None
         self.eig_extremes = None
+        self.spectral_norm = None
 
 
 class QuadraticL1Problem:
@@ -40,11 +41,11 @@ class QuadraticL1Problem:
     -----
     Instances are treated as read-only after construction and are safe to
     share across threads.  The factorization of Q + I used by the proximal
-    solve and the extreme eigenvalues of Q are computed lazily and kept in a
-    cache holder; :meth:`with_phi` produces a slice with a different linear
-    term that holds the same Q and the same holder by reference, so a stream
-    whose slices differ only in phi factors Q once, whichever slice asks
-    first.
+    solve, the extreme eigenvalues of Q and its spectral norm are computed
+    lazily and kept in a cache holder; :meth:`with_phi` produces a slice
+    with a different linear term that holds the same Q and the same holder
+    by reference, so a stream whose slices differ only in phi factors Q
+    once, whichever slice asks first.
     """
 
     SYMMETRY_TOL = 1e-10
@@ -98,6 +99,17 @@ class QuadraticL1Problem:
     @property
     def lambda_max(self):
         return self.eig_extremes()[1]
+
+    def spectral_norm(self):
+        """||Q||_2 from one SVD, cached.
+
+        Kept apart from lambda_max, which equals it in exact arithmetic but
+        comes from eigvalsh and differs in the last bits.
+        """
+        cache = self._cache
+        if cache.spectral_norm is None:
+            cache.spectral_norm = float(np.linalg.norm(self.Q, 2))
+        return cache.spectral_norm
 
     def with_phi(self, phi):
         """New slice with a different linear term, sharing Q and its cache."""

@@ -74,28 +74,74 @@ class Graph:
         return len(seen) == self.n_nodes
 
 
-@dataclass(frozen=True)
+class RowStack:
+    """Row blocks of one partition's nodes, stacked once and shared.
+
+    A is (|V|, k_max, n): node v's rows A_v on top of slab v, zero rows below
+    where it has fewer than k_max (zero rows add exactly nothing).  AT is its
+    contiguous transpose and mu the ridge each node adds, so every node's
+    Q_v x_v = A_v'(A_v x_v) + mu x_v comes from one batched matmul pair.
+    The dense Q_v are formed only on request, once per node.
+    """
+
+    __slots__ = ("A", "AT", "rows", "mu", "dense")
+
+    def __init__(self, blocks, mu):
+        self.rows = [b.shape[0] for b in blocks]
+        self.A = np.zeros((len(blocks), max(self.rows), blocks[0].shape[1]))
+        for v, b in enumerate(blocks):
+            self.A[v, :b.shape[0]] = b
+        self.AT = np.ascontiguousarray(self.A.transpose(0, 2, 1))
+        self.mu = float(mu)
+        self.dense = [None] * len(blocks)
+
+    def node_Q(self, v):
+        """Dense A_v'A_v + mu I of node v, cached."""
+        if self.dense[v] is None:
+            A_v = self.A[v, :self.rows[v]]
+            self.dense[v] = A_v.T @ A_v + self.mu * np.eye(A_v.shape[1])
+        return self.dense[v]
+
+    def products(self, X):
+        """Column v of the result is Q_v x_v, x_v column v of X."""
+        return (self.AT @ (self.A @ X.T[:, :, None]))[:, :, 0].T + self.mu * X
+
+
 class NodeData:
-    """Private quadratic data of one node."""
+    """Private quadratic data of one node: 0.5 x'Q x + phi'x.
 
-    Q: np.ndarray
-    phi: np.ndarray
+    Built either from a dense symmetric Q, or by :func:`node_partition` in
+    factored form as row slab ``index`` of a shared :class:`RowStack`; then
+    Q is formed on first read and cached in the stack.
+    """
 
-    def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
+    __slots__ = ("phi", "stack", "index", "_Q")
+
+    def __init__(self, Q, phi):
+        Q = np.asarray(Q, dtype=float)
+        phi = np.asarray(phi, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError(f"Q must be square, got {Q.shape}")
         if phi.shape != (Q.shape[0],):
             raise ValueError(f"phi must have shape ({Q.shape[0]},)")
         if np.max(np.abs(Q - Q.T), initial=0.0) > 1e-10:
             raise ValueError("Q must be symmetric")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "phi", phi)
+        self._Q, self.phi, self.stack, self.index = Q, phi, None, None
+
+    @classmethod
+    def factored(cls, stack, index, phi):
+        """Node ``index`` of stack with linear term phi."""
+        out = object.__new__(cls)
+        out._Q, out.phi, out.stack, out.index = None, phi, stack, index
+        return out
+
+    @property
+    def Q(self):
+        return self._Q if self.stack is None else self.stack.node_Q(self.index)
 
     @property
     def n(self):
-        return self.Q.shape[0]
+        return self.phi.shape[0]
 
     @property
     def lambda_max(self):
@@ -107,9 +153,28 @@ class NodeData:
         if phi.shape != (self.n,):
             raise ValueError(f"phi must have shape ({self.n},)")
         out = object.__new__(NodeData)
-        object.__setattr__(out, "Q", self.Q)
-        object.__setattr__(out, "phi", phi)
+        out._Q, out.phi, out.stack, out.index = (self._Q, phi, self.stack,
+                                                 self.index)
         return out
+
+
+def node_partition(data, n_nodes, mu_total=None):
+    """Split an elastic-net block row-wise across n_nodes nodes.
+
+    Node v holds the rows A_v, y_v that np.array_split deals it, in factored
+    form: Q_v = A_v'A_v + (mu/|V|) I and phi_v = -A_v'y_v, so the node data
+    sums back to the centralized elastic-net slice.  All nodes share one
+    :class:`RowStack`; no n x n matrix is formed until some Q_v is read.
+    """
+    if mu_total is None:
+        mu_total = data.mu
+    rows = np.array_split(np.arange(data.m), n_nodes)
+    if rows[-1].size == 0:
+        raise ValueError(f"block of {data.m} rows cannot feed {n_nodes} nodes")
+    blocks = [data.A[idx] for idx in rows]
+    stack = RowStack(blocks, mu_total / n_nodes)
+    return [NodeData.factored(stack, v, -A_v.T @ data.y[idx])
+            for v, (A_v, idx) in enumerate(zip(blocks, rows))]
 
 
 @dataclass
@@ -250,27 +315,47 @@ def dista_even_step(state, graph):
     return NetworkState(state.X, _local_means(state.X, graph))
 
 
+def _shared_stack(data):
+    """The RowStack that data is, node for node, or None."""
+    stack = data[0].stack
+    if (stack is not None and len(stack.rows) == len(data)
+            and all(nd.stack is stack and nd.index == v
+                    for v, nd in enumerate(data))):
+        return stack
+    return None
+
+
 def _descent(graph, data, lam, tau):
     """The descent half-step as a map (X, C) -> X+, its inputs checked once.
 
-    Per-node matrix-vector products stay a loop; everything else runs on
-    the stacked columns in the order of :func:`dista_odd_step`'s formula, so
-    each column is bitwise the per-node update.
+    Everything runs on the stacked columns in the order of
+    :func:`dista_odd_step`'s formula.  When the nodes are one
+    :func:`node_partition`, all products Q_v x_v are one batched product over
+    their shared RowStack, which sums in another order than the dense
+    product and agrees with it to rounding.  Otherwise the products are a
+    loop over the dense Q_v, and each column is bitwise the per-node update.
     """
     n_nodes = graph.n_nodes
     if len(data) != n_nodes:
         raise ValueError("one NodeData per node required")
     tau = _as_node_tau(tau, n_nodes)
-    Qs = [nd.Q for nd in data]
     tau_phi = tau * np.stack([nd.phi for nd in data], axis=1)
     thr = lam * tau / 2.0
+    stack = _shared_stack(data)
+    if stack is not None:
+        products = stack.products
+    else:
+        Qs = [nd.Q for nd in data]
+
+        def products(X):
+            QX = np.empty_like(X)
+            for v, Q in enumerate(Qs):
+                QX[:, v] = Q @ X[:, v]
+            return QX
 
     def descend(X, C):
-        QX = np.empty_like(X)
-        for v, Q in enumerate(Qs):
-            QX[:, v] = Q @ X[:, v]
-        return _shrink((X + _local_means(C, graph) - tau * QX - tau_phi) / 2.0,
-                       thr)
+        return _shrink((X + _local_means(C, graph) - tau * products(X)
+                        - tau_phi) / 2.0, thr)
 
     return descend
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import elastic_net_problem, objective_value
-from .distributed import NetworkState
+from .distributed import NetworkState, node_partition, odista_round
 from .metrics import RunTrace
 from .solvers import (DRState, OnlineConfig, consistent_state, dr_step,
                       initial_state, odr_round, oist_round, oracle_minimizer)
@@ -94,9 +94,11 @@ def odista_taus(blocks, n_nodes, rule="uniform_min"):
 
 
 def partition_stream(blocks, n_nodes):
-    """Per-round node data lists, reusing Q when the sensing matrix repeats."""
-    from .scenarios import node_partition
+    """Per-round node data lists.
 
+    Consecutive slices holding the same sensing matrix object share its
+    node partition: only the linear terms are rebuilt.
+    """
     prev = None
     nodes = None
     rows = None
@@ -137,8 +139,6 @@ def play_odr(problems, r):
 
 def play_odista(node_stream, graph, lam_node, taus, r, n):
     """Run the distributed solver; the action is the network average."""
-    from .distributed import odista_round
-
     state = NetworkState.zeros(n, graph.n_nodes)
     actions = np.empty((len(node_stream), n))
     for t, (data, tau) in enumerate(zip(node_stream, taus)):
@@ -225,7 +225,5 @@ def odista_step_timer(graph, data, lam_node, tau, n):
     A single half-step would time only the cheap communication, so
     calibrate with steps_per_call=2.
     """
-    from .distributed import odista_round
-
     state = NetworkState.zeros(n, graph.n_nodes)
     return lambda: odista_round(state, graph, data, lam_node, tau, 2)

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ElasticNetData, QuadraticL1Problem
-from .distributed import NodeData
+# node_partition lives next to NodeData; it stays importable from here
+from .distributed import node_partition  # noqa: F401
 
 # Named sub-stream tags; the tuple (seed, tag, *indices) seeds a Generator.
 STREAM_INPUT = 0
@@ -224,26 +225,6 @@ def tvarx_stream(cfg, sim=None):
         y_block = sim.y[start:start + cfg.m]
         blocks.append(ElasticNetData(A=A, y=y_block, lam=cfg.lam, mu=cfg.mu))
     return blocks
-
-
-def node_partition(data, n_nodes, mu_total=None):
-    """Split a measurement block row-wise across n_nodes nodes.
-
-    Each node receives Q_v = A_v'A_v + (mu/|V|) I and phi_v = -A_v'y_v, so
-    the node data sums back to the centralized elastic-net slice.
-    """
-    if mu_total is None:
-        mu_total = data.mu
-    rows = np.array_split(np.arange(data.m), n_nodes)
-    out = []
-    for idx in rows:
-        if idx.size == 0:
-            raise ValueError(f"block of {data.m} rows cannot feed {n_nodes} nodes")
-        A_v = data.A[idx]
-        y_v = data.y[idx]
-        out.append(NodeData(Q=A_v.T @ A_v + (mu_total / n_nodes) * np.eye(data.n),
-                            phi=-A_v.T @ y_v))
-    return out
 
 
 # ---------------------------------------------------------------------------

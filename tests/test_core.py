@@ -14,6 +14,7 @@ from stvo.core import (
     prox_quadratic,
     soft_threshold,
 )
+from stvo.metrics import assumption_bounds
 from stvo.runner import problems_from_blocks
 from stvo.solvers import oracle_minimizer
 
@@ -244,6 +245,21 @@ def test_slices_of_one_sensing_matrix_factor_and_solve_eig_once(monkeypatch):
         p.eig_extremes()
     assert calls == {"cho_factor": 1, "eigvalsh": 1}
     assert all(p.prox_factor() is problems[0].prox_factor() for p in problems)
+    # the bound's largest ||Q_t||_2 is one SVD for all of them, and bitwise
+    # the norm of the shared Q
+    norm = np.linalg.norm
+    svds = []
+
+    def counted_norm(x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            svds.append(args)
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    M_Q, _ = assumption_bounds(problems)
+    assert M_Q == float(norm(problems[0].Q, 2))
+    assert assumption_bounds(problems[::-1])[0] == M_Q
+    assert svds == [(2,)]
 
 
 def test_elastic_net_data_validation():

@@ -2,14 +2,18 @@
 
 The online rounds iterate on plain arrays and check their inputs once per
 round.  Their operation order is the reference steps' order, so agreement
-is asserted bitwise on hypothesis-generated problems and graphs.
+is asserted bitwise on hypothesis-generated problems and graphs.  Factored
+node data sums its products in another order than the dense Q_v, so it is
+held to the dense path within 1e-12 relative.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stvo.core import QuadraticL1Problem
+from stvo.core import ElasticNetData, QuadraticL1Problem
 from stvo.distributed import (
     Graph,
     NetworkState,
@@ -17,8 +21,10 @@ from stvo.distributed import (
     dista_even_step,
     dista_odd_step,
     local_mean,
+    node_partition,
     odista_round,
 )
+from stvo.runner import partition_stream
 from stvo.solvers import DRState, OnlineConfig, odr_round, oist_round
 
 from oracles import (
@@ -127,3 +133,106 @@ def test_descent_matches_literal_transcription_on_irregular_graphs(
                           lam, taus)
     np.testing.assert_array_equal(pair.X, step.X)
     np.testing.assert_array_equal(pair.C, step.C)
+
+
+def random_block(rng, m, n):
+    return ElasticNetData(A=rng.standard_normal((m, n)),
+                          y=rng.standard_normal(m), lam=0.1, mu=0.05)
+
+
+def dense_nodes(block, n_nodes):
+    """The dense spec of node_partition: NodeData(Q=A_v'A_v + mu_v I)."""
+    mu_v = block.mu / n_nodes
+    return [NodeData(Q=A_v.T @ A_v + mu_v * np.eye(block.n),
+                     phi=-A_v.T @ y_v)
+            for A_v, y_v in zip(np.array_split(block.A, n_nodes),
+                                np.array_split(block.y, n_nodes))]
+
+
+def assert_relatively_close(out, ref, *inputs):
+    scale = max(float(np.max(np.abs(a))) for a in (ref,) + inputs)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(seed=seeds, n=st.integers(1, 9), n_nodes=st.integers(1, 12),
+       extra_rows=st.integers(0, 14), max_degree=st.integers(1, 12),
+       lam=lams, r=st.integers(1, 8), step=st.floats(0.05, 1.0))
+# 7 rows over 3 nodes: array_split deals 3, 2, 2 and pads two slabs
+@example(seed=0, n=5, n_nodes=3, extra_rows=4, max_degree=2, lam=0.1, r=6,
+         step=1.0)
+def test_factored_descent_matches_dense_node_data(seed, n, n_nodes, extra_rows,
+                                                  max_degree, lam, r, step):
+    rng = np.random.default_rng(seed)
+    block = random_block(rng, n_nodes + extra_rows, n)
+    g = random_graph(rng, n_nodes, max_degree)
+    factored = node_partition(block, n_nodes)
+    dense = dense_nodes(block, n_nodes)
+    taus = np.array([step / nd.lambda_max for nd in dense])
+    X = rng.standard_normal((n, n_nodes))
+    C = rng.standard_normal((n, n_nodes))
+    state = NetworkState(X, C)
+    assert_relatively_close(dista_odd_step(state, g, factored, lam, taus).X,
+                            dista_odd_step(state, g, dense, lam, taus).X, X, C)
+    out = odista_round(state, g, factored, lam, taus, r)
+    ref = odista_round(state, g, dense, lam, taus, r)
+    assert_relatively_close(out.X, ref.X, X, C)
+    assert_relatively_close(out.C, ref.C, X, C)
+    if n_nodes > 1:
+        # the same nodes in another order are not one partition: they fall
+        # back to the dense loop, bitwise
+        flipped = odista_round(state, g, factored[::-1], lam, taus, r)
+        np.testing.assert_array_equal(
+            flipped.X, odista_round(state, g, dense[::-1], lam, taus, r).X)
+
+
+@SETTINGS
+@given(seed=seeds, n=st.integers(1, 12), n_nodes=st.integers(1, 8),
+       extra_rows=st.integers(0, 10))
+def test_lazy_node_q_is_the_dense_formula_bitwise(seed, n, n_nodes, extra_rows):
+    rng = np.random.default_rng(seed)
+    block = random_block(rng, n_nodes + extra_rows, n)
+    nodes = node_partition(block, n_nodes)
+    for nd, ref in zip(nodes, dense_nodes(block, n_nodes)):
+        np.testing.assert_array_equal(nd.Q, ref.Q)
+        np.testing.assert_array_equal(nd.phi, ref.phi)
+        assert nd.Q is nd.Q
+
+
+def test_slices_of_one_sensing_matrix_share_the_row_stack():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((7, 5))
+    blocks = [ElasticNetData(A=A, y=rng.standard_normal(7), lam=0.1, mu=0.2)
+              for _ in range(4)]
+    stream = partition_stream(blocks, 3)
+    stack = stream[0][0].stack
+    assert stack.A.shape == (3, 3, 5)
+    for t, nodes in enumerate(stream):
+        assert [nd.index for nd in nodes] == [0, 1, 2]
+        assert all(nd.stack is stack for nd in nodes)
+        other = nodes[1].with_phi(np.ones(5))
+        assert other.stack.A is stack.A and other.stack.AT is stack.AT
+        # a dense Q read on one slice serves every slice
+        assert other.Q is stream[0][1].Q
+        for nd, ref in zip(nodes, dense_nodes(blocks[t], 3)):
+            np.testing.assert_array_equal(nd.phi, ref.phi)
+
+
+def test_rss_sized_partition_forms_no_dense_q_until_read():
+    rng = np.random.default_rng(5)
+    block = random_block(rng, 144, 625)
+    dense_bytes = 625 * 625 * 8
+    tracemalloc.start()
+    try:
+        nodes = node_partition(block, 36)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        nodes[0].Q
+        _, peak_q = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the rows and their transpose, 2 * 36 * 4 * 625 doubles
+    assert peak < dense_bytes
+    assert nodes[0].stack.A.nbytes + nodes[0].stack.AT.nbytes == 2 * 720000
+    # tracemalloc sees numpy's buffers: reading Q allocates it
+    assert peak_q >= dense_bytes
