@@ -11,19 +11,19 @@ from .core import (ContractionConstants, ElasticNetData, QuadraticL1Problem,
 from .distributed import (Graph, NetworkState, NodeData, batch_dista,
                           consensus_problem, dista_even_step, dista_odd_step,
                           global_objective, local_mean, odista_round,
-                          radius_graph, read_edge_list, ring_graph,
-                          surrogate_objective, theta_tau, write_edge_list)
+                          radius_graph, ring_graph, surrogate_objective,
+                          theta_tau)
 from .metrics import (BoundConstants, RunTrace, dynamic_regret,
                       identification_mse, measure_bound_constants,
-                      path_length, reference_paths, regret_drift_fit,
-                      sublinearity_ratio, theorem1_bound, tracking_distances)
+                      path_length, reference_paths, theorem1_bound,
+                      tracking_distances)
 from .runner import (PlayResult, block_taus, build_trace, calibrate_r,
                      odista_taus, partition_stream, play_odista, play_odr,
                      play_oist, problems_from_blocks, stream_oracles)
 from .solvers import (BatchResult, DRState, OnlineConfig, OracleError,
                       batch_dr, consistent_state, dr_step, initial_state,
                       odr_round, oist_round, optimality_residual,
-                      oracle_minimizer, resolve_tau)
+                      oracle_minimizer)
 
 __version__ = "0.1.0"
 
@@ -39,8 +39,7 @@ __all__ = [
     "odista_round", "odista_taus", "odr_round", "oist_round",
     "optimality_residual", "oracle_minimizer", "partition_stream",
     "path_length", "play_odista", "play_odr", "play_oist", "problems_from_blocks",
-    "prox_quadratic", "radius_graph", "read_edge_list", "reference_paths",
-    "regret_drift_fit", "resolve_tau", "ring_graph", "soft_threshold",
-    "stream_oracles", "sublinearity_ratio", "surrogate_objective",
-    "theorem1_bound", "theta_tau", "tracking_distances", "write_edge_list",
+    "prox_quadratic", "radius_graph", "reference_paths", "ring_graph",
+    "soft_threshold", "stream_oracles", "surrogate_objective",
+    "theorem1_bound", "theta_tau", "tracking_distances",
 ]

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import _svg, metrics, runner, scenarios
-from .core import QuadraticL1Problem, objective_value
+from .core import QuadraticL1Problem, contraction_constants, objective_value
 from .distributed import radius_graph, ring_graph
 from .solvers import OracleError, batch_dr, optimality_residual
 
@@ -134,7 +134,7 @@ def build_stream(scenario, cfg, seed):
     if scenario == "rss":
         blocks, walk, _ = scenarios.rss_stream(cfg)
         return Stream(scenario, cfg, blocks, walk=walk)
-    blocks, truth = scenarios.synthetic_stream(**dataclasses.asdict(cfg))
+    blocks, truth = scenarios.synthetic_stream(cfg)
     return Stream(scenario, cfg, blocks, truth=truth)
 
 
@@ -146,15 +146,22 @@ def make_graph(stream, n_nodes):
     return ring_graph(n_nodes, 3), n_nodes
 
 
+def _odista_inputs(stream, blocks, n_nodes, tau_rule):
+    """Graph, node data stream, node step sizes and per-node l1 weight of
+    the distributed solver on blocks of stream."""
+    graph, n_nodes = make_graph(stream, n_nodes)
+    return (graph, runner.partition_stream(blocks, n_nodes),
+            runner.odista_taus(blocks, n_nodes, tau_rule),
+            blocks[0].lam / n_nodes)
+
+
 def play(alg, stream, r, n_nodes, tau_rule):
     if alg == "oist":
         return runner.play_oist(stream.problems, runner.block_taus(stream.blocks), r)
     if alg == "odr":
         return runner.play_odr(stream.problems, r)
-    graph, n_nodes = make_graph(stream, n_nodes)
-    node_stream = runner.partition_stream(stream.blocks, n_nodes)
-    taus = runner.odista_taus(stream.blocks, n_nodes, tau_rule)
-    lam_node = stream.blocks[0].lam / n_nodes
+    graph, node_stream, taus, lam_node = _odista_inputs(stream, stream.blocks,
+                                                       n_nodes, tau_rule)
     return runner.play_odista(node_stream, graph, lam_node, taus, r, stream.n)
 
 
@@ -166,11 +173,10 @@ def calibrated_r(alg, stream, budget_ms, n_nodes, tau_rule):
     elif alg == "oist":
         step = runner.oist_step_timer(p0, runner.block_taus(stream.blocks[:1])[0])
     else:
-        graph, n_nodes = make_graph(stream, n_nodes)
-        data = runner.partition_stream(stream.blocks[:1], n_nodes)[0]
-        tau = runner.odista_taus(stream.blocks[:1], n_nodes, tau_rule)[0]
-        step = runner.odista_step_timer(graph, data, stream.blocks[0].lam / n_nodes,
-                                        tau, stream.n)
+        graph, data, taus, lam_node = _odista_inputs(stream, stream.blocks[:1],
+                                                    n_nodes, tau_rule)
+        step = runner.odista_step_timer(graph, data[0], lam_node, taus[0],
+                                        stream.n)
         steps_per_call = 2
     r = runner.calibrate_r(step, budget_ms, steps_per_call=steps_per_call)
     print(f"calibrated r = {r} for {alg} ({budget_ms} ms budget)",
@@ -454,8 +460,6 @@ def cmd_solve(args):
 # ---------------------------------------------------------------------------
 
 def cmd_check(args):
-    from .core import contraction_constants
-
     overrides = load_config(args.config) if args.config else {}
     cfg = base_config(args.scenario, overrides)
     stream = build_stream(args.scenario, cfg, args.seed)

@@ -74,33 +74,50 @@ class Graph:
         return len(seen) == self.n_nodes
 
 
+def node_rows(m, n_nodes):
+    """Row indices of an m-row block that np.array_split deals each node."""
+    rows = np.array_split(np.arange(m), n_nodes)
+    if rows[-1].size == 0:
+        raise ValueError(f"block of {m} rows cannot feed {n_nodes} nodes")
+    return rows
+
+
 class RowStack:
     """Row blocks of one partition's nodes, stacked once and shared.
 
-    A is (|V|, k_max, n): node v's rows A_v on top of slab v, zero rows below
-    where it has fewer than k_max (zero rows add exactly nothing).  AT is its
-    contiguous transpose and mu the ridge each node adds, so every node's
-    Q_v x_v = A_v'(A_v x_v) + mu x_v comes from one batched matmul pair.
-    The dense Q_v are formed only on request, once per node.
+    A is (|V|, k_max, n): node v's rows A_v, the rows[v] of the block's A, on
+    top of slab v, zero rows below where it has fewer than k_max (zero rows
+    add exactly nothing).  AT is its contiguous transpose and mu the ridge
+    each node adds, so every node's Q_v x_v = A_v'(A_v x_v) + mu x_v comes
+    from one batched matmul pair.  The dense Q_v are formed only on request,
+    once per node.
     """
 
     __slots__ = ("A", "AT", "rows", "mu", "dense")
 
-    def __init__(self, blocks, mu):
-        self.rows = [b.shape[0] for b in blocks]
-        self.A = np.zeros((len(blocks), max(self.rows), blocks[0].shape[1]))
-        for v, b in enumerate(blocks):
-            self.A[v, :b.shape[0]] = b
+    def __init__(self, data, n_nodes):
+        self.rows = node_rows(data.m, n_nodes)
+        self.A = np.zeros((n_nodes, self.rows[0].size, data.n))
+        for v, idx in enumerate(self.rows):
+            self.A[v, :idx.size] = data.A[idx]
         self.AT = np.ascontiguousarray(self.A.transpose(0, 2, 1))
-        self.mu = float(mu)
-        self.dense = [None] * len(blocks)
+        self.mu = data.mu / n_nodes
+        self.dense = [None] * n_nodes
+
+    def _slab(self, v):
+        return self.A[v, :self.rows[v].size]
 
     def node_Q(self, v):
         """Dense A_v'A_v + mu I of node v, cached."""
         if self.dense[v] is None:
-            A_v = self.A[v, :self.rows[v]]
+            A_v = self._slab(v)
             self.dense[v] = A_v.T @ A_v + self.mu * np.eye(A_v.shape[1])
         return self.dense[v]
+
+    def nodes(self, y):
+        """The nodes of a slice with measurements y: phi_v = -A_v'y_v."""
+        return [NodeData.factored(self, v, -self._slab(v).T @ y[idx])
+                for v, idx in enumerate(self.rows)]
 
     def products(self, X):
         """Column v of the result is Q_v x_v, x_v column v of X."""
@@ -110,7 +127,7 @@ class RowStack:
 class NodeData:
     """Private quadratic data of one node: 0.5 x'Q x + phi'x.
 
-    Built either from a dense symmetric Q, or by :func:`node_partition` in
+    Built either from a dense symmetric Q, or by :meth:`RowStack.nodes` in
     factored form as row slab ``index`` of a shared :class:`RowStack`; then
     Q is formed on first read and cached in the stack.
     """
@@ -158,23 +175,16 @@ class NodeData:
         return out
 
 
-def node_partition(data, n_nodes, mu_total=None):
+def node_partition(data, n_nodes):
     """Split an elastic-net block row-wise across n_nodes nodes.
 
-    Node v holds the rows A_v, y_v that np.array_split deals it, in factored
-    form: Q_v = A_v'A_v + (mu/|V|) I and phi_v = -A_v'y_v, so the node data
-    sums back to the centralized elastic-net slice.  All nodes share one
-    :class:`RowStack`; no n x n matrix is formed until some Q_v is read.
+    Node v holds the rows A_v, y_v that :func:`node_rows` deals it, in
+    factored form: Q_v = A_v'A_v + (mu/|V|) I and phi_v = -A_v'y_v, so the
+    node data sums back to the centralized elastic-net slice.  All nodes
+    share one :class:`RowStack`; no n x n matrix is formed until some Q_v is
+    read.
     """
-    if mu_total is None:
-        mu_total = data.mu
-    rows = np.array_split(np.arange(data.m), n_nodes)
-    if rows[-1].size == 0:
-        raise ValueError(f"block of {data.m} rows cannot feed {n_nodes} nodes")
-    blocks = [data.A[idx] for idx in rows]
-    stack = RowStack(blocks, mu_total / n_nodes)
-    return [NodeData.factored(stack, v, -A_v.T @ data.y[idx])
-            for v, (A_v, idx) in enumerate(zip(blocks, rows))]
+    return RowStack(data, n_nodes).nodes(data.y)
 
 
 @dataclass
@@ -236,42 +246,6 @@ def radius_graph(positions, radius):
     if not graph.connected:
         warnings.warn("radius graph is disconnected", RuntimeWarning)
     return graph
-
-
-def write_edge_list(graph, path):
-    """Serialize as one 'u v' pair per line; self-loops stay implicit."""
-    lines = []
-    for v in range(graph.n_nodes):
-        for w in graph.neighbors[v]:
-            if w > v:
-                lines.append(f"{v} {w}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-
-
-def read_edge_list(path, n_nodes=None):
-    """Load an edge-list file written by :func:`write_edge_list`.
-
-    n_nodes defaults to one past the largest node id seen; pass it explicitly
-    when trailing nodes have no edges beyond their self-loop.
-    """
-    edges = []
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            u, w = line.split()
-            edges.append((int(u), int(w)))
-    if n_nodes is None:
-        if not edges:
-            raise ValueError("empty edge list needs an explicit n_nodes")
-        n_nodes = max(max(u, w) for u, w in edges) + 1
-    nbrs = [{v} for v in range(n_nodes)]
-    for u, w in edges:
-        nbrs[u].add(w)
-        nbrs[w].add(u)
-    return Graph(n_nodes, [sorted(s) for s in nbrs])
 
 
 def local_mean(X, graph, v):
@@ -421,20 +395,11 @@ def global_objective(X, graph, data, lam, tau):
     sum_v [ 0.5 x_v'Q_v x_v + phi_v'x_v + lam ||x_v||_1
             + 1/(2 d_v tau_v) sum_{w in N_v} ||xbar_w - x_v||^2 ]
     with xbar_w the neighborhood mean of X at w.  Non-regular graphs use each
-    node's own degree.
+    node's own degree.  It is :func:`surrogate_objective` at C = xbar and
+    B = X, where the damping term adds exactly zero.
     """
-    tau = _as_node_tau(tau, graph.n_nodes)
-    xbar = _local_means(X, graph)
-    total = 0.0
-    for v in range(graph.n_nodes):
-        x_v = X[:, v]
-        total += (0.5 * x_v @ (data[v].Q @ x_v) + data[v].phi @ x_v
-                  + lam * np.abs(x_v).sum())
-        d_v = len(graph.neighbors[v])
-        coupling = sum(float(np.sum((xbar[:, w] - x_v) ** 2))
-                       for w in graph.neighbors[v])
-        total += coupling / (2.0 * d_v * tau[v])
-    return float(total)
+    return surrogate_objective(X, _local_means(X, graph), X, graph, data, lam,
+                               tau)
 
 
 def surrogate_objective(X, C, B, graph, data, lam, tau):

@@ -249,36 +249,3 @@ def tracking_distances(estimates, truth):
         raise ValueError("estimates and truth must be aligned")
     d = np.linalg.norm(estimates - truth, axis=-1)
     return d, np.cumsum(d)
-
-
-def sublinearity_ratio(reg):
-    """Average-regret ratio between the full and the half horizon.
-
-    (Reg_T / T) / (Reg_{T/2} / (T/2)); below 1 indicates the average regret
-    is still falling, the operational signature of successful tracking.
-    """
-    reg = np.asarray(reg, dtype=float)
-    T = reg.size
-    if T < 2:
-        raise ValueError("need at least two rounds")
-    half = T // 2
-    full_avg = reg[-1] / T
-    half_avg = reg[half - 1] / half
-    if half_avg == 0.0:
-        return 0.0 if full_avg == 0.0 else np.inf
-    return float(full_avg / half_avg)
-
-
-def regret_drift_fit(reg_finals, drift_sums, drift_sq_sums):
-    """Least-squares fit Reg_T ~ a + b * sum(drift) + c * sum(drift^2).
-
-    Used where the distributed theory promises bound constants without
-    closed forms; the fit makes the claimed dependence measurable across
-    runs.  Returns the coefficient triple (a, b, c).
-    """
-    reg_finals = np.asarray(reg_finals, dtype=float)
-    A = np.column_stack([np.ones_like(reg_finals),
-                         np.asarray(drift_sums, dtype=float),
-                         np.asarray(drift_sq_sums, dtype=float)])
-    coef, *_ = np.linalg.lstsq(A, reg_finals, rcond=None)
-    return tuple(float(c) for c in coef)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import elastic_net_problem, objective_value
-from .distributed import NetworkState, node_partition, odista_round
+from .distributed import NetworkState, RowStack, node_rows, odista_round
 from .metrics import RunTrace
 from .solvers import (DRState, OnlineConfig, consistent_state, dr_step,
                       initial_state, odr_round, oist_round, oracle_minimizer)
@@ -28,48 +28,48 @@ class PlayResult:
     state: object | None = None
 
 
+def _shared_runs(blocks):
+    """Consecutive blocks holding the same A object with equal lam and mu.
+
+    The blocks of one run share one quadratic term, so everything derived
+    from it (factorization, spectral constants, node partition, step sizes)
+    is built once from the run's first block.
+    """
+    runs = []
+    for b in blocks:
+        head = runs[-1][0] if runs else None
+        if (head is not None and b.A is head.A and b.lam == head.lam
+                and b.mu == head.mu):
+            runs[-1].append(b)
+        else:
+            runs.append([b])
+    return runs
+
+
 def problems_from_blocks(blocks):
     """Quadratic forms of a stream of elastic-net slices.
 
-    Consecutive slices holding the same sensing matrix object are built
-    with ``with_phi`` and so share one Q and its cache: the factorization
-    and the extreme eigenvalues are computed once for the run of slices.
+    The slices of one shared run are built with ``with_phi`` and so share one
+    Q and its cache: the factorization and the extreme eigenvalues are
+    computed once for the run.
     """
     out = []
-    base = None
-    base_key = None
-    for b in blocks:
-        key = (id(b.A), b.lam, b.mu)
-        if base is not None and key == base_key:
-            out.append(base.with_phi(-b.A.T @ b.y))
-        else:
-            base = elastic_net_problem(b)
-            base_key = key
-            out.append(base)
+    for run in _shared_runs(blocks):
+        base = elastic_net_problem(run[0])
+        out.append(base)
+        out.extend(base.with_phi(-b.A.T @ b.y) for b in run[1:])
     return out
 
 
 def block_taus(blocks):
     """Per-round thresholded-gradient step sizes, 2 / ||A_t||_2^2."""
     taus = []
-    norm_sq = None
-    prev = None
-    for b in blocks:
-        if prev is not b.A:
-            norm_sq = float(np.linalg.norm(b.A, 2)) ** 2
-            prev = b.A
-        taus.append(2.0 / norm_sq)
+    for run in _shared_runs(blocks):
+        taus.extend([2.0 / float(np.linalg.norm(run[0].A, 2)) ** 2] * len(run))
     return taus
 
 
-def node_norms_squared(block, n_nodes):
-    """Squared spectral norms of the row partition handed to each node."""
-    rows = np.array_split(np.arange(block.m), n_nodes)
-    return np.array([float(np.linalg.norm(block.A[idx], 2)) ** 2
-                     for idx in rows])
-
-
-def odista_taus(blocks, n_nodes, rule="uniform_min"):
+def odista_taus(blocks, n_nodes, rule):
     """Per-round arrays of node step sizes.
 
     "uniform_min" gives every node the smallest inverse squared norm, which
@@ -79,39 +79,28 @@ def odista_taus(blocks, n_nodes, rule="uniform_min"):
     if rule not in ("uniform_min", "per_node"):
         raise ValueError(f"unknown step-size rule {rule!r}")
     taus = []
-    cached = None
-    prev = None
-    for b in blocks:
-        if prev is not b.A:
-            norms = node_norms_squared(b, n_nodes)
-            if rule == "uniform_min":
-                cached = np.full(n_nodes, 1.0 / float(np.max(norms)))
-            else:
-                cached = 1.0 / norms
-            prev = b.A
-        taus.append(cached)
+    for run in _shared_runs(blocks):
+        A = run[0].A
+        norms = np.array([float(np.linalg.norm(A[idx], 2)) ** 2
+                          for idx in node_rows(run[0].m, n_nodes)])
+        if rule == "uniform_min":
+            tau = np.full(n_nodes, 1.0 / float(np.max(norms)))
+        else:
+            tau = 1.0 / norms
+        taus.extend([tau] * len(run))
     return taus
 
 
 def partition_stream(blocks, n_nodes):
     """Per-round node data lists.
 
-    Consecutive slices holding the same sensing matrix object share its
-    node partition: only the linear terms are rebuilt.
+    The slices of one shared run share its node partition: only the linear
+    terms are rebuilt.
     """
-    prev = None
-    nodes = None
-    rows = None
     out = []
-    for b in blocks:
-        if prev is b.A and nodes is not None:
-            nodes = [nd.with_phi(-b.A[idx].T @ b.y[idx])
-                     for nd, idx in zip(nodes, rows)]
-        else:
-            nodes = node_partition(b, n_nodes)
-            rows = np.array_split(np.arange(b.m), n_nodes)
-            prev = b.A
-        out.append(nodes)
+    for run in _shared_runs(blocks):
+        stack = RowStack(run[0], n_nodes)
+        out.extend(stack.nodes(b.y) for b in run)
     return out
 
 
@@ -147,23 +136,22 @@ def play_odista(node_stream, graph, lam_node, taus, r, n):
     return PlayResult(actions=actions, state=state)
 
 
-def stream_oracles(problems, warm=True, tol=1e-12, max_iter=200000,
-                   opt_tol=1e-8):
+def stream_oracles(problems, opt_tol=1e-8):
     """Reference minimizers and fixed points of every slice.
 
-    Warm starting from the previous fixed point makes slowly drifting
-    streams cheap without changing the answer beyond the solve tolerance.
+    Each solve is warm started from the previous fixed point, which makes
+    slowly drifting streams cheap without changing the answer beyond the
+    solve tolerance.
     """
     xs = np.empty((len(problems), problems[0].n))
     zs = np.empty_like(xs)
     prev = None
     for t, p in enumerate(problems):
-        x_star, z_star = oracle_minimizer(p, tol=tol, max_iter=max_iter,
-                                          opt_tol=opt_tol, initial=prev)
+        x_star, z_star = oracle_minimizer(p, max_iter=200000, opt_tol=opt_tol,
+                                          initial=prev)
         xs[t] = x_star
         zs[t] = z_star
-        if warm:
-            prev = DRState(x_star, z_star)
+        prev = DRState(x_star, z_star)
     return xs, zs
 
 
@@ -185,10 +173,10 @@ def build_trace(problems, result, oracles=None):
                     z=result.z)
 
 
-def calibrate_r(single_step, budget_ms, repeats=7, steps_per_call=1):
+def calibrate_r(single_step, budget_ms, steps_per_call=1):
     """Inner iterations affordable inside a round's time budget.
 
-    Times repeated calls of single_step, which performs steps_per_call
+    Times seven calls of single_step, which performs steps_per_call
     inner iterations, and divides the budget by the median time per
     iteration; the median rides out scheduler noise better than the mean.
     At least one iteration is always granted.
@@ -197,7 +185,7 @@ def calibrate_r(single_step, budget_ms, repeats=7, steps_per_call=1):
         raise ValueError("time budget must be positive")
     single_step()
     samples = []
-    for _ in range(repeats):
+    for _ in range(7):
         t0 = time.perf_counter()
         single_step()
         samples.append(time.perf_counter() - t0)

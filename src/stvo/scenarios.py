@@ -473,26 +473,26 @@ class SyntheticConfig:
             raise ValueError("lam and mu must be positive")
 
 
-def synthetic_stream(n=20, m=12, blocks=100, drift=2e-3, lam=1e-2, mu=1e-6,
-                     snr_db=25.0, seed=0):
+def synthetic_stream(cfg):
     """Slowly drifting sparse regression stream in elastic-net form.
 
     A fixed Gaussian sensing matrix observes a two-sparse target whose
-    nonzero entries move smoothly; measurement noise at snr_db.
+    nonzero entries move smoothly; measurement noise at cfg.snr_db.
     """
-    rng = substream(seed, STREAM_PROBLEM)
+    n, m, drift = cfg.n, cfg.m, cfg.drift
+    rng = substream(cfg.seed, STREAM_PROBLEM)
     A = rng.standard_normal((m, n)) / math.sqrt(m)
     supp = (0, n // 2)
     out = []
     truth = []
-    noise_rng = substream(seed, STREAM_NOISE)
-    scale = 10.0 ** (-snr_db / 20.0)
-    for t in range(blocks):
+    noise_rng = substream(cfg.seed, STREAM_NOISE)
+    scale = 10.0 ** (-cfg.snr_db / 20.0)
+    for t in range(cfg.blocks):
         x = np.zeros(n)
         x[supp[0]] = 1.0 + 0.3 * math.sin(2.0 * math.pi * drift * t)
         x[supp[1]] = -0.8 + 0.3 * math.cos(2.0 * math.pi * drift * t)
         y0 = A @ x
         y = y0 + noise_rng.standard_normal(m) * np.linalg.norm(y0) * scale / math.sqrt(m)
-        out.append(ElasticNetData(A=A, y=y, lam=lam, mu=mu))
+        out.append(ElasticNetData(A=A, y=y, lam=cfg.lam, mu=cfg.mu))
         truth.append(x)
     return out, np.array(truth)

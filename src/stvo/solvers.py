@@ -42,23 +42,19 @@ class DRState:
 
 @dataclass
 class OnlineConfig:
-    """Per-round budget and step-size policy of the online solvers.
+    """Per-round budget and step size of the online solvers.
 
-    r counts inner iterations per round.  tau_rule selects the step used by
-    the thresholded-gradient family: "fixed" takes tau as given,
-    "scaled_spectral" uses 2 / lambda_max(Q_t), the quadratic-form version of
-    the 2 / ||A_t||^2 rule.  The splitting family ignores tau.
+    r counts inner iterations per round.  tau is the step of the
+    thresholded-gradient family, which requires it; the splitting family
+    ignores it.
     """
 
     r: int = 1
     tau: float | None = None
-    tau_rule: str = "fixed"
 
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
-        if self.tau_rule not in ("fixed", "scaled_spectral"):
-            raise ValueError(f"unknown tau_rule {self.tau_rule!r}")
         if self.tau is not None and not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
@@ -157,15 +153,6 @@ def batch_dr(problem, tol=1e-10, max_iter=10000, initial=None):
                        residual_history=np.array(residuals), converged=converged)
 
 
-def resolve_tau(cfg, problem):
-    """Step size for the thresholded-gradient family under cfg's rule."""
-    if cfg.tau_rule == "scaled_spectral":
-        return 2.0 / problem.lambda_max
-    if cfg.tau is None:
-        raise ValueError("tau_rule 'fixed' requires an explicit tau")
-    return cfg.tau
-
-
 def odr_round(state, problem, cfg):
     """One online round of the splitting solver: r iterations on this slice.
 
@@ -192,7 +179,9 @@ def oist_round(x, problem, cfg):
     warned about, not fatal.
     """
     x = np.asarray(x, dtype=float)
-    tau = resolve_tau(cfg, problem)
+    tau = cfg.tau
+    if tau is None:
+        raise ValueError("oist_round requires an explicit tau")
     if tau * problem.lambda_max >= 1.0:
         warnings.warn(
             f"tau={tau:.3e} violates the descent precondition "

@@ -17,11 +17,9 @@ from stvo.distributed import (
     local_mean,
     odista_round,
     radius_graph,
-    read_edge_list,
     ring_graph,
     surrogate_objective,
     theta_tau,
-    write_edge_list,
 )
 from stvo.runner import odista_step_timer
 from stvo.solvers import oracle_minimizer
@@ -138,21 +136,6 @@ def test_graph_validation():
     g = Graph(3, [[0, 1], [0, 1, 2], [1, 2]])
     assert not g.regular
     assert g.degree is None
-
-
-def test_edge_list_roundtrip(tmp_path):
-    g = ring_graph(6, 3)
-    path = tmp_path / "ring.txt"
-    write_edge_list(g, path)
-    h = read_edge_list(path)
-    assert h.n_nodes == 6
-    for v in range(6):
-        np.testing.assert_array_equal(h.neighbors[v], g.neighbors[v])
-    lonely = tmp_path / "empty.txt"
-    lonely.write_text("")
-    with pytest.raises(ValueError):
-        read_edge_list(lonely)
-    assert read_edge_list(lonely, n_nodes=2).n_nodes == 2
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ held to the dense path within 1e-12 relative.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,8 @@ from stvo.distributed import (
     node_partition,
     odista_round,
 )
-from stvo.runner import partition_stream
+from stvo.runner import (block_taus, odista_taus, partition_stream,
+                         problems_from_blocks)
 from stvo.solvers import DRState, OnlineConfig, odr_round, oist_round
 
 from oracles import (
@@ -216,6 +218,45 @@ def test_slices_of_one_sensing_matrix_share_the_row_stack():
         assert other.Q is stream[0][1].Q
         for nd, ref in zip(nodes, dense_nodes(blocks[t], 3)):
             np.testing.assert_array_equal(nd.phi, ref.phi)
+
+
+def test_every_slice_of_a_stream_gets_the_data_of_its_own_block():
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((6, 4))
+
+    def block(A, lam, mu):
+        return ElasticNetData(A=A, y=rng.standard_normal(6), lam=lam, mu=mu)
+
+    # a shared-A run, then a mu change, a lam change and a fresh A
+    blocks = [block(A, 0.1, 0.2), block(A, 0.1, 0.2), block(A, 0.1, 5.0),
+              block(A, 0.3, 5.0), block(rng.standard_normal((6, 4)), 0.3, 5.0)]
+    nodes = partition_stream(blocks, 2)
+    problems = problems_from_blocks(blocks)
+    taus = block_taus(blocks)
+    rules = ("per_node", "uniform_min")
+    node_taus = [odista_taus(blocks, 2, rule) for rule in rules]
+    for t, b in enumerate(blocks):
+        for nd, ref in zip(nodes[t], partition_stream([b], 2)[0]):
+            np.testing.assert_array_equal(nd.Q, ref.Q)
+            np.testing.assert_array_equal(nd.phi, ref.phi)
+        ref = problems_from_blocks([b])[0]
+        np.testing.assert_array_equal(problems[t].Q, ref.Q)
+        np.testing.assert_array_equal(problems[t].phi, ref.phi)
+        assert problems[t].lam == ref.lam
+        assert taus[t] == block_taus([b])[0]
+        for rule, got in zip(rules, node_taus):
+            np.testing.assert_array_equal(got[t], odista_taus([b], 2, rule)[0])
+
+
+def test_partition_and_node_steps_refuse_more_nodes_than_rows():
+    block = random_block(np.random.default_rng(9), 12, 5)
+    calls = [lambda: node_partition(block, 13)]
+    calls += [lambda rule=rule: odista_taus([block], 13, rule)
+              for rule in ("per_node", "uniform_min")]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match="block of 12 rows cannot feed 13 nodes"):
+            call()
 
 
 def test_rss_sized_partition_forms_no_dense_q_until_read():

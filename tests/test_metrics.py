@@ -11,8 +11,6 @@ from stvo.metrics import (
     measure_bound_constants,
     path_length,
     reference_paths,
-    regret_drift_fit,
-    sublinearity_ratio,
     theorem1_bound,
     tracking_distances,
 )
@@ -237,21 +235,3 @@ def test_tracking_distances_identity_and_offset():
     d, cum = tracking_distances(est, truth)
     np.testing.assert_allclose(d, np.ones(6))
     np.testing.assert_allclose(cum, np.arange(1, 7, dtype=float))
-
-
-def test_sublinearity_ratio():
-    t = np.arange(1, 101, dtype=float)
-    assert sublinearity_ratio(t) == pytest.approx(1.0)
-    assert sublinearity_ratio(np.sqrt(t)) < 1.0
-    assert sublinearity_ratio(np.zeros(10)) == 0.0
-    with pytest.raises(ValueError):
-        sublinearity_ratio([1.0])
-
-
-def test_regret_drift_fit_recovers_exact_coefficients():
-    rng = np.random.default_rng(56)
-    drift = rng.uniform(0.5, 2.0, 12)
-    drift_sq = rng.uniform(0.1, 1.0, 12)
-    reg = 2.0 + 3.0 * drift + 0.5 * drift_sq
-    a, b, c = regret_drift_fit(reg, drift, drift_sq)
-    assert (a, b, c) == pytest.approx((2.0, 3.0, 0.5), abs=1e-9)

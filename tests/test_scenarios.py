@@ -10,6 +10,7 @@ from stvo.metrics import path_length
 from stvo.scenarios import (
     PathLoss,
     RssConfig,
+    SyntheticConfig,
     TvarxConfig,
     block_starts,
     cell_centers,
@@ -327,7 +328,8 @@ def test_drifting_stream_shares_q_and_moves_linearly():
 
 
 def test_synthetic_stream_shapes_and_support():
-    blocks, truth = synthetic_stream(n=10, m=6, blocks=20, seed=3)
+    blocks, truth = synthetic_stream(SyntheticConfig(n=10, m=6, blocks=20,
+                                                     seed=3))
     assert len(blocks) == 20 and truth.shape == (20, 10)
     assert all(b.A is blocks[0].A for b in blocks)
     nz = np.nonzero(truth[0])[0]

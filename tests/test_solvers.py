@@ -25,7 +25,6 @@ from stvo.solvers import (
     oist_round,
     optimality_residual,
     oracle_minimizer,
-    resolve_tau,
 )
 
 from oracles import prox_grad_minimize, scalar_lasso, subgradient_violation
@@ -165,14 +164,10 @@ def test_oist_warns_on_unstable_step():
         oist_round(np.zeros(2), p, OnlineConfig(r=1, tau=1.5))
 
 
-def test_resolve_tau_rules():
+def test_oist_round_requires_a_step_size():
     p = QuadraticL1Problem(np.diag([1.0, 4.0]), np.zeros(2), 0.1)
-    assert resolve_tau(OnlineConfig(r=1, tau=0.25), p) == 0.25
-    spectral = resolve_tau(
-        OnlineConfig(r=1, tau_rule="scaled_spectral"), p)
-    assert spectral == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        resolve_tau(OnlineConfig(r=1), p)
+    with pytest.raises(ValueError, match="explicit tau"):
+        oist_round(np.zeros(2), p, OnlineConfig(r=1))
 
 
 def test_online_config_validation():
@@ -180,8 +175,6 @@ def test_online_config_validation():
         OnlineConfig(r=0)
     with pytest.raises(ValueError):
         OnlineConfig(r=1, tau=-0.1)
-    with pytest.raises(ValueError):
-        OnlineConfig(r=1, tau_rule="adaptive")
 
 
 def test_dr_state_validation():
