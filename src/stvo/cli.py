@@ -177,7 +177,7 @@ def calibrated_r(alg, stream, budget_ms, n_nodes, tau_rule):
                                                     n_nodes, tau_rule)
         step = runner.odista_step_timer(graph, data[0], lam_node, taus[0],
                                         stream.n)
-        steps_per_call = 2
+        steps_per_call = runner.ODISTA_TIMED_HALF_STEPS
     r = runner.calibrate_r(step, budget_ms, steps_per_call=steps_per_call)
     print(f"calibrated r = {r} for {alg} ({budget_ms} ms budget)",
           file=sys.stderr)

@@ -207,11 +207,16 @@ def oist_step_timer(problem, tau):
     return lambda: oist_round(x, problem, cfg)
 
 
-def odista_step_timer(graph, data, lam_node, tau, n):
-    """Closure timing one communication/descent pair: two of odista's r.
+ODISTA_TIMED_HALF_STEPS = 32
 
-    A single half-step would time only the cheap communication, so
-    calibrate with steps_per_call=2.
+
+def odista_step_timer(graph, data, lam_node, tau, n):
+    """Closure timing one odista round of ODISTA_TIMED_HALF_STEPS half-steps.
+
+    A round pays its setup once, so timing short rounds would charge that
+    setup to every half-step; calibrate with
+    steps_per_call=ODISTA_TIMED_HALF_STEPS.
     """
     state = NetworkState.zeros(n, graph.n_nodes)
-    return lambda: odista_round(state, graph, data, lam_node, tau, 2)
+    return lambda: odista_round(state, graph, data, lam_node, tau,
+                                ODISTA_TIMED_HALF_STEPS)

@@ -4,7 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stvo import cli, solvers
 from stvo.core import (
     ElasticNetData,
     QuadraticL1Problem,
@@ -12,6 +15,7 @@ from stvo.core import (
     elastic_net_problem,
     objective_value,
 )
+from stvo.runner import stream_oracles
 from stvo.solvers import (
     BatchResult,
     DRState,
@@ -245,3 +249,66 @@ def test_solver_determinism():
     a2 = oracle_minimizer(p)
     np.testing.assert_array_equal(a1[0], a2[0])
     np.testing.assert_array_equal(a1[1], a2[1])
+
+
+# ---------------------------------------------------------------------------
+# the oracle's active-set search against its FISTA fallback
+# ---------------------------------------------------------------------------
+
+def fista_only(p, x0):
+    """The oracle's fallback path alone, at the oracle's own target."""
+    x, res = solvers._fista_polish(p, np.array(x0, dtype=float), 1e-12, 200000)
+    assert res <= 1e-8
+    return x
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 20),
+       m_frac=st.floats(0.1, 0.9), log_mu=st.floats(-6.0, -1.0),
+       log_lam=st.floats(-3.0, -1.0), warm=st.booleans())
+def test_oracle_matches_its_fallback_on_ill_conditioned_elastic_nets(
+        seed, n, m_frac, log_mu, log_lam, warm):
+    rng = np.random.default_rng(seed)
+    m = max(1, min(n - 1, int(m_frac * n)))
+    # columns over two decades of scale make Q = A'A + mu I ill-conditioned
+    A = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-1.0, 1.0, n)
+    y = rng.standard_normal(m)
+    lam = 10.0 ** log_lam * float(np.max(np.abs(A.T @ y)))
+    p = elastic_net_problem(ElasticNetData(A=A, y=y, lam=lam, mu=10.0 ** log_mu))
+    # a warm start from an unrelated point, or the cold start
+    x0 = (rng.standard_normal(n) * (rng.random(n) < 0.5) if warm
+          else np.zeros(n))
+    x_star, _ = oracle_minimizer(p, max_iter=200000,
+                                 initial=DRState(x0, np.zeros(n)))
+    assert subgradient_violation(x_star, p.Q, p.phi, p.lam) <= 1e-8
+    ref = fista_only(p, x0)
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    np.testing.assert_allclose(x_star, ref, rtol=0.0, atol=1e-9 * scale)
+
+
+def acceptance_prefix(scenario, seed, blocks):
+    cfg = cli.base_config(scenario, {})
+    return cli.build_stream(scenario, cfg, cli.derive_seed(seed, 0)).problems[:blocks]
+
+
+@pytest.mark.parametrize("scenario,seed", [("exp1", 3), ("exp2", 5), ("exp2", 9),
+                                           ("rss", 21)])
+def test_stream_oracles_certify_every_slice_without_the_fallback(
+        monkeypatch, scenario, seed):
+    problems = acceptance_prefix(scenario, seed, 40)
+
+    def no_fallback(*args):
+        raise AssertionError("the active-set search did not certify a slice")
+
+    monkeypatch.setattr(solvers, "_fista_polish", no_fallback)
+    xs, _ = stream_oracles(problems)
+    assert max(optimality_residual(x, p) for x, p in zip(xs, problems)) <= 1e-12
+
+
+def test_stream_oracles_equal_the_fallback_only_path_bitwise(monkeypatch):
+    problems = acceptance_prefix("exp2", 5, 25)
+    xs, zs = stream_oracles(problems)
+    monkeypatch.setattr(solvers, "_feature_sign", lambda problem, x: None)
+    xs_ref, zs_ref = stream_oracles(problems)
+    np.testing.assert_array_equal(xs, xs_ref)
+    np.testing.assert_array_equal(zs, zs_ref)
