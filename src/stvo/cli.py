@@ -469,6 +469,13 @@ def cmd_check(args):
     cc = contraction_constants(p0)
     print(f"ok: first slice positive definite "
           f"(sigma={cc.sigma:.3e}, beta={cc.beta:.3e})")
+    m, op = stream.blocks[0].m, p0.op
+    if op.factored:
+        print(f"ok: first slice operator factored as A'A + mu I "
+              f"(m={m}, n={stream.n}, 2m < n); positive definite because "
+              f"mu={op.mu:.3e} > 0")
+    else:
+        print(f"ok: first slice operator dense (m={m}, n={stream.n}, 2m >= n)")
     if cc.delta >= 1.0:
         print(f"fail: contraction factor {cc.delta} not below one")
         return 2

@@ -12,17 +12,98 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 
-class _OperatorCache:
-    """Derived data of one Q, filled on first use by whichever slice asks."""
+class SliceOperator:
+    """The quadratic term Q of a slice and the data derived from it.
 
-    __slots__ = ("prox_factor", "eig_extremes", "spectral_norm")
+    Holds Q either dense, or factored as the pair (A, mu) with
+    Q = A'A + mu I and fewer rows than columns (m < n).  The proximal
+    factor, the extreme eigenvalues and the spectral norm are computed on
+    first use and cached, so every slice holding the operator by reference
+    shares them.  On a factored operator
 
-    def __init__(self):
-        self.prox_factor = None
-        self.eig_extremes = None
-        self.spectral_norm = None
+    * Q x is A'(A x) + mu x;
+    * the solve with Q + I is the matrix inversion lemma
+      (Q + I)^{-1} b = (b - A'G^{-1}A b) / (1 + mu) with the m x m
+      G = (1 + mu) I + AA' (Boyd et al., *ADMM*, 2011, section 4.2.4);
+    * A'A is singular, so the extreme eigenvalues are mu and mu plus the
+      largest eigenvalue of AA', and mu > 0 is what makes Q positive
+      definite;
+    * the dense Q is formed only when read, bitwise A.T @ A + mu * I.
+    """
+
+    __slots__ = ("n", "A", "mu", "_Q", "_factor", "_eig", "_norm")
+
+    def __init__(self, Q=None, A=None, mu=0.0):
+        if A is not None and not A.shape[0] < A.shape[1]:
+            raise ValueError(f"a factored Q needs fewer rows than columns, "
+                             f"got A of shape {A.shape}")
+        self.n = Q.shape[0] if A is None else A.shape[1]
+        self.A, self.mu, self._Q = A, float(mu), Q
+        self._factor = self._eig = self._norm = None
+
+    @property
+    def factored(self):
+        return self.A is not None
+
+    @property
+    def Q(self):
+        if self._Q is None:
+            self._Q = self.A.T @ self.A + self.mu * np.eye(self.n)
+        return self._Q
+
+    def matvec(self, x):
+        """Q x."""
+        if self.A is None:
+            return self._Q @ x
+        return self.A.T @ (self.A @ x) + self.mu * x
+
+    def block(self, act):
+        """Q restricted to the rows and columns of the boolean mask act."""
+        if self.A is None:
+            return self._Q[np.ix_(act, act)]
+        A_S = self.A[:, act]
+        return A_S.T @ A_S + self.mu * np.eye(A_S.shape[1])
+
+    def prox_factor(self):
+        """Cholesky factor of Q + I, or of the m x m G when factored."""
+        if self._factor is None:
+            if self.A is None:
+                G = self._Q + np.eye(self.n)
+            else:
+                G = self.A @ self.A.T + (1.0 + self.mu) * np.eye(len(self.A))
+            self._factor = scipy.linalg.cho_factor(G, lower=False)
+        return self._factor
+
+    def solver(self, factor):
+        """b -> (Q + I)^{-1} b given prox_factor(); overwrites b."""
+        c, lower = factor
+        if self.A is None:
+            return lambda b: dpotrs(c, b, lower=lower, overwrite_b=True)[0]
+        A, s = self.A, 1.0 + self.mu
+        return lambda b: (b - A.T @ dpotrs(c, A @ b, lower=lower,
+                                           overwrite_b=True)[0]) / s
+
+    def eig_extremes(self):
+        """Smallest and largest eigenvalue of Q."""
+        if self._eig is None:
+            if self.A is None:
+                w = scipy.linalg.eigvalsh(self._Q)
+                self._eig = (float(w[0]), float(w[-1]))
+            else:
+                w = scipy.linalg.eigvalsh(self.A @ self.A.T)
+                self._eig = (self.mu, float(w[-1]) + self.mu)
+        return self._eig
+
+    def spectral_norm(self):
+        """||Q||_2: one SVD when dense, the cached largest eigenvalue when
+        factored."""
+        if self._norm is None:
+            self._norm = (float(np.linalg.norm(self._Q, 2)) if self.A is None
+                          else self.eig_extremes()[1])
+        return self._norm
 
 
 class QuadraticL1Problem:
@@ -40,12 +121,15 @@ class QuadraticL1Problem:
     Notes
     -----
     Instances are treated as read-only after construction and are safe to
-    share across threads.  The factorization of Q + I used by the proximal
-    solve, the extreme eigenvalues of Q and its spectral norm are computed
-    lazily and kept in a cache holder; :meth:`with_phi` produces a slice
-    with a different linear term that holds the same Q and the same holder
-    by reference, so a stream whose slices differ only in phi factors Q
-    once, whichever slice asks first.
+    share across threads.  The quadratic term is held as a
+    :class:`SliceOperator` in ``op``: dense when built from Q, factored as
+    (A, mu) when :func:`elastic_net_problem` builds it from a block with
+    2m < n.  The operator computes the proximal factor, the extreme
+    eigenvalues and the spectral norm lazily and caches them;
+    :meth:`with_phi` produces a slice with a different linear term that
+    holds the same operator by reference, so a stream whose slices differ
+    only in phi factors once, whichever slice asks first.  ``Q`` is the
+    operator's dense Q, formed on first read when the operator is factored.
     """
 
     SYMMETRY_TOL = 1e-10
@@ -70,61 +154,54 @@ class QuadraticL1Problem:
             scipy.linalg.cholesky(Q, lower=False)
         except scipy.linalg.LinAlgError as err:
             raise ValueError("Q must be positive definite") from err
-        self.Q = Q
-        self.phi = phi
-        self.lam = float(lam)
-        self.n = n
-        self._cache = _OperatorCache()
+        self.op = SliceOperator(Q=Q)
+        self.phi, self.lam, self.n = phi, float(lam), n
+
+    @classmethod
+    def _of(cls, op, phi, lam):
+        """Slice on an existing operator, its arguments already checked."""
+        out = object.__new__(cls)
+        out.op, out.phi, out.lam, out.n = op, phi, float(lam), op.n
+        return out
+
+    @property
+    def Q(self):
+        return self.op.Q
 
     @property
     def _prox_factor(self):
-        return self._cache.prox_factor
+        return self.op._factor
 
     def prox_factor(self):
-        """Cached Cholesky factor of Q + I for the quadratic proximal solve."""
-        cache = self._cache
-        if cache.prox_factor is None:
-            cache.prox_factor = scipy.linalg.cho_factor(
-                self.Q + np.eye(self.n), lower=False)
-        return cache.prox_factor
+        """Cached Cholesky factor behind the quadratic proximal solve."""
+        return self.op.prox_factor()
 
     def eig_extremes(self):
         """Smallest and largest eigenvalue of Q, cached."""
-        cache = self._cache
-        if cache.eig_extremes is None:
-            w = scipy.linalg.eigvalsh(self.Q)
-            cache.eig_extremes = (float(w[0]), float(w[-1]))
-        return cache.eig_extremes
+        return self.op.eig_extremes()
 
     @property
     def lambda_max(self):
         return self.eig_extremes()[1]
 
     def spectral_norm(self):
-        """||Q||_2 from one SVD, cached.
+        """||Q||_2, cached.
 
-        Kept apart from lambda_max, which equals it in exact arithmetic but
-        comes from eigvalsh and differs in the last bits.
+        On a dense Q it comes from one SVD and is kept apart from
+        lambda_max, which equals it in exact arithmetic but comes from
+        eigvalsh and differs in the last bits.  On a factored Q it is
+        lambda_max.
         """
-        cache = self._cache
-        if cache.spectral_norm is None:
-            cache.spectral_norm = float(np.linalg.norm(self.Q, 2))
-        return cache.spectral_norm
+        return self.op.spectral_norm()
 
     def with_phi(self, phi):
-        """New slice with a different linear term, sharing Q and its cache."""
+        """New slice with a different linear term, sharing the operator."""
         phi = np.asarray(phi, dtype=float)
         if phi.shape != (self.n,):
             raise ValueError(f"phi must have shape ({self.n},), got {phi.shape}")
         if not np.isfinite(phi).all():
             raise ValueError("phi must be finite")
-        other = object.__new__(QuadraticL1Problem)
-        other.Q = self.Q
-        other.phi = phi
-        other.lam = self.lam
-        other.n = self.n
-        other._cache = self._cache
-        return other
+        return QuadraticL1Problem._of(self.op, phi, self.lam)
 
     def __repr__(self):
         return (f"QuadraticL1Problem(n={self.n}, lam={self.lam})")
@@ -216,26 +293,36 @@ def _shrink(z, beta):
 def prox_quadratic(z, problem):
     """Proximal operator of the smooth part 0.5 x'Qx + phi'x at z.
 
-    Solves (Q + I) x = z - phi through the cached symmetric factorization;
-    the inverse is never formed explicitly.  This map is 1/(1+sigma)-Lipschitz
-    in z, with sigma the smallest eigenvalue of Q.
+    Solves (Q + I) x = z - phi through the cached factorization; the inverse
+    is never formed explicitly.  This map is 1/(1+sigma)-Lipschitz in z,
+    with sigma the smallest eigenvalue of Q.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (problem.n,):
         raise ValueError(f"z must have shape ({problem.n},), got {z.shape}")
-    return scipy.linalg.cho_solve(problem.prox_factor(), z - problem.phi)
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
+    return problem.op.solver(problem.prox_factor())(z - problem.phi)
 
 
 def elastic_net_problem(data):
     """Reduce an elastic-net block to quadratic-plus-l1 form.
 
-    Builds Q = A'A + mu*I and phi = -A'y; the constant 0.5*||y||^2 is
+    The slice has Q = A'A + mu*I and phi = -A'y; the constant 0.5*||y||^2 is
     dropped, so objective values differ from the least-squares form by that
     constant while the minimizer is unchanged.  mu > 0 keeps Q positive
     definite even when the block is underdetermined (m < n).
+
+    When 2m < n, Q is held factored as (A, mu): then A'(A x) costs fewer
+    flops than a dense Q x, and the proximal solve works on an m x m factor
+    (see :class:`SliceOperator`).  Otherwise Q is formed densely and checked
+    as the constructor checks any Q.
     """
-    Q = data.A.T @ data.A + data.mu * np.eye(data.n)
     phi = -data.A.T @ data.y
+    if 2 * data.m < data.n:
+        return QuadraticL1Problem._of(SliceOperator(A=data.A, mu=data.mu),
+                                      phi, data.lam)
+    Q = data.A.T @ data.A + data.mu * np.eye(data.n)
     return QuadraticL1Problem(Q, phi, data.lam)
 
 
@@ -259,5 +346,5 @@ def objective_value(x, problem):
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"x must have shape ({problem.n},), got {x.shape}")
-    return float(0.5 * x @ (problem.Q @ x) + problem.phi @ x
+    return float(0.5 * x @ problem.op.matvec(x) + problem.phi @ x
                  + problem.lam * np.abs(x).sum())

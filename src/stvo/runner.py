@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import elastic_net_problem, objective_value
-from .distributed import NetworkState, RowStack, node_rows, odista_round
+from .distributed import NetworkState, RowStack, odista_round
 from .metrics import RunTrace
 from .solvers import (DRState, OnlineConfig, consistent_state, dr_step,
                       initial_state, odr_round, oist_round, oracle_minimizer)
@@ -74,15 +74,16 @@ def odista_taus(blocks, n_nodes, rule):
 
     "uniform_min" gives every node the smallest inverse squared norm, which
     keeps the damping below one at each node; "per_node" uses each node's
-    own 1 / ||A_v||_2^2.
+    own 1 / ||A_v||_2^2.  The squared norms are the top eigenvalues of the
+    small Gram matrices A_v A_v', one batched eigensolve over the run's row
+    stack (its zero padding rows add only zero eigenvalues).
     """
     if rule not in ("uniform_min", "per_node"):
         raise ValueError(f"unknown step-size rule {rule!r}")
     taus = []
     for run in _shared_runs(blocks):
-        A = run[0].A
-        norms = np.array([float(np.linalg.norm(A[idx], 2)) ** 2
-                          for idx in node_rows(run[0].m, n_nodes)])
+        stack = RowStack(run[0], n_nodes)
+        norms = np.linalg.eigvalsh(stack.A @ stack.AT)[:, -1]
         if rule == "uniform_min":
             tau = np.full(n_nodes, 1.0 / float(np.max(norms)))
         else:

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .core import _shrink, prox_quadratic, soft_threshold
 
@@ -98,15 +97,15 @@ def _dr_iterate(x, z, problem, r):
     """r splitting iterations on plain arrays, inputs already validated.
 
     Thresholding is ``soft_threshold`` without its checks and the solve is
-    the LAPACK routine behind ``prox_quadratic`` on the cached factor, so
+    the operator's solve behind ``prox_quadratic`` on the cached factor, so
     every iterate is bitwise the one those two functions give.
     """
-    c, lower = problem.prox_factor()
+    solve = problem.op.solver(problem.prox_factor())
     phi, lam = problem.phi, problem.lam
     for _ in range(r):
         u = _shrink(2.0 * x - z, lam)
         z = z + 2.0 * (u - x)
-        x, _ = dpotrs(c, z - phi, lower=lower, overwrite_b=True)
+        x = solve(z - phi)
     return x, z
 
 
@@ -185,15 +184,16 @@ def oist_round(x, problem, cfg):
     tau = cfg.tau
     if tau is None:
         raise ValueError("oist_round requires an explicit tau")
-    if tau * problem.lambda_max >= 1.0:
+    lambda_max = problem.lambda_max
+    if tau * lambda_max >= 1.0:
         warnings.warn(
             f"tau={tau:.3e} violates the descent precondition "
-            f"tau < 1/lambda_max(Q) = {1.0 / problem.lambda_max:.3e}; "
+            f"tau < 1/lambda_max(Q) = {1.0 / lambda_max:.3e}; "
             "iterating anyway", RuntimeWarning)
     thr = problem.lam * tau
-    Q, phi = problem.Q, problem.phi
+    matvec, phi = problem.op.matvec, problem.phi
     for _ in range(cfg.r):
-        x = _shrink(x - tau * (Q @ x + phi), thr)
+        x = _shrink(x - tau * (matvec(x) + phi), thr)
     return x
 
 
@@ -205,7 +205,7 @@ def optimality_residual(x, problem):
     subgradient case split it degrades gracefully when entries sit near zero.
     """
     x = np.asarray(x, dtype=float)
-    g = problem.Q @ x + problem.phi
+    g = problem.op.matvec(x) + problem.phi
     return float(np.max(np.abs(x - soft_threshold(x - g, problem.lam))))
 
 
@@ -222,7 +222,7 @@ def _sign_solve(problem, act, s):
     index order; returns x_S, or None when the reduced system is singular.
     """
     try:
-        return np.linalg.solve(problem.Q[np.ix_(act, act)],
+        return np.linalg.solve(problem.op.block(act),
                                -(problem.phi[act] + problem.lam * s))
     except np.linalg.LinAlgError:
         return None
@@ -236,7 +236,7 @@ def _pattern_polish(problem, x):
     Returns the candidate, or None when the reduced system is singular or
     too large to be worth solving exactly.
     """
-    g = problem.Q @ x + problem.phi
+    g = problem.op.matvec(x) + problem.phi
     v = x - g
     act = np.abs(v) > problem.lam
     k = int(act.sum())
@@ -268,7 +268,7 @@ def _feature_sign(problem, x):
     same pattern.  Returns None when the cap is hit, a reduced system is
     singular or the support outgrows _POLISH_CAP.
     """
-    Q, phi, lam = problem.Q, problem.phi, problem.lam
+    op, phi, lam = problem.op, problem.phi, problem.lam
     x = x.copy()
     act = x != 0.0
     sign = np.sign(x)
@@ -290,15 +290,14 @@ def _feature_sign(problem, x):
                               where=d[hit] != 0.0)
                 pts = np.vstack([xa + t[:, None] * d, new])
                 pts[np.arange(hit.size), hit] = 0.0
-                Qa = Q[np.ix_(act, act)]
-                f = (0.5 * np.einsum("ij,ij->i", pts @ Qa, pts)
+                f = (0.5 * np.einsum("ij,ij->i", pts @ op.block(act), pts)
                      + pts @ phi[act] + lam * np.abs(pts).sum(axis=1))
                 x[act] = pts[int(np.argmin(f))]
                 act = x != 0.0
                 sign = np.sign(x)
                 continue
             x[act] = new
-        g = Q[:, act] @ x[act] + phi
+        g = op.matvec(x) + phi
         viol = np.where(act, 0.0, np.abs(g))
         i = int(np.argmax(viol))
         if not viol[i] > lam:
@@ -335,7 +334,8 @@ def _fista_polish(problem, x, target, max_iter):
         y = x.copy()
         t_m = 1.0
         for k in range(1, max_iter + 1):
-            x_new = soft_threshold(y - tau * (problem.Q @ y + problem.phi), thr)
+            g = problem.op.matvec(y) + problem.phi
+            x_new = soft_threshold(y - tau * g, thr)
             if np.dot(y - x_new, x_new - x) > 0.0:
                 t_m = 1.0
                 y = x_new
@@ -396,5 +396,5 @@ def oracle_minimizer(problem, tol=1e-12, max_iter=100000, opt_tol=1e-8,
             f"minimizer fails the optimality check after {max_iter} sweeps: "
             f"residual {best_res:.3e} > {opt_tol}")
     x_star = best
-    z_star = x_star + problem.Q @ x_star + problem.phi
+    z_star = x_star + problem.op.matvec(x_star) + problem.phi
     return x_star, z_star

@@ -245,6 +245,19 @@ def test_check_rss(tmp_path, capsys):
     assert "sensor graph" in out
 
 
+def test_check_names_the_operator_form(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "path_length_steps = 3\n")
+    assert run_cli("check", "--scenario", "rss", "--config", cfg) == 0
+    out = capsys.readouterr().out
+    assert ("ok: first slice operator factored as A'A + mu I "
+            "(m=144, n=625, 2m < n); positive definite because "
+            "mu=1.000e-02 > 0") in out
+    assert run_cli("check", "--scenario", "synthetic") == 0
+    out = capsys.readouterr().out
+    assert "ok: first slice operator dense (m=12, n=20, 2m >= n)" in out
+    assert "factored" not in out
+
+
 def test_help_exits_cleanly():
     assert run_cli("--help") == 0
     assert run_cli() == 1  # missing subcommand

@@ -1,5 +1,7 @@
 """Unit tests for the problem containers and proximal building blocks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +17,8 @@ from stvo.core import (
     soft_threshold,
 )
 from stvo.metrics import assumption_bounds
-from stvo.runner import problems_from_blocks
+from stvo.runner import (play_odr, play_oist, problems_from_blocks,
+                         stream_oracles)
 from stvo.solvers import oracle_minimizer
 
 from oracles import objective_reference, soft_vector
@@ -260,6 +263,60 @@ def test_slices_of_one_sensing_matrix_factor_and_solve_eig_once(monkeypatch):
     assert M_Q == float(norm(problems[0].Q, 2))
     assert assumption_bounds(problems[::-1])[0] == M_Q
     assert svds == [(2,)]
+
+
+def test_factored_slices_factor_and_solve_eig_once_at_size_m(monkeypatch):
+    # 2m < n: the slices share one factored operator (A, mu)
+    m, n = 6, 400
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal((m, n))
+    blocks = [ElasticNetData(A=A, y=rng.standard_normal(m), lam=0.1, mu=0.05)
+              for _ in range(6)]
+    shapes = {}
+
+    def record(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(a, *args, **kwargs):
+            key = f"{owner.__name__}.{name}"
+            shapes.setdefault(key, []).append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("cho_factor", "cholesky", "eigvalsh", "eigh", "svd",
+                 "svdvals", "solve"):
+        record(scipy.linalg, name)
+    for name in ("cholesky", "eigvalsh", "eigh", "svd", "norm", "solve"):
+        record(np.linalg, name)
+    tracemalloc.start()
+    try:
+        problems = problems_from_blocks(blocks)
+        play_odr(problems, 5)
+        play_oist(problems, [0.9 / problems[0].lambda_max] * len(problems), 5)
+        stream_oracles(problems)
+        assumption_bounds(problems)
+        for p in problems:
+            contraction_constants(p)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        Q = problems[-1].Q
+        _, peak_q = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert shapes.pop("scipy.linalg.cho_factor") == [(m, m)]
+    assert shapes.pop("scipy.linalg.eigvalsh") == [(m, m)]
+    # the bound's ||Q||_2 is the cached largest eigenvalue: no SVD at all
+    assert all(len(s) < 2 for s in shapes.pop("numpy.linalg.norm", []))
+    # what remains is the oracle's reduced solves, none of them n x n
+    assert set(shapes) <= {"numpy.linalg.solve"}
+    assert all(s[0] < n for s in shapes.get("numpy.linalg.solve", []))
+    assert all(p.prox_factor() is problems[0].prox_factor() for p in problems)
+    # no n x n array until Q is read; then one, shared by every slice
+    dense_bytes = n * n * 8
+    assert peak < dense_bytes
+    assert peak_q >= dense_bytes
+    assert all(p.Q is Q for p in problems)
+    np.testing.assert_array_equal(Q, A.T @ A + 0.05 * np.eye(n))
 
 
 def test_elastic_net_data_validation():

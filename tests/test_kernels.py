@@ -3,8 +3,9 @@
 The online rounds iterate on plain arrays and check their inputs once per
 round.  Their operation order is the reference steps' order, so agreement
 is asserted bitwise on hypothesis-generated problems and graphs.  Factored
-node data sums its products in another order than the dense Q_v, so it is
-held to the dense path within 1e-12 relative.
+node data sums its products in another order than the dense Q_v, and a
+factored slice operator solves through the matrix inversion lemma, so both
+are held to the dense path within 1e-12 relative.
 """
 
 import tracemalloc
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stvo.core import ElasticNetData, QuadraticL1Problem
+from stvo.core import (ElasticNetData, QuadraticL1Problem, elastic_net_problem,
+                       prox_quadratic)
 from stvo.distributed import (
     Graph,
     NetworkState,
@@ -27,7 +29,8 @@ from stvo.distributed import (
 )
 from stvo.runner import (block_taus, odista_taus, partition_stream,
                          problems_from_blocks)
-from stvo.solvers import DRState, OnlineConfig, odr_round, oist_round
+from stvo.solvers import (DRState, OnlineConfig, odr_round, oist_round,
+                          oracle_minimizer)
 
 from oracles import (
     direct_dr_step,
@@ -89,6 +92,93 @@ def test_oist_round_is_literal_sweeps(seed, n, r, lam, step):
     for _ in range(r):
         x = direct_oist_sweep(x, p.Q, p.phi, lam, tau)
     np.testing.assert_array_equal(out, x)
+
+
+def relative_gap(out, ref, *scales):
+    """max |out - ref| over the largest magnitude among ref and scales."""
+    scale = max(float(np.max(np.abs(a))) for a in (ref,) + scales)
+    return float(np.max(np.abs(out - ref))) / scale
+
+
+@SETTINGS
+@given(seed=seeds, m=st.integers(1, 8), extra=st.integers(1, 16),
+       log_mu=st.floats(-6.0, -1.0), log_lam=st.floats(-3.0, -1.0),
+       r=st.integers(1, 6), step=st.floats(0.05, 0.95))
+def test_factored_slice_operator_matches_the_dense_q(seed, m, extra, log_mu,
+                                                     log_lam, r, step):
+    rng = np.random.default_rng(seed)
+    n = 2 * m + extra
+    # columns over two decades of scale make Q = A'A + mu I ill-conditioned
+    A = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-1.0, 1.0, n)
+    y = rng.standard_normal(m)
+    lam = 10.0 ** log_lam * float(np.max(np.abs(A.T @ y)))
+    block = ElasticNetData(A=A, y=y, lam=lam, mu=10.0 ** log_mu)
+    p = elastic_net_problem(block)
+    d = QuadraticL1Problem(A.T @ A + block.mu * np.eye(n), p.phi, lam)
+    assert p.op.factored and not d.op.factored
+    tol = 1e-12
+    z = 3.0 * rng.standard_normal(n)
+    x = rng.standard_normal(n)
+    assert relative_gap(prox_quadratic(z, p), prox_quadratic(z, d),
+                        z, p.phi) <= tol
+    norm = d.spectral_norm()
+    assert np.max(np.abs(p.op.matvec(x) - d.op.matvec(x))) \
+        <= tol * norm * np.max(np.abs(x))
+    act = rng.random(n) < 0.5
+    assert np.max(np.abs(p.op.block(act) - d.Q[np.ix_(act, act)]),
+                  initial=0.0) <= tol * norm
+    # sigma is mu exactly; the dense eigvalsh finds it to within rounding
+    # of ||Q||, so both extremes are compared on that scale
+    assert p.eig_extremes()[0] == block.mu
+    assert np.max(np.abs(np.subtract(p.eig_extremes(), d.eig_extremes()))) \
+        <= tol * norm
+    assert abs(p.spectral_norm() - norm) <= tol * norm
+    assert p.spectral_norm() == p.lambda_max
+    state = DRState(x, z)
+    out = odr_round(state, p, OnlineConfig(r=r))
+    ref = odr_round(state, d, OnlineConfig(r=r))
+    assert relative_gap(out.x, ref.x, z, p.phi) <= tol
+    assert relative_gap(out.z, ref.z, z, p.phi) <= tol
+    cfg = OnlineConfig(r=r, tau=step / d.lambda_max)
+    assert relative_gap(oist_round(x, p, cfg), oist_round(x, d, cfg),
+                        x, cfg.tau * p.phi) <= tol
+    x_star, z_star = oracle_minimizer(p)
+    x_ref, z_ref = oracle_minimizer(d)
+    assert relative_gap(x_star, x_ref, z_ref, p.phi) <= tol
+    assert relative_gap(z_star, z_ref, x_ref, p.phi) <= tol
+    # the dense Q is formed on first read, bitwise the elastic-net formula
+    assert p.op._Q is None
+    np.testing.assert_array_equal(p.Q, d.Q)
+    assert p.Q is p.Q
+
+
+@SETTINGS
+@given(seed=seeds, m=st.integers(1, 12), n=st.integers(1, 24),
+       r=st.integers(1, 6), step=st.floats(0.05, 0.95))
+@example(seed=0, m=12, n=20, r=5, step=0.5)
+def test_blocks_with_2m_at_least_n_keep_a_dense_operator_and_its_rounds(
+        seed, m, n, r, step):
+    rng = np.random.default_rng(seed)
+    block = random_block(rng, m, n)
+    p = elastic_net_problem(block)
+    assert p.op.factored == (2 * m < n)
+    if p.op.factored:
+        return
+    np.testing.assert_array_equal(p.Q, block.A.T @ block.A
+                                  + block.mu * np.eye(n))
+    z = 3.0 * rng.standard_normal(n)
+    out = odr_round(DRState(rng.standard_normal(n), z), p, OnlineConfig(r=r))
+    x, z_ref = direct_prox(z, p.Q, p.phi), z
+    for _ in range(r):
+        x, z_ref = direct_dr_step(x, z_ref, p.Q, p.phi, block.lam)
+    np.testing.assert_array_equal(out.x, x)
+    np.testing.assert_array_equal(out.z, z_ref)
+    tau = step / p.lambda_max
+    x = x0 = rng.standard_normal(n)
+    for _ in range(r):
+        x = direct_oist_sweep(x, p.Q, p.phi, block.lam, tau)
+    np.testing.assert_array_equal(
+        oist_round(x0, p, OnlineConfig(r=r, tau=tau)), x)
 
 
 @SETTINGS
