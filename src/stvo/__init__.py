@@ -8,18 +8,17 @@ and the streaming scenarios used to exercise them.
 from .core import (ContractionConstants, ElasticNetData, QuadraticL1Problem,
                    contraction_constants, elastic_net_problem,
                    objective_value, prox_quadratic, soft_threshold)
-from .distributed import (Graph, NetworkState, NodeData, batch_dista,
-                          consensus_problem, dista_even_step, dista_odd_step,
-                          global_objective, local_mean, odista_round,
-                          radius_graph, ring_graph, surrogate_objective,
-                          theta_tau)
+from .distributed import (Graph, NetworkState, NodeData, consensus_problem,
+                          dista_even_step, dista_odd_step, global_objective,
+                          local_mean, odista_round, radius_graph, ring_graph,
+                          surrogate_objective, theta_tau)
 from .metrics import (BoundConstants, RunTrace, dynamic_regret,
-                      identification_mse, measure_bound_constants,
-                      path_length, reference_paths, theorem1_bound,
-                      tracking_distances)
+                      measure_bound_constants, path_length, reference_paths,
+                      theorem1_bound)
 from .runner import (PlayResult, block_taus, build_trace, calibrate_r,
                      odista_taus, partition_stream, play_odista, play_odr,
-                     play_oist, problems_from_blocks, stream_oracles)
+                     play_oist, problems_from_blocks, run_experiment,
+                     stream_oracles)
 from .solvers import (BatchResult, DRState, OnlineConfig, OracleError,
                       batch_dr, consistent_state, dr_step, initial_state,
                       odr_round, oist_round, optimality_residual,
@@ -31,15 +30,15 @@ __all__ = [
     "BatchResult", "BoundConstants", "ContractionConstants", "DRState",
     "ElasticNetData", "Graph", "NetworkState", "NodeData", "OnlineConfig",
     "OracleError", "PlayResult", "QuadraticL1Problem", "RunTrace",
-    "batch_dista", "batch_dr", "block_taus", "build_trace", "calibrate_r",
+    "batch_dr", "block_taus", "build_trace", "calibrate_r",
     "consensus_problem", "consistent_state", "contraction_constants",
     "dista_even_step", "dista_odd_step", "dr_step", "dynamic_regret",
-    "elastic_net_problem", "global_objective", "identification_mse",
+    "elastic_net_problem", "global_objective",
     "initial_state", "local_mean", "measure_bound_constants", "objective_value",
     "odista_round", "odista_taus", "odr_round", "oist_round",
     "optimality_residual", "oracle_minimizer", "partition_stream",
     "path_length", "play_odista", "play_odr", "play_oist", "problems_from_blocks",
     "prox_quadratic", "radius_graph", "reference_paths", "ring_graph",
-    "soft_threshold", "stream_oracles", "surrogate_objective",
-    "theorem1_bound", "theta_tau", "tracking_distances",
+    "run_experiment", "soft_threshold", "stream_oracles", "surrogate_objective",
+    "theorem1_bound", "theta_tau",
 ]

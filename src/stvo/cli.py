@@ -15,9 +15,10 @@ import sys
 
 import numpy as np
 
-from . import _svg, metrics, runner, scenarios
+from . import _svg, runner, scenarios
 from .core import QuadraticL1Problem, contraction_constants, objective_value
-from .distributed import radius_graph, ring_graph
+# derive_seed is re-exported so scripts can seed streams as `stvo run` does.
+from .runner import build_stream, derive_seed, make_graph  # noqa: F401
 from .solvers import OracleError, batch_dr, optimality_residual
 
 SCENARIOS = ("exp1", "exp2", "rss", "synthetic")
@@ -25,12 +26,6 @@ SCENARIOS = ("exp1", "exp2", "rss", "synthetic")
 
 class UsageError(Exception):
     pass
-
-
-def derive_seed(base, *key):
-    """Stable per-run seed from the base seed and run coordinates."""
-    ss = np.random.SeedSequence((int(base),) + tuple(int(k) for k in key))
-    return int(ss.generate_state(1, np.uint32)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -66,25 +61,40 @@ def load_config(path):
 
 PATHLOSS_KEYS = ("p0_dbm", "d0_m", "exponent")
 
+# What a config value must be, by the type of the field it sets.
+FIELD_VALUES = {
+    int: (lambda v: isinstance(v, int), "an integer"),
+    float: (lambda v: isinstance(v, (int, float)) and math.isfinite(v),
+            "a finite number"),
+    str: (lambda v: isinstance(v, str), "a word"),
+}
+
 
 def apply_overrides(cfg, overrides):
-    fields = {f.name for f in dataclasses.fields(cfg)}
+    types = {f.name: f.type for f in dataclasses.fields(cfg)}
+    if "pathloss" in types:
+        types.update((f.name, f.type)
+                     for f in dataclasses.fields(cfg.pathloss))
     updates = {}
     pl_updates = {}
     for key, value in overrides.items():
         if key == "lambda":
             key = "lam"
-        if key in PATHLOSS_KEYS and "pathloss" in fields:
-            pl_updates[key] = value
-        elif key in fields:
-            updates[key] = value
-        else:
+        if types.get(key) not in FIELD_VALUES:
             raise UsageError(f"unknown config key {key!r} for this scenario")
+        valid, what = FIELD_VALUES[types[key]]
+        if not valid(value):
+            raise UsageError(
+                f"config key {key!r} must be {what}, got {value!r}")
+        if key in PATHLOSS_KEYS:
+            pl_updates[key] = value
+        else:
+            updates[key] = value
     if pl_updates:
         updates["pathloss"] = dataclasses.replace(cfg.pathloss, **pl_updates)
     try:
         return dataclasses.replace(cfg, **updates)
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         raise UsageError(f"bad config value: {e}")
 
 
@@ -96,92 +106,6 @@ def base_config(scenario, overrides):
     else:
         cfg = scenarios.SyntheticConfig()
     return apply_overrides(cfg, overrides)
-
-
-# ---------------------------------------------------------------------------
-# stream assembly
-# ---------------------------------------------------------------------------
-
-class Stream:
-    """One run's revealed data plus whatever truth the scenario carries."""
-
-    def __init__(self, scenario, cfg, blocks, truth=None, walk=None, sim=None):
-        self.scenario = scenario
-        self.cfg = cfg
-        self.blocks = blocks
-        self.truth = truth
-        self.walk = walk
-        self.sim = sim
-        self._problems = None
-
-    @property
-    def problems(self):
-        if self._problems is None:
-            self._problems = runner.problems_from_blocks(self.blocks)
-        return self._problems
-
-    @property
-    def n(self):
-        return self.blocks[0].n
-
-
-def build_stream(scenario, cfg, seed):
-    cfg = dataclasses.replace(cfg, seed=seed)
-    if scenario in ("exp1", "exp2"):
-        sim = scenarios.tvarx_simulate(cfg)
-        blocks = scenarios.tvarx_stream(cfg, sim)
-        return Stream(scenario, cfg, blocks, truth=sim.x_true, sim=sim)
-    if scenario == "rss":
-        blocks, walk, _ = scenarios.rss_stream(cfg)
-        return Stream(scenario, cfg, blocks, walk=walk)
-    blocks, truth = scenarios.synthetic_stream(cfg)
-    return Stream(scenario, cfg, blocks, truth=truth)
-
-
-def make_graph(stream, n_nodes):
-    if stream.scenario == "rss":
-        g = radius_graph(scenarios.sensor_positions(stream.cfg),
-                        stream.cfg.comm_radius_m)
-        return g, stream.cfg.sensors
-    return ring_graph(n_nodes, 3), n_nodes
-
-
-def _odista_inputs(stream, blocks, n_nodes, tau_rule):
-    """Graph, node data stream, node step sizes and per-node l1 weight of
-    the distributed solver on blocks of stream."""
-    graph, n_nodes = make_graph(stream, n_nodes)
-    return (graph, runner.partition_stream(blocks, n_nodes),
-            runner.odista_taus(blocks, n_nodes, tau_rule),
-            blocks[0].lam / n_nodes)
-
-
-def play(alg, stream, r, n_nodes, tau_rule):
-    if alg == "oist":
-        return runner.play_oist(stream.problems, runner.block_taus(stream.blocks), r)
-    if alg == "odr":
-        return runner.play_odr(stream.problems, r)
-    graph, node_stream, taus, lam_node = _odista_inputs(stream, stream.blocks,
-                                                       n_nodes, tau_rule)
-    return runner.play_odista(node_stream, graph, lam_node, taus, r, stream.n)
-
-
-def calibrated_r(alg, stream, budget_ms, n_nodes, tau_rule):
-    p0 = stream.problems[0]
-    steps_per_call = 1
-    if alg == "odr":
-        step = runner.odr_step_timer(p0)
-    elif alg == "oist":
-        step = runner.oist_step_timer(p0, runner.block_taus(stream.blocks[:1])[0])
-    else:
-        graph, data, taus, lam_node = _odista_inputs(stream, stream.blocks[:1],
-                                                    n_nodes, tau_rule)
-        step = runner.odista_step_timer(graph, data[0], lam_node, taus[0],
-                                        stream.n)
-        steps_per_call = runner.ODISTA_TIMED_HALF_STEPS
-    r = runner.calibrate_r(step, budget_ms, steps_per_call=steps_per_call)
-    print(f"calibrated r = {r} for {alg} ({budget_ms} ms budget)",
-          file=sys.stderr)
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -205,47 +129,39 @@ def write_csv(path, header, rows, written):
     written.append(path)
 
 
-def snap_cells(actions):
-    return np.argmax(actions, axis=1)
+def write_plots(out, algs, tables, written):
+    """SVG charts of the regret, coefficient and distance tables."""
+    cols = {t.name: dict(zip(t.header, zip(*t.rows))) for t in tables}
+    if f"regret_{algs[0]}.csv" in cols:
+        series = {alg: cols[f"regret_{alg}.csv"]["reg_over_t"] for alg in algs}
+        path = out / "regret.svg"
+        _svg.write_line_chart(path, cols[f"regret_{algs[0]}.csv"]["t"], series,
+                              title="average dynamic regret", xlabel="round",
+                              ylabel="reg / t", logy=True)
+        written.append(path)
+    for alg in algs:
+        params = cols.get(f"params_{alg}.csv")
+        if params is not None:
+            path = out / f"params_{alg}.svg"
+            _svg.write_line_chart(
+                path, params["t_ms"],
+                {"a1 true": params["a1_true"], "a1 est": params["a1_est"],
+                 "b1 true": params["b1_true"], "b1 est": params["b1_est"]},
+                title=f"coefficient tracking ({alg})", xlabel="time [ms]",
+                ylabel="value")
+            written.append(path)
+        dist = cols.get(f"distance_{alg}.csv")
+        if dist is not None:
+            path = out / f"distance_{alg}.svg"
+            _svg.write_line_chart(path, dist["t"], {alg: dist["dist"]},
+                                  title="target distance", xlabel="round",
+                                  ylabel="distance [m]")
+            written.append(path)
 
 
-def run_distances(stream, actions):
-    """Per-round distance between the snapped estimate and the target."""
-    centers = scenarios.cell_centers(stream.cfg)
-    est = centers[snap_cells(actions)]
-    true = centers[np.asarray(stream.walk)]
-    return np.linalg.norm(est - true, axis=1)
-
-
-def tvarx_param_rows(stream_cfg, truth, actions_by_run):
-    """Per-block truth, mean estimate and mean running identification error
-    for the two active coefficients."""
-    cfg = stream_cfg
-    P = cfg.P_hat
-    n_blocks = cfg.n_blocks
-    dims = cfg.P_hat + cfg.Q_hat
-    rows = []
-    mse_run = np.zeros(len(actions_by_run))
-    for s in range(n_blocks):
-        k = (s + 1) * cfg.m
-        t_ms = k * 1000.0 / cfg.sample_rate_hz
-        x_true = truth[min(k, truth.shape[0] - 1)]
-        ests = np.array([acts[s + 1] if s + 1 < acts.shape[0] else acts[-1]
-                         for acts in actions_by_run])
-        mse_run += ((ests - x_true) ** 2).sum(axis=1) / dims
-        mean_est = ests.mean(axis=0)
-        rows.append((t_ms, x_true[0], mean_est[0], x_true[P], mean_est[P],
-                     float(mse_run.mean())))
-    return rows
-
-
-def maybe_bound(stream, trace, r):
-    try:
-        consts = metrics.measure_bound_constants(trace, stream.problems, r)
-        return metrics.theorem1_bound(trace, consts)
-    except ValueError:
-        return math.nan
-
+# ---------------------------------------------------------------------------
+# run
+# ---------------------------------------------------------------------------
 
 def cmd_run(args):
     algs = []
@@ -261,147 +177,21 @@ def cmd_run(args):
                                         and args.scenario != "rss")
     out = pathlib.Path(args.out or f"stvo_{args.scenario}")
     out.mkdir(parents=True, exist_ok=True)
+    tables = runner.run_experiment(
+        args.scenario, cfg, algs, runs=args.runs, r=args.r, budget_ms=args.t_r,
+        seed=args.seed, regret=regret_on, n_nodes=args.nodes,
+        tau_rule=args.tau_rule, common_random=args.common_random)
     written = []
     try:
-        streams = {}
-        oracles = {}
-        summary_rows = []
-        for ai, alg in enumerate(algs):
-            traces = []
-            bounds = []
-            actions_by_run = []
-            r_alg = None
-            for run in range(args.runs):
-                key = run if args.common_random else (ai, run)
-                if key not in streams:
-                    seed_key = (key,) if args.common_random else key
-                    streams[key] = build_stream(args.scenario, cfg,
-                                                derive_seed(args.seed, *seed_key))
-                stream = streams[key]
-                if r_alg is None:
-                    r_alg = (args.r if args.t_r is None
-                             else calibrated_r(alg, stream, args.t_r,
-                                               args.nodes, args.tau_rule))
-                result = play(alg, stream, r_alg, args.nodes, args.tau_rule)
-                if regret_on:
-                    if key not in oracles:
-                        oracles[key] = runner.stream_oracles(stream.problems)
-                    trace = runner.build_trace(stream.problems, result,
-                                               oracles[key])
-                    reg, reg_over_t = metrics.dynamic_regret(trace)
-                    if alg == "odr":
-                        bounds.append(maybe_bound(stream, trace, r_alg))
-                else:
-                    trace = None
-                    loss = runner.action_losses(stream.problems, result.actions)
-                rows = []
-                for t in range(result.actions.shape[0]):
-                    if trace is not None:
-                        rows.append((t, trace.loss[t], trace.oracle_loss[t],
-                                     reg[t], reg_over_t[t]))
-                    else:
-                        rows.append((t, loss[t], math.nan, math.nan, math.nan))
-                write_csv(out / f"trace_{alg}_{run}.csv",
-                          ("t", "loss", "oracle_loss", "reg", "reg_over_t"),
-                          rows, written)
-                traces.append(trace)
-                actions_by_run.append(result.actions)
-            rounds = actions_by_run[0].shape[0]
-            reg_final = reg_over_t_final = math.nan
-            if regret_on:
-                regs = np.array([metrics.dynamic_regret(tr)[0] for tr in traces])
-                reg_over = np.array([metrics.dynamic_regret(tr)[1] for tr in traces])
-                reg_mean = regs.mean(axis=0)
-                reg_over_mean = reg_over.mean(axis=0)
-                write_csv(out / f"regret_{alg}.csv",
-                          ("t", "reg", "reg_over_t"),
-                          [(t, reg_mean[t], reg_over_mean[t])
-                           for t in range(rounds)], written)
-                reg_final = float(reg_mean[-1])
-                reg_over_t_final = float(reg_over_mean[-1])
-            mse_final = math.nan
-            median_dist = math.nan
-            if args.scenario in ("exp1", "exp2"):
-                stream0 = streams[0 if args.common_random else (ai, 0)]
-                rows = tvarx_param_rows(stream0.cfg, stream0.truth,
-                                        actions_by_run)
-                write_csv(out / f"params_{alg}.csv",
-                          ("t_ms", "a1_true", "a1_est", "b1_true", "b1_est",
-                           "mse"), rows, written)
-                mse_final = rows[-1][-1]
-            elif args.scenario == "rss":
-                dists = []
-                for run in range(args.runs):
-                    key = run if args.common_random else (ai, run)
-                    dists.append(run_distances(streams[key],
-                                               actions_by_run[run]))
-                dists = np.array(dists)[:, 1:]
-                mean_d = dists.mean(axis=0)
-                write_csv(out / f"distance_{alg}.csv",
-                          ("t", "dist", "cum_dist"),
-                          [(t + 1, mean_d[t], float(np.sum(mean_d[:t + 1])))
-                           for t in range(mean_d.size)], written)
-                median_dist = float(np.median(dists))
-            bound = float(np.mean(bounds)) if bounds else math.nan
-            summary_rows.append((args.scenario, alg, args.runs, rounds, r_alg,
-                                 reg_final, reg_over_t_final, bound,
-                                 mse_final, median_dist))
-        write_csv(out / "summary.csv",
-                  ("scenario", "alg", "runs", "rounds", "r", "reg_final",
-                   "reg_over_t_final", "bound", "mse_final", "median_dist"),
-                  summary_rows, written)
+        for table in tables:
+            write_csv(out / table.name, table.header, table.rows, written)
         if args.svg:
-            write_plots(out, args, algs, written)
+            write_plots(out, algs, tables, written)
     except Exception:
         for p in written:
             pathlib.Path(p).unlink(missing_ok=True)
         raise
     return 0
-
-
-def _read_csv(path):
-    with open(path, newline="") as fh:
-        rdr = csv.reader(fh)
-        header = next(rdr)
-        cols = {name: [] for name in header}
-        for row in rdr:
-            for name, v in zip(header, row):
-                cols[name].append(float(v))
-    return cols
-
-
-def write_plots(out, args, algs, written):
-    if args.regret != "off" and (out / f"regret_{algs[0]}.csv").exists():
-        series = {}
-        t = None
-        for alg in algs:
-            cols = _read_csv(out / f"regret_{alg}.csv")
-            t = cols["t"]
-            series[alg] = cols["reg_over_t"]
-        path = out / "regret.svg"
-        _svg.write_line_chart(path, t, series, title="average dynamic regret",
-                              xlabel="round", ylabel="reg / t", logy=True)
-        written.append(path)
-    for alg in algs:
-        pcsv = out / f"params_{alg}.csv"
-        if pcsv.exists():
-            cols = _read_csv(pcsv)
-            path = out / f"params_{alg}.svg"
-            _svg.write_line_chart(
-                path, cols["t_ms"],
-                {"a1 true": cols["a1_true"], "a1 est": cols["a1_est"],
-                 "b1 true": cols["b1_true"], "b1 est": cols["b1_est"]},
-                title=f"coefficient tracking ({alg})", xlabel="time [ms]",
-                ylabel="value")
-            written.append(path)
-        dcsv = out / f"distance_{alg}.csv"
-        if dcsv.exists():
-            cols = _read_csv(dcsv)
-            path = out / f"distance_{alg}.svg"
-            _svg.write_line_chart(path, cols["t"], {alg: cols["dist"]},
-                                  title="target distance", xlabel="round",
-                                  ylabel="distance [m]")
-            written.append(path)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +215,8 @@ def read_problem_file(path):
         values = [float(v) for v in tokens[1:]]
     except ValueError as e:
         raise UsageError(f"bad number in problem file: {e}")
+    if n < 1:
+        raise UsageError(f"n must be at least 1, got {n}")
     need = n * n + n + 1
     if len(values) != need:
         raise UsageError(

@@ -116,7 +116,7 @@ class QuadraticL1Problem:
     phi : (n,) ndarray
         Linear term.
     lam : float
-        Weight of the l1 penalty, strictly positive.
+        Weight of the l1 penalty, positive and finite.
 
     Notes
     -----
@@ -147,8 +147,8 @@ class QuadraticL1Problem:
         asym = np.max(np.abs(Q - Q.T)) if n else 0.0
         if asym > self.SYMMETRY_TOL:
             raise ValueError(f"Q must be symmetric, max asymmetry {asym:.3e}")
-        if not lam > 0:
-            raise ValueError(f"lam must be positive, got {lam}")
+        if not 0 < lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {lam}")
         try:
             # Cholesky succeeds iff Q is positive definite; cheaper than eigh.
             scipy.linalg.cholesky(Q, lower=False)
@@ -229,10 +229,10 @@ class ElasticNetData:
                 f"y must have shape ({A.shape[0]},), got {y.shape}")
         if not np.isfinite(A).all() or not np.isfinite(y).all():
             raise ValueError("A and y must be finite")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 < self.mu < np.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
 

@@ -367,28 +367,6 @@ def odista_round(state, graph, data, lam, tau, r):
     return NetworkState(X, C)
 
 
-def batch_dista(graph, data, lam, tau, tol=1e-10, max_pairs=100000,
-                initial=None):
-    """Iterate communication/descent pairs to a fixed point.
-
-    Stops when the Frobenius increment of X over one pair drops below tol.
-    Returns (state, pairs, converged); non-convergence is flagged, not raised.
-    """
-    n = data[0].n
-    state = NetworkState.zeros(n, graph.n_nodes) if initial is None else initial
-    converged = False
-    pairs = 0
-    for _ in range(max_pairs):
-        new = dista_odd_step(dista_even_step(state, graph), graph, data, lam, tau)
-        inc = float(np.linalg.norm(new.X - state.X))
-        state = new
-        pairs += 1
-        if inc <= tol:
-            converged = True
-            break
-    return state, pairs, converged
-
-
 def global_objective(X, graph, data, lam, tau):
     """Network objective: local costs plus the disagreement penalty.
 

@@ -219,33 +219,3 @@ def theorem1_bound(trace, constants):
     return float(constants.eta0
                  + constants.eta1 * path_z + constants.eta2 * path_z_sq
                  + constants.eta3 * path_x + constants.eta4 * path_x_sq)
-
-
-def identification_mse(estimates, truth, m, P, Q):
-    """Accumulated block-sampled squared estimation error.
-
-    Sums ||estimate - truth||^2 over the indices m, 2m, ... of the aligned
-    sequences and normalizes by P + Q, the number of true parameters.
-    """
-    estimates = np.asarray(estimates, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if estimates.shape != truth.shape:
-        raise ValueError("estimates and truth must be aligned")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    idx = np.arange(m, estimates.shape[0], m)
-    diff = estimates[idx] - truth[idx]
-    return float(np.sum(diff ** 2) / (P + Q))
-
-
-def tracking_distances(estimates, truth):
-    """Instantaneous and cumulative distances between aligned sequences.
-
-    Returns (d, cum) with d_t = ||estimate_t - truth_t||_2.
-    """
-    estimates = np.asarray(estimates, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if estimates.shape != truth.shape:
-        raise ValueError("estimates and truth must be aligned")
-    d = np.linalg.norm(estimates - truth, axis=-1)
-    return d, np.cumsum(d)

@@ -1,17 +1,23 @@
-"""Online play loops shared by the command line tool and the tests.
+"""Online play loops and the experiment runs built on them.
 
 A play function receives the revealed stream one slice at a time and records
 the action committed before each reveal, so row t of the result is what the
 algorithm was judged on at round t.  Row 0 is always the cold start.
+:func:`run_experiment` plays whole scenarios and returns their output tables.
 """
 
+import math
+import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
+from . import metrics, scenarios
 from .core import elastic_net_problem, objective_value
-from .distributed import NetworkState, RowStack, odista_round
+from .distributed import (NetworkState, RowStack, odista_round, radius_graph,
+                          ring_graph)
 from .metrics import RunTrace
 from .solvers import (DRState, OnlineConfig, consistent_state, dr_step,
                       initial_state, odr_round, oist_round, oracle_minimizer)
@@ -221,3 +227,226 @@ def odista_step_timer(graph, data, lam_node, tau, n):
     state = NetworkState.zeros(n, graph.n_nodes)
     return lambda: odista_round(state, graph, data, lam_node, tau,
                                 ODISTA_TIMED_HALF_STEPS)
+
+
+# ---------------------------------------------------------------------------
+# experiment runs
+# ---------------------------------------------------------------------------
+
+def derive_seed(base, *key):
+    """Stable per-run seed from the base seed and run coordinates."""
+    ss = np.random.SeedSequence((int(base),) + tuple(int(k) for k in key))
+    return int(ss.generate_state(1, np.uint32)[0])
+
+
+@dataclass
+class Stream:
+    """One run's revealed data plus whatever truth the scenario carries."""
+
+    scenario: str
+    cfg: object
+    blocks: list
+    truth: np.ndarray | None = None
+    walk: np.ndarray | None = None
+
+    @cached_property
+    def problems(self):
+        return problems_from_blocks(self.blocks)
+
+    @property
+    def n(self):
+        return self.blocks[0].n
+
+
+def build_stream(scenario, cfg, seed):
+    cfg = replace(cfg, seed=seed)
+    if scenario in ("exp1", "exp2"):
+        sim = scenarios.tvarx_simulate(cfg)
+        blocks = scenarios.tvarx_stream(cfg, sim)
+        return Stream(scenario, cfg, blocks, truth=sim.x_true)
+    if scenario == "rss":
+        blocks, walk, _ = scenarios.rss_stream(cfg)
+        return Stream(scenario, cfg, blocks, walk=walk)
+    blocks, truth = scenarios.synthetic_stream(cfg)
+    return Stream(scenario, cfg, blocks, truth=truth)
+
+
+def make_graph(stream, n_nodes):
+    """Network of the distributed solver: the rss sensor graph, else a ring
+    of n_nodes; returns the graph and its node count."""
+    if stream.scenario == "rss":
+        g = radius_graph(scenarios.sensor_positions(stream.cfg),
+                         stream.cfg.comm_radius_m)
+        return g, stream.cfg.sensors
+    return ring_graph(n_nodes, 3), n_nodes
+
+
+def _odista_inputs(stream, blocks, n_nodes, tau_rule):
+    """Graph, node data stream, node step sizes and per-node l1 weight of
+    the distributed solver on blocks of stream."""
+    graph, n_nodes = make_graph(stream, n_nodes)
+    return (graph, partition_stream(blocks, n_nodes),
+            odista_taus(blocks, n_nodes, tau_rule), blocks[0].lam / n_nodes)
+
+
+def play(alg, stream, r, n_nodes, tau_rule):
+    """Play one algorithm over a stream at r inner iterations per round."""
+    if alg == "oist":
+        return play_oist(stream.problems, block_taus(stream.blocks), r)
+    if alg == "odr":
+        return play_odr(stream.problems, r)
+    graph, node_stream, taus, lam_node = _odista_inputs(stream, stream.blocks,
+                                                       n_nodes, tau_rule)
+    return play_odista(node_stream, graph, lam_node, taus, r, stream.n)
+
+
+def calibrated_r(alg, stream, budget_ms, n_nodes, tau_rule):
+    """The r that budget_ms affords alg on the stream's first slice; logged
+    to stderr."""
+    p0 = stream.problems[0]
+    steps_per_call = 1
+    if alg == "odr":
+        step = odr_step_timer(p0)
+    elif alg == "oist":
+        step = oist_step_timer(p0, block_taus(stream.blocks[:1])[0])
+    else:
+        graph, data, taus, lam_node = _odista_inputs(stream, stream.blocks[:1],
+                                                    n_nodes, tau_rule)
+        step = odista_step_timer(graph, data[0], lam_node, taus[0], stream.n)
+        steps_per_call = ODISTA_TIMED_HALF_STEPS
+    r = calibrate_r(step, budget_ms, steps_per_call=steps_per_call)
+    print(f"calibrated r = {r} for {alg} ({budget_ms} ms budget)",
+          file=sys.stderr)
+    return r
+
+
+def maybe_bound(stream, trace, r):
+    """Closed-form regret bound of an odr trace; nan where it fails."""
+    try:
+        consts = metrics.measure_bound_constants(trace, stream.problems, r)
+        return metrics.theorem1_bound(trace, consts)
+    except ValueError:
+        return math.nan
+
+
+def run_distances(stream, actions):
+    """Per-round distance between the snapped estimate and the target."""
+    centers = scenarios.cell_centers(stream.cfg)
+    est = centers[np.argmax(actions, axis=1)]
+    true = centers[np.asarray(stream.walk)]
+    return np.linalg.norm(est - true, axis=1)
+
+
+def tvarx_param_rows(cfg, truth, actions_by_run):
+    """Per-block truth, mean estimate and mean running identification error
+    for the two active coefficients."""
+    P = cfg.P_hat
+    n_blocks = cfg.n_blocks
+    dims = cfg.P_hat + cfg.Q_hat
+    rows = []
+    mse_run = np.zeros(len(actions_by_run))
+    for s in range(n_blocks):
+        k = (s + 1) * cfg.m
+        t_ms = k * 1000.0 / cfg.sample_rate_hz
+        x_true = truth[min(k, truth.shape[0] - 1)]
+        ests = np.array([acts[s + 1] if s + 1 < acts.shape[0] else acts[-1]
+                         for acts in actions_by_run])
+        mse_run += ((ests - x_true) ** 2).sum(axis=1) / dims
+        mean_est = ests.mean(axis=0)
+        rows.append((t_ms, x_true[0], mean_est[0], x_true[P], mean_est[P],
+                     float(mse_run.mean())))
+    return rows
+
+
+@dataclass
+class Table:
+    """One output file of a run: its name, column names and rows."""
+
+    name: str
+    header: tuple
+    rows: list
+
+
+def run_experiment(scenario, cfg, algs, runs, r, budget_ms, seed, regret,
+                   n_nodes, tau_rule, common_random):
+    """Play each algorithm over runs streams of a scenario.
+
+    Run k's stream is keyed (k,) when the algorithms share streams
+    (common_random) and (algorithm index, k) when each draws its own; the
+    key seeds the stream, and a stream and its oracles are built once per
+    key.  Each algorithm plays at r inner iterations per round, or at the r
+    that budget_ms affords it on its first stream when budget_ms is set.
+    With regret on, every trace is scored against certified oracles.
+
+    Returns the output tables: per algorithm one trace per run, the
+    run-averaged regret (with regret on), the coefficient tracking (ARX) or
+    the target distance (rss); then one summary row per algorithm.
+    """
+    streams, oracles = {}, {}
+    tables, summary = [], []
+    for ai, alg in enumerate(algs):
+        keys = [(run,) if common_random else (ai, run) for run in range(runs)]
+        r_alg = None
+        actions, regrets, bounds = [], [], []
+        for run, key in enumerate(keys):
+            if key not in streams:
+                streams[key] = build_stream(scenario, cfg,
+                                            derive_seed(seed, *key))
+            stream = streams[key]
+            if r_alg is None:
+                r_alg = (r if budget_ms is None
+                         else calibrated_r(alg, stream, budget_ms, n_nodes,
+                                           tau_rule))
+            result = play(alg, stream, r_alg, n_nodes, tau_rule)
+            if regret:
+                if key not in oracles:
+                    oracles[key] = stream_oracles(stream.problems)
+                trace = build_trace(stream.problems, result, oracles[key])
+                reg, reg_over_t = metrics.dynamic_regret(trace)
+                regrets.append((reg, reg_over_t))
+                if alg == "odr":
+                    bounds.append(maybe_bound(stream, trace, r_alg))
+                loss, oracle_loss = trace.loss, trace.oracle_loss
+            else:
+                loss = action_losses(stream.problems, result.actions)
+                oracle_loss = reg = reg_over_t = [math.nan] * loss.size
+            tables.append(Table(
+                f"trace_{alg}_{run}.csv",
+                ("t", "loss", "oracle_loss", "reg", "reg_over_t"),
+                list(zip(range(loss.size), loss, oracle_loss, reg,
+                         reg_over_t))))
+            actions.append(result.actions)
+        rounds = actions[0].shape[0]
+        reg_final = reg_over_t_final = math.nan
+        if regret:
+            reg_mean, reg_over_mean = np.mean(regrets, axis=0)
+            tables.append(Table(
+                f"regret_{alg}.csv", ("t", "reg", "reg_over_t"),
+                list(zip(range(rounds), reg_mean, reg_over_mean))))
+            reg_final = float(reg_mean[-1])
+            reg_over_t_final = float(reg_over_mean[-1])
+        mse_final = median_dist = math.nan
+        if scenario in ("exp1", "exp2"):
+            stream0 = streams[keys[0]]
+            rows = tvarx_param_rows(stream0.cfg, stream0.truth, actions)
+            tables.append(Table(f"params_{alg}.csv",
+                                ("t_ms", "a1_true", "a1_est", "b1_true",
+                                 "b1_est", "mse"), rows))
+            mse_final = rows[-1][-1]
+        elif scenario == "rss":
+            dists = np.array([run_distances(streams[key], acts)
+                              for key, acts in zip(keys, actions)])[:, 1:]
+            mean_d = dists.mean(axis=0)
+            tables.append(Table(
+                f"distance_{alg}.csv", ("t", "dist", "cum_dist"),
+                [(t + 1, mean_d[t], float(np.sum(mean_d[:t + 1])))
+                 for t in range(mean_d.size)]))
+            median_dist = float(np.median(dists))
+        bound = float(np.mean(bounds)) if bounds else math.nan
+        summary.append((scenario, alg, runs, rounds, r_alg, reg_final,
+                        reg_over_t_final, bound, mse_final, median_dist))
+    tables.append(Table("summary.csv",
+                        ("scenario", "alg", "runs", "rounds", "r", "reg_final",
+                         "reg_over_t_final", "bound", "mse_final",
+                         "median_dist"), summary))
+    return tables

@@ -64,6 +64,9 @@ class TvarxConfig:
             raise ValueError("m must stay below P_hat + Q_hat")
         if self.m < 1 or self.P_hat < 1 or self.Q_hat < 1:
             raise ValueError("dimensions must be positive")
+        if self.n_blocks < 1:
+            raise ValueError(
+                "the horizon must hold at least one block of m samples")
 
     @property
     def n(self):
@@ -268,9 +271,10 @@ class RssConfig:
     mu: float = 1e-2
 
     def __post_init__(self):
-        side = round(math.sqrt(self.sensors))
-        if side * side != self.sensors:
-            raise ValueError(f"sensors={self.sensors} is not a perfect square")
+        side = round(math.sqrt(max(self.sensors, 0)))
+        if self.sensors < 1 or side * side != self.sensors:
+            raise ValueError(
+                f"sensors={self.sensors} is not a positive perfect square")
         if self.area_m <= 0 or self.cell_m <= 0 or self.cell_m > self.area_m:
             raise ValueError("inconsistent area and cell size")
 
@@ -428,29 +432,6 @@ def random_problem(n, sigma, beta, seed, lam=0.1, phi_scale=1.0):
         Q = (Q + Q.T) / 2.0
     phi = rng.standard_normal(n) * phi_scale
     return QuadraticL1Problem(Q, phi, lam)
-
-
-def drifting_quadratic_stream(n, rounds, sigma, beta, drift, seed, lam=0.05,
-                              drift_orth_to_flat=True):
-    """Slowly varying stream: fixed Q, linear drift of the linear term.
-
-    The drift direction can be kept orthogonal to the eigenvector of the
-    smallest eigenvalue, which keeps the reference fixed point from sliding
-    along the nearly flat direction when sigma is tiny.
-    """
-    rng = substream(seed, STREAM_PROBLEM)
-    eigs = np.linspace(sigma, beta, n)
-    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = (U * eigs) @ U.T
-    Q = (Q + Q.T) / 2.0
-    phi0 = rng.standard_normal(n)
-    direction = rng.standard_normal(n)
-    if drift_orth_to_flat:
-        flat = U[:, 0]
-        direction = direction - (direction @ flat) * flat
-    direction = direction / np.linalg.norm(direction)
-    base = QuadraticL1Problem(Q, phi0, lam)
-    return [base.with_phi(phi0 + drift * t * direction) for t in range(rounds)]
 
 
 @dataclass

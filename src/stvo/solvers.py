@@ -139,19 +139,18 @@ def batch_dr(problem, tol=1e-10, max_iter=10000, initial=None):
     BatchResult
     """
     state = consistent_state(problem, None if initial is None else initial.z)
+    x, z = state.x, state.z
     residuals = []
     converged = False
-    iterations = 0
     for _ in range(max_iter):
-        new = dr_step(state, problem)
-        res = float(np.linalg.norm(new.z - state.z))
+        x, z_new = _dr_iterate(x, z, problem, 1)
+        res = float(np.linalg.norm(z_new - z))
         residuals.append(res)
-        state = new
-        iterations += 1
+        z = z_new
         if res <= tol:
             converged = True
             break
-    return BatchResult(x_star=state.x, z_star=state.z, iterations=iterations,
+    return BatchResult(x_star=x, z_star=z, iterations=len(residuals),
                        residual_history=np.array(residuals), converged=converged)
 
 

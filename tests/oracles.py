@@ -3,11 +3,17 @@
 Everything here is written in the most literal style available: scalar
 branches, explicit loops, no helpers imported from the package.  Agreement
 between two independently written codepaths is evidence; calling the
-library from both sides would prove nothing.
+library from both sides would prove nothing.  Two exceptions:
+:func:`prox_grad_minimize` iterates a stack of problems side by side, with
+array operations, so that a suite-sized reference fits its time budget;
+:func:`drifting_quadratic_stream` is test data made of package problems.
 """
 
 import numpy as np
 import scipy.linalg
+
+from stvo.core import QuadraticL1Problem
+from stvo.scenarios import STREAM_PROBLEM, substream
 
 
 def soft_scalar(v, b):
@@ -50,22 +56,40 @@ def subgradient_violation(x, Q, phi, lam):
 def prox_grad_minimize(Q, phi, lam, res_tol=1e-9, max_iter=400000):
     """Plain proximal-gradient descent, step 1/L, no acceleration.
 
-    Runs until the subgradient violation clears res_tol; returns the last
-    iterate either way (callers assert on agreement, which fails loudly if
-    this stalled).
+    Takes one problem, or a stack of k of them ((k, n, n), (k, n), (k,))
+    iterated side by side: each from zero at its own step 1/L, each
+    stopping once its own subgradient violation, checked every 50
+    iterations, clears res_tol.  Returns the last iterates either way
+    (callers assert on agreement, which fails loudly if this stalled).
     """
     Q = np.asarray(Q, float)
-    phi = np.asarray(phi, float)
-    L = float(np.linalg.eigvalsh(Q)[-1])
-    tau = 1.0 / L
-    thr = lam * tau
-    x = np.zeros(phi.size)
-    for k in range(1, max_iter + 1):
-        z = x - tau * (Q @ x + phi)
-        x = np.where(z > thr, z - thr, np.where(z < -thr, z + thr, 0.0))
-        if k % 50 == 0 and subgradient_violation(x, Q, phi, lam) <= res_tol:
-            break
-    return x
+    Qs = Q if Q.ndim == 3 else Q[None]
+    k, n = Qs.shape[:2]
+    phis = np.asarray(phi, float).reshape(k, n)
+    lams = np.asarray(lam, float).reshape(k)
+    tau = 1.0 / np.linalg.eigvalsh(Qs)[:, -1]
+    thr = (lams * tau)[:, None, None] * np.ones((1, n, 1))
+    out = np.zeros((k, n))
+    # The instances still running, and their data; a stopped one leaves.
+    live = np.arange(k)
+    Ql, pl, tl, lo, hi = Qs, phis[:, :, None], tau[:, None, None], -thr, thr
+    x = np.zeros((k, n, 1))
+    for it in range(1, max_iter + 1):
+        z = x - tl * (Ql @ x + pl)
+        # soft threshold: z minus its clip to [-thr, thr]
+        x = z - np.minimum(np.maximum(z, lo), hi)
+        if it % 50 == 0:
+            out[live] = x[:, :, 0]
+            keep = np.array([subgradient_violation(out[i], Qs[i], phis[i],
+                                                   lams[i]) > res_tol
+                             for i in live])
+            live, x = live[keep], x[keep]
+            Ql, pl, tl = Ql[keep], pl[keep], tl[keep]
+            lo, hi = lo[keep], hi[keep]
+            if live.size == 0:
+                break
+    out[live] = x[:, :, 0]
+    return out if Q.ndim == 3 else out[0]
 
 
 def objective_reference(x, Q, phi, lam):
@@ -144,3 +168,24 @@ def direct_global_objective(X, neighbor_lists, Qs, phis, lam, taus):
             coup += float(np.sum((xbar_w - x) ** 2))
         total += coup / (2.0 * len(neighbor_lists[v]) * taus[v])
     return total
+
+
+def drifting_quadratic_stream(n, rounds, sigma, beta, drift, seed, lam=0.05):
+    """Slowly varying stream: fixed Q, linear drift of the linear term.
+
+    The drift direction is kept orthogonal to the eigenvector of the
+    smallest eigenvalue, which keeps the reference fixed point from sliding
+    along the nearly flat direction when sigma is tiny.
+    """
+    rng = substream(seed, STREAM_PROBLEM)
+    eigs = np.linspace(sigma, beta, n)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = (U * eigs) @ U.T
+    Q = (Q + Q.T) / 2.0
+    phi0 = rng.standard_normal(n)
+    direction = rng.standard_normal(n)
+    flat = U[:, 0]
+    direction = direction - (direction @ flat) * flat
+    direction = direction / np.linalg.norm(direction)
+    base = QuadraticL1Problem(Q, phi0, lam)
+    return [base.with_phi(phi0 + drift * t * direction) for t in range(rounds)]

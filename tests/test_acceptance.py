@@ -72,17 +72,21 @@ def test_batch_splitting_contracts_every_iteration_at_the_predicted_rate():
 
 def test_batch_minimizer_matches_an_independent_proximal_gradient_reference():
     started = time.perf_counter()
-    worst = 0.0
+    probs = []
     for seed in range(10):
         rng = np.random.default_rng((seed, 99))
         A = rng.standard_normal((12, 20)) / np.sqrt(12)
         x_true = rng.uniform(0.5, 1.5, 20) * rng.choice([-1.0, 1.0], 20)
         y = A @ x_true + 0.01 * rng.standard_normal(12)
-        prob = elastic_net_problem(ElasticNetData(A=A, y=y, lam=1e-2, mu=1e-6))
+        probs.append(elastic_net_problem(
+            ElasticNetData(A=A, y=y, lam=1e-2, mu=1e-6)))
+    refs = oracles.prox_grad_minimize([p.Q for p in probs],
+                                      [p.phi for p in probs],
+                                      [p.lam for p in probs], res_tol=1e-10)
+    worst = 0.0
+    for prob, ref in zip(probs, refs):
         run = batch_dr(prob, tol=1e-10, max_iter=100000)
         assert run.converged
-        ref = oracles.prox_grad_minimize(prob.Q, prob.phi, prob.lam,
-                                         res_tol=1e-10)
         worst = max(worst, float(np.max(np.abs(run.x_star - ref))))
     assert worst <= 1e-6
     report("oracle equivalence", f"worst |dx|_inf {worst:.3e} (tol 1e-6)",
@@ -166,7 +170,7 @@ def test_mean_regret_per_round_halves_from_block_ten_to_the_horizon():
         stream = cli.build_stream("exp2", cfg, cli.derive_seed(9, run))
         oracle_pairs = runner.stream_oracles(stream.problems)
         for alg, r in budgets.items():
-            res = cli.play(alg, stream, r, 4, "per_node")
+            res = runner.play(alg, stream, r, 4, "per_node")
             trace = runner.build_trace(stream.problems, res, oracle_pairs)
             curves[alg].append(metrics.dynamic_regret(trace)[1])
     ratios = {}
@@ -356,7 +360,7 @@ def test_target_tracking_stays_within_one_cell_of_the_walk():
         stream = cli.build_stream("rss", cfg, cli.derive_seed(21, run))
         res = runner.play_odr(stream.problems, 30)
         # Row 0 is the cold start before any data; judge rows 1 onward.
-        d = cli.run_distances(stream, res.actions)[1:]
+        d = runner.run_distances(stream, res.actions)[1:]
         medians.append(float(np.median(d)))
         assert medians[-1] <= root_two
         settled = d <= root_two + 1e-9

@@ -1,10 +1,18 @@
 """Command-line interface tests, run in process through main()."""
 
+import csv
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stvo import cli
+from stvo import metrics
 from stvo.cli import (
+    PATHLOSS_KEYS,
+    SCENARIOS,
     UsageError,
     apply_overrides,
     base_config,
@@ -21,6 +29,18 @@ def run_cli(*argv):
 
 def read_bytes(d):
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+def read_csv(path):
+    """Columns of a written CSV as lists of floats, keyed by header name."""
+    with open(path, newline="") as fh:
+        rdr = csv.reader(fh)
+        header = next(rdr)
+        cols = {name: [] for name in header}
+        for row in rdr:
+            for name, v in zip(header, row):
+                cols[name].append(float(v))
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +110,10 @@ def test_solve_malformed_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     f = problem_file(tmp_path, "2\n1 5\n0 1\n0 0\n0.1\n")  # asymmetric Q
     assert run_cli("solve", f) == 1
+    for text in ("1\n2\n-3\ninf\n", "0\n0.1\n", "-1\n0.1\n"):
+        capsys.readouterr()
+        assert run_cli("solve", problem_file(tmp_path, text)) == 1
+        assert "error" in capsys.readouterr().err
 
 
 def test_solve_reports_non_convergence(tmp_path, capsys):
@@ -135,14 +159,14 @@ def test_run_exp1_trace_and_params_layout(tmp_path):
     assert run_cli("run", "--scenario", "exp1", "--alg", "odr", "--runs", "1",
                    "--r", "3", "--seed", "1", "--config", cfg,
                    "--out", str(out)) == 0
-    trace = cli._read_csv(out / "trace_odr_0.csv")
+    trace = read_csv(out / "trace_odr_0.csv")
     n_blocks = 300 // 12
     # one row per block; row 0 is the cold start against the first block
     assert len(trace["t"]) == n_blocks
     assert trace["t"][0] == 0.0
-    reg = cli._read_csv(out / "regret_odr.csv")["reg"]
+    reg = read_csv(out / "regret_odr.csv")["reg"]
     assert all(b - a >= -1e-12 for a, b in zip(reg, reg[1:]))
-    params = cli._read_csv(out / "params_odr.csv")
+    params = read_csv(out / "params_odr.csv")
     assert len(params["t_ms"]) == n_blocks
     assert set(params) == {"t_ms", "a1_true", "a1_est", "b1_true", "b1_est",
                            "mse"}
@@ -157,12 +181,12 @@ def test_run_rss_distances_and_regret_off(tmp_path):
     assert run_cli("run", "--scenario", "rss", "--alg", "odr", "--runs", "1",
                    "--r", "5", "--seed", "3", "--config", cfg,
                    "--out", str(out)) == 0
-    dist = cli._read_csv(out / "distance_odr.csv")
+    dist = read_csv(out / "distance_odr.csv")
     assert set(dist) == {"t", "dist", "cum_dist"}
     assert len(dist["t"]) == 5
     np.testing.assert_allclose(np.cumsum(dist["dist"]), dist["cum_dist"])
     # regret defaults to off here: no oracle columns, no regret csv
-    trace = cli._read_csv(out / "trace_odr_0.csv")
+    trace = read_csv(out / "trace_odr_0.csv")
     assert all(np.isnan(v) for v in trace["reg"])
     assert not (out / "regret_odr.csv").exists()
 
@@ -190,6 +214,9 @@ def test_run_rejects_bad_usage(tmp_path, capsys):
                    "--out", str(tmp_path / "y")) == 1
     # argparse rejects unknown scenarios on its own
     assert run_cli("run", "--scenario", "exp9") == 1
+    cfg = write_cfg(tmp_path, "lambda = inf\n")
+    assert run_cli("run", "--scenario", "exp1", "--config", cfg,
+                   "--out", str(tmp_path / "x")) == 1
     assert not (tmp_path / "x").exists() or not any((tmp_path / "x").iterdir())
 
 
@@ -203,14 +230,31 @@ def test_run_common_random_toggle(tmp_path):
     assert run_cli("run", "--scenario", "synthetic", "--alg", "oist,odr",
                    "--runs", "1", "--seed", "2", "--config", cfg,
                    "--common-random", "off", "--out", str(out_off)) == 0
-    on = cli._read_csv(out_on / "trace_odr_0.csv")
-    off = cli._read_csv(out_off / "trace_odr_0.csv")
+    on = read_csv(out_on / "trace_odr_0.csv")
+    off = read_csv(out_off / "trace_odr_0.csv")
     # both algorithms see run 0's stream when sharing; oracle losses differ
     # once each algorithm draws its own stream
-    on_oist = cli._read_csv(out_on / "trace_oist_0.csv")
-    off_oist = cli._read_csv(out_off / "trace_oist_0.csv")
+    on_oist = read_csv(out_on / "trace_oist_0.csv")
+    off_oist = read_csv(out_off / "trace_oist_0.csv")
     assert on["oracle_loss"] == on_oist["oracle_loss"]
     assert off["oracle_loss"] != off_oist["oracle_loss"]
+
+
+def test_each_trace_scores_its_regret_once(tmp_path, monkeypatch):
+    scored = []
+    dynamic_regret = metrics.dynamic_regret
+
+    def counted(trace):
+        scored.append(trace)
+        return dynamic_regret(trace)
+
+    monkeypatch.setattr(metrics, "dynamic_regret", counted)
+    cfg = write_cfg(tmp_path, "blocks = 8\nn = 8\nm = 5\n")
+    assert run_cli("run", "--scenario", "synthetic", "--alg", "odr,odista",
+                   "--runs", "2", "--regret", "on", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 0
+    assert len(scored) == 4
+    assert len({id(trace) for trace in scored}) == 4
 
 
 def test_time_budget_calibration_logs_r(tmp_path, capsys):
@@ -256,6 +300,76 @@ def test_check_names_the_operator_form(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ok: first slice operator dense (m=12, n=20, 2m >= n)" in out
     assert "factored" not in out
+
+
+# ---------------------------------------------------------------------------
+# input files from outside the program
+# ---------------------------------------------------------------------------
+
+# derandomized, so that a rerun draws the same examples as every other test
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
+
+# Values a user might type, often a plausible number.  Sizes stay
+# single-digit and positive values stay at or above 0.5 (a smaller cell_m
+# makes the rss grid huge), so that every accepted configuration builds its
+# stream in milliseconds.
+NUMBERS = ("1", "2", "3", "4", "9", "0.5", "2.5")
+CONFIG_VALUES = st.one_of(st.sampled_from(NUMBERS), st.sampled_from(
+    ("-1", "0", "nan", "inf", "-inf", "1e400", "abc", "exp1", "exp2", "")))
+JUNK_LINES = ("novalue", "= 3", "m =", "# note", "   ")
+
+
+@st.composite
+def config_texts(draw):
+    scenario = draw(st.sampled_from(SCENARIOS))
+    keys = [f.name for f in dataclasses.fields(base_config(scenario, {}))]
+    keys += list(PATHLOSS_KEYS) + ["lambda", "bogus"]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(keys), CONFIG_VALUES),
+                          max_size=3))
+    lines = [f"{k} = {v}" for k, v in pairs]
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(draw(st.sampled_from(JUNK_LINES)))
+    return scenario, "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@FUZZ
+@given(case=config_texts())
+def test_config_files_never_crash_the_cli(tmp_path_factory, case):
+    scenario, text = case
+    f = tmp_path_factory.mktemp("cfg") / "fuzz.cfg"
+    f.write_text(text)
+    code = main(["check", "--scenario", scenario, "--config", str(f)])
+    assert code in (0, 1, 2)
+
+
+finite_values = st.floats(-10.0, 10.0)
+any_values = st.one_of(finite_values, st.sampled_from(
+    [0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def problem_texts(draw):
+    n = draw(st.integers(-1, 4))
+    size = max(n, 0)
+    if size and draw(st.booleans()):
+        # a well-posed problem, so that the solver runs
+        M = np.array(draw(st.lists(finite_values, min_size=size * size,
+                                   max_size=size * size))).reshape(size, size)
+        Q = M @ M.T + draw(st.sampled_from([1e-3, 1.0])) * np.eye(size)
+        phi = draw(st.lists(finite_values, min_size=size, max_size=size))
+        values = list(Q.ravel()) + phi + [draw(st.floats(1e-3, 10.0))]
+    else:
+        count = size * size + size + 1 + draw(st.sampled_from([0, -1, 1]))
+        values = draw(st.lists(any_values, min_size=count, max_size=count))
+    return f"{n}\n" + " ".join(repr(float(v)) for v in values) + "\n"
+
+
+@FUZZ
+@given(text=problem_texts())
+def test_problem_files_never_crash_the_cli(tmp_path_factory, text):
+    f = tmp_path_factory.mktemp("prob") / "fuzz.txt"
+    f.write_text(text)
+    assert main(["solve", str(f), "--max-iter", "2000"]) in (0, 1, 2)
 
 
 def test_help_exits_cleanly():

@@ -210,6 +210,8 @@ def test_problem_rejects_bad_lambda_and_shapes():
         QuadraticL1Problem(np.eye(2), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         QuadraticL1Problem(np.eye(2), np.array([np.inf, 0.0]), 1.0)
+    with pytest.raises(ValueError):
+        QuadraticL1Problem(np.eye(2), np.zeros(2), np.inf)
 
 
 def test_with_phi_shares_quadratic_term_and_caches():
@@ -326,5 +328,8 @@ def test_elastic_net_data_validation():
         ElasticNetData(A=np.zeros((2, 2)), y=np.zeros(2), lam=0.0, mu=0.1)
     with pytest.raises(ValueError):
         ElasticNetData(A=np.zeros((2, 2)), y=np.zeros(2), lam=0.1, mu=0.0)
+    for lam, mu in ((np.inf, 0.1), (0.1, np.inf), (np.nan, 0.1)):
+        with pytest.raises(ValueError):
+            ElasticNetData(A=np.zeros((2, 2)), y=np.zeros(2), lam=lam, mu=mu)
     data = ElasticNetData(A=np.zeros((3, 4)), y=np.zeros(3), lam=0.1, mu=0.1)
     assert (data.m, data.n) == (3, 4)

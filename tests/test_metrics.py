@@ -7,15 +7,14 @@ from stvo.metrics import (
     BoundConstants,
     RunTrace,
     dynamic_regret,
-    identification_mse,
     measure_bound_constants,
     path_length,
     reference_paths,
     theorem1_bound,
-    tracking_distances,
 )
 from stvo.runner import build_trace, play_odr, stream_oracles
-from stvo.scenarios import drifting_quadratic_stream
+
+from oracles import drifting_quadratic_stream
 
 
 def make_trace(loss, oracle_loss, t=None, **kw):
@@ -199,39 +198,3 @@ def test_fallback_gap_when_auxiliary_sequence_missing():
 def _unit_problem():
     from stvo.core import QuadraticL1Problem
     return QuadraticL1Problem(np.eye(3), np.zeros(3), 0.1)
-
-
-# ---------------------------------------------------------------------------
-# Scenario-level metrics
-# ---------------------------------------------------------------------------
-
-def test_identification_mse_perfect_estimates():
-    seq = np.random.default_rng(54).standard_normal((40, 4))
-    assert identification_mse(seq, seq, m=5, P=2, Q=2) == 0.0
-
-
-def test_identification_mse_constant_offset():
-    truth = np.zeros((41, 4))
-    est = truth.copy()
-    est[:, 2] += 0.3
-    # samples at 10, 20, 30, 40
-    got = identification_mse(est, truth, m=10, P=2, Q=2)
-    assert got == pytest.approx(4 * 0.3 ** 2 / 4.0)
-
-
-def test_identification_mse_validation():
-    with pytest.raises(ValueError):
-        identification_mse(np.zeros((4, 2)), np.zeros((5, 2)), 1, 1, 1)
-    with pytest.raises(ValueError):
-        identification_mse(np.zeros((4, 2)), np.zeros((4, 2)), 0, 1, 1)
-
-
-def test_tracking_distances_identity_and_offset():
-    truth = np.random.default_rng(55).standard_normal((6, 2))
-    d, cum = tracking_distances(truth, truth)
-    np.testing.assert_array_equal(d, np.zeros(6))
-    np.testing.assert_array_equal(cum, np.zeros(6))
-    est = truth + np.array([1.0, 0.0])
-    d, cum = tracking_distances(est, truth)
-    np.testing.assert_allclose(d, np.ones(6))
-    np.testing.assert_allclose(cum, np.arange(1, 7, dtype=float))

@@ -14,7 +14,6 @@ from stvo.scenarios import (
     TvarxConfig,
     block_starts,
     cell_centers,
-    drifting_quadratic_stream,
     experiment_params,
     feasible_moves,
     node_partition,
@@ -31,6 +30,8 @@ from stvo.scenarios import (
     tvarx_stream,
 )
 from stvo.solvers import oracle_minimizer
+
+from oracles import drifting_quadratic_stream
 
 
 # ---------------------------------------------------------------------------

@@ -123,11 +123,15 @@ def test_odr_static_stream_replays_batch_iteration():
     p = random_pd_problem(5, seed=16)
     T = 40
     s = initial_state(5)
+    hist = []
     for _ in range(T):
-        s = odr_round(s, p, OnlineConfig(r=1))
+        new = odr_round(s, p, OnlineConfig(r=1))
+        hist.append(float(np.linalg.norm(new.z - s.z)))
+        s = new
     res = batch_dr(p, tol=1e-300, max_iter=T)
     np.testing.assert_array_equal(s.x, res.x_star)
     np.testing.assert_array_equal(s.z, res.z_star)
+    np.testing.assert_array_equal(hist, res.residual_history)
 
 
 def test_oist_round_zero_stays_zero_without_linear_term():
