@@ -17,6 +17,7 @@ import numpy as np
 
 from . import _svg, runner, scenarios
 from .core import QuadraticL1Problem, contraction_constants, objective_value
+from .distributed import RowStack
 # derive_seed is re-exported so scripts can seed streams as `stvo run` does.
 from .runner import build_stream, derive_seed, make_graph  # noqa: F401
 from .solvers import OracleError, batch_dr, optimality_residual
@@ -285,6 +286,16 @@ def cmd_check(args):
     else:
         g, n_nodes = make_graph(stream, args.nodes)
         print(f"ok: ring of {n_nodes} nodes, degree {g.degree}")
+    print(f"ok: graph degrees {g.degrees.min()}-{g.degrees.max()}, "
+          + ("regular" if g.regular else
+             "not regular; guarantee 9 assumes a regular graph"))
+    try:
+        stack = RowStack(stream.blocks[0], g.n_nodes)
+        print(f"ok: {sum(op.factored for op in stack.ops)} of {g.n_nodes} "
+              f"node operators factored, k_max={stack.A.shape[1]} of "
+              f"n={stream.n}")
+    except ValueError as err:  # only the distributed solver needs the nodes
+        print(f"note: {err}")
     losses = [float(np.linalg.norm(b.y)) for b in stream.blocks[:5]]
     if not all(math.isfinite(v) for v in losses):
         print("fail: non-finite measurements")

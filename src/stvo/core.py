@@ -44,6 +44,14 @@ class SliceOperator:
         self.A, self.mu, self._Q = A, float(mu), Q
         self._factor = self._eig = self._norm = None
 
+    @classmethod
+    def gram(cls, A, mu):
+        """A'A + mu I: factored as (A, mu) when 2m < n, where A'(A x) takes
+        fewer flops than a dense Q x, and dense otherwise."""
+        if 2 * A.shape[0] < A.shape[1]:
+            return cls(A=A, mu=mu)
+        return cls(Q=A.T @ A + mu * np.eye(A.shape[1]))
+
     @property
     def factored(self):
         return self.A is not None
@@ -98,8 +106,8 @@ class SliceOperator:
         return self._eig
 
     def spectral_norm(self):
-        """||Q||_2: one SVD when dense, the cached largest eigenvalue when
-        factored."""
+        """||Q||_2: the cached largest eigenvalue when factored, else one SVD
+        (eig_extremes' eigvalsh differs from it in the last bits)."""
         if self._norm is None:
             self._norm = (float(np.linalg.norm(self._Q, 2)) if self.A is None
                           else self.eig_extremes()[1])
@@ -122,9 +130,9 @@ class QuadraticL1Problem:
     -----
     Instances are treated as read-only after construction and are safe to
     share across threads.  The quadratic term is held as a
-    :class:`SliceOperator` in ``op``: dense when built from Q, factored as
-    (A, mu) when :func:`elastic_net_problem` builds it from a block with
-    2m < n.  The operator computes the proximal factor, the extreme
+    :class:`SliceOperator` in ``op``: dense when built from Q, in the form
+    :meth:`SliceOperator.gram` picks when :func:`elastic_net_problem` builds
+    it.  The operator computes the proximal factor, the extreme
     eigenvalues and the spectral norm lazily and caches them;
     :meth:`with_phi` produces a slice with a different linear term that
     holds the same operator by reference, so a stream whose slices differ
@@ -168,10 +176,6 @@ class QuadraticL1Problem:
     def Q(self):
         return self.op.Q
 
-    @property
-    def _prox_factor(self):
-        return self.op._factor
-
     def prox_factor(self):
         """Cached Cholesky factor behind the quadratic proximal solve."""
         return self.op.prox_factor()
@@ -183,16 +187,6 @@ class QuadraticL1Problem:
     @property
     def lambda_max(self):
         return self.eig_extremes()[1]
-
-    def spectral_norm(self):
-        """||Q||_2, cached.
-
-        On a dense Q it comes from one SVD and is kept apart from
-        lambda_max, which equals it in exact arithmetic but comes from
-        eigvalsh and differs in the last bits.  On a factored Q it is
-        lambda_max.
-        """
-        return self.op.spectral_norm()
 
     def with_phi(self, phi):
         """New slice with a different linear term, sharing the operator."""
@@ -313,17 +307,15 @@ def elastic_net_problem(data):
     constant while the minimizer is unchanged.  mu > 0 keeps Q positive
     definite even when the block is underdetermined (m < n).
 
-    When 2m < n, Q is held factored as (A, mu): then A'(A x) costs fewer
-    flops than a dense Q x, and the proximal solve works on an m x m factor
-    (see :class:`SliceOperator`).  Otherwise Q is formed densely and checked
-    as the constructor checks any Q.
+    Q is held as :meth:`SliceOperator.gram` picks: factored as (A, mu) when
+    2m < n, so the proximal solve works on an m x m factor, and otherwise
+    dense and checked as the constructor checks any Q.
     """
     phi = -data.A.T @ data.y
-    if 2 * data.m < data.n:
-        return QuadraticL1Problem._of(SliceOperator(A=data.A, mu=data.mu),
-                                      phi, data.lam)
-    Q = data.A.T @ data.A + data.mu * np.eye(data.n)
-    return QuadraticL1Problem(Q, phi, data.lam)
+    op = SliceOperator.gram(data.A, data.mu)
+    if op.factored:
+        return QuadraticL1Problem._of(op, phi, data.lam)
+    return QuadraticL1Problem(op.Q, phi, data.lam)
 
 
 def contraction_constants(problem):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuadraticL1Problem, _shrink
+from .core import QuadraticL1Problem, SliceOperator, _shrink
 
 
 @dataclass
@@ -75,11 +75,14 @@ class Graph:
 
 
 def node_rows(m, n_nodes):
-    """Row indices of an m-row block that np.array_split deals each node."""
-    rows = np.array_split(np.arange(m), n_nodes)
-    if rows[-1].size == 0:
+    """Row indices of an m-row block that np.array_split deals each node:
+    the first m mod n_nodes nodes get one row more than the others."""
+    if not 1 <= n_nodes <= m:
         raise ValueError(f"block of {m} rows cannot feed {n_nodes} nodes")
-    return rows
+    k, extra = divmod(m, n_nodes)
+    rows = np.arange(m)
+    return [rows[v * k + min(v, extra):(v + 1) * k + min(v + 1, extra)]
+            for v in range(n_nodes)]
 
 
 class RowStack:
@@ -89,35 +92,26 @@ class RowStack:
     top of slab v, zero rows below where it has fewer than k_max (zero rows
     add exactly nothing).  AT is its contiguous transpose and mu the ridge
     each node adds, so every node's Q_v x_v = A_v'(A_v x_v) + mu x_v comes
-    from one batched matmul pair.  The dense Q_v are formed only on request,
-    once per node.
+    from one batched matmul pair.  ops[v] is node v's operator, the
+    :meth:`~stvo.core.SliceOperator.gram` of its unpadded slab.
     """
 
-    __slots__ = ("A", "AT", "rows", "mu", "dense")
+    __slots__ = ("A", "AT", "rows", "mu", "ops")
 
     def __init__(self, data, n_nodes):
         self.rows = node_rows(data.m, n_nodes)
         self.A = np.zeros((n_nodes, self.rows[0].size, data.n))
+        self.mu = data.mu / n_nodes
+        self.ops = []
         for v, idx in enumerate(self.rows):
             self.A[v, :idx.size] = data.A[idx]
+            self.ops.append(SliceOperator.gram(self.A[v, :idx.size], self.mu))
         self.AT = np.ascontiguousarray(self.A.transpose(0, 2, 1))
-        self.mu = data.mu / n_nodes
-        self.dense = [None] * n_nodes
-
-    def _slab(self, v):
-        return self.A[v, :self.rows[v].size]
-
-    def node_Q(self, v):
-        """Dense A_v'A_v + mu I of node v, cached."""
-        if self.dense[v] is None:
-            A_v = self._slab(v)
-            self.dense[v] = A_v.T @ A_v + self.mu * np.eye(A_v.shape[1])
-        return self.dense[v]
 
     def nodes(self, y):
         """The nodes of a slice with measurements y: phi_v = -A_v'y_v."""
-        return [NodeData.factored(self, v, -self._slab(v).T @ y[idx])
-                for v, idx in enumerate(self.rows)]
+        return [NodeData._of(op, -self.A[v, :idx.size].T @ y[idx], self)
+                for v, (op, idx) in enumerate(zip(self.ops, self.rows))]
 
     def products(self, X):
         """Column v of the result is Q_v x_v, x_v column v of X."""
@@ -127,12 +121,12 @@ class RowStack:
 class NodeData:
     """Private quadratic data of one node: 0.5 x'Q x + phi'x.
 
-    Built either from a dense symmetric Q, or by :meth:`RowStack.nodes` in
-    factored form as row slab ``index`` of a shared :class:`RowStack`; then
-    Q is formed on first read and cached in the stack.
+    The quadratic term is the :class:`~stvo.core.SliceOperator` ``op``,
+    dense when built from Q; :meth:`RowStack.nodes` passes the node's
+    operator in the shared ``stack`` (None otherwise).
     """
 
-    __slots__ = ("phi", "stack", "index", "_Q")
+    __slots__ = ("op", "phi", "stack")
 
     def __init__(self, Q, phi):
         Q = np.asarray(Q, dtype=float)
@@ -143,18 +137,18 @@ class NodeData:
             raise ValueError(f"phi must have shape ({Q.shape[0]},)")
         if np.max(np.abs(Q - Q.T), initial=0.0) > 1e-10:
             raise ValueError("Q must be symmetric")
-        self._Q, self.phi, self.stack, self.index = Q, phi, None, None
+        self.op, self.phi, self.stack = SliceOperator(Q=Q), phi, None
 
     @classmethod
-    def factored(cls, stack, index, phi):
-        """Node ``index`` of stack with linear term phi."""
+    def _of(cls, op, phi, stack):
+        """Node on an existing operator, its arguments already checked."""
         out = object.__new__(cls)
-        out._Q, out.phi, out.stack, out.index = None, phi, stack, index
+        out.op, out.phi, out.stack = op, phi, stack
         return out
 
     @property
     def Q(self):
-        return self._Q if self.stack is None else self.stack.node_Q(self.index)
+        return self.op.Q
 
     @property
     def n(self):
@@ -162,27 +156,23 @@ class NodeData:
 
     @property
     def lambda_max(self):
-        return float(np.linalg.eigvalsh(self.Q)[-1])
+        return self.op.eig_extremes()[1]
 
     def with_phi(self, phi):
         """Same quadratic term with a new linear term, skipping revalidation."""
         phi = np.asarray(phi, dtype=float)
         if phi.shape != (self.n,):
             raise ValueError(f"phi must have shape ({self.n},)")
-        out = object.__new__(NodeData)
-        out._Q, out.phi, out.stack, out.index = (self._Q, phi, self.stack,
-                                                 self.index)
-        return out
+        return NodeData._of(self.op, phi, self.stack)
 
 
 def node_partition(data, n_nodes):
     """Split an elastic-net block row-wise across n_nodes nodes.
 
-    Node v holds the rows A_v, y_v that :func:`node_rows` deals it, in
-    factored form: Q_v = A_v'A_v + (mu/|V|) I and phi_v = -A_v'y_v, so the
-    node data sums back to the centralized elastic-net slice.  All nodes
-    share one :class:`RowStack`; no n x n matrix is formed until some Q_v is
-    read.
+    Node v holds the rows A_v, y_v that :func:`node_rows` deals it, as the
+    operator Q_v = A_v'A_v + (mu/|V|) I and phi_v = -A_v'y_v, so the node
+    data sums back to the centralized elastic-net slice.  All nodes share one
+    :class:`RowStack`; a factored Q_v forms no n x n matrix until it is read.
     """
     return RowStack(data, n_nodes).nodes(data.y)
 
@@ -290,11 +280,9 @@ def dista_even_step(state, graph):
 
 
 def _shared_stack(data):
-    """The RowStack that data is, node for node, or None."""
+    """The RowStack whose ops[v] (by identity) data[v] holds, or None."""
     stack = data[0].stack
-    if (stack is not None and len(stack.rows) == len(data)
-            and all(nd.stack is stack and nd.index == v
-                    for v, nd in enumerate(data))):
+    if stack is not None and [nd.op for nd in data] == stack.ops:
         return stack
     return None
 
@@ -391,15 +379,15 @@ def surrogate_objective(X, C, B, graph, data, lam, tau):
     tau = _as_node_tau(tau, graph.n_nodes)
     total = 0.0
     for v in range(graph.n_nodes):
-        x_v = X[:, v]
-        total += (0.5 * x_v @ (data[v].Q @ x_v) + data[v].phi @ x_v
+        x_v, Q_v = X[:, v], data[v].op.matvec
+        total += (0.5 * x_v @ Q_v(x_v) + data[v].phi @ x_v
                   + lam * np.abs(x_v).sum())
         d_v = len(graph.neighbors[v])
         coupling = sum(float(np.sum((C[:, w] - x_v) ** 2))
                        for w in graph.neighbors[v])
         total += coupling / (2.0 * d_v * tau[v])
         delta = x_v - B[:, v]
-        total += 0.5 * (delta @ delta / tau[v] - delta @ (data[v].Q @ delta))
+        total += 0.5 * (delta @ delta / tau[v] - delta @ Q_v(delta))
     return float(total)
 
 
@@ -408,14 +396,15 @@ def theta_tau(data, tau):
 
     Below 1 whenever every tau_v lambda_max(Q_v) <= 2 holds strictly on one
     side; the per-round Frobenius contraction factor over p pairs is
-    ((1 + theta) / 2)^(p/2).
+    ((1 + theta) / 2)^(p/2).  |1 - tau_v lambda| is convex in lambda, so the
+    extreme eigenvalues of Q_v, cached in its operator, attain the max.
     """
     tau = _as_node_tau(tau, len(data))
     worst = 0.0
-    for v, nd in enumerate(data):
-        w = np.linalg.eigvalsh(np.eye(nd.n) - tau[v] * nd.Q)
-        worst = max(worst, float(np.max(np.abs(w))) ** 2)
-    return worst
+    for t, nd in zip(tau, data):
+        sigma, beta = nd.op.eig_extremes()
+        worst = max(worst, (1.0 - t * sigma) ** 2, (1.0 - t * beta) ** 2)
+    return float(worst)
 
 
 def consensus_problem(data, lam):

@@ -155,7 +155,7 @@ def assumption_bounds(problems):
     Finiteness of these maxima is the boundedness assumption behind the
     regret bound; measuring them makes the assumption checkable on data.
     """
-    M_Q = max(p.spectral_norm() for p in problems)
+    M_Q = max(p.op.spectral_norm() for p in problems)
     M_phi = max(float(np.linalg.norm(p.phi)) for p in problems)
     return M_Q, M_phi
 

@@ -21,6 +21,10 @@ STREAM_WALK = 2
 STREAM_DICT = 3
 STREAM_PROBLEM = 4
 
+# Largest n_meas x n_cells dictionary RssConfig accepts.  The stream holds
+# several arrays that size (distances, rows, centred copy, node row stacks).
+MAX_DICTIONARY_BYTES = 2 ** 28
+
 
 def substream(seed, tag, *indices):
     """Deterministic RNG for one named consumer of the run seed."""
@@ -277,6 +281,10 @@ class RssConfig:
                 f"sensors={self.sensors} is not a positive perfect square")
         if self.area_m <= 0 or self.cell_m <= 0 or self.cell_m > self.area_m:
             raise ValueError("inconsistent area and cell size")
+        cells = (self.area_m / self.cell_m) ** 2
+        if not 0 < 8 * self.n_meas * cells <= MAX_DICTIONARY_BYTES:
+            raise ValueError(f"a {self.n_meas} x {cells:.3g} dictionary is "
+                             f"empty or over {MAX_DICTIONARY_BYTES >> 20} MiB")
 
     @property
     def cells_per_side(self):

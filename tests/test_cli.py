@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,18 @@ def test_run_rejects_bad_usage(tmp_path, capsys):
     assert run_cli("run", "--scenario", "exp1", "--config", cfg,
                    "--out", str(tmp_path / "x")) == 1
     assert not (tmp_path / "x").exists() or not any((tmp_path / "x").iterdir())
+    # a 1 mm grid asks for a 144 x 6.25e8 dictionary: refused before any
+    # array is built
+    cfg = write_cfg(tmp_path, "cell_m = 1e-3\n")
+    tracemalloc.start()
+    try:
+        assert run_cli("run", "--scenario", "rss", "--config", cfg,
+                       "--out", str(tmp_path / "z")) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "dictionary" in capsys.readouterr().err
+    assert peak < 2 ** 20
 
 
 def test_run_common_random_toggle(tmp_path):
@@ -296,10 +309,22 @@ def test_check_names_the_operator_form(tmp_path, capsys):
     assert ("ok: first slice operator factored as A'A + mu I "
             "(m=144, n=625, 2m < n); positive definite because "
             "mu=1.000e-02 > 0") in out
+    # 36 sensors with 4 of the 144 rows each
+    assert "ok: 36 of 36 node operators factored, k_max=4 of n=625" in out
+    assert ("ok: graph degrees 3-5, not regular; guarantee 9 assumes a "
+            "regular graph") in out
     assert run_cli("check", "--scenario", "synthetic") == 0
     out = capsys.readouterr().out
     assert "ok: first slice operator dense (m=12, n=20, 2m >= n)" in out
-    assert "factored" not in out
+    assert "first slice operator factored" not in out
+    assert "ok: graph degrees 3-3, regular" in out
+    assert "ok: 4 of 4 node operators factored, k_max=3 of n=20" in out
+    # 12 rows on 5 nodes: slabs of 3, 3, 2, 2 and 2 rows, and only a slab
+    # of k < n / 2 rows is factored
+    assert run_cli("check", "--scenario", "synthetic", "--config",
+                   write_cfg(tmp_path, "n = 6\n"), "--nodes", "5") == 0
+    out = capsys.readouterr().out
+    assert "ok: 3 of 5 node operators factored, k_max=3 of n=6" in out
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def test_with_phi_shares_quadratic_term_and_caches():
     p.prox_factor()
     q = p.with_phi(np.array([1.0, -1.0]))
     assert q.Q is p.Q
-    assert q._prox_factor is p._prox_factor
+    assert q.prox_factor() is p.prox_factor()
     np.testing.assert_allclose(q.phi, [1.0, -1.0])
     with pytest.raises(ValueError):
         p.with_phi(np.zeros(3))

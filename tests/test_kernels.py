@@ -23,9 +23,12 @@ from stvo.distributed import (
     NodeData,
     dista_even_step,
     dista_odd_step,
+    global_objective,
     local_mean,
     node_partition,
     odista_round,
+    ring_graph,
+    theta_tau,
 )
 from stvo.runner import (block_taus, odista_taus, partition_stream,
                          problems_from_blocks)
@@ -121,7 +124,7 @@ def test_factored_slice_operator_matches_the_dense_q(seed, m, extra, log_mu,
     x = rng.standard_normal(n)
     assert relative_gap(prox_quadratic(z, p), prox_quadratic(z, d),
                         z, p.phi) <= tol
-    norm = d.spectral_norm()
+    norm = d.op.spectral_norm()
     assert np.max(np.abs(p.op.matvec(x) - d.op.matvec(x))) \
         <= tol * norm * np.max(np.abs(x))
     act = rng.random(n) < 0.5
@@ -132,8 +135,8 @@ def test_factored_slice_operator_matches_the_dense_q(seed, m, extra, log_mu,
     assert p.eig_extremes()[0] == block.mu
     assert np.max(np.abs(np.subtract(p.eig_extremes(), d.eig_extremes()))) \
         <= tol * norm
-    assert abs(p.spectral_norm() - norm) <= tol * norm
-    assert p.spectral_norm() == p.lambda_max
+    assert abs(p.op.spectral_norm() - norm) <= tol * norm
+    assert p.op.spectral_norm() == p.lambda_max
     state = DRState(x, z)
     out = odr_round(state, p, OnlineConfig(r=r))
     ref = odr_round(state, d, OnlineConfig(r=r))
@@ -264,6 +267,18 @@ def test_factored_descent_matches_dense_node_data(seed, n, n_nodes, extra_rows,
     X = rng.standard_normal((n, n_nodes))
     C = rng.standard_normal((n, n_nodes))
     state = NetworkState(X, C)
+    # the node operators answer from their own form: eigenvalues of the
+    # k_v x k_v Gram matrix, A_v'(A_v x) + mu_v x
+    for nd, ref in zip(factored, dense):
+        assert abs(nd.lambda_max - ref.lambda_max) <= 1e-12 * ref.lambda_max
+    # theta is a max of (1 - tau lambda)^2 with tau lambda <= 1: the rounding
+    # of 1 - tau lambda is on the scale of 1, so theta is held to 1e-12 on
+    # the scale max(1, theta)
+    theta = theta_tau(dense, taus)
+    assert abs(theta_tau(factored, taus) - theta) <= 1e-12 * max(1.0, theta)
+    objective = global_objective(X, g, dense, lam, taus)
+    assert (abs(global_objective(X, g, factored, lam, taus) - objective)
+            <= 1e-12 * abs(objective))
     assert_relatively_close(dista_odd_step(state, g, factored, lam, taus).X,
                             dista_odd_step(state, g, dense, lam, taus).X, X, C)
     out = odista_round(state, g, factored, lam, taus, r)
@@ -300,7 +315,7 @@ def test_slices_of_one_sensing_matrix_share_the_row_stack():
     stack = stream[0][0].stack
     assert stack.A.shape == (3, 3, 5)
     for t, nodes in enumerate(stream):
-        assert [nd.index for nd in nodes] == [0, 1, 2]
+        assert all(nd.op is op for nd, op in zip(nodes, stack.ops))
         assert all(nd.stack is stack for nd in nodes)
         other = nodes[1].with_phi(np.ones(5))
         assert other.stack.A is stack.A and other.stack.AT is stack.AT
@@ -353,10 +368,19 @@ def test_rss_sized_partition_forms_no_dense_q_until_read():
     rng = np.random.default_rng(5)
     block = random_block(rng, 144, 625)
     dense_bytes = 625 * 625 * 8
+    X = rng.standard_normal((625, 36))
+    g = ring_graph(36, 3)
     tracemalloc.start()
     try:
         nodes = node_partition(block, 36)
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        # the step sizes and the contraction driver from the k x k Gram
+        # matrices, the objective from A_v'(A_v x_v)
+        taus = [0.5 / nd.lambda_max for nd in nodes]
+        theta_tau(nodes, taus)
+        global_objective(X, g, nodes, 0.1, taus)
+        _, peak_read = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         nodes[0].Q
         _, peak_q = tracemalloc.get_traced_memory()
@@ -364,6 +388,7 @@ def test_rss_sized_partition_forms_no_dense_q_until_read():
         tracemalloc.stop()
     # the rows and their transpose, 2 * 36 * 4 * 625 doubles
     assert peak < dense_bytes
+    assert peak_read < dense_bytes
     assert nodes[0].stack.A.nbytes + nodes[0].stack.AT.nbytes == 2 * 720000
     # tracemalloc sees numpy's buffers: reading Q allocates it
     assert peak_q >= dense_bytes
