@@ -1,11 +1,20 @@
 """Network model and distributed thresholded-gradient solvers.
 
 Nodes hold private quadratic data (Q_v, phi_v) and a copy x_v of the
-decision variable, stacked column-wise in X.  The solver alternates a
-communication half-step, which refreshes each node's auxiliary variable
-c_v with the neighborhood mean of X, and a descent half-step, which applies
-a damped thresholded gradient update using the neighborhood mean of C.
-Both half-steps are synchronous: every node reads the pre-step state.
+decision variable; a :class:`NetworkState` holds the copies as the columns
+of an (n, |V|) X, and the auxiliary variables as those of C.  The solver
+alternates a communication half-step, which refreshes each node's auxiliary
+variable c_v with the neighborhood mean of X, and a descent half-step, which
+applies a damped thresholded gradient update using the neighborhood mean of
+C.  Both half-steps are synchronous: every node reads the pre-step state.
+
+The half-steps run node-major: they transpose X and C once into contiguous
+(|V|, n) arrays, so that a neighbour gather and a node's product read
+contiguous rows, and hand back (n, |V|) copies.  Every element sees the
+same operations in the same order as on columns, so the iterates are
+bitwise those of column-major steps; the exception is a partition with one
+row per node, where each node's product is a BLAS dot, which sums a
+contiguous row in another order than a strided column.
 """
 
 import warnings
@@ -85,12 +94,24 @@ def node_rows(m, n_nodes):
             for v in range(n_nodes)]
 
 
+def padded_rows(data, n_nodes):
+    """The rows :func:`node_rows` deals each node, stacked and zero-padded.
+
+    Returns (rows, A, AT): A is (|V|, k_max, n) with node v's rows A_v on
+    top of slab v and zero rows below where it has fewer than k_max (zero
+    rows add exactly nothing), AT its contiguous transpose.
+    """
+    rows = node_rows(data.m, n_nodes)
+    A = np.zeros((n_nodes, rows[0].size, data.n))
+    for v, idx in enumerate(rows):
+        A[v, :idx.size] = data.A[idx]
+    return rows, A, np.ascontiguousarray(A.transpose(0, 2, 1))
+
+
 class RowStack:
     """Row blocks of one partition's nodes, stacked once and shared.
 
-    A is (|V|, k_max, n): node v's rows A_v, the rows[v] of the block's A, on
-    top of slab v, zero rows below where it has fewer than k_max (zero rows
-    add exactly nothing).  AT is its contiguous transpose and mu the ridge
+    rows, A and AT are the :func:`padded_rows` of the block and mu the ridge
     each node adds, so every node's Q_v x_v = A_v'(A_v x_v) + mu x_v comes
     from one batched matmul pair.  ops[v] is node v's operator, the
     :meth:`~stvo.core.SliceOperator.gram` of its unpadded slab.
@@ -99,14 +120,10 @@ class RowStack:
     __slots__ = ("A", "AT", "rows", "mu", "ops")
 
     def __init__(self, data, n_nodes):
-        self.rows = node_rows(data.m, n_nodes)
-        self.A = np.zeros((n_nodes, self.rows[0].size, data.n))
+        self.rows, self.A, self.AT = padded_rows(data, n_nodes)
         self.mu = data.mu / n_nodes
-        self.ops = []
-        for v, idx in enumerate(self.rows):
-            self.A[v, :idx.size] = data.A[idx]
-            self.ops.append(SliceOperator.gram(self.A[v, :idx.size], self.mu))
-        self.AT = np.ascontiguousarray(self.A.transpose(0, 2, 1))
+        self.ops = [SliceOperator.gram(self.A[v, :idx.size], self.mu)
+                    for v, idx in enumerate(self.rows)]
 
     def nodes(self, y):
         """The nodes of a slice with measurements y: phi_v = -A_v'y_v."""
@@ -114,8 +131,8 @@ class RowStack:
                 for v, (op, idx) in enumerate(zip(self.ops, self.rows))]
 
     def products(self, X):
-        """Column v of the result is Q_v x_v, x_v column v of X."""
-        return (self.AT @ (self.A @ X.T[:, :, None]))[:, :, 0].T + self.mu * X
+        """Row v of the result is Q_v x_v, x_v row v of the node-major X."""
+        return (self.AT @ (self.A @ X[:, :, None]))[:, :, 0] + self.mu * X
 
 
 class NodeData:
@@ -252,23 +269,33 @@ def local_mean(X, graph, v):
 
 
 def _local_means(X, graph):
-    """Neighborhood means of all columns of X, bitwise :func:`local_mean`.
+    """Neighborhood means of all rows of the node-major X, bitwise
+    :func:`local_mean`.
 
-    One gather and add per neighbor slot of ``graph.mean_plan``, so every
-    column is the same left fold from zero that local_mean performs.
+    One row gather and add per neighbor slot of ``graph.mean_plan``, so
+    every row is the same left fold from zero that local_mean performs.
     """
     acc = np.zeros(X.shape)
     for nodes, slot in graph.mean_plan:
         if nodes is None:
-            acc += X.take(slot, axis=1)
+            acc += X.take(slot, axis=0)
         else:
-            acc[:, nodes] += X.take(slot, axis=1)
-    acc /= graph.degrees
+            acc[nodes] += X.take(slot, axis=0)
+    acc /= graph.degrees.reshape(-1, 1)
     return acc
 
 
+def _transposed(M):
+    """M.T as a C-contiguous copy: (n, |V|) columns to node-major rows and
+    back.  A transposed view would not do: reductions over it, such as the
+    network average X.mean(axis=1), sum in another order."""
+    return np.ascontiguousarray(M.T)
+
+
 def _as_node_tau(tau, n_nodes):
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), (n_nodes,))
+    tau = np.asarray(tau, dtype=float)
+    if tau.shape != (n_nodes,):
+        tau = np.broadcast_to(tau, (n_nodes,))
     if not np.all(tau > 0):
         raise ValueError("all step sizes must be positive")
     return tau
@@ -276,7 +303,8 @@ def _as_node_tau(tau, n_nodes):
 
 def dista_even_step(state, graph):
     """Communication half-step: C <- neighborhood means of X; X unchanged."""
-    return NetworkState(state.X, _local_means(state.X, graph))
+    C = _local_means(_transposed(state.X), graph)
+    return NetworkState(state.X, _transposed(C))
 
 
 def _shared_stack(data):
@@ -288,20 +316,21 @@ def _shared_stack(data):
 
 
 def _descent(graph, data, lam, tau):
-    """The descent half-step as a map (X, C) -> X+, its inputs checked once.
+    """The descent half-step as a map (X, C) -> X+ on node-major arrays,
+    its inputs checked once.
 
-    Everything runs on the stacked columns in the order of
+    Everything runs on the stacked rows in the order of
     :func:`dista_odd_step`'s formula.  When the nodes are one
     :func:`node_partition`, all products Q_v x_v are one batched product over
     their shared RowStack, which sums in another order than the dense
     product and agrees with it to rounding.  Otherwise the products are a
-    loop over the dense Q_v, and each column is bitwise the per-node update.
+    loop over the dense Q_v, and each row is bitwise the per-node update.
     """
     n_nodes = graph.n_nodes
     if len(data) != n_nodes:
         raise ValueError("one NodeData per node required")
-    tau = _as_node_tau(tau, n_nodes)
-    tau_phi = tau * np.stack([nd.phi for nd in data], axis=1)
+    tau = _as_node_tau(tau, n_nodes).reshape(-1, 1)
+    tau_phi = tau * np.array([nd.phi for nd in data])
     thr = lam * tau / 2.0
     stack = _shared_stack(data)
     if stack is not None:
@@ -312,7 +341,7 @@ def _descent(graph, data, lam, tau):
         def products(X):
             QX = np.empty_like(X)
             for v, Q in enumerate(Qs):
-                QX[:, v] = Q @ X[:, v]
+                QX[v] = Q @ X[v]
             return QX
 
     def descend(X, C):
@@ -331,28 +360,30 @@ def dista_odd_step(state, graph, data, lam, tau):
     order.
     """
     descend = _descent(graph, data, lam, tau)
-    return NetworkState(descend(state.X, state.C), state.C)
+    X = descend(_transposed(state.X), _transposed(state.C))
+    return NetworkState(_transposed(X), state.C)
 
 
 def odista_round(state, graph, data, lam, tau, r):
     """One online round: r half-steps, even ones communicate, odd ones descend.
 
     The round always opens with a communication half-step, so C is refreshed
-    from the carried X before any descent reads it; r = 2 is exactly one
-    communication followed by one descent.  X and C are carried as arrays
-    and the round's inputs are checked once, so every half-step is bitwise
-    :func:`dista_even_step` or :func:`dista_odd_step`.
+    from the carried X before any descent reads it (the carried C is never
+    read); r = 2 is exactly one communication followed by one descent.
+    X and C are carried node-major, transposed once on the way in and once
+    on the way out, and the round's inputs are checked once, so every
+    half-step is bitwise :func:`dista_even_step` or :func:`dista_odd_step`.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     descend = _descent(graph, data, lam, tau)
-    X, C = state.X, state.C
+    X = _transposed(state.X)
     for h in range(r):
         if h % 2 == 0:
             C = _local_means(X, graph)
         else:
             X = descend(X, C)
-    return NetworkState(X, C)
+    return NetworkState(_transposed(X), _transposed(C))
 
 
 def global_objective(X, graph, data, lam, tau):
@@ -364,8 +395,8 @@ def global_objective(X, graph, data, lam, tau):
     node's own degree.  It is :func:`surrogate_objective` at C = xbar and
     B = X, where the damping term adds exactly zero.
     """
-    return surrogate_objective(X, _local_means(X, graph), X, graph, data, lam,
-                               tau)
+    C = _transposed(_local_means(_transposed(X), graph))
+    return surrogate_objective(X, C, X, graph, data, lam, tau)
 
 
 def surrogate_objective(X, C, B, graph, data, lam, tau):
@@ -412,8 +443,16 @@ def consensus_problem(data, lam):
 
     Restricting the network objective to equal columns zeroes the
     disagreement penalty and sums the local costs, giving Q = sum Q_v,
-    phi = sum phi_v and an l1 weight of |V| * lam.
+    phi = sum phi_v and an l1 weight of |V| * lam.  On one
+    :func:`node_partition` Q is A'A of the stack's padded rows, taken as one
+    block, plus the summed ridge, so no node forms its dense Q_v; that sums
+    in another order than the Q_v and agrees with their sum to rounding.
     """
-    Q = sum(nd.Q for nd in data)
+    stack = _shared_stack(data)
+    if stack is None:
+        Q = sum(nd.Q for nd in data)
+    else:
+        rows = stack.A.reshape(-1, stack.A.shape[2])
+        Q = rows.T @ rows + len(data) * stack.mu * np.eye(rows.shape[1])
     phi = sum(nd.phi for nd in data)
     return QuadraticL1Problem(Q, phi, len(data) * lam)

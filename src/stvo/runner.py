@@ -16,8 +16,8 @@ import numpy as np
 
 from . import metrics, scenarios
 from .core import elastic_net_problem, objective_value
-from .distributed import (NetworkState, RowStack, odista_round, radius_graph,
-                          ring_graph)
+from .distributed import (NetworkState, RowStack, odista_round, padded_rows,
+                          radius_graph, ring_graph)
 from .metrics import RunTrace
 from .solvers import (DRState, OnlineConfig, consistent_state, dr_step,
                       initial_state, odr_round, oist_round, oracle_minimizer)
@@ -81,15 +81,16 @@ def odista_taus(blocks, n_nodes, rule):
     "uniform_min" gives every node the smallest inverse squared norm, which
     keeps the damping below one at each node; "per_node" uses each node's
     own 1 / ||A_v||_2^2.  The squared norms are the top eigenvalues of the
-    small Gram matrices A_v A_v', one batched eigensolve over the run's row
-    stack (its zero padding rows add only zero eigenvalues).
+    small Gram matrices A_v A_v', one batched eigensolve over the run's
+    :func:`~stvo.distributed.padded_rows` (zero padding rows add only zero
+    eigenvalues).
     """
     if rule not in ("uniform_min", "per_node"):
         raise ValueError(f"unknown step-size rule {rule!r}")
     taus = []
     for run in _shared_runs(blocks):
-        stack = RowStack(run[0], n_nodes)
-        norms = np.linalg.eigvalsh(stack.A @ stack.AT)[:, -1]
+        _, A, AT = padded_rows(run[0], n_nodes)
+        norms = np.linalg.eigvalsh(A @ AT)[:, -1]
         if rule == "uniform_min":
             tau = np.full(n_nodes, 1.0 / float(np.max(norms)))
         else:

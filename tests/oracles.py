@@ -3,10 +3,12 @@
 Everything here is written in the most literal style available: scalar
 branches, explicit loops, no helpers imported from the package.  Agreement
 between two independently written codepaths is evidence; calling the
-library from both sides would prove nothing.  Two exceptions:
+library from both sides would prove nothing.  Three exceptions:
 :func:`prox_grad_minimize` iterates a stack of problems side by side, with
 array operations, so that a suite-sized reference fits its time budget;
-:func:`drifting_quadratic_stream` is test data made of package problems.
+:func:`drifting_quadratic_stream` is test data made of package problems;
+:func:`column_odista_round` keeps the array operations of the column-major
+odista round, because the node-major round is held to its bits.
 """
 
 import numpy as np
@@ -189,3 +191,44 @@ def drifting_quadratic_stream(n, rounds, sigma, beta, drift, seed, lam=0.05):
     direction = direction / np.linalg.norm(direction)
     base = QuadraticL1Problem(Q, phi0, lam)
     return [base.with_phi(phi0 + drift * t * direction) for t in range(rounds)]
+
+
+def column_local_means(X, neighbor_lists):
+    """Neighborhood means of the columns of X: a left fold from zero, one
+    column gather and add per neighbor slot."""
+    degrees = np.array([len(nbrs) for nbrs in neighbor_lists])
+    acc = np.zeros(X.shape)
+    for k in range(int(degrees.max())):
+        nodes = np.flatnonzero(degrees > k)
+        slot = np.array([neighbor_lists[v][k] for v in nodes])
+        if nodes.size == len(neighbor_lists):
+            acc += X.take(slot, axis=1)
+        else:
+            acc[:, nodes] += X.take(slot, axis=1)
+    acc /= degrees
+    return acc
+
+
+def column_odista_round(X, neighbor_lists, products, phis, lam, taus, r):
+    """An odista round of r half-steps carried on the (n, |V|) columns of X.
+
+    products(X) gives the columns Q_v x_v; :func:`stack_column_products`
+    is the batched product over a node partition's padded rows.
+    """
+    taus = np.asarray(taus, dtype=float)
+    tau_phi = taus * np.stack(phis, axis=1)
+    thr = lam * taus / 2.0
+    for h in range(r):
+        if h % 2 == 0:
+            C = column_local_means(X, neighbor_lists)
+        else:
+            z = (X + column_local_means(C, neighbor_lists)
+                 - taus * products(X) - tau_phi) / 2.0
+            X = np.sign(z) * np.maximum(np.abs(z) - thr, 0.0)
+    return X, C
+
+
+def stack_column_products(A, AT, mu):
+    """Column v of products(X) is A_v'(A_v x_v) + mu x_v, one batched
+    matmul pair over the padded (|V|, k_max, n) rows A and their transpose."""
+    return lambda X: (AT @ (A @ X.T[:, :, None]))[:, :, 0].T + mu * X

@@ -5,7 +5,9 @@ round.  Their operation order is the reference steps' order, so agreement
 is asserted bitwise on hypothesis-generated problems and graphs.  Factored
 node data sums its products in another order than the dense Q_v, and a
 factored slice operator solves through the matrix inversion lemma, so both
-are held to the dense path within 1e-12 relative.
+are held to the dense path within 1e-12 relative.  The odista round carries
+its iterates node-major; on a node partition it is held bitwise to the
+column-major round it replaced.
 """
 
 import tracemalloc
@@ -21,26 +23,31 @@ from stvo.distributed import (
     Graph,
     NetworkState,
     NodeData,
+    consensus_problem,
     dista_even_step,
     dista_odd_step,
     global_objective,
     local_mean,
     node_partition,
     odista_round,
+    radius_graph,
     ring_graph,
     theta_tau,
 )
 from stvo.runner import (block_taus, odista_taus, partition_stream,
-                         problems_from_blocks)
+                         play_odista, problems_from_blocks)
+from stvo.scenarios import RssConfig, sensor_positions
 from stvo.solvers import (DRState, OnlineConfig, odr_round, oist_round,
                           oracle_minimizer)
 
 from oracles import (
+    column_odista_round,
     direct_dr_step,
     direct_odd_step,
     direct_oist_sweep,
     direct_prox,
     mean_of_columns,
+    stack_column_products,
 )
 
 # derandomized, so that a rerun draws the same examples as every other test
@@ -291,6 +298,100 @@ def test_factored_descent_matches_dense_node_data(seed, n, n_nodes, extra_rows,
         flipped = odista_round(state, g, factored[::-1], lam, taus, r)
         np.testing.assert_array_equal(
             flipped.X, odista_round(state, g, dense[::-1], lam, taus, r).X)
+
+
+def column_round(state, graph, data, lam, taus, r):
+    """The column-major reference round on a node partition's shared stack."""
+    stack = data[0].stack
+    return column_odista_round(
+        state.X, [list(a) for a in graph.neighbors],
+        stack_column_products(stack.A, stack.AT, stack.mu),
+        [nd.phi for nd in data], lam, taus, r)
+
+
+def assert_column_layout(state, n, n_nodes):
+    for M in (state.X, state.C):
+        assert M.shape == (n, n_nodes) and M.flags.c_contiguous
+
+
+@SETTINGS
+@given(seed=seeds, n=st.integers(1, 12), n_nodes=st.integers(1, 12),
+       extra_rows=st.integers(0, 14), max_degree=st.integers(1, 12),
+       lam=lams, r=st.integers(1, 8), step=st.floats(0.05, 1.0))
+# one row per node: the product is one BLAS dot per node
+@example(seed=0, n=12, n_nodes=5, extra_rows=0, max_degree=3, lam=0.1, r=4,
+         step=1.0)
+# 7 rows over 3 nodes: array_split deals 3, 2, 2 and pads two slabs
+@example(seed=0, n=5, n_nodes=3, extra_rows=4, max_degree=2, lam=0.1, r=5,
+         step=1.0)
+def test_node_major_round_is_the_column_major_round_bitwise(
+        seed, n, n_nodes, extra_rows, max_degree, lam, r, step):
+    rng = np.random.default_rng(seed)
+    block = random_block(rng, n_nodes + extra_rows, n)
+    g = random_graph(rng, n_nodes, max_degree)
+    data = node_partition(block, n_nodes)
+    taus = np.array([step / nd.lambda_max for nd in data])
+    state = NetworkState(rng.standard_normal((n, n_nodes)),
+                         rng.standard_normal((n, n_nodes)))
+    out = odista_round(state, g, data, lam, taus, r)
+    X, C = column_round(state, g, data, lam, taus, r)
+    assert_column_layout(out, n, n_nodes)
+    if extra_rows == 0 and n_nodes > 1:
+        # with one row each, the column-major product A_v x_v was a BLAS dot
+        # over a strided column, which sums in another order than the dot
+        # over a contiguous row; with more rows BLAS copies the strided
+        # vector before its matrix-vector kernel, so the sums are unchanged
+        assert_relatively_close(out.X, X, state.X, state.C)
+        assert_relatively_close(out.C, C, state.X, state.C)
+    else:
+        np.testing.assert_array_equal(out.X, X)
+        np.testing.assert_array_equal(out.C, C)
+
+
+@pytest.mark.parametrize("r", [7, 30])
+def test_rss_shaped_rounds_and_actions_are_the_column_major_ones_bitwise(r):
+    rng = np.random.default_rng(11)
+    cfg = RssConfig()
+    g = radius_graph(sensor_positions(cfg), cfg.comm_radius_m)
+    assert g.n_nodes == 36 and not g.regular
+    A = rng.standard_normal((144, 625))
+    blocks = [ElasticNetData(A=A, y=rng.standard_normal(144), lam=0.1,
+                             mu=0.05) for _ in range(3)]
+    node_stream = partition_stream(blocks, 36)
+    assert node_stream[0][0].stack.A.shape == (36, 4, 625)
+    taus = odista_taus(blocks, 36, "per_node")
+    lam = 0.1 / 36
+    played = play_odista(node_stream, g, lam, taus, r, 625)
+    state = NetworkState.zeros(625, 36)
+    for t, (data, tau) in enumerate(zip(node_stream, taus)):
+        # the action is the network average of the (n, |V|) C-contiguous X
+        np.testing.assert_array_equal(played.actions[t], state.X.mean(axis=1))
+        X, C = column_round(state, g, data, lam, tau, r)
+        out = odista_round(state, g, data, lam, tau, r)
+        assert_column_layout(out, 625, 36)
+        np.testing.assert_array_equal(out.X, X)
+        np.testing.assert_array_equal(out.C, C)
+        state = NetworkState(X, C)
+    np.testing.assert_array_equal(played.state.X, state.X)
+
+
+@SETTINGS
+@given(seed=seeds, n=st.integers(1, 24), n_nodes=st.integers(1, 8),
+       extra_rows=st.integers(0, 10))
+def test_consensus_q_of_a_partition_is_the_node_sum_without_dense_q_v(
+        seed, n, n_nodes, extra_rows):
+    rng = np.random.default_rng(seed)
+    block = random_block(rng, n_nodes + extra_rows, n)
+    nodes = node_partition(block, n_nodes)
+    dense = dense_nodes(block, n_nodes)
+    p = consensus_problem(nodes, 0.1)
+    # the padded rows' A'A sums in another order than the Q_v
+    ref = sum(nd.Q for nd in dense)
+    assert np.max(np.abs(p.Q - ref)) <= 1e-12 * np.max(np.abs(ref))
+    np.testing.assert_array_equal(p.phi, sum(nd.phi for nd in dense))
+    assert p.lam == n_nodes * 0.1
+    # a factored node operator is still unformed
+    assert all(nd.op._Q is None for nd in nodes if nd.op.factored)
 
 
 @SETTINGS
