@@ -8,13 +8,13 @@ variable c_v with the neighborhood mean of X, and a descent half-step, which
 applies a damped thresholded gradient update using the neighborhood mean of
 C.  Both half-steps are synchronous: every node reads the pre-step state.
 
-The half-steps run node-major: they transpose X and C once into contiguous
-(|V|, n) arrays, so that a neighbour gather and a node's product read
-contiguous rows, and hand back (n, |V|) copies.  Every element sees the
-same operations in the same order as on columns, so the iterates are
-bitwise those of column-major steps; the exception is a partition with one
-row per node, where each node's product is a BLAS dot, which sums a
-contiguous row in another order than a strided column.
+Every neighborhood mean is one product with the graph's row-normalised
+weight matrix ``Graph.W`` on node-major (|V|, n) rows, and a communication
+and descent pair reads the mean of means ``Graph.W2`` = W @ W, so a round
+runs each pair as one map X <- descend(X, M X).  The half-steps transpose X
+and C once into contiguous rows and hand back (n, |V|) copies.  These sums
+run in another order than the literal per-node left folds; they agree with
+them to 1e-12 relative.
 """
 
 import warnings
@@ -30,9 +30,10 @@ class Graph:
     """Undirected communication graph with implicit self-loops.
 
     neighbors[v] is the sorted array of nodes v receives from, v included.
-    mean_plan gathers the neighborhood means of all nodes at once: its entry
-    k pairs the nodes with more than k neighbors (None when that is every
-    node) with their k-th neighbor.
+    W is the dense |V| x |V| neighbour-weight matrix: row v holds 1/d_v on
+    neighbors[v] and zero elsewhere, so W @ X is the neighborhood mean of
+    every row of a node-major X at once.  W2 = W @ W is the mean of means
+    that a descent reads one communication after X.
     """
 
     n_nodes: int
@@ -59,12 +60,10 @@ class Graph:
         self.degrees = np.array([len(a) for a in nbrs])
         self.regular = bool(np.all(self.degrees == self.degrees[0]))
         self.connected = self._connected()
-        self.mean_plan = []
-        for k in range(int(self.degrees.max())):
-            nodes = np.flatnonzero(self.degrees > k)
-            slot = np.array([nbrs[v][k] for v in nodes])
-            self.mean_plan.append(
-                (None if nodes.size == self.n_nodes else nodes, slot))
+        self.W = np.zeros((self.n_nodes, self.n_nodes))
+        for v, arr in enumerate(nbrs):
+            self.W[v, arr] = 1.0 / arr.size
+        self.W2 = self.W @ self.W
 
     @property
     def degree(self):
@@ -112,9 +111,10 @@ class RowStack:
     """Row blocks of one partition's nodes, stacked once and shared.
 
     rows, A and AT are the :func:`padded_rows` of the block and mu the ridge
-    each node adds, so every node's Q_v x_v = A_v'(A_v x_v) + mu x_v comes
-    from one batched matmul pair.  ops[v] is node v's operator, the
-    :meth:`~stvo.core.SliceOperator.gram` of its unpadded slab.
+    each node adds, so the Gram parts A_v'(A_v x_v) of every node's
+    Q_v x_v = A_v'(A_v x_v) + mu x_v come from one batched matmul pair.
+    ops[v] is node v's operator, the :meth:`~stvo.core.SliceOperator.gram`
+    of its unpadded slab.
     """
 
     __slots__ = ("A", "AT", "rows", "mu", "ops")
@@ -130,9 +130,11 @@ class RowStack:
         return [NodeData._of(op, -self.A[v, :idx.size].T @ y[idx], self)
                 for v, (op, idx) in enumerate(zip(self.ops, self.rows))]
 
-    def products(self, X):
-        """Row v of the result is Q_v x_v, x_v row v of the node-major X."""
-        return (self.AT @ (self.A @ X[:, :, None]))[:, :, 0] + self.mu * X
+    def products(self, X, h):
+        """Row v of the result is h_v A_v'(A_v x_v), x_v row v of the
+        node-major X and h a (|V|, 1) column; h scales the small (|V|, k_max)
+        intermediate A_v x_v, and the ridge term is the caller's."""
+        return (self.AT @ (h[:, :, None] * (self.A @ X[:, :, None])))[:, :, 0]
 
 
 class NodeData:
@@ -256,33 +258,9 @@ def radius_graph(positions, radius):
 
 
 def local_mean(X, graph, v):
-    """Average of the columns of X over node v's neighborhood (v included).
-
-    The sum is a left fold over the sorted neighbors, the order in which
-    :func:`dista_even_step` sums for all nodes at once.
-    """
-    nbrs = graph.neighbors[v]
-    acc = np.zeros(X.shape[0])
-    for w in nbrs:
-        acc += X[:, w]
-    return acc / len(nbrs)
-
-
-def _local_means(X, graph):
-    """Neighborhood means of all rows of the node-major X, bitwise
-    :func:`local_mean`.
-
-    One row gather and add per neighbor slot of ``graph.mean_plan``, so
-    every row is the same left fold from zero that local_mean performs.
-    """
-    acc = np.zeros(X.shape)
-    for nodes, slot in graph.mean_plan:
-        if nodes is None:
-            acc += X.take(slot, axis=0)
-        else:
-            acc[nodes] += X.take(slot, axis=0)
-    acc /= graph.degrees.reshape(-1, 1)
-    return acc
+    """Average of the columns of X over node v's neighborhood (v included):
+    X weighted by row v of ``graph.W``."""
+    return X @ graph.W[v]
 
 
 def _transposed(M):
@@ -296,15 +274,15 @@ def _as_node_tau(tau, n_nodes):
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (n_nodes,):
         tau = np.broadcast_to(tau, (n_nodes,))
-    if not np.all(tau > 0):
-        raise ValueError("all step sizes must be positive")
+    if not (tau.min() > 0 and tau.max() < np.inf):
+        raise ValueError("all step sizes must be finite and positive")
     return tau
 
 
 def dista_even_step(state, graph):
     """Communication half-step: C <- neighborhood means of X; X unchanged."""
-    C = _local_means(_transposed(state.X), graph)
-    return NetworkState(state.X, _transposed(C))
+    return NetworkState(state.X,
+                        _transposed(graph.W @ _transposed(state.X)))
 
 
 def _shared_stack(data):
@@ -316,39 +294,46 @@ def _shared_stack(data):
 
 
 def _descent(graph, data, lam, tau):
-    """The descent half-step as a map (X, C) -> X+ on node-major arrays,
-    its inputs checked once.
+    """The descent half-step as a map on node-major arrays, its inputs
+    checked once.
 
-    Everything runs on the stacked rows in the order of
-    :func:`dista_odd_step`'s formula.  When the nodes are one
-    :func:`node_partition`, all products Q_v x_v are one batched product over
-    their shared RowStack, which sums in another order than the dense
-    product and agrees with it to rounding.  Otherwise the products are a
-    loop over the dense Q_v, and each row is bitwise the per-node update.
+    Returns (descend, keep).  With h = tau/2 per node,
+    descend(X, L) = S_{lam h}[L - h K(X) - h phi], where K(X) holds the
+    products Q_v x_v less the ridge mu x_v, and keep = (1 - tau mu)/2 per
+    node, so :func:`dista_odd_step`'s update is descend(X, W C / 2 + keep X).
+    When the nodes are one :func:`node_partition`, K is one batched product
+    over their shared RowStack and mu is its ridge; otherwise K is a loop
+    over the dense Q_v, which hold their ridge, and mu is 0.
     """
     n_nodes = graph.n_nodes
     if len(data) != n_nodes:
         raise ValueError("one NodeData per node required")
-    tau = _as_node_tau(tau, n_nodes).reshape(-1, 1)
-    tau_phi = tau * np.array([nd.phi for nd in data])
-    thr = lam * tau / 2.0
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
+    h = _as_node_tau(tau, n_nodes).reshape(-1, 1) / 2.0
+    b = h * np.array([nd.phi for nd in data])
+    thr = lam * h
     stack = _shared_stack(data)
     if stack is not None:
-        products = stack.products
+        mu = stack.mu
+
+        def scaled_products(X):
+            return stack.products(X, h)
     else:
+        mu = 0.0
         Qs = [nd.Q for nd in data]
 
-        def products(X):
+        def scaled_products(X):
             QX = np.empty_like(X)
             for v, Q in enumerate(Qs):
                 QX[v] = Q @ X[v]
+            QX *= h
             return QX
 
-    def descend(X, C):
-        return _shrink((X + _local_means(C, graph) - tau * products(X)
-                        - tau_phi) / 2.0, thr)
+    def descend(X, L):
+        return _shrink(L - scaled_products(X) - b, thr)
 
-    return descend
+    return descend, 0.5 - h * mu
 
 
 def dista_odd_step(state, graph, data, lam, tau):
@@ -359,8 +344,9 @@ def dista_odd_step(state, graph, data, lam, tau):
     reads refer to the pre-step state, so the result does not depend on node
     order.
     """
-    descend = _descent(graph, data, lam, tau)
-    X = descend(_transposed(state.X), _transposed(state.C))
+    descend, keep = _descent(graph, data, lam, tau)
+    X = _transposed(state.X)
+    X = descend(X, 0.5 * (graph.W @ _transposed(state.C)) + keep * X)
     return NetworkState(_transposed(X), state.C)
 
 
@@ -370,19 +356,21 @@ def odista_round(state, graph, data, lam, tau, r):
     The round always opens with a communication half-step, so C is refreshed
     from the carried X before any descent reads it (the carried C is never
     read); r = 2 is exactly one communication followed by one descent.
-    X and C are carried node-major, transposed once on the way in and once
-    on the way out, and the round's inputs are checked once, so every
-    half-step is bitwise :func:`dista_even_step` or :func:`dista_odd_step`.
+    Each such pair is one map X <- descend(X, M X) with
+    M = (W2 + diag(1 - tau_v mu)) / 2, formed once per round, and C = W X is
+    taken once, from the X of the last communication.  X is carried
+    node-major, transposed once on the way in and out, and the round's
+    inputs are checked once.  The iterates agree with chained
+    :func:`dista_even_step` and :func:`dista_odd_step` to 1e-12 relative.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    descend = _descent(graph, data, lam, tau)
-    X = _transposed(state.X)
-    for h in range(r):
-        if h % 2 == 0:
-            C = _local_means(X, graph)
-        else:
-            X = descend(X, C)
+    descend, keep = _descent(graph, data, lam, tau)
+    M = 0.5 * graph.W2 + np.diag(keep[:, 0])
+    X = last_even = _transposed(state.X)
+    for _ in range(r // 2):
+        last_even, X = X, descend(X, M @ X)
+    C = graph.W @ (X if r % 2 else last_even)
     return NetworkState(_transposed(X), _transposed(C))
 
 
@@ -395,7 +383,7 @@ def global_objective(X, graph, data, lam, tau):
     node's own degree.  It is :func:`surrogate_objective` at C = xbar and
     B = X, where the damping term adds exactly zero.
     """
-    C = _transposed(_local_means(_transposed(X), graph))
+    C = _transposed(graph.W @ _transposed(X))
     return surrogate_objective(X, C, X, graph, data, lam, tau)
 
 

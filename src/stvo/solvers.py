@@ -57,8 +57,8 @@ class OnlineConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
-        if self.tau is not None and not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.tau is not None and not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
 
 
 @dataclass

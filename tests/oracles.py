@@ -8,7 +8,10 @@ library from both sides would prove nothing.  Three exceptions:
 array operations, so that a suite-sized reference fits its time budget;
 :func:`drifting_quadratic_stream` is test data made of package problems;
 :func:`column_odista_round` keeps the array operations of the column-major
-odista round, because the node-major round is held to its bits.
+odista round, which sums its means as left folds where the package takes
+one product with the graph's weight matrix, so the two are held to 1e-12
+relative.  :func:`assert_relatively_close` is that tolerance, shared by the
+tests.
 """
 
 import numpy as np
@@ -16,6 +19,13 @@ import scipy.linalg
 
 from stvo.core import QuadraticL1Problem
 from stvo.scenarios import STREAM_PROBLEM, substream
+
+
+def assert_relatively_close(out, ref, *inputs):
+    """|out - ref| within 1e-12 of the largest magnitude among ref and the
+    inputs."""
+    scale = max(float(np.max(np.abs(a))) for a in (ref,) + inputs)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * scale
 
 
 def soft_scalar(v, b):

@@ -24,6 +24,7 @@ from stvo.runner import ODISTA_TIMED_HALF_STEPS, odista_step_timer
 from stvo.solvers import oracle_minimizer
 
 from oracles import (
+    assert_relatively_close,
     direct_global_objective,
     direct_odd_step,
     mean_of_columns,
@@ -161,8 +162,8 @@ def test_local_mean_matches_direct_summation():
     rng = np.random.default_rng(30)
     X = rng.standard_normal((5, 4))
     for v in range(4):
-        np.testing.assert_array_equal(
-            local_mean(X, g, v), mean_of_columns(X, list(g.neighbors[v])))
+        assert_relatively_close(
+            local_mean(X, g, v), mean_of_columns(X, list(g.neighbors[v])), X)
 
 
 def test_local_mean_rejects_bad_node():
@@ -189,8 +190,9 @@ def test_even_step_matches_direct_means():
     state = NetworkState(rng.standard_normal((5, 4)), np.zeros((5, 4)))
     out = dista_even_step(state, g)
     for v in range(4):
-        np.testing.assert_array_equal(
-            out.C[:, v], mean_of_columns(state.X, list(g.neighbors[v])))
+        assert_relatively_close(
+            out.C[:, v], mean_of_columns(state.X, list(g.neighbors[v])),
+            state.X)
 
 
 def test_odd_step_zero_fixed_point_without_linear_terms():
@@ -209,7 +211,7 @@ def test_odd_step_single_node_hand_case():
     np.testing.assert_allclose(out.X, [[0.5]])
 
 
-def test_odd_step_matches_literal_transcription_bitwise():
+def test_odd_step_matches_literal_transcription():
     g = ring4()
     rng = np.random.default_rng(33)
     data = random_node_data(rng, 5, 4)
@@ -219,7 +221,7 @@ def test_odd_step_matches_literal_transcription_bitwise():
     ref = direct_odd_step(state.X, state.C, [list(a) for a in g.neighbors],
                           [nd.Q for nd in data], [nd.phi for nd in data],
                           0.2, taus)
-    np.testing.assert_array_equal(out.X, ref)
+    assert_relatively_close(out.X, ref, state.X, state.C)
     np.testing.assert_array_equal(out.C, state.C)
 
 
@@ -239,7 +241,7 @@ def test_odd_step_synchronous_reads_pre_step_state():
         cbar = mean_of_columns(state.C, list(g.neighbors[v]))
         arg = (x + cbar - tau * (data[v].Q @ x) - tau * data[v].phi) / 2.0
         X_rev[:, v] = soft_vector(arg, 0.3 * tau / 2.0)
-    np.testing.assert_array_equal(out.X, X_rev)
+    assert_relatively_close(out.X, X_rev, state.X, state.C)
 
 
 def test_round_opens_with_communication():
@@ -252,17 +254,37 @@ def test_round_opens_with_communication():
     np.testing.assert_array_equal(out.C, dista_even_step(state, g).C)
 
 
-def test_round_of_two_is_even_then_odd_bitwise():
+def test_round_of_two_is_even_then_odd():
     g = ring4()
     rng = np.random.default_rng(36)
     data = random_node_data(rng, 4, 4)
     state = NetworkState(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
     out = odista_round(state, g, data, lam=0.2, tau=0.05, r=2)
     ref = dista_odd_step(dista_even_step(state, g), g, data, lam=0.2, tau=0.05)
-    np.testing.assert_array_equal(out.X, ref.X)
+    # the round reads W2 X where the steps read W (W X)
+    assert_relatively_close(out.X, ref.X, state.X)
     np.testing.assert_array_equal(out.C, ref.C)
     with pytest.raises(ValueError):
         odista_round(state, g, data, lam=0.2, tau=0.05, r=0)
+
+
+def test_half_steps_reject_non_finite_or_non_positive_steps_and_weights():
+    g = ring4()
+    rng = np.random.default_rng(47)
+    data = random_node_data(rng, 3, 4)
+    state = NetworkState(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
+    rounds = [lambda lam, tau: odista_round(state, g, data, lam, tau, 4),
+              lambda lam, tau: odista_round(state, g, data, lam, tau, 1),
+              lambda lam, tau: dista_odd_step(state, g, data, lam, tau)]
+    for call in rounds:
+        for tau in (np.inf, np.nan, 0.0, -0.1, [0.05, np.inf, 0.05, 0.05]):
+            with pytest.raises(ValueError, match="step sizes"):
+                call(0.2, tau)
+        for lam in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lam"):
+                call(lam, 0.05)
+    with pytest.raises(ValueError, match="step sizes"):
+        theta_tau(data, np.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Property tests: the round kernels against literal transcriptions.
 
 The online rounds iterate on plain arrays and check their inputs once per
-round.  Their operation order is the reference steps' order, so agreement
-is asserted bitwise on hypothesis-generated problems and graphs.  Factored
+round.  The odr and oist rounds keep the reference steps' operation order,
+so agreement is asserted bitwise on hypothesis-generated problems.  Factored
 node data sums its products in another order than the dense Q_v, and a
 factored slice operator solves through the matrix inversion lemma, so both
-are held to the dense path within 1e-12 relative.  The odista round carries
-its iterates node-major; on a node partition it is held bitwise to the
-column-major round it replaced.
+are held to the dense path within 1e-12 relative.  The odista half-steps
+take every neighborhood mean as one product with the graph's weight matrix
+W, and a round runs each communication and descent pair as one map through
+W2 = W @ W; they are held to the literal left folds and to the column-major
+round within 1e-12 relative.
 """
 
 import tracemalloc
@@ -41,6 +43,7 @@ from stvo.solvers import (DRState, OnlineConfig, odr_round, oist_round,
                           oracle_minimizer)
 
 from oracles import (
+    assert_relatively_close,
     column_odista_round,
     direct_dr_step,
     direct_odd_step,
@@ -194,7 +197,7 @@ def test_blocks_with_2m_at_least_n_keep_a_dense_operator_and_its_rounds(
 @SETTINGS
 @given(seed=seeds, rows=st.integers(1, 6), n_nodes=st.integers(1, 16),
        max_degree=st.integers(1, 12))
-# one row and degrees past 8: np.sum's pairwise summation would differ here
+# one row and degrees past 8
 @example(seed=0, rows=1, n_nodes=16, max_degree=12)
 def test_batched_means_are_left_folds_on_irregular_graphs(seed, rows, n_nodes,
                                                           max_degree):
@@ -204,8 +207,8 @@ def test_batched_means_are_left_folds_on_irregular_graphs(seed, rows, n_nodes,
     out = dista_even_step(NetworkState(X, np.zeros_like(X)), g)
     for v in range(n_nodes):
         ref = mean_of_columns(X, list(g.neighbors[v]))
-        np.testing.assert_array_equal(out.C[:, v], ref)
-        np.testing.assert_array_equal(local_mean(X, g, v), ref)
+        assert_relatively_close(out.C[:, v], ref, X)
+        assert_relatively_close(local_mean(X, g, v), ref, X)
 
 
 @SETTINGS
@@ -228,12 +231,12 @@ def test_descent_matches_literal_transcription_on_irregular_graphs(
     ref = direct_odd_step(X, C, [list(a) for a in g.neighbors],
                           [nd.Q for nd in data], [nd.phi for nd in data],
                           lam, taus)
-    np.testing.assert_array_equal(out.X, ref)
+    assert_relatively_close(out.X, ref, X, C)
     # a pair of half-steps carried on arrays is the two reference steps
     pair = odista_round(NetworkState(X, C), g, data, lam, taus, 2)
     step = dista_odd_step(dista_even_step(NetworkState(X, C), g), g, data,
                           lam, taus)
-    np.testing.assert_array_equal(pair.X, step.X)
+    assert_relatively_close(pair.X, step.X, X, C)
     np.testing.assert_array_equal(pair.C, step.C)
 
 
@@ -249,11 +252,6 @@ def dense_nodes(block, n_nodes):
                      phi=-A_v.T @ y_v)
             for A_v, y_v in zip(np.array_split(block.A, n_nodes),
                                 np.array_split(block.y, n_nodes))]
-
-
-def assert_relatively_close(out, ref, *inputs):
-    scale = max(float(np.max(np.abs(a))) for a in (ref,) + inputs)
-    assert np.max(np.abs(out - ref)) <= 1e-12 * scale
 
 
 @SETTINGS
@@ -324,7 +322,7 @@ def assert_column_layout(state, n, n_nodes):
 # 7 rows over 3 nodes: array_split deals 3, 2, 2 and pads two slabs
 @example(seed=0, n=5, n_nodes=3, extra_rows=4, max_degree=2, lam=0.1, r=5,
          step=1.0)
-def test_node_major_round_is_the_column_major_round_bitwise(
+def test_node_major_round_is_the_column_major_round(
         seed, n, n_nodes, extra_rows, max_degree, lam, r, step):
     rng = np.random.default_rng(seed)
     block = random_block(rng, n_nodes + extra_rows, n)
@@ -336,20 +334,12 @@ def test_node_major_round_is_the_column_major_round_bitwise(
     out = odista_round(state, g, data, lam, taus, r)
     X, C = column_round(state, g, data, lam, taus, r)
     assert_column_layout(out, n, n_nodes)
-    if extra_rows == 0 and n_nodes > 1:
-        # with one row each, the column-major product A_v x_v was a BLAS dot
-        # over a strided column, which sums in another order than the dot
-        # over a contiguous row; with more rows BLAS copies the strided
-        # vector before its matrix-vector kernel, so the sums are unchanged
-        assert_relatively_close(out.X, X, state.X, state.C)
-        assert_relatively_close(out.C, C, state.X, state.C)
-    else:
-        np.testing.assert_array_equal(out.X, X)
-        np.testing.assert_array_equal(out.C, C)
+    assert_relatively_close(out.X, X, state.X, state.C)
+    assert_relatively_close(out.C, C, state.X, state.C)
 
 
 @pytest.mark.parametrize("r", [7, 30])
-def test_rss_shaped_rounds_and_actions_are_the_column_major_ones_bitwise(r):
+def test_rss_shaped_rounds_and_actions_are_the_column_major_ones(r):
     rng = np.random.default_rng(11)
     cfg = RssConfig()
     g = radius_graph(sensor_positions(cfg), cfg.comm_radius_m)
@@ -365,14 +355,62 @@ def test_rss_shaped_rounds_and_actions_are_the_column_major_ones_bitwise(r):
     state = NetworkState.zeros(625, 36)
     for t, (data, tau) in enumerate(zip(node_stream, taus)):
         # the action is the network average of the (n, |V|) C-contiguous X
+        # that the round returned
         np.testing.assert_array_equal(played.actions[t], state.X.mean(axis=1))
         X, C = column_round(state, g, data, lam, tau, r)
         out = odista_round(state, g, data, lam, tau, r)
         assert_column_layout(out, 625, 36)
-        np.testing.assert_array_equal(out.X, X)
-        np.testing.assert_array_equal(out.C, C)
-        state = NetworkState(X, C)
+        assert_relatively_close(out.X, X, state.X, state.C)
+        assert_relatively_close(out.C, C, state.X, state.C)
+        state = out
     np.testing.assert_array_equal(played.state.X, state.X)
+
+
+def dense_column_products(data):
+    """Column v of products(X) is Q_v x_v over the dense node data."""
+    return lambda X: np.stack([nd.Q @ x for nd, x in zip(data, X.T)], axis=1)
+
+
+@SETTINGS
+@given(seed=seeds, n=st.integers(1, 12), n_nodes=st.integers(1, 12),
+       extra_rows=st.integers(0, 6), max_degree=st.integers(1, 12),
+       lam=lams, step=st.floats(0.05, 1.0), sensor=st.booleans())
+# the 36-node rss sensor graph, degrees 3-5
+@example(seed=0, n=7, n_nodes=1, extra_rows=2, max_degree=1, lam=0.01,
+         step=0.9, sensor=True)
+def test_weight_matrix_and_pair_map_match_the_literal_rounds(
+        seed, n, n_nodes, extra_rows, max_degree, lam, step, sensor):
+    rng = np.random.default_rng(seed)
+    if sensor:
+        cfg = RssConfig()
+        g = radius_graph(sensor_positions(cfg), cfg.comm_radius_m)
+        n_nodes = g.n_nodes
+    else:
+        g = random_graph(rng, n_nodes, max_degree)
+    W = g.W
+    # one weight rule: row v is 1/d_v on exactly N_v, and W2 is W @ W
+    assert np.all(np.abs(W.sum(axis=1) - 1.0)
+                  <= g.degrees * np.finfo(float).eps)
+    for v in range(n_nodes):
+        np.testing.assert_array_equal(np.flatnonzero(W[v]), g.neighbors[v])
+    np.testing.assert_array_equal(g.W2, W @ W)
+    block = random_block(rng, n_nodes + extra_rows, n)
+    neighbor_lists = [list(a) for a in g.neighbors]
+    factored = node_partition(block, n_nodes)
+    dense = dense_nodes(block, n_nodes)
+    taus = np.array([step / nd.lambda_max for nd in dense])
+    state = NetworkState(rng.standard_normal((n, n_nodes)),
+                         rng.standard_normal((n, n_nodes)))
+    stack = factored[0].stack
+    for data, products in (
+            (factored, stack_column_products(stack.A, stack.AT, stack.mu)),
+            (dense, dense_column_products(dense))):
+        for r in range(1, 10):
+            out = odista_round(state, g, data, lam, taus, r)
+            X, C = column_odista_round(state.X, neighbor_lists, products,
+                                       [nd.phi for nd in data], lam, taus, r)
+            assert_relatively_close(out.X, X, state.X, state.C)
+            assert_relatively_close(out.C, C, state.X, state.C)
 
 
 @SETTINGS

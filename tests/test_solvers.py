@@ -185,6 +185,12 @@ def test_online_config_validation():
         OnlineConfig(r=1, tau=-0.1)
 
 
+def test_online_config_rejects_non_finite_tau():
+    for tau in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            OnlineConfig(r=3, tau=tau)
+
+
 def test_dr_state_validation():
     with pytest.raises(ValueError):
         DRState(np.zeros(2), np.zeros(3))
