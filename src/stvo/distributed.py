@@ -350,28 +350,57 @@ def dista_odd_step(state, graph, data, lam, tau):
     return NetworkState(_transposed(X), state.C)
 
 
+class OdistaRound:
+    """Odista round on one slice, stepped in half-steps on node-major rows.
+
+    :meth:`start` checks the inputs and builds the descent map and the pair
+    map M = (W2 + diag(1 - tau_v mu)) / 2 once.  Half-steps count from
+    :meth:`start`, even ones communicate and odd ones descend.  A
+    communication is carried out with the descent that follows it, as one
+    map X <- descend(X, M X), and :meth:`state` takes C = W X from the X of
+    the last communication; so a round stepped in chunks split anywhere is
+    bitwise the round stepped once by their sum.
+    """
+
+    __slots__ = ("graph", "lam", "X", "_last_even", "_done", "_descend", "_M")
+
+    def __init__(self, graph, lam):
+        self.graph, self.lam = graph, lam
+
+    def start(self, data, tau, state):
+        self._descend, keep = _descent(self.graph, data, self.lam, tau)
+        self._M = 0.5 * self.graph.W2 + np.diag(keep[:, 0])
+        self.X = self._last_even = _transposed(state.X)
+        self._done = 0
+        return self
+
+    def step(self, k):
+        X, last_even = self.X, self._last_even
+        descend, M = self._descend, self._M
+        for _ in range((self._done + k) // 2 - self._done // 2):
+            last_even, X = X, descend(X, M @ X)
+        self.X, self._last_even = X, last_even
+        self._done += k
+        return self
+
+    def state(self):
+        C = self.graph.W @ (self.X if self._done % 2 else self._last_even)
+        return NetworkState(_transposed(self.X), _transposed(C))
+
+
 def odista_round(state, graph, data, lam, tau, r):
-    """One online round: r half-steps, even ones communicate, odd ones descend.
+    """One online round: r half-steps of :class:`OdistaRound`.
 
     The round always opens with a communication half-step, so C is refreshed
     from the carried X before any descent reads it (the carried C is never
-    read); r = 2 is exactly one communication followed by one descent.
-    Each such pair is one map X <- descend(X, M X) with
-    M = (W2 + diag(1 - tau_v mu)) / 2, formed once per round, and C = W X is
-    taken once, from the X of the last communication.  X is carried
-    node-major, transposed once on the way in and out, and the round's
-    inputs are checked once.  The iterates agree with chained
-    :func:`dista_even_step` and :func:`dista_odd_step` to 1e-12 relative.
+    read); r = 2 is exactly one communication followed by one descent.  X is
+    carried node-major, transposed once on the way in and out.  The iterates
+    agree with chained :func:`dista_even_step` and :func:`dista_odd_step` to
+    1e-12 relative.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    descend, keep = _descent(graph, data, lam, tau)
-    M = 0.5 * graph.W2 + np.diag(keep[:, 0])
-    X = last_even = _transposed(state.X)
-    for _ in range(r // 2):
-        last_even, X = X, descend(X, M @ X)
-    C = graph.W @ (X if r % 2 else last_even)
-    return NetworkState(_transposed(X), _transposed(C))
+    return OdistaRound(graph, lam).start(data, tau, state).step(r).state()
 
 
 def global_objective(X, graph, data, lam, tau):

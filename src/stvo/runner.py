@@ -16,11 +16,12 @@ import numpy as np
 
 from . import metrics, scenarios
 from .core import elastic_net_problem, objective_value
-from .distributed import (NetworkState, RowStack, odista_round, padded_rows,
-                          radius_graph, ring_graph)
+from .distributed import (NetworkState, OdistaRound, RowStack, odista_round,
+                          padded_rows, radius_graph, ring_graph)
 from .metrics import RunTrace
-from .solvers import (DRState, OnlineConfig, consistent_state, dr_step,
-                      initial_state, odr_round, oist_round, oracle_minimizer)
+from .solvers import (DRState, OdrRound, OistRound, OnlineConfig,
+                      consistent_state, initial_state, odr_round, oist_round,
+                      oracle_minimizer)
 
 ALGORITHMS = ("oist", "odr", "odista")
 
@@ -204,30 +205,30 @@ def calibrate_r(single_step, budget_ms, steps_per_call=1):
 
 
 def odr_step_timer(problem):
-    """Closure timing one splitting step, for round-budget calibration."""
-    state = consistent_state(problem)
-    return lambda: dr_step(state, problem)
+    """Closure timing one splitting iteration, for round-budget calibration:
+    each call continues by one iteration a round started on problem from
+    consistent_state(problem) outside the timed call."""
+    rnd = OdrRound().start(problem, consistent_state(problem))
+    return lambda: rnd.step(1)
 
 
 def oist_step_timer(problem, tau):
-    x = np.zeros(problem.n)
-    cfg = OnlineConfig(r=1, tau=float(tau))
-    return lambda: oist_round(x, problem, cfg)
+    """Closure timing one thresholded-gradient sweep at step tau, on a
+    round started from zero outside the timed call."""
+    rnd = OistRound().start(problem, float(tau), np.zeros(problem.n))
+    return lambda: rnd.step(1)
 
 
 ODISTA_TIMED_HALF_STEPS = 32
 
 
 def odista_step_timer(graph, data, lam_node, tau, n):
-    """Closure timing one odista round of ODISTA_TIMED_HALF_STEPS half-steps.
-
-    A round pays its setup once, so timing short rounds would charge that
-    setup to every half-step; calibrate with
-    steps_per_call=ODISTA_TIMED_HALF_STEPS.
-    """
-    state = NetworkState.zeros(n, graph.n_nodes)
-    return lambda: odista_round(state, graph, data, lam_node, tau,
-                                ODISTA_TIMED_HALF_STEPS)
+    """Closure timing ODISTA_TIMED_HALF_STEPS half-steps (whole pairs) of a
+    round started from zero outside the timed call; calibrate with
+    steps_per_call=ODISTA_TIMED_HALF_STEPS."""
+    rnd = OdistaRound(graph, lam_node).start(
+        data, tau, NetworkState.zeros(n, graph.n_nodes))
+    return lambda: rnd.step(ODISTA_TIMED_HALF_STEPS)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Two families are provided.  The reflected-splitting family (``dr_step``,
 ``batch_dr``, ``odr_round``) alternates soft thresholding with a proximal
 solve of the quadratic part and contracts linearly on the auxiliary
 sequence.  The thresholded-gradient family (``oist_round``) performs plain
-proximal-gradient sweeps.  ``oracle_minimizer`` finds each slice's
+proximal-gradient sweeps.  Each online family steps a prepared round
+(:class:`OdrRound`, :class:`OistRound`) that pays its slice's setup and
+checks once.  ``oracle_minimizer`` finds each slice's
 minimizer by a warm-started active-set (feature-sign) search whose answer is
 an exact reduced solve, falls back to restarted FISTA only when that answer
 does not certify, and certifies the result against the subgradient
@@ -93,20 +95,80 @@ def consistent_state(problem, z=None):
     return DRState(prox_quadratic(z, problem), z)
 
 
-def _dr_iterate(x, z, problem, r):
-    """r splitting iterations on plain arrays, inputs already validated.
+class OdrRound:
+    """Splitting round on one slice: :meth:`start` binds the operator's
+    solve on the cached factor and checks the state once, :meth:`step` runs
+    iterations on the plain arrays ``x`` and ``z`` with no checks.
 
     Thresholding is ``soft_threshold`` without its checks and the solve is
-    the operator's solve behind ``prox_quadratic`` on the cached factor, so
-    every iterate is bitwise the one those two functions give.
+    the one behind ``prox_quadratic``, so every iterate is bitwise the one
+    those two functions give.
     """
-    solve = problem.op.solver(problem.prox_factor())
-    phi, lam = problem.phi, problem.lam
-    for _ in range(r):
-        u = _shrink(2.0 * x - z, lam)
-        z = z + 2.0 * (u - x)
-        x = solve(z - phi)
-    return x, z
+
+    __slots__ = ("x", "z", "_solve", "_phi", "_lam")
+
+    def start(self, problem, state):
+        """Start on problem from state as given."""
+        if state.z.shape != (problem.n,):
+            raise ValueError(
+                f"state must have shape ({problem.n},), got {state.z.shape}")
+        self._solve = problem.op.solver(problem.prox_factor())
+        self._phi, self._lam = problem.phi, problem.lam
+        self.x, self.z = state.x, state.z
+        return self
+
+    def step(self, k):
+        """k iterations u = S_lam(2x - z); z+ = z + 2(u - x);
+        x+ = (Q + I)^{-1} (z+ - phi)."""
+        x, z, solve = self.x, self.z, self._solve
+        phi, lam = self._phi, self._lam
+        for _ in range(k):
+            u = _shrink(2.0 * x - z, lam)
+            z = z + 2.0 * (u - x)
+            x = solve(z - phi)
+        self.x, self.z = x, z
+        return self
+
+    def state(self):
+        return DRState(self.x, self.z)
+
+
+class OistRound:
+    """Thresholded-gradient round on one slice: :meth:`start` checks the
+    step and its premise once, :meth:`step` runs sweeps
+    x <- S_{lam*tau}(x - tau*(Qx + phi)) on the plain array ``x``.
+
+    The threshold scales with tau, so each sweep exactly minimizes the
+    majorizing surrogate, and the objective is non-increasing whenever
+    tau * lambda_max(Q) <= 1.  A larger step is warned about, not fatal.
+    """
+
+    __slots__ = ("x", "_tau", "_thr", "_matvec", "_phi")
+
+    def start(self, problem, tau, x):
+        if not 0 < tau < np.inf:
+            raise ValueError(f"tau must be finite and positive, got {tau}")
+        lambda_max = problem.lambda_max
+        if tau * lambda_max > 1.0:
+            warnings.warn(
+                f"tau={tau:.3e} violates the descent precondition "
+                f"tau <= 1/lambda_max(Q) = {1.0 / lambda_max:.3e}; "
+                "iterating anyway", RuntimeWarning)
+        self.x = np.asarray(x, dtype=float)
+        self._tau, self._thr = tau, problem.lam * tau
+        self._matvec, self._phi = problem.op.matvec, problem.phi
+        return self
+
+    def step(self, k):
+        x, tau, thr = self.x, self._tau, self._thr
+        matvec, phi = self._matvec, self._phi
+        for _ in range(k):
+            x = _shrink(x - tau * (matvec(x) + phi), thr)
+        self.x = x
+        return self
+
+    def state(self):
+        return self.x
 
 
 def dr_step(state, problem):
@@ -114,10 +176,7 @@ def dr_step(state, problem):
 
     u = S_lam(2x - z); z+ = z + 2(u - x); x+ = (Q + I)^{-1} (z+ - phi).
     """
-    if state.z.shape != (problem.n,):
-        raise ValueError(
-            f"state must have shape ({problem.n},), got {state.z.shape}")
-    return DRState(*_dr_iterate(state.x, state.z, problem, 1))
+    return OdrRound().start(problem, state).step(1).state()
 
 
 def batch_dr(problem, tol=1e-10, max_iter=10000, initial=None):
@@ -138,19 +197,18 @@ def batch_dr(problem, tol=1e-10, max_iter=10000, initial=None):
     -------
     BatchResult
     """
-    state = consistent_state(problem, None if initial is None else initial.z)
-    x, z = state.x, state.z
+    rnd = OdrRound().start(problem, consistent_state(
+        problem, None if initial is None else initial.z))
     residuals = []
     converged = False
     for _ in range(max_iter):
-        x, z_new = _dr_iterate(x, z, problem, 1)
-        res = float(np.linalg.norm(z_new - z))
+        z = rnd.z
+        res = float(np.linalg.norm(rnd.step(1).z - z))
         residuals.append(res)
-        z = z_new
         if res <= tol:
             converged = True
             break
-    return BatchResult(x_star=x, z_star=z, iterations=len(residuals),
+    return BatchResult(x_star=rnd.x, z_star=rnd.z, iterations=len(residuals),
                        residual_history=np.array(residuals), converged=converged)
 
 
@@ -163,37 +221,18 @@ def odr_round(state, problem, cfg):
     current reflected operator and the per-round contraction guarantee would
     pick up an extra drift term.  From a state already consistent with
     ``problem`` the refresh reproduces x bitwise, so on a static stream the
-    round sequence coincides with the batch iteration.  The state is checked
-    on the way in and the result on the way out, not at every iteration.
+    round sequence coincides with the batch iteration.
     """
-    x = prox_quadratic(state.z, problem)
-    return DRState(*_dr_iterate(x, state.z, problem, cfg.r))
+    rnd = OdrRound().start(problem, consistent_state(problem, state.z))
+    return rnd.step(cfg.r).state()
 
 
 def oist_round(x, problem, cfg):
-    """One online round of the thresholded-gradient solver.
-
-    Performs r sweeps x <- S_{lam*tau}(x - tau*(Qx + phi)).  The threshold
-    scales with tau, making each sweep an exact minimization of the
-    majorizing surrogate; the objective is then non-increasing whenever
-    (1/tau) I - Q is positive definite.  Violating that precondition is
-    warned about, not fatal.
-    """
-    x = np.asarray(x, dtype=float)
-    tau = cfg.tau
-    if tau is None:
+    """One online round of the thresholded-gradient solver: r sweeps of
+    :class:`OistRound` at the step cfg.tau."""
+    if cfg.tau is None:
         raise ValueError("oist_round requires an explicit tau")
-    lambda_max = problem.lambda_max
-    if tau * lambda_max >= 1.0:
-        warnings.warn(
-            f"tau={tau:.3e} violates the descent precondition "
-            f"tau < 1/lambda_max(Q) = {1.0 / lambda_max:.3e}; "
-            "iterating anyway", RuntimeWarning)
-    thr = problem.lam * tau
-    matvec, phi = problem.op.matvec, problem.phi
-    for _ in range(cfg.r):
-        x = _shrink(x - tau * (matvec(x) + phi), thr)
-    return x
+    return OistRound().start(problem, cfg.tau, x).step(cfg.r).state()
 
 
 def optimality_residual(x, problem):

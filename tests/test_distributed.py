@@ -422,14 +422,16 @@ def test_odista_step_timer_runs_a_descent_half_step():
     rng = np.random.default_rng(46)
     data = random_node_data(rng, 5, 4)
     step = odista_step_timer(g, data, 0.01, 0.1, 5)
-    got = step()
-    # from the zero state a communication half-step alone leaves X at zero
-    assert np.any(got.X != 0.0)
-    # one call is the whole round that calibration divides by
-    ref = odista_round(NetworkState.zeros(5, 4), g, data, 0.01, 0.1,
-                       ODISTA_TIMED_HALF_STEPS)
-    np.testing.assert_array_equal(got.X, ref.X)
-    np.testing.assert_array_equal(got.C, ref.C)
+    # each call continues one started round by the half-steps calibration
+    # divides by, so k calls are the round of k times as many
+    for calls in (1, 2, 3):
+        got = step().state()
+        # from the zero state a communication half-step alone leaves X at zero
+        assert np.any(got.X != 0.0)
+        ref = odista_round(NetworkState.zeros(5, 4), g, data, 0.01, 0.1,
+                           calls * ODISTA_TIMED_HALF_STEPS)
+        np.testing.assert_array_equal(got.X, ref.X)
+        np.testing.assert_array_equal(got.C, ref.C)
 
 
 def test_theta_tau_values():

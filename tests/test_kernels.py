@@ -9,7 +9,9 @@ are held to the dense path within 1e-12 relative.  The odista half-steps
 take every neighborhood mean as one product with the graph's weight matrix
 W, and a round runs each communication and descent pair as one map through
 W2 = W @ W; they are held to the literal left folds and to the column-major
-round within 1e-12 relative.
+round within 1e-12 relative.  A prepared round stepped in chunks is the
+one-shot round at their sum, bitwise, and each call of a step timer
+advances its round by exactly one iteration.
 """
 
 import tracemalloc
@@ -25,6 +27,7 @@ from stvo.distributed import (
     Graph,
     NetworkState,
     NodeData,
+    OdistaRound,
     consensus_problem,
     dista_even_step,
     dista_odd_step,
@@ -36,10 +39,12 @@ from stvo.distributed import (
     ring_graph,
     theta_tau,
 )
-from stvo.runner import (block_taus, odista_taus, partition_stream,
-                         play_odista, problems_from_blocks)
+from stvo.runner import (block_taus, odista_taus, odr_step_timer,
+                         oist_step_timer, partition_stream, play_odista,
+                         problems_from_blocks)
 from stvo.scenarios import RssConfig, sensor_positions
-from stvo.solvers import (DRState, OnlineConfig, odr_round, oist_round,
+from stvo.solvers import (DRState, OdrRound, OistRound, OnlineConfig,
+                          consistent_state, dr_step, odr_round, oist_round,
                           oracle_minimizer)
 
 from oracles import (
@@ -364,6 +369,106 @@ def test_rss_shaped_rounds_and_actions_are_the_column_major_ones(r):
         assert_relatively_close(out.C, C, state.X, state.C)
         state = out
     np.testing.assert_array_equal(played.state.X, state.X)
+
+
+# chunk sizes of a prepared round: the first at least one, later ones
+# possibly zero
+chunk_lists = st.builds(lambda first, rest: [first] + rest, st.integers(1, 6),
+                        st.lists(st.integers(0, 6), max_size=3))
+
+
+@SETTINGS
+@given(seed=seeds, m=st.integers(1, 8), n=st.integers(1, 16),
+       chunks=chunk_lists, step=st.floats(0.05, 0.95))
+# factored (2m < n) and dense operators
+@example(seed=0, m=2, n=12, chunks=[3, 0, 4], step=0.5)
+@example(seed=0, m=8, n=5, chunks=[1, 6], step=0.5)
+def test_odr_and_oist_rounds_stepped_in_chunks_are_the_one_shot_rounds(
+        seed, m, n, chunks, step):
+    rng = np.random.default_rng(seed)
+    p = elastic_net_problem(random_block(rng, m, n))
+    state = DRState(rng.standard_normal(n), 3.0 * rng.standard_normal(n))
+    tau = step / p.lambda_max
+    x0 = rng.standard_normal(n)
+    odr = OdrRound().start(p, consistent_state(p, state.z))
+    oist = OistRound().start(p, tau, x0)
+    done = 0
+    for k in chunks:
+        done += k
+        out = odr.step(k).state()
+        ref = odr_round(state, p, OnlineConfig(r=done))
+        np.testing.assert_array_equal(out.x, ref.x)
+        np.testing.assert_array_equal(out.z, ref.z)
+        np.testing.assert_array_equal(
+            oist.step(k).state(),
+            oist_round(x0, p, OnlineConfig(r=done, tau=tau)))
+
+
+@SETTINGS
+@given(seed=seeds, n=st.integers(1, 12), n_nodes=st.integers(1, 8),
+       extra_rows=st.integers(0, 10), max_degree=st.integers(1, 8),
+       lam=lams, chunks=chunk_lists, step=st.floats(0.05, 1.0))
+# odd chunks, so that chunks end on a communication
+@example(seed=0, n=5, n_nodes=3, extra_rows=4, max_degree=2, lam=0.1,
+         chunks=[1, 3, 1, 2], step=1.0)
+def test_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
+        seed, n, n_nodes, extra_rows, max_degree, lam, chunks, step):
+    rng = np.random.default_rng(seed)
+    block = random_block(rng, n_nodes + extra_rows, n)
+    g = random_graph(rng, n_nodes, max_degree)
+    data = node_partition(block, n_nodes)
+    taus = np.array([step / nd.lambda_max for nd in data])
+    state = NetworkState(rng.standard_normal((n, n_nodes)),
+                         rng.standard_normal((n, n_nodes)))
+    rnd = OdistaRound(g, lam).start(data, taus, state)
+    done = 0
+    for k in chunks:
+        done += k
+        out = rnd.step(k).state()
+        ref = odista_round(state, g, data, lam, taus, done)
+        np.testing.assert_array_equal(out.X, ref.X)
+        np.testing.assert_array_equal(out.C, ref.C)
+
+
+@pytest.mark.parametrize("chunks", [[1, 29], [7, 8, 0, 15], [2, 3, 5]])
+def test_rss_shaped_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
+        chunks):
+    rng = np.random.default_rng(12)
+    cfg = RssConfig()
+    g = radius_graph(sensor_positions(cfg), cfg.comm_radius_m)
+    block = ElasticNetData(A=rng.standard_normal((144, 625)),
+                           y=rng.standard_normal(144), lam=0.1, mu=0.05)
+    data = node_partition(block, 36)
+    tau = odista_taus([block], 36, "per_node")[0]
+    state = NetworkState(rng.standard_normal((625, 36)),
+                         rng.standard_normal((625, 36)))
+    rnd = OdistaRound(g, 0.1 / 36).start(data, tau, state)
+    for k in chunks:
+        rnd.step(k)
+    out = rnd.state()
+    ref = odista_round(state, g, data, 0.1 / 36, tau, sum(chunks))
+    np.testing.assert_array_equal(out.X, ref.X)
+    np.testing.assert_array_equal(out.C, ref.C)
+
+
+@SETTINGS
+@given(seed=seeds, m=st.integers(1, 8), n=st.integers(1, 16),
+       calls=st.integers(1, 6), step=st.floats(0.05, 0.95))
+@example(seed=0, m=2, n=12, calls=4, step=0.5)
+@example(seed=0, m=8, n=5, calls=4, step=0.5)
+def test_each_step_timer_call_is_one_more_iteration(seed, m, n, calls, step):
+    rng = np.random.default_rng(seed)
+    p = elastic_net_problem(random_block(rng, m, n))
+    tau = step / p.lambda_max
+    odr, oist = odr_step_timer(p), oist_step_timer(p, tau)
+    state, x = consistent_state(p), np.zeros(n)
+    for _ in range(calls):
+        state = dr_step(state, p)
+        out = odr().state()
+        np.testing.assert_array_equal(out.x, state.x)
+        np.testing.assert_array_equal(out.z, state.z)
+        x = oist_round(x, p, OnlineConfig(r=1, tau=tau))
+        np.testing.assert_array_equal(oist().state(), x)
 
 
 def dense_column_products(data):

@@ -172,6 +172,20 @@ def test_oist_warns_on_unstable_step():
         oist_round(np.zeros(2), p, OnlineConfig(r=1, tau=1.5))
 
 
+def test_oist_premise_is_the_proximal_gradient_step_condition():
+    # lambda_max = 4 exactly, so tau = 1/4 meets tau * lambda_max <= 1 with
+    # equality and the next float above breaks it
+    p = QuadraticL1Problem(np.diag([1.0, 4.0]), np.array([1.0, -1.0]), 0.1)
+    assert p.lambda_max == 4.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oist_round(np.zeros(2), p, OnlineConfig(r=3, tau=0.25))
+    with pytest.warns(RuntimeWarning,
+                      match="violates the descent precondition"):
+        oist_round(np.zeros(2), p,
+                   OnlineConfig(r=3, tau=float(np.nextafter(0.25, 1.0))))
+
+
 def test_oist_round_requires_a_step_size():
     p = QuadraticL1Problem(np.diag([1.0, 4.0]), np.zeros(2), 0.1)
     with pytest.raises(ValueError, match="explicit tau"):
