@@ -9,9 +9,8 @@ from .core import (ContractionConstants, ElasticNetData, QuadraticL1Problem,
                    contraction_constants, elastic_net_problem,
                    objective_value, prox_quadratic, soft_threshold)
 from .distributed import (Graph, NetworkState, NodeData, consensus_problem,
-                          dista_even_step, dista_odd_step, global_objective,
-                          local_mean, odista_round, radius_graph, ring_graph,
-                          surrogate_objective, theta_tau)
+                          global_objective, odista_round, radius_graph,
+                          ring_graph, theta_tau)
 from .metrics import (BoundConstants, RunTrace, dynamic_regret,
                       measure_bound_constants, path_length, reference_paths,
                       theorem1_bound)
@@ -32,13 +31,12 @@ __all__ = [
     "OracleError", "PlayResult", "QuadraticL1Problem", "RunTrace",
     "batch_dr", "block_taus", "build_trace", "calibrate_r",
     "consensus_problem", "consistent_state", "contraction_constants",
-    "dista_even_step", "dista_odd_step", "dr_step", "dynamic_regret",
-    "elastic_net_problem", "global_objective",
-    "initial_state", "local_mean", "measure_bound_constants", "objective_value",
+    "dr_step", "dynamic_regret", "elastic_net_problem", "global_objective",
+    "initial_state", "measure_bound_constants", "objective_value",
     "odista_round", "odista_taus", "odr_round", "oist_round",
     "optimality_residual", "oracle_minimizer", "partition_stream",
     "path_length", "play_odista", "play_odr", "play_oist", "problems_from_blocks",
     "prox_quadratic", "radius_graph", "reference_paths", "ring_graph",
-    "run_experiment", "soft_threshold", "stream_oracles", "surrogate_objective",
+    "run_experiment", "soft_threshold", "stream_oracles",
     "theorem1_bound", "theta_tau",
 ]

@@ -8,13 +8,17 @@ variable c_v with the neighborhood mean of X, and a descent half-step, which
 applies a damped thresholded gradient update using the neighborhood mean of
 C.  Both half-steps are synchronous: every node reads the pre-step state.
 
-Every neighborhood mean is one product with the graph's row-normalised
-weight matrix ``Graph.W`` on node-major (|V|, n) rows, and a communication
-and descent pair reads the mean of means ``Graph.W2`` = W @ W, so a round
-runs each pair as one map X <- descend(X, M X).  The half-steps transpose X
-and C once into contiguous rows and hand back (n, |V|) copies.  These sums
-run in another order than the literal per-node left folds; they agree with
-them to 1e-12 relative.
+Node data comes only from a row partition: :meth:`RowStack.nodes` deals an
+elastic-net block's rows to the nodes, Q_v = A_v'A_v + mu_v I, and every
+solver entry point takes exactly one stack's nodes, in order, so all
+products Q_v x_v are one batched product over the stacked rows.  Every
+neighborhood mean is one product with the graph's row-normalised weight
+matrix ``Graph.W`` on node-major (|V|, n) rows, and a communication and
+descent pair reads the mean of means ``Graph.W2`` = W @ W, so a round runs
+each pair as one map X <- descend(X, M X).  A round transposes X and C once
+into contiguous rows and hands back (n, |V|) copies.  These sums run in
+another order than the literal per-node left folds; they agree with them to
+1e-12 relative.
 """
 
 import warnings
@@ -127,7 +131,7 @@ class RowStack:
 
     def nodes(self, y):
         """The nodes of a slice with measurements y: phi_v = -A_v'y_v."""
-        return [NodeData._of(op, -self.A[v, :idx.size].T @ y[idx], self)
+        return [NodeData(op, -self.A[v, :idx.size].T @ y[idx], self)
                 for v, (op, idx) in enumerate(zip(self.ops, self.rows))]
 
     def products(self, X, h):
@@ -140,30 +144,14 @@ class RowStack:
 class NodeData:
     """Private quadratic data of one node: 0.5 x'Q x + phi'x.
 
-    The quadratic term is the :class:`~stvo.core.SliceOperator` ``op``,
-    dense when built from Q; :meth:`RowStack.nodes` passes the node's
-    operator in the shared ``stack`` (None otherwise).
+    Built by :meth:`RowStack.nodes`: the quadratic term is node v's
+    :class:`~stvo.core.SliceOperator` ``op`` in the shared ``stack``.
     """
 
     __slots__ = ("op", "phi", "stack")
 
-    def __init__(self, Q, phi):
-        Q = np.asarray(Q, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise ValueError(f"Q must be square, got {Q.shape}")
-        if phi.shape != (Q.shape[0],):
-            raise ValueError(f"phi must have shape ({Q.shape[0]},)")
-        if np.max(np.abs(Q - Q.T), initial=0.0) > 1e-10:
-            raise ValueError("Q must be symmetric")
-        self.op, self.phi, self.stack = SliceOperator(Q=Q), phi, None
-
-    @classmethod
-    def _of(cls, op, phi, stack):
-        """Node on an existing operator, its arguments already checked."""
-        out = object.__new__(cls)
-        out.op, out.phi, out.stack = op, phi, stack
-        return out
+    def __init__(self, op, phi, stack):
+        self.op, self.phi, self.stack = op, phi, stack
 
     @property
     def Q(self):
@@ -176,13 +164,6 @@ class NodeData:
     @property
     def lambda_max(self):
         return self.op.eig_extremes()[1]
-
-    def with_phi(self, phi):
-        """Same quadratic term with a new linear term, skipping revalidation."""
-        phi = np.asarray(phi, dtype=float)
-        if phi.shape != (self.n,):
-            raise ValueError(f"phi must have shape ({self.n},)")
-        return NodeData._of(self.op, phi, self.stack)
 
 
 def node_partition(data, n_nodes):
@@ -257,12 +238,6 @@ def radius_graph(positions, radius):
     return graph
 
 
-def local_mean(X, graph, v):
-    """Average of the columns of X over node v's neighborhood (v included):
-    X weighted by row v of ``graph.W``."""
-    return X @ graph.W[v]
-
-
 def _transposed(M):
     """M.T as a C-contiguous copy: (n, |V|) columns to node-major rows and
     back.  A transposed view would not do: reductions over it, such as the
@@ -279,18 +254,17 @@ def _as_node_tau(tau, n_nodes):
     return tau
 
 
-def dista_even_step(state, graph):
-    """Communication half-step: C <- neighborhood means of X; X unchanged."""
-    return NetworkState(state.X,
-                        _transposed(graph.W @ _transposed(state.X)))
-
-
-def _shared_stack(data):
-    """The RowStack whose ops[v] (by identity) data[v] holds, or None."""
+def _stack_of(data, n_nodes):
+    """The :class:`RowStack` whose ``nodes(y)`` data is, one per node of
+    n_nodes and in order, or a ValueError.  Operators are compared by
+    identity, which costs one pointer test per node and forms no Q_v."""
+    if len(data) != n_nodes:
+        raise ValueError("one NodeData per node required")
     stack = data[0].stack
-    if stack is not None and [nd.op for nd in data] == stack.ops:
-        return stack
-    return None
+    if (stack is None or len(stack.ops) != n_nodes
+            or any(nd.op is not op for nd, op in zip(data, stack.ops))):
+        raise ValueError("node data must be one RowStack's nodes(y), in order")
+    return stack
 
 
 def _descent(graph, data, lam, tau):
@@ -299,55 +273,23 @@ def _descent(graph, data, lam, tau):
 
     Returns (descend, keep).  With h = tau/2 per node,
     descend(X, L) = S_{lam h}[L - h K(X) - h phi], where K(X) holds the
-    products Q_v x_v less the ridge mu x_v, and keep = (1 - tau mu)/2 per
-    node, so :func:`dista_odd_step`'s update is descend(X, W C / 2 + keep X).
-    When the nodes are one :func:`node_partition`, K is one batched product
-    over their shared RowStack and mu is its ridge; otherwise K is a loop
-    over the dense Q_v, which hold their ridge, and mu is 0.
+    products A_v'(A_v x_v), one batched product over the nodes' RowStack,
+    and keep = (1 - tau mu)/2 per node with mu the stack's ridge.  The
+    descent half-step x_v <- S_{lam h_v}[(x_v + cbar_v - tau_v (Q_v x_v +
+    phi_v)) / 2], cbar_v the neighborhood mean of C, is then
+    descend(X, W C / 2 + keep X).
     """
-    n_nodes = graph.n_nodes
-    if len(data) != n_nodes:
-        raise ValueError("one NodeData per node required")
+    stack = _stack_of(data, graph.n_nodes)
     if not 0.0 < lam < np.inf:
         raise ValueError(f"lam must be finite and positive, got {lam}")
-    h = _as_node_tau(tau, n_nodes).reshape(-1, 1) / 2.0
+    h = _as_node_tau(tau, graph.n_nodes).reshape(-1, 1) / 2.0
     b = h * np.array([nd.phi for nd in data])
     thr = lam * h
-    stack = _shared_stack(data)
-    if stack is not None:
-        mu = stack.mu
-
-        def scaled_products(X):
-            return stack.products(X, h)
-    else:
-        mu = 0.0
-        Qs = [nd.Q for nd in data]
-
-        def scaled_products(X):
-            QX = np.empty_like(X)
-            for v, Q in enumerate(Qs):
-                QX[v] = Q @ X[v]
-            QX *= h
-            return QX
 
     def descend(X, L):
-        return _shrink(L - scaled_products(X) - b, thr)
+        return _shrink(L - stack.products(X, h) - b, thr)
 
-    return descend, 0.5 - h * mu
-
-
-def dista_odd_step(state, graph, data, lam, tau):
-    """Descent half-step, synchronous over nodes.
-
-    x_v <- S_{lam*tau_v/2}[ (x_v + cbar_v - tau_v (Q_v x_v + phi_v)) / 2 ]
-    where cbar_v is the neighborhood mean of C at v.  C is unchanged and all
-    reads refer to the pre-step state, so the result does not depend on node
-    order.
-    """
-    descend, keep = _descent(graph, data, lam, tau)
-    X = _transposed(state.X)
-    X = descend(X, 0.5 * (graph.W @ _transposed(state.C)) + keep * X)
-    return NetworkState(_transposed(X), state.C)
+    return descend, 0.5 - h * stack.mu
 
 
 class OdistaRound:
@@ -395,8 +337,7 @@ def odista_round(state, graph, data, lam, tau, r):
     from the carried X before any descent reads it (the carried C is never
     read); r = 2 is exactly one communication followed by one descent.  X is
     carried node-major, transposed once on the way in and out.  The iterates
-    agree with chained :func:`dista_even_step` and :func:`dista_odd_step` to
-    1e-12 relative.
+    agree with the literal per-node half-steps to 1e-12 relative.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -409,33 +350,19 @@ def global_objective(X, graph, data, lam, tau):
     sum_v [ 0.5 x_v'Q_v x_v + phi_v'x_v + lam ||x_v||_1
             + 1/(2 d_v tau_v) sum_{w in N_v} ||xbar_w - x_v||^2 ]
     with xbar_w the neighborhood mean of X at w.  Non-regular graphs use each
-    node's own degree.  It is :func:`surrogate_objective` at C = xbar and
-    B = X, where the damping term adds exactly zero.
+    node's own degree.  Each Q_v x_v is applied by its node operator, so no
+    factored node forms a dense Q_v.
     """
-    C = _transposed(graph.W @ _transposed(X))
-    return surrogate_objective(X, C, X, graph, data, lam, tau)
-
-
-def surrogate_objective(X, C, B, graph, data, lam, tau):
-    """Majorizing surrogate of the network objective.
-
-    Replaces the neighborhood means of X with the stored C and adds the
-    damping term 0.5 (x_v - b_v)' ((1/tau_v) I - Q_v) (x_v - b_v).  With
-    C equal to the neighborhood means of X and B = X it collapses to
-    :func:`global_objective` exactly.
-    """
+    _stack_of(data, graph.n_nodes)
     tau = _as_node_tau(tau, graph.n_nodes)
+    xbar = _transposed(graph.W @ _transposed(X))
     total = 0.0
-    for v in range(graph.n_nodes):
-        x_v, Q_v = X[:, v], data[v].op.matvec
-        total += (0.5 * x_v @ Q_v(x_v) + data[v].phi @ x_v
+    for v, (nd, nbrs) in enumerate(zip(data, graph.neighbors)):
+        x_v = X[:, v]
+        total += (0.5 * x_v @ nd.op.matvec(x_v) + nd.phi @ x_v
                   + lam * np.abs(x_v).sum())
-        d_v = len(graph.neighbors[v])
-        coupling = sum(float(np.sum((C[:, w] - x_v) ** 2))
-                       for w in graph.neighbors[v])
-        total += coupling / (2.0 * d_v * tau[v])
-        delta = x_v - B[:, v]
-        total += 0.5 * (delta @ delta / tau[v] - delta @ Q_v(delta))
+        coupling = sum(float(np.sum((xbar[:, w] - x_v) ** 2)) for w in nbrs)
+        total += coupling / (2.0 * len(nbrs) * tau[v])
     return float(total)
 
 
@@ -447,6 +374,7 @@ def theta_tau(data, tau):
     ((1 + theta) / 2)^(p/2).  |1 - tau_v lambda| is convex in lambda, so the
     extreme eigenvalues of Q_v, cached in its operator, attain the max.
     """
+    _stack_of(data, len(data))
     tau = _as_node_tau(tau, len(data))
     worst = 0.0
     for t, nd in zip(tau, data):
@@ -460,16 +388,13 @@ def consensus_problem(data, lam):
 
     Restricting the network objective to equal columns zeroes the
     disagreement penalty and sums the local costs, giving Q = sum Q_v,
-    phi = sum phi_v and an l1 weight of |V| * lam.  On one
-    :func:`node_partition` Q is A'A of the stack's padded rows, taken as one
-    block, plus the summed ridge, so no node forms its dense Q_v; that sums
-    in another order than the Q_v and agrees with their sum to rounding.
+    phi = sum phi_v and an l1 weight of |V| * lam.  Q is A'A of the stack's
+    padded rows, taken as one block, plus the summed ridge, so no node forms
+    its dense Q_v; that sums in another order than the Q_v and agrees with
+    their sum to rounding.
     """
-    stack = _shared_stack(data)
-    if stack is None:
-        Q = sum(nd.Q for nd in data)
-    else:
-        rows = stack.A.reshape(-1, stack.A.shape[2])
-        Q = rows.T @ rows + len(data) * stack.mu * np.eye(rows.shape[1])
+    stack = _stack_of(data, len(data))
+    rows = stack.A.reshape(-1, stack.A.shape[2])
+    Q = rows.T @ rows + len(data) * stack.mu * np.eye(rows.shape[1])
     phi = sum(nd.phi for nd in data)
     return QuadraticL1Problem(Q, phi, len(data) * lam)

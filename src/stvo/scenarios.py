@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ElasticNetData, QuadraticL1Problem
-# node_partition lives next to NodeData; it stays importable from here
-from .distributed import node_partition  # noqa: F401
 
 # Named sub-stream tags; the tuple (seed, tag, *indices) seeds a Generator.
 STREAM_INPUT = 0

@@ -18,10 +18,9 @@ from test_distributed import lifted_network_problem
 from stvo import cli, metrics, runner
 from stvo.core import (ElasticNetData, QuadraticL1Problem,
                        contraction_constants, elastic_net_problem)
-from stvo.distributed import (NetworkState, NodeData, consensus_problem,
-                              dista_even_step, dista_odd_step,
-                              global_objective, odista_round, ring_graph,
-                              theta_tau)
+from stvo.distributed import (NetworkState, RowStack, consensus_problem,
+                              global_objective, node_partition, odista_round,
+                              ring_graph, theta_tau)
 from stvo.scenarios import random_problem
 from stvo.solvers import (OnlineConfig, batch_dr, consistent_state, dr_step,
                           odr_round, oracle_minimizer)
@@ -229,15 +228,18 @@ def test_identification_tracks_jumps_and_null_coefficients_within_a_tenth():
 # ---------------------------------------------------------------------------
 
 def _static_network(seed, n_nodes=4, m_per_node=8, n=6):
+    """Node data of m_per_node rows per node, dealt from one stacked block
+    whose ridge 1e-6 the nodes share."""
     rng = np.random.default_rng((seed, 31))
     x_true = np.array([1.0, -0.7, 0.4, 0.0, 0.0, 0.0])
-    data = []
+    mats, ys = [], []
     for _ in range(n_nodes):
         A = rng.standard_normal((m_per_node, n))
-        y = A @ x_true + 1e-6 * rng.standard_normal(m_per_node)
-        data.append(NodeData(Q=A.T @ A + (1e-6 / n_nodes) * np.eye(n),
-                             phi=-(A.T @ y)))
-    return data
+        mats.append(A)
+        ys.append(A @ x_true + 1e-6 * rng.standard_normal(m_per_node))
+    block = ElasticNetData(np.vstack(mats), np.concatenate(ys), lam=3e-4,
+                           mu=1e-6)
+    return node_partition(block, n_nodes)
 
 
 def test_distributed_solver_reaches_consensus_on_a_static_problem():
@@ -271,27 +273,27 @@ def test_distributed_solver_reaches_consensus_on_a_static_problem():
 # ---------------------------------------------------------------------------
 
 def _drifting_node_stream(seed, rounds=25, n=6, m_per_node=8, n_nodes=4):
-    """Per-round node data with slowly moving truth on fixed sensing rows.
+    """Per-round measurements of a slowly moving truth on fixed sensing rows.
 
-    Every node's measurement count exceeds n, so each local quadratic is
-    strongly convex and the network damping factor stays safely below one.
+    Returns the :class:`RowStack` of the rows (ridge 1e-6 over the block),
+    the per-round measurement vectors and the step size; round t's node
+    data is ``stack.nodes(ys[t])``.  Every node's measurement count exceeds
+    n, so each local quadratic is strongly convex and the network damping
+    factor stays safely below one.
     """
     rng = np.random.default_rng((seed, 77))
     mats = [rng.standard_normal((m_per_node, n)) for _ in range(n_nodes)]
-    stream = []
+    ys = []
     for t in range(rounds):
         x = np.zeros(n)
         x[0] = 1.0 + 0.2 * np.sin(0.05 * t)
         x[2] = -0.7 + 0.2 * np.cos(0.05 * t)
         x[4] = 0.4
-        data = []
-        for A in mats:
-            y = A @ x + 1e-4 * rng.standard_normal(m_per_node)
-            data.append(NodeData(Q=A.T @ A + (1e-6 / n_nodes) * np.eye(n),
-                                 phi=-(A.T @ y)))
-        stream.append(data)
+        ys.append(np.concatenate(
+            [A @ x + 1e-4 * rng.standard_normal(m_per_node) for A in mats]))
+    block = ElasticNetData(np.vstack(mats), ys[0], lam=3e-4, mu=1e-6)
     tau = 1.0 / max(float(np.linalg.norm(A, 2)) ** 2 for A in mats)
-    return stream, tau
+    return RowStack(block, n_nodes), ys, tau
 
 
 def test_distributed_rounds_contract_the_network_error_at_the_damped_rate():
@@ -301,10 +303,12 @@ def test_distributed_rounds_contract_the_network_error_at_the_damped_rate():
     r = 2
     worst_slack = -np.inf
     for seed in range(5):
-        stream, tau = _drifting_node_stream(seed)
+        stack, ys, tau = _drifting_node_stream(seed)
         state = NetworkState.zeros(6, 4)
-        base = lifted_network_problem(graph, stream[0], lam_node, [tau] * 4)
-        for data in stream:
+        base = lifted_network_problem(graph, stack.nodes(ys[0]), lam_node,
+                                      [tau] * 4)
+        for y in ys:
+            data = stack.nodes(y)
             lifted = base.with_phi(np.concatenate([nd.phi for nd in data]))
             x_star = oracle_minimizer(lifted)[0].reshape(4, 6).T
             theta = theta_tau(data, tau)
@@ -330,13 +334,14 @@ def test_network_objective_is_monotone_across_inner_iterations():
     for seed, n_nodes in cases:
         graph = ring_graph(n_nodes, 3)
         lam_node = 3e-4 / n_nodes
-        stream, tau = _drifting_node_stream(seed, n_nodes=n_nodes)
+        stack, ys, tau = _drifting_node_stream(seed, n_nodes=n_nodes)
         state = NetworkState.zeros(6, n_nodes)
-        for data in stream:
+        for y in ys:
+            data = stack.nodes(y)
             value = global_objective(state.X, graph, data, lam_node, tau)
             for _ in range(3):
-                state = dista_even_step(state, graph)
-                state = dista_odd_step(state, graph, data, lam_node, tau)
+                # one communication and one descent
+                state = odista_round(state, graph, data, lam_node, tau, 2)
                 nxt = global_objective(state.X, graph, data, lam_node, tau)
                 worst_rise = max(worst_rise, nxt - value - 1e-9)
                 value = nxt

@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stvo.core import QuadraticL1Problem
+from stvo.core import ElasticNetData, QuadraticL1Problem
 from stvo.distributed import (
     Graph,
     NetworkState,
-    NodeData,
+    OdistaRound,
     consensus_problem,
-    dista_even_step,
-    dista_odd_step,
     global_objective,
-    local_mean,
+    node_partition,
     odista_round,
     radius_graph,
     ring_graph,
-    surrogate_objective,
     theta_tau,
 )
 from stvo.runner import ODISTA_TIMED_HALF_STEPS, odista_step_timer
@@ -25,6 +22,7 @@ from stvo.solvers import oracle_minimizer
 
 from oracles import (
     assert_relatively_close,
+    column_local_means,
     direct_global_objective,
     direct_odd_step,
     mean_of_columns,
@@ -36,13 +34,30 @@ def ring4():
     return ring_graph(4, 3)
 
 
+def nodes_from_rows(rows, ys, ridge):
+    """Node data dealing rows[v] and ys[v] to node v, every node adding the
+    ridge: Q_v = rows[v]'rows[v] + ridge I and phi_v = -rows[v]'ys[v].  All
+    rows[v] have one row count, so the partition deals them back exactly."""
+    block = ElasticNetData(A=np.vstack(rows), y=np.concatenate(ys), lam=1.0,
+                           mu=len(rows) * ridge)
+    return node_partition(block, len(rows))
+
+
+def identity_nodes(n, n_nodes, y=None, ridge=1e-3):
+    """Nodes with Q_v = I to rounding: rows sqrt(1 - ridge) I plus the ridge.
+    y[v] is node v's measurement vector, zero by default."""
+    rows = [np.sqrt(1.0 - ridge) * np.eye(n)] * n_nodes
+    ys = [np.zeros(n)] * n_nodes if y is None else y
+    return nodes_from_rows(rows, ys, ridge)
+
+
 def random_node_data(rng, n, n_nodes, rows=3, ridge=0.05):
-    data = []
-    for _ in range(n_nodes):
-        A = rng.standard_normal((rows, n))
-        data.append(NodeData(Q=A.T @ A + ridge * np.eye(n),
-                             phi=rng.standard_normal(n)))
-    return data
+    A = [rng.standard_normal((rows, n)) for _ in range(n_nodes)]
+    return nodes_from_rows(A, [rng.standard_normal(rows) for _ in A], ridge)
+
+
+def neighbor_lists(g):
+    return [list(a) for a in g.neighbors]
 
 
 def lifted_network_problem(graph, data, lam, taus):
@@ -146,30 +161,38 @@ def test_local_mean_consensus_fixed_point():
     g = ring4()
     c = np.array([1.0, -2.0, 0.5])
     X = np.tile(c[:, None], (1, 4))
+    state = NetworkState(X, np.zeros_like(X))
+    out = odista_round(state, g, identity_nodes(3, 4), 0.5, 0.1, 1)
     for v in range(4):
-        np.testing.assert_allclose(local_mean(X, g, v), c)
+        np.testing.assert_allclose(out.C[:, v], c)
 
 
 def test_local_mean_two_node_complete():
     g = ring_graph(2, 2)
     X = np.array([[0.0, 2.0]])
+    state = NetworkState(X, np.zeros_like(X))
+    out = odista_round(state, g, identity_nodes(1, 2), 0.5, 0.1, 1)
     for v in range(2):
-        np.testing.assert_allclose(local_mean(X, g, v), [1.0])
+        np.testing.assert_allclose(out.C[:, v], [1.0])
 
 
 def test_local_mean_matches_direct_summation():
     g = ring4()
     rng = np.random.default_rng(30)
     X = rng.standard_normal((5, 4))
+    state = NetworkState(X, np.zeros_like(X))
+    out = odista_round(state, g, random_node_data(rng, 5, 4), 0.2, 0.05, 1)
     for v in range(4):
         assert_relatively_close(
-            local_mean(X, g, v), mean_of_columns(X, list(g.neighbors[v])), X)
+            out.C[:, v], mean_of_columns(X, list(g.neighbors[v])), X)
 
 
 def test_local_mean_rejects_bad_node():
+    # a state with a column for node 9 on a four-node graph
     g = ring4()
     with pytest.raises((IndexError, ValueError)):
-        local_mean(np.zeros((2, 4)), g, 9)
+        odista_round(NetworkState.zeros(2, 10), g, identity_nodes(2, 4),
+                     0.5, 0.1, 1)
 
 
 def test_even_step_consensus_and_x_unchanged():
@@ -178,7 +201,7 @@ def test_even_step_consensus_and_x_unchanged():
     c = rng.standard_normal(3)
     X = np.tile(c[:, None], (1, 4))
     state = NetworkState(X, rng.standard_normal((3, 4)))
-    out = dista_even_step(state, g)
+    out = odista_round(state, g, identity_nodes(3, 4), 0.5, 0.1, 1)
     # averaging identical columns is exact only up to rounding
     np.testing.assert_allclose(out.C, X, rtol=0.0, atol=1e-15)
     np.testing.assert_array_equal(out.X, state.X)
@@ -188,7 +211,7 @@ def test_even_step_matches_direct_means():
     g = ring4()
     rng = np.random.default_rng(32)
     state = NetworkState(rng.standard_normal((5, 4)), np.zeros((5, 4)))
-    out = dista_even_step(state, g)
+    out = odista_round(state, g, random_node_data(rng, 5, 4), 0.2, 0.05, 1)
     for v in range(4):
         assert_relatively_close(
             out.C[:, v], mean_of_columns(state.X, list(g.neighbors[v])),
@@ -197,17 +220,20 @@ def test_even_step_matches_direct_means():
 
 def test_odd_step_zero_fixed_point_without_linear_terms():
     g = ring4()
-    data = [NodeData(Q=np.eye(3), phi=np.zeros(3)) for _ in range(4)]
+    data = identity_nodes(3, 4)
     state = NetworkState.zeros(3, 4)
-    out = dista_odd_step(state, g, data, lam=0.5, tau=0.1)
+    out = odista_round(state, g, data, lam=0.5, tau=0.1, r=2)
     np.testing.assert_array_equal(out.X, np.zeros((3, 4)))
 
 
 def test_odd_step_single_node_hand_case():
+    # Q = 1 and phi = -3: x <- S_{0.25}[(0 + 0 - 0.5 (0 - 3)) / 2] = 0.5
     g = ring_graph(1, 1)
-    data = [NodeData(Q=np.eye(1), phi=np.array([-3.0]))]
+    ridge = 1e-3
+    data = identity_nodes(1, 1, y=[np.array([3.0 / np.sqrt(1.0 - ridge)])],
+                          ridge=ridge)
     state = NetworkState.zeros(1, 1)
-    out = dista_odd_step(state, g, data, lam=1.0, tau=0.5)
+    out = odista_round(state, g, data, lam=1.0, tau=0.5, r=2)
     np.testing.assert_allclose(out.X, [[0.5]])
 
 
@@ -217,12 +243,16 @@ def test_odd_step_matches_literal_transcription():
     data = random_node_data(rng, 5, 4)
     state = NetworkState(rng.standard_normal((5, 4)), rng.standard_normal((5, 4)))
     taus = [0.05, 0.08, 0.03, 0.06]
-    out = dista_odd_step(state, g, data, lam=0.2, tau=taus)
-    ref = direct_odd_step(state.X, state.C, [list(a) for a in g.neighbors],
+    # a pair communicates C = means of X, then descends from it
+    out = odista_round(state, g, data, lam=0.2, tau=taus, r=2)
+    C = column_local_means(state.X, neighbor_lists(g))
+    ref = direct_odd_step(state.X, C, neighbor_lists(g),
                           [nd.Q for nd in data], [nd.phi for nd in data],
                           0.2, taus)
     assert_relatively_close(out.X, ref, state.X, state.C)
-    np.testing.assert_array_equal(out.C, state.C)
+    # the descent leaves the communicated C as it is
+    np.testing.assert_array_equal(
+        out.C, odista_round(state, g, data, lam=0.2, tau=taus, r=1).C)
 
 
 def test_odd_step_synchronous_reads_pre_step_state():
@@ -234,11 +264,12 @@ def test_odd_step_synchronous_reads_pre_step_state():
     data = random_node_data(rng, 4, 4)
     state = NetworkState(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
     tau = 0.07
-    out = dista_odd_step(state, g, data, lam=0.3, tau=tau)
+    out = odista_round(state, g, data, lam=0.3, tau=tau, r=2)
+    C = column_local_means(state.X, neighbor_lists(g))
     X_rev = np.empty_like(state.X)
     for v in reversed(range(4)):
         x = state.X[:, v]
-        cbar = mean_of_columns(state.C, list(g.neighbors[v]))
+        cbar = mean_of_columns(C, list(g.neighbors[v]))
         arg = (x + cbar - tau * (data[v].Q @ x) - tau * data[v].phi) / 2.0
         X_rev[:, v] = soft_vector(arg, 0.3 * tau / 2.0)
     assert_relatively_close(out.X, X_rev, state.X, state.C)
@@ -251,7 +282,12 @@ def test_round_opens_with_communication():
     state = NetworkState(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
     out = odista_round(state, g, data, lam=0.2, tau=0.05, r=1)
     np.testing.assert_array_equal(out.X, state.X)
-    np.testing.assert_array_equal(out.C, dista_even_step(state, g).C)
+    # the carried C is never read: C is the means of the carried X
+    other = NetworkState(state.X, rng.standard_normal((4, 4)))
+    np.testing.assert_array_equal(
+        out.C, odista_round(other, g, data, lam=0.2, tau=0.05, r=1).C)
+    assert_relatively_close(
+        out.C, column_local_means(state.X, neighbor_lists(g)), state.X)
 
 
 def test_round_of_two_is_even_then_odd():
@@ -260,10 +296,14 @@ def test_round_of_two_is_even_then_odd():
     data = random_node_data(rng, 4, 4)
     state = NetworkState(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
     out = odista_round(state, g, data, lam=0.2, tau=0.05, r=2)
-    ref = dista_odd_step(dista_even_step(state, g), g, data, lam=0.2, tau=0.05)
-    # the round reads W2 X where the steps read W (W X)
-    assert_relatively_close(out.X, ref.X, state.X)
-    np.testing.assert_array_equal(out.C, ref.C)
+    C = column_local_means(state.X, neighbor_lists(g))
+    ref = direct_odd_step(state.X, C, neighbor_lists(g),
+                          [nd.Q for nd in data], [nd.phi for nd in data],
+                          0.2, [0.05] * 4)
+    # the round reads W2 X where the literal steps fold the means twice
+    assert_relatively_close(out.X, ref, state.X)
+    np.testing.assert_array_equal(
+        out.C, odista_round(state, g, data, lam=0.2, tau=0.05, r=1).C)
     with pytest.raises(ValueError):
         odista_round(state, g, data, lam=0.2, tau=0.05, r=0)
 
@@ -275,7 +315,7 @@ def test_half_steps_reject_non_finite_or_non_positive_steps_and_weights():
     state = NetworkState(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
     rounds = [lambda lam, tau: odista_round(state, g, data, lam, tau, 4),
               lambda lam, tau: odista_round(state, g, data, lam, tau, 1),
-              lambda lam, tau: dista_odd_step(state, g, data, lam, tau)]
+              lambda lam, tau: odista_round(state, g, data, lam, tau, 2)]
     for call in rounds:
         for tau in (np.inf, np.nan, 0.0, -0.1, [0.05, np.inf, 0.05, 0.05]):
             with pytest.raises(ValueError, match="step sizes"):
@@ -287,13 +327,68 @@ def test_half_steps_reject_non_finite_or_non_positive_steps_and_weights():
         theta_tau(data, np.inf)
 
 
+def node_data_callers(g, state):
+    """Every entry point that reads a node list, as calls on one list."""
+    return [
+        lambda data: odista_round(state, g, data, 0.2, 0.05, 2),
+        lambda data: OdistaRound(g, 0.2).start(data, 0.05, state),
+        lambda data: global_objective(state.X, g, data, 0.2, 0.05),
+        lambda data: theta_tau(data, 0.05),
+        lambda data: consensus_problem(data, 0.2),
+    ]
+
+
+def test_node_lists_out_of_partition_order_are_refused():
+    g = ring4()
+    rng = np.random.default_rng(48)
+    data = random_node_data(rng, 3, 4)
+    state = NetworkState(rng.standard_normal((3, 4)), np.zeros((3, 4)))
+    for call in node_data_callers(g, state):
+        call(data)
+        with pytest.raises(ValueError, match="in order"):
+            call(data[::-1])
+
+
+def test_node_lists_mixing_two_partitions_are_refused():
+    g = ring4()
+    rng = np.random.default_rng(49)
+    rows = [rng.standard_normal((3, 3)) for _ in range(4)]
+    ys = [rng.standard_normal(3) for _ in rows]
+    # the same rows dealt twice: equal node data from two stacks
+    data = nodes_from_rows(rows, ys, 0.05)
+    twin = nodes_from_rows(rows, ys, 0.05)
+    state = NetworkState(rng.standard_normal((3, 4)), np.zeros((3, 4)))
+    for call in node_data_callers(g, state):
+        call(twin)
+        with pytest.raises(ValueError, match="in order"):
+            call(data[:2] + twin[2:])
+
+
+def test_short_node_lists_are_refused():
+    g = ring4()
+    rng = np.random.default_rng(50)
+    data = random_node_data(rng, 3, 4)
+    state = NetworkState(rng.standard_normal((3, 4)), np.zeros((3, 4)))
+    for call in node_data_callers(g, state):
+        with pytest.raises(ValueError):
+            call(data[:3])
+    # three nodes of a four-node partition on a three-node graph
+    g3 = ring_graph(3, 3)
+    state3 = NetworkState(state.X[:, :3], state.C[:, :3])
+    for call in node_data_callers(g3, state3):
+        with pytest.raises(ValueError, match="in order"):
+            call(data[:3])
+
+
 # ---------------------------------------------------------------------------
 # Fixed points and objectives
 # ---------------------------------------------------------------------------
 
 # Communication/descent pairs that carry these two networks from a cold
-# start to a fixed point; the increment check below certifies it.
-FIXED_POINT_PAIRS = 1000
+# start to a fixed point; the increment check below certifies it.  On the
+# first network the increment is about 3e-13 after 1000 pairs and at the
+# rounding floor, about 3e-17, after 1500.
+FIXED_POINT_PAIRS = 1500
 
 
 def run_to_fixed_point(g, data, lam, tau, tol):
@@ -325,11 +420,12 @@ def test_batch_dista_consensus_on_consistent_data():
     g = ring4()
     rng = np.random.default_rng(38)
     x_true = np.array([1.0, -0.7, 0.4, 0.0, 0.0, 0.0])
-    data = []
+    rows, ys = [], []
     for _ in range(4):
         A = rng.standard_normal((8, 6))
-        y = A @ x_true + 1e-7 * rng.standard_normal(8)
-        data.append(NodeData(Q=A.T @ A, phi=-A.T @ y))
+        rows.append(A)
+        ys.append(A @ x_true + 1e-7 * rng.standard_normal(8))
+    data = nodes_from_rows(rows, ys, 1e-12)
     taus = [0.25 / nd.lambda_max for nd in data]
     state = run_to_fixed_point(g, data, 1e-5, taus, tol=1e-13)
     spread = max(np.linalg.norm(state.X[:, i] - state.X[:, j])
@@ -339,7 +435,7 @@ def test_batch_dista_consensus_on_consistent_data():
 
 def test_global_objective_zero():
     g = ring4()
-    data = [NodeData(Q=np.eye(3), phi=np.zeros(3)) for _ in range(4)]
+    data = identity_nodes(3, 4)
     assert global_objective(np.zeros((3, 4)), g, data, 0.5, 0.1) == 0.0
 
 
@@ -363,43 +459,10 @@ def test_global_objective_matches_direct_summation():
     X = rng.standard_normal((5, 4))
     taus = [0.05, 0.1, 0.2, 0.08]
     got = global_objective(X, g, data, 0.3, taus)
-    ref = direct_global_objective(X, [list(a) for a in g.neighbors],
+    ref = direct_global_objective(X, neighbor_lists(g),
                                   [nd.Q for nd in data],
                                   [nd.phi for nd in data], 0.3, taus)
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
-
-
-def test_surrogate_collapses_to_global_objective():
-    g = ring4()
-    rng = np.random.default_rng(42)
-    data = random_node_data(rng, 5, 4)
-    X = rng.standard_normal((5, 4))
-    C = dista_even_step(NetworkState(X, np.zeros_like(X)), g).C
-    tau = 0.05
-    s = surrogate_objective(X, C, X, g, data, 0.3, tau)
-    f = global_objective(X, g, data, 0.3, tau)
-    assert s == pytest.approx(f, rel=1e-12, abs=1e-12)
-
-
-def test_surrogate_zero_case():
-    g = ring4()
-    data = [NodeData(Q=np.eye(3), phi=np.zeros(3)) for _ in range(4)]
-    Z = np.zeros((3, 4))
-    assert surrogate_objective(Z, Z, Z, g, data, 0.5, 0.1) == 0.0
-
-
-def test_surrogate_majorizes_global_objective():
-    g = ring4()
-    rng = np.random.default_rng(43)
-    data = random_node_data(rng, 5, 4)
-    tau = 0.5 / max(nd.lambda_max for nd in data)
-    for _ in range(20):
-        X = rng.standard_normal((5, 4))
-        B = rng.standard_normal((5, 4))
-        C = dista_even_step(NetworkState(X, np.zeros_like(X)), g).C
-        s = surrogate_objective(X, C, B, g, data, 0.3, tau)
-        f = global_objective(X, g, data, 0.3, tau)
-        assert s >= f - 1e-12
 
 
 def test_batch_descent_on_regular_graph():
@@ -411,7 +474,7 @@ def test_batch_descent_on_regular_graph():
     state = NetworkState.zeros(5, 4)
     prev = global_objective(state.X, g, data, lam, tau)
     for _ in range(200):
-        state = dista_odd_step(dista_even_step(state, g), g, data, lam, tau)
+        state = odista_round(state, g, data, lam, tau, 2)
         cur = global_objective(state.X, g, data, lam, tau)
         assert cur <= prev + 1e-9
         prev = cur
@@ -435,10 +498,13 @@ def test_odista_step_timer_runs_a_descent_half_step():
 
 
 def test_theta_tau_values():
-    data = [NodeData(Q=np.eye(2), phi=np.zeros(2))]
+    data = identity_nodes(2, 1)
     assert theta_tau(data, 0.5) == pytest.approx(0.25)
-    data = [NodeData(Q=np.diag([1.0, 3.0]), phi=np.zeros(2)),
-            NodeData(Q=np.eye(2), phi=np.zeros(2))]
+    # rows whose Gram plus the ridge is diag(1, 3), then I
+    ridge = 1e-3
+    rows = [np.diag(np.sqrt([1.0 - ridge, 3.0 - ridge])),
+            np.sqrt(1.0 - ridge) * np.eye(2)]
+    data = nodes_from_rows(rows, [np.zeros(2)] * 2, ridge)
     # worst node: ||I - 0.5 diag(1,3)||^2 = max(0.5, 0.5)^2
     assert theta_tau(data, 0.5) == pytest.approx(0.25)
     assert theta_tau(data, [1.0 / 3.0, 0.5]) < 1.0
@@ -451,19 +517,6 @@ def test_consensus_problem_aggregates_node_data():
     np.testing.assert_allclose(p.Q, sum(nd.Q for nd in data))
     np.testing.assert_allclose(p.phi, sum(nd.phi for nd in data))
     assert p.lam == pytest.approx(0.3)
-
-
-def test_node_data_validation_and_with_phi():
-    with pytest.raises(ValueError):
-        NodeData(Q=np.ones((2, 3)), phi=np.zeros(2))
-    with pytest.raises(ValueError):
-        NodeData(Q=np.array([[1.0, 0.5], [0.2, 1.0]]), phi=np.zeros(2))
-    nd = NodeData(Q=np.eye(2), phi=np.zeros(2))
-    other = nd.with_phi(np.array([1.0, 2.0]))
-    assert other.Q is nd.Q
-    np.testing.assert_array_equal(other.phi, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        nd.with_phi(np.zeros(3))
 
 
 def test_network_state_validation():

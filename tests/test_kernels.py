@@ -2,14 +2,17 @@
 
 The online rounds iterate on plain arrays and check their inputs once per
 round.  The odr and oist rounds keep the reference steps' operation order,
-so agreement is asserted bitwise on hypothesis-generated problems.  Factored
-node data sums its products in another order than the dense Q_v, and a
-factored slice operator solves through the matrix inversion lemma, so both
-are held to the dense path within 1e-12 relative.  The odista half-steps
+so agreement is asserted bitwise on hypothesis-generated problems.  The
+batched node products A_v'(A_v x_v) + mu_v x_v sum in another order than
+the dense Q_v, and a factored slice operator solves through the matrix
+inversion lemma, so both are held to the dense formulas within 1e-12
+relative.  The odista half-steps
 take every neighborhood mean as one product with the graph's weight matrix
 W, and a round runs each communication and descent pair as one map through
 W2 = W @ W; they are held to the literal left folds and to the column-major
-round within 1e-12 relative.  A prepared round stepped in chunks is the
+round within 1e-12 relative.  Node data comes only from a row partition,
+and the dense (Q_v, phi_v) of its spec are the literal references.  A
+prepared round stepped in chunks is the
 one-shot round at their sum, bitwise, and each call of a step timer
 advances its round by exactly one iteration.
 """
@@ -26,13 +29,9 @@ from stvo.core import (ElasticNetData, QuadraticL1Problem, elastic_net_problem,
 from stvo.distributed import (
     Graph,
     NetworkState,
-    NodeData,
     OdistaRound,
     consensus_problem,
-    dista_even_step,
-    dista_odd_step,
     global_objective,
-    local_mean,
     node_partition,
     odista_round,
     radius_graph,
@@ -49,8 +48,10 @@ from stvo.solvers import (DRState, OdrRound, OistRound, OnlineConfig,
 
 from oracles import (
     assert_relatively_close,
+    column_local_means,
     column_odista_round,
     direct_dr_step,
+    direct_global_objective,
     direct_odd_step,
     direct_oist_sweep,
     direct_prox,
@@ -209,11 +210,13 @@ def test_batched_means_are_left_folds_on_irregular_graphs(seed, rows, n_nodes,
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n_nodes, max_degree)
     X = rng.standard_normal((rows, n_nodes))
-    out = dista_even_step(NetworkState(X, np.zeros_like(X)), g)
+    data = node_partition(random_block(rng, n_nodes, rows), n_nodes)
+    # one half-step is one communication
+    out = odista_round(NetworkState(X, np.zeros_like(X)), g, data, 0.1, 0.05,
+                       1)
     for v in range(n_nodes):
         ref = mean_of_columns(X, list(g.neighbors[v]))
         assert_relatively_close(out.C[:, v], ref, X)
-        assert_relatively_close(local_mean(X, g, v), ref, X)
 
 
 @SETTINGS
@@ -224,25 +227,23 @@ def test_descent_matches_literal_transcription_on_irregular_graphs(
         seed, rows, n_nodes, max_degree, lam):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n_nodes, max_degree)
-    data = []
-    for _ in range(n_nodes):
-        A = rng.standard_normal((2, rows))
-        data.append(NodeData(Q=A.T @ A + 0.05 * np.eye(rows),
-                             phi=rng.standard_normal(rows)))
+    # two rows per node and the ridge 0.05: Q_v = A_v'A_v + 0.05 I
+    block = ElasticNetData(A=rng.standard_normal((2 * n_nodes, rows)),
+                           y=rng.standard_normal(2 * n_nodes), lam=1.0,
+                           mu=0.05 * n_nodes)
+    data = node_partition(block, n_nodes)
+    Qs, phis = dense_nodes(block, n_nodes)
     taus = rng.uniform(0.01, 0.2, n_nodes)
     X = rng.standard_normal((rows, n_nodes))
     C = rng.standard_normal((rows, n_nodes))
-    out = dista_odd_step(NetworkState(X, C), g, data, lam, taus)
-    ref = direct_odd_step(X, C, [list(a) for a in g.neighbors],
-                          [nd.Q for nd in data], [nd.phi for nd in data],
-                          lam, taus)
-    assert_relatively_close(out.X, ref, X, C)
-    # a pair of half-steps carried on arrays is the two reference steps
+    # a pair of half-steps carried on arrays is the two literal steps
     pair = odista_round(NetworkState(X, C), g, data, lam, taus, 2)
-    step = dista_odd_step(dista_even_step(NetworkState(X, C), g), g, data,
-                          lam, taus)
-    assert_relatively_close(pair.X, step.X, X, C)
-    np.testing.assert_array_equal(pair.C, step.C)
+    neighbor_lists = [list(a) for a in g.neighbors]
+    ref = direct_odd_step(X, column_local_means(X, neighbor_lists),
+                          neighbor_lists, Qs, phis, lam, taus)
+    assert_relatively_close(pair.X, ref, X, C)
+    np.testing.assert_array_equal(
+        pair.C, odista_round(NetworkState(X, C), g, data, lam, taus, 1).C)
 
 
 def random_block(rng, m, n):
@@ -251,12 +252,18 @@ def random_block(rng, m, n):
 
 
 def dense_nodes(block, n_nodes):
-    """The dense spec of node_partition: NodeData(Q=A_v'A_v + mu_v I)."""
+    """The dense spec of node_partition: Q_v = A_v'A_v + mu_v I and
+    phi_v = -A_v'y_v, as two lists."""
     mu_v = block.mu / n_nodes
-    return [NodeData(Q=A_v.T @ A_v + mu_v * np.eye(block.n),
-                     phi=-A_v.T @ y_v)
-            for A_v, y_v in zip(np.array_split(block.A, n_nodes),
-                                np.array_split(block.y, n_nodes))]
+    pairs = [(A_v.T @ A_v + mu_v * np.eye(block.n), -A_v.T @ y_v)
+             for A_v, y_v in zip(np.array_split(block.A, n_nodes),
+                                 np.array_split(block.y, n_nodes))]
+    return [Q for Q, _ in pairs], [phi for _, phi in pairs]
+
+
+def dense_column_products(Qs):
+    """Column v of products(X) is Q_v x_v over the dense node data."""
+    return lambda X: np.stack([Q @ x for Q, x in zip(Qs, X.T)], axis=1)
 
 
 @SETTINGS
@@ -272,35 +279,40 @@ def test_factored_descent_matches_dense_node_data(seed, n, n_nodes, extra_rows,
     block = random_block(rng, n_nodes + extra_rows, n)
     g = random_graph(rng, n_nodes, max_degree)
     factored = node_partition(block, n_nodes)
-    dense = dense_nodes(block, n_nodes)
-    taus = np.array([step / nd.lambda_max for nd in dense])
+    Qs, phis = dense_nodes(block, n_nodes)
+    eigs = [np.linalg.eigvalsh(Q) for Q in Qs]
+    taus = np.array([step / e[-1] for e in eigs])
     X = rng.standard_normal((n, n_nodes))
     C = rng.standard_normal((n, n_nodes))
     state = NetworkState(X, C)
+    neighbor_lists = [list(a) for a in g.neighbors]
     # the node operators answer from their own form: eigenvalues of the
     # k_v x k_v Gram matrix, A_v'(A_v x) + mu_v x
-    for nd, ref in zip(factored, dense):
-        assert abs(nd.lambda_max - ref.lambda_max) <= 1e-12 * ref.lambda_max
+    for nd, e in zip(factored, eigs):
+        assert abs(nd.lambda_max - e[-1]) <= 1e-12 * e[-1]
     # theta is a max of (1 - tau lambda)^2 with tau lambda <= 1: the rounding
     # of 1 - tau lambda is on the scale of 1, so theta is held to 1e-12 on
     # the scale max(1, theta)
-    theta = theta_tau(dense, taus)
+    theta = max(float(np.max((1.0 - t * e) ** 2)) for t, e in zip(taus, eigs))
     assert abs(theta_tau(factored, taus) - theta) <= 1e-12 * max(1.0, theta)
-    objective = global_objective(X, g, dense, lam, taus)
+    objective = direct_global_objective(X, neighbor_lists, Qs, phis, lam,
+                                        taus)
     assert (abs(global_objective(X, g, factored, lam, taus) - objective)
             <= 1e-12 * abs(objective))
-    assert_relatively_close(dista_odd_step(state, g, factored, lam, taus).X,
-                            dista_odd_step(state, g, dense, lam, taus).X, X, C)
+    pair = odista_round(state, g, factored, lam, taus, 2)
+    assert_relatively_close(
+        pair.X, direct_odd_step(X, column_local_means(X, neighbor_lists),
+                                neighbor_lists, Qs, phis, lam, taus), X, C)
     out = odista_round(state, g, factored, lam, taus, r)
-    ref = odista_round(state, g, dense, lam, taus, r)
-    assert_relatively_close(out.X, ref.X, X, C)
-    assert_relatively_close(out.C, ref.C, X, C)
+    ref_X, ref_C = column_odista_round(X, neighbor_lists,
+                                       dense_column_products(Qs), phis, lam,
+                                       taus, r)
+    assert_relatively_close(out.X, ref_X, X, C)
+    assert_relatively_close(out.C, ref_C, X, C)
     if n_nodes > 1:
-        # the same nodes in another order are not one partition: they fall
-        # back to the dense loop, bitwise
-        flipped = odista_round(state, g, factored[::-1], lam, taus, r)
-        np.testing.assert_array_equal(
-            flipped.X, odista_round(state, g, dense[::-1], lam, taus, r).X)
+        # the same nodes in another order are not one partition
+        with pytest.raises(ValueError, match="in order"):
+            odista_round(state, g, factored[::-1], lam, taus, r)
 
 
 def column_round(state, graph, data, lam, taus, r):
@@ -471,11 +483,6 @@ def test_each_step_timer_call_is_one_more_iteration(seed, m, n, calls, step):
         np.testing.assert_array_equal(oist().state(), x)
 
 
-def dense_column_products(data):
-    """Column v of products(X) is Q_v x_v over the dense node data."""
-    return lambda X: np.stack([nd.Q @ x for nd, x in zip(data, X.T)], axis=1)
-
-
 @SETTINGS
 @given(seed=seeds, n=st.integers(1, 12), n_nodes=st.integers(1, 12),
        extra_rows=st.integers(0, 6), max_degree=st.integers(1, 12),
@@ -501,19 +508,19 @@ def test_weight_matrix_and_pair_map_match_the_literal_rounds(
     np.testing.assert_array_equal(g.W2, W @ W)
     block = random_block(rng, n_nodes + extra_rows, n)
     neighbor_lists = [list(a) for a in g.neighbors]
-    factored = node_partition(block, n_nodes)
-    dense = dense_nodes(block, n_nodes)
-    taus = np.array([step / nd.lambda_max for nd in dense])
+    data = node_partition(block, n_nodes)
+    Qs, phis = dense_nodes(block, n_nodes)
+    taus = np.array([step / np.linalg.eigvalsh(Q)[-1] for Q in Qs])
     state = NetworkState(rng.standard_normal((n, n_nodes)),
                          rng.standard_normal((n, n_nodes)))
-    stack = factored[0].stack
-    for data, products in (
-            (factored, stack_column_products(stack.A, stack.AT, stack.mu)),
-            (dense, dense_column_products(dense))):
+    stack = data[0].stack
+    # the kernel against the column-major round on either product rule
+    for products in (stack_column_products(stack.A, stack.AT, stack.mu),
+                     dense_column_products(Qs)):
         for r in range(1, 10):
             out = odista_round(state, g, data, lam, taus, r)
             X, C = column_odista_round(state.X, neighbor_lists, products,
-                                       [nd.phi for nd in data], lam, taus, r)
+                                       phis, lam, taus, r)
             assert_relatively_close(out.X, X, state.X, state.C)
             assert_relatively_close(out.C, C, state.X, state.C)
 
@@ -526,12 +533,12 @@ def test_consensus_q_of_a_partition_is_the_node_sum_without_dense_q_v(
     rng = np.random.default_rng(seed)
     block = random_block(rng, n_nodes + extra_rows, n)
     nodes = node_partition(block, n_nodes)
-    dense = dense_nodes(block, n_nodes)
+    Qs, phis = dense_nodes(block, n_nodes)
     p = consensus_problem(nodes, 0.1)
     # the padded rows' A'A sums in another order than the Q_v
-    ref = sum(nd.Q for nd in dense)
+    ref = sum(Qs)
     assert np.max(np.abs(p.Q - ref)) <= 1e-12 * np.max(np.abs(ref))
-    np.testing.assert_array_equal(p.phi, sum(nd.phi for nd in dense))
+    np.testing.assert_array_equal(p.phi, sum(phis))
     assert p.lam == n_nodes * 0.1
     # a factored node operator is still unformed
     assert all(nd.op._Q is None for nd in nodes if nd.op.factored)
@@ -544,9 +551,9 @@ def test_lazy_node_q_is_the_dense_formula_bitwise(seed, n, n_nodes, extra_rows):
     rng = np.random.default_rng(seed)
     block = random_block(rng, n_nodes + extra_rows, n)
     nodes = node_partition(block, n_nodes)
-    for nd, ref in zip(nodes, dense_nodes(block, n_nodes)):
-        np.testing.assert_array_equal(nd.Q, ref.Q)
-        np.testing.assert_array_equal(nd.phi, ref.phi)
+    for nd, Q, phi in zip(nodes, *dense_nodes(block, n_nodes)):
+        np.testing.assert_array_equal(nd.Q, Q)
+        np.testing.assert_array_equal(nd.phi, phi)
         assert nd.Q is nd.Q
 
 
@@ -561,12 +568,12 @@ def test_slices_of_one_sensing_matrix_share_the_row_stack():
     for t, nodes in enumerate(stream):
         assert all(nd.op is op for nd, op in zip(nodes, stack.ops))
         assert all(nd.stack is stack for nd in nodes)
-        other = nodes[1].with_phi(np.ones(5))
+        other = stack.nodes(np.ones(7))[1]
         assert other.stack.A is stack.A and other.stack.AT is stack.AT
         # a dense Q read on one slice serves every slice
         assert other.Q is stream[0][1].Q
-        for nd, ref in zip(nodes, dense_nodes(blocks[t], 3)):
-            np.testing.assert_array_equal(nd.phi, ref.phi)
+        for nd, phi in zip(nodes, dense_nodes(blocks[t], 3)[1]):
+            np.testing.assert_array_equal(nd.phi, phi)
 
 
 def test_every_slice_of_a_stream_gets_the_data_of_its_own_block():

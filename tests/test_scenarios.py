@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stvo.core import elastic_net_problem
+from stvo.distributed import node_partition
 from stvo.metrics import path_length
 from stvo.scenarios import (
     PathLoss,
@@ -16,7 +17,6 @@ from stvo.scenarios import (
     cell_centers,
     experiment_params,
     feasible_moves,
-    node_partition,
     random_problem,
     regressor_matrix,
     rss_dictionary,
