@@ -18,8 +18,7 @@ import numpy as np
 from . import _svg, runner, scenarios
 from .core import QuadraticL1Problem, contraction_constants, objective_value
 from .distributed import RowStack
-# derive_seed is re-exported so scripts can seed streams as `stvo run` does.
-from .runner import build_stream, derive_seed, make_graph  # noqa: F401
+from .runner import build_stream, derive_seed, make_graph
 from .solvers import OracleError, batch_dr, optimality_residual
 
 SCENARIOS = ("exp1", "exp2", "rss", "synthetic")
@@ -60,8 +59,6 @@ def load_config(path):
     return out
 
 
-PATHLOSS_KEYS = ("p0_dbm", "d0_m", "exponent")
-
 # What a config value must be, by the type of the field it sets.
 FIELD_VALUES = {
     int: (lambda v: isinstance(v, int), "an integer"),
@@ -71,28 +68,26 @@ FIELD_VALUES = {
 }
 
 
+# Fields the command line sets, and the flag that sets each.
+COMMAND_LINE_FIELDS = {"experiment": "--scenario", "seed": "--seed"}
+
+
 def apply_overrides(cfg, overrides):
     types = {f.name: f.type for f in dataclasses.fields(cfg)}
-    if "pathloss" in types:
-        types.update((f.name, f.type)
-                     for f in dataclasses.fields(cfg.pathloss))
     updates = {}
-    pl_updates = {}
     for key, value in overrides.items():
         if key == "lambda":
             key = "lam"
+        if key in COMMAND_LINE_FIELDS:
+            raise UsageError(f"unknown config key {key!r}: "
+                             f"{COMMAND_LINE_FIELDS[key]} sets it")
         if types.get(key) not in FIELD_VALUES:
             raise UsageError(f"unknown config key {key!r} for this scenario")
         valid, what = FIELD_VALUES[types[key]]
         if not valid(value):
             raise UsageError(
                 f"config key {key!r} must be {what}, got {value!r}")
-        if key in PATHLOSS_KEYS:
-            pl_updates[key] = value
-        else:
-            updates[key] = value
-    if pl_updates:
-        updates["pathloss"] = dataclasses.replace(cfg.pathloss, **pl_updates)
+        updates[key] = value
     try:
         return dataclasses.replace(cfg, **updates)
     except ValueError as e:
@@ -255,7 +250,7 @@ def cmd_solve(args):
 def cmd_check(args):
     overrides = load_config(args.config) if args.config else {}
     cfg = base_config(args.scenario, overrides)
-    stream = build_stream(args.scenario, cfg, args.seed)
+    stream = build_stream(args.scenario, cfg, derive_seed(args.seed, 0))
     print(f"ok: config {type(cfg).__name__} valid")
     print(f"ok: stream of {len(stream.blocks)} blocks, dimension {stream.n}")
     p0 = stream.problems[0]
@@ -273,6 +268,7 @@ def cmd_check(args):
         print(f"fail: contraction factor {cc.delta} not below one")
         return 2
     print(f"ok: contraction factor delta={cc.delta:.6f}")
+    g, _ = make_graph(stream, args.nodes)
     if args.scenario == "rss":
         side = stream.cfg.cells_per_side
         if np.any(np.asarray(stream.walk) < 0) or \
@@ -280,12 +276,10 @@ def cmd_check(args):
             print("fail: walk leaves the grid")
             return 2
         print(f"ok: walk of {len(stream.walk)} positions stays on the grid")
-        g, _ = make_graph(stream, stream.cfg.sensors)
         state = "connected" if g.connected else "disconnected"
         print(f"ok: sensor graph with {g.n_nodes} nodes is {state}")
     else:
-        g, n_nodes = make_graph(stream, args.nodes)
-        print(f"ok: ring of {n_nodes} nodes, degree {g.degree}")
+        print(f"ok: ring of {g.n_nodes} nodes, degree {g.degree}")
     print(f"ok: graph degrees {g.degrees.min()}-{g.degrees.max()}, "
           + ("regular" if g.regular else
              "not regular; guarantee 9 assumes a regular graph"))
@@ -319,10 +313,12 @@ def build_parser():
     p_run.add_argument("--alg", default="odr",
                        help="comma-separated subset of oist,odr,odista")
     p_run.add_argument("--runs", type=int, default=1)
-    p_run.add_argument("--r", type=int, default=1,
-                       help="inner iterations per round")
-    p_run.add_argument("--t-r", type=float, default=None, dest="t_r",
-                       help="per-round time budget in ms; overrides --r")
+    # Both default to None, so that argparse sees any given value of either.
+    r_group = p_run.add_mutually_exclusive_group()
+    r_group.add_argument("--r", type=int, default=None,
+                         help="inner iterations per round (default 1)")
+    r_group.add_argument("--t-r", type=float, default=None, dest="t_r",
+                         help="per-round time budget in ms, to calibrate r")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--config", default=None,
@@ -330,8 +326,8 @@ def build_parser():
     p_run.add_argument("--regret", choices=("auto", "on", "off"),
                        default="auto",
                        help="compute reference minimizers and regret")
-    p_run.add_argument("--nodes", type=int, default=4,
-                       help="network size for odista outside rss")
+    p_run.add_argument("--nodes", type=int, default=None,
+                       help="network size for odista outside rss (default 4)")
     p_run.add_argument("--tau-rule", choices=("per_node", "uniform_min"),
                        default="per_node", dest="tau_rule")
     p_run.add_argument("--common-random", choices=("on", "off"), default="on",
@@ -352,7 +348,8 @@ def build_parser():
     p_check = sub.add_parser("check", help="validate a scenario build")
     p_check.add_argument("--scenario", required=True, choices=SCENARIOS)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--nodes", type=int, default=4)
+    p_check.add_argument("--nodes", type=int, default=None,
+                         help="ring size outside rss (default 4)")
     p_check.add_argument("--config", default=None)
     p_check.set_defaults(func=cmd_check)
     return parser
@@ -365,19 +362,22 @@ def main(argv=None):
     except SystemExit as e:
         return 0 if not e.code else 1
     try:
+        if args.command in ("run", "check"):
+            if args.scenario == "rss" and args.nodes is not None:
+                raise UsageError("--nodes does not apply to rss, whose "
+                                 "network is the sensor grid")
+            args.nodes = 4 if args.nodes is None else args.nodes
         if args.command == "run":
             args.common_random = args.common_random_flag == "on"
             if args.runs < 1:
                 raise UsageError("--runs must be at least 1")
-            if args.r < 1:
+            if args.r is not None and args.r < 1:
                 raise UsageError("--r must be at least 1")
             if args.t_r is not None and args.t_r <= 0:
                 raise UsageError("--t-r must be positive")
+            args.r = 1 if args.r is None else args.r
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (OracleError, np.linalg.LinAlgError) as e:

@@ -6,7 +6,7 @@ reproducible and adding a consumer never perturbs the draws of another.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +45,6 @@ class TvarxConfig:
     """
 
     experiment: str = "exp1"
-    P_true: int = 1
-    Q_true: int = 1
     P_hat: int = 10
     Q_hat: int = 10
     m: int = 12
@@ -60,8 +58,6 @@ class TvarxConfig:
     def __post_init__(self):
         if self.experiment not in ("exp1", "exp2"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.P_true != 1 or self.Q_true != 1:
-            raise ValueError("only the first-order true system is supported")
         if self.m >= self.P_hat + self.Q_hat:
             raise ValueError("m must stay below P_hat + Q_hat")
         if self.m < 1 or self.P_hat < 1 or self.Q_hat < 1:
@@ -236,27 +232,15 @@ def tvarx_stream(cfg, sim=None):
 # RSS target tracking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PathLoss:
-    """Log-distance attenuation model in dBm.
-
-    Received power at distance d is p0_dbm - 10 * exponent * log10(d / d0_m),
-    clamped at the reference distance so cells nearer than d0_m read p0_dbm.
-    """
-
-    p0_dbm: float = -40.0
-    d0_m: float = 1.0
-    exponent: float = 3.0
-
-
 @dataclass
 class RssConfig:
     """Grid tracking scenario: a square area of unit cells ringed by sensors.
 
     `sensors` must be a perfect square (they deploy on a regular grid); each
     contributes meas_per_sensor dictionary rows drawn from the attenuation
-    model with training noise at snr_db.  lam and mu weight the elastic net
-    solved against the offset-removed, spectrally normalized dictionary.
+    model (p0_dbm, d0_m, exponent; see rss_model_value) with training noise
+    at snr_db.  lam and mu weight the elastic net solved against the
+    offset-removed, spectrally normalized dictionary.
     """
 
     area_m: float = 25.0
@@ -268,7 +252,9 @@ class RssConfig:
     round_ms: float = 50.0
     path_length_steps: int = 100
     seed: int = 0
-    pathloss: PathLoss = field(default_factory=PathLoss)
+    p0_dbm: float = -40.0
+    d0_m: float = 1.0
+    exponent: float = 3.0
     lam: float = 2e-3
     mu: float = 1e-2
 
@@ -297,10 +283,12 @@ class RssConfig:
         return self.sensors * self.meas_per_sensor
 
 
-def rss_model_value(d, pathloss):
-    """Modeled received power in dBm at distance d (meters)."""
-    d = np.maximum(np.asarray(d, dtype=float), pathloss.d0_m)
-    return pathloss.p0_dbm - 10.0 * pathloss.exponent * np.log10(d / pathloss.d0_m)
+def rss_model_value(d, cfg):
+    """Modeled received power in dBm at distance d (meters): log-distance
+    attenuation p0_dbm - 10 * exponent * log10(d / d0_m), clamped at the
+    reference distance so cells nearer than d0_m read p0_dbm."""
+    d = np.maximum(np.asarray(d, dtype=float), cfg.d0_m)
+    return cfg.p0_dbm - 10.0 * cfg.exponent * np.log10(d / cfg.d0_m)
 
 
 def sensor_positions(cfg):
@@ -330,7 +318,7 @@ def rss_dictionary(cfg):
     sensors = sensor_positions(cfg)
     cells = cell_centers(cfg)
     diff = sensors[:, None, :] - cells[None, :, :]
-    base = rss_model_value(np.sqrt((diff ** 2).sum(axis=2)), cfg.pathloss)
+    base = rss_model_value(np.sqrt((diff ** 2).sum(axis=2)), cfg)
     rng = substream(cfg.seed, STREAM_DICT)
     scale = 10.0 ** (-cfg.snr_db / 20.0)
     rows = []
@@ -353,20 +341,19 @@ def feasible_moves(cell, side):
     return moves
 
 
-def target_walk(cfg, steps=None):
+def target_walk(cfg):
     """Random walk over the cell grid, one move per round.
 
     Each step picks uniformly among the in-bounds moves (staying put
     included), which realizes reflection at the borders; corners offer four
-    feasible cells.  Returns the visited cell indices, length steps + 1.
+    feasible cells.  Returns the visited cell indices, length
+    path_length_steps + 1.
     """
-    if steps is None:
-        steps = cfg.path_length_steps
     side = cfg.cells_per_side
     rng = substream(cfg.seed, STREAM_WALK)
     cell = int(rng.integers(side * side))
     path = [cell]
-    for _ in range(steps):
+    for _ in range(cfg.path_length_steps):
         moves = feasible_moves(cell, side)
         cell = moves[rng.integers(len(moves))]
         path.append(cell)
@@ -387,7 +374,7 @@ def rss_measure(A, x_true, snr_db, seed, t):
     return y0 + e
 
 
-def rss_stream(cfg, steps=None):
+def rss_stream(cfg):
     """Per-round elastic-net slices of a tracking run.
 
     Measurements are taken against the raw dBm dictionary.  For the solver
@@ -404,7 +391,7 @@ def rss_stream(cfg, steps=None):
     A_used = A - offset[:, None]
     scale = np.linalg.norm(A_used, 2)
     A_used /= scale
-    walk = target_walk(cfg, steps)
+    walk = target_walk(cfg)
     blocks = []
     for t, cell in enumerate(walk):
         x_true = np.zeros(cfg.n_cells)

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stvo import metrics
+from stvo import cli, metrics, runner
 from stvo.cli import (
-    PATHLOSS_KEYS,
     SCENARIOS,
     UsageError,
     apply_overrides,
@@ -73,8 +72,8 @@ def test_apply_overrides_and_lambda_alias():
         base_config("exp1", {"bogus": 1})
     with pytest.raises(UsageError):
         base_config("exp1", {"m": 30})  # breaks the compressed regime
-    rss = base_config("rss", {"exponent": 2.5})
-    assert rss.pathloss.exponent == 2.5
+    rss = base_config("rss", {"p0_dbm": -45, "d0_m": 1.5, "exponent": 2.5})
+    assert (rss.p0_dbm, rss.d0_m, rss.exponent) == (-45, 1.5, 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +232,42 @@ def test_run_rejects_bad_usage(tmp_path, capsys):
     assert peak < 2 ** 20
 
 
+# Each run setting has one source: a value given in a second place is
+# refused with exit 1 before any file is written.
+@pytest.mark.parametrize("scenario, key, value", [
+    ("exp1", "experiment", "exp2"), ("exp2", "seed", "5"),
+    ("rss", "seed", "5"), ("exp1", "P_true", "1"), ("exp1", "Q_true", "1")])
+def test_config_refuses_keys_set_elsewhere(tmp_path, capsys, scenario, key,
+                                           value):
+    cfg = write_cfg(tmp_path, f"{key} = {value}\n")
+    out = tmp_path / "out"
+    for command in ("run", "check"):
+        argv = [command, "--scenario", scenario, "--config", cfg]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert run_cli(*argv) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_r_and_t_r_exclude_each_other(tmp_path, capsys):
+    out = tmp_path / "out"
+    # --r 1 is the default value, and is refused alongside --t-r all the same
+    for r in ("400", "1"):
+        assert run_cli("run", "--scenario", "exp1", "--r", r, "--t-r", "12",
+                       "--out", str(out)) == 1
+        assert "--t-r: not allowed with argument --r" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nodes_is_refused_on_rss(tmp_path, capsys):
+    out = tmp_path / "out"
+    for argv in (["run", "--out", str(out)], ["check"]):
+        assert run_cli(*argv, "--scenario", "rss", "--nodes", "9") == 1
+        assert "--nodes does not apply to rss" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_common_random_toggle(tmp_path):
     cfg = write_cfg(tmp_path, "blocks = 8\nn = 8\nm = 5\n")
     out_on = tmp_path / "on"
@@ -327,6 +362,28 @@ def test_check_names_the_operator_form(tmp_path, capsys):
     assert "ok: 3 of 5 node operators factored, k_max=3 of n=6" in out
 
 
+def test_check_builds_the_stream_of_run_zero(tmp_path, monkeypatch):
+    built = []
+    build = runner.build_stream
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_stream", recording)
+    monkeypatch.setattr(runner, "build_stream", recording)
+    cfg = write_cfg(tmp_path, "horizon_s = 0.06\n")
+    assert run_cli("check", "--scenario", "exp2", "--seed", "3",
+                   "--config", cfg) == 0
+    assert run_cli("run", "--scenario", "exp2", "--seed", "3", "--runs", "2",
+                   "--regret", "off", "--config", cfg,
+                   "--out", str(tmp_path / "out")) == 0
+    checked, run_0 = built[0].blocks[0], built[1].blocks[0]
+    np.testing.assert_array_equal(checked.A, run_0.A)
+    np.testing.assert_array_equal(checked.y, run_0.y)
+    assert built[0].cfg.seed == derive_seed(3, 0)
+
+
 # ---------------------------------------------------------------------------
 # input files from outside the program
 # ---------------------------------------------------------------------------
@@ -348,7 +405,7 @@ JUNK_LINES = ("novalue", "= 3", "m =", "# note", "   ")
 def config_texts(draw):
     scenario = draw(st.sampled_from(SCENARIOS))
     keys = [f.name for f in dataclasses.fields(base_config(scenario, {}))]
-    keys += list(PATHLOSS_KEYS) + ["lambda", "bogus"]
+    keys += ["lambda", "bogus"]
     pairs = draw(st.lists(st.tuples(st.sampled_from(keys), CONFIG_VALUES),
                           max_size=3))
     lines = [f"{k} = {v}" for k, v in pairs]

@@ -1,6 +1,7 @@
 """Unit tests for the experiment data generators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from stvo.core import elastic_net_problem
 from stvo.distributed import node_partition
 from stvo.metrics import path_length
 from stvo.scenarios import (
-    PathLoss,
     RssConfig,
     SyntheticConfig,
     TvarxConfig,
@@ -50,8 +50,6 @@ def test_config_validation():
         TvarxConfig(m=25)
     with pytest.raises(ValueError):
         TvarxConfig(experiment="exp3")
-    with pytest.raises(ValueError):
-        TvarxConfig(P_true=2)
 
 
 def test_experiment1_piecewise_values():
@@ -214,13 +212,13 @@ def test_node_partition_sums_back_to_the_block():
 # ---------------------------------------------------------------------------
 
 def test_pathloss_clamps_at_reference_distance():
-    pl = PathLoss()
+    pl = RssConfig()
     assert rss_model_value(0.2, pl) == pytest.approx(-40.0)
     assert rss_model_value(1.0, pl) == pytest.approx(-40.0)
 
 
 def test_pathloss_doubling_distance():
-    pl = PathLoss(p0_dbm=-40.0, d0_m=1.0, exponent=2.0)
+    pl = RssConfig(p0_dbm=-40.0, d0_m=1.0, exponent=2.0)
     drop = rss_model_value(1.0, pl) - rss_model_value(2.0, pl)
     assert drop == pytest.approx(6.02, abs=0.01)
 
@@ -252,14 +250,14 @@ def test_feasible_moves_geometry():
 
 
 def test_walk_stays_on_grid_with_single_cell_steps():
-    cfg = RssConfig(seed=8)
-    walk = target_walk(cfg, steps=200)
+    cfg = replace(RssConfig(seed=8), path_length_steps=200)
+    walk = target_walk(cfg)
     assert walk.shape == (201,)
     assert np.all((walk >= 0) & (walk < 625))
     rows, cols = np.divmod(walk, 25)
     cheb = np.maximum(np.abs(np.diff(rows)), np.abs(np.diff(cols)))
     assert np.all(cheb <= 1)
-    np.testing.assert_array_equal(walk, target_walk(cfg, steps=200))
+    np.testing.assert_array_equal(walk, target_walk(cfg))
 
 
 def test_measurement_noise_matches_the_snr():
