@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _svg, runner, scenarios
 from .core import QuadraticL1Problem, contraction_constants, objective_value
-from .distributed import RowStack
+from .distributed import RowStack, node_rows, ring_graph
 from .runner import build_stream, derive_seed, make_graph
 from .solvers import OracleError, batch_dr, optimality_residual
 
@@ -92,6 +92,23 @@ def apply_overrides(cfg, overrides):
         return dataclasses.replace(cfg, **updates)
     except ValueError as e:
         raise UsageError(f"bad config value: {e}")
+
+
+def network_size(scenario, nodes, cfg, plays_odista):
+    """The ring size outside rss, 4 by default, checked before anything is
+    written: a given --nodes, or the default when odista plays, must make a
+    ring_graph(nodes, 3) and let node_rows deal each node a block row."""
+    if scenario == "rss" and nodes is not None:
+        raise UsageError("--nodes does not apply to rss, whose network is "
+                         "the sensor grid")
+    n_nodes = 4 if nodes is None else nodes
+    if scenario != "rss" and (nodes is not None or plays_odista):
+        try:
+            ring_graph(n_nodes, 3)
+            node_rows(cfg.m, n_nodes)
+        except ValueError as e:
+            raise UsageError(f"--nodes {n_nodes}: {e}")
+    return n_nodes
 
 
 def base_config(scenario, overrides):
@@ -169,13 +186,14 @@ def cmd_run(args):
             algs.append(a)
     overrides = load_config(args.config) if args.config else {}
     cfg = base_config(args.scenario, overrides)
+    n_nodes = network_size(args.scenario, args.nodes, cfg, "odista" in algs)
     regret_on = args.regret == "on" or (args.regret == "auto"
                                         and args.scenario != "rss")
     out = pathlib.Path(args.out or f"stvo_{args.scenario}")
     out.mkdir(parents=True, exist_ok=True)
     tables = runner.run_experiment(
         args.scenario, cfg, algs, runs=args.runs, r=args.r, budget_ms=args.t_r,
-        seed=args.seed, regret=regret_on, n_nodes=args.nodes,
+        seed=args.seed, regret=regret_on, n_nodes=n_nodes,
         tau_rule=args.tau_rule, common_random=args.common_random)
     written = []
     try:
@@ -250,6 +268,7 @@ def cmd_solve(args):
 def cmd_check(args):
     overrides = load_config(args.config) if args.config else {}
     cfg = base_config(args.scenario, overrides)
+    n_nodes = network_size(args.scenario, args.nodes, cfg, False)
     stream = build_stream(args.scenario, cfg, derive_seed(args.seed, 0))
     print(f"ok: config {type(cfg).__name__} valid")
     print(f"ok: stream of {len(stream.blocks)} blocks, dimension {stream.n}")
@@ -268,7 +287,7 @@ def cmd_check(args):
         print(f"fail: contraction factor {cc.delta} not below one")
         return 2
     print(f"ok: contraction factor delta={cc.delta:.6f}")
-    g, _ = make_graph(stream, args.nodes)
+    g, _ = make_graph(stream, n_nodes)
     if args.scenario == "rss":
         side = stream.cfg.cells_per_side
         if np.any(np.asarray(stream.walk) < 0) or \
@@ -362,11 +381,6 @@ def main(argv=None):
     except SystemExit as e:
         return 0 if not e.code else 1
     try:
-        if args.command in ("run", "check"):
-            if args.scenario == "rss" and args.nodes is not None:
-                raise UsageError("--nodes does not apply to rss, whose "
-                                 "network is the sensor grid")
-            args.nodes = 4 if args.nodes is None else args.nodes
         if args.command == "run":
             args.common_random = args.common_random_flag == "on"
             if args.runs < 1:

@@ -2,11 +2,12 @@
 
 Nodes hold private quadratic data (Q_v, phi_v) and a copy x_v of the
 decision variable; a :class:`NetworkState` holds the copies as the columns
-of an (n, |V|) X, and the auxiliary variables as those of C.  The solver
-alternates a communication half-step, which refreshes each node's auxiliary
-variable c_v with the neighborhood mean of X, and a descent half-step, which
-applies a damped thresholded gradient update using the neighborhood mean of
-C.  Both half-steps are synchronous: every node reads the pre-step state.
+of an (n, |V|) X.  The solver alternates a communication half-step, which
+sets each node's auxiliary variable c_v to the neighborhood mean of X, and
+a descent half-step, which applies a damped thresholded gradient update
+using the neighborhood mean of C.  Both half-steps are synchronous: every
+node reads the pre-step state.  A round opens with a communication, so C is
+never carried; a communication that ends a round (odd r) leaves X as it is.
 
 Node data comes only from a row partition: :meth:`RowStack.nodes` deals an
 elastic-net block's rows to the nodes, Q_v = A_v'A_v + mu_v I, and every
@@ -15,10 +16,9 @@ products Q_v x_v are one batched product over the stacked rows.  Every
 neighborhood mean is one product with the graph's row-normalised weight
 matrix ``Graph.W`` on node-major (|V|, n) rows, and a communication and
 descent pair reads the mean of means ``Graph.W2`` = W @ W, so a round runs
-each pair as one map X <- descend(X, M X).  A round transposes X and C once
-into contiguous rows and hands back (n, |V|) copies.  These sums run in
-another order than the literal per-node left folds; they agree with them to
-1e-12 relative.
+each pair as one map of X.  A round transposes X once into contiguous rows
+and hands back an (n, |V|) copy.  These sums run in another order than the
+literal per-node left folds; they agree with them to 1e-12 relative.
 """
 
 import warnings
@@ -179,23 +179,18 @@ def node_partition(data, n_nodes):
 
 @dataclass
 class NetworkState:
-    """Stacked per-node estimates X and auxiliary variables C, both n x |V|."""
+    """Stacked per-node estimates: column v of the n x |V| X is x_v."""
 
     X: np.ndarray
-    C: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        C = np.asarray(self.C, dtype=float)
-        if X.shape != C.shape or X.ndim != 2:
-            raise ValueError(
-                f"X and C must be 2-d with equal shape, got {X.shape}, {C.shape}")
-        self.X = X
-        self.C = C
+        self.X = np.asarray(self.X, dtype=float)
+        if self.X.ndim != 2:
+            raise ValueError(f"X must be 2-d, got shape {self.X.shape}")
 
     @classmethod
     def zeros(cls, n, n_nodes):
-        return cls(np.zeros((n, n_nodes)), np.zeros((n, n_nodes)))
+        return cls(np.zeros((n, n_nodes)))
 
 
 def ring_graph(n_nodes, d):
@@ -267,75 +262,63 @@ def _stack_of(data, n_nodes):
     return stack
 
 
-def _descent(graph, data, lam, tau):
-    """The descent half-step as a map on node-major arrays, its inputs
-    checked once.
-
-    Returns (descend, keep).  With h = tau/2 per node,
-    descend(X, L) = S_{lam h}[L - h K(X) - h phi], where K(X) holds the
-    products A_v'(A_v x_v), one batched product over the nodes' RowStack,
-    and keep = (1 - tau mu)/2 per node with mu the stack's ridge.  The
-    descent half-step x_v <- S_{lam h_v}[(x_v + cbar_v - tau_v (Q_v x_v +
-    phi_v)) / 2], cbar_v the neighborhood mean of C, is then
-    descend(X, W C / 2 + keep X).
-    """
-    stack = _stack_of(data, graph.n_nodes)
-    if not 0.0 < lam < np.inf:
-        raise ValueError(f"lam must be finite and positive, got {lam}")
-    h = _as_node_tau(tau, graph.n_nodes).reshape(-1, 1) / 2.0
-    b = h * np.array([nd.phi for nd in data])
-    thr = lam * h
-
-    def descend(X, L):
-        return _shrink(L - stack.products(X, h) - b, thr)
-
-    return descend, 0.5 - h * stack.mu
-
-
 class OdistaRound:
     """Odista round on one slice, stepped in half-steps on node-major rows.
 
-    :meth:`start` checks the inputs and builds the descent map and the pair
-    map M = (W2 + diag(1 - tau_v mu)) / 2 once.  Half-steps count from
-    :meth:`start`, even ones communicate and odd ones descend.  A
-    communication is carried out with the descent that follows it, as one
-    map X <- descend(X, M X), and :meth:`state` takes C = W X from the X of
-    the last communication; so a round stepped in chunks split anywhere is
-    bitwise the round stepped once by their sum.
+    :meth:`start` checks the inputs and builds h = tau/2 per node, b = h phi,
+    the thresholds lam h and the pair map M = W2/2 + diag(1/2 - h mu), mu the
+    stack's ridge, once.  Half-steps count from :meth:`start`, even ones
+    communicate and odd ones descend.  Each descent runs with the
+    communication before it as one map X <- S_{lam h}[M X - h K(X) - b],
+    K(X) the batched products A_v'(A_v x_v): that is x_v <- S_{lam h_v}[(x_v
+    + cbar_v - tau_v (Q_v x_v + phi_v)) / 2], cbar_v the neighborhood mean
+    of C = W X.  A communication not yet followed by its descent leaves X as
+    it is, so a round stepped in chunks split anywhere is bitwise the round
+    stepped once by their sum.
     """
 
-    __slots__ = ("graph", "lam", "X", "_last_even", "_done", "_descend", "_M")
+    __slots__ = ("graph", "lam", "X", "_done", "_stack", "_h", "_b", "_thr",
+                 "_M")
 
     def __init__(self, graph, lam):
         self.graph, self.lam = graph, lam
 
     def start(self, data, tau, state):
-        self._descend, keep = _descent(self.graph, data, self.lam, tau)
-        self._M = 0.5 * self.graph.W2 + np.diag(keep[:, 0])
-        self.X = self._last_even = _transposed(state.X)
+        n_nodes = self.graph.n_nodes
+        stack = _stack_of(data, n_nodes)
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
+        if state.X.shape != (stack.A.shape[2], n_nodes):
+            raise ValueError(f"state X {state.X.shape} is not (n, |V|)")
+        h = _as_node_tau(tau, n_nodes).reshape(-1, 1) / 2.0
+        self._stack, self._h = stack, h
+        self._b = h * np.array([nd.phi for nd in data])
+        self._thr = self.lam * h
+        self._M = 0.5 * self.graph.W2 + np.diag(0.5 - h[:, 0] * stack.mu)
+        self.X = _transposed(state.X)
         self._done = 0
         return self
 
     def step(self, k):
-        X, last_even = self.X, self._last_even
-        descend, M = self._descend, self._M
+        X, M, stack, h, b, thr = (self.X, self._M, self._stack, self._h,
+                                  self._b, self._thr)
         for _ in range((self._done + k) // 2 - self._done // 2):
-            last_even, X = X, descend(X, M @ X)
-        self.X, self._last_even = X, last_even
+            X = _shrink(M @ X - stack.products(X, h) - b, thr)
+        self.X = X
         self._done += k
         return self
 
     def state(self):
-        C = self.graph.W @ (self.X if self._done % 2 else self._last_even)
-        return NetworkState(_transposed(self.X), _transposed(C))
+        return NetworkState(_transposed(self.X))
 
 
 def odista_round(state, graph, data, lam, tau, r):
     """One online round: r half-steps of :class:`OdistaRound`.
 
-    The round always opens with a communication half-step, so C is refreshed
-    from the carried X before any descent reads it (the carried C is never
-    read); r = 2 is exactly one communication followed by one descent.  X is
+    The round opens with a communication half-step, which refreshes C from
+    the carried X before any descent reads it; r = 2 is exactly one
+    communication followed by one descent.  An odd r ends on a communication,
+    whose C no descent reads, so the round returns the X of r - 1.  X is
     carried node-major, transposed once on the way in and out.  The iterates
     agree with the literal per-node half-steps to 1e-12 relative.
     """

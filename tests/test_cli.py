@@ -268,6 +268,44 @@ def test_nodes_is_refused_on_rss(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nodes_the_ring_cannot_use_are_refused(tmp_path, capsys):
+    # the ring needs three nodes, and exp1's 12-row blocks feed at most 12;
+    # a node count is refused even where odista does not play
+    for alg, nodes, err in (("odista", "2", "degree 3 infeasible on 2 nodes"),
+                            ("odr,odista", "13",
+                             "block of 12 rows cannot feed 13 nodes"),
+                            ("odr", "0", "degree 3 infeasible on 0 nodes")):
+        out = tmp_path / f"out_{nodes}"
+        for argv in (["run", "--alg", alg, "--r", "2", "--out", str(out)],
+                     ["check"]):
+            assert run_cli(*argv, "--scenario", "exp1", "--nodes", nodes) == 1
+            assert (f"error: --nodes {nodes}: {err}"
+                    in capsys.readouterr().err)
+        assert not out.exists()
+
+
+def test_run_refuses_the_default_ring_when_odista_cannot_use_it(tmp_path,
+                                                                capsys):
+    # three rows a block cannot feed the default four nodes; odr needs none
+    cfg = write_cfg(tmp_path, "blocks = 4\nm = 3\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", "synthetic", "--alg", "odista",
+                   "--config", cfg, "--out", str(out)) == 1
+    assert ("error: --nodes 4: block of 3 rows cannot feed 4 nodes"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert run_cli("run", "--scenario", "synthetic", "--alg", "odr",
+                   "--config", cfg, "--out", str(out)) == 0
+
+
+def test_run_plays_odista_on_a_ring_of_three(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", "synthetic", "--alg", "odista",
+                   "--config", write_cfg(tmp_path, "blocks = 6\n"),
+                   "--nodes", "3", "--r", "2", "--out", str(out)) == 0
+    assert len(read_csv(out / "trace_odista_0.csv")["t"]) == 6
+
+
 def test_run_common_random_toggle(tmp_path):
     cfg = write_cfg(tmp_path, "blocks = 8\nn = 8\nm = 5\n")
     out_on = tmp_path / "on"

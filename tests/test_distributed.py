@@ -157,34 +157,36 @@ def test_graph_validation():
 # Half-steps
 # ---------------------------------------------------------------------------
 
+def local_means(g, X):
+    """The communication half-step's C: W times the node-major rows of X,
+    handed back as (n, |V|) columns."""
+    return (g.W @ X.T).T
+
+
 def test_local_mean_consensus_fixed_point():
     g = ring4()
     c = np.array([1.0, -2.0, 0.5])
     X = np.tile(c[:, None], (1, 4))
-    state = NetworkState(X, np.zeros_like(X))
-    out = odista_round(state, g, identity_nodes(3, 4), 0.5, 0.1, 1)
+    C = local_means(g, X)
     for v in range(4):
-        np.testing.assert_allclose(out.C[:, v], c)
+        np.testing.assert_allclose(C[:, v], c)
 
 
 def test_local_mean_two_node_complete():
     g = ring_graph(2, 2)
-    X = np.array([[0.0, 2.0]])
-    state = NetworkState(X, np.zeros_like(X))
-    out = odista_round(state, g, identity_nodes(1, 2), 0.5, 0.1, 1)
+    C = local_means(g, np.array([[0.0, 2.0]]))
     for v in range(2):
-        np.testing.assert_allclose(out.C[:, v], [1.0])
+        np.testing.assert_allclose(C[:, v], [1.0])
 
 
 def test_local_mean_matches_direct_summation():
     g = ring4()
     rng = np.random.default_rng(30)
     X = rng.standard_normal((5, 4))
-    state = NetworkState(X, np.zeros_like(X))
-    out = odista_round(state, g, random_node_data(rng, 5, 4), 0.2, 0.05, 1)
+    C = local_means(g, X)
     for v in range(4):
         assert_relatively_close(
-            out.C[:, v], mean_of_columns(X, list(g.neighbors[v])), X)
+            C[:, v], mean_of_columns(X, list(g.neighbors[v])), X)
 
 
 def test_local_mean_rejects_bad_node():
@@ -193,6 +195,10 @@ def test_local_mean_rejects_bad_node():
     with pytest.raises((IndexError, ValueError)):
         odista_round(NetworkState.zeros(2, 10), g, identity_nodes(2, 4),
                      0.5, 0.1, 1)
+    # and one of dimension 3 for nodes of dimension 2
+    with pytest.raises(ValueError, match=r"not \(n, \|V\|\)"):
+        odista_round(NetworkState.zeros(3, 4), g, identity_nodes(2, 4),
+                     0.5, 0.1, 1)
 
 
 def test_even_step_consensus_and_x_unchanged():
@@ -200,22 +206,19 @@ def test_even_step_consensus_and_x_unchanged():
     rng = np.random.default_rng(31)
     c = rng.standard_normal(3)
     X = np.tile(c[:, None], (1, 4))
-    state = NetworkState(X, rng.standard_normal((3, 4)))
+    state = NetworkState(X)
     out = odista_round(state, g, identity_nodes(3, 4), 0.5, 0.1, 1)
     # averaging identical columns is exact only up to rounding
-    np.testing.assert_allclose(out.C, X, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(local_means(g, X), X, rtol=0.0, atol=1e-15)
     np.testing.assert_array_equal(out.X, state.X)
 
 
 def test_even_step_matches_direct_means():
     g = ring4()
     rng = np.random.default_rng(32)
-    state = NetworkState(rng.standard_normal((5, 4)), np.zeros((5, 4)))
-    out = odista_round(state, g, random_node_data(rng, 5, 4), 0.2, 0.05, 1)
-    for v in range(4):
-        assert_relatively_close(
-            out.C[:, v], mean_of_columns(state.X, list(g.neighbors[v])),
-            state.X)
+    X = rng.standard_normal((5, 4))
+    assert_relatively_close(local_means(g, X),
+                            column_local_means(X, neighbor_lists(g)), X)
 
 
 def test_odd_step_zero_fixed_point_without_linear_terms():
@@ -241,7 +244,7 @@ def test_odd_step_matches_literal_transcription():
     g = ring4()
     rng = np.random.default_rng(33)
     data = random_node_data(rng, 5, 4)
-    state = NetworkState(rng.standard_normal((5, 4)), rng.standard_normal((5, 4)))
+    state = NetworkState(rng.standard_normal((5, 4)))
     taus = [0.05, 0.08, 0.03, 0.06]
     # a pair communicates C = means of X, then descends from it
     out = odista_round(state, g, data, lam=0.2, tau=taus, r=2)
@@ -249,10 +252,7 @@ def test_odd_step_matches_literal_transcription():
     ref = direct_odd_step(state.X, C, neighbor_lists(g),
                           [nd.Q for nd in data], [nd.phi for nd in data],
                           0.2, taus)
-    assert_relatively_close(out.X, ref, state.X, state.C)
-    # the descent leaves the communicated C as it is
-    np.testing.assert_array_equal(
-        out.C, odista_round(state, g, data, lam=0.2, tau=taus, r=1).C)
+    assert_relatively_close(out.X, ref, state.X)
 
 
 def test_odd_step_synchronous_reads_pre_step_state():
@@ -262,7 +262,7 @@ def test_odd_step_synchronous_reads_pre_step_state():
     g = ring4()
     rng = np.random.default_rng(34)
     data = random_node_data(rng, 4, 4)
-    state = NetworkState(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
+    state = NetworkState(rng.standard_normal((4, 4)))
     tau = 0.07
     out = odista_round(state, g, data, lam=0.3, tau=tau, r=2)
     C = column_local_means(state.X, neighbor_lists(g))
@@ -272,29 +272,23 @@ def test_odd_step_synchronous_reads_pre_step_state():
         cbar = mean_of_columns(C, list(g.neighbors[v]))
         arg = (x + cbar - tau * (data[v].Q @ x) - tau * data[v].phi) / 2.0
         X_rev[:, v] = soft_vector(arg, 0.3 * tau / 2.0)
-    assert_relatively_close(out.X, X_rev, state.X, state.C)
+    assert_relatively_close(out.X, X_rev, state.X)
 
 
 def test_round_opens_with_communication():
     g = ring4()
     rng = np.random.default_rng(35)
     data = random_node_data(rng, 4, 4)
-    state = NetworkState(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
+    state = NetworkState(rng.standard_normal((4, 4)))
     out = odista_round(state, g, data, lam=0.2, tau=0.05, r=1)
     np.testing.assert_array_equal(out.X, state.X)
-    # the carried C is never read: C is the means of the carried X
-    other = NetworkState(state.X, rng.standard_normal((4, 4)))
-    np.testing.assert_array_equal(
-        out.C, odista_round(other, g, data, lam=0.2, tau=0.05, r=1).C)
-    assert_relatively_close(
-        out.C, column_local_means(state.X, neighbor_lists(g)), state.X)
 
 
 def test_round_of_two_is_even_then_odd():
     g = ring4()
     rng = np.random.default_rng(36)
     data = random_node_data(rng, 4, 4)
-    state = NetworkState(rng.standard_normal((4, 4)), rng.standard_normal((4, 4)))
+    state = NetworkState(rng.standard_normal((4, 4)))
     out = odista_round(state, g, data, lam=0.2, tau=0.05, r=2)
     C = column_local_means(state.X, neighbor_lists(g))
     ref = direct_odd_step(state.X, C, neighbor_lists(g),
@@ -302,8 +296,6 @@ def test_round_of_two_is_even_then_odd():
                           0.2, [0.05] * 4)
     # the round reads W2 X where the literal steps fold the means twice
     assert_relatively_close(out.X, ref, state.X)
-    np.testing.assert_array_equal(
-        out.C, odista_round(state, g, data, lam=0.2, tau=0.05, r=1).C)
     with pytest.raises(ValueError):
         odista_round(state, g, data, lam=0.2, tau=0.05, r=0)
 
@@ -312,7 +304,7 @@ def test_half_steps_reject_non_finite_or_non_positive_steps_and_weights():
     g = ring4()
     rng = np.random.default_rng(47)
     data = random_node_data(rng, 3, 4)
-    state = NetworkState(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
+    state = NetworkState(rng.standard_normal((3, 4)))
     rounds = [lambda lam, tau: odista_round(state, g, data, lam, tau, 4),
               lambda lam, tau: odista_round(state, g, data, lam, tau, 1),
               lambda lam, tau: odista_round(state, g, data, lam, tau, 2)]
@@ -342,7 +334,7 @@ def test_node_lists_out_of_partition_order_are_refused():
     g = ring4()
     rng = np.random.default_rng(48)
     data = random_node_data(rng, 3, 4)
-    state = NetworkState(rng.standard_normal((3, 4)), np.zeros((3, 4)))
+    state = NetworkState(rng.standard_normal((3, 4)))
     for call in node_data_callers(g, state):
         call(data)
         with pytest.raises(ValueError, match="in order"):
@@ -357,7 +349,7 @@ def test_node_lists_mixing_two_partitions_are_refused():
     # the same rows dealt twice: equal node data from two stacks
     data = nodes_from_rows(rows, ys, 0.05)
     twin = nodes_from_rows(rows, ys, 0.05)
-    state = NetworkState(rng.standard_normal((3, 4)), np.zeros((3, 4)))
+    state = NetworkState(rng.standard_normal((3, 4)))
     for call in node_data_callers(g, state):
         call(twin)
         with pytest.raises(ValueError, match="in order"):
@@ -368,13 +360,13 @@ def test_short_node_lists_are_refused():
     g = ring4()
     rng = np.random.default_rng(50)
     data = random_node_data(rng, 3, 4)
-    state = NetworkState(rng.standard_normal((3, 4)), np.zeros((3, 4)))
+    state = NetworkState(rng.standard_normal((3, 4)))
     for call in node_data_callers(g, state):
         with pytest.raises(ValueError):
             call(data[:3])
     # three nodes of a four-node partition on a three-node graph
     g3 = ring_graph(3, 3)
-    state3 = NetworkState(state.X[:, :3], state.C[:, :3])
+    state3 = NetworkState(state.X[:, :3])
     for call in node_data_callers(g3, state3):
         with pytest.raises(ValueError, match="in order"):
             call(data[:3])
@@ -494,7 +486,6 @@ def test_odista_step_timer_runs_a_descent_half_step():
         ref = odista_round(NetworkState.zeros(5, 4), g, data, 0.01, 0.1,
                            calls * ODISTA_TIMED_HALF_STEPS)
         np.testing.assert_array_equal(got.X, ref.X)
-        np.testing.assert_array_equal(got.C, ref.C)
 
 
 def test_theta_tau_values():
@@ -520,7 +511,8 @@ def test_consensus_problem_aggregates_node_data():
 
 
 def test_network_state_validation():
-    with pytest.raises(ValueError):
-        NetworkState(np.zeros((2, 3)), np.zeros((2, 4)))
+    for X in (np.zeros(3), np.zeros((2, 3, 4))):
+        with pytest.raises(ValueError, match="2-d"):
+            NetworkState(X)
     s = NetworkState.zeros(3, 5)
-    assert s.X.shape == (3, 5) and s.C.shape == (3, 5)
+    assert s.X.shape == (3, 5) and s.X.flags.c_contiguous

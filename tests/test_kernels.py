@@ -13,7 +13,8 @@ W2 = W @ W; they are held to the literal left folds and to the column-major
 round within 1e-12 relative.  Node data comes only from a row partition,
 and the dense (Q_v, phi_v) of its spec are the literal references.  A
 prepared round stepped in chunks is the
-one-shot round at their sum, bitwise, and each call of a step timer
+one-shot round at their sum, bitwise, a round that ends on a communication
+is bitwise the round one half-step shorter, and each call of a step timer
 advances its round by exactly one iteration.
 """
 
@@ -210,13 +211,11 @@ def test_batched_means_are_left_folds_on_irregular_graphs(seed, rows, n_nodes,
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n_nodes, max_degree)
     X = rng.standard_normal((rows, n_nodes))
-    data = node_partition(random_block(rng, n_nodes, rows), n_nodes)
-    # one half-step is one communication
-    out = odista_round(NetworkState(X, np.zeros_like(X)), g, data, 0.1, 0.05,
-                       1)
+    # a communication's C is W times the node-major rows of X
+    C = (g.W @ X.T).T
     for v in range(n_nodes):
         ref = mean_of_columns(X, list(g.neighbors[v]))
-        assert_relatively_close(out.C[:, v], ref, X)
+        assert_relatively_close(C[:, v], ref, X)
 
 
 @SETTINGS
@@ -235,15 +234,12 @@ def test_descent_matches_literal_transcription_on_irregular_graphs(
     Qs, phis = dense_nodes(block, n_nodes)
     taus = rng.uniform(0.01, 0.2, n_nodes)
     X = rng.standard_normal((rows, n_nodes))
-    C = rng.standard_normal((rows, n_nodes))
     # a pair of half-steps carried on arrays is the two literal steps
-    pair = odista_round(NetworkState(X, C), g, data, lam, taus, 2)
+    pair = odista_round(NetworkState(X), g, data, lam, taus, 2)
     neighbor_lists = [list(a) for a in g.neighbors]
     ref = direct_odd_step(X, column_local_means(X, neighbor_lists),
                           neighbor_lists, Qs, phis, lam, taus)
-    assert_relatively_close(pair.X, ref, X, C)
-    np.testing.assert_array_equal(
-        pair.C, odista_round(NetworkState(X, C), g, data, lam, taus, 1).C)
+    assert_relatively_close(pair.X, ref, X)
 
 
 def random_block(rng, m, n):
@@ -283,8 +279,7 @@ def test_factored_descent_matches_dense_node_data(seed, n, n_nodes, extra_rows,
     eigs = [np.linalg.eigvalsh(Q) for Q in Qs]
     taus = np.array([step / e[-1] for e in eigs])
     X = rng.standard_normal((n, n_nodes))
-    C = rng.standard_normal((n, n_nodes))
-    state = NetworkState(X, C)
+    state = NetworkState(X)
     neighbor_lists = [list(a) for a in g.neighbors]
     # the node operators answer from their own form: eigenvalues of the
     # k_v x k_v Gram matrix, A_v'(A_v x) + mu_v x
@@ -302,13 +297,12 @@ def test_factored_descent_matches_dense_node_data(seed, n, n_nodes, extra_rows,
     pair = odista_round(state, g, factored, lam, taus, 2)
     assert_relatively_close(
         pair.X, direct_odd_step(X, column_local_means(X, neighbor_lists),
-                                neighbor_lists, Qs, phis, lam, taus), X, C)
+                                neighbor_lists, Qs, phis, lam, taus), X)
     out = odista_round(state, g, factored, lam, taus, r)
-    ref_X, ref_C = column_odista_round(X, neighbor_lists,
-                                       dense_column_products(Qs), phis, lam,
-                                       taus, r)
-    assert_relatively_close(out.X, ref_X, X, C)
-    assert_relatively_close(out.C, ref_C, X, C)
+    ref_X, _ = column_odista_round(X, neighbor_lists,
+                                   dense_column_products(Qs), phis, lam,
+                                   taus, r)
+    assert_relatively_close(out.X, ref_X, X)
     if n_nodes > 1:
         # the same nodes in another order are not one partition
         with pytest.raises(ValueError, match="in order"):
@@ -325,8 +319,7 @@ def column_round(state, graph, data, lam, taus, r):
 
 
 def assert_column_layout(state, n, n_nodes):
-    for M in (state.X, state.C):
-        assert M.shape == (n, n_nodes) and M.flags.c_contiguous
+    assert state.X.shape == (n, n_nodes) and state.X.flags.c_contiguous
 
 
 @SETTINGS
@@ -346,13 +339,11 @@ def test_node_major_round_is_the_column_major_round(
     g = random_graph(rng, n_nodes, max_degree)
     data = node_partition(block, n_nodes)
     taus = np.array([step / nd.lambda_max for nd in data])
-    state = NetworkState(rng.standard_normal((n, n_nodes)),
-                         rng.standard_normal((n, n_nodes)))
+    state = NetworkState(rng.standard_normal((n, n_nodes)))
     out = odista_round(state, g, data, lam, taus, r)
-    X, C = column_round(state, g, data, lam, taus, r)
+    X, _ = column_round(state, g, data, lam, taus, r)
     assert_column_layout(out, n, n_nodes)
-    assert_relatively_close(out.X, X, state.X, state.C)
-    assert_relatively_close(out.C, C, state.X, state.C)
+    assert_relatively_close(out.X, X, state.X)
 
 
 @pytest.mark.parametrize("r", [7, 30])
@@ -374,11 +365,10 @@ def test_rss_shaped_rounds_and_actions_are_the_column_major_ones(r):
         # the action is the network average of the (n, |V|) C-contiguous X
         # that the round returned
         np.testing.assert_array_equal(played.actions[t], state.X.mean(axis=1))
-        X, C = column_round(state, g, data, lam, tau, r)
+        X, _ = column_round(state, g, data, lam, tau, r)
         out = odista_round(state, g, data, lam, tau, r)
         assert_column_layout(out, 625, 36)
-        assert_relatively_close(out.X, X, state.X, state.C)
-        assert_relatively_close(out.C, C, state.X, state.C)
+        assert_relatively_close(out.X, X, state.X)
         state = out
     np.testing.assert_array_equal(played.state.X, state.X)
 
@@ -430,8 +420,7 @@ def test_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
     g = random_graph(rng, n_nodes, max_degree)
     data = node_partition(block, n_nodes)
     taus = np.array([step / nd.lambda_max for nd in data])
-    state = NetworkState(rng.standard_normal((n, n_nodes)),
-                         rng.standard_normal((n, n_nodes)))
+    state = NetworkState(rng.standard_normal((n, n_nodes)))
     rnd = OdistaRound(g, lam).start(data, taus, state)
     done = 0
     for k in chunks:
@@ -439,7 +428,6 @@ def test_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
         out = rnd.step(k).state()
         ref = odista_round(state, g, data, lam, taus, done)
         np.testing.assert_array_equal(out.X, ref.X)
-        np.testing.assert_array_equal(out.C, ref.C)
 
 
 @pytest.mark.parametrize("chunks", [[1, 29], [7, 8, 0, 15], [2, 3, 5]])
@@ -452,15 +440,45 @@ def test_rss_shaped_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
                            y=rng.standard_normal(144), lam=0.1, mu=0.05)
     data = node_partition(block, 36)
     tau = odista_taus([block], 36, "per_node")[0]
-    state = NetworkState(rng.standard_normal((625, 36)),
-                         rng.standard_normal((625, 36)))
+    state = NetworkState(rng.standard_normal((625, 36)))
     rnd = OdistaRound(g, 0.1 / 36).start(data, tau, state)
     for k in chunks:
         rnd.step(k)
     out = rnd.state()
     ref = odista_round(state, g, data, 0.1 / 36, tau, sum(chunks))
     np.testing.assert_array_equal(out.X, ref.X)
-    np.testing.assert_array_equal(out.C, ref.C)
+
+
+@pytest.mark.parametrize("shape", ["arx", "rss"])
+def test_a_round_ending_on_a_communication_is_the_round_before_it(shape):
+    # the arx block is 12 rows of 20 taps on the ring of four, the rss
+    # block 144 rows of 625 cells on the 36-sensor graph
+    rng = np.random.default_rng(13)
+    if shape == "arx":
+        g, m, n = ring_graph(4, 3), 12, 20
+    else:
+        cfg = RssConfig()
+        g = radius_graph(sensor_positions(cfg), cfg.comm_radius_m)
+        m, n = 144, 625
+    block = random_block(rng, m, n)
+    data = node_partition(block, g.n_nodes)
+    tau = odista_taus([block], g.n_nodes, "per_node")[0]
+    lam = block.lam / g.n_nodes
+    state = NetworkState(rng.standard_normal((n, g.n_nodes)))
+
+    def round_x(r):
+        return odista_round(state, g, data, lam, tau, r).X if r else state.X
+
+    # the communication an odd r ends on leaves X as the r - 1 round left it
+    for r in (1, 3, 5, 7):
+        np.testing.assert_array_equal(round_x(r), round_x(r - 1))
+    # and so does one that ends a chunk of a prepared round
+    rnd = OdistaRound(g, lam).start(data, tau, state)
+    done = 0
+    for k in (3, 2, 4, 1, 1):
+        done += k
+        np.testing.assert_array_equal(rnd.step(k).state().X,
+                                      round_x(done - done % 2))
 
 
 @SETTINGS
@@ -511,18 +529,16 @@ def test_weight_matrix_and_pair_map_match_the_literal_rounds(
     data = node_partition(block, n_nodes)
     Qs, phis = dense_nodes(block, n_nodes)
     taus = np.array([step / np.linalg.eigvalsh(Q)[-1] for Q in Qs])
-    state = NetworkState(rng.standard_normal((n, n_nodes)),
-                         rng.standard_normal((n, n_nodes)))
+    state = NetworkState(rng.standard_normal((n, n_nodes)))
     stack = data[0].stack
     # the kernel against the column-major round on either product rule
     for products in (stack_column_products(stack.A, stack.AT, stack.mu),
                      dense_column_products(Qs)):
         for r in range(1, 10):
             out = odista_round(state, g, data, lam, taus, r)
-            X, C = column_odista_round(state.X, neighbor_lists, products,
+            X, _ = column_odista_round(state.X, neighbor_lists, products,
                                        phis, lam, taus, r)
-            assert_relatively_close(out.X, X, state.X, state.C)
-            assert_relatively_close(out.C, C, state.X, state.C)
+            assert_relatively_close(out.X, X, state.X)
 
 
 @SETTINGS
