@@ -275,13 +275,20 @@ def soft_threshold(z, beta):
     return _shrink(np.asarray(z, dtype=float), beta)
 
 
-def _shrink(z, beta):
+def _shrink(z, beta, out=None):
     """:func:`soft_threshold` on a float array, without argument checks.
 
     For inner loops that validated their threshold once per round; beta may
-    also be an array broadcast against z.
+    also be an array that broadcasts against z without enlarging it.  The
+    magnitude max(|z| - beta, 0) takes the sign bit of z, in four passes
+    written into out when it is given (out must not overlap z).  That is
+    bitwise sign(z) * max(|z| - beta, 0), except that z = -0.0 maps to -0.0
+    rather than to +0.0, which compares equal to it.
     """
-    return np.sign(z) * np.maximum(np.abs(z) - beta, 0.0)
+    t = np.abs(z, out=out)
+    t = np.subtract(t, beta, out=out)
+    t = np.maximum(t, 0.0, out=out)
+    return np.copysign(t, z, out=out)
 
 
 def prox_quadratic(z, problem):

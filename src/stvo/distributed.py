@@ -100,31 +100,32 @@ def node_rows(m, n_nodes):
 def padded_rows(data, n_nodes):
     """The rows :func:`node_rows` deals each node, stacked and zero-padded.
 
-    Returns (rows, A, AT): A is (|V|, k_max, n) with node v's rows A_v on
-    top of slab v and zero rows below where it has fewer than k_max (zero
-    rows add exactly nothing), AT its contiguous transpose.
+    Returns (rows, A): A is (|V|, k_max, n) with node v's rows A_v on top
+    of slab v and zero rows below where it has fewer than k_max (zero rows
+    add exactly nothing).
     """
     rows = node_rows(data.m, n_nodes)
     A = np.zeros((n_nodes, rows[0].size, data.n))
     for v, idx in enumerate(rows):
         A[v, :idx.size] = data.A[idx]
-    return rows, A, np.ascontiguousarray(A.transpose(0, 2, 1))
+    return rows, A
 
 
 class RowStack:
     """Row blocks of one partition's nodes, stacked once and shared.
 
-    rows, A and AT are the :func:`padded_rows` of the block and mu the ridge
+    rows and A are the :func:`padded_rows` of the block and mu the ridge
     each node adds, so the Gram parts A_v'(A_v x_v) of every node's
-    Q_v x_v = A_v'(A_v x_v) + mu x_v come from one batched matmul pair.
-    ops[v] is node v's operator, the :meth:`~stvo.core.SliceOperator.gram`
-    of its unpadded slab.
+    Q_v x_v = A_v'(A_v x_v) + mu x_v come from one batched matmul pair over
+    A, the second one on row vectors, (A_v x_v)' A_v.  ops[v] is node v's
+    operator, the :meth:`~stvo.core.SliceOperator.gram` of its unpadded
+    slab.
     """
 
-    __slots__ = ("A", "AT", "rows", "mu", "ops")
+    __slots__ = ("A", "rows", "mu", "ops")
 
     def __init__(self, data, n_nodes):
-        self.rows, self.A, self.AT = padded_rows(data, n_nodes)
+        self.rows, self.A = padded_rows(data, n_nodes)
         self.mu = data.mu / n_nodes
         self.ops = [SliceOperator.gram(self.A[v, :idx.size], self.mu)
                     for v, idx in enumerate(self.rows)]
@@ -133,12 +134,6 @@ class RowStack:
         """The nodes of a slice with measurements y: phi_v = -A_v'y_v."""
         return [NodeData(op, -self.A[v, :idx.size].T @ y[idx], self)
                 for v, (op, idx) in enumerate(zip(self.ops, self.rows))]
-
-    def products(self, X, h):
-        """Row v of the result is h_v A_v'(A_v x_v), x_v row v of the
-        node-major X and h a (|V|, 1) column; h scales the small (|V|, k_max)
-        intermediate A_v x_v, and the ridge term is the caller's."""
-        return (self.AT @ (h[:, :, None] * (self.A @ X[:, :, None])))[:, :, 0]
 
 
 class NodeData:
@@ -234,17 +229,19 @@ def radius_graph(positions, radius):
 
 
 def _transposed(M):
-    """M.T as a C-contiguous copy: (n, |V|) columns to node-major rows and
-    back.  A transposed view would not do: reductions over it, such as the
-    network average X.mean(axis=1), sum in another order."""
-    return np.ascontiguousarray(M.T)
+    """M.T as a new C-contiguous array: (n, |V|) columns to node-major rows
+    and back.  A transposed view would not do: reductions over it, such as
+    the network average X.mean(axis=1), sum in another order.  It is a copy
+    even where M.T is already contiguous (n = 1 or |V| = 1), so a round
+    never shares memory with its caller's state or with one it hands back."""
+    return M.T.copy()
 
 
 def _as_node_tau(tau, n_nodes):
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (n_nodes,):
         tau = np.broadcast_to(tau, (n_nodes,))
-    if not (tau.min() > 0 and tau.max() < np.inf):
+    if not (np.minimum.reduce(tau) > 0 and np.maximum.reduce(tau) < np.inf):
         raise ValueError("all step sizes must be finite and positive")
     return tau
 
@@ -275,10 +272,19 @@ class OdistaRound:
     of C = W X.  A communication not yet followed by its descent leaves X as
     it is, so a round stepped in chunks split anywhere is bitwise the round
     stepped once by their sum.
+
+    A pair allocates nothing of the size of X: :meth:`start` makes the
+    scratch arrays for M X and for the (|V|, k_max) products A_v x_v once,
+    and a pair reads X into them and then writes the Gram part and the
+    shrink over X in place.  The Gram part h_v A_v'(A_v x_v) is the row
+    vector (h_v A_v x_v)' A_v.  So X is live: it is the round's own buffer,
+    which a later :meth:`step` overwrites, and :meth:`state` hands back a
+    copy.  :meth:`start` copies the state it is given, so a round never
+    writes into a caller's array.
     """
 
-    __slots__ = ("graph", "lam", "X", "_done", "_stack", "_h", "_b", "_thr",
-                 "_M")
+    __slots__ = ("graph", "lam", "X", "_done", "_A", "_h", "_b", "_thr",
+                 "_M", "_MX", "_AX")
 
     def __init__(self, graph, lam):
         self.graph, self.lam = graph, lam
@@ -291,20 +297,32 @@ class OdistaRound:
         if state.X.shape != (stack.A.shape[2], n_nodes):
             raise ValueError(f"state X {state.X.shape} is not (n, |V|)")
         h = _as_node_tau(tau, n_nodes).reshape(-1, 1) / 2.0
-        self._stack, self._h = stack, h
-        self._b = h * np.array([nd.phi for nd in data])
-        self._thr = self.lam * h
+        self._A, self._h = stack.A, h[:, :, None]
+        self._b = np.array([nd.phi for nd in data])
+        self._b *= h
         self._M = 0.5 * self.graph.W2 + np.diag(0.5 - h[:, 0] * stack.mu)
         self.X = _transposed(state.X)
+        self._MX = np.empty_like(self.X)
+        # the thresholds spelled out to X's shape: a ufunc that broadcasts a
+        # column over rows of X takes an iteration buffer on every call
+        self._thr = np.multiply(self.lam, h, out=np.empty_like(self.X))
+        self._AX = np.empty((n_nodes, stack.A.shape[1], 1))
         self._done = 0
         return self
 
     def step(self, k):
-        X, M, stack, h, b, thr = (self.X, self._M, self._stack, self._h,
-                                  self._b, self._thr)
+        X, MX, AX = self.X, self._MX, self._AX
+        A, M, h, b, thr = self._A, self._M, self._h, self._b, self._thr
+        X_col, X_row = X[:, :, None], X[:, None, :]
+        AX_row = AX.reshape(AX.shape[0], 1, AX.shape[1])
         for _ in range((self._done + k) // 2 - self._done // 2):
-            X = _shrink(M @ X - stack.products(X, h) - b, thr)
-        self.X = X
+            np.matmul(A, X_col, out=AX)
+            np.multiply(h, AX, out=AX)
+            np.matmul(M, X, out=MX)
+            np.matmul(AX_row, A, out=X_row)
+            np.subtract(MX, X, out=MX)
+            np.subtract(MX, b, out=MX)
+            _shrink(MX, thr, out=X)
         self._done += k
         return self
 

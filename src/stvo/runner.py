@@ -90,8 +90,9 @@ def odista_taus(blocks, n_nodes, rule):
         raise ValueError(f"unknown step-size rule {rule!r}")
     taus = []
     for run in _shared_runs(blocks):
-        _, A, AT = padded_rows(run[0], n_nodes)
-        norms = np.linalg.eigvalsh(A @ AT)[:, -1]
+        _, A = padded_rows(run[0], n_nodes)
+        norms = np.linalg.eigvalsh(
+            A @ np.ascontiguousarray(A.transpose(0, 2, 1)))[:, -1]
         if rule == "uniform_min":
             tau = np.full(n_nodes, 1.0 / float(np.max(norms)))
         else:

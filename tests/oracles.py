@@ -238,7 +238,8 @@ def column_odista_round(X, neighbor_lists, products, phis, lam, taus, r):
     return X, C
 
 
-def stack_column_products(A, AT, mu):
+def stack_column_products(A, mu):
     """Column v of products(X) is A_v'(A_v x_v) + mu x_v, one batched
     matmul pair over the padded (|V|, k_max, n) rows A and their transpose."""
+    AT = np.ascontiguousarray(A.transpose(0, 2, 1))
     return lambda X: (AT @ (A @ X.T[:, :, None]))[:, :, 0].T + mu * X

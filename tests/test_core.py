@@ -10,6 +10,7 @@ from stvo.core import (
     ContractionConstants,
     ElasticNetData,
     QuadraticL1Problem,
+    _shrink,
     contraction_constants,
     elastic_net_problem,
     objective_value,
@@ -48,6 +49,33 @@ def test_soft_threshold_matches_scalar_branches():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(200) * 3
     np.testing.assert_array_equal(soft_threshold(v, 0.7), soft_vector(v, 0.7))
+
+
+def test_copysign_shrink_is_sign_times_magnitude_bitwise():
+    # sign(z) * max(|z| - beta, 0), sign bit included, except at z = -0.0
+    tiny = np.finfo(float).smallest_subnormal
+    z = np.array([np.inf, -np.inf, 0.7, -0.7, 0.70000001, -0.69999999, tiny,
+                  -tiny, 5 * tiny, -3e-310, 2.5, -1e300, 1e-300])
+    rng = np.random.default_rng(2)
+    z = np.stack([z, rng.standard_normal(z.size), -z])
+    beta = np.array([[0.7], [1e-310], [tiny]])
+
+    def reference(z, beta):
+        return np.sign(z) * np.maximum(np.abs(z) - beta, 0.0)
+
+    for b in (0.7, tiny, beta):
+        want = reference(z, b)
+        for got in (_shrink(z, b), _shrink(z, b, out=np.empty_like(z))):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    out = np.empty_like(z)
+    assert _shrink(z, beta, out=out) is out
+    # a -0.0 input keeps its sign bit, where the product gave +0.0
+    neg_zero = np.array([-0.0, 0.0])
+    got = _shrink(neg_zero, 0.5)
+    np.testing.assert_array_equal(got, reference(neg_zero, 0.5))
+    np.testing.assert_array_equal(np.signbit(got), [True, False])
+    assert not np.signbit(reference(neg_zero, 0.5)).any()
 
 
 def test_soft_threshold_firmly_nonexpansive():

@@ -15,7 +15,9 @@ and the dense (Q_v, phi_v) of its spec are the literal references.  A
 prepared round stepped in chunks is the
 one-shot round at their sum, bitwise, a round that ends on a communication
 is bitwise the round one half-step shorter, and each call of a step timer
-advances its round by exactly one iteration.
+advances its round by exactly one iteration.  An odista round writes into
+neither its caller's state nor a state it handed back, and its pairs
+allocate less than one node-major X.
 """
 
 import tracemalloc
@@ -314,7 +316,7 @@ def column_round(state, graph, data, lam, taus, r):
     stack = data[0].stack
     return column_odista_round(
         state.X, [list(a) for a in graph.neighbors],
-        stack_column_products(stack.A, stack.AT, stack.mu),
+        stack_column_products(stack.A, stack.mu),
         [nd.phi for nd in data], lam, taus, r)
 
 
@@ -449,6 +451,65 @@ def test_rss_shaped_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
     np.testing.assert_array_equal(out.X, ref.X)
 
 
+def odista_inputs(rng, shape):
+    """Graph, block, node data and step sizes of an odista round: one cell
+    (n = 1) on the ring of four, one node (|V| = 1), or the rss partition,
+    144 rows of 625 cells on the 36-sensor graph."""
+    if shape == "one cell":
+        g, m, n = ring_graph(4, 3), 8, 1
+    elif shape == "one node":
+        g, m, n = ring_graph(1, 1), 3, 5
+    else:
+        cfg = RssConfig()
+        g = radius_graph(sensor_positions(cfg), cfg.comm_radius_m)
+        m, n = 144, 625
+    block = random_block(rng, m, n)
+    data = node_partition(block, g.n_nodes)
+    return g, block, data, odista_taus([block], g.n_nodes, "per_node")[0]
+
+
+# one cell and one node are the shapes whose transposes are already
+# contiguous, so a transposing view would share memory there
+@pytest.mark.parametrize("shape", ["one cell", "one node", "rss"])
+def test_odista_rounds_never_alias_caller_or_returned_states(shape):
+    rng = np.random.default_rng(14)
+    g, block, data, tau = odista_inputs(rng, shape)
+    lam = block.lam / g.n_nodes
+    phis = [nd.phi.copy() for nd in data]
+    X0 = rng.standard_normal((block.n, g.n_nodes))
+    state = NetworkState(X0.copy())
+    rnd = OdistaRound(g, lam).start(data, tau, state)
+    np.testing.assert_array_equal(state.X, X0)
+    mid = rnd.step(4).state()
+    mid_X = mid.X.copy()
+    end_X = rnd.step(6).state().X
+    # the later steps moved the round, and wrote into none of its inputs
+    # nor into the state it handed back
+    assert not np.array_equal(end_X, mid_X)
+    np.testing.assert_array_equal(state.X, X0)
+    np.testing.assert_array_equal(mid.X, mid_X)
+    for nd, phi in zip(data, phis):
+        np.testing.assert_array_equal(nd.phi, phi)
+    # the one-shot round leaves its input as it is too
+    odista_round(state, g, data, lam, tau, 10)
+    np.testing.assert_array_equal(state.X, X0)
+
+
+def test_rss_odista_pairs_allocate_less_than_one_node_major_array():
+    rng = np.random.default_rng(15)
+    g, block, data, tau = odista_inputs(rng, "rss")
+    rnd = OdistaRound(g, block.lam / 36).start(
+        data, tau, NetworkState(rng.standard_normal((625, 36))))
+    tracemalloc.start()
+    try:
+        rnd.step(20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (|V|, n) array is 36 * 625 doubles, 176 KiB
+    assert peak < 36 * 625 * 8
+
+
 @pytest.mark.parametrize("shape", ["arx", "rss"])
 def test_a_round_ending_on_a_communication_is_the_round_before_it(shape):
     # the arx block is 12 rows of 20 taps on the ring of four, the rss
@@ -532,7 +593,7 @@ def test_weight_matrix_and_pair_map_match_the_literal_rounds(
     state = NetworkState(rng.standard_normal((n, n_nodes)))
     stack = data[0].stack
     # the kernel against the column-major round on either product rule
-    for products in (stack_column_products(stack.A, stack.AT, stack.mu),
+    for products in (stack_column_products(stack.A, stack.mu),
                      dense_column_products(Qs)):
         for r in range(1, 10):
             out = odista_round(state, g, data, lam, taus, r)
@@ -585,7 +646,7 @@ def test_slices_of_one_sensing_matrix_share_the_row_stack():
         assert all(nd.op is op for nd, op in zip(nodes, stack.ops))
         assert all(nd.stack is stack for nd in nodes)
         other = stack.nodes(np.ones(7))[1]
-        assert other.stack.A is stack.A and other.stack.AT is stack.AT
+        assert other.stack.A is stack.A
         # a dense Q read on one slice serves every slice
         assert other.Q is stream[0][1].Q
         for nd, phi in zip(nodes, dense_nodes(blocks[t], 3)[1]):
@@ -653,9 +714,9 @@ def test_rss_sized_partition_forms_no_dense_q_until_read():
         _, peak_q = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the rows and their transpose, 2 * 36 * 4 * 625 doubles
+    # the stack holds the rows alone, 36 * 4 * 625 doubles
     assert peak < dense_bytes
     assert peak_read < dense_bytes
-    assert nodes[0].stack.A.nbytes + nodes[0].stack.AT.nbytes == 2 * 720000
+    assert nodes[0].stack.A.nbytes == 720000
     # tracemalloc sees numpy's buffers: reading Q allocates it
     assert peak_q >= dense_bytes
