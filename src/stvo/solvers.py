@@ -120,6 +120,8 @@ class OdrRound:
     def step(self, k):
         """k iterations u = S_lam(2x - z); z+ = z + 2(u - x);
         x+ = (Q + I)^{-1} (z+ - phi)."""
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         x, z, solve = self.x, self.z, self._solve
         phi, lam = self._phi, self._lam
         for _ in range(k):
@@ -160,6 +162,8 @@ class OistRound:
         return self
 
     def step(self, k):
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         x, tau, thr = self.x, self._tau, self._thr
         matvec, phi = self._matvec, self._phi
         for _ in range(k):

@@ -17,7 +17,9 @@ one-shot round at their sum, bitwise, a round that ends on a communication
 is bitwise the round one half-step shorter, and each call of a step timer
 advances its round by exactly one iteration.  An odista round writes into
 neither its caller's state nor a state it handed back, and its pairs
-allocate less than one node-major X.
+allocate less than one node-major X.  Its lifted pairs, one dense product
+on vec(X), are held to the batched pairs within 1e-12 relative, and a
+round whose pairs never lift is the batched round bitwise.
 """
 
 import tracemalloc
@@ -30,6 +32,8 @@ from hypothesis import strategies as st
 from stvo.core import (ElasticNetData, QuadraticL1Problem, elastic_net_problem,
                        prox_quadratic)
 from stvo.distributed import (
+    LIFT_AFTER,
+    LIFT_MAX,
     Graph,
     NetworkState,
     OdistaRound,
@@ -408,13 +412,23 @@ def test_odr_and_oist_rounds_stepped_in_chunks_are_the_one_shot_rounds(
             oist_round(x0, p, OnlineConfig(r=done, tau=tau)))
 
 
+# chunks of an odista round, each up to 2 LIFT_AFTER + 1 half-steps, so
+# that many lists run a lifted pair and some cross the switch in a chunk
+odista_chunk_lists = st.builds(
+    lambda first, rest: [first] + rest, st.integers(1, 2 * LIFT_AFTER + 1),
+    st.lists(st.integers(0, 2 * LIFT_AFTER + 1), max_size=3))
+
+
 @SETTINGS
 @given(seed=seeds, n=st.integers(1, 12), n_nodes=st.integers(1, 8),
        extra_rows=st.integers(0, 10), max_degree=st.integers(1, 8),
-       lam=lams, chunks=chunk_lists, step=st.floats(0.05, 1.0))
+       lam=lams, chunks=odista_chunk_lists, step=st.floats(0.05, 1.0))
 # odd chunks, so that chunks end on a communication
 @example(seed=0, n=5, n_nodes=3, extra_rows=4, max_degree=2, lam=0.1,
          chunks=[1, 3, 1, 2], step=1.0)
+# odd chunks across the switch: pair LIFT_AFTER runs inside the second one
+@example(seed=0, n=12, n_nodes=5, extra_rows=3, max_degree=3, lam=0.1,
+         chunks=[2 * LIFT_AFTER - 1, 3, 0, 5], step=1.0)
 def test_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
         seed, n, n_nodes, extra_rows, max_degree, lam, chunks, step):
     rng = np.random.default_rng(seed)
@@ -430,6 +444,101 @@ def test_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
         out = rnd.step(k).state()
         ref = odista_round(state, g, data, lam, taus, done)
         np.testing.assert_array_equal(out.X, ref.X)
+        # |V| n <= 96 here, so G exists once a lifted pair has run
+        assert (rnd._lifted is not None) == (done // 2 > LIFT_AFTER)
+
+
+def batched_round(state, graph, data, lam, taus, r):
+    """:func:`odista_round` with every pair in the batched form: rounds of
+    at most LIFT_AFTER pairs, which never lift, chained.  A pair reads X
+    alone, so the chain is the one round of r half-steps."""
+    for _ in range(r // (2 * LIFT_AFTER)):
+        state = odista_round(state, graph, data, lam, taus, 2 * LIFT_AFTER)
+    rest = r % (2 * LIFT_AFTER)
+    return odista_round(state, graph, data, lam, taus, rest) if rest else state
+
+
+@SETTINGS
+@given(seed=seeds, n=st.integers(1, 12), n_nodes=st.integers(1, 12),
+       extra_rows=st.integers(0, 10), max_degree=st.integers(1, 12),
+       lam=lams, r=st.integers(1, 6 * LIFT_AFTER + 1),
+       step=st.floats(0.05, 1.0))
+# the first odd r that runs a lifted pair, and the last that runs none
+@example(seed=0, n=12, n_nodes=12, extra_rows=2, max_degree=5, lam=0.1,
+         r=2 * LIFT_AFTER + 3, step=1.0)
+@example(seed=0, n=12, n_nodes=12, extra_rows=2, max_degree=5, lam=0.1,
+         r=2 * LIFT_AFTER + 1, step=1.0)
+def test_lifted_rounds_are_the_batched_rounds(
+        seed, n, n_nodes, extra_rows, max_degree, lam, r, step):
+    # irregular graphs, per-node steps, |V| n <= 144 <= LIFT_MAX
+    rng = np.random.default_rng(seed)
+    block = random_block(rng, n_nodes + extra_rows, n)
+    g = random_graph(rng, n_nodes, max_degree)
+    data = node_partition(block, n_nodes)
+    taus = np.array([step / nd.lambda_max for nd in data])
+    state = NetworkState(rng.standard_normal((n, n_nodes)))
+    out = odista_round(state, g, data, lam, taus, r)
+    ref = batched_round(state, g, data, lam, taus, r)
+    if r // 2 <= LIFT_AFTER:
+        np.testing.assert_array_equal(out.X, ref.X)
+    else:
+        assert_relatively_close(out.X, ref.X, state.X)
+
+
+# a ring of four with 40 taps is LIFT_MAX cells, a ring of seven with 23
+# one more
+@pytest.mark.parametrize("n_nodes, n", [(4, 40), (7, 23), (1, 160), (1, 161)])
+def test_rounds_lift_only_after_lift_after_pairs_on_at_most_lift_max_cells(
+        n_nodes, n):
+    assert {4 * 40, 7 * 23} == {LIFT_MAX, LIFT_MAX + 1}
+    rng = np.random.default_rng(16)
+    g = ring_graph(n_nodes, min(3, n_nodes))
+    block = random_block(rng, 2 * n_nodes, n)
+    data = node_partition(block, n_nodes)
+    tau = odista_taus([block], n_nodes, "per_node")[0]
+    lam = block.lam / n_nodes
+    state = NetworkState(rng.standard_normal((n, n_nodes)))
+    rnd = OdistaRound(g, lam).start(data, tau, state)
+    # a round of LIFT_AFTER pairs, and its trailing communication, builds
+    # no G and is the batched round bitwise
+    for r in (2 * LIFT_AFTER, 2 * LIFT_AFTER + 1):
+        np.testing.assert_array_equal(
+            rnd.step(r - rnd._done).state().X,
+            batched_round(state, g, data, lam, tau, r).X)
+        assert rnd._lifted is None
+    out = rnd.step(3).state()
+    ref = batched_round(state, g, data, lam, tau, 2 * LIFT_AFTER + 4)
+    if n_nodes * n <= LIFT_MAX:
+        assert rnd._lifted is not None
+        assert_relatively_close(out.X, ref.X, state.X)
+    else:
+        assert rnd._lifted is None
+        np.testing.assert_array_equal(out.X, ref.X)
+
+
+def test_prepared_rounds_refuse_a_negative_step():
+    rng = np.random.default_rng(17)
+    block = random_block(rng, 12, 20)
+    p = elastic_net_problem(block)
+    g, data = ring_graph(4, 3), node_partition(block, 4)
+    tau = odista_taus([block], 4, "per_node")[0]
+    state = NetworkState(rng.standard_normal((20, 4)))
+    odr = OdrRound().start(p, consistent_state(p))
+    oist = OistRound().start(p, 0.5 / p.lambda_max, np.zeros(20))
+    odista = OdistaRound(g, 0.025).start(data, tau, state)
+    for rnd in (odr, oist, odista):
+        with pytest.raises(ValueError, match="k must be >= 0, got -3"):
+            rnd.step(-3)
+    # a refused call moves no round: the odista half-step count keeps its
+    # parity, so the next four half-steps are two whole pairs
+    np.testing.assert_array_equal(odr.step(1).state().x,
+                                  dr_step(consistent_state(p), p).x)
+    np.testing.assert_array_equal(
+        oist.step(1).state(),
+        oist_round(np.zeros(20), p, OnlineConfig(r=1, tau=0.5 / p.lambda_max)))
+    np.testing.assert_array_equal(
+        odista.step(4).state().X,
+        odista_round(state, g, data, 0.025, tau, 4).X)
 
 
 @pytest.mark.parametrize("chunks", [[1, 29], [7, 8, 0, 15], [2, 3, 5]])
@@ -453,12 +562,15 @@ def test_rss_shaped_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
 
 def odista_inputs(rng, shape):
     """Graph, block, node data and step sizes of an odista round: one cell
-    (n = 1) on the ring of four, one node (|V| = 1), or the rss partition,
-    144 rows of 625 cells on the 36-sensor graph."""
+    (n = 1) on the ring of four, one node (|V| = 1), the arx partition, 12
+    rows of 20 taps on the ring of four, or the rss partition, 144 rows of
+    625 cells on the 36-sensor graph."""
     if shape == "one cell":
         g, m, n = ring_graph(4, 3), 8, 1
     elif shape == "one node":
         g, m, n = ring_graph(1, 1), 3, 5
+    elif shape == "arx":
+        g, m, n = ring_graph(4, 3), 12, 20
     else:
         cfg = RssConfig()
         g = radius_graph(sensor_positions(cfg), cfg.comm_radius_m)
@@ -469,8 +581,9 @@ def odista_inputs(rng, shape):
 
 
 # one cell and one node are the shapes whose transposes are already
-# contiguous, so a transposing view would share memory there
-@pytest.mark.parametrize("shape", ["one cell", "one node", "rss"])
+# contiguous, so a transposing view would share memory there; the later
+# steps run lifted pairs on all shapes but rss
+@pytest.mark.parametrize("shape", ["one cell", "one node", "arx", "rss"])
 def test_odista_rounds_never_alias_caller_or_returned_states(shape):
     rng = np.random.default_rng(14)
     g, block, data, tau = odista_inputs(rng, shape)
@@ -482,7 +595,7 @@ def test_odista_rounds_never_alias_caller_or_returned_states(shape):
     np.testing.assert_array_equal(state.X, X0)
     mid = rnd.step(4).state()
     mid_X = mid.X.copy()
-    end_X = rnd.step(6).state().X
+    end_X = rnd.step(2 * LIFT_AFTER).state().X
     # the later steps moved the round, and wrote into none of its inputs
     # nor into the state it handed back
     assert not np.array_equal(end_X, mid_X)
@@ -508,6 +621,23 @@ def test_rss_odista_pairs_allocate_less_than_one_node_major_array():
         tracemalloc.stop()
     # one (|V|, n) array is 36 * 625 doubles, 176 KiB
     assert peak < 36 * 625 * 8
+
+
+def test_lifted_odista_pairs_allocate_less_than_one_node_major_array():
+    rng = np.random.default_rng(18)
+    g, block, data, tau = odista_inputs(rng, "arx")
+    rnd = OdistaRound(g, block.lam / 4).start(
+        data, tau, NetworkState(rng.standard_normal((20, 4))))
+    rnd.step(2 * LIFT_AFTER + 2)
+    assert rnd._lifted is not None
+    tracemalloc.start()
+    try:
+        rnd.step(20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (|V|, n) array is 4 * 20 doubles, 640 bytes
+    assert peak < 4 * 20 * 8
 
 
 @pytest.mark.parametrize("shape", ["arx", "rss"])
