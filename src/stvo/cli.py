@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
 numerical routine fails to deliver (oracle divergence, singular data).
-All CSV output is byte-deterministic for a fixed command line: floats are
-written with repr, which round-trips exactly.
+All CSV output is byte-deterministic for a fixed command line and BLAS
+thread count (rss files move by up to 5.3e-15 relative from one thread to
+two): floats are written with repr, which round-trips exactly.
 """
 
 import argparse
@@ -189,12 +190,13 @@ def cmd_run(args):
     n_nodes = network_size(args.scenario, args.nodes, cfg, "odista" in algs)
     regret_on = args.regret == "on" or (args.regret == "auto"
                                         and args.scenario != "rss")
-    out = pathlib.Path(args.out or f"stvo_{args.scenario}")
-    out.mkdir(parents=True, exist_ok=True)
     tables = runner.run_experiment(
         args.scenario, cfg, algs, runs=args.runs, r=args.r, budget_ms=args.t_r,
         seed=args.seed, regret=regret_on, n_nodes=n_nodes,
         tau_rule=args.tau_rule, common_random=args.common_random)
+    # made only once the tables are in memory, so a failed run leaves none
+    out = pathlib.Path(args.out or f"stvo_{args.scenario}")
+    out.mkdir(parents=True, exist_ok=True)
     written = []
     try:
         for table in tables:

@@ -257,7 +257,7 @@ class ContractionConstants:
 def soft_threshold(z, beta):
     """Component-wise soft thresholding, the proximal operator of beta*||.||_1.
 
-    Maps v to v - beta for v > beta, to v + beta for v < -beta and to 0
+    Maps v to v - beta for v > beta, to v + beta for v < -beta and to +0.0
     otherwise.
 
     Parameters
@@ -272,23 +272,22 @@ def soft_threshold(z, beta):
     """
     if not beta > 0:
         raise ValueError(f"threshold must be positive, got {beta}")
-    return _shrink(np.asarray(z, dtype=float), beta)
+    return _shrink(np.asarray(z, dtype=float), -beta, beta)
 
 
-def _shrink(z, beta, out=None):
-    """:func:`soft_threshold` on a float array, without argument checks.
+def _shrink(z, lo, hi, out=None):
+    """z - clip(z, lo, hi): the one soft-threshold kernel, without checks.
 
-    For inner loops that validated their threshold once per round; beta may
-    also be an array that broadcasts against z without enlarging it.  The
-    magnitude max(|z| - beta, 0) takes the sign bit of z, in four passes
-    written into out when it is given (out must not overlap z).  That is
-    bitwise sign(z) * max(|z| - beta, 0), except that z = -0.0 maps to -0.0
-    rather than to +0.0, which compares equal to it.
+    At lo = c - t, hi = c + t it is S_t[z - c] up to rounding; at (-beta,
+    beta) it is :func:`soft_threshold`, bitwise sign(z) max(|z| - beta, 0)
+    outside the band and z - z = +0.0 inside (only z = -0.0 at a bound of
+    +0.0 stays -0.0).  lo <= hi may be arrays that broadcast against z
+    without enlarging it.  Three passes, into out when it is given (out
+    must not overlap z).
     """
-    t = np.abs(z, out=out)
-    t = np.subtract(t, beta, out=out)
-    t = np.maximum(t, 0.0, out=out)
-    return np.copysign(t, z, out=out)
+    out = np.maximum(z, lo, out=out)
+    np.minimum(out, hi, out=out)
+    return np.subtract(z, out, out=out)
 
 
 def prox_quadratic(z, problem):

@@ -20,15 +20,14 @@ each pair as one map of X.  A round transposes X once into contiguous rows
 and hands back an (n, |V|) copy.  These sums run in another order than the
 literal per-node left folds; they agree with them to 1e-12 relative.
 
-A pair takes one of two forms, by one rule in :class:`OdistaRound`: the
-first ``LIFT_AFTER`` = 4 pairs of a round run batched over the node rows,
-and on networks of |V| n <= ``LIFT_MAX`` = 160 cells every later pair runs
-lifted, as one dense (|V| n)^2 product on vec(X).  The constants come from
-a sweep of single pairs recorded at their definition.  Rounds of r < 8
-half-steps, and every rss round (|V| n = 22,500), run batched pairs alone,
-so odista CSVs of exp2 at r = 5 and of rss at r = 30 and 31 are
-byte-identical to the all-batched ones; exp1 at r = 400 runs 196 of its
-200 pairs lifted, and its CSVs move by at most 9.7e-14 relative per cell.
+Each pair is a linear map of X and then the shrink of :mod:`stvo.core`
+against the bounds b -+ lam h that a round makes once.  By one rule in
+:class:`OdistaRound`, the first ``LIFT_AFTER`` = 4 pairs of a round map X
+batched over the node rows, and on networks of |V| n <= ``LIFT_MAX`` = 160
+cells every later pair runs lifted, one dense (|V| n)^2 product on vec(X);
+the sweep behind the constants is recorded at their definition.  Rounds of
+r < 8 half-steps, and every rss round (|V| n = 22,500), run batched pairs
+alone; exp1 at r = 400 runs 196 of its 200 pairs lifted.
 """
 
 import warnings
@@ -271,13 +270,13 @@ def _stack_of(data, n_nodes):
 
 # The form rule of an odista pair.  Before its shrink a pair is linear in
 # the node-major vec(X), x <- S[G x - b] with the lifted pair map
-# G = kron(M, I_n) - blockdiag(h_v A_v'A_v): one (|V| n)^2 gemv and three
-# ufuncs in place of the batched pair's seven matmul and ufunc calls.  A
-# round runs its first LIFT_AFTER pairs batched; if |V| n <= LIFT_MAX, it
-# then builds G once and runs every later pair lifted.  A sweep of single
-# pairs on a ring (2-core VM, BLAS on one thread) put the lifted pair at
-# 0.35 of the batched one at |V| n = 80 (5 against 15 us), 0.5 at 160, 0.7
-# at 224-240 and behind it from 256 on.  Building G costs as much as the
+# G = kron(M, I_n) - blockdiag(h_v A_v'A_v): one (|V| n)^2 gemv in place of
+# the batched pair's five matmul and ufunc calls.  A round runs its first
+# LIFT_AFTER pairs batched; if |V| n <= LIFT_MAX, it then builds G once and
+# runs every later pair lifted.  A sweep of single pairs on a ring (2-core
+# VM, BLAS on one thread, an earlier four-pass shrink) put the lifted pair
+# at 0.35 of the batched one at |V| n = 80 (5 against 15 us), 0.5 at 160,
+# 0.7 at 224-240 and behind it from 256 on.  Building G costs as much as the
 # lifted form saves on 2.4 pairs at |V| n = 80 and on 4.1 at 160.  So a
 # round waits about as many pairs as the build is worth before it makes
 # it, and a round that stops soon after the switch pays at most about
@@ -289,39 +288,39 @@ LIFT_AFTER = 4
 class OdistaRound:
     """Odista round on one slice, stepped in half-steps on node-major rows.
 
-    :meth:`start` checks the inputs and builds h = tau/2 per node, b = h phi,
-    the thresholds lam h and the pair map M = W2/2 + diag(1/2 - h mu), mu the
-    stack's ridge, once.  Half-steps count from :meth:`start`, even ones
-    communicate and odd ones descend.  Each descent runs with the
-    communication before it as one map X <- S_{lam h}[M X - h K(X) - b],
-    K(X) the batched products A_v'(A_v x_v): that is x_v <- S_{lam h_v}[(x_v
-    + cbar_v - tau_v (Q_v x_v + phi_v)) / 2], cbar_v the neighborhood mean
-    of C = W X.  A communication not yet followed by its descent leaves X as
-    it is.
+    :meth:`start` checks the inputs and builds, once, h = tau/2 per node,
+    the pair map M = W2/2 + diag(1/2 - h mu), mu the stack's ridge, and one
+    pair of shrink bounds lo, hi = b -+ lam h with b = h phi.  Half-steps
+    count from :meth:`start`, even ones communicate and odd ones descend.
+    Each descent runs with the communication before it as one map
+    X <- S_{lam h}[M X - h K(X) - b], K(X) the batched products
+    A_v'(A_v x_v): that is x_v <- S_{lam h_v}[(x_v + cbar_v - tau_v (Q_v x_v
+    + phi_v)) / 2], cbar_v the neighborhood mean of C = W X.  A
+    communication not yet followed by its descent leaves X as it is.
 
-    Each pair takes its form from its index in the round alone (the rule at
+    :meth:`step` runs its pairs in one loop.  A pair writes Y = M X - h K(X)
+    (batched) or y = G vec(X) (lifted) into the M X buffer, and then the
+    shrink Y - clip(Y, lo, hi), S_{lam h}[Y - b] with b in the bounds, over
+    X.  It takes its form from its index in the round alone (the rule at
     ``LIFT_MAX`` and ``LIFT_AFTER``): pairs from index LIFT_AFTER on run
-    lifted, as x <- S[G x - b] on vec(X), when |V| n <= LIFT_MAX, and every
-    other pair runs batched.  So a round stepped in chunks split anywhere is
-    bitwise the round stepped once by their sum, and a round of fewer than
-    2 LIFT_AFTER half-steps, or one at |V| n > LIFT_MAX such as rss, runs
-    batched pairs alone.  G is built once, when the round reaches pair
-    LIFT_AFTER.  The lifted product sums in another order than the batched
-    pair; the two agree to 1e-12 relative.
+    lifted when |V| n <= LIFT_MAX.  So a round stepped in chunks split
+    anywhere is bitwise the round stepped once by their sum, and a round of
+    fewer than 2 LIFT_AFTER half-steps, or one at |V| n > LIFT_MAX such as
+    rss, runs batched pairs alone.  G is built once, when the round reaches
+    pair LIFT_AFTER; it sums in another order than the batched pair, and
+    the two agree to 1e-12 relative.
 
     A pair allocates nothing of the size of X: :meth:`start` makes the
     scratch arrays for M X and for the (|V|, k_max) products A_v x_v once,
     and a pair reads X into them and then writes the Gram part and the
     shrink over X in place.  The Gram part h_v A_v'(A_v x_v) is the row
-    vector (h_v A_v x_v)' A_v.  A lifted pair writes y = G x into the M X
-    buffer and then y - clip(y, b - thr, b + thr), which is S_thr[y - b],
-    over X.  So X is live: it is the round's own buffer, which a later
-    :meth:`step` overwrites, and :meth:`state` hands back a copy.
-    :meth:`start` copies the state it is given, so a round never writes
-    into a caller's array.
+    vector (h_v A_v x_v)' A_v.  So X is live: it is the round's own buffer,
+    which a later :meth:`step` overwrites, and :meth:`state` hands back a
+    copy.  :meth:`start` copies the state it is given, so a round never
+    writes into a caller's array.
     """
 
-    __slots__ = ("graph", "lam", "X", "_done", "_A", "_h", "_b", "_thr",
+    __slots__ = ("graph", "lam", "X", "_done", "_A", "_h", "_lo", "_hi",
                  "_M", "_MX", "_AX", "_switch", "_lifted")
 
     def __init__(self, graph, lam):
@@ -336,14 +335,17 @@ class OdistaRound:
             raise ValueError(f"state X {state.X.shape} is not (n, |V|)")
         h = _as_node_tau(tau, n_nodes).reshape(-1, 1) / 2.0
         self._A, self._h = stack.A, h[:, :, None]
-        self._b = np.array([nd.phi for nd in data])
-        self._b *= h
-        self._M = 0.5 * self.graph.W2 + np.diag(0.5 - h[:, 0] * stack.mu)
+        # the shrink bounds b -+ lam h, b = h phi, flat as the pair reads X
+        b = np.array([nd.phi for nd in data])
+        b *= h
+        thr = self.lam * h
+        self._lo = np.subtract(b, thr).reshape(-1)
+        self._hi = np.add(b, thr, out=b).reshape(-1)
+        # M = W2/2 + diag(1/2 - h mu), the diagonal added through a view
+        self._M = 0.5 * self.graph.W2
+        self._M.reshape(-1)[::n_nodes + 1] += 0.5 - h[:, 0] * stack.mu
         self.X = _transposed(state.X)
         self._MX = np.empty_like(self.X)
-        # the thresholds spelled out to X's shape: a ufunc that broadcasts a
-        # column over rows of X takes an iteration buffer on every call
-        self._thr = np.multiply(self.lam, h, out=np.empty_like(self.X))
         self._AX = np.empty((n_nodes, stack.A.shape[1], 1))
         # the form rule: the index of the first lifted pair, if any
         self._switch = LIFT_AFTER if self.X.size <= LIFT_MAX else np.inf
@@ -354,45 +356,33 @@ class OdistaRound:
     def step(self, k):
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        first, end = self._done // 2, (self._done + k) // 2
-        # pairs first..mid-1 run batched, mid..end-1 lifted
-        mid = end if end <= self._switch else max(first, self._switch)
-        X, MX, AX = self.X, self._MX, self._AX
-        A, M, h, b, thr = self._A, self._M, self._h, self._b, self._thr
+        X, MX, AX, A, M, h = (self.X, self._MX, self._AX, self._A, self._M,
+                              self._h)
+        x, y, lo, hi = X.reshape(-1), MX.reshape(-1), self._lo, self._hi
         X_col, X_row = X[:, :, None], X[:, None, :]
         AX_row = AX.reshape(AX.shape[0], 1, AX.shape[1])
-        for _ in range(mid - first):
-            np.matmul(A, X_col, out=AX)
-            np.multiply(h, AX, out=AX)
-            np.matmul(M, X, out=MX)
-            np.matmul(AX_row, A, out=X_row)
-            np.subtract(MX, X, out=MX)
-            np.subtract(MX, b, out=MX)
-            _shrink(MX, thr, out=X)
-        if end > mid:
-            self._lifted_pairs(end - mid)
+        switch, G = self._switch, self._lifted
+        for i in range(self._done // 2, (self._done + k) // 2):
+            if i < switch:
+                np.matmul(A, X_col, out=AX)
+                np.multiply(h, AX, out=AX)
+                np.matmul(M, X, out=MX)
+                np.matmul(AX_row, A, out=X_row)
+                np.subtract(MX, X, out=MX)
+            else:
+                if G is None:
+                    G = self._lifted = self._lifted_map()
+                # np.dot: the gemv of np.matmul, with less call overhead
+                np.dot(G, x, out=y)
+            _shrink(y, lo, hi, out=x)
         self._done += k
         return self
 
-    def _lifted_pairs(self, pairs):
-        if self._lifted is None:
-            self._lifted = self._lifted_map()
-        G, x, y, lo, hi = self._lifted
-        # S_thr[y - b] = y - clip(y, b - thr, b + thr), written over x once
-        # G x has read it; np.dot runs the same gemv as np.matmul with less
-        # call overhead
-        for _ in range(pairs):
-            np.dot(G, x, out=y)
-            np.maximum(y, lo, out=x)
-            np.minimum(x, hi, out=x)
-            np.subtract(y, x, out=x)
-
     def _lifted_map(self):
-        """The lifted pair's G = kron(M, I_n) - blockdiag(h_v A_v'A_v), the
-        flat node-major X and M X buffer it reads and writes, and the clip
-        bounds b -+ thr.  G is written through two strided views of one
-        zeroed (N, N) buffer, N = |V| n: the diagonal blocks take one
-        batched (-h A)'A product and the (v, i), (w, i) entries then add M."""
+        """The lifted pair map G = kron(M, I_n) - blockdiag(h_v A_v'A_v),
+        written through two strided views of one zeroed (N, N) buffer,
+        N = |V| n: the diagonal blocks take one batched (-h A)'A product and
+        the (v, i), (w, i) entries then add M."""
         V, _, n = self._A.shape
         N, s = V * n, self._A.itemsize
         G = np.zeros((N, N))
@@ -402,8 +392,7 @@ class OdistaRound:
         pattern = np.ndarray((V, V, n), buffer=G,
                              strides=(n * N * s, n * s, (N + 1) * s))
         np.add(pattern, self._M[:, :, None], out=pattern)
-        b, thr = self._b.reshape(-1), self._thr.reshape(-1)
-        return G, self.X.reshape(-1), self._MX.reshape(-1), b - thr, b + thr
+        return G
 
     def state(self):
         return NetworkState(_transposed(self.X))

@@ -84,7 +84,8 @@ def odista_taus(blocks, n_nodes, rule):
     own 1 / ||A_v||_2^2.  The squared norms are the top eigenvalues of the
     small Gram matrices A_v A_v', one batched eigensolve over the run's
     :func:`~stvo.distributed.padded_rows` (zero padding rows add only zero
-    eigenvalues).
+    eigenvalues).  A node of zero rows alone has no finite step: a
+    ValueError names its slice and node.
     """
     if rule not in ("uniform_min", "per_node"):
         raise ValueError(f"unknown step-size rule {rule!r}")
@@ -94,10 +95,13 @@ def odista_taus(blocks, n_nodes, rule):
         norms = np.linalg.eigvalsh(
             A @ np.ascontiguousarray(A.transpose(0, 2, 1)))[:, -1]
         if rule == "uniform_min":
-            tau = np.full(n_nodes, 1.0 / float(np.max(norms)))
-        else:
-            tau = 1.0 / norms
-        taus.extend([tau] * len(run))
+            norms = np.full(n_nodes, np.max(norms))
+        zero = np.flatnonzero(~(norms > 0.0))
+        if zero.size:
+            raise ValueError(
+                f"slice {len(taus)}: node {zero[0]} holds only zero rows, "
+                f"so its step 1/||A_v||^2 is not finite; use fewer nodes")
+        taus.extend([1.0 / norms] * len(run))
     return taus
 
 

@@ -100,9 +100,9 @@ class OdrRound:
     solve on the cached factor and checks the state once, :meth:`step` runs
     iterations on the plain arrays ``x`` and ``z`` with no checks.
 
-    Thresholding is ``soft_threshold`` without its checks and the solve is
-    the one behind ``prox_quadratic``, so every iterate is bitwise the one
-    those two functions give.
+    Thresholding is the kernel of ``soft_threshold`` without its checks and
+    the solve is the one behind ``prox_quadratic``, so every iterate is
+    bitwise the one those two functions give.
     """
 
     __slots__ = ("x", "z", "_solve", "_phi", "_lam")
@@ -125,7 +125,7 @@ class OdrRound:
         x, z, solve = self.x, self.z, self._solve
         phi, lam = self._phi, self._lam
         for _ in range(k):
-            u = _shrink(2.0 * x - z, lam)
+            u = _shrink(2.0 * x - z, -lam, lam)
             z = z + 2.0 * (u - x)
             x = solve(z - phi)
         self.x, self.z = x, z
@@ -167,7 +167,7 @@ class OistRound:
         x, tau, thr = self.x, self._tau, self._thr
         matvec, phi = self._matvec, self._phi
         for _ in range(k):
-            x = _shrink(x - tau * (matvec(x) + phi), thr)
+            x = _shrink(x - tau * (matvec(x) + phi), -thr, thr)
         self.x = x
         return self
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,23 @@ def test_nodes_the_ring_cannot_use_are_refused(tmp_path, capsys):
             assert (f"error: --nodes {nodes}: {err}"
                     in capsys.readouterr().err)
         assert not out.exists()
+
+
+def test_run_refuses_a_node_of_zero_rows_and_leaves_no_directory(tmp_path,
+                                                                 capsys):
+    # twelve nodes on exp1's 12-row blocks deal node 0 row 0 of the first
+    # block alone, which reads only the zero warm-up, so its step is not
+    # finite: the run exits 1 on one error line, before dividing by zero
+    # and before it makes the output directory
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("run", "--scenario", "exp1", "--alg", "odista",
+                       "--nodes", "12", "--r", "3", "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: slice 0: node 0 holds only zero rows")
+    assert not out.exists()
 
 
 def test_run_refuses_the_default_ring_when_odista_cannot_use_it(tmp_path,

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stvo.core import (
     ContractionConstants,
@@ -51,11 +53,18 @@ def test_soft_threshold_matches_scalar_branches():
     np.testing.assert_array_equal(soft_threshold(v, 0.7), soft_vector(v, 0.7))
 
 
+def bits(a):
+    """The IEEE bit patterns of a float array, so that equality tells
+    +0.0 from -0.0."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
 def test_copysign_shrink_is_sign_times_magnitude_bitwise():
-    # sign(z) * max(|z| - beta, 0), sign bit included, except at z = -0.0
+    # outside [-beta, beta] the kernel is bitwise sign(z) * max(|z| - beta,
+    # 0); inside, z - z is +0.0, where the product gave -0.0 for z < 0
     tiny = np.finfo(float).smallest_subnormal
     z = np.array([np.inf, -np.inf, 0.7, -0.7, 0.70000001, -0.69999999, tiny,
-                  -tiny, 5 * tiny, -3e-310, 2.5, -1e300, 1e-300])
+                  -tiny, 5 * tiny, -3e-310, 2.5, -1e300, 1e-300, -0.0])
     rng = np.random.default_rng(2)
     z = np.stack([z, rng.standard_normal(z.size), -z])
     beta = np.array([[0.7], [1e-310], [tiny]])
@@ -64,18 +73,34 @@ def test_copysign_shrink_is_sign_times_magnitude_bitwise():
         return np.sign(z) * np.maximum(np.abs(z) - beta, 0.0)
 
     for b in (0.7, tiny, beta):
-        want = reference(z, b)
-        for got in (_shrink(z, b), _shrink(z, b, out=np.empty_like(z))):
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        band = np.abs(z) <= b
+        assert band.any() and not band.all()
+        want = np.where(band, 0.0, reference(z, b))
+        for got in (_shrink(z, -b, b), _shrink(z, -b, b, out=np.empty_like(z))):
+            np.testing.assert_array_equal(bits(got), bits(want))
     out = np.empty_like(z)
-    assert _shrink(z, beta, out=out) is out
-    # a -0.0 input keeps its sign bit, where the product gave +0.0
-    neg_zero = np.array([-0.0, 0.0])
-    got = _shrink(neg_zero, 0.5)
-    np.testing.assert_array_equal(got, reference(neg_zero, 0.5))
-    np.testing.assert_array_equal(np.signbit(got), [True, False])
-    assert not np.signbit(reference(neg_zero, 0.5)).any()
+    assert _shrink(z, -beta, beta, out=out) is out
+
+
+finite = st.floats(-1e300, 1e300, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(entries=st.lists(
+    st.tuples(finite | st.sampled_from([np.inf, -np.inf, 0.0, -0.0]),
+              finite, finite), min_size=1, max_size=30))
+def test_shrink_is_z_minus_clip_bitwise_for_array_bounds(entries):
+    z, a, b = (np.array(col) for col in zip(*entries))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    want = np.where(z > hi, z - hi, np.where(z < lo, z - lo, 0.0))
+    # the one entry whose zero may keep its sign: z = -0.0 clipped to a
+    # bound of +0.0 is -0.0 - 0.0 = -0.0, equal to the +0.0 wanted
+    signed = (z == 0) & np.signbit(z) & ((lo == 0) | (hi == 0))
+    out = np.empty_like(z)
+    for got in (_shrink(z, lo, hi), _shrink(z, lo, hi, out=out)):
+        np.testing.assert_array_equal(bits(got[~signed]), bits(want[~signed]))
+        np.testing.assert_array_equal(got[signed], 0.0)
+    assert _shrink(z, lo, hi, out=out) is out
 
 
 def test_soft_threshold_firmly_nonexpansive():

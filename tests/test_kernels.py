@@ -22,6 +22,7 @@ on vec(X), are held to the batched pairs within 1e-12 relative, and a
 round whose pairs never lift is the batched round bitwise.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -820,6 +821,26 @@ def test_partition_and_node_steps_refuse_more_nodes_than_rows():
         with pytest.raises(ValueError,
                            match="block of 12 rows cannot feed 13 nodes"):
             call()
+
+
+def test_node_steps_refuse_a_node_of_zero_rows():
+    # slice 1 deals node 1 two zero rows: per-node steps refuse it by name,
+    # before any division; the smallest common step needs one nonzero node
+    rng = np.random.default_rng(10)
+    A = rng.standard_normal((6, 4))
+    A[2:4] = 0.0
+    blocks = [random_block(rng, 6, 4),
+              ElasticNetData(A=A, y=rng.standard_normal(6), lam=0.1, mu=0.2)]
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=re.escape(
+                "slice 1: node 1 holds only zero rows, so its step "
+                "1/||A_v||^2 is not finite")):
+            odista_taus(blocks, 3, "per_node")
+        taus = odista_taus(blocks, 3, "uniform_min")
+    assert np.isfinite(taus[1]).all() and (taus[1] > 0).all()
+    zero = ElasticNetData(A=np.zeros((6, 4)), y=np.zeros(6), lam=0.1, mu=0.2)
+    with pytest.raises(ValueError, match="slice 0: node 0 holds only zero"):
+        odista_taus([zero], 3, "uniform_min")
 
 
 def test_rss_sized_partition_forms_no_dense_q_until_read():
