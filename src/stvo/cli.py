@@ -188,6 +188,11 @@ def cmd_run(args):
     overrides = load_config(args.config) if args.config else {}
     cfg = base_config(args.scenario, overrides)
     n_nodes = network_size(args.scenario, args.nodes, cfg, "odista" in algs)
+    if "odista" in algs and args.t_r is None and args.r < 2:
+        raise UsageError(
+            f"odista needs --r 2 or more, got r = {args.r}: it counts r in "
+            f"half-steps, and a round of one half-step is a communication "
+            f"alone, which never descends")
     regret_on = args.regret == "on" or (args.regret == "auto"
                                         and args.scenario != "rss")
     tables = runner.run_experiment(
@@ -337,7 +342,8 @@ def build_parser():
     # Both default to None, so that argparse sees any given value of either.
     r_group = p_run.add_mutually_exclusive_group()
     r_group.add_argument("--r", type=int, default=None,
-                         help="inner iterations per round (default 1)")
+                         help="inner iterations per round (default 1); "
+                              "odista counts half-steps and needs 2 or more")
     r_group.add_argument("--t-r", type=float, default=None, dest="t_r",
                          help="per-round time budget in ms, to calibrate r")
     p_run.add_argument("--seed", type=int, default=0)

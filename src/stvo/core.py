@@ -20,9 +20,10 @@ class SliceOperator:
 
     Holds Q either dense, or factored as the pair (A, mu) with
     Q = A'A + mu I and fewer rows than columns (m < n).  The proximal
-    factor, the extreme eigenvalues and the spectral norm are computed on
-    first use and cached, so every slice holding the operator by reference
-    shares them.  On a factored operator
+    factor and the extreme eigenvalues are computed on first use and
+    cached, so every slice holding the operator by reference shares them.
+    Q is symmetric positive definite, so its spectral norm is its largest
+    eigenvalue.  On a factored operator
 
     * Q x is A'(A x) + mu x;
     * the solve with Q + I is the matrix inversion lemma
@@ -34,7 +35,7 @@ class SliceOperator:
     * the dense Q is formed only when read, bitwise A.T @ A + mu * I.
     """
 
-    __slots__ = ("n", "A", "mu", "_Q", "_factor", "_eig", "_norm")
+    __slots__ = ("n", "A", "mu", "_Q", "_factor", "_eig")
 
     def __init__(self, Q=None, A=None, mu=0.0):
         if A is not None and not A.shape[0] < A.shape[1]:
@@ -42,7 +43,7 @@ class SliceOperator:
                              f"got A of shape {A.shape}")
         self.n = Q.shape[0] if A is None else A.shape[1]
         self.A, self.mu, self._Q = A, float(mu), Q
-        self._factor = self._eig = self._norm = None
+        self._factor = self._eig = None
 
     @classmethod
     def gram(cls, A, mu):
@@ -105,14 +106,6 @@ class SliceOperator:
                 self._eig = (self.mu, float(w[-1]) + self.mu)
         return self._eig
 
-    def spectral_norm(self):
-        """||Q||_2: the cached largest eigenvalue when factored, else one SVD
-        (eig_extremes' eigvalsh differs from it in the last bits)."""
-        if self._norm is None:
-            self._norm = (float(np.linalg.norm(self._Q, 2)) if self.A is None
-                          else self.eig_extremes()[1])
-        return self._norm
-
 
 class QuadraticL1Problem:
     """One time slice of the composite objective.
@@ -132,8 +125,8 @@ class QuadraticL1Problem:
     share across threads.  The quadratic term is held as a
     :class:`SliceOperator` in ``op``: dense when built from Q, in the form
     :meth:`SliceOperator.gram` picks when :func:`elastic_net_problem` builds
-    it.  The operator computes the proximal factor, the extreme
-    eigenvalues and the spectral norm lazily and caches them;
+    it.  The operator computes the proximal factor and the extreme
+    eigenvalues lazily and caches them;
     :meth:`with_phi` produces a slice with a different linear term that
     holds the same operator by reference, so a stream whose slices differ
     only in phi factors once, whichever slice asks first.  ``Q`` is the

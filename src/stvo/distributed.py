@@ -1,8 +1,8 @@
 """Network model and distributed thresholded-gradient solvers.
 
 Nodes hold private quadratic data (Q_v, phi_v) and a copy x_v of the
-decision variable; a :class:`NetworkState` holds the copies as the columns
-of an (n, |V|) X.  The solver alternates a communication half-step, which
+decision variable; a :class:`NetworkState` holds the copies as the rows of a
+node-major (|V|, n) X.  The solver alternates a communication half-step, which
 sets each node's auxiliary variable c_v to the neighborhood mean of X, and
 a descent half-step, which applies a damped thresholded gradient update
 using the neighborhood mean of C.  Both half-steps are synchronous: every
@@ -14,11 +14,10 @@ elastic-net block's rows to the nodes, Q_v = A_v'A_v + mu_v I, and every
 solver entry point takes exactly one stack's nodes, in order, so all
 products Q_v x_v are one batched product over the stacked rows.  Every
 neighborhood mean is one product with the graph's row-normalised weight
-matrix ``Graph.W`` on node-major (|V|, n) rows, and a communication and
-descent pair reads the mean of means ``Graph.W2`` = W @ W, so a round runs
-each pair as one map of X.  A round transposes X once into contiguous rows
-and hands back an (n, |V|) copy.  These sums run in another order than the
-literal per-node left folds; they agree with them to 1e-12 relative.
+matrix ``Graph.W`` on the rows of X, and a communication and descent pair
+reads the mean of means ``Graph.W2`` = W @ W, so a round runs each pair as
+one map of X.  These sums run in another order than the literal per-node
+left folds; they agree with them to 1e-12 relative.
 
 Each pair is a linear map of X and then the shrink of :mod:`stvo.core`
 against the bounds b -+ lam h that a round makes once.  By one rule in
@@ -183,7 +182,7 @@ def node_partition(data, n_nodes):
 
 @dataclass
 class NetworkState:
-    """Stacked per-node estimates: column v of the n x |V| X is x_v."""
+    """Stacked per-node estimates: row v of the node-major |V| x n X is x_v."""
 
     X: np.ndarray
 
@@ -194,7 +193,9 @@ class NetworkState:
 
     @classmethod
     def zeros(cls, n, n_nodes):
-        return cls(np.zeros((n, n_nodes)))
+        """All-zero estimates of dimension n on n_nodes nodes: X has shape
+        (n_nodes, n)."""
+        return cls(np.zeros((n_nodes, n)))
 
 
 def ring_graph(n_nodes, d):
@@ -235,15 +236,6 @@ def radius_graph(positions, radius):
     if not graph.connected:
         warnings.warn("radius graph is disconnected", RuntimeWarning)
     return graph
-
-
-def _transposed(M):
-    """M.T as a new C-contiguous array: (n, |V|) columns to node-major rows
-    and back.  A transposed view would not do: reductions over it, such as
-    the network average X.mean(axis=1), sum in another order.  It is a copy
-    even where M.T is already contiguous (n = 1 or |V| = 1), so a round
-    never shares memory with its caller's state or with one it hands back."""
-    return M.T.copy()
 
 
 def _as_node_tau(tau, n_nodes):
@@ -288,9 +280,10 @@ LIFT_AFTER = 4
 class OdistaRound:
     """Odista round on one slice, stepped in half-steps on node-major rows.
 
-    :meth:`start` checks the inputs and builds, once, h = tau/2 per node,
-    the pair map M = W2/2 + diag(1/2 - h mu), mu the stack's ridge, and one
-    pair of shrink bounds lo, hi = b -+ lam h with b = h phi.  Half-steps
+    :meth:`start` checks the inputs, among them that the state's X is
+    node-major (|V|, n), and builds, once, h = tau/2 per node, the pair map
+    M = W2/2 + diag(1/2 - h mu), mu the stack's ridge, and one pair of
+    shrink bounds lo, hi = b -+ lam h with b = h phi.  Half-steps
     count from :meth:`start`, even ones communicate and odd ones descend.
     Each descent runs with the communication before it as one map
     X <- S_{lam h}[M X - h K(X) - b], K(X) the batched products
@@ -316,8 +309,8 @@ class OdistaRound:
     shrink over X in place.  The Gram part h_v A_v'(A_v x_v) is the row
     vector (h_v A_v x_v)' A_v.  So X is live: it is the round's own buffer,
     which a later :meth:`step` overwrites, and :meth:`state` hands back a
-    copy.  :meth:`start` copies the state it is given, so a round never
-    writes into a caller's array.
+    copy.  :meth:`start` copies the state it is given into C order, so a
+    round never writes into a caller's array.
     """
 
     __slots__ = ("graph", "lam", "X", "_done", "_A", "_h", "_lo", "_hi",
@@ -331,8 +324,8 @@ class OdistaRound:
         stack = _stack_of(data, n_nodes)
         if not 0.0 < self.lam < np.inf:
             raise ValueError(f"lam must be finite and positive, got {self.lam}")
-        if state.X.shape != (stack.A.shape[2], n_nodes):
-            raise ValueError(f"state X {state.X.shape} is not (n, |V|)")
+        if state.X.shape != (n_nodes, stack.A.shape[2]):
+            raise ValueError(f"state X {state.X.shape} is not (|V|, n)")
         h = _as_node_tau(tau, n_nodes).reshape(-1, 1) / 2.0
         self._A, self._h = stack.A, h[:, :, None]
         # the shrink bounds b -+ lam h, b = h phi, flat as the pair reads X
@@ -344,7 +337,7 @@ class OdistaRound:
         # M = W2/2 + diag(1/2 - h mu), the diagonal added through a view
         self._M = 0.5 * self.graph.W2
         self._M.reshape(-1)[::n_nodes + 1] += 0.5 - h[:, 0] * stack.mu
-        self.X = _transposed(state.X)
+        self.X = state.X.copy()
         self._MX = np.empty_like(self.X)
         self._AX = np.empty((n_nodes, stack.A.shape[1], 1))
         # the form rule: the index of the first lifted pair, if any
@@ -395,7 +388,7 @@ class OdistaRound:
         return G
 
     def state(self):
-        return NetworkState(_transposed(self.X))
+        return NetworkState(self.X.copy())
 
 
 def odista_round(state, graph, data, lam, tau, r):
@@ -404,9 +397,9 @@ def odista_round(state, graph, data, lam, tau, r):
     The round opens with a communication half-step, which refreshes C from
     the carried X before any descent reads it; r = 2 is exactly one
     communication followed by one descent.  An odd r ends on a communication,
-    whose C no descent reads, so the round returns the X of r - 1.  X is
-    carried node-major, transposed once on the way in and out.  The iterates
-    agree with the literal per-node half-steps to 1e-12 relative.
+    whose C no descent reads, so the round returns the X of r - 1.  The state
+    in and out is node-major, (|V|, n), the layout the round steps.  The
+    iterates agree with the literal per-node half-steps to 1e-12 relative.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -418,19 +411,20 @@ def global_objective(X, graph, data, lam, tau):
 
     sum_v [ 0.5 x_v'Q_v x_v + phi_v'x_v + lam ||x_v||_1
             + 1/(2 d_v tau_v) sum_{w in N_v} ||xbar_w - x_v||^2 ]
-    with xbar_w the neighborhood mean of X at w.  Non-regular graphs use each
-    node's own degree.  Each Q_v x_v is applied by its node operator, so no
-    factored node forms a dense Q_v.
+    with x_v row v of the node-major (|V|, n) X and xbar_w the neighborhood
+    mean of X at w.  Non-regular graphs use each node's own degree.  Each
+    Q_v x_v is applied by its node operator, so no factored node forms a
+    dense Q_v.
     """
     _stack_of(data, graph.n_nodes)
     tau = _as_node_tau(tau, graph.n_nodes)
-    xbar = _transposed(graph.W @ _transposed(X))
+    xbar = graph.W @ X
     total = 0.0
     for v, (nd, nbrs) in enumerate(zip(data, graph.neighbors)):
-        x_v = X[:, v]
+        x_v = X[v]
         total += (0.5 * x_v @ nd.op.matvec(x_v) + nd.phi @ x_v
                   + lam * np.abs(x_v).sum())
-        coupling = sum(float(np.sum((xbar[:, w] - x_v) ** 2)) for w in nbrs)
+        coupling = sum(float(np.sum((xbar[w] - x_v) ** 2)) for w in nbrs)
         total += coupling / (2.0 * len(nbrs) * tau[v])
     return float(total)
 
@@ -455,7 +449,7 @@ def theta_tau(data, tau):
 def consensus_problem(data, lam):
     """Centralized slice whose minimizer is the network's consensus target.
 
-    Restricting the network objective to equal columns zeroes the
+    Restricting the network objective to equal rows zeroes the
     disagreement penalty and sums the local costs, giving Q = sum Q_v,
     phi = sum phi_v and an l1 weight of |V| * lam.  Q is A'A of the stack's
     padded rows, taken as one block, plus the summed ridge, so no node forms

@@ -154,8 +154,10 @@ def assumption_bounds(problems):
 
     Finiteness of these maxima is the boundedness assumption behind the
     regret bound; measuring them makes the assumption checkable on data.
+    Each Q_t is symmetric positive definite, so its spectral norm is the
+    largest eigenvalue its operator caches.
     """
-    M_Q = max(p.op.spectral_norm() for p in problems)
+    M_Q = max(p.lambda_max for p in problems)
     M_phi = max(float(np.linalg.norm(p.phi)) for p in problems)
     return M_Q, M_phi
 

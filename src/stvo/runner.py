@@ -141,11 +141,12 @@ def play_odr(problems, r):
 
 
 def play_odista(node_stream, graph, lam_node, taus, r, n):
-    """Run the distributed solver; the action is the network average."""
+    """Run the distributed solver; the action is the network average, the
+    mean of the rows x_v of the state's X."""
     state = NetworkState.zeros(n, graph.n_nodes)
     actions = np.empty((len(node_stream), n))
     for t, (data, tau) in enumerate(zip(node_stream, taus)):
-        actions[t] = state.X.mean(axis=1)
+        actions[t] = state.X.mean(axis=0)
         state = odista_round(state, graph, data, lam_node, tau, r)
     return PlayResult(actions=actions, state=state)
 
@@ -308,8 +309,8 @@ def play(alg, stream, r, n_nodes, tau_rule):
 
 
 def calibrated_r(alg, stream, budget_ms, n_nodes, tau_rule):
-    """The r that budget_ms affords alg on the stream's first slice; logged
-    to stderr."""
+    """The r that budget_ms affords alg on the stream's first slice, for
+    odista in whole pairs, an even r >= 2; logged to stderr."""
     p0 = stream.problems[0]
     steps_per_call = 1
     if alg == "odr":
@@ -322,6 +323,9 @@ def calibrated_r(alg, stream, budget_ms, n_nodes, tau_rule):
         step = odista_step_timer(graph, data[0], lam_node, taus[0], stream.n)
         steps_per_call = ODISTA_TIMED_HALF_STEPS
     r = calibrate_r(step, budget_ms, steps_per_call=steps_per_call)
+    if alg == "odista":
+        # whole pairs: a round's last odd half-step never descends
+        r = 2 * max(1, r // 2)
     print(f"calibrated r = {r} for {alg} ({budget_ms} ms budget)",
           file=sys.stderr)
     return r

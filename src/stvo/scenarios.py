@@ -118,13 +118,6 @@ class TvarxData:
     x_true: np.ndarray
 
 
-def _true_vector(cfg, a1, b1):
-    x = np.zeros(cfg.n)
-    x[0] = a1
-    x[cfg.P_hat] = b1
-    return x
-
-
 def tvarx_simulate(cfg, noise=True, params_fn=None, input_u=None):
     """Simulate y_t = a1_t y_{t-1} + b1_t u_{t-1} + e_t over the horizon.
 
@@ -180,7 +173,9 @@ def tvarx_simulate(cfg, noise=True, params_fn=None, input_u=None):
         y = recurse(e)
     else:
         y = y_clean
-    x_true = np.stack([_true_vector(cfg, a[t], b[t]) for t in range(N)])
+    x_true = np.zeros((N, cfg.n))
+    x_true[:, 0] = a
+    x_true[:, cfg.P_hat] = b
     return TvarxData(u=u, y=y, x_true=x_true)
 
 

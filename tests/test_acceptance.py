@@ -254,10 +254,10 @@ def test_distributed_solver_reaches_consensus_on_a_static_problem():
         state = odista_round(NetworkState.zeros(6, 4), graph, data,
                              lam_node, taus, 2000)
         X = state.X
-        spread = max(float(np.max(np.abs(X[:, v] - X[:, w])))
+        spread = max(float(np.max(np.abs(X[v] - X[w])))
                      for v in range(4) for w in range(v + 1, 4))
         center = oracle_minimizer(consensus_problem(data, lam_node))[0]
-        dist = float(np.max(np.abs(X - center[:, None])))
+        dist = float(np.max(np.abs(X - center)))
         worst_spread = max(worst_spread, spread)
         worst_center = max(worst_center, dist)
         assert spread <= 1e-4
@@ -310,7 +310,7 @@ def test_distributed_rounds_contract_the_network_error_at_the_damped_rate():
         for y in ys:
             data = stack.nodes(y)
             lifted = base.with_phi(np.concatenate([nd.phi for nd in data]))
-            x_star = oracle_minimizer(lifted)[0].reshape(4, 6).T
+            x_star = oracle_minimizer(lifted)[0].reshape(4, 6)
             theta = theta_tau(data, tau)
             factor = ((1.0 + theta) / 2.0) ** (r / 2.0)
             gap_before = float(np.linalg.norm(state.X - x_star))

@@ -316,6 +316,32 @@ def test_run_refuses_the_default_ring_when_odista_cannot_use_it(tmp_path,
                    "--config", cfg, "--out", str(out)) == 0
 
 
+@pytest.mark.parametrize("r_args", [(), ("--r", "1")],
+                         ids=["default", "explicit"])
+def test_run_refuses_odista_at_one_half_step(tmp_path, capsys, r_args):
+    # odista counts r in half-steps; a round of one is a communication
+    # alone, which leaves X as it is, so every action would be the cold start
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", "exp1", "--alg", "odr,odista",
+                   *r_args, "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: odista needs --r 2 or more, got r = 1")
+    assert "half-step" in err[0]
+    assert not out.exists()
+
+
+def test_time_budget_grants_odista_whole_pairs(tmp_path, capsys):
+    # a budget too small for one pair still grants one whole pair, r = 2
+    cfg = write_cfg(tmp_path, "blocks = 4\nn = 8\nm = 5\n")
+    out = tmp_path / "tr"
+    assert run_cli("run", "--scenario", "synthetic", "--alg", "odista",
+                   "--t-r", "0.0001", "--config", cfg, "--out", str(out)) == 0
+    assert "calibrated r = 2 for odista" in capsys.readouterr().err
+    with open(out / "summary.csv", newline="") as fh:
+        assert [row["r"] for row in csv.DictReader(fh)] == ["2"]
+
+
 def test_run_plays_odista_on_a_ring_of_three(tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", "--scenario", "synthetic", "--alg", "odista",
@@ -355,8 +381,8 @@ def test_each_trace_scores_its_regret_once(tmp_path, monkeypatch):
     monkeypatch.setattr(metrics, "dynamic_regret", counted)
     cfg = write_cfg(tmp_path, "blocks = 8\nn = 8\nm = 5\n")
     assert run_cli("run", "--scenario", "synthetic", "--alg", "odr,odista",
-                   "--runs", "2", "--regret", "on", "--config", cfg,
-                   "--out", str(tmp_path / "out")) == 0
+                   "--runs", "2", "--regret", "on", "--r", "2",
+                   "--config", cfg, "--out", str(tmp_path / "out")) == 0
     assert len(scored) == 4
     assert len({id(trace) for trace in scored}) == 4
 

@@ -303,8 +303,8 @@ def test_slices_of_one_sensing_matrix_factor_and_solve_eig_once(monkeypatch):
         p.eig_extremes()
     assert calls == {"cho_factor": 1, "eigvalsh": 1}
     assert all(p.prox_factor() is problems[0].prox_factor() for p in problems)
-    # the bound's largest ||Q_t||_2 is one SVD for all of them, and bitwise
-    # the norm of the shared Q
+    # the bound's largest ||Q_t||_2 runs no SVD: it is bitwise the shared
+    # lambda_max, whose eigvalsh has already run once for all of them
     norm = np.linalg.norm
     svds = []
 
@@ -315,9 +315,10 @@ def test_slices_of_one_sensing_matrix_factor_and_solve_eig_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     M_Q, _ = assumption_bounds(problems)
-    assert M_Q == float(norm(problems[0].Q, 2))
+    assert M_Q == problems[0].lambda_max
     assert assumption_bounds(problems[::-1])[0] == M_Q
-    assert svds == [(2,)]
+    assert svds == []
+    assert calls == {"cho_factor": 1, "eigvalsh": 1}
 
 
 def test_factored_slices_factor_and_solve_eig_once_at_size_m(monkeypatch):

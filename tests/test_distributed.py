@@ -17,7 +17,8 @@ from stvo.distributed import (
     ring_graph,
     theta_tau,
 )
-from stvo.runner import ODISTA_TIMED_HALF_STEPS, odista_step_timer
+from stvo.runner import (ODISTA_TIMED_HALF_STEPS, odista_step_timer,
+                         play_odista)
 from stvo.solvers import oracle_minimizer
 
 from oracles import (
@@ -190,15 +191,27 @@ def test_local_mean_matches_direct_summation():
 
 
 def test_local_mean_rejects_bad_node():
-    # a state with a column for node 9 on a four-node graph
+    # a state with a row for node 9 on a four-node graph
     g = ring4()
     with pytest.raises((IndexError, ValueError)):
         odista_round(NetworkState.zeros(2, 10), g, identity_nodes(2, 4),
                      0.5, 0.1, 1)
     # and one of dimension 3 for nodes of dimension 2
-    with pytest.raises(ValueError, match=r"not \(n, \|V\|\)"):
+    with pytest.raises(ValueError, match=r"not \(\|V\|, n\)"):
         odista_round(NetworkState.zeros(3, 4), g, identity_nodes(2, 4),
                      0.5, 0.1, 1)
+
+
+def test_rounds_refuse_a_column_major_state():
+    # three cells on four nodes: the (n, |V|) layout is not the (|V|, n) one
+    g = ring4()
+    data = identity_nodes(3, 4)
+    state = NetworkState(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match=r"\(3, 4\) is not \(\|V\|, n\)"):
+        odista_round(state, g, data, 0.5, 0.1, 2)
+    with pytest.raises(ValueError, match=r"\(3, 4\) is not \(\|V\|, n\)"):
+        OdistaRound(g, 0.5).start(data, 0.1, state)
+    odista_round(NetworkState(state.X.T), g, data, 0.5, 0.1, 2)
 
 
 def test_even_step_consensus_and_x_unchanged():
@@ -206,7 +219,7 @@ def test_even_step_consensus_and_x_unchanged():
     rng = np.random.default_rng(31)
     c = rng.standard_normal(3)
     X = np.tile(c[:, None], (1, 4))
-    state = NetworkState(X)
+    state = NetworkState(X.T)
     out = odista_round(state, g, identity_nodes(3, 4), 0.5, 0.1, 1)
     # averaging identical columns is exact only up to rounding
     np.testing.assert_allclose(local_means(g, X), X, rtol=0.0, atol=1e-15)
@@ -226,7 +239,7 @@ def test_odd_step_zero_fixed_point_without_linear_terms():
     data = identity_nodes(3, 4)
     state = NetworkState.zeros(3, 4)
     out = odista_round(state, g, data, lam=0.5, tau=0.1, r=2)
-    np.testing.assert_array_equal(out.X, np.zeros((3, 4)))
+    np.testing.assert_array_equal(out.X, np.zeros((4, 3)))
 
 
 def test_odd_step_single_node_hand_case():
@@ -244,15 +257,17 @@ def test_odd_step_matches_literal_transcription():
     g = ring4()
     rng = np.random.default_rng(33)
     data = random_node_data(rng, 5, 4)
-    state = NetworkState(rng.standard_normal((5, 4)))
+    X = rng.standard_normal((5, 4))
+    state = NetworkState(X.T)
     taus = [0.05, 0.08, 0.03, 0.06]
-    # a pair communicates C = means of X, then descends from it
+    # a pair communicates C = means of X, then descends from it; the
+    # literal steps hold x_v in column v
     out = odista_round(state, g, data, lam=0.2, tau=taus, r=2)
-    C = column_local_means(state.X, neighbor_lists(g))
-    ref = direct_odd_step(state.X, C, neighbor_lists(g),
+    C = column_local_means(X, neighbor_lists(g))
+    ref = direct_odd_step(X, C, neighbor_lists(g),
                           [nd.Q for nd in data], [nd.phi for nd in data],
                           0.2, taus)
-    assert_relatively_close(out.X, ref, state.X)
+    assert_relatively_close(out.X.T, ref, X)
 
 
 def test_odd_step_synchronous_reads_pre_step_state():
@@ -262,17 +277,18 @@ def test_odd_step_synchronous_reads_pre_step_state():
     g = ring4()
     rng = np.random.default_rng(34)
     data = random_node_data(rng, 4, 4)
-    state = NetworkState(rng.standard_normal((4, 4)))
+    X = rng.standard_normal((4, 4))
+    state = NetworkState(X.T)
     tau = 0.07
     out = odista_round(state, g, data, lam=0.3, tau=tau, r=2)
-    C = column_local_means(state.X, neighbor_lists(g))
-    X_rev = np.empty_like(state.X)
+    C = column_local_means(X, neighbor_lists(g))
+    X_rev = np.empty_like(X)
     for v in reversed(range(4)):
-        x = state.X[:, v]
+        x = X[:, v]
         cbar = mean_of_columns(C, list(g.neighbors[v]))
         arg = (x + cbar - tau * (data[v].Q @ x) - tau * data[v].phi) / 2.0
         X_rev[:, v] = soft_vector(arg, 0.3 * tau / 2.0)
-    assert_relatively_close(out.X, X_rev, state.X)
+    assert_relatively_close(out.X.T, X_rev, X)
 
 
 def test_round_opens_with_communication():
@@ -288,14 +304,15 @@ def test_round_of_two_is_even_then_odd():
     g = ring4()
     rng = np.random.default_rng(36)
     data = random_node_data(rng, 4, 4)
-    state = NetworkState(rng.standard_normal((4, 4)))
+    X = rng.standard_normal((4, 4))
+    state = NetworkState(X.T)
     out = odista_round(state, g, data, lam=0.2, tau=0.05, r=2)
-    C = column_local_means(state.X, neighbor_lists(g))
-    ref = direct_odd_step(state.X, C, neighbor_lists(g),
+    C = column_local_means(X, neighbor_lists(g))
+    ref = direct_odd_step(X, C, neighbor_lists(g),
                           [nd.Q for nd in data], [nd.phi for nd in data],
                           0.2, [0.05] * 4)
     # the round reads W2 X where the literal steps fold the means twice
-    assert_relatively_close(out.X, ref, state.X)
+    assert_relatively_close(out.X.T, ref, X)
     with pytest.raises(ValueError):
         odista_round(state, g, data, lam=0.2, tau=0.05, r=0)
 
@@ -304,7 +321,7 @@ def test_half_steps_reject_non_finite_or_non_positive_steps_and_weights():
     g = ring4()
     rng = np.random.default_rng(47)
     data = random_node_data(rng, 3, 4)
-    state = NetworkState(rng.standard_normal((3, 4)))
+    state = NetworkState(rng.standard_normal((3, 4)).T)
     rounds = [lambda lam, tau: odista_round(state, g, data, lam, tau, 4),
               lambda lam, tau: odista_round(state, g, data, lam, tau, 1),
               lambda lam, tau: odista_round(state, g, data, lam, tau, 2)]
@@ -334,7 +351,7 @@ def test_node_lists_out_of_partition_order_are_refused():
     g = ring4()
     rng = np.random.default_rng(48)
     data = random_node_data(rng, 3, 4)
-    state = NetworkState(rng.standard_normal((3, 4)))
+    state = NetworkState(rng.standard_normal((3, 4)).T)
     for call in node_data_callers(g, state):
         call(data)
         with pytest.raises(ValueError, match="in order"):
@@ -349,7 +366,7 @@ def test_node_lists_mixing_two_partitions_are_refused():
     # the same rows dealt twice: equal node data from two stacks
     data = nodes_from_rows(rows, ys, 0.05)
     twin = nodes_from_rows(rows, ys, 0.05)
-    state = NetworkState(rng.standard_normal((3, 4)))
+    state = NetworkState(rng.standard_normal((3, 4)).T)
     for call in node_data_callers(g, state):
         call(twin)
         with pytest.raises(ValueError, match="in order"):
@@ -360,13 +377,13 @@ def test_short_node_lists_are_refused():
     g = ring4()
     rng = np.random.default_rng(50)
     data = random_node_data(rng, 3, 4)
-    state = NetworkState(rng.standard_normal((3, 4)))
+    state = NetworkState(rng.standard_normal((3, 4)).T)
     for call in node_data_callers(g, state):
         with pytest.raises(ValueError):
             call(data[:3])
     # three nodes of a four-node partition on a three-node graph
     g3 = ring_graph(3, 3)
-    state3 = NetworkState(state.X[:, :3])
+    state3 = NetworkState(state.X[:3])
     for call in node_data_callers(g3, state3):
         with pytest.raises(ValueError, match="in order"):
             call(data[:3])
@@ -401,13 +418,13 @@ def test_batch_dista_reaches_network_objective_minimizer():
     state = run_to_fixed_point(g, data, lam, tau, tol=1e-13)
     lifted = lifted_network_problem(g, data, lam, [tau] * 4)
     x_lift, _ = oracle_minimizer(lifted)
-    X_star = x_lift.reshape(4, 6).T
+    X_star = x_lift.reshape(4, 6)
     np.testing.assert_allclose(state.X, X_star, atol=1e-8)
 
 
 def test_batch_dista_consensus_on_consistent_data():
     # Nodes observing one common ground truth settle on near-identical
-    # columns; heterogeneity, and with it the disagreement, scales with the
+    # rows; heterogeneity, and with it the disagreement, scales with the
     # l1 weight and the measurement noise.
     g = ring4()
     rng = np.random.default_rng(38)
@@ -420,7 +437,7 @@ def test_batch_dista_consensus_on_consistent_data():
     data = nodes_from_rows(rows, ys, 1e-12)
     taus = [0.25 / nd.lambda_max for nd in data]
     state = run_to_fixed_point(g, data, 1e-5, taus, tol=1e-13)
-    spread = max(np.linalg.norm(state.X[:, i] - state.X[:, j])
+    spread = max(np.linalg.norm(state.X[i] - state.X[j])
                  for i in range(4) for j in range(4))
     assert spread <= 1e-6
 
@@ -428,7 +445,7 @@ def test_batch_dista_consensus_on_consistent_data():
 def test_global_objective_zero():
     g = ring4()
     data = identity_nodes(3, 4)
-    assert global_objective(np.zeros((3, 4)), g, data, 0.5, 0.1) == 0.0
+    assert global_objective(np.zeros((4, 3)), g, data, 0.5, 0.1) == 0.0
 
 
 def test_global_objective_consensus_reduces_to_sum_of_locals():
@@ -436,7 +453,7 @@ def test_global_objective_consensus_reduces_to_sum_of_locals():
     rng = np.random.default_rng(40)
     data = random_node_data(rng, 5, 4)
     x = rng.standard_normal(5)
-    X = np.tile(x[:, None], (1, 4))
+    X = np.tile(x, (4, 1))
     lam = 0.3
     expect = sum(0.5 * x @ (nd.Q @ x) + nd.phi @ x + lam * np.abs(x).sum()
                  for nd in data)
@@ -450,7 +467,7 @@ def test_global_objective_matches_direct_summation():
     data = random_node_data(rng, 5, 4)
     X = rng.standard_normal((5, 4))
     taus = [0.05, 0.1, 0.2, 0.08]
-    got = global_objective(X, g, data, 0.3, taus)
+    got = global_objective(X.T, g, data, 0.3, taus)
     ref = direct_global_objective(X, neighbor_lists(g),
                                   [nd.Q for nd in data],
                                   [nd.phi for nd in data], 0.3, taus)
@@ -488,6 +505,25 @@ def test_odista_step_timer_runs_a_descent_half_step():
         np.testing.assert_array_equal(got.X, ref.X)
 
 
+def test_play_odista_commits_the_row_mean_of_the_last_state():
+    g = ring4()
+    rng = np.random.default_rng(51)
+    rows = [rng.standard_normal((3, 5)) for _ in range(4)]
+    node_stream = [
+        nodes_from_rows(rows, [rng.standard_normal(3) for _ in rows], 0.05)
+        for _ in range(4)]
+    taus = [np.full(4, 0.05)] * 4
+    played = play_odista(node_stream, g, 0.01, taus, 4, 5)
+    state = NetworkState.zeros(5, 4)
+    for t, data in enumerate(node_stream):
+        # row t is committed before slice t is revealed: the average of the
+        # node rows x_v that round t - 1 returned
+        np.testing.assert_array_equal(played.actions[t], state.X.mean(axis=0))
+        state = odista_round(state, g, data, 0.01, taus[t], 4)
+    np.testing.assert_array_equal(played.state.X, state.X)
+    assert np.any(played.actions[1:] != 0.0)
+
+
 def test_theta_tau_values():
     data = identity_nodes(2, 1)
     assert theta_tau(data, 0.5) == pytest.approx(0.25)
@@ -515,4 +551,12 @@ def test_network_state_validation():
         with pytest.raises(ValueError, match="2-d"):
             NetworkState(X)
     s = NetworkState.zeros(3, 5)
-    assert s.X.shape == (3, 5) and s.X.flags.c_contiguous
+    assert s.X.shape == (5, 3) and s.X.flags.c_contiguous
+
+
+def test_network_state_zeros_is_node_major():
+    # zeros(n, n_nodes) keeps its argument order and holds one row per node
+    for n, n_nodes in ((6, 4), (1, 3), (4, 1)):
+        X = NetworkState.zeros(n, n_nodes).X
+        assert X.shape == (n_nodes, n)
+        assert not np.any(X)

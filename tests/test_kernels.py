@@ -148,7 +148,7 @@ def test_factored_slice_operator_matches_the_dense_q(seed, m, extra, log_mu,
     x = rng.standard_normal(n)
     assert relative_gap(prox_quadratic(z, p), prox_quadratic(z, d),
                         z, p.phi) <= tol
-    norm = d.op.spectral_norm()
+    norm = d.lambda_max
     assert np.max(np.abs(p.op.matvec(x) - d.op.matvec(x))) \
         <= tol * norm * np.max(np.abs(x))
     act = rng.random(n) < 0.5
@@ -159,8 +159,7 @@ def test_factored_slice_operator_matches_the_dense_q(seed, m, extra, log_mu,
     assert p.eig_extremes()[0] == block.mu
     assert np.max(np.abs(np.subtract(p.eig_extremes(), d.eig_extremes()))) \
         <= tol * norm
-    assert abs(p.op.spectral_norm() - norm) <= tol * norm
-    assert p.op.spectral_norm() == p.lambda_max
+    assert abs(p.lambda_max - norm) <= tol * norm
     state = DRState(x, z)
     out = odr_round(state, p, OnlineConfig(r=r))
     ref = odr_round(state, d, OnlineConfig(r=r))
@@ -241,12 +240,13 @@ def test_descent_matches_literal_transcription_on_irregular_graphs(
     Qs, phis = dense_nodes(block, n_nodes)
     taus = rng.uniform(0.01, 0.2, n_nodes)
     X = rng.standard_normal((rows, n_nodes))
-    # a pair of half-steps carried on arrays is the two literal steps
-    pair = odista_round(NetworkState(X), g, data, lam, taus, 2)
+    # a pair of half-steps carried on arrays is the two literal steps, which
+    # hold x_v in column v
+    pair = odista_round(NetworkState(X.T), g, data, lam, taus, 2)
     neighbor_lists = [list(a) for a in g.neighbors]
     ref = direct_odd_step(X, column_local_means(X, neighbor_lists),
                           neighbor_lists, Qs, phis, lam, taus)
-    assert_relatively_close(pair.X, ref, X)
+    assert_relatively_close(pair.X.T, ref, X)
 
 
 def random_block(rng, m, n):
@@ -286,7 +286,7 @@ def test_factored_descent_matches_dense_node_data(seed, n, n_nodes, extra_rows,
     eigs = [np.linalg.eigvalsh(Q) for Q in Qs]
     taus = np.array([step / e[-1] for e in eigs])
     X = rng.standard_normal((n, n_nodes))
-    state = NetworkState(X)
+    state = NetworkState(X.T)
     neighbor_lists = [list(a) for a in g.neighbors]
     # the node operators answer from their own form: eigenvalues of the
     # k_v x k_v Gram matrix, A_v'(A_v x) + mu_v x
@@ -299,17 +299,17 @@ def test_factored_descent_matches_dense_node_data(seed, n, n_nodes, extra_rows,
     assert abs(theta_tau(factored, taus) - theta) <= 1e-12 * max(1.0, theta)
     objective = direct_global_objective(X, neighbor_lists, Qs, phis, lam,
                                         taus)
-    assert (abs(global_objective(X, g, factored, lam, taus) - objective)
+    assert (abs(global_objective(X.T, g, factored, lam, taus) - objective)
             <= 1e-12 * abs(objective))
     pair = odista_round(state, g, factored, lam, taus, 2)
     assert_relatively_close(
-        pair.X, direct_odd_step(X, column_local_means(X, neighbor_lists),
-                                neighbor_lists, Qs, phis, lam, taus), X)
+        pair.X.T, direct_odd_step(X, column_local_means(X, neighbor_lists),
+                                  neighbor_lists, Qs, phis, lam, taus), X)
     out = odista_round(state, g, factored, lam, taus, r)
     ref_X, _ = column_odista_round(X, neighbor_lists,
                                    dense_column_products(Qs), phis, lam,
                                    taus, r)
-    assert_relatively_close(out.X, ref_X, X)
+    assert_relatively_close(out.X.T, ref_X, X)
     if n_nodes > 1:
         # the same nodes in another order are not one partition
         with pytest.raises(ValueError, match="in order"):
@@ -317,16 +317,19 @@ def test_factored_descent_matches_dense_node_data(seed, n, n_nodes, extra_rows,
 
 
 def column_round(state, graph, data, lam, taus, r):
-    """The column-major reference round on a node partition's shared stack."""
+    """The column-major reference round on a node partition's shared stack,
+    run on the columns state.X.T; returns its X transposed back to
+    node-major rows."""
     stack = data[0].stack
-    return column_odista_round(
-        state.X, [list(a) for a in graph.neighbors],
+    X, _ = column_odista_round(
+        state.X.T, [list(a) for a in graph.neighbors],
         stack_column_products(stack.A, stack.mu),
         [nd.phi for nd in data], lam, taus, r)
+    return X.T
 
 
-def assert_column_layout(state, n, n_nodes):
-    assert state.X.shape == (n, n_nodes) and state.X.flags.c_contiguous
+def assert_node_major_layout(state, n, n_nodes):
+    assert state.X.shape == (n_nodes, n) and state.X.flags.c_contiguous
 
 
 @SETTINGS
@@ -346,10 +349,10 @@ def test_node_major_round_is_the_column_major_round(
     g = random_graph(rng, n_nodes, max_degree)
     data = node_partition(block, n_nodes)
     taus = np.array([step / nd.lambda_max for nd in data])
-    state = NetworkState(rng.standard_normal((n, n_nodes)))
+    state = NetworkState(rng.standard_normal((n, n_nodes)).T)
     out = odista_round(state, g, data, lam, taus, r)
-    X, _ = column_round(state, g, data, lam, taus, r)
-    assert_column_layout(out, n, n_nodes)
+    X = column_round(state, g, data, lam, taus, r)
+    assert_node_major_layout(out, n, n_nodes)
     assert_relatively_close(out.X, X, state.X)
 
 
@@ -369,12 +372,12 @@ def test_rss_shaped_rounds_and_actions_are_the_column_major_ones(r):
     played = play_odista(node_stream, g, lam, taus, r, 625)
     state = NetworkState.zeros(625, 36)
     for t, (data, tau) in enumerate(zip(node_stream, taus)):
-        # the action is the network average of the (n, |V|) C-contiguous X
+        # the action is the network average of the (|V|, n) C-contiguous X
         # that the round returned
-        np.testing.assert_array_equal(played.actions[t], state.X.mean(axis=1))
-        X, _ = column_round(state, g, data, lam, tau, r)
+        np.testing.assert_array_equal(played.actions[t], state.X.mean(axis=0))
+        X = column_round(state, g, data, lam, tau, r)
         out = odista_round(state, g, data, lam, tau, r)
-        assert_column_layout(out, 625, 36)
+        assert_node_major_layout(out, 625, 36)
         assert_relatively_close(out.X, X, state.X)
         state = out
     np.testing.assert_array_equal(played.state.X, state.X)
@@ -437,7 +440,7 @@ def test_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
     g = random_graph(rng, n_nodes, max_degree)
     data = node_partition(block, n_nodes)
     taus = np.array([step / nd.lambda_max for nd in data])
-    state = NetworkState(rng.standard_normal((n, n_nodes)))
+    state = NetworkState(rng.standard_normal((n, n_nodes)).T)
     rnd = OdistaRound(g, lam).start(data, taus, state)
     done = 0
     for k in chunks:
@@ -477,7 +480,7 @@ def test_lifted_rounds_are_the_batched_rounds(
     g = random_graph(rng, n_nodes, max_degree)
     data = node_partition(block, n_nodes)
     taus = np.array([step / nd.lambda_max for nd in data])
-    state = NetworkState(rng.standard_normal((n, n_nodes)))
+    state = NetworkState(rng.standard_normal((n, n_nodes)).T)
     out = odista_round(state, g, data, lam, taus, r)
     ref = batched_round(state, g, data, lam, taus, r)
     if r // 2 <= LIFT_AFTER:
@@ -498,7 +501,7 @@ def test_rounds_lift_only_after_lift_after_pairs_on_at_most_lift_max_cells(
     data = node_partition(block, n_nodes)
     tau = odista_taus([block], n_nodes, "per_node")[0]
     lam = block.lam / n_nodes
-    state = NetworkState(rng.standard_normal((n, n_nodes)))
+    state = NetworkState(rng.standard_normal((n, n_nodes)).T)
     rnd = OdistaRound(g, lam).start(data, tau, state)
     # a round of LIFT_AFTER pairs, and its trailing communication, builds
     # no G and is the batched round bitwise
@@ -523,7 +526,7 @@ def test_prepared_rounds_refuse_a_negative_step():
     p = elastic_net_problem(block)
     g, data = ring_graph(4, 3), node_partition(block, 4)
     tau = odista_taus([block], 4, "per_node")[0]
-    state = NetworkState(rng.standard_normal((20, 4)))
+    state = NetworkState(rng.standard_normal((20, 4)).T)
     odr = OdrRound().start(p, consistent_state(p))
     oist = OistRound().start(p, 0.5 / p.lambda_max, np.zeros(20))
     odista = OdistaRound(g, 0.025).start(data, tau, state)
@@ -552,7 +555,7 @@ def test_rss_shaped_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
                            y=rng.standard_normal(144), lam=0.1, mu=0.05)
     data = node_partition(block, 36)
     tau = odista_taus([block], 36, "per_node")[0]
-    state = NetworkState(rng.standard_normal((625, 36)))
+    state = NetworkState(rng.standard_normal((625, 36)).T)
     rnd = OdistaRound(g, 0.1 / 36).start(data, tau, state)
     for k in chunks:
         rnd.step(k)
@@ -581,16 +584,16 @@ def odista_inputs(rng, shape):
     return g, block, data, odista_taus([block], g.n_nodes, "per_node")[0]
 
 
-# one cell and one node are the shapes whose transposes are already
-# contiguous, so a transposing view would share memory there; the later
-# steps run lifted pairs on all shapes but rss
+# a round copies its caller's X on every shape, one cell (n = 1) and one
+# node (|V| = 1) included; the later steps run lifted pairs on all shapes
+# but rss
 @pytest.mark.parametrize("shape", ["one cell", "one node", "arx", "rss"])
 def test_odista_rounds_never_alias_caller_or_returned_states(shape):
     rng = np.random.default_rng(14)
     g, block, data, tau = odista_inputs(rng, shape)
     lam = block.lam / g.n_nodes
     phis = [nd.phi.copy() for nd in data]
-    X0 = rng.standard_normal((block.n, g.n_nodes))
+    X0 = rng.standard_normal((block.n, g.n_nodes)).T
     state = NetworkState(X0.copy())
     rnd = OdistaRound(g, lam).start(data, tau, state)
     np.testing.assert_array_equal(state.X, X0)
@@ -613,7 +616,7 @@ def test_rss_odista_pairs_allocate_less_than_one_node_major_array():
     rng = np.random.default_rng(15)
     g, block, data, tau = odista_inputs(rng, "rss")
     rnd = OdistaRound(g, block.lam / 36).start(
-        data, tau, NetworkState(rng.standard_normal((625, 36))))
+        data, tau, NetworkState(rng.standard_normal((625, 36)).T))
     tracemalloc.start()
     try:
         rnd.step(20)
@@ -628,7 +631,7 @@ def test_lifted_odista_pairs_allocate_less_than_one_node_major_array():
     rng = np.random.default_rng(18)
     g, block, data, tau = odista_inputs(rng, "arx")
     rnd = OdistaRound(g, block.lam / 4).start(
-        data, tau, NetworkState(rng.standard_normal((20, 4))))
+        data, tau, NetworkState(rng.standard_normal((20, 4)).T))
     rnd.step(2 * LIFT_AFTER + 2)
     assert rnd._lifted is not None
     tracemalloc.start()
@@ -656,7 +659,7 @@ def test_a_round_ending_on_a_communication_is_the_round_before_it(shape):
     data = node_partition(block, g.n_nodes)
     tau = odista_taus([block], g.n_nodes, "per_node")[0]
     lam = block.lam / g.n_nodes
-    state = NetworkState(rng.standard_normal((n, g.n_nodes)))
+    state = NetworkState(rng.standard_normal((n, g.n_nodes)).T)
 
     def round_x(r):
         return odista_round(state, g, data, lam, tau, r).X if r else state.X
@@ -721,16 +724,16 @@ def test_weight_matrix_and_pair_map_match_the_literal_rounds(
     data = node_partition(block, n_nodes)
     Qs, phis = dense_nodes(block, n_nodes)
     taus = np.array([step / np.linalg.eigvalsh(Q)[-1] for Q in Qs])
-    state = NetworkState(rng.standard_normal((n, n_nodes)))
+    state = NetworkState(rng.standard_normal((n, n_nodes)).T)
     stack = data[0].stack
     # the kernel against the column-major round on either product rule
     for products in (stack_column_products(stack.A, stack.mu),
                      dense_column_products(Qs)):
         for r in range(1, 10):
             out = odista_round(state, g, data, lam, taus, r)
-            X, _ = column_odista_round(state.X, neighbor_lists, products,
+            X, _ = column_odista_round(state.X.T, neighbor_lists, products,
                                        phis, lam, taus, r)
-            assert_relatively_close(out.X, X, state.X)
+            assert_relatively_close(out.X.T, X, state.X.T)
 
 
 @SETTINGS
@@ -858,7 +861,7 @@ def test_rss_sized_partition_forms_no_dense_q_until_read():
         # matrices, the objective from A_v'(A_v x_v)
         taus = [0.5 / nd.lambda_max for nd in nodes]
         theta_tau(nodes, taus)
-        global_objective(X, g, nodes, 0.1, taus)
+        global_objective(X.T, g, nodes, 0.1, taus)
         _, peak_read = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         nodes[0].Q
