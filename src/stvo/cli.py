@@ -311,11 +311,14 @@ def cmd_check(args):
              "not regular; guarantee 9 assumes a regular graph"))
     try:
         stack = RowStack(stream.blocks[0], g.n_nodes)
+        runner.odista_taus(stream.blocks, g.n_nodes, "per_node")
         print(f"ok: {sum(op.factored for op in stack.ops)} of {g.n_nodes} "
               f"node operators factored, k_max={stack.A.shape[1]} of "
               f"n={stream.n}")
-    except ValueError as err:  # only the distributed solver needs the nodes
-        print(f"note: {err}")
+    except ValueError as err:
+        if args.nodes is not None:  # refused as `stvo run` refuses it
+            raise
+        print(f"note: {err}")  # only the distributed solver needs the nodes
     losses = [float(np.linalg.norm(b.y)) for b in stream.blocks[:5]]
     if not all(math.isfinite(v) for v in losses):
         print("fail: non-finite measurements")
@@ -399,12 +402,13 @@ def main(argv=None):
                 raise UsageError("--t-r must be positive")
             args.r = 1 if args.r is None else args.r
         return args.func(args)
-    except (UsageError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    # before ValueError, of which LinAlgError is a subclass
     except (OracleError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
+    except (UsageError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

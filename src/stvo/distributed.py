@@ -139,7 +139,8 @@ class RowStack:
                     for v, idx in enumerate(self.rows)]
 
     def nodes(self, y):
-        """The nodes of a slice with measurements y: phi_v = -A_v'y_v."""
+        """The nodes of a slice with measurements y: phi_v = -A_v'y_v, so
+        the node data sum back to the centralized elastic-net slice."""
         return [NodeData(op, -self.A[v, :idx.size].T @ y[idx], self)
                 for v, (op, idx) in enumerate(zip(self.ops, self.rows))]
 
@@ -167,17 +168,6 @@ class NodeData:
     @property
     def lambda_max(self):
         return self.op.eig_extremes()[1]
-
-
-def node_partition(data, n_nodes):
-    """Split an elastic-net block row-wise across n_nodes nodes.
-
-    Node v holds the rows A_v, y_v that :func:`node_rows` deals it, as the
-    operator Q_v = A_v'A_v + (mu/|V|) I and phi_v = -A_v'y_v, so the node
-    data sums back to the centralized elastic-net slice.  All nodes share one
-    :class:`RowStack`; a factored Q_v forms no n x n matrix until it is read.
-    """
-    return RowStack(data, n_nodes).nodes(data.y)
 
 
 @dataclass

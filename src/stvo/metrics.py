@@ -47,10 +47,6 @@ class RunTrace:
                 f"loss below oracle loss by {-np.min(gap):.3e}; "
                 "reference minimizer is not optimal")
 
-    @property
-    def rounds(self):
-        return self.t.size
-
 
 def dynamic_regret(trace):
     """Cumulative regret and its per-round average.

@@ -175,17 +175,14 @@ def action_losses(problems, actions):
                      for x, p in zip(actions, problems)])
 
 
-def build_trace(problems, result, oracles=None):
-    """Assemble the run record; with oracles it carries regret references."""
-    loss = action_losses(problems, result.actions)
-    if oracles is None:
-        return RunTrace(t=np.arange(len(problems)), x=result.actions,
-                        loss=loss, oracle_loss=loss)
+def build_trace(problems, result, oracles):
+    """The run record scored against oracles, the (x*, z*) arrays of
+    :func:`stream_oracles`."""
     xs, zs = oracles
-    oracle_loss = action_losses(problems, xs)
-    return RunTrace(t=np.arange(len(problems)), x=result.actions, loss=loss,
-                    oracle_loss=oracle_loss, x_star=xs, z_star=zs,
-                    z=result.z)
+    return RunTrace(t=np.arange(len(problems)), x=result.actions,
+                    loss=action_losses(problems, result.actions),
+                    oracle_loss=action_losses(problems, xs), x_star=xs,
+                    z_star=zs, z=result.z)
 
 
 def calibrate_r(single_step, budget_ms, steps_per_call=1):

@@ -401,7 +401,7 @@ def rss_stream(cfg):
 # Synthetic streams for property and contraction tests
 # ---------------------------------------------------------------------------
 
-def random_problem(n, sigma, beta, seed, lam=0.1, phi_scale=1.0):
+def random_problem(n, sigma, beta, seed, lam=0.1):
     """Random slice with prescribed extreme eigenvalues of Q.
 
     Q is a random rotation of eigenvalues spread over [sigma, beta] with the
@@ -418,7 +418,7 @@ def random_problem(n, sigma, beta, seed, lam=0.1, phi_scale=1.0):
         U, _ = np.linalg.qr(M)
         Q = (U * eigs) @ U.T
         Q = (Q + Q.T) / 2.0
-    phi = rng.standard_normal(n) * phi_scale
+    phi = rng.standard_normal(n)
     return QuadraticL1Problem(Q, phi, lam)
 
 

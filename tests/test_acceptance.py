@@ -19,8 +19,8 @@ from stvo import cli, metrics, runner
 from stvo.core import (ElasticNetData, QuadraticL1Problem,
                        contraction_constants, elastic_net_problem)
 from stvo.distributed import (NetworkState, RowStack, consensus_problem,
-                              global_objective, node_partition, odista_round,
-                              ring_graph, theta_tau)
+                              global_objective, odista_round, ring_graph,
+                              theta_tau)
 from stvo.scenarios import random_problem
 from stvo.solvers import (OnlineConfig, batch_dr, consistent_state, dr_step,
                           odr_round, oracle_minimizer)
@@ -239,7 +239,7 @@ def _static_network(seed, n_nodes=4, m_per_node=8, n=6):
         ys.append(A @ x_true + 1e-6 * rng.standard_normal(m_per_node))
     block = ElasticNetData(np.vstack(mats), np.concatenate(ys), lam=3e-4,
                            mu=1e-6)
-    return node_partition(block, n_nodes)
+    return RowStack(block, n_nodes).nodes(block.y)
 
 
 def test_distributed_solver_reaches_consensus_on_a_static_problem():

@@ -22,6 +22,7 @@ from stvo.cli import (
     main,
     read_problem_file,
 )
+from stvo.solvers import OracleError
 
 
 def run_cli(*argv):
@@ -400,6 +401,55 @@ def test_time_budget_calibration_logs_r(tmp_path, capsys):
     assert r_logged >= 1
 
 
+def test_time_budget_calibrates_oist(tmp_path, capsys):
+    # oist's default step 2/||A||^2 breaks its descent premise, so both the
+    # timed round and the played rounds warn
+    cfg = write_cfg(tmp_path, "blocks = 4\nn = 8\nm = 5\n")
+    out = tmp_path / "tr"
+    with pytest.warns(RuntimeWarning, match="descent precondition"):
+        assert run_cli("run", "--scenario", "synthetic", "--alg", "oist",
+                       "--t-r", "1", "--config", cfg, "--out", str(out)) == 0
+    err = capsys.readouterr().err
+    r_logged = int((out / "summary.csv").read_text().splitlines()[1]
+                   .split(",")[4])
+    assert f"calibrated r = {r_logged} for oist (1.0 ms budget)" in err
+
+
+def test_run_rss_draws_the_distance_charts(tmp_path):
+    cfg = write_cfg(tmp_path, "path_length_steps = 3\n")
+    out = tmp_path / "rss"
+    assert run_cli("run", "--scenario", "rss", "--alg", "odr,odista",
+                   "--r", "2", "--config", cfg, "--svg",
+                   "--out", str(out)) == 0
+    for alg in ("odr", "odista"):
+        svg = (out / f"distance_{alg}.svg").read_text()
+        assert svg.startswith("<svg") and "polyline" in svg
+        assert "target distance" in svg
+    # regret is off by default on rss, so there is no regret chart
+    assert not (out / "regret.svg").exists()
+
+
+# A numerical routine that fails to deliver exits 2 on one line and writes
+# nothing, whichever of the two failure types it raises.
+@pytest.mark.parametrize("error", [
+    OracleError("reference solve did not converge"),
+    np.linalg.LinAlgError("Singular matrix")], ids=["oracle", "linalg"])
+def test_numerical_failure_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                      monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(runner, "oracle_minimizer", failing)
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", "synthetic", "--alg", "odr",
+                   "--regret", "on", "--config",
+                   write_cfg(tmp_path, "blocks = 4\n"),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"numerical failure: {error}"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -464,6 +514,34 @@ def test_check_builds_the_stream_of_run_zero(tmp_path, monkeypatch):
     np.testing.assert_array_equal(checked.A, run_0.A)
     np.testing.assert_array_equal(checked.y, run_0.y)
     assert built[0].cfg.seed == derive_seed(3, 0)
+
+
+def test_check_refuses_the_node_count_the_run_refuses(tmp_path, capsys):
+    # the run's own zero-row premise: twelve nodes deal node 0 of exp1's
+    # first block its zero warm-up row alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("check", "--scenario", "exp1", "--nodes", "12") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: slice 0: node 0 holds only zero rows")
+    assert run_cli("run", "--scenario", "exp1", "--alg", "odista", "--nodes",
+                   "12", "--r", "2", "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == err
+
+
+def test_check_notes_a_default_ring_the_run_would_refuse(tmp_path, capsys):
+    # blocks of 4 rows deal each default node one row; node 0's is zero.
+    # Only the distributed solver needs the nodes, so the check passes
+    cfg = write_cfg(tmp_path, "m = 4\nhorizon_s = 0.06\n")
+    assert run_cli("check", "--scenario", "exp1", "--config", cfg) == 0
+    out = capsys.readouterr().out
+    assert ("note: slice 0: node 0 holds only zero rows, so its step "
+            "1/||A_v||^2 is not finite; use fewer nodes") in out
+    assert "ok: measurements finite" in out
+    assert run_cli("run", "--scenario", "exp1", "--alg", "odista", "--r", "2",
+                   "--config", cfg, "--out", str(tmp_path / "out")) == 1
+    assert "node 0 holds only zero rows" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

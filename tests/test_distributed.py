@@ -9,9 +9,9 @@ from stvo.distributed import (
     Graph,
     NetworkState,
     OdistaRound,
+    RowStack,
     consensus_problem,
     global_objective,
-    node_partition,
     odista_round,
     radius_graph,
     ring_graph,
@@ -41,7 +41,7 @@ def nodes_from_rows(rows, ys, ridge):
     rows[v] have one row count, so the partition deals them back exactly."""
     block = ElasticNetData(A=np.vstack(rows), y=np.concatenate(ys), lam=1.0,
                            mu=len(rows) * ridge)
-    return node_partition(block, len(rows))
+    return RowStack(block, len(rows)).nodes(block.y)
 
 
 def identity_nodes(n, n_nodes, y=None, ridge=1e-3):

@@ -38,9 +38,9 @@ from stvo.distributed import (
     Graph,
     NetworkState,
     OdistaRound,
+    RowStack,
     consensus_problem,
     global_objective,
-    node_partition,
     odista_round,
     radius_graph,
     ring_graph,
@@ -236,7 +236,7 @@ def test_descent_matches_literal_transcription_on_irregular_graphs(
     block = ElasticNetData(A=rng.standard_normal((2 * n_nodes, rows)),
                            y=rng.standard_normal(2 * n_nodes), lam=1.0,
                            mu=0.05 * n_nodes)
-    data = node_partition(block, n_nodes)
+    data = RowStack(block, n_nodes).nodes(block.y)
     Qs, phis = dense_nodes(block, n_nodes)
     taus = rng.uniform(0.01, 0.2, n_nodes)
     X = rng.standard_normal((rows, n_nodes))
@@ -255,8 +255,8 @@ def random_block(rng, m, n):
 
 
 def dense_nodes(block, n_nodes):
-    """The dense spec of node_partition: Q_v = A_v'A_v + mu_v I and
-    phi_v = -A_v'y_v, as two lists."""
+    """The dense spec of RowStack(block, n_nodes).nodes(block.y):
+    Q_v = A_v'A_v + mu_v I and phi_v = -A_v'y_v, as two lists."""
     mu_v = block.mu / n_nodes
     pairs = [(A_v.T @ A_v + mu_v * np.eye(block.n), -A_v.T @ y_v)
              for A_v, y_v in zip(np.array_split(block.A, n_nodes),
@@ -281,7 +281,7 @@ def test_factored_descent_matches_dense_node_data(seed, n, n_nodes, extra_rows,
     rng = np.random.default_rng(seed)
     block = random_block(rng, n_nodes + extra_rows, n)
     g = random_graph(rng, n_nodes, max_degree)
-    factored = node_partition(block, n_nodes)
+    factored = RowStack(block, n_nodes).nodes(block.y)
     Qs, phis = dense_nodes(block, n_nodes)
     eigs = [np.linalg.eigvalsh(Q) for Q in Qs]
     taus = np.array([step / e[-1] for e in eigs])
@@ -347,7 +347,7 @@ def test_node_major_round_is_the_column_major_round(
     rng = np.random.default_rng(seed)
     block = random_block(rng, n_nodes + extra_rows, n)
     g = random_graph(rng, n_nodes, max_degree)
-    data = node_partition(block, n_nodes)
+    data = RowStack(block, n_nodes).nodes(block.y)
     taus = np.array([step / nd.lambda_max for nd in data])
     state = NetworkState(rng.standard_normal((n, n_nodes)).T)
     out = odista_round(state, g, data, lam, taus, r)
@@ -438,7 +438,7 @@ def test_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
     rng = np.random.default_rng(seed)
     block = random_block(rng, n_nodes + extra_rows, n)
     g = random_graph(rng, n_nodes, max_degree)
-    data = node_partition(block, n_nodes)
+    data = RowStack(block, n_nodes).nodes(block.y)
     taus = np.array([step / nd.lambda_max for nd in data])
     state = NetworkState(rng.standard_normal((n, n_nodes)).T)
     rnd = OdistaRound(g, lam).start(data, taus, state)
@@ -478,7 +478,7 @@ def test_lifted_rounds_are_the_batched_rounds(
     rng = np.random.default_rng(seed)
     block = random_block(rng, n_nodes + extra_rows, n)
     g = random_graph(rng, n_nodes, max_degree)
-    data = node_partition(block, n_nodes)
+    data = RowStack(block, n_nodes).nodes(block.y)
     taus = np.array([step / nd.lambda_max for nd in data])
     state = NetworkState(rng.standard_normal((n, n_nodes)).T)
     out = odista_round(state, g, data, lam, taus, r)
@@ -498,7 +498,7 @@ def test_rounds_lift_only_after_lift_after_pairs_on_at_most_lift_max_cells(
     rng = np.random.default_rng(16)
     g = ring_graph(n_nodes, min(3, n_nodes))
     block = random_block(rng, 2 * n_nodes, n)
-    data = node_partition(block, n_nodes)
+    data = RowStack(block, n_nodes).nodes(block.y)
     tau = odista_taus([block], n_nodes, "per_node")[0]
     lam = block.lam / n_nodes
     state = NetworkState(rng.standard_normal((n, n_nodes)).T)
@@ -524,7 +524,7 @@ def test_prepared_rounds_refuse_a_negative_step():
     rng = np.random.default_rng(17)
     block = random_block(rng, 12, 20)
     p = elastic_net_problem(block)
-    g, data = ring_graph(4, 3), node_partition(block, 4)
+    g, data = ring_graph(4, 3), RowStack(block, 4).nodes(block.y)
     tau = odista_taus([block], 4, "per_node")[0]
     state = NetworkState(rng.standard_normal((20, 4)).T)
     odr = OdrRound().start(p, consistent_state(p))
@@ -553,7 +553,7 @@ def test_rss_shaped_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
     g = radius_graph(sensor_positions(cfg), cfg.comm_radius_m)
     block = ElasticNetData(A=rng.standard_normal((144, 625)),
                            y=rng.standard_normal(144), lam=0.1, mu=0.05)
-    data = node_partition(block, 36)
+    data = RowStack(block, 36).nodes(block.y)
     tau = odista_taus([block], 36, "per_node")[0]
     state = NetworkState(rng.standard_normal((625, 36)).T)
     rnd = OdistaRound(g, 0.1 / 36).start(data, tau, state)
@@ -580,7 +580,7 @@ def odista_inputs(rng, shape):
         g = radius_graph(sensor_positions(cfg), cfg.comm_radius_m)
         m, n = 144, 625
     block = random_block(rng, m, n)
-    data = node_partition(block, g.n_nodes)
+    data = RowStack(block, g.n_nodes).nodes(block.y)
     return g, block, data, odista_taus([block], g.n_nodes, "per_node")[0]
 
 
@@ -656,7 +656,7 @@ def test_a_round_ending_on_a_communication_is_the_round_before_it(shape):
         g = radius_graph(sensor_positions(cfg), cfg.comm_radius_m)
         m, n = 144, 625
     block = random_block(rng, m, n)
-    data = node_partition(block, g.n_nodes)
+    data = RowStack(block, g.n_nodes).nodes(block.y)
     tau = odista_taus([block], g.n_nodes, "per_node")[0]
     lam = block.lam / g.n_nodes
     state = NetworkState(rng.standard_normal((n, g.n_nodes)).T)
@@ -721,7 +721,7 @@ def test_weight_matrix_and_pair_map_match_the_literal_rounds(
     np.testing.assert_array_equal(g.W2, W @ W)
     block = random_block(rng, n_nodes + extra_rows, n)
     neighbor_lists = [list(a) for a in g.neighbors]
-    data = node_partition(block, n_nodes)
+    data = RowStack(block, n_nodes).nodes(block.y)
     Qs, phis = dense_nodes(block, n_nodes)
     taus = np.array([step / np.linalg.eigvalsh(Q)[-1] for Q in Qs])
     state = NetworkState(rng.standard_normal((n, n_nodes)).T)
@@ -743,7 +743,7 @@ def test_consensus_q_of_a_partition_is_the_node_sum_without_dense_q_v(
         seed, n, n_nodes, extra_rows):
     rng = np.random.default_rng(seed)
     block = random_block(rng, n_nodes + extra_rows, n)
-    nodes = node_partition(block, n_nodes)
+    nodes = RowStack(block, n_nodes).nodes(block.y)
     Qs, phis = dense_nodes(block, n_nodes)
     p = consensus_problem(nodes, 0.1)
     # the padded rows' A'A sums in another order than the Q_v
@@ -761,7 +761,7 @@ def test_consensus_q_of_a_partition_is_the_node_sum_without_dense_q_v(
 def test_lazy_node_q_is_the_dense_formula_bitwise(seed, n, n_nodes, extra_rows):
     rng = np.random.default_rng(seed)
     block = random_block(rng, n_nodes + extra_rows, n)
-    nodes = node_partition(block, n_nodes)
+    nodes = RowStack(block, n_nodes).nodes(block.y)
     for nd, Q, phi in zip(nodes, *dense_nodes(block, n_nodes)):
         np.testing.assert_array_equal(nd.Q, Q)
         np.testing.assert_array_equal(nd.phi, phi)
@@ -817,7 +817,7 @@ def test_every_slice_of_a_stream_gets_the_data_of_its_own_block():
 
 def test_partition_and_node_steps_refuse_more_nodes_than_rows():
     block = random_block(np.random.default_rng(9), 12, 5)
-    calls = [lambda: node_partition(block, 13)]
+    calls = [lambda: RowStack(block, 13).nodes(block.y)]
     calls += [lambda rule=rule: odista_taus([block], 13, rule)
               for rule in ("per_node", "uniform_min")]
     for call in calls:
@@ -854,7 +854,7 @@ def test_rss_sized_partition_forms_no_dense_q_until_read():
     g = ring_graph(36, 3)
     tracemalloc.start()
     try:
-        nodes = node_partition(block, 36)
+        nodes = RowStack(block, 36).nodes(block.y)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         # the step sizes and the contraction driver from the k x k Gram

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stvo.core import elastic_net_problem
-from stvo.distributed import node_partition
+from stvo.distributed import RowStack
 from stvo.metrics import path_length
 from stvo.scenarios import (
     RssConfig,
@@ -192,7 +192,7 @@ def test_block_oracle_recovers_truth_on_clean_data():
 def test_node_partition_sums_back_to_the_block():
     cfg = TvarxConfig(seed=4)
     blk = tvarx_stream(cfg)[10]
-    nodes = node_partition(blk, 4)
+    nodes = RowStack(blk, 4).nodes(blk.y)
     assert len(nodes) == 4
     Q_sum = sum(nd.Q for nd in nodes)
     prob = elastic_net_problem(blk)
@@ -204,7 +204,7 @@ def test_node_partition_sums_back_to_the_block():
         rows = blk.A[3 * v:3 * (v + 1)]
         assert np.linalg.norm(rows, 2) <= A_norm + 1e-12
     with pytest.raises(ValueError):
-        node_partition(blk, 20)
+        RowStack(blk, 20).nodes(blk.y)
 
 
 # ---------------------------------------------------------------------------
