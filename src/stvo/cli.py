@@ -398,9 +398,11 @@ def main(argv=None):
                 raise UsageError("--runs must be at least 1")
             if args.r is not None and args.r < 1:
                 raise UsageError("--r must be at least 1")
-            if args.t_r is not None and args.t_r <= 0:
-                raise UsageError("--t-r must be positive")
+            if args.t_r is not None and not 0 < args.t_r < math.inf:
+                raise UsageError("--t-r must be a finite positive number")
             args.r = 1 if args.r is None else args.r
+        elif args.command == "solve" and args.max_iter < 1:
+            raise UsageError("--max-iter must be at least 1")
         return args.func(args)
     # before ValueError, of which LinAlgError is a subclass
     except (OracleError, np.linalg.LinAlgError) as e:

@@ -56,42 +56,35 @@ class Graph:
             raise ValueError("graph needs at least one node")
         if len(self.neighbors) != self.n_nodes:
             raise ValueError("one neighbor list per node required")
-        nbrs = []
+        n = self.n_nodes
+        adj = np.zeros((n, n), dtype=bool)
         for v, raw in enumerate(self.neighbors):
-            arr = np.unique(np.asarray(raw, dtype=int))
-            if arr.size and (arr[0] < 0 or arr[-1] >= self.n_nodes):
+            arr = np.asarray(raw, dtype=int)
+            if arr.size and (arr.min() < 0 or arr.max() >= n):
                 raise ValueError(f"node {v} references an unknown node")
-            if v not in arr:
+            adj[v, arr] = True
+            if not adj[v, v]:
                 raise ValueError(f"node {v} must appear in its own list")
-            nbrs.append(arr)
-        for v, arr in enumerate(nbrs):
-            for w in arr:
-                if v not in nbrs[w]:
-                    raise ValueError(f"edge ({v},{w}) is not symmetric")
-        self.neighbors = nbrs
-        self.degrees = np.array([len(a) for a in nbrs])
+        one_way = np.argwhere(adj & ~adj.T)
+        if one_way.size:
+            raise ValueError(f"edge ({one_way[0, 0]},{one_way[0, 1]}) "
+                             "is not symmetric")
+        self.degrees = adj.sum(axis=1)
+        self.neighbors = np.split(np.nonzero(adj)[1],
+                                  np.cumsum(self.degrees)[:-1])
         self.regular = bool(np.all(self.degrees == self.degrees[0]))
-        self.connected = self._connected()
-        self.W = np.zeros((self.n_nodes, self.n_nodes))
-        for v, arr in enumerate(nbrs):
-            self.W[v, arr] = 1.0 / arr.size
+        # Grow node 0's component until a step adds no node.
+        reached = adj[0]
+        while not np.array_equal(grown := adj[reached].any(axis=0), reached):
+            reached = grown
+        self.connected = bool(reached.all())
+        self.W = adj / self.degrees[:, None]
         self.W2 = self.W @ self.W
 
     @property
     def degree(self):
         """Common degree on regular graphs, None otherwise."""
         return int(self.degrees[0]) if self.regular else None
-
-    def _connected(self):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for w in self.neighbors[v]:
-                if w not in seen:
-                    seen.add(int(w))
-                    frontier.append(int(w))
-        return len(seen) == self.n_nodes
 
 
 def node_rows(m, n_nodes):

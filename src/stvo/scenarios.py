@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ElasticNetData, QuadraticL1Problem
 
@@ -183,8 +184,9 @@ def regressor_matrix(y, u, t, m, P_hat, Q_hat):
     """Stack m lagged-measurement rows anchored at time t.
 
     Row j holds (y_{t+j-1}, ..., y_{t+j-P_hat}, u_{t+j-1}, ..., u_{t+j-Q_hat})
-    and pairs with target y_{t+j}.  Requires t >= max(P_hat, Q_hat) so every
-    lag exists in the given arrays.
+    and pairs with target y_{t+j}: the first m sliding lag windows of y and
+    u from t - P_hat and t - Q_hat on, each read newest first.  Requires
+    t >= max(P_hat, Q_hat) so every lag exists in the given arrays.
     """
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -192,35 +194,27 @@ def regressor_matrix(y, u, t, m, P_hat, Q_hat):
         raise ValueError(f"t={t} leaves lags before the start of the data")
     if t + m - 1 > min(y.size, u.size):
         raise ValueError("not enough samples after t for a full block")
-    A = np.empty((m, P_hat + Q_hat))
-    for j in range(m):
-        A[j, :P_hat] = y[t + j - P_hat:t + j][::-1]
-        A[j, P_hat:] = u[t + j - Q_hat:t + j][::-1]
-    return A
-
-
-def block_starts(cfg):
-    """Sample indices anchoring each full measurement block."""
-    return np.arange(cfg.n_blocks) * cfg.m
+    lags_y = sliding_window_view(y[t - P_hat:t + m], P_hat)[:m, ::-1]
+    lags_u = sliding_window_view(u[t - Q_hat:t + m], Q_hat)[:m, ::-1]
+    return np.hstack([lags_y, lags_u])
 
 
 def tvarx_stream(cfg, sim=None):
     """Elastic-net data blocks of the identification run, one per m-block.
 
     Early blocks reach into a zero warm-up of max(P_hat, Q_hat) samples so
-    that the first anchor sits at t = 0.
+    that the first anchor sits at t = 0.  The rows of every block are cut
+    from one regressor matrix over the whole horizon.
     """
     if sim is None:
         sim = tvarx_simulate(cfg)
     W = max(cfg.P_hat, cfg.Q_hat)
     y_ext = np.concatenate([np.zeros(W), sim.y])
     u_ext = np.concatenate([np.zeros(W), sim.u])
-    blocks = []
-    for start in block_starts(cfg):
-        A = regressor_matrix(y_ext, u_ext, start + W, cfg.m, cfg.P_hat, cfg.Q_hat)
-        y_block = sim.y[start:start + cfg.m]
-        blocks.append(ElasticNetData(A=A, y=y_block, lam=cfg.lam, mu=cfg.mu))
-    return blocks
+    m, rows = cfg.m, cfg.n_blocks * cfg.m
+    A = regressor_matrix(y_ext, u_ext, W, rows, cfg.P_hat, cfg.Q_hat)
+    return [ElasticNetData(A=A[s:s + m], y=sim.y[s:s + m], lam=cfg.lam,
+                           mu=cfg.mu) for s in range(0, rows, m)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,20 +302,19 @@ def rss_dictionary(cfg):
 
     Entry (i, j) is the modeled power at sensor i from a source in cell j;
     the rows of one sensor differ by independent training-noise draws at the
-    configured SNR, which keeps them informative rather than redundant.
+    configured SNR, which keeps them informative rather than redundant.  The
+    noise of all rows is one draw, filled sensor by sensor, row by row.
     """
     sensors = sensor_positions(cfg)
     cells = cell_centers(cfg)
     diff = sensors[:, None, :] - cells[None, :, :]
     base = rss_model_value(np.sqrt((diff ** 2).sum(axis=2)), cfg)
-    rng = substream(cfg.seed, STREAM_DICT)
+    rms = np.sqrt(np.mean(base ** 2, axis=1))
+    noise = substream(cfg.seed, STREAM_DICT).standard_normal(
+        (cfg.n_meas, cfg.n_cells))
+    k = cfg.meas_per_sensor
     scale = 10.0 ** (-cfg.snr_db / 20.0)
-    rows = []
-    for i in range(cfg.sensors):
-        rms = np.sqrt(np.mean(base[i] ** 2))
-        for _ in range(cfg.meas_per_sensor):
-            rows.append(base[i] + rng.standard_normal(cfg.n_cells) * rms * scale)
-    return np.array(rows)
+    return np.repeat(base, k, axis=0) + noise * np.repeat(rms, k)[:, None] * scale
 
 
 def feasible_moves(cell, side):

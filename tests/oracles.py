@@ -3,7 +3,8 @@
 Everything here is written in the most literal style available: scalar
 branches, explicit loops, no helpers imported from the package.  Agreement
 between two independently written codepaths is evidence; calling the
-library from both sides would prove nothing.  Three exceptions:
+library from both sides would prove nothing.  Three exceptions, besides
+the grids :func:`loop_rss_dictionary` reads:
 :func:`prox_grad_minimize` iterates a stack of problems side by side, with
 array operations, so that a suite-sized reference fits its time budget;
 :func:`drifting_quadratic_stream` is test data made of package problems;
@@ -11,14 +12,26 @@ array operations, so that a suite-sized reference fits its time budget;
 odista round, which sums its means as left folds where the package takes
 one product with the graph's weight matrix, so the two are held to 1e-12
 relative.  :func:`assert_relatively_close` is that tolerance, shared by the
-tests.
+tests, and :func:`assert_bitwise_equal` the exact comparison.
+
+The loop builders at the end (:func:`loop_regressor_matrix`,
+:func:`loop_tvarx_blocks`, :func:`loop_rss_dictionary`, :func:`list_graph`)
+are row-by-row, sensor-by-sensor and list-based forms of the package's
+whole-array setup builders; the tests hold the two equal bit for bit.
 """
 
 import numpy as np
 import scipy.linalg
 
 from stvo.core import QuadraticL1Problem
-from stvo.scenarios import STREAM_PROBLEM, substream
+from stvo.scenarios import (
+    STREAM_DICT,
+    STREAM_PROBLEM,
+    cell_centers,
+    rss_model_value,
+    sensor_positions,
+    substream,
+)
 
 
 def assert_relatively_close(out, ref, *inputs):
@@ -26,6 +39,12 @@ def assert_relatively_close(out, ref, *inputs):
     inputs."""
     scale = max(float(np.max(np.abs(a))) for a in (ref,) + inputs)
     assert np.max(np.abs(out - ref)) <= 1e-12 * scale
+
+
+def assert_bitwise_equal(out, ref):
+    """Same dtype, shape and bytes."""
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
 
 
 def soft_scalar(v, b):
@@ -243,3 +262,80 @@ def stack_column_products(A, mu):
     matmul pair over the padded (|V|, k_max, n) rows A and their transpose."""
     AT = np.ascontiguousarray(A.transpose(0, 2, 1))
     return lambda X: (AT @ (A @ X.T[:, :, None]))[:, :, 0].T + mu * X
+
+
+def loop_regressor_matrix(y, u, t, m, P_hat, Q_hat):
+    """Lagged-measurement rows filled one row at a time: row j holds
+    y[t+j-1], ..., y[t+j-P_hat] and then u[t+j-1], ..., u[t+j-Q_hat]."""
+    y = np.asarray(y, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if t < max(P_hat, Q_hat):
+        raise ValueError(f"t={t} leaves lags before the start of the data")
+    if t + m - 1 > min(y.size, u.size):
+        raise ValueError("not enough samples after t for a full block")
+    A = np.empty((m, P_hat + Q_hat))
+    for j in range(m):
+        A[j, :P_hat] = y[t + j - P_hat:t + j][::-1]
+        A[j, P_hat:] = u[t + j - Q_hat:t + j][::-1]
+    return A
+
+
+def loop_tvarx_blocks(y, u, m, P_hat, Q_hat):
+    """(A, y) of every full m-sample block, each A built by its own
+    :func:`loop_regressor_matrix` call over a zero warm-up of
+    max(P_hat, Q_hat) samples."""
+    W = max(P_hat, Q_hat)
+    y_ext = np.concatenate([np.zeros(W), y])
+    u_ext = np.concatenate([np.zeros(W), u])
+    return [(loop_regressor_matrix(y_ext, u_ext, start + W, m, P_hat, Q_hat),
+             y[start:start + m])
+            for start in range(0, (len(y) // m) * m, m)]
+
+
+def loop_rss_dictionary(cfg):
+    """Fingerprint dictionary drawn one sensor and one row at a time.  It
+    reads the package's sensor grid, cell grid and attenuation model, which
+    it does not cross-check, and the dictionary's named sub-stream."""
+    sensors = sensor_positions(cfg)
+    cells = cell_centers(cfg)
+    diff = sensors[:, None, :] - cells[None, :, :]
+    base = rss_model_value(np.sqrt((diff ** 2).sum(axis=2)), cfg)
+    rng = substream(cfg.seed, STREAM_DICT)
+    scale = 10.0 ** (-cfg.snr_db / 20.0)
+    rows = []
+    for i in range(cfg.sensors):
+        rms = np.sqrt(np.mean(base[i] ** 2))
+        for _ in range(cfg.meas_per_sensor):
+            rows.append(base[i] + rng.standard_normal(cfg.n_cells) * rms * scale)
+    return np.array(rows)
+
+
+def list_graph(n_nodes, neighbors):
+    """Graph fields built from sorted neighbour lists: (neighbors, degrees,
+    connected, W), or the ValueError the lists earn, checked node by node
+    and edge by edge."""
+    nbrs = []
+    for v, raw in enumerate(neighbors):
+        arr = np.unique(np.asarray(raw, dtype=int))
+        if arr.size and (arr[0] < 0 or arr[-1] >= n_nodes):
+            raise ValueError(f"node {v} references an unknown node")
+        if v not in arr:
+            raise ValueError(f"node {v} must appear in its own list")
+        nbrs.append(arr)
+    for v, arr in enumerate(nbrs):
+        for w in arr:
+            if v not in nbrs[w]:
+                raise ValueError(f"edge ({v},{w}) is not symmetric")
+    degrees = np.array([len(a) for a in nbrs])
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        v = frontier.pop()
+        for w in nbrs[v]:
+            if w not in seen:
+                seen.add(int(w))
+                frontier.append(int(w))
+    W = np.zeros((n_nodes, n_nodes))
+    for v, arr in enumerate(nbrs):
+        W[v, arr] = 1.0 / arr.size
+    return nbrs, degrees, len(seen) == n_nodes, W

@@ -125,6 +125,15 @@ def test_solve_reports_non_convergence(tmp_path, capsys):
     assert "no convergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_solve_refuses_an_iteration_cap_below_one(tmp_path, capsys, cap):
+    f = problem_file(tmp_path, "1\n2\n-3\n1\n")
+    assert run_cli("solve", f, "--max-iter", cap) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-iter must be at least 1\n"
+
+
 def test_problem_file_comments_and_errors(tmp_path):
     f = problem_file(tmp_path, "# header\n1\n2 # Q\n-3\n1\n")
     p = read_problem_file(f)
@@ -249,6 +258,21 @@ def test_config_refuses_keys_set_elsewhere(tmp_path, capsys, scenario, key,
             argv += ["--out", str(out)]
         assert run_cli(*argv) == 1
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("budget", ["inf", "nan", "0", "-1"])
+def test_run_refuses_a_budget_that_is_not_finite_and_positive(
+        tmp_path, capsys, monkeypatch, budget):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(runner, "build_stream", no_stream)
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", "exp1", "--t-r", budget,
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --t-r must be a finite positive number\n"
     assert not out.exists()
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stvo.core import ElasticNetData, QuadraticL1Problem
 from stvo.distributed import (
@@ -22,13 +24,21 @@ from stvo.runner import (ODISTA_TIMED_HALF_STEPS, odista_step_timer,
 from stvo.solvers import oracle_minimizer
 
 from oracles import (
+    assert_bitwise_equal,
     assert_relatively_close,
     column_local_means,
     direct_global_objective,
     direct_odd_step,
+    list_graph,
     mean_of_columns,
     soft_vector,
 )
+
+
+# derandomized, so that a rerun draws the same examples as every other test
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+seeds = st.integers(0, 2 ** 32 - 1)
 
 
 def ring4():
@@ -152,6 +162,74 @@ def test_graph_validation():
     g = Graph(3, [[0, 1], [0, 1, 2], [1, 2]])
     assert not g.regular
     assert g.degree is None
+
+
+def assert_graph_is_the_list_build(n_nodes, lists):
+    """Graph(n_nodes, lists) holds the fields of the list-based build bit
+    for bit, or raises its error."""
+    try:
+        nbrs, degrees, connected, W = list_graph(n_nodes, lists)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            Graph(n_nodes, lists)
+        assert str(raised.value) == str(exc)
+        return
+    g = Graph(n_nodes, lists)
+    assert len(g.neighbors) == n_nodes
+    for out, ref in zip(g.neighbors, nbrs):
+        assert_bitwise_equal(out, ref)
+    assert_bitwise_equal(g.degrees, degrees)
+    assert g.connected is connected
+    assert_bitwise_equal(g.W, W)
+    assert_bitwise_equal(g.W2, W @ W)
+
+
+@SETTINGS
+@given(n_nodes=st.integers(1, 30), half=st.integers(0, 14))
+def test_ring_graph_is_the_list_build(n_nodes, half):
+    if 2 * half + 1 > n_nodes:
+        return
+    lists = [(v + np.arange(-half, half + 1)) % n_nodes
+             for v in range(n_nodes)]
+    assert_graph_is_the_list_build(n_nodes, lists)
+    assert_graph_is_the_list_build(n_nodes, ring_graph(n_nodes, 2 * half + 1)
+                                   .neighbors)
+
+
+@SETTINGS
+@given(seed=seeds, n_nodes=st.integers(1, 30), radius=st.floats(0.0, 6.0))
+# isolated nodes: every node its own component
+@example(seed=0, n_nodes=20, radius=0.0)
+def test_radius_graph_lists_are_the_list_build(seed, n_nodes, radius):
+    pos = np.random.default_rng(seed).uniform(0.0, 10.0, size=(n_nodes, 2))
+    dist = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2))
+    lists = [np.flatnonzero(dist[v] <= radius) for v in range(n_nodes)]
+    assert_graph_is_the_list_build(n_nodes, lists)
+
+
+@SETTINGS
+@given(seed=seeds, n_nodes=st.integers(1, 16), edges=st.integers(0, 40),
+       fault=st.sampled_from([None, "self", "one-way", "unknown"]))
+def test_graph_from_shuffled_lists_with_repeats_is_the_list_build(
+        seed, n_nodes, edges, fault):
+    rng = np.random.default_rng(seed)
+    lists = [[v] for v in range(n_nodes)]
+    for v, w in rng.integers(n_nodes, size=(edges, 2)):
+        lists[v].append(int(w))
+        lists[w].append(int(v))
+    for nbrs in lists:
+        nbrs.extend(rng.choice(nbrs, size=rng.integers(3)))
+        rng.shuffle(nbrs)
+    v = int(rng.integers(n_nodes))
+    if fault == "self":
+        lists[v] = [w for w in lists[v] if w != v]
+    elif fault == "one-way" and n_nodes > 1:
+        w = (v + 1) % n_nodes
+        lists[w] = [x for x in lists[w] if x != v]
+        lists[v].append(w)
+    elif fault == "unknown":
+        lists[v].append(int(rng.choice([-1, n_nodes])))
+    assert_graph_is_the_list_build(n_nodes, lists)
 
 
 # ---------------------------------------------------------------------------

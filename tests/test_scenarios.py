@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stvo.core import elastic_net_problem
 from stvo.distributed import RowStack
@@ -13,7 +15,6 @@ from stvo.scenarios import (
     RssConfig,
     SyntheticConfig,
     TvarxConfig,
-    block_starts,
     cell_centers,
     experiment_params,
     feasible_moves,
@@ -31,7 +32,18 @@ from stvo.scenarios import (
 )
 from stvo.solvers import oracle_minimizer
 
-from oracles import drifting_quadratic_stream
+from oracles import (
+    assert_bitwise_equal,
+    drifting_quadratic_stream,
+    loop_regressor_matrix,
+    loop_rss_dictionary,
+    loop_tvarx_blocks,
+)
+
+# derandomized, so that a rerun draws the same examples as every other test
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+seeds = st.integers(0, 2 ** 32 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +177,62 @@ def test_noiseless_blocks_satisfy_the_linear_model():
 
 def test_stream_has_one_block_per_m_samples():
     cfg = TvarxConfig(seed=1)
-    blocks = tvarx_stream(cfg)
+    sim = tvarx_simulate(cfg)
+    blocks = tvarx_stream(cfg, sim)
     assert len(blocks) == 83
-    for blk in blocks:
+    for k, blk in enumerate(blocks):
         assert blk.A.shape == (12, 20)
         assert blk.y.shape == (12,)
         assert blk.lam == cfg.lam and blk.mu == cfg.mu
-    np.testing.assert_array_equal(block_starts(cfg), np.arange(83) * 12)
+        # block k is anchored at sample 12 k: its targets start there, and
+        # row j's newest y lag is the target of row j - 1
+        anchor = 12 * k
+        np.testing.assert_array_equal(blk.y, sim.y[anchor:anchor + 12])
+        np.testing.assert_array_equal(blk.A[1:, 0], sim.y[anchor:anchor + 11])
+
+
+@SETTINGS
+@given(seed=seeds, experiment=st.sampled_from(["exp1", "exp2"]),
+       P_hat=st.integers(1, 12), Q_hat=st.integers(1, 12),
+       m=st.integers(1, 23), samples=st.integers(1, 200))
+# the defaults; and m = 7 leaving 5 of 1000 samples past the last block
+@example(seed=0, experiment="exp1", P_hat=10, Q_hat=10, m=12, samples=1000)
+@example(seed=3, experiment="exp2", P_hat=3, Q_hat=9, m=7, samples=1000)
+def test_stream_blocks_are_the_row_by_row_regressors(seed, experiment, P_hat,
+                                                    Q_hat, m, samples):
+    m = min(m, P_hat + Q_hat - 1)
+    if m < 1 or samples < m:
+        return
+    cfg = TvarxConfig(experiment=experiment, P_hat=P_hat, Q_hat=Q_hat, m=m,
+                      horizon_s=samples / 1000.0, seed=seed)
+    sim = tvarx_simulate(cfg)
+    blocks = tvarx_stream(cfg, sim)
+    ref = loop_tvarx_blocks(sim.y, sim.u, m, P_hat, Q_hat)
+    assert len(blocks) == len(ref) == samples // m
+    for blk, (A, y) in zip(blocks, ref):
+        assert_bitwise_equal(blk.A, A)
+        assert_bitwise_equal(blk.y, y)
+
+
+@SETTINGS
+@given(seed=seeds, size=st.integers(0, 40), t=st.integers(0, 45),
+       m=st.integers(0, 30), P_hat=st.integers(1, 12), Q_hat=st.integers(1, 12))
+def test_regressor_matrix_is_the_row_by_row_loop(seed, size, t, m, P_hat,
+                                                 Q_hat):
+    rng = np.random.default_rng(seed)
+    y, u = rng.standard_normal(size), rng.standard_normal(size)
+
+    def outcome(build):
+        try:
+            return build(y, u, t, m, P_hat, Q_hat)
+        except ValueError as exc:
+            return str(exc)
+
+    out, ref = outcome(regressor_matrix), outcome(loop_regressor_matrix)
+    if isinstance(ref, str):
+        assert out == ref
+    else:
+        assert_bitwise_equal(out, ref)
 
 
 def test_first_block_reads_the_zero_warmup():
@@ -239,6 +300,20 @@ def test_dictionary_shape_and_distinct_columns():
     assert A.shape == (144, 625)
     assert np.unique(A, axis=1).shape[1] == 625
     np.testing.assert_array_equal(A, rss_dictionary(cfg))
+
+
+@SETTINGS
+@given(seed=seeds, sensors=st.sampled_from([1, 4, 16, 36]),
+       meas_per_sensor=st.integers(1, 6),
+       area_m=st.sampled_from([6.0, 12.0, 25.0]),
+       snr_db=st.floats(0.0, 40.0))
+def test_dictionary_is_drawn_as_sensor_by_sensor_rows(seed, sensors,
+                                                      meas_per_sensor,
+                                                      area_m, snr_db):
+    cfg = RssConfig(seed=seed, sensors=sensors,
+                    meas_per_sensor=meas_per_sensor, area_m=area_m,
+                    snr_db=snr_db)
+    assert_bitwise_equal(rss_dictionary(cfg), loop_rss_dictionary(cfg))
 
 
 def test_feasible_moves_geometry():
