@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _svg, runner, scenarios
 from .core import QuadraticL1Problem, contraction_constants, objective_value
-from .distributed import RowStack, node_rows, ring_graph
+from .distributed import RowStack, deal_rows, ring_graph
 from .runner import build_stream, derive_seed, make_graph
 from .solvers import OracleError, batch_dr, optimality_residual
 
@@ -65,7 +65,6 @@ FIELD_VALUES = {
     int: (lambda v: isinstance(v, int), "an integer"),
     float: (lambda v: isinstance(v, (int, float)) and math.isfinite(v),
             "a finite number"),
-    str: (lambda v: isinstance(v, str), "a word"),
 }
 
 
@@ -98,7 +97,7 @@ def apply_overrides(cfg, overrides):
 def network_size(scenario, nodes, cfg, plays_odista):
     """The ring size outside rss, 4 by default, checked before anything is
     written: a given --nodes, or the default when odista plays, must make a
-    ring_graph(nodes, 3) and let node_rows deal each node a block row."""
+    ring_graph(nodes, 3) and let deal_rows deal each node a block row."""
     if scenario == "rss" and nodes is not None:
         raise UsageError("--nodes does not apply to rss, whose network is "
                          "the sensor grid")
@@ -106,7 +105,7 @@ def network_size(scenario, nodes, cfg, plays_odista):
     if scenario != "rss" and (nodes is not None or plays_odista):
         try:
             ring_graph(n_nodes, 3)
-            node_rows(cfg.m, n_nodes)
+            deal_rows(np.empty((cfg.m, 0)), n_nodes)
         except ValueError as e:
             raise UsageError(f"--nodes {n_nodes}: {e}")
     return n_nodes
@@ -403,6 +402,8 @@ def main(argv=None):
             args.r = 1 if args.r is None else args.r
         elif args.command == "solve" and args.max_iter < 1:
             raise UsageError("--max-iter must be at least 1")
+        elif args.command == "solve" and not 0 <= args.tol < math.inf:
+            raise UsageError("--tol must be a finite non-negative number")
         return args.func(args)
     # before ValueError, of which LinAlgError is a subclass
     except (OracleError, np.linalg.LinAlgError) as e:

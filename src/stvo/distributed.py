@@ -10,10 +10,10 @@ node reads the pre-step state.  A round opens with a communication, so C is
 never carried; a communication that ends a round (odd r) leaves X as it is.
 
 Node data comes only from a row partition: :meth:`RowStack.nodes` deals an
-elastic-net block's rows to the nodes, Q_v = A_v'A_v + mu_v I, and every
-solver entry point takes exactly one stack's nodes, in order, so all
-products Q_v x_v are one batched product over the stacked rows.  Every
-neighborhood mean is one product with the graph's row-normalised weight
+elastic-net block's rows to the nodes as two reshapes (:func:`deal_rows`),
+Q_v = A_v'A_v + mu_v I, and every solver entry point takes exactly one
+stack's nodes, in order, so all products Q_v x_v are one batched product
+over the stacked rows.  Every neighborhood mean is one product with the graph's row-normalised weight
 matrix ``Graph.W`` on the rows of X, and a communication and descent pair
 reads the mean of means ``Graph.W2`` = W @ W, so a round runs each pair as
 one map of X.  These sums run in another order than the literal per-node
@@ -39,7 +39,8 @@ from .core import QuadraticL1Problem, SliceOperator, _shrink
 
 @dataclass
 class Graph:
-    """Undirected communication graph with implicit self-loops.
+    """Undirected communication graph: its square boolean adjacency matrix,
+    which must be symmetric with a True diagonal (self-loops).
 
     neighbors[v] is the sorted array of nodes v receives from, v included.
     W is the dense |V| x |V| neighbour-weight matrix: row v holds 1/d_v on
@@ -48,27 +49,21 @@ class Graph:
     that a descent reads one communication after X.
     """
 
-    n_nodes: int
-    neighbors: list
+    adjacency: np.ndarray
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ValueError("graph needs at least one node")
-        if len(self.neighbors) != self.n_nodes:
-            raise ValueError("one neighbor list per node required")
-        n = self.n_nodes
-        adj = np.zeros((n, n), dtype=bool)
-        for v, raw in enumerate(self.neighbors):
-            arr = np.asarray(raw, dtype=int)
-            if arr.size and (arr.min() < 0 or arr.max() >= n):
-                raise ValueError(f"node {v} references an unknown node")
-            adj[v, arr] = True
-            if not adj[v, v]:
-                raise ValueError(f"node {v} must appear in its own list")
+        adj = self.adjacency = np.asarray(self.adjacency, dtype=bool)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.size == 0:
+            raise ValueError(f"adjacency of shape {adj.shape} is not a "
+                             "square matrix of at least one node")
+        lonely = np.flatnonzero(~adj.diagonal())
+        if lonely.size:
+            raise ValueError(f"node {lonely[0]} has no self-loop")
         one_way = np.argwhere(adj & ~adj.T)
         if one_way.size:
             raise ValueError(f"edge ({one_way[0, 0]},{one_way[0, 1]}) "
                              "is not symmetric")
+        self.n_nodes = adj.shape[0]
         self.degrees = adj.sum(axis=1)
         self.neighbors = np.split(np.nonzero(adj)[1],
                                   np.cumsum(self.degrees)[:-1])
@@ -87,35 +82,32 @@ class Graph:
         return int(self.degrees[0]) if self.regular else None
 
 
-def node_rows(m, n_nodes):
-    """Row indices of an m-row block that np.array_split deals each node:
-    the first m mod n_nodes nodes get one row more than the others."""
+def deal_rows(A, n_nodes):
+    """np.array_split's deal of the m rows of A to n_nodes nodes, stacked.
+
+    With k, extra = divmod(m, |V|), the first extra nodes get k + 1 rows
+    and the rest k, so the rows are two contiguous blocks of A, one
+    (extra, k + 1, n) and one (|V| - extra, k, n).  Returns (stack, groups):
+    stack is the zero-padded (|V|, k_max, n) stack, node v's rows A_v on top
+    of slab v and zero rows below where it has fewer than k_max (zero rows
+    add exactly nothing), and groups the two blocks as views of it.
+    """
+    m, n = A.shape
     if not 1 <= n_nodes <= m:
         raise ValueError(f"block of {m} rows cannot feed {n_nodes} nodes")
     k, extra = divmod(m, n_nodes)
-    rows = np.arange(m)
-    return [rows[v * k + min(v, extra):(v + 1) * k + min(v + 1, extra)]
-            for v in range(n_nodes)]
-
-
-def padded_rows(data, n_nodes):
-    """The rows :func:`node_rows` deals each node, stacked and zero-padded.
-
-    Returns (rows, A): A is (|V|, k_max, n) with node v's rows A_v on top
-    of slab v and zero rows below where it has fewer than k_max (zero rows
-    add exactly nothing).
-    """
-    rows = node_rows(data.m, n_nodes)
-    A = np.zeros((n_nodes, rows[0].size, data.n))
-    for v, idx in enumerate(rows):
-        A[v, :idx.size] = data.A[idx]
-    return rows, A
+    stack = np.zeros((n_nodes, -(-m // n_nodes), n))
+    groups = stack[:extra], stack[extra:, :k]
+    cut = extra * stack.shape[1]
+    groups[0][...] = A[:cut].reshape(groups[0].shape)
+    groups[1][...] = A[cut:].reshape(groups[1].shape)
+    return stack, groups
 
 
 class RowStack:
     """Row blocks of one partition's nodes, stacked once and shared.
 
-    rows and A are the :func:`padded_rows` of the block and mu the ridge
+    A and groups are the :func:`deal_rows` of the block and mu the ridge
     each node adds, so the Gram parts A_v'(A_v x_v) of every node's
     Q_v x_v = A_v'(A_v x_v) + mu x_v come from one batched matmul pair over
     A, the second one on row vectors, (A_v x_v)' A_v.  ops[v] is node v's
@@ -123,19 +115,24 @@ class RowStack:
     slab.
     """
 
-    __slots__ = ("A", "rows", "mu", "ops")
+    __slots__ = ("A", "groups", "mu", "ops")
 
     def __init__(self, data, n_nodes):
-        self.rows, self.A = padded_rows(data, n_nodes)
+        self.A, self.groups = deal_rows(data.A, n_nodes)
         self.mu = data.mu / n_nodes
-        self.ops = [SliceOperator.gram(self.A[v, :idx.size], self.mu)
-                    for v, idx in enumerate(self.rows)]
+        self.ops = [SliceOperator.gram(slab, self.mu)
+                    for slabs in self.groups for slab in slabs]
 
     def nodes(self, y):
         """The nodes of a slice with measurements y: phi_v = -A_v'y_v, so
-        the node data sum back to the centralized elastic-net slice."""
-        return [NodeData(op, -self.A[v, :idx.size].T @ y[idx], self)
-                for v, (op, idx) in enumerate(zip(self.ops, self.rows))]
+        the node data sum back to the centralized elastic-net slice.  Each
+        row-count group forms its phi_v as the row vectors -y_v' A_v, one
+        np.matmul over the group's slabs, bitwise the per-node -A_v'y_v."""
+        cut = len(self.groups[0]) * self.A.shape[1]
+        phi = np.concatenate([
+            np.matmul(-ys.reshape(slabs.shape[:2])[:, None], slabs)
+            for ys, slabs in zip((y[:cut], y[cut:]), self.groups)])
+        return [NodeData(op, p, self) for op, p in zip(self.ops, phi[:, 0])]
 
 
 class NodeData:
@@ -185,20 +182,19 @@ def ring_graph(n_nodes, d):
     """Symmetric circulant ring: each node links to its d-1 nearest nodes.
 
     Requires d - 1 even (split evenly on both sides) or d == n_nodes, which
-    degenerates to the complete graph.  Self-loops are always present.
+    degenerates to the complete graph.  Self-loops are always present.  The
+    adjacency is the circulant band of the nodes w with w - v mod |V| within
+    (d - 1) / 2 of 0.
     """
     if d < 1 or d > n_nodes:
         raise ValueError(f"degree {d} infeasible on {n_nodes} nodes")
     if d == n_nodes:
-        return Graph(n_nodes, [np.arange(n_nodes) for _ in range(n_nodes)])
+        return Graph(np.ones((n_nodes, n_nodes), dtype=bool))
     if (d - 1) % 2 != 0:
         raise ValueError(f"degree {d} needs d-1 even on a ring of {n_nodes}")
     half = (d - 1) // 2
-    if 2 * half + 1 > n_nodes:
-        raise ValueError(f"degree {d} infeasible on {n_nodes} nodes")
-    nbrs = [np.sort((v + np.arange(-half, half + 1)) % n_nodes)
-            for v in range(n_nodes)]
-    return Graph(n_nodes, nbrs)
+    offsets = np.arange(n_nodes) - np.arange(n_nodes)[:, None] + half
+    return Graph(offsets % n_nodes <= 2 * half)
 
 
 def radius_graph(positions, radius):
@@ -211,11 +207,8 @@ def radius_graph(positions, radius):
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2:
         raise ValueError("positions must be (n_nodes, dim)")
-    n = positions.shape[0]
     diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    nbrs = [np.flatnonzero(dist[v] <= radius) for v in range(n)]
-    graph = Graph(n, nbrs)
+    graph = Graph(np.sqrt((diff ** 2).sum(axis=2)) <= radius)
     if not graph.connected:
         warnings.warn("radius graph is disconnected", RuntimeWarning)
     return graph

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import metrics, scenarios
 from .core import elastic_net_problem, objective_value
-from .distributed import (NetworkState, OdistaRound, RowStack, odista_round,
-                          padded_rows, radius_graph, ring_graph)
+from .distributed import (NetworkState, OdistaRound, RowStack, deal_rows,
+                          odista_round, radius_graph, ring_graph)
 from .metrics import RunTrace
 from .solvers import (DRState, OdrRound, OistRound, OnlineConfig,
                       consistent_state, initial_state, odr_round, oist_round,
@@ -83,15 +83,15 @@ def odista_taus(blocks, n_nodes, rule):
     keeps the damping below one at each node; "per_node" uses each node's
     own 1 / ||A_v||_2^2.  The squared norms are the top eigenvalues of the
     small Gram matrices A_v A_v', one batched eigensolve over the run's
-    :func:`~stvo.distributed.padded_rows` (zero padding rows add only zero
-    eigenvalues).  A node of zero rows alone has no finite step: a
-    ValueError names its slice and node.
+    zero-padded row stack from :func:`~stvo.distributed.deal_rows` (zero
+    padding rows add only zero eigenvalues).  A node of zero rows alone has
+    no finite step: a ValueError names its slice and node.
     """
     if rule not in ("uniform_min", "per_node"):
         raise ValueError(f"unknown step-size rule {rule!r}")
     taus = []
     for run in _shared_runs(blocks):
-        _, A = padded_rows(run[0], n_nodes)
+        A, _ = deal_rows(run[0].A, n_nodes)
         norms = np.linalg.eigvalsh(
             A @ np.ascontiguousarray(A.transpose(0, 2, 1)))[:, -1]
         if rule == "uniform_min":

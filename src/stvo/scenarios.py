@@ -312,9 +312,12 @@ def rss_dictionary(cfg):
     rms = np.sqrt(np.mean(base ** 2, axis=1))
     noise = substream(cfg.seed, STREAM_DICT).standard_normal(
         (cfg.n_meas, cfg.n_cells))
-    k = cfg.meas_per_sensor
     scale = 10.0 ** (-cfg.snr_db / 20.0)
-    return np.repeat(base, k, axis=0) + noise * np.repeat(rms, k)[:, None] * scale
+    rows = noise.reshape(cfg.sensors, cfg.meas_per_sensor, cfg.n_cells)
+    rows *= rms[:, None, None]
+    rows *= scale
+    rows += base[:, None, :]
+    return noise
 
 
 def feasible_moves(cell, side):

@@ -15,9 +15,11 @@ relative.  :func:`assert_relatively_close` is that tolerance, shared by the
 tests, and :func:`assert_bitwise_equal` the exact comparison.
 
 The loop builders at the end (:func:`loop_regressor_matrix`,
-:func:`loop_tvarx_blocks`, :func:`loop_rss_dictionary`, :func:`list_graph`)
-are row-by-row, sensor-by-sensor and list-based forms of the package's
-whole-array setup builders; the tests hold the two equal bit for bit.
+:func:`loop_tvarx_blocks`, :func:`loop_rss_dictionary`, :func:`list_graph`,
+:func:`node_rows`, :func:`padded_rows`, :func:`loop_node_phis`) are
+row-by-row, sensor-by-sensor, node-by-node and list-based forms of the
+package's whole-array setup builders; the tests hold the two equal bit for
+bit.
 """
 
 import numpy as np
@@ -320,7 +322,7 @@ def list_graph(n_nodes, neighbors):
         if arr.size and (arr[0] < 0 or arr[-1] >= n_nodes):
             raise ValueError(f"node {v} references an unknown node")
         if v not in arr:
-            raise ValueError(f"node {v} must appear in its own list")
+            raise ValueError(f"node {v} has no self-loop")
         nbrs.append(arr)
     for v, arr in enumerate(nbrs):
         for w in arr:
@@ -339,3 +341,31 @@ def list_graph(n_nodes, neighbors):
     for v, arr in enumerate(nbrs):
         W[v, arr] = 1.0 / arr.size
     return nbrs, degrees, len(seen) == n_nodes, W
+
+
+def node_rows(m, n_nodes):
+    """Row indices of an m-row block that np.array_split deals each node:
+    the first m mod n_nodes nodes get one row more than the others."""
+    if not 1 <= n_nodes <= m:
+        raise ValueError(f"block of {m} rows cannot feed {n_nodes} nodes")
+    k, extra = divmod(m, n_nodes)
+    rows = np.arange(m)
+    return [rows[v * k + min(v, extra):(v + 1) * k + min(v + 1, extra)]
+            for v in range(n_nodes)]
+
+
+def padded_rows(A, n_nodes):
+    """The rows :func:`node_rows` deals each node, copied node by node into
+    a zero-padded (|V|, k_max, n) stack: (rows, stack)."""
+    rows = node_rows(A.shape[0], n_nodes)
+    stack = np.zeros((n_nodes, rows[0].size, A.shape[1]))
+    for v, idx in enumerate(rows):
+        stack[v, :idx.size] = A[idx]
+    return rows, stack
+
+
+def loop_node_phis(A, y, n_nodes):
+    """phi_v = -A_v'y_v, one gemv per node on its slab of the
+    :func:`padded_rows` stack."""
+    rows, stack = padded_rows(A, n_nodes)
+    return [-stack[v, :idx.size].T @ y[idx] for v, idx in enumerate(rows)]

@@ -134,6 +134,22 @@ def test_solve_refuses_an_iteration_cap_below_one(tmp_path, capsys, cap):
     assert captured.err == "error: --max-iter must be at least 1\n"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-inf"])
+def test_solve_refuses_a_tolerance_that_is_not_finite_and_non_negative(
+        tmp_path, capsys, tol):
+    f = problem_file(tmp_path, "1\n2\n-3\n1\n")
+    assert run_cli("solve", f, f"--tol={tol}") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --tol must be a finite non-negative number\n"
+
+
+def test_solve_accepts_a_zero_tolerance(tmp_path, capsys):
+    f = problem_file(tmp_path, "1\n2\n-3\n1\n")
+    assert run_cli("solve", f, "--tol", "0", "--max-iter", "50") == 0
+    assert capsys.readouterr().out.startswith("converged: true\n")
+
+
 def test_problem_file_comments_and_errors(tmp_path):
     f = problem_file(tmp_path, "# header\n1\n2 # Q\n-3\n1\n")
     p = read_problem_file(f)

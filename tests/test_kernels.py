@@ -55,6 +55,7 @@ from stvo.solvers import (DRState, OdrRound, OistRound, OnlineConfig,
                           oracle_minimizer)
 
 from oracles import (
+    assert_bitwise_equal,
     assert_relatively_close,
     column_local_means,
     column_odista_round,
@@ -63,7 +64,9 @@ from oracles import (
     direct_odd_step,
     direct_oist_sweep,
     direct_prox,
+    loop_node_phis,
     mean_of_columns,
+    padded_rows,
     stack_column_products,
 )
 
@@ -88,7 +91,10 @@ def random_graph(rng, n_nodes, max_degree):
         if len(nbrs[v]) < max_degree and len(nbrs[w]) < max_degree:
             nbrs[v].add(int(w))
             nbrs[w].add(int(v))
-    return Graph(n_nodes, [sorted(s) for s in nbrs])
+    adj = np.zeros((n_nodes, n_nodes), dtype=bool)
+    for v, s in enumerate(nbrs):
+        adj[v, sorted(s)] = True
+    return Graph(adj)
 
 
 @SETTINGS
@@ -766,6 +772,38 @@ def test_lazy_node_q_is_the_dense_formula_bitwise(seed, n, n_nodes, extra_rows):
         np.testing.assert_array_equal(nd.Q, Q)
         np.testing.assert_array_equal(nd.phi, phi)
         assert nd.Q is nd.Q
+
+
+@SETTINGS
+@given(seed=seeds, n=st.integers(1, 30), n_nodes=st.integers(1, 16),
+       extra_rows=st.integers(0, 40))
+# even deals: every node gets the same row count
+@example(seed=0, n=20, n_nodes=4, extra_rows=8)
+@example(seed=1, n=5, n_nodes=7, extra_rows=0)
+# uneven deals: 13 rows over 4 nodes, 37 over 6
+@example(seed=2, n=20, n_nodes=4, extra_rows=9)
+@example(seed=3, n=9, n_nodes=6, extra_rows=31)
+# the rss partition's shape, 36 nodes of 4 rows over 625 cells, and one
+# row more
+@example(seed=4, n=625, n_nodes=36, extra_rows=108)
+@example(seed=5, n=625, n_nodes=36, extra_rows=109)
+def test_row_deal_is_the_node_by_node_build_bitwise(seed, n, n_nodes,
+                                                    extra_rows):
+    rng = np.random.default_rng(seed)
+    block = random_block(rng, n_nodes + extra_rows, n)
+    stack = RowStack(block, n_nodes)
+    rows, ref = padded_rows(block.A, n_nodes)
+    assert_bitwise_equal(stack.A, ref)
+    slabs = [slab for group in stack.groups for slab in group]
+    assert len(slabs) == n_nodes
+    mu_v = block.mu / n_nodes
+    nodes = stack.nodes(block.y)
+    for v, (slab, nd, phi) in enumerate(
+            zip(slabs, nodes, loop_node_phis(block.A, block.y, n_nodes))):
+        A_v = ref[v, :rows[v].size]
+        assert_bitwise_equal(slab, A_v)
+        assert_bitwise_equal(nd.phi, phi)
+        assert_bitwise_equal(nd.Q, A_v.T @ A_v + mu_v * np.eye(n))
 
 
 def test_slices_of_one_sensing_matrix_share_the_row_stack():
