@@ -310,7 +310,7 @@ def cmd_check(args):
              "not regular; guarantee 9 assumes a regular graph"))
     try:
         stack = RowStack(stream.blocks[0], g.n_nodes)
-        runner.odista_taus(stream.blocks, g.n_nodes, "per_node")
+        runner.odista_taus(stream.blocks, g.n_nodes, args.tau_rule)
         print(f"ok: {sum(op.factored for op in stack.ops)} of {g.n_nodes} "
               f"node operators factored, k_max={stack.A.shape[1]} of "
               f"n={stream.n}")
@@ -357,8 +357,6 @@ def build_parser():
                        help="compute reference minimizers and regret")
     p_run.add_argument("--nodes", type=int, default=None,
                        help="network size for odista outside rss (default 4)")
-    p_run.add_argument("--tau-rule", choices=("per_node", "uniform_min"),
-                       default="per_node", dest="tau_rule")
     p_run.add_argument("--common-random", choices=("on", "off"), default="on",
                        dest="common_random_flag",
                        help="share data streams across algorithms (on) or "
@@ -381,6 +379,11 @@ def build_parser():
                          help="ring size outside rss (default 4)")
     p_check.add_argument("--config", default=None)
     p_check.set_defaults(func=cmd_check)
+    # check runs the node step premise of the rule that run plays odista by
+    for p in (p_run, p_check):
+        p.add_argument("--tau-rule", choices=("per_node", "uniform_min"),
+                       default="per_node", dest="tau_rule",
+                       help="node step sizes of odista (default per_node)")
     return parser
 
 

@@ -19,8 +19,9 @@ class SliceOperator:
     """The quadratic term Q of a slice and the data derived from it.
 
     Holds Q either dense, or factored as the pair (A, mu) with
-    Q = A'A + mu I and fewer rows than columns (m < n).  The proximal
-    factor and the extreme eigenvalues are computed on first use and
+    Q = A'A + mu I and fewer rows than columns (m < n).  The data of the
+    proximal solve (the inverse of Q + I when dense, a Cholesky factor when
+    factored) and the extreme eigenvalues are computed on first use and
     cached, so every slice holding the operator by reference shares them.
     Q is symmetric positive definite, so its spectral norm is its largest
     eigenvalue.  On a factored operator
@@ -77,20 +78,31 @@ class SliceOperator:
         return A_S.T @ A_S + self.mu * np.eye(A_S.shape[1])
 
     def prox_factor(self):
-        """Cholesky factor of Q + I, or of the m x m G when factored."""
+        """The cached data of the solve with Q + I.  Dense: the inverse
+        P = (Q + I)^{-1} itself, formed by one solve of the Cholesky
+        factor of Q + I with a Fortran-order identity; P is symmetric, so
+        its transpose is the C-order array held.  Factored: the Cholesky
+        factor of the m x m G."""
         if self._factor is None:
             if self.A is None:
-                G = self._Q + np.eye(self.n)
+                # Q is finite: gram forms it from checked data, and a slice
+                # built from Q checks it
+                c, lower = scipy.linalg.cho_factor(
+                    self._Q + np.eye(self.n), lower=False, overwrite_a=True,
+                    check_finite=False)
+                self._factor = dpotrs(c, np.eye(self.n, order="F"),
+                                      lower=lower, overwrite_b=True)[0].T
             else:
                 G = self.A @ self.A.T + (1.0 + self.mu) * np.eye(len(self.A))
-            self._factor = scipy.linalg.cho_factor(G, lower=False)
+                self._factor = scipy.linalg.cho_factor(G, lower=False)
         return self._factor
 
     def solver(self, factor):
-        """b -> (Q + I)^{-1} b given prox_factor(); overwrites b."""
-        c, lower = factor
+        """b -> (Q + I)^{-1} b given prox_factor(): one product with P when
+        dense; when factored, the lemma's solve, which overwrites b."""
         if self.A is None:
-            return lambda b: dpotrs(c, b, lower=lower, overwrite_b=True)[0]
+            return lambda b: np.dot(factor, b)
+        c, lower = factor
         A, s = self.A, 1.0 + self.mu
         return lambda b: (b - A.T @ dpotrs(c, A @ b, lower=lower,
                                            overwrite_b=True)[0]) / s
@@ -170,7 +182,8 @@ class QuadraticL1Problem:
         return self.op.Q
 
     def prox_factor(self):
-        """Cached Cholesky factor behind the quadratic proximal solve."""
+        """Cached data of the quadratic proximal solve, see
+        :meth:`SliceOperator.prox_factor`."""
         return self.op.prox_factor()
 
     def eig_extremes(self):
@@ -286,9 +299,10 @@ def _shrink(z, lo, hi, out=None):
 def prox_quadratic(z, problem):
     """Proximal operator of the smooth part 0.5 x'Qx + phi'x at z.
 
-    Solves (Q + I) x = z - phi through the cached factorization; the inverse
-    is never formed explicitly.  This map is 1/(1+sigma)-Lipschitz in z,
-    with sigma the smallest eigenvalue of Q.
+    Applies (Q + I)^{-1} to z - phi through the operator's cached
+    :meth:`~SliceOperator.prox_factor`: one product with the inverse when Q
+    is dense, the lemma's m x m solve when it is factored.  This map is
+    1/(1+sigma)-Lipschitz in z, with sigma the smallest eigenvalue of Q.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (problem.n,):

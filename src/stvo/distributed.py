@@ -37,10 +37,11 @@ import numpy as np
 from .core import QuadraticL1Problem, SliceOperator, _shrink
 
 
-@dataclass
+@dataclass(eq=False)
 class Graph:
     """Undirected communication graph: its square boolean adjacency matrix,
-    which must be symmetric with a True diagonal (self-loops).
+    which must be symmetric with a True diagonal (self-loops).  Equality is
+    identity: the generated field comparison would compare arrays.
 
     neighbors[v] is the sorted array of nodes v receives from, v included.
     W is the dense |V| x |V| neighbour-weight matrix: row v holds 1/d_v on

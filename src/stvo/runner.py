@@ -20,8 +20,7 @@ from .distributed import (NetworkState, OdistaRound, RowStack, deal_rows,
                           odista_round, radius_graph, ring_graph)
 from .metrics import RunTrace
 from .solvers import (DRState, OdrRound, OistRound, OnlineConfig,
-                      consistent_state, initial_state, odr_round, oist_round,
-                      oracle_minimizer)
+                      initial_state, odr_round, oist_round, oracle_minimizer)
 
 ALGORITHMS = ("oist", "odr", "odista")
 
@@ -210,8 +209,8 @@ def calibrate_r(single_step, budget_ms, steps_per_call=1):
 def odr_step_timer(problem):
     """Closure timing one splitting iteration, for round-budget calibration:
     each call continues by one iteration a round started on problem from
-    consistent_state(problem) outside the timed call."""
-    rnd = OdrRound().start(problem, consistent_state(problem))
+    z = 0 outside the timed call."""
+    rnd = OdrRound().start(problem, np.zeros(problem.n))
     return lambda: rnd.step(1)
 
 

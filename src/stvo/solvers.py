@@ -6,7 +6,12 @@ solve of the quadratic part and contracts linearly on the auxiliary
 sequence.  The thresholded-gradient family (``oist_round``) performs plain
 proximal-gradient sweeps.  Each online family steps a prepared round
 (:class:`OdrRound`, :class:`OistRound`) that pays its slice's setup and
-checks once.  ``oracle_minimizer`` finds each slice's
+checks once.  Both rounds take their form from the slice operator alone:
+on a dense Q an iteration is lifted, one gemv with a matrix the round
+builds once and a shrink or clip (odr in z alone, through the operator's
+cached (Q + I)^{-1}); on a factored Q it is the literal step through the
+factors.  ``dr_step`` is always the literal step from any (x, z).
+``oracle_minimizer`` finds each slice's
 minimizer by a warm-started active-set (feature-sign) search whose answer is
 an exact reduced solve, falls back to restarted FISTA only when that answer
 does not certify, and certifies the result against the subgradient
@@ -95,57 +100,123 @@ def consistent_state(problem, z=None):
     return DRState(prox_quadratic(z, problem), z)
 
 
-class OdrRound:
-    """Splitting round on one slice: :meth:`start` binds the operator's
-    solve on the cached factor and checks the state once, :meth:`step` runs
-    iterations on the plain arrays ``x`` and ``z`` with no checks.
+def _dr_iterations(x, z, solve, phi, lam, k):
+    """k literal splitting iterations u = S_lam(2x - z); z+ = z + 2(u - x);
+    x+ = (Q + I)^{-1} (z+ - phi), solve the proximal solve of Q + I.
+    Writes into neither x nor z."""
+    for _ in range(k):
+        u = _shrink(2.0 * x - z, -lam, lam)
+        z = z + 2.0 * (u - x)
+        x = solve(z - phi)
+    return x, z
 
-    Thresholding is the kernel of ``soft_threshold`` without its checks and
-    the solve is the one behind ``prox_quadratic``, so every iterate is
-    bitwise the one those two functions give.
+
+class OdrRound:
+    """Splitting round on one slice, started from the state consistent with
+    a given z: x = (Q + I)^{-1} (z - phi), the proximal image of z.
+
+    :meth:`start` checks z once and picks the form from the operator, the
+    one form rule of both online rounds: a dense operator steps lifted, a
+    factored one literally.
+
+    * **Lifted (dense Q).**  From a consistent state the iteration closes in
+      z alone: z+ = y - 2 clip(y, -lam, lam) with y = 2x - z = B z - c,
+      B = 2P - I, c = 2 P phi and P = (Q + I)^{-1}, which the operator
+      caches as its :meth:`~stvo.core.SliceOperator.prox_factor`.  An
+      iteration is one gemv and five element-wise passes.  x = P (z - phi)
+      is formed only when read.  The round owns z and one spare buffer: an
+      iteration writes z+ into the spare and the two swap, so the z a
+      caller read before a :meth:`step` survives that step, but not the
+      next one.  :meth:`state` hands back copies, and the caller's z is
+      never written.
+    * **Literal (factored Q).**  Each iteration is
+      ``u = S_lam(2x - z); z+ = z + 2(u - x); x+ = (Q + I)^{-1} (z+ - phi)``
+      on fresh arrays, bitwise the iterates of ``soft_threshold`` and
+      ``prox_quadratic``.
+
+    The lifted iterates agree with the literal ones to rounding (1e-12
+    relative); within one form a round stepped in chunks is bitwise the
+    round stepped once by their sum.
     """
 
-    __slots__ = ("x", "z", "_solve", "_phi", "_lam")
+    __slots__ = ("z", "_x", "_solve", "_phi", "_lam", "_B", "_c", "_lo",
+                 "_hi", "_spare", "_clip")
 
-    def start(self, problem, state):
-        """Start on problem from state as given."""
-        if state.z.shape != (problem.n,):
+    def start(self, problem, z):
+        """Start on problem from the state consistent with z."""
+        if z.shape != (problem.n,):
             raise ValueError(
-                f"state must have shape ({problem.n},), got {state.z.shape}")
-        self._solve = problem.op.solver(problem.prox_factor())
+                f"z must have shape ({problem.n},), got {z.shape}")
+        factor = problem.prox_factor()
+        self._solve = problem.op.solver(factor)
         self._phi, self._lam = problem.phi, problem.lam
-        self.x, self.z = state.x, state.z
+        if problem.op.factored:
+            self._B = None
+            self._x, self.z = self._solve(z - self._phi), z
+            return self
+        B = self._B = 2.0 * factor
+        B.reshape(-1)[::problem.n + 1] -= 1.0
+        self._c = self._solve(2.0 * self._phi)
+        # the bounds as arrays: a ufunc takes them faster than a float
+        self._hi = np.full(problem.n, self._lam)
+        self._lo = np.negative(self._hi)
+        self.z = np.array(z, dtype=float)
+        self._spare, self._clip = np.empty_like(self.z), np.empty_like(self.z)
         return self
 
+    @property
+    def x(self):
+        if self._B is None:
+            return self._x
+        return self._solve(self.z - self._phi)
+
     def step(self, k):
-        """k iterations u = S_lam(2x - z); z+ = z + 2(u - x);
-        x+ = (Q + I)^{-1} (z+ - phi)."""
+        """k iterations."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        x, z, solve = self.x, self.z, self._solve
-        phi, lam = self._phi, self._lam
+        if self._B is None:
+            self._x, self.z = _dr_iterations(self._x, self.z, self._solve,
+                                             self._phi, self._lam, k)
+            return self
+        z, y, t, B, c, lo, hi = (self.z, self._spare, self._clip, self._B,
+                                 self._c, self._lo, self._hi)
         for _ in range(k):
-            u = _shrink(2.0 * x - z, -lam, lam)
-            z = z + 2.0 * (u - x)
-            x = solve(z - phi)
-        self.x, self.z = x, z
+            np.dot(B, z, out=y)
+            np.subtract(y, c, out=y)
+            np.maximum(y, lo, out=t)
+            np.minimum(t, hi, out=t)
+            np.subtract(y, t, out=y)
+            np.subtract(y, t, out=y)
+            z, y = y, z
+        self.z, self._spare = z, y
         return self
 
     def state(self):
-        return DRState(self.x, self.z)
+        return DRState(self.x, self.z.copy())
 
 
 class OistRound:
-    """Thresholded-gradient round on one slice: :meth:`start` checks the
-    step and its premise once, :meth:`step` runs sweeps
-    x <- S_{lam*tau}(x - tau*(Qx + phi)) on the plain array ``x``.
+    """Thresholded-gradient round on one slice: sweeps
+    x <- S_{lam*tau}(x - tau*(Qx + phi)).
 
-    The threshold scales with tau, so each sweep exactly minimizes the
-    majorizing surrogate, and the objective is non-increasing whenever
+    :meth:`start` checks the step and its premise once.  The threshold
+    scales with tau, so each sweep exactly minimizes the majorizing
+    surrogate, and the objective is non-increasing whenever
     tau * lambda_max(Q) <= 1.  A larger step is warned about, not fatal.
+    The form follows :class:`OdrRound`'s rule:
+
+    * **Lifted (dense Q).**  A sweep is x <- S_{lam*tau}[B x - c] with
+      B = I - tau Q and c = tau phi folded into the shrink bounds
+      lo, hi = c -+ lam tau: one gemv into a spare buffer and the shared
+      shrink back over x.  The round owns x, a copy of the one it is
+      given, and :meth:`state` hands back a copy.  The sweeps agree with
+      the literal ones to rounding (1e-12 relative).
+    * **Literal (factored Q).**  Each sweep forms Q x through the factors
+      on fresh arrays, as written above.
     """
 
-    __slots__ = ("x", "_tau", "_thr", "_matvec", "_phi")
+    __slots__ = ("x", "_tau", "_thr", "_matvec", "_phi", "_B", "_lo", "_hi",
+                 "_spare")
 
     def start(self, problem, tau, x):
         if not 0 < tau < np.inf:
@@ -156,31 +227,55 @@ class OistRound:
                 f"tau={tau:.3e} violates the descent precondition "
                 f"tau <= 1/lambda_max(Q) = {1.0 / lambda_max:.3e}; "
                 "iterating anyway", RuntimeWarning)
-        self.x = np.asarray(x, dtype=float)
         self._tau, self._thr = tau, problem.lam * tau
-        self._matvec, self._phi = problem.op.matvec, problem.phi
+        if problem.op.factored:
+            self._B = None
+            self.x = np.asarray(x, dtype=float)
+            self._matvec, self._phi = problem.op.matvec, problem.phi
+            return self
+        B = self._B = problem.Q * -tau
+        B.reshape(-1)[::problem.n + 1] += 1.0
+        c = tau * problem.phi
+        self._lo = np.subtract(c, self._thr)
+        self._hi = np.add(c, self._thr, out=c)
+        self.x = np.array(x, dtype=float)
+        self._spare = np.empty_like(self.x)
         return self
 
     def step(self, k):
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        x, tau, thr = self.x, self._tau, self._thr
-        matvec, phi = self._matvec, self._phi
+        x = self.x
+        if self._B is None:
+            tau, thr = self._tau, self._thr
+            matvec, phi = self._matvec, self._phi
+            for _ in range(k):
+                x = _shrink(x - tau * (matvec(x) + phi), -thr, thr)
+            self.x = x
+            return self
+        B, y, lo, hi = self._B, self._spare, self._lo, self._hi
         for _ in range(k):
-            x = _shrink(x - tau * (matvec(x) + phi), -thr, thr)
-        self.x = x
+            # np.dot: the gemv of np.matmul, with less call overhead
+            np.dot(B, x, out=y)
+            _shrink(y, lo, hi, out=x)
         return self
 
     def state(self):
-        return self.x
+        return self.x.copy()
 
 
 def dr_step(state, problem):
-    """One splitting iteration.
+    """One literal splitting iteration from the given (x, z), which need not
+    be consistent.
 
     u = S_lam(2x - z); z+ = z + 2(u - x); x+ = (Q + I)^{-1} (z+ - phi).
     """
-    return OdrRound().start(problem, state).step(1).state()
+    if state.z.shape != (problem.n,):
+        raise ValueError(
+            f"state must have shape ({problem.n},), got {state.z.shape}")
+    solve = problem.op.solver(problem.prox_factor())
+    return DRState(*_dr_iterations(state.x, state.z, solve, problem.phi,
+                                   problem.lam, 1))
 
 
 def batch_dr(problem, tol=1e-10, max_iter=10000, initial=None):
@@ -201,8 +296,8 @@ def batch_dr(problem, tol=1e-10, max_iter=10000, initial=None):
     -------
     BatchResult
     """
-    rnd = OdrRound().start(problem, consistent_state(
-        problem, None if initial is None else initial.z))
+    rnd = OdrRound().start(
+        problem, np.zeros(problem.n) if initial is None else initial.z)
     residuals = []
     converged = False
     for _ in range(max_iter):
@@ -223,12 +318,11 @@ def odr_round(state, problem, cfg):
     through the current slice's proximal map; with the x carried from the
     previous slice the first inner step would not be an application of the
     current reflected operator and the per-round contraction guarantee would
-    pick up an extra drift term.  From a state already consistent with
-    ``problem`` the refresh reproduces x bitwise, so on a static stream the
-    round sequence coincides with the batch iteration.
+    pick up an extra drift term.  :class:`OdrRound` starts from z alone, so
+    on a static stream the round sequence coincides with the batch
+    iteration.
     """
-    rnd = OdrRound().start(problem, consistent_state(problem, state.z))
-    return rnd.step(cfg.r).state()
+    return OdrRound().start(problem, state.z).step(cfg.r).state()
 
 
 def oist_round(x, problem, cfg):

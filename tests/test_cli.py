@@ -570,6 +570,25 @@ def test_check_refuses_the_node_count_the_run_refuses(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == err
 
 
+@pytest.mark.parametrize("rule", ["per_node", "uniform_min"])
+def test_check_refuses_exactly_what_the_run_refuses_under_its_step_rule(
+        tmp_path, capsys, rule):
+    # twelve nodes deal node 0 its zero warm-up row alone, which has a step
+    # only when uniform_min gives it the network's smallest one; thirteen
+    # nodes outnumber the rows, and two make no ring of degree 3
+    refused = {"2": 1, "3": 0, "5": 0, "12": int(rule == "per_node"), "13": 1}
+    cfg = write_cfg(tmp_path, "horizon_s = 0.06\n")
+    for nodes, code in refused.items():
+        assert run_cli("check", "--scenario", "exp1", "--nodes", nodes,
+                       "--tau-rule", rule, "--config", cfg) == code
+        err = capsys.readouterr().err
+        assert run_cli("run", "--scenario", "exp1", "--alg", "odista",
+                       "--r", "2", "--nodes", nodes, "--tau-rule", rule,
+                       "--config", cfg,
+                       "--out", str(tmp_path / f"out_{nodes}")) == code
+        assert capsys.readouterr().err == err
+
+
 def test_check_notes_a_default_ring_the_run_would_refuse(tmp_path, capsys):
     # blocks of 4 rows deal each default node one row; node 0's is zero.
     # Only the distributed solver needs the nodes, so the check passes

@@ -120,6 +120,15 @@ def test_ring_graph_complete_when_degree_equals_nodes():
         np.testing.assert_array_equal(g.neighbors[v], np.arange(5))
 
 
+def test_graph_equality_is_identity():
+    # a field-by-field comparison would compare the adjacency arrays and
+    # raise on their truth value
+    g, h = ring_graph(4, 3), ring_graph(4, 3)
+    assert g == g and not g != g
+    assert g != h and not g == h
+    assert len({g, h, g}) == 2
+
+
 def test_ring_graph_rejects_infeasible_degree():
     with pytest.raises(ValueError):
         ring_graph(6, 4)

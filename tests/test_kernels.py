@@ -1,12 +1,16 @@
 """Property tests: the round kernels against literal transcriptions.
 
 The online rounds iterate on plain arrays and check their inputs once per
-round.  The odr and oist rounds keep the reference steps' operation order,
-so agreement is asserted bitwise on hypothesis-generated problems.  The
-batched node products A_v'(A_v x_v) + mu_v x_v sum in another order than
-the dense Q_v, and a factored slice operator solves through the matrix
-inversion lemma, so both are held to the dense formulas within 1e-12
-relative.  The odista half-steps
+round.  On a dense slice the odr and oist rounds step lifted, one gemv with
+B = 2P - I (odr, in z alone, P = (Q + I)^{-1}) or B = I - tau Q (oist) per
+iteration, which sums in another order than the literal steps; they are
+held to ``direct_dr_step`` and ``direct_oist_sweep`` within 1e-12 relative
+for up to 400 iterations, and their chunks, step(0) and their ownership of
+the arrays they step are checked bitwise.  On a factored slice they keep
+the literal steps.  The batched node products A_v'(A_v x_v) + mu_v x_v sum
+in another order than the dense Q_v, and a factored slice operator solves
+through the matrix inversion lemma, so both are held to the dense formulas
+within 1e-12 relative.  The odista half-steps
 take every neighborhood mean as one product with the graph's weight matrix
 W, and a round runs each communication and descent pair as one map through
 W2 = W @ W; they are held to the literal left folds and to the column-major
@@ -51,8 +55,8 @@ from stvo.runner import (block_taus, odista_taus, odr_step_timer,
                          problems_from_blocks)
 from stvo.scenarios import RssConfig, sensor_positions
 from stvo.solvers import (DRState, OdrRound, OistRound, OnlineConfig,
-                          consistent_state, dr_step, odr_round, oist_round,
-                          oracle_minimizer)
+                          consistent_state, dr_step, initial_state, odr_round,
+                          oist_round, oracle_minimizer)
 
 from oracles import (
     assert_bitwise_equal,
@@ -104,12 +108,13 @@ def test_odr_round_is_chained_literal_steps(seed, n, r, lam):
     p = random_problem(rng, n, lam)
     z = 3.0 * rng.standard_normal(n)
     out = odr_round(DRState(rng.standard_normal(n), z), p, OnlineConfig(r=r))
-    # the round first re-derives x from the carried z
+    # the round first re-derives x from the carried z; a dense slice steps
+    # lifted, in z alone
     x, z_ref = direct_prox(z, p.Q, p.phi), z
     for _ in range(r):
         x, z_ref = direct_dr_step(x, z_ref, p.Q, p.phi, lam)
-    np.testing.assert_array_equal(out.x, x)
-    np.testing.assert_array_equal(out.z, z_ref)
+    assert_relatively_close(out.x, x, z, p.phi)
+    assert_relatively_close(out.z, z_ref, z, p.phi)
 
 
 @SETTINGS
@@ -124,7 +129,7 @@ def test_oist_round_is_literal_sweeps(seed, n, r, lam, step):
     x = x0
     for _ in range(r):
         x = direct_oist_sweep(x, p.Q, p.phi, lam, tau)
-    np.testing.assert_array_equal(out, x)
+    assert_relatively_close(out, x, x0, tau * p.phi)
 
 
 def relative_gap(out, ref, *scales):
@@ -203,14 +208,14 @@ def test_blocks_with_2m_at_least_n_keep_a_dense_operator_and_its_rounds(
     x, z_ref = direct_prox(z, p.Q, p.phi), z
     for _ in range(r):
         x, z_ref = direct_dr_step(x, z_ref, p.Q, p.phi, block.lam)
-    np.testing.assert_array_equal(out.x, x)
-    np.testing.assert_array_equal(out.z, z_ref)
+    assert_relatively_close(out.x, x, z, p.phi)
+    assert_relatively_close(out.z, z_ref, z, p.phi)
     tau = step / p.lambda_max
     x = x0 = rng.standard_normal(n)
     for _ in range(r):
         x = direct_oist_sweep(x, p.Q, p.phi, block.lam, tau)
-    np.testing.assert_array_equal(
-        oist_round(x0, p, OnlineConfig(r=r, tau=tau)), x)
+    assert_relatively_close(oist_round(x0, p, OnlineConfig(r=r, tau=tau)), x,
+                            x0, tau * p.phi)
 
 
 @SETTINGS
@@ -408,7 +413,7 @@ def test_odr_and_oist_rounds_stepped_in_chunks_are_the_one_shot_rounds(
     state = DRState(rng.standard_normal(n), 3.0 * rng.standard_normal(n))
     tau = step / p.lambda_max
     x0 = rng.standard_normal(n)
-    odr = OdrRound().start(p, consistent_state(p, state.z))
+    odr = OdrRound().start(p, state.z)
     oist = OistRound().start(p, tau, x0)
     done = 0
     for k in chunks:
@@ -420,6 +425,61 @@ def test_odr_and_oist_rounds_stepped_in_chunks_are_the_one_shot_rounds(
         np.testing.assert_array_equal(
             oist.step(k).state(),
             oist_round(x0, p, OnlineConfig(r=done, tau=tau)))
+
+
+# chunks of a lifted round: up to 400 iterations in all, zero-length ones
+# among them
+lifted_chunk_lists = st.lists(st.integers(0, 200), min_size=1, max_size=3)
+
+
+@SETTINGS
+@given(seed=seeds, n=st.integers(1, 12), lam=lams, chunks=lifted_chunk_lists,
+       step=st.floats(0.05, 0.95))
+# the ARX size at the benchmark's r = 400
+@example(seed=0, n=20, lam=0.1, chunks=[200, 0, 200], step=0.95)
+def test_lifted_rounds_are_the_literal_steps_and_the_one_shot_rounds(
+        seed, n, lam, chunks, step):
+    rng = np.random.default_rng(seed)
+    p = random_problem(rng, n, lam)
+    assert not p.op.factored
+    tau = step / p.lambda_max
+    z, x0 = 3.0 * rng.standard_normal(n), rng.standard_normal(n)
+    z_in, x0_in = z.copy(), x0.copy()
+    odr, oist = OdrRound().start(p, z), OistRound().start(p, tau, x0)
+    # step(0) moves neither round
+    odr_0, oist_0 = odr.state(), oist.state()
+    assert_bitwise_equal(odr.step(0).state().z, z)
+    assert_bitwise_equal(odr.state().x, odr_0.x)
+    assert_bitwise_equal(oist.step(0).state(), x0)
+    # the lifted rounds and dr_step, which steps (x, z) through P, agree
+    # with the literal steps to rounding; chunks are the one-shot rounds
+    x_ref, z_ref = direct_prox(z, p.Q, p.phi), z
+    state, xo_ref, done = DRState(x_ref, z), x0, 0
+    for k in chunks:
+        odr.step(k)
+        oist.step(k)
+        for _ in range(k):
+            x_ref, z_ref = direct_dr_step(x_ref, z_ref, p.Q, p.phi, lam)
+            state = dr_step(state, p)
+            xo_ref = direct_oist_sweep(xo_ref, p.Q, p.phi, lam, tau)
+        assert_relatively_close(state.x, x_ref, z, p.phi)
+        assert_relatively_close(state.z, z_ref, z, p.phi)
+        done += k
+        out, xo = odr.state(), oist.state()
+        assert_relatively_close(out.x, x_ref, z, p.phi)
+        assert_relatively_close(out.z, z_ref, z, p.phi)
+        assert_relatively_close(xo, xo_ref, x0, tau * p.phi)
+        if done:
+            ref = odr_round(DRState(x0, z), p, OnlineConfig(r=done))
+            assert_bitwise_equal(out.x, ref.x)
+            assert_bitwise_equal(out.z, ref.z)
+            assert_bitwise_equal(
+                xo, oist_round(x0, p, OnlineConfig(r=done, tau=tau)))
+    # neither the caller's arrays nor the states handed back were written
+    assert_bitwise_equal(z, z_in)
+    assert_bitwise_equal(x0, x0_in)
+    assert_bitwise_equal(odr_0.z, z_in)
+    assert_bitwise_equal(oist_0, x0_in)
 
 
 # chunks of an odista round, each up to 2 LIFT_AFTER + 1 half-steps, so
@@ -533,7 +593,7 @@ def test_prepared_rounds_refuse_a_negative_step():
     g, data = ring_graph(4, 3), RowStack(block, 4).nodes(block.y)
     tau = odista_taus([block], 4, "per_node")[0]
     state = NetworkState(rng.standard_normal((20, 4)).T)
-    odr = OdrRound().start(p, consistent_state(p))
+    odr = OdrRound().start(p, np.zeros(20))
     oist = OistRound().start(p, 0.5 / p.lambda_max, np.zeros(20))
     odista = OdistaRound(g, 0.025).start(data, tau, state)
     for rnd in (odr, oist, odista):
@@ -541,8 +601,9 @@ def test_prepared_rounds_refuse_a_negative_step():
             rnd.step(-3)
     # a refused call moves no round: the odista half-step count keeps its
     # parity, so the next four half-steps are two whole pairs
-    np.testing.assert_array_equal(odr.step(1).state().x,
-                                  dr_step(consistent_state(p), p).x)
+    np.testing.assert_array_equal(
+        odr.step(1).state().x,
+        odr_round(initial_state(20), p, OnlineConfig(r=1)).x)
     np.testing.assert_array_equal(
         oist.step(1).state(),
         oist_round(np.zeros(20), p, OnlineConfig(r=1, tau=0.5 / p.lambda_max)))
@@ -693,11 +754,15 @@ def test_each_step_timer_call_is_one_more_iteration(seed, m, n, calls, step):
     tau = step / p.lambda_max
     odr, oist = odr_step_timer(p), oist_step_timer(p, tau)
     state, x = consistent_state(p), np.zeros(n)
+    # the timer's round steps lifted on a dense slice and literally on a
+    # factored one, dr_step literally on both
+    same = (np.testing.assert_array_equal if p.op.factored else
+            lambda out, ref: assert_relatively_close(out, ref, p.phi))
     for _ in range(calls):
         state = dr_step(state, p)
         out = odr().state()
-        np.testing.assert_array_equal(out.x, state.x)
-        np.testing.assert_array_equal(out.z, state.z)
+        same(out.x, state.x)
+        same(out.z, state.z)
         x = oist_round(x, p, OnlineConfig(r=1, tau=tau))
         np.testing.assert_array_equal(oist().state(), x)
 

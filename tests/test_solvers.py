@@ -31,7 +31,8 @@ from stvo.solvers import (
     oracle_minimizer,
 )
 
-from oracles import prox_grad_minimize, scalar_lasso, subgradient_violation
+from oracles import (assert_relatively_close, prox_grad_minimize, scalar_lasso,
+                     subgradient_violation)
 
 
 def random_pd_problem(n, seed, lam=0.1, ridge=0.2):
@@ -115,8 +116,9 @@ def test_odr_round_single_iteration_equals_dr_step():
     s = consistent_state(p, np.linspace(-1, 1, 4))
     a = odr_round(s, p, OnlineConfig(r=1))
     b = dr_step(s, p)
-    np.testing.assert_array_equal(a.x, b.x)
-    np.testing.assert_array_equal(a.z, b.z)
+    # the round steps lifted on this dense slice, dr_step literally
+    assert_relatively_close(a.x, b.x, s.z, p.phi)
+    assert_relatively_close(a.z, b.z, s.z, p.phi)
 
 
 def test_odr_static_stream_replays_batch_iteration():
