@@ -78,11 +78,12 @@ class SliceOperator:
         return A_S.T @ A_S + self.mu * np.eye(A_S.shape[1])
 
     def prox_factor(self):
-        """The cached data of the solve with Q + I.  Dense: the inverse
-        P = (Q + I)^{-1} itself, formed by one solve of the Cholesky
-        factor of Q + I with a Fortran-order identity; P is symmetric, so
-        its transpose is the C-order array held.  Factored: the Cholesky
-        factor of the m x m G."""
+        """The cached data of the solve with Q + I, a tuple whose first
+        entry is the array that persists with the operator.  Dense: (P,),
+        the inverse P = (Q + I)^{-1} itself, formed by one solve of the
+        Cholesky factor of Q + I with a Fortran-order identity; P is
+        symmetric, so its transpose is the C-order array held.  Factored:
+        the Cholesky factor (c, lower) of the m x m G."""
         if self._factor is None:
             if self.A is None:
                 # Q is finite: gram forms it from checked data, and a slice
@@ -90,8 +91,8 @@ class SliceOperator:
                 c, lower = scipy.linalg.cho_factor(
                     self._Q + np.eye(self.n), lower=False, overwrite_a=True,
                     check_finite=False)
-                self._factor = dpotrs(c, np.eye(self.n, order="F"),
-                                      lower=lower, overwrite_b=True)[0].T
+                self._factor = (dpotrs(c, np.eye(self.n, order="F"),
+                                       lower=lower, overwrite_b=True)[0].T,)
             else:
                 G = self.A @ self.A.T + (1.0 + self.mu) * np.eye(len(self.A))
                 self._factor = scipy.linalg.cho_factor(G, lower=False)
@@ -101,7 +102,8 @@ class SliceOperator:
         """b -> (Q + I)^{-1} b given prox_factor(): one product with P when
         dense; when factored, the lemma's solve, which overwrites b."""
         if self.A is None:
-            return lambda b: np.dot(factor, b)
+            P, = factor
+            return lambda b: np.dot(P, b)
         c, lower = factor
         A, s = self.A, 1.0 + self.mu
         return lambda b: (b - A.T @ dpotrs(c, A @ b, lower=lower,

@@ -124,10 +124,10 @@ class OdrRound:
       B = 2P - I, c = 2 P phi and P = (Q + I)^{-1}, which the operator
       caches as its :meth:`~stvo.core.SliceOperator.prox_factor`.  An
       iteration is one gemv and five element-wise passes.  x = P (z - phi)
-      is formed only when read.  The round owns z and one spare buffer: an
-      iteration writes z+ into the spare and the two swap, so the z a
-      caller read before a :meth:`step` survives that step, but not the
-      next one.  :meth:`state` hands back copies, and the caller's z is
+      is formed only when read, by ``prox_quadratic``.  The round owns z
+      and one spare buffer: an iteration writes z+ into the spare and the
+      two swap, so the z a caller read before a :meth:`step` survives that
+      step, but not the next one.  :meth:`state` hands back copies, and the caller's z is
       never written.
     * **Literal (factored Q).**  Each iteration is
       ``u = S_lam(2x - z); z+ = z + 2(u - x); x+ = (Q + I)^{-1} (z+ - phi)``
@@ -139,8 +139,8 @@ class OdrRound:
     round stepped once by their sum.
     """
 
-    __slots__ = ("z", "_x", "_solve", "_phi", "_lam", "_B", "_c", "_lo",
-                 "_hi", "_spare", "_clip")
+    __slots__ = ("z", "_x", "_problem", "_solve", "_phi", "_lam", "_B", "_c",
+                 "_lo", "_hi", "_spare", "_clip")
 
     def start(self, problem, z):
         """Start on problem from the state consistent with z."""
@@ -148,13 +148,14 @@ class OdrRound:
             raise ValueError(
                 f"z must have shape ({problem.n},), got {z.shape}")
         factor = problem.prox_factor()
-        self._solve = problem.op.solver(factor)
+        self._problem, self._solve = problem, problem.op.solver(factor)
         self._phi, self._lam = problem.phi, problem.lam
         if problem.op.factored:
             self._B = None
-            self._x, self.z = self._solve(z - self._phi), z
+            self._x, self.z = prox_quadratic(z, problem), z
             return self
-        B = self._B = 2.0 * factor
+        # C order, so that the flat view below writes into B itself
+        B = self._B = np.multiply(factor[0], 2.0, order="C")
         B.reshape(-1)[::problem.n + 1] -= 1.0
         self._c = self._solve(2.0 * self._phi)
         # the bounds as arrays: a ufunc takes them faster than a float
@@ -168,7 +169,7 @@ class OdrRound:
     def x(self):
         if self._B is None:
             return self._x
-        return self._solve(self.z - self._phi)
+        return prox_quadratic(self.z, self._problem)
 
     def step(self, k):
         """k iterations."""
@@ -233,7 +234,9 @@ class OistRound:
             self.x = np.asarray(x, dtype=float)
             self._matvec, self._phi = problem.op.matvec, problem.phi
             return self
-        B = self._B = problem.Q * -tau
+        # C order whatever Q's layout, so that the flat view below writes
+        # into B itself
+        B = self._B = np.multiply(problem.Q, -tau, order="C")
         B.reshape(-1)[::problem.n + 1] += 1.0
         c = tau * problem.phi
         self._lo = np.subtract(c, self._thr)

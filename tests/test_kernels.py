@@ -5,8 +5,9 @@ round.  On a dense slice the odr and oist rounds step lifted, one gemv with
 B = 2P - I (odr, in z alone, P = (Q + I)^{-1}) or B = I - tau Q (oist) per
 iteration, which sums in another order than the literal steps; they are
 held to ``direct_dr_step`` and ``direct_oist_sweep`` within 1e-12 relative
-for up to 400 iterations, and their chunks, step(0) and their ownership of
-the arrays they step are checked bitwise.  On a factored slice they keep
+for up to 400 iterations, and their chunks, step(0), their ownership of
+the arrays they step and their independence of Q's memory layout are
+checked bitwise.  On a factored slice they keep
 the literal steps.  The batched node products A_v'(A_v x_v) + mu_v x_v sum
 in another order than the dense Q_v, and a factored slice operator solves
 through the matrix inversion lemma, so both are held to the dense formulas
@@ -480,6 +481,32 @@ def test_lifted_rounds_are_the_literal_steps_and_the_one_shot_rounds(
     assert_bitwise_equal(x0, x0_in)
     assert_bitwise_equal(odr_0.z, z_in)
     assert_bitwise_equal(oist_0, x0_in)
+
+
+@SETTINGS
+# n >= 2: a 1 x 1 Q is C-contiguous in any layout
+@given(seed=seeds, n=st.integers(2, 12), r=st.integers(1, 20), lam=lams,
+       step=st.floats(0.05, 0.95), layout=st.sampled_from(["F", "strided"]))
+def test_lifted_rounds_take_q_in_any_memory_layout(seed, n, r, lam, step,
+                                                   layout):
+    rng = np.random.default_rng(seed)
+    p = random_problem(rng, n, lam)
+    if layout == "F":
+        Q = np.asfortranarray(p.Q)
+    else:
+        big = np.zeros((2 * n, 2 * n))
+        big[::2, ::2] = p.Q
+        Q = big[::2, ::2]
+    q = QuadraticL1Problem(Q, p.phi, lam)
+    assert not q.op.factored and not q.Q.flags.c_contiguous
+    tau = step / p.lambda_max
+    z, x0 = 3.0 * rng.standard_normal(n), rng.standard_normal(n)
+    ref = odr_round(DRState(x0, z), p, OnlineConfig(r=r))
+    out = odr_round(DRState(x0, z), q, OnlineConfig(r=r))
+    assert_bitwise_equal(out.x, ref.x)
+    assert_bitwise_equal(out.z, ref.z)
+    cfg = OnlineConfig(r=r, tau=tau)
+    assert_bitwise_equal(oist_round(x0, q, cfg), oist_round(x0, p, cfg))
 
 
 # chunks of an odista round, each up to 2 LIFT_AFTER + 1 half-steps, so
