@@ -97,14 +97,15 @@ def apply_overrides(cfg, overrides):
 def network_size(scenario, nodes, cfg, plays_odista):
     """The ring size outside rss, 4 by default, checked before anything is
     written: a given --nodes, or the default when odista plays, must make a
-    ring_graph(nodes, 3) and let deal_rows deal each node a block row."""
+    ring of degree runner.RING_DEGREE and let deal_rows deal each node a
+    block row."""
     if scenario == "rss" and nodes is not None:
         raise UsageError("--nodes does not apply to rss, whose network is "
                          "the sensor grid")
     n_nodes = 4 if nodes is None else nodes
     if scenario != "rss" and (nodes is not None or plays_odista):
         try:
-            ring_graph(n_nodes, 3)
+            ring_graph(n_nodes, runner.RING_DEGREE)
             deal_rows(np.empty((cfg.m, 0)), n_nodes)
         except ValueError as e:
             raise UsageError(f"--nodes {n_nodes}: {e}")

@@ -100,7 +100,7 @@ class SliceOperator:
 
     def solver(self, factor):
         """b -> (Q + I)^{-1} b given prox_factor(): one product with P when
-        dense; when factored, the lemma's solve, which overwrites b."""
+        dense, the lemma's solve when factored; b is left as it is."""
         if self.A is None:
             P, = factor
             return lambda b: np.dot(P, b)

@@ -275,14 +275,19 @@ def build_stream(scenario, cfg, seed):
     return Stream(scenario, cfg, blocks, truth=truth)
 
 
+# degree of the ring the distributed solver runs on outside rss
+RING_DEGREE = 3
+
+
 def make_graph(stream, n_nodes):
     """Network of the distributed solver: the rss sensor graph, else a ring
-    of n_nodes; returns the graph and its node count."""
+    of n_nodes and degree RING_DEGREE; returns the graph and its node
+    count."""
     if stream.scenario == "rss":
         g = radius_graph(scenarios.sensor_positions(stream.cfg),
                          stream.cfg.comm_radius_m)
         return g, stream.cfg.sensors
-    return ring_graph(n_nodes, 3), n_nodes
+    return ring_graph(n_nodes, RING_DEGREE), n_nodes
 
 
 def _odista_inputs(stream, blocks, n_nodes, tau_rule):
@@ -378,55 +383,64 @@ def run_experiment(scenario, cfg, algs, runs, r, budget_ms, seed, regret,
                    n_nodes, tau_rule, common_random):
     """Play each algorithm over runs streams of a scenario.
 
-    Run k's stream is keyed (k,) when the algorithms share streams
-    (common_random) and (algorithm index, k) when each draws its own; the
-    key seeds the stream, and a stream and its oracles are built once per
-    key.  Each algorithm plays at r inner iterations per round, or at the r
-    that budget_ms affords it on its first stream when budget_ms is set.
-    With regret on, every trace is scored against certified oracles.
+    The runs are played run-major: run k's stream is built, played by every
+    algorithm and scored, then dropped before run k + 1's is built, so one
+    run's stream and oracles are live at a time.  The stream is keyed (k,)
+    when the algorithms share streams (common_random) and (algorithm index,
+    k) when each draws its own; the key seeds the stream, and a stream and
+    its oracles are built once per key.  Each algorithm plays at r inner
+    iterations per round, or at the r that budget_ms affords it on its run
+    0 stream when budget_ms is set.  With regret on, every trace is scored
+    against certified oracles.
 
     Returns the output tables: per algorithm one trace per run, the
     run-averaged regret (with regret on), the coefficient tracking (ARX) or
     the target distance (rss); then one summary row per algorithm.
     """
-    streams, oracles = {}, {}
-    tables, summary = [], []
-    for ai, alg in enumerate(algs):
-        keys = [(run,) if common_random else (ai, run) for run in range(runs)]
-        r_alg = None
-        actions, regrets, bounds = [], [], []
-        for run, key in enumerate(keys):
-            if key not in streams:
-                streams[key] = build_stream(scenario, cfg,
-                                            derive_seed(seed, *key))
-            stream = streams[key]
-            if r_alg is None:
-                r_alg = (r if budget_ms is None
-                         else calibrated_r(alg, stream, budget_ms, n_nodes,
-                                           tau_rule))
-            result = play(alg, stream, r_alg, n_nodes, tau_rule)
+    r_alg, heads = [r] * len(algs), [None] * len(algs)
+    traces, actions, regrets, bounds, dists = ([[] for _ in algs]
+                                               for _ in range(5))
+    stream = oracles = None
+    for run in range(runs):
+        for ai, alg in enumerate(algs):
+            if ai == 0 or not common_random:
+                key = (run,) if common_random else (ai, run)
+                # the last stream is dropped before the next is built
+                stream = oracles = None
+                stream = build_stream(scenario, cfg, derive_seed(seed, *key))
+            if run == 0:
+                heads[ai] = (stream.cfg, stream.truth)
+                if budget_ms is not None:
+                    r_alg[ai] = calibrated_r(alg, stream, budget_ms, n_nodes,
+                                             tau_rule)
+            result = play(alg, stream, r_alg[ai], n_nodes, tau_rule)
             if regret:
-                if key not in oracles:
-                    oracles[key] = stream_oracles(stream.problems)
-                trace = build_trace(stream.problems, result, oracles[key])
+                if oracles is None:
+                    oracles = stream_oracles(stream.problems)
+                trace = build_trace(stream.problems, result, oracles)
                 reg, reg_over_t = metrics.dynamic_regret(trace)
-                regrets.append((reg, reg_over_t))
+                regrets[ai].append((reg, reg_over_t))
                 if alg == "odr":
-                    bounds.append(maybe_bound(stream, trace, r_alg))
+                    bounds[ai].append(maybe_bound(stream, trace, r_alg[ai]))
                 loss, oracle_loss = trace.loss, trace.oracle_loss
             else:
                 loss = action_losses(stream.problems, result.actions)
                 oracle_loss = reg = reg_over_t = [math.nan] * loss.size
-            tables.append(Table(
+            traces[ai].append(Table(
                 f"trace_{alg}_{run}.csv",
                 ("t", "loss", "oracle_loss", "reg", "reg_over_t"),
                 list(zip(range(loss.size), loss, oracle_loss, reg,
                          reg_over_t))))
-            actions.append(result.actions)
-        rounds = actions[0].shape[0]
+            actions[ai].append(result.actions)
+            if scenario == "rss":
+                dists[ai].append(run_distances(stream, result.actions))
+    tables, summary = [], []
+    for ai, alg in enumerate(algs):
+        tables.extend(traces[ai])
+        rounds = actions[ai][0].shape[0]
         reg_final = reg_over_t_final = math.nan
         if regret:
-            reg_mean, reg_over_mean = np.mean(regrets, axis=0)
+            reg_mean, reg_over_mean = np.mean(regrets[ai], axis=0)
             tables.append(Table(
                 f"regret_{alg}.csv", ("t", "reg", "reg_over_t"),
                 list(zip(range(rounds), reg_mean, reg_over_mean))))
@@ -434,23 +448,21 @@ def run_experiment(scenario, cfg, algs, runs, r, budget_ms, seed, regret,
             reg_over_t_final = float(reg_over_mean[-1])
         mse_final = median_dist = math.nan
         if scenario in ("exp1", "exp2"):
-            stream0 = streams[keys[0]]
-            rows = tvarx_param_rows(stream0.cfg, stream0.truth, actions)
+            rows = tvarx_param_rows(*heads[ai], actions[ai])
             tables.append(Table(f"params_{alg}.csv",
                                 ("t_ms", "a1_true", "a1_est", "b1_true",
                                  "b1_est", "mse"), rows))
             mse_final = rows[-1][-1]
         elif scenario == "rss":
-            dists = np.array([run_distances(streams[key], acts)
-                              for key, acts in zip(keys, actions)])[:, 1:]
-            mean_d = dists.mean(axis=0)
+            dist = np.array(dists[ai])[:, 1:]
+            mean_d = dist.mean(axis=0)
             tables.append(Table(
                 f"distance_{alg}.csv", ("t", "dist", "cum_dist"),
                 [(t + 1, mean_d[t], float(np.sum(mean_d[:t + 1])))
                  for t in range(mean_d.size)]))
-            median_dist = float(np.median(dists))
-        bound = float(np.mean(bounds)) if bounds else math.nan
-        summary.append((scenario, alg, runs, rounds, r_alg, reg_final,
+            median_dist = float(np.median(dist))
+        bound = float(np.mean(bounds[ai])) if bounds[ai] else math.nan
+        summary.append((scenario, alg, runs, rounds, r_alg[ai], reg_final,
                         reg_over_t_final, bound, mse_final, median_dist))
     tables.append(Table("summary.csv",
                         ("scenario", "alg", "runs", "rounds", "r", "reg_final",

@@ -6,18 +6,18 @@ solve of the quadratic part and contracts linearly on the auxiliary
 sequence.  The thresholded-gradient family (``oist_round``) performs plain
 proximal-gradient sweeps.  Each online family steps a prepared round
 (:class:`OdrRound`, :class:`OistRound`) that pays its slice's setup and
-checks once.  Both rounds take their form from the slice operator alone:
-on a dense Q an iteration is lifted, one gemv with a matrix the round
-builds once and a shrink or clip (odr in z alone, through the operator's
-cached (Q + I)^{-1}); on a factored Q it is the literal step through the
-factors.  ``dr_step`` is always the literal step from any (x, z).
-``oracle_minimizer`` finds each slice's
-minimizer by a warm-started active-set (feature-sign) search whose answer is
-an exact reduced solve, falls back to restarted FISTA only when that answer
-does not certify, and certifies the result against the subgradient
-optimality condition.
+checks once.  Both rounds run one loop on every slice, an affine map y
+and a shrink or clip per iteration (odr in z alone); the slice operator
+decides only how y is formed, by one gemv with a matrix the round builds
+once on a dense Q, through the factors on a factored one.  ``dr_step`` is
+the literal step from any (x, z).  ``oracle_minimizer`` finds each
+slice's minimizer by a warm-started active-set (feature-sign) search whose
+answer is an exact reduced solve, falls back to restarted FISTA only when
+that answer does not certify, and certifies the result against the
+subgradient optimality condition.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -100,47 +100,25 @@ def consistent_state(problem, z=None):
     return DRState(prox_quadratic(z, problem), z)
 
 
-def _dr_iterations(x, z, solve, phi, lam, k):
-    """k literal splitting iterations u = S_lam(2x - z); z+ = z + 2(u - x);
-    x+ = (Q + I)^{-1} (z+ - phi), solve the proximal solve of Q + I.
-    Writes into neither x nor z."""
-    for _ in range(k):
-        u = _shrink(2.0 * x - z, -lam, lam)
-        z = z + 2.0 * (u - x)
-        x = solve(z - phi)
-    return x, z
-
-
 class OdrRound:
     """Splitting round on one slice, started from the state consistent with
     a given z: x = (Q + I)^{-1} (z - phi), the proximal image of z.
 
-    :meth:`start` checks z once and picks the form from the operator, the
-    one form rule of both online rounds: a dense operator steps lifted, a
-    factored one literally.
-
-    * **Lifted (dense Q).**  From a consistent state the iteration closes in
-      z alone: z+ = y - 2 clip(y, -lam, lam) with y = 2x - z = B z - c,
-      B = 2P - I, c = 2 P phi and P = (Q + I)^{-1}, which the operator
-      caches as its :meth:`~stvo.core.SliceOperator.prox_factor`.  An
-      iteration is one gemv and five element-wise passes.  x = P (z - phi)
-      is formed only when read, by ``prox_quadratic``.  The round owns z
-      and one spare buffer: an iteration writes z+ into the spare and the
-      two swap, so the z a caller read before a :meth:`step` survives that
-      step, but not the next one.  :meth:`state` hands back copies, and the caller's z is
-      never written.
-    * **Literal (factored Q).**  Each iteration is
-      ``u = S_lam(2x - z); z+ = z + 2(u - x); x+ = (Q + I)^{-1} (z+ - phi)``
-      on fresh arrays, bitwise the iterates of ``soft_threshold`` and
-      ``prox_quadratic``.
-
-    The lifted iterates agree with the literal ones to rounding (1e-12
-    relative); within one form a round stepped in chunks is bitwise the
-    round stepped once by their sum.
+    From a consistent state an iteration closes in z alone:
+    z+ = y - 2 clip(y, -lam, lam) with y = 2x - z.  Dense Q: y = B z - c,
+    one gemv, with B = 2P - I, c = 2 P phi and P = (Q + I)^{-1}, the
+    operator's cached :meth:`~stvo.core.SliceOperator.prox_factor`.
+    Factored Q: y = 2 (Q + I)^{-1} (z - phi) - z by the lemma's solve.  x
+    is formed only when read, by ``prox_quadratic``.  The round owns z and
+    two buffers; an iteration writes z+ into the spare and the two swap, so
+    the z a caller read before a :meth:`step` survives that step, but not
+    the next one.  The caller's z is never written, and :meth:`state`
+    hands back copies.  The iterates agree with the literal ones to 1e-12
+    relative; a round stepped in chunks is bitwise the round stepped once
+    by their sum.
     """
 
-    __slots__ = ("z", "_x", "_problem", "_solve", "_phi", "_lam", "_B", "_c",
-                 "_lo", "_hi", "_spare", "_clip")
+    __slots__ = ("z", "_problem", "_affine", "_lo", "_hi", "_spare", "_clip")
 
     def start(self, problem, z):
         """Start on problem from the state consistent with z."""
@@ -148,18 +126,20 @@ class OdrRound:
             raise ValueError(
                 f"z must have shape ({problem.n},), got {z.shape}")
         factor = problem.prox_factor()
-        self._problem, self._solve = problem, problem.op.solver(factor)
-        self._phi, self._lam = problem.phi, problem.lam
+        solve, phi = problem.op.solver(factor), problem.phi
+        self._problem = problem
         if problem.op.factored:
-            self._B = None
-            self._x, self.z = prox_quadratic(z, problem), z
-            return self
-        # C order, so that the flat view below writes into B itself
-        B = self._B = np.multiply(factor[0], 2.0, order="C")
-        B.reshape(-1)[::problem.n + 1] -= 1.0
-        self._c = self._solve(2.0 * self._phi)
+            self._affine = lambda z, y: np.subtract(
+                np.multiply(solve(z - phi), 2.0, out=y), z, out=y)
+        else:
+            # C order, so that the flat view below writes into B itself
+            B = np.multiply(factor[0], 2.0, order="C")
+            B.reshape(-1)[::problem.n + 1] -= 1.0
+            c = solve(2.0 * phi)
+            self._affine = lambda z, y: np.subtract(np.dot(B, z, out=y), c,
+                                                    out=y)
         # the bounds as arrays: a ufunc takes them faster than a float
-        self._hi = np.full(problem.n, self._lam)
+        self._hi = np.full(problem.n, problem.lam)
         self._lo = np.negative(self._hi)
         self.z = np.array(z, dtype=float)
         self._spare, self._clip = np.empty_like(self.z), np.empty_like(self.z)
@@ -167,23 +147,16 @@ class OdrRound:
 
     @property
     def x(self):
-        if self._B is None:
-            return self._x
         return prox_quadratic(self.z, self._problem)
 
     def step(self, k):
         """k iterations."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        if self._B is None:
-            self._x, self.z = _dr_iterations(self._x, self.z, self._solve,
-                                             self._phi, self._lam, k)
-            return self
-        z, y, t, B, c, lo, hi = (self.z, self._spare, self._clip, self._B,
-                                 self._c, self._lo, self._hi)
+        z, y, t, affine, lo, hi = (self.z, self._spare, self._clip,
+                                   self._affine, self._lo, self._hi)
         for _ in range(k):
-            np.dot(B, z, out=y)
-            np.subtract(y, c, out=y)
+            affine(z, y)
             np.maximum(y, lo, out=t)
             np.minimum(t, hi, out=t)
             np.subtract(y, t, out=y)
@@ -200,26 +173,25 @@ class OistRound:
     """Thresholded-gradient round on one slice: sweeps
     x <- S_{lam*tau}(x - tau*(Qx + phi)).
 
-    :meth:`start` checks the step and its premise once.  The threshold
+    :meth:`start` checks x, the step and its premise once.  The threshold
     scales with tau, so each sweep exactly minimizes the majorizing
     surrogate, and the objective is non-increasing whenever
-    tau * lambda_max(Q) <= 1.  A larger step is warned about, not fatal.
-    The form follows :class:`OdrRound`'s rule:
-
-    * **Lifted (dense Q).**  A sweep is x <- S_{lam*tau}[B x - c] with
-      B = I - tau Q and c = tau phi folded into the shrink bounds
-      lo, hi = c -+ lam tau: one gemv into a spare buffer and the shared
-      shrink back over x.  The round owns x, a copy of the one it is
-      given, and :meth:`state` hands back a copy.  The sweeps agree with
-      the literal ones to rounding (1e-12 relative).
-    * **Literal (factored Q).**  Each sweep forms Q x through the factors
-      on fresh arrays, as written above.
+    tau * lambda_max(Q) <= 1; a larger step is warned about, not fatal.
+    A sweep forms y = x - tau Q x into a spare buffer, by one gemv with
+    B = I - tau Q on a dense Q and through the factors on a factored one,
+    and the shared shrink writes S_{lam*tau}[y - c] back over x, with
+    c = tau phi folded into its bounds c -+ lam tau.  The round owns x, a
+    copy of the one it is given, and :meth:`state` hands back a copy.  The
+    sweeps agree with the literal ones to 1e-12 relative.
     """
 
-    __slots__ = ("x", "_tau", "_thr", "_matvec", "_phi", "_B", "_lo", "_hi",
-                 "_spare")
+    __slots__ = ("x", "_affine", "_lo", "_hi", "_spare")
 
     def start(self, problem, tau, x):
+        x = np.array(x, dtype=float)
+        if x.shape != (problem.n,):
+            raise ValueError(
+                f"x must have shape ({problem.n},), got {x.shape}")
         if not 0 < tau < np.inf:
             raise ValueError(f"tau must be finite and positive, got {tau}")
         lambda_max = problem.lambda_max
@@ -228,38 +200,32 @@ class OistRound:
                 f"tau={tau:.3e} violates the descent precondition "
                 f"tau <= 1/lambda_max(Q) = {1.0 / lambda_max:.3e}; "
                 "iterating anyway", RuntimeWarning)
-        self._tau, self._thr = tau, problem.lam * tau
         if problem.op.factored:
-            self._B = None
-            self.x = np.asarray(x, dtype=float)
-            self._matvec, self._phi = problem.op.matvec, problem.phi
-            return self
-        # C order whatever Q's layout, so that the flat view below writes
-        # into B itself
-        B = self._B = np.multiply(problem.Q, -tau, order="C")
-        B.reshape(-1)[::problem.n + 1] += 1.0
+            matvec = problem.op.matvec
+            self._affine = lambda x, y: np.subtract(
+                x, np.multiply(matvec(x), tau, out=y), out=y)
+        else:
+            # C order whatever Q's layout, so that the flat view below
+            # writes into B itself
+            B = np.multiply(problem.Q, -tau, order="C")
+            B.reshape(-1)[::problem.n + 1] += 1.0
+            # np.dot(B, x, y): the gemv of np.matmul, with less call overhead
+            self._affine = functools.partial(np.dot, B)
+        thr = problem.lam * tau
         c = tau * problem.phi
-        self._lo = np.subtract(c, self._thr)
-        self._hi = np.add(c, self._thr, out=c)
-        self.x = np.array(x, dtype=float)
-        self._spare = np.empty_like(self.x)
+        self._lo = np.subtract(c, thr)
+        self._hi = np.add(c, thr, out=c)
+        self.x = x
+        self._spare = np.empty_like(x)
         return self
 
     def step(self, k):
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        x = self.x
-        if self._B is None:
-            tau, thr = self._tau, self._thr
-            matvec, phi = self._matvec, self._phi
-            for _ in range(k):
-                x = _shrink(x - tau * (matvec(x) + phi), -thr, thr)
-            self.x = x
-            return self
-        B, y, lo, hi = self._B, self._spare, self._lo, self._hi
+        x, y, affine, lo, hi = (self.x, self._spare, self._affine, self._lo,
+                                self._hi)
         for _ in range(k):
-            # np.dot: the gemv of np.matmul, with less call overhead
-            np.dot(B, x, out=y)
+            affine(x, y)
             _shrink(y, lo, hi, out=x)
         return self
 
@@ -276,9 +242,10 @@ def dr_step(state, problem):
     if state.z.shape != (problem.n,):
         raise ValueError(
             f"state must have shape ({problem.n},), got {state.z.shape}")
-    solve = problem.op.solver(problem.prox_factor())
-    return DRState(*_dr_iterations(state.x, state.z, solve, problem.phi,
-                                   problem.lam, 1))
+    x, z = state.x, state.z
+    u = _shrink(2.0 * x - z, -problem.lam, problem.lam)
+    z = z + 2.0 * (u - x)
+    return DRState(prox_quadratic(z, problem), z)
 
 
 def batch_dr(problem, tol=1e-10, max_iter=10000, initial=None):

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -554,6 +555,40 @@ def test_check_builds_the_stream_of_run_zero(tmp_path, monkeypatch):
     np.testing.assert_array_equal(checked.A, run_0.A)
     np.testing.assert_array_equal(checked.y, run_0.y)
     assert built[0].cfg.seed == derive_seed(3, 0)
+
+
+@pytest.mark.parametrize("common_random", ["on", "off"])
+def test_runs_are_played_one_live_stream_at_a_time(tmp_path, monkeypatch,
+                                                   common_random):
+    built, scored = [], []
+    build, oracles = runner.build_stream, runner.stream_oracles
+
+    def recording_build(scenario, cfg, seed):
+        # every stream built before this one is gone by now
+        assert all(ref() is None for _, ref in built)
+        stream = build(scenario, cfg, seed)
+        built.append((seed, weakref.ref(stream)))
+        return stream
+
+    def recording_oracles(problems):
+        seed, ref = built[-1]
+        assert problems is ref().problems
+        scored.append(seed)
+        return oracles(problems)
+
+    monkeypatch.setattr(runner, "build_stream", recording_build)
+    monkeypatch.setattr(runner, "stream_oracles", recording_oracles)
+    assert run_cli("run", "--scenario", "exp2", "--alg", "odr,odista",
+                   "--runs", "3", "--r", "2", "--regret", "on",
+                   "--common-random", common_random, "--config",
+                   write_cfg(tmp_path, "horizon_s = 0.06\n"),
+                   "--out", str(tmp_path / "out")) == 0
+    keys = ([(run,) for run in range(3)] if common_random == "on" else
+            [(ai, run) for run in range(3) for ai in range(2)])
+    seeds = [derive_seed(0, *key) for key in keys]
+    # one build and one oracle solve per key, run by run
+    assert [seed for seed, _ in built] == seeds
+    assert scored == seeds
 
 
 def test_check_refuses_the_node_count_the_run_refuses(tmp_path, capsys):

@@ -1,14 +1,16 @@
 """Property tests: the round kernels against literal transcriptions.
 
 The online rounds iterate on plain arrays and check their inputs once per
-round.  On a dense slice the odr and oist rounds step lifted, one gemv with
-B = 2P - I (odr, in z alone, P = (Q + I)^{-1}) or B = I - tau Q (oist) per
-iteration, which sums in another order than the literal steps; they are
-held to ``direct_dr_step`` and ``direct_oist_sweep`` within 1e-12 relative
-for up to 400 iterations, and their chunks, step(0), their ownership of
-the arrays they step and their independence of Q's memory layout are
-checked bitwise.  On a factored slice they keep
-the literal steps.  The batched node products A_v'(A_v x_v) + mu_v x_v sum
+round.  The odr and oist rounds step lifted on every slice, an affine map
+and a shrink or clip per iteration: odr in z alone, y = 2 (Q + I)^{-1}
+(z - phi) - z, and oist y = x - tau Q x.  A dense slice forms y by one
+gemv, with B = 2P - I (P = (Q + I)^{-1}) or B = I - tau Q, a factored
+slice through its factors.  Either sums in another order than the literal
+steps, so the rounds are held to ``direct_dr_step`` and
+``direct_oist_sweep`` within 1e-12 relative for up to 400 iterations on
+both forms, and their chunks, step(0) and their ownership of the arrays
+they step are checked bitwise on both, their independence of Q's memory
+layout on dense slices.  The batched node products A_v'(A_v x_v) + mu_v x_v sum
 in another order than the dense Q_v, and a factored slice operator solves
 through the matrix inversion lemma, so both are held to the dense formulas
 within 1e-12 relative.  The odista half-steps
@@ -435,14 +437,25 @@ lifted_chunk_lists = st.lists(st.integers(0, 200), min_size=1, max_size=3)
 
 @SETTINGS
 @given(seed=seeds, n=st.integers(1, 12), lam=lams, chunks=lifted_chunk_lists,
-       step=st.floats(0.05, 0.95))
-# the ARX size at the benchmark's r = 400
-@example(seed=0, n=20, lam=0.1, chunks=[200, 0, 200], step=0.95)
+       step=st.floats(0.05, 0.95), factored=st.booleans())
+# the ARX size at the benchmark's r = 400, dense and factored
+@example(seed=0, n=20, lam=0.1, chunks=[200, 0, 200], step=0.95,
+         factored=False)
+@example(seed=0, n=20, lam=0.1, chunks=[200, 0, 200], step=0.95,
+         factored=True)
 def test_lifted_rounds_are_the_literal_steps_and_the_one_shot_rounds(
-        seed, n, lam, chunks, step):
+        seed, n, lam, chunks, step, factored):
     rng = np.random.default_rng(seed)
-    p = random_problem(rng, n, lam)
-    assert not p.op.factored
+    if factored:
+        # the most rows that keep 2m < n, on at least three columns
+        n = max(n, 3)
+        m = (n - 1) // 2
+        p = elastic_net_problem(ElasticNetData(
+            A=rng.standard_normal((m, n)), y=rng.standard_normal(m), lam=lam,
+            mu=0.05))
+    else:
+        p = random_problem(rng, n, lam)
+    assert p.op.factored == factored
     tau = step / p.lambda_max
     z, x0 = 3.0 * rng.standard_normal(n), rng.standard_normal(n)
     z_in, x0_in = z.copy(), x0.copy()
@@ -781,15 +794,12 @@ def test_each_step_timer_call_is_one_more_iteration(seed, m, n, calls, step):
     tau = step / p.lambda_max
     odr, oist = odr_step_timer(p), oist_step_timer(p, tau)
     state, x = consistent_state(p), np.zeros(n)
-    # the timer's round steps lifted on a dense slice and literally on a
-    # factored one, dr_step literally on both
-    same = (np.testing.assert_array_equal if p.op.factored else
-            lambda out, ref: assert_relatively_close(out, ref, p.phi))
+    # the timer's round steps in z alone, dr_step literally from (x, z)
     for _ in range(calls):
         state = dr_step(state, p)
         out = odr().state()
-        same(out.x, state.x)
-        same(out.z, state.z)
+        assert_relatively_close(out.x, state.x, p.phi)
+        assert_relatively_close(out.z, state.z, p.phi)
         x = oist_round(x, p, OnlineConfig(r=1, tau=tau))
         np.testing.assert_array_equal(oist().state(), x)
 

@@ -116,7 +116,7 @@ def test_odr_round_single_iteration_equals_dr_step():
     s = consistent_state(p, np.linspace(-1, 1, 4))
     a = odr_round(s, p, OnlineConfig(r=1))
     b = dr_step(s, p)
-    # the round steps lifted on this dense slice, dr_step literally
+    # the round steps in z alone, dr_step literally from (x, z)
     assert_relatively_close(a.x, b.x, s.z, p.phi)
     assert_relatively_close(a.z, b.z, s.z, p.phi)
 
@@ -192,6 +192,22 @@ def test_oist_round_requires_a_step_size():
     p = QuadraticL1Problem(np.diag([1.0, 4.0]), np.zeros(2), 0.1)
     with pytest.raises(ValueError, match="explicit tau"):
         oist_round(np.zeros(2), p, OnlineConfig(r=1))
+
+
+def test_oist_round_refuses_an_x_of_the_wrong_shape():
+    rng = np.random.default_rng(23)
+    dense = random_pd_problem(4, seed=22)
+    # on a factored slice an (n, 1) x used to broadcast to an (n, n) result
+    factored = elastic_net_problem(ElasticNetData(
+        A=rng.standard_normal((3, 10)), y=rng.standard_normal(3), lam=0.1,
+        mu=0.05))
+    assert factored.op.factored and not dense.op.factored
+    for p in (dense, factored):
+        cfg = OnlineConfig(r=2, tau=0.5 / p.lambda_max)
+        for x in (np.zeros((p.n, 1)), np.zeros(p.n + 1), np.zeros(())):
+            with pytest.raises(ValueError,
+                               match=rf"x must have shape \({p.n},\)"):
+                oist_round(x, p, cfg)
 
 
 def test_online_config_validation():
