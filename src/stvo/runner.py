@@ -19,8 +19,9 @@ from .core import elastic_net_problem, objective_value
 from .distributed import (NetworkState, OdistaRound, RowStack, deal_rows,
                           odista_round, radius_graph, ring_graph)
 from .metrics import RunTrace
-from .solvers import (DRState, OdrRound, OistRound, OnlineConfig,
-                      initial_state, odr_round, oist_round, oracle_minimizer)
+from .solvers import (OdrRound, OistRound, OnlineConfig,
+                      _lockstep_feature_sign, initial_state, odr_round,
+                      oist_round, oracle_minimizer)
 
 ALGORITHMS = ("oist", "odr", "odista")
 
@@ -153,19 +154,22 @@ def play_odista(node_stream, graph, lam_node, taus, r, n):
 def stream_oracles(problems, opt_tol=1e-8):
     """Reference minimizers and fixed points of every slice.
 
-    Each solve is warm started from the previous fixed point, which makes
-    slowly drifting streams cheap without changing the answer beyond the
-    solve tolerance.
+    Every slice gets its own certified :func:`oracle_minimizer` call.  When
+    every slice is dense, one feature-sign search over all of them at once
+    finds each slice's sign pattern, and each call starts from its slice's
+    pattern, which it re-solves once; a stream holding a factored slice
+    warm-starts each call from the previous slice's minimizer.  x* is the
+    reduced solve on the final sign pattern of the call's search, so the
+    start changes the cost, not the answer.
     """
     xs = np.empty((len(problems), problems[0].n))
     zs = np.empty_like(xs)
-    prev = None
+    dense = not any(p.op.factored for p in problems)
+    signs = _lockstep_feature_sign(problems) if dense else None
     for t, p in enumerate(problems):
-        x_star, z_star = oracle_minimizer(p, max_iter=200000, opt_tol=opt_tol,
-                                          initial=prev)
-        xs[t] = x_star
-        zs[t] = z_star
-        prev = DRState(x_star, z_star)
+        start = signs[t] if dense else (xs[t - 1] if t else None)
+        xs[t], zs[t] = oracle_minimizer(p, max_iter=200000, opt_tol=opt_tol,
+                                        initial=start)
     return xs, zs
 
 

@@ -316,8 +316,9 @@ def optimality_residual(x, problem):
 
 
 _POLISH_CAP = 150
-# feature-sign steps per oracle call; no slice of the exp1, exp2, synthetic
-# or rss streams has needed more than 40
+# feature-sign steps per oracle call, and per lockstep search over a stream;
+# no slice of the exp1, exp2, synthetic or rss streams has needed more than
+# 40, nor a lockstep search over a whole exp1 or exp2 stream
 _SIGN_STEPS = 400
 
 
@@ -413,6 +414,104 @@ def _feature_sign(problem, x):
     return None
 
 
+def _lowest_crossing(M, phi, lam, x, new, sign):
+    """Each row's lowest objective among the end point new and the points
+    where the segment from x to new crosses zero, with the crossed
+    coordinate set to exactly zero; also which rows cross nowhere.
+
+    The rows are slices, x and new zero off their active sets, on which the
+    systems M are Q.  The crossings are tried one per row at a time, each
+    row's in index order.
+    """
+    rows = np.arange(len(x))
+
+    def objective(p):
+        g = np.matmul(M, p[:, :, None])[:, :, 0]
+        g *= 0.5
+        g += phi
+        return np.einsum("ij,ij->i", p, g) + lam * np.abs(p).sum(axis=1)
+
+    d = new - x
+    best, low = new, objective(new)
+    left = (sign * new <= 0.0) & (sign != 0.0)
+    settled = ~left.any(axis=1)
+    while left.any():
+        k = np.argmax(left, axis=1)
+        hit = left[rows, k]
+        t = np.divide(x[rows, k], -d[rows, k], out=np.zeros(len(x)),
+                      where=hit & (d[rows, k] != 0.0))
+        p = x + t[:, None] * d
+        p[rows, k] = 0.0
+        f = objective(p)
+        lower = hit & (f < low)
+        best = np.where(lower[:, None], p, best)
+        low = np.where(lower, f, low)
+        left[rows, k] = False
+    return best, settled
+
+
+def _lockstep_feature_sign(problems):
+    """:func:`_feature_sign` from the cold start on every slice of a stream
+    of dense slices at once; returns the (T, n) sign patterns reached, -1,
+    0 or +1 per coordinate.
+
+    Each step makes one batched solve over the live slices, their systems
+    written into one buffer: a slice's Q with unit columns on its zero set.
+    The solution y is the reduced solve on the active set and minus the
+    gradient at it on the zero set, where the violation check reads it.
+    The line search runs across the slices, one zero crossing of each at a
+    time, and keeps the lowest objective among the end point and the
+    crossings.  A slice leaves the batch once no zero coordinate violates.
+    A singular or non-finite solve, or _SIGN_STEPS steps, end the search
+    with each slice where it got to.  A pattern is only a warm start for
+    :func:`oracle_minimizer`: from a finished slice's pattern its search
+    makes one reduced solve.  The pattern, unlike the point the batch
+    reached, is no minimizer unless the minimizer is zero, so the fallback
+    cannot return it in place of the library's own solve.
+    """
+    Qs = [p.Q for p in problems]
+    phi = np.stack([p.phi for p in problems])
+    lam = np.array([p.lam for p in problems])
+    T, n = phi.shape
+    # a slice's active set is where its sign is nonzero
+    x, sign = np.zeros((T, n)), np.zeros((T, n))
+    systems = np.empty((T, n, n))
+
+    def advance(live):
+        """One step of the live slices; returns the slices still live."""
+        L = live.size
+        s, pl, ll = sign[live], phi[live], lam[live]
+        M = np.stack([Qs[t] for t in live], out=systems[:L])
+        off = s == 0.0
+        M.transpose(0, 2, 1)[off] = 0.0
+        M.reshape(L, n * n)[:, ::n + 1][off] = 1.0
+        try:
+            y = np.linalg.solve(M, -(pl + ll[:, None] * s)[:, :, None])
+        except np.linalg.LinAlgError:
+            return live[:0]
+        y = y[:, :, 0]
+        if not np.isfinite(y).all():
+            return live[:0]
+        best, settled = _lowest_crossing(M, pl, ll, x[live],
+                                         np.where(off, 0.0, y), s)
+        x[live] = best
+        s = np.sign(best)
+        # a slice that reached its end point checks its zeros
+        viol = np.where(off, np.abs(y), 0.0)
+        i = np.argmax(viol, axis=1)
+        grow = settled & (viol.max(axis=1) > ll)
+        s[grow, i[grow]] = np.sign(y[grow, i[grow]])
+        sign[live] = s
+        return live[~settled | grow]
+
+    live = np.arange(T)
+    for _ in range(_SIGN_STEPS):
+        if not live.size:
+            break
+        live = advance(live)
+    return sign
+
+
 def _fista_polish(problem, x, target, max_iter):
     """Restarted FISTA from x, polishing the sign pattern every 100 sweeps.
 
@@ -483,15 +582,22 @@ def oracle_minimizer(problem, tol=1e-12, max_iter=100000, opt_tol=1e-8,
         Cap on the fallback's proximal-gradient sweeps.
     opt_tol : float
         Residual above which the result is rejected as untrustworthy.
-    initial : DRState, optional
-        Warm start; its x seeds both the search and the fallback.
+    initial : (n,) array_like, optional
+        Finite warm start x, the cold start zero when omitted; it seeds both
+        the search and the fallback.  From a point with the solution's
+        support and signs the search makes one reduced solve and returns.
 
     Returns
     -------
     (x_star, z_star) : pair of ndarray
     """
     x = np.zeros(problem.n) if initial is None else \
-        np.array(initial.x, dtype=float)
+        np.array(initial, dtype=float)
+    if x.shape != (problem.n,):
+        raise ValueError(
+            f"initial must have shape ({problem.n},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("initial must be finite")
     target = min(tol, opt_tol)
     best = _feature_sign(problem, x)
     best_res = np.inf if best is None else optimality_residual(best, problem)

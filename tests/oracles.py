@@ -3,11 +3,14 @@
 Everything here is written in the most literal style available: scalar
 branches, explicit loops, no helpers imported from the package.  Agreement
 between two independently written codepaths is evidence; calling the
-library from both sides would prove nothing.  Three exceptions, besides
+library from both sides would prove nothing.  Four exceptions, besides
 the grids :func:`loop_rss_dictionary` reads:
 :func:`prox_grad_minimize` iterates a stack of problems side by side, with
 array operations, so that a suite-sized reference fits its time budget;
 :func:`drifting_quadratic_stream` is test data made of package problems;
+:func:`sequential_stream_oracles` keeps the package's slice-by-slice oracle
+loop, each call warm started from the previous slice's minimizer, as the
+reference its stream-wide warm start is held to bit for bit;
 :func:`column_odista_round` keeps the array operations of the column-major
 odista round, which sums its means as left folds where the package takes
 one product with the graph's weight matrix, so the two are held to 1e-12
@@ -34,6 +37,7 @@ from stvo.scenarios import (
     sensor_positions,
     substream,
 )
+from stvo.solvers import oracle_minimizer
 
 
 def assert_relatively_close(out, ref, *inputs):
@@ -222,6 +226,19 @@ def drifting_quadratic_stream(n, rounds, sigma, beta, drift, seed, lam=0.05):
     direction = direction / np.linalg.norm(direction)
     base = QuadraticL1Problem(Q, phi0, lam)
     return [base.with_phi(phi0 + drift * t * direction) for t in range(rounds)]
+
+
+def sequential_stream_oracles(problems, opt_tol=1e-8):
+    """(x*, z*) of every slice, one oracle call per slice in stream order,
+    each warm started from the previous slice's minimizer."""
+    xs, zs, prev = [], [], None
+    for p in problems:
+        x_star, z_star = oracle_minimizer(p, max_iter=200000, opt_tol=opt_tol,
+                                          initial=prev)
+        xs.append(x_star)
+        zs.append(z_star)
+        prev = x_star
+    return np.array(xs), np.array(zs)
 
 
 def column_local_means(X, neighbor_lists):

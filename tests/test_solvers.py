@@ -1,6 +1,8 @@
 """Unit tests for the batch and online centralized solvers."""
 
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,8 +33,9 @@ from stvo.solvers import (
     oracle_minimizer,
 )
 
-from oracles import (assert_relatively_close, prox_grad_minimize, scalar_lasso,
-                     subgradient_violation)
+from oracles import (assert_bitwise_equal, assert_relatively_close,
+                     prox_grad_minimize, scalar_lasso,
+                     sequential_stream_oracles, subgradient_violation)
 
 
 def random_pd_problem(n, seed, lam=0.1, ridge=0.2):
@@ -268,6 +271,15 @@ def test_oracle_minimizer_on_compressed_elastic_net():
             z_star, x_star + p.Q @ x_star + p.phi, atol=1e-12)
 
 
+def test_oracle_minimizer_refuses_a_bad_warm_start():
+    p = random_pd_problem(4, seed=23)
+    for bad in (np.zeros(3), np.zeros((4, 1)),
+                np.array([0.0, np.nan, 0.0, 0.0]),
+                np.array([0.0, 0.0, np.inf, 0.0])):
+        with pytest.raises(ValueError):
+            oracle_minimizer(p, initial=bad)
+
+
 def test_oracle_minimizer_raises_when_unattainable():
     p = random_pd_problem(5, seed=21)
     with pytest.raises(OracleError):
@@ -320,8 +332,7 @@ def test_oracle_matches_its_fallback_on_ill_conditioned_elastic_nets(
     # a warm start from an unrelated point, or the cold start
     x0 = (rng.standard_normal(n) * (rng.random(n) < 0.5) if warm
           else np.zeros(n))
-    x_star, _ = oracle_minimizer(p, max_iter=200000,
-                                 initial=DRState(x0, np.zeros(n)))
+    x_star, _ = oracle_minimizer(p, max_iter=200000, initial=x0)
     assert subgradient_violation(x_star, p.Q, p.phi, p.lam) <= 1e-8
     ref = fista_only(p, x0)
     scale = max(1.0, float(np.max(np.abs(ref))))
@@ -354,3 +365,78 @@ def test_stream_oracles_equal_the_fallback_only_path_bitwise(monkeypatch):
     xs_ref, zs_ref = stream_oracles(problems)
     np.testing.assert_array_equal(xs, xs_ref)
     np.testing.assert_array_equal(zs, zs_ref)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 30),
+       n=st.integers(2, 20), m_frac=st.floats(0.5, 2.0),
+       log_mu=st.floats(-6.0, -1.0), log_lam=st.floats(-3.0, -1.0))
+def test_stream_oracles_equal_the_sequential_loop_bitwise_on_dense_streams(
+        seed, T, n, m_frac, log_mu, log_lam):
+    rng = np.random.default_rng(seed)
+    # 2m >= n, so every slice is dense
+    m = max(-(-n // 2), round(m_frac * n))
+    A = rng.standard_normal((m, n))
+    lam = 10.0 ** log_lam * float(np.max(np.abs(A.T @ rng.standard_normal(m))))
+    problems = []
+    for _ in range(T):
+        # A drifts between slices, y is drawn afresh
+        A = A + 0.1 * rng.standard_normal((m, n))
+        problems.append(elastic_net_problem(ElasticNetData(
+            A=A, y=rng.standard_normal(m), lam=lam, mu=10.0 ** log_mu)))
+    assert not any(p.op.factored for p in problems)
+    with mock.patch.object(solvers, "_sign_solve",
+                           wraps=solvers._sign_solve) as solves:
+        xs, zs = stream_oracles(problems)
+    # from the lockstep search's pattern each oracle call solves once
+    assert solves.call_count == T
+    xs_ref, zs_ref = sequential_stream_oracles(problems)
+    assert_bitwise_equal(xs, xs_ref)
+    assert_bitwise_equal(zs, zs_ref)
+
+
+def test_stream_oracles_finish_every_slice_when_the_batched_solve_raises(
+        monkeypatch):
+    problems = acceptance_prefix("exp2", 5, 40)
+    xs_ref, zs_ref = sequential_stream_oracles(problems)
+    solve, batched = np.linalg.solve, []
+
+    def singular_once(a, b):
+        if a.ndim == 3:
+            batched.append(a.shape)
+            if len(batched) == 4:
+                raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    xs, zs = stream_oracles(problems)
+    # the search ended at the raise, every slice still unfinished
+    assert batched == [(40, 20, 20)] * 4
+    assert_bitwise_equal(xs, xs_ref)
+    assert_bitwise_equal(zs, zs_ref)
+
+
+def test_stream_oracles_finish_every_slice_when_the_search_hits_its_cap(
+        monkeypatch):
+    problems = acceptance_prefix("exp2", 5, 25)
+    xs_ref, zs_ref = sequential_stream_oracles(problems)
+    monkeypatch.setattr(solvers, "_SIGN_STEPS", 1)
+    xs, zs = stream_oracles(problems)
+    assert_bitwise_equal(xs, xs_ref)
+    assert_bitwise_equal(zs, zs_ref)
+
+
+def test_stream_oracles_keep_the_batch_transient_memory_small():
+    problems = acceptance_prefix("exp2", 5, 83)
+    T, n = len(problems), problems[0].n
+    assert T == 83
+    stream_oracles(problems)
+    tracemalloc.start()
+    try:
+        stream_oracles(problems)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # three (T, n, n) float arrays' worth: the search holds one, its buffer
+    # of systems, besides arrays of (T, n)
+    assert peak <= 3 * T * n * n * 8
