@@ -19,9 +19,9 @@ from .core import elastic_net_problem, objective_value
 from .distributed import (NetworkState, OdistaRound, RowStack, deal_rows,
                           odista_round, radius_graph, ring_graph)
 from .metrics import RunTrace
-from .solvers import (OdrRound, OistRound, OnlineConfig,
-                      _lockstep_feature_sign, initial_state, odr_round,
-                      oist_round, oracle_minimizer)
+from .solvers import (OdrRound, OistRound, OnlineConfig, initial_state,
+                      odr_round, oist_round, oracle_minimizer,
+                      stream_warm_starts)
 
 ALGORITHMS = ("oist", "odr", "odista")
 
@@ -154,22 +154,20 @@ def play_odista(node_stream, graph, lam_node, taus, r, n):
 def stream_oracles(problems, opt_tol=1e-8):
     """Reference minimizers and fixed points of every slice.
 
-    Every slice gets its own certified :func:`oracle_minimizer` call.  When
-    every slice is dense, one feature-sign search over all of them at once
-    finds each slice's sign pattern, and each call starts from its slice's
-    pattern, which it re-solves once; a stream holding a factored slice
-    warm-starts each call from the previous slice's minimizer.  x* is the
-    reduced solve on the final sign pattern of the call's search, so the
-    start changes the cost, not the answer.
+    Every slice gets its own certified :func:`oracle_minimizer` call, in
+    stream order, started where :func:`stream_warm_starts` says:
+    on a stream of small dense slices from the sign pattern one lockstep
+    feature-sign search over all of them found, otherwise from the previous
+    slice's minimizer.  x* is the reduced solve on the final sign pattern of
+    the call's search, so the start changes the cost, not the answer.
     """
     xs = np.empty((len(problems), problems[0].n))
     zs = np.empty_like(xs)
-    dense = not any(p.op.factored for p in problems)
-    signs = _lockstep_feature_sign(problems) if dense else None
+    start = stream_warm_starts(problems)
     for t, p in enumerate(problems):
-        start = signs[t] if dense else (xs[t - 1] if t else None)
-        xs[t], zs[t] = oracle_minimizer(p, max_iter=200000, opt_tol=opt_tol,
-                                        initial=start)
+        xs[t], zs[t] = oracle_minimizer(
+            p, max_iter=200000, opt_tol=opt_tol,
+            initial=start(t, xs[t - 1] if t else None))
     return xs, zs
 
 

@@ -14,7 +14,8 @@ the literal step from any (x, z).  ``oracle_minimizer`` finds each
 slice's minimizer by a warm-started active-set (feature-sign) search whose
 answer is an exact reduced solve, falls back to restarted FISTA only when
 that answer does not certify, and certifies the result against the
-subgradient optimality condition.
+subgradient optimality condition; ``stream_warm_starts`` picks the start of
+each slice's call on a stream.
 """
 
 import functools
@@ -316,10 +317,14 @@ def optimality_residual(x, problem):
 
 
 _POLISH_CAP = 150
-# feature-sign steps per oracle call, and per lockstep search over a stream;
-# no slice of the exp1, exp2, synthetic or rss streams has needed more than
-# 40, nor a lockstep search over a whole exp1 or exp2 stream
+# feature-sign steps per oracle call, and per slice of a lockstep search
+# over a stream; no slice of the exp1, exp2, synthetic or rss streams has
+# needed more than 40 alone, nor 40 in a lockstep search
 _SIGN_STEPS = 400
+# the largest n at which a stream's dense slices share a lockstep search:
+# its batched systems are n x n where a slice searching alone solves on its
+# active set, and at n = 80 the batch no longer beat the slices alone
+_LOCKSTEP_N = 40
 
 
 def _sign_solve(problem, act, s):
@@ -415,9 +420,10 @@ def _feature_sign(problem, x):
 
 
 def _lowest_crossing(M, phi, lam, x, new, sign):
-    """Each row's lowest objective among the end point new and the points
-    where the segment from x to new crosses zero, with the crossed
-    coordinate set to exactly zero; also which rows cross nowhere.
+    """Each row's lowest objective among the points where the segment from
+    x to new crosses zero, with the crossed coordinate set to exactly zero,
+    and the end point new, a tie going to the first in that order, as in
+    :func:`_feature_sign`; also which rows cross nowhere.
 
     The rows are slices, x and new zero off their active sets, on which the
     systems M are Q.  The crossings are tried one per row at a time, each
@@ -431,10 +437,12 @@ def _lowest_crossing(M, phi, lam, x, new, sign):
         g += phi
         return np.einsum("ij,ij->i", p, g) + lam * np.abs(p).sum(axis=1)
 
-    d = new - x
-    best, low = new, objective(new)
     left = (sign * new <= 0.0) & (sign != 0.0)
     settled = ~left.any(axis=1)
+    if settled.all():
+        return new, settled
+    d = new - x
+    best, low = new, np.full(len(x), np.inf)
     while left.any():
         k = np.argmax(left, axis=1)
         hit = left[rows, k]
@@ -447,27 +455,28 @@ def _lowest_crossing(M, phi, lam, x, new, sign):
         best = np.where(lower[:, None], p, best)
         low = np.where(lower, f, low)
         left[rows, k] = False
-    return best, settled
+    return np.where((objective(new) < low)[:, None], new, best), settled
 
 
 def _lockstep_feature_sign(problems):
-    """:func:`_feature_sign` from the cold start on every slice of a stream
-    of dense slices at once; returns the (T, n) sign patterns reached, -1,
-    0 or +1 per coordinate.
+    """Warm starts for the oracle calls of a stream of dense slices: the
+    feature-sign search from the cold start, run on every slice at once.
+    Returns the (T, n) sign patterns reached, -1, 0 or +1 per coordinate,
+    and the (T,) mask of the slices whose search finished.
 
     Each step makes one batched solve over the live slices, their systems
     written into one buffer: a slice's Q with unit columns on its zero set.
     The solution y is the reduced solve on the active set and minus the
     gradient at it on the zero set, where the violation check reads it.
-    The line search runs across the slices, one zero crossing of each at a
-    time, and keeps the lowest objective among the end point and the
-    crossings.  A slice leaves the batch once no zero coordinate violates.
-    A singular or non-finite solve, or _SIGN_STEPS steps, end the search
-    with each slice where it got to.  A pattern is only a warm start for
-    :func:`oracle_minimizer`: from a finished slice's pattern its search
-    makes one reduced solve.  The pattern, unlike the point the batch
-    reached, is no minimizer unless the minimizer is zero, so the fallback
-    cannot return it in place of the library's own solve.
+    :func:`_lowest_crossing` runs the line search across the slices.  A
+    slice finishes once no zero coordinate violates.  A singular or
+    non-finite solve ends the search; a slice still live then, or after
+    _SIGN_STEPS steps, is unfinished.  The systems and the objective are
+    formed otherwise than in :func:`_feature_sign`'s reduced solves, so
+    this is a heuristic whose pattern only starts the slice's own search:
+    from a right pattern that search makes one reduced solve and returns.
+    :func:`stream_warm_starts` keeps n at most _LOCKSTEP_N, below
+    _POLISH_CAP, so no support outgrows the cap.
     """
     Qs = [p.Q for p in problems]
     phi = np.stack([p.phi for p in problems])
@@ -475,6 +484,7 @@ def _lockstep_feature_sign(problems):
     T, n = phi.shape
     # a slice's active set is where its sign is nonzero
     x, sign = np.zeros((T, n)), np.zeros((T, n))
+    done = np.zeros(T, dtype=bool)
     systems = np.empty((T, n, n))
 
     def advance(live):
@@ -502,6 +512,7 @@ def _lockstep_feature_sign(problems):
         grow = settled & (viol.max(axis=1) > ll)
         s[grow, i[grow]] = np.sign(y[grow, i[grow]])
         sign[live] = s
+        done[live[settled & ~grow]] = True
         return live[~settled | grow]
 
     live = np.arange(T)
@@ -509,7 +520,34 @@ def _lockstep_feature_sign(problems):
         if not live.size:
             break
         live = advance(live)
-    return sign
+    return sign, done
+
+
+def stream_warm_starts(problems):
+    """The warm start of every slice's :func:`oracle_minimizer` call on a
+    stream, as a function start(t, previous) of the slice's index and the
+    previous slice's minimizer (None before the first slice).
+
+    When every slice is dense and n is at most _LOCKSTEP_N, one
+    :func:`_lockstep_feature_sign` runs over the stream first, and a slice
+    whose search it finished starts from its sign pattern.  Every other
+    slice starts from the previous minimizer, as when each slice searches
+    alone.  The call's answer is the reduced solve on the final pattern of
+    its own search, or its fallback's polish on the pattern that finds, so
+    the start changes the cost, not the bits.  The pattern, not the point
+    the batch reached, is the start: a start that already certifies is what
+    the fallback hands back, and a pattern certifies only where the
+    minimizer is zero.
+    """
+    pattern, done = None, np.zeros(len(problems), dtype=bool)
+    if problems[0].n <= _LOCKSTEP_N and not any(p.op.factored
+                                                for p in problems):
+        pattern, done = _lockstep_feature_sign(problems)
+
+    def start(t, previous):
+        return pattern[t] if done[t] else previous
+
+    return start
 
 
 def _fista_polish(problem, x, target, max_iter):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stvo import cli, solvers
+from stvo import cli, runner, solvers
 from stvo.core import (
     ElasticNetData,
     QuadraticL1Problem,
@@ -367,24 +367,29 @@ def test_stream_oracles_equal_the_fallback_only_path_bitwise(monkeypatch):
     np.testing.assert_array_equal(zs, zs_ref)
 
 
+def random_dense_stream(n, m, T, seed, lam_frac=0.1, mu=1e-3):
+    """T elastic-net slices of m x n data, 2m >= n, so every slice is dense;
+    A drifts between slices and y is drawn afresh for each."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    lam = lam_frac * float(np.max(np.abs(A.T @ rng.standard_normal(m))))
+    problems = []
+    for _ in range(T):
+        A = A + 0.1 * rng.standard_normal((m, n))
+        problems.append(elastic_net_problem(ElasticNetData(
+            A=A, y=rng.standard_normal(m), lam=lam, mu=mu)))
+    assert not any(p.op.factored for p in problems)
+    return problems
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 30),
-       n=st.integers(2, 20), m_frac=st.floats(0.5, 2.0),
+       n=st.integers(2, solvers._LOCKSTEP_N), m_frac=st.floats(0.5, 2.0),
        log_mu=st.floats(-6.0, -1.0), log_lam=st.floats(-3.0, -1.0))
 def test_stream_oracles_equal_the_sequential_loop_bitwise_on_dense_streams(
         seed, T, n, m_frac, log_mu, log_lam):
-    rng = np.random.default_rng(seed)
-    # 2m >= n, so every slice is dense
-    m = max(-(-n // 2), round(m_frac * n))
-    A = rng.standard_normal((m, n))
-    lam = 10.0 ** log_lam * float(np.max(np.abs(A.T @ rng.standard_normal(m))))
-    problems = []
-    for _ in range(T):
-        # A drifts between slices, y is drawn afresh
-        A = A + 0.1 * rng.standard_normal((m, n))
-        problems.append(elastic_net_problem(ElasticNetData(
-            A=A, y=rng.standard_normal(m), lam=lam, mu=10.0 ** log_mu)))
-    assert not any(p.op.factored for p in problems)
+    problems = random_dense_stream(n, max(-(-n // 2), round(m_frac * n)), T,
+                                   seed, 10.0 ** log_lam, 10.0 ** log_mu)
     with mock.patch.object(solvers, "_sign_solve",
                            wraps=solvers._sign_solve) as solves:
         xs, zs = stream_oracles(problems)
@@ -412,6 +417,63 @@ def test_stream_oracles_finish_every_slice_when_the_batched_solve_raises(
     xs, zs = stream_oracles(problems)
     # the search ended at the raise, every slice still unfinished
     assert batched == [(40, 20, 20)] * 4
+    assert_bitwise_equal(xs, xs_ref)
+    assert_bitwise_equal(zs, zs_ref)
+
+
+def test_stream_oracles_start_unfinished_slices_from_the_previous_minimizer(
+        monkeypatch):
+    problems = acceptance_prefix("exp2", 5, 25)
+    starts = []
+
+    def recording(p, **kwargs):
+        starts.append(kwargs["initial"])
+        return oracle_minimizer(p, **kwargs)
+
+    monkeypatch.setattr(runner, "oracle_minimizer", recording)
+    stream_oracles(problems)
+    # the search finished every slice: each call starts from a sign pattern
+    assert len(starts) == 25
+    assert all(np.isin(s, (-1.0, 0.0, 1.0)).all() for s in starts)
+    starts.clear()
+    solve = np.linalg.solve
+
+    def singular(a, b):
+        if a.ndim == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    xs, _ = stream_oracles(problems)
+    # the search finished none: each call starts as in the sequential loop
+    assert starts[0] is None
+    for t in range(1, 25):
+        assert_bitwise_equal(starts[t], xs[t - 1])
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+def test_stream_oracles_equal_the_sequential_loop_when_every_search_gives_up(
+        monkeypatch, cap):
+    problems = acceptance_prefix("exp2", 9, 12)
+    if cap is not None:
+        # the lockstep search leaves the slices it has not finished
+        monkeypatch.setattr(solvers, "_SIGN_STEPS", cap)
+    monkeypatch.setattr(solvers, "_feature_sign", lambda problem, x: None)
+    xs, zs = stream_oracles(problems)
+    xs_ref, zs_ref = sequential_stream_oracles(problems)
+    assert_bitwise_equal(xs, xs_ref)
+    assert_bitwise_equal(zs, zs_ref)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_only_streams_of_small_dense_slices_run_the_lockstep_search(extra):
+    n = solvers._LOCKSTEP_N + extra
+    problems = random_dense_stream(n, n, 4, seed=n)
+    with mock.patch.object(solvers, "_lockstep_feature_sign",
+                           wraps=solvers._lockstep_feature_sign) as search:
+        xs, zs = stream_oracles(problems)
+    assert search.call_count == (1 if extra == 0 else 0)
+    xs_ref, zs_ref = sequential_stream_oracles(problems)
     assert_bitwise_equal(xs, xs_ref)
     assert_bitwise_equal(zs, zs_ref)
 
