@@ -86,8 +86,8 @@ class SliceOperator:
         the Cholesky factor (c, lower) of the m x m G."""
         if self._factor is None:
             if self.A is None:
-                # Q is finite: gram forms it from checked data, and a slice
-                # built from Q checks it
+                # Q is finite: the constructor checks a Q it is given, and
+                # elastic_net_problem the Q that gram forms
                 c, lower = scipy.linalg.cho_factor(
                     self._Q + np.eye(self.n), lower=False, overwrite_a=True,
                     check_finite=False)
@@ -324,13 +324,16 @@ def elastic_net_problem(data):
 
     Q is held as :meth:`SliceOperator.gram` picks: factored as (A, mu) when
     2m < n, so the proximal solve works on an m x m factor, and otherwise
-    dense and checked as the constructor checks any Q.
+    dense.  Q is symmetric positive definite by construction, so only its
+    finiteness is checked, with phi's: the products of finite data can
+    overflow.
     """
     phi = -data.A.T @ data.y
     op = SliceOperator.gram(data.A, data.mu)
-    if op.factored:
-        return QuadraticL1Problem._of(op, phi, data.lam)
-    return QuadraticL1Problem(op.Q, phi, data.lam)
+    if not (np.isfinite(phi).all()
+            and (op.factored or np.isfinite(op.Q).all())):
+        raise ValueError("Q and phi must be finite")
+    return QuadraticL1Problem._of(op, phi, data.lam)
 
 
 def contraction_constants(problem):

@@ -271,7 +271,7 @@ def build_stream(scenario, cfg, seed):
         blocks = scenarios.tvarx_stream(cfg, sim)
         return Stream(scenario, cfg, blocks, truth=sim.x_true)
     if scenario == "rss":
-        blocks, walk, _ = scenarios.rss_stream(cfg)
+        blocks, walk = scenarios.rss_stream(cfg)
         return Stream(scenario, cfg, blocks, walk=walk)
     blocks, truth = scenarios.synthetic_stream(cfg)
     return Stream(scenario, cfg, blocks, truth=truth)

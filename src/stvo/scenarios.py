@@ -374,8 +374,8 @@ def rss_stream(cfg):
     to one, so y - a_bar = (A - a_bar 1^T) x + noise holds exactly and the
     subtraction removes the near-rank-one component that otherwise dwarfs
     the position-dependent directions.  lam and mu are calibrated against
-    the rescaled dictionary.  Returns (blocks, walk, A_used); the quadratic
-    term is shared across rounds, so the slices reuse one factorization.
+    the rescaled dictionary.  Returns (blocks, walk); every block holds the
+    one rescaled dictionary as its A, so the slices reuse one factorization.
     """
     A = rss_dictionary(cfg)
     offset = A.mean(axis=1)
@@ -390,7 +390,7 @@ def rss_stream(cfg):
         y = rss_measure(A, x_true, cfg.snr_db, cfg.seed, t)
         blocks.append(ElasticNetData(A=A_used, y=(y - offset) / scale,
                                      lam=cfg.lam, mu=cfg.mu))
-    return blocks, walk, A_used
+    return blocks, walk
 
 
 # ---------------------------------------------------------------------------

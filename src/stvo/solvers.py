@@ -249,7 +249,7 @@ def dr_step(state, problem):
     return DRState(prox_quadratic(z, problem), z)
 
 
-def batch_dr(problem, tol=1e-10, max_iter=10000, initial=None):
+def batch_dr(problem, tol=1e-10, max_iter=10000):
     """Iterate dr_step until the z-increment drops below tol.
 
     Parameters
@@ -259,16 +259,12 @@ def batch_dr(problem, tol=1e-10, max_iter=10000, initial=None):
         Stop once ||z_{k+1} - z_k||_2 <= tol.
     max_iter : int
         Iteration cap; hitting it flags the result instead of raising.
-    initial : DRState, optional
-        Warm start; only its z is used, x is re-derived through the proximal
-        map so that a vanishing z-increment certifies a fixed point.
 
     Returns
     -------
     BatchResult
     """
-    rnd = OdrRound().start(
-        problem, np.zeros(problem.n) if initial is None else initial.z)
+    rnd = OdrRound().start(problem, np.zeros(problem.n))
     residuals = []
     converged = False
     for _ in range(max_iter):
@@ -317,9 +313,12 @@ def optimality_residual(x, problem):
 
 
 _POLISH_CAP = 150
+# the residual the oracle aims for, or opt_tol if lower: a search answer
+# above it goes to the fallback, which stops once it is reached
+_ORACLE_TARGET = 1e-12
 # feature-sign steps per oracle call, and per slice of a lockstep search
-# over a stream; no slice of the exp1, exp2, synthetic or rss streams has
-# needed more than 40 alone, nor 40 in a lockstep search
+# over a stream; on exp1, exp2, synthetic and rss streams no slice has
+# made more than 52 reduced solves alone, nor a lockstep search 48 steps
 _SIGN_STEPS = 400
 # the largest n at which a stream's dense slices share a lockstep search:
 # its batched systems are n x n where a slice searching alone solves on its
@@ -364,21 +363,41 @@ def _pattern_polish(problem, x):
     return out
 
 
+def _first_crossing(x, new, cross):
+    """The point where each row's segment from x to new first crosses zero.
+
+    x and new are (..., n), cross marks the coordinates whose sign does not
+    hold at new, at least one per row.  Each row moves by the smallest
+    t = x_i / (x_i - new_i) over its crossing coordinates, and the
+    coordinate that attains it is set to exactly zero; up to that t no
+    coordinate changes sign, so every other one keeps its own.
+    """
+    d = new - x
+    t = np.divide(x, -d, out=np.where(cross, 0.0, np.inf),
+                  where=cross & (d != 0.0))
+    i = np.argmin(t, axis=-1)[..., None]
+    out = x + np.take_along_axis(t, i, -1) * d
+    np.put_along_axis(out, i, 0.0, -1)
+    return out
+
+
 def _feature_sign(problem, x):
     """Feature-sign search (Lee, Battle, Raina & Ng, 2006) from x.
 
     The active set and its signs start as x's support and signs.  Each step
-    solves the stationarity system on the pattern and moves x along the
-    segment to that solution, to the lowest objective among the end point
-    and the points where a coordinate crosses zero; a crossed coordinate is
-    set to exactly zero and leaves the set.  Once the nonzeros are
-    stationary, the zero with the largest violation |(Qx + phi)_i| > lam
-    joins with the sign that descends, until none violates.  The objective
-    falls at every step, so no pattern repeats; _SIGN_STEPS bounds the loop
-    where rounding would break that.  The returned x is the reduced solve on
-    its own support and signs, which is what _pattern_polish gives for the
-    same pattern.  Returns None when the cap is hit, a reduced system is
-    singular or the support outgrows _POLISH_CAP.
+    solves the stationarity system on the pattern and moves x toward that
+    solution, to its end point, or, when a sign does not hold there, to the
+    first zero crossing (:func:`_first_crossing`), whose coordinate leaves
+    the set.  Once the nonzeros are stationary, the zero with the largest
+    violation |(Qx + phi)_i| > lam joins with the sign that descends, until
+    none violates.  The objective falls at every step, since the signs hold
+    up to the first crossing and a joining coordinate takes the sign it
+    joins with, so no pattern repeats; _SIGN_STEPS bounds the loop where
+    rounding would break that.
+    The returned x is the reduced solve on its own support and signs, which
+    is what _pattern_polish gives for the same pattern.  Returns None when
+    the cap is hit, a reduced system is singular or the support outgrows
+    _POLISH_CAP.
     """
     op, phi, lam = problem.op, problem.phi, problem.lam
     x = x.copy()
@@ -388,23 +407,13 @@ def _feature_sign(problem, x):
         if act.sum() > _POLISH_CAP:
             return None
         if act.any():
-            xa, sa = x[act], sign[act]
+            sa = sign[act]
             new = _sign_solve(problem, act, sa)
             if new is None:
                 return None
             cross = sa * new <= 0.0
             if cross.any():
-                # the end point and every zero crossing on the segment; x is
-                # zero off the active set, so the objective is the reduced one
-                d = new - xa
-                hit = np.flatnonzero(cross)
-                t = np.divide(xa[hit], -d[hit], out=np.zeros(hit.size),
-                              where=d[hit] != 0.0)
-                pts = np.vstack([xa + t[:, None] * d, new])
-                pts[np.arange(hit.size), hit] = 0.0
-                f = (0.5 * np.einsum("ij,ij->i", pts @ op.block(act), pts)
-                     + pts @ phi[act] + lam * np.abs(pts).sum(axis=1))
-                x[act] = pts[int(np.argmin(f))]
+                x[act] = _first_crossing(x[act], new, cross)
                 act = x != 0.0
                 sign = np.sign(x)
                 continue
@@ -419,45 +428,6 @@ def _feature_sign(problem, x):
     return None
 
 
-def _lowest_crossing(M, phi, lam, x, new, sign):
-    """Each row's lowest objective among the points where the segment from
-    x to new crosses zero, with the crossed coordinate set to exactly zero,
-    and the end point new, a tie going to the first in that order, as in
-    :func:`_feature_sign`; also which rows cross nowhere.
-
-    The rows are slices, x and new zero off their active sets, on which the
-    systems M are Q.  The crossings are tried one per row at a time, each
-    row's in index order.
-    """
-    rows = np.arange(len(x))
-
-    def objective(p):
-        g = np.matmul(M, p[:, :, None])[:, :, 0]
-        g *= 0.5
-        g += phi
-        return np.einsum("ij,ij->i", p, g) + lam * np.abs(p).sum(axis=1)
-
-    left = (sign * new <= 0.0) & (sign != 0.0)
-    settled = ~left.any(axis=1)
-    if settled.all():
-        return new, settled
-    d = new - x
-    best, low = new, np.full(len(x), np.inf)
-    while left.any():
-        k = np.argmax(left, axis=1)
-        hit = left[rows, k]
-        t = np.divide(x[rows, k], -d[rows, k], out=np.zeros(len(x)),
-                      where=hit & (d[rows, k] != 0.0))
-        p = x + t[:, None] * d
-        p[rows, k] = 0.0
-        f = objective(p)
-        lower = hit & (f < low)
-        best = np.where(lower[:, None], p, best)
-        low = np.where(lower, f, low)
-        left[rows, k] = False
-    return np.where((objective(new) < low)[:, None], new, best), settled
-
-
 def _lockstep_feature_sign(problems):
     """Warm starts for the oracle calls of a stream of dense slices: the
     feature-sign search from the cold start, run on every slice at once.
@@ -468,12 +438,13 @@ def _lockstep_feature_sign(problems):
     written into one buffer: a slice's Q with unit columns on its zero set.
     The solution y is the reduced solve on the active set and minus the
     gradient at it on the zero set, where the violation check reads it.
-    :func:`_lowest_crossing` runs the line search across the slices.  A
-    slice finishes once no zero coordinate violates.  A singular or
-    non-finite solve ends the search; a slice still live then, or after
-    _SIGN_STEPS steps, is unfinished.  The systems and the objective are
-    formed otherwise than in :func:`_feature_sign`'s reduced solves, so
-    this is a heuristic whose pattern only starts the slice's own search:
+    A slice whose signs do not all hold at the solution steps to its first
+    zero crossing (:func:`_first_crossing`), as a slice searching alone
+    does.  A slice finishes once no zero coordinate violates.  A singular
+    or non-finite solve ends the search; a slice still live then, or after
+    _SIGN_STEPS steps, is unfinished.  The systems are formed otherwise
+    than in :func:`_feature_sign`'s reduced solves, so this is a heuristic
+    whose pattern only starts the slice's own search:
     from a right pattern that search makes one reduced solve and returns.
     :func:`stream_warm_starts` keeps n at most _LOCKSTEP_N, below
     _POLISH_CAP, so no support outgrows the cap.
@@ -502,10 +473,14 @@ def _lockstep_feature_sign(problems):
         y = y[:, :, 0]
         if not np.isfinite(y).all():
             return live[:0]
-        best, settled = _lowest_crossing(M, pl, ll, x[live],
-                                         np.where(off, 0.0, y), s)
-        x[live] = best
-        s = np.sign(best)
+        new = np.where(off, 0.0, y)
+        cross = (s * new <= 0.0) & ~off
+        settled = ~cross.any(axis=1)
+        on = ~settled
+        if on.any():
+            new[on] = _first_crossing(x[live[on]], new[on], cross[on])
+        x[live] = new
+        s = np.sign(new)
         # a slice that reached its end point checks its zeros
         viol = np.where(off, np.abs(y), 0.0)
         i = np.argmax(viol, axis=1)
@@ -595,27 +570,25 @@ def _fista_polish(problem, x, target, max_iter):
     return best, best_res
 
 
-def oracle_minimizer(problem, tol=1e-12, max_iter=100000, opt_tol=1e-8,
-                     initial=None):
+def oracle_minimizer(problem, max_iter=100000, opt_tol=1e-8, initial=None):
     """Certified reference minimizer and splitting fixed point (x*, z*).
 
     A feature-sign active-set search, warm started from the support and
     signs of the initial x, finds the solution's sign pattern in a handful
     of small exact solves; its answer is the reduced stationarity solve on
-    that pattern.  Only when that answer's residual exceeds min(tol, opt_tol)
-    (or the search gives up) does restarted FISTA with a periodic pattern
-    polish take over, from the same start.  The splitting iteration itself is
-    useless as an oracle here: on rank-deficient quadratics (tiny
-    elastic-net mu) it stalls on near-flat reflection modes millions of
-    iterations deep.  The subgradient optimality condition, measured
-    through the fixed-point residual, is asserted before returning; failure
-    raises OracleError, never a silently degraded answer.  z* follows from
-    x* through the stationarity identity z* = (Q + I) x* + phi.
+    that pattern.  Only when that answer's residual exceeds
+    min(_ORACLE_TARGET, opt_tol) (or the search gives up) does restarted
+    FISTA with a periodic pattern polish take over, from the same start.
+    The splitting iteration itself is useless as an oracle here: on
+    rank-deficient quadratics (tiny elastic-net mu) it stalls on near-flat
+    reflection modes millions of iterations deep.  The subgradient
+    optimality condition, measured through the fixed-point residual, is
+    asserted before returning; failure raises OracleError, never a silently
+    degraded answer.  z* follows from x* through the stationarity identity
+    z* = (Q + I) x* + phi.
 
     Parameters
     ----------
-    tol : float
-        Residual the solve aims for.
     max_iter : int
         Cap on the fallback's proximal-gradient sweeps.
     opt_tol : float
@@ -636,7 +609,7 @@ def oracle_minimizer(problem, tol=1e-12, max_iter=100000, opt_tol=1e-8,
             f"initial must have shape ({problem.n},), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("initial must be finite")
-    target = min(tol, opt_tol)
+    target = min(_ORACLE_TARGET, opt_tol)
     best = _feature_sign(problem, x)
     best_res = np.inf if best is None else optimality_residual(best, problem)
     if not best_res <= target:

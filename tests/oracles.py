@@ -3,7 +3,7 @@
 Everything here is written in the most literal style available: scalar
 branches, explicit loops, no helpers imported from the package.  Agreement
 between two independently written codepaths is evidence; calling the
-library from both sides would prove nothing.  Four exceptions, besides
+library from both sides would prove nothing.  Five exceptions, besides
 the grids :func:`loop_rss_dictionary` reads:
 :func:`prox_grad_minimize` iterates a stack of problems side by side, with
 array operations, so that a suite-sized reference fits its time budget;
@@ -11,6 +11,11 @@ array operations, so that a suite-sized reference fits its time budget;
 :func:`sequential_stream_oracles` keeps the package's slice-by-slice oracle
 loop, each call warm started from the previous slice's minimizer, as the
 reference its stream-wide warm start is held to bit for bit;
+:func:`lowest_objective_feature_sign`, the oracle's search with a line
+search that weighs the objective at every zero crossing, forms its
+reduced systems and products through the problem's operator
+(``p.op.block``, ``p.op.matvec``), so that its answer can be held to the
+package's bit for bit;
 :func:`column_odista_round` keeps the array operations of the column-major
 odista round, which sums its means as left folds where the package takes
 one product with the graph's weight matrix, so the two are held to 1e-12
@@ -239,6 +244,51 @@ def sequential_stream_oracles(problems, opt_tol=1e-8):
         zs.append(z_star)
         prev = x_star
     return np.array(xs), np.array(zs)
+
+
+def lowest_objective_feature_sign(p, x, steps=400, cap=150):
+    """Feature-sign search from x whose line search tries every point on
+    the segment to the reduced solve: the end point and each zero crossing,
+    the crossed coordinate set to exactly zero, and moves to the lowest
+    objective among them, a tie going to the first crossing.  Returns
+    (x*, z*) with z* = x* + Q x* + phi, or None when steps run out, the
+    support outgrows cap or a reduced system is singular."""
+    x = x.copy()
+    act = x != 0.0
+    sign = np.sign(x)
+    for _ in range(steps):
+        if act.sum() > cap:
+            return None
+        if act.any():
+            xa, sa = x[act], sign[act]
+            Q_act = p.op.block(act)
+            try:
+                new = np.linalg.solve(Q_act, -(p.phi[act] + p.lam * sa))
+            except np.linalg.LinAlgError:
+                return None
+            cross = sa * new <= 0.0
+            if cross.any():
+                d = new - xa
+                hit = np.flatnonzero(cross)
+                t = np.divide(xa[hit], -d[hit], out=np.zeros(hit.size),
+                              where=d[hit] != 0.0)
+                pts = np.vstack([xa + t[:, None] * d, new])
+                pts[np.arange(hit.size), hit] = 0.0
+                f = (0.5 * np.einsum("ij,ij->i", pts @ Q_act, pts)
+                     + pts @ p.phi[act] + p.lam * np.abs(pts).sum(axis=1))
+                x[act] = pts[int(np.argmin(f))]
+                act = x != 0.0
+                sign = np.sign(x)
+                continue
+            x[act] = new
+        g = p.op.matvec(x) + p.phi
+        viol = np.where(act, 0.0, np.abs(g))
+        i = int(np.argmax(viol))
+        if not viol[i] > p.lam:
+            return x, x + p.op.matvec(x) + p.phi
+        act[i] = True
+        sign[i] = -np.sign(g[i])
+    return None
 
 
 def column_local_means(X, neighbor_lists):

@@ -113,7 +113,7 @@ def test_online_splitting_lands_within_the_r_step_contraction_of_the_gap():
         direction /= np.linalg.norm(direction)
         probs = [QuadraticL1Problem(Q, phi0 + t * drift * direction, lam)
                  for t in range(rounds)]
-        stars = [oracle_minimizer(p, tol=1e-12) for p in probs]
+        stars = [oracle_minimizer(p) for p in probs]
         q = contraction_constants(probs[0]).q
         for r in (1, 2, 5):
             state = consistent_state(probs[0], stars[0][1])

@@ -191,6 +191,15 @@ def test_elastic_net_underdetermined_still_positive_definite():
     assert np.linalg.eigvalsh(p.Q)[0] > 0
 
 
+def test_elastic_net_rejects_a_dense_gram_that_overflows():
+    # finite data whose Gram A'A overflows: the dense slice is not built
+    A = np.full((12, 20), 1e200)
+    data = ElasticNetData(A=A, y=np.ones(12), lam=0.1, mu=1e-3)
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                  match="finite"):
+        elastic_net_problem(data)
+
+
 def test_contraction_constants_identity():
     cc = contraction_constants(QuadraticL1Problem(np.eye(3), np.zeros(3), 1.0))
     assert cc.sigma == pytest.approx(1.0)

@@ -352,9 +352,9 @@ def test_measurement_noise_matches_the_snr():
 
 def test_stream_aligns_blocks_with_the_walk():
     cfg = RssConfig(seed=12, path_length_steps=10)
-    blocks, walk, A_used = rss_stream(cfg)
+    blocks, walk = rss_stream(cfg)
     assert len(blocks) == walk.size == 11
-    assert A_used.shape == (144, 625)
+    assert blocks[0].A.shape == (144, 625)
     for blk in blocks:
         assert blk.A is blocks[0].A  # constant dictionary, shared slice
         assert blk.lam == cfg.lam and blk.mu == cfg.mu
@@ -365,15 +365,15 @@ def test_stream_centering_is_exact_for_one_hot_targets():
     # noise off, the preprocessed measurement equals the preprocessed
     # dictionary column of the occupied cell.
     cfg = RssConfig(seed=12, path_length_steps=5, snr_db=500.0)
-    blocks, walk, A_used = rss_stream(cfg)
+    blocks, walk = rss_stream(cfg)
     for blk, cell in zip(blocks, walk):
-        np.testing.assert_allclose(blk.y, A_used[:, cell], atol=1e-9)
+        np.testing.assert_allclose(blk.y, blocks[0].A[:, cell], atol=1e-9)
 
 
 def test_stream_normalizes_the_dictionary():
     cfg = RssConfig(seed=12, path_length_steps=3)
-    _, _, A_used = rss_stream(cfg)
-    assert np.linalg.norm(A_used, 2) == pytest.approx(1.0)
+    blocks, _ = rss_stream(cfg)
+    assert np.linalg.norm(blocks[0].A, 2) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

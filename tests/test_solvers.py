@@ -34,8 +34,9 @@ from stvo.solvers import (
 )
 
 from oracles import (assert_bitwise_equal, assert_relatively_close,
-                     prox_grad_minimize, scalar_lasso,
-                     sequential_stream_oracles, subgradient_violation)
+                     lowest_objective_feature_sign, prox_grad_minimize,
+                     scalar_lasso, sequential_stream_oracles,
+                     subgradient_violation)
 
 
 def random_pd_problem(n, seed, lam=0.1, ridge=0.2):
@@ -337,6 +338,62 @@ def test_oracle_matches_its_fallback_on_ill_conditioned_elastic_nets(
     ref = fista_only(p, x0)
     scale = max(1.0, float(np.max(np.abs(ref))))
     np.testing.assert_allclose(x_star, ref, rtol=0.0, atol=1e-9 * scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 24),
+       dense=st.booleans(), log_mu=st.floats(-4.0, -1.0),
+       log_lam=st.floats(-2.0, -0.5), warm=st.booleans())
+def test_oracle_equals_the_lowest_objective_search_bitwise(
+        seed, n, dense, log_mu, log_lam, warm):
+    rng = np.random.default_rng(seed)
+    # 2m >= n gives a dense slice, 2m < n a factored one
+    m = int(rng.integers(-(-n // 2), 2 * n + 1) if dense
+            else rng.integers(1, -(-n // 2)))
+    A = rng.standard_normal((m, n))
+    y = rng.standard_normal(m)
+    lam = 10.0 ** log_lam * float(np.max(np.abs(A.T @ y)))
+    p = elastic_net_problem(ElasticNetData(A=A, y=y, lam=lam, mu=10.0 ** log_mu))
+    assert p.op.factored is not dense
+    # zeros of +0.0: a -0.0 that neither search activates is kept as it is,
+    # and one that joins and leaves again comes back +0.0
+    x0 = (np.where(rng.random(n) < 0.5, rng.standard_normal(n), 0.0) if warm
+          else np.zeros(n))
+    ref = lowest_objective_feature_sign(p, x0)
+    assert ref is not None
+    # the two line searches differ, the final sign pattern does not
+    x_star, z_star = oracle_minimizer(p, initial=x0)
+    assert_bitwise_equal(x_star, ref[0])
+    assert_bitwise_equal(z_star, ref[1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 6),
+       n=st.integers(1, 12))
+def test_first_crossing_stops_where_the_first_sign_flips(seed, rows, n):
+    rng = np.random.default_rng(seed)
+    # rows shaped as the lockstep search's: zero off the active set
+    act = rng.random((rows, n)) < 0.7
+    act[:, 0] = True
+    x = np.where(act, rng.standard_normal((rows, n)), 0.0)
+    new = np.where(act, rng.standard_normal((rows, n)), 0.0)
+    # every row flips at least one sign
+    new[:, 0] = -0.5 * x[:, 0]
+    cross = act & (np.sign(x) * new <= 0.0)
+    out = solvers._first_crossing(x, new, cross)
+    for xr, nr, cr, o in zip(x, new, cross, out):
+        ts = {i: xr[i] / (xr[i] - nr[i]) for i in np.flatnonzero(cr)}
+        first = min(ts, key=ts.get)
+        t = ts[first]
+        assert 0.0 < t <= 1.0
+        assert np.flatnonzero((o == 0.0) & (xr != 0.0)).tolist() == [first]
+        keep = np.arange(n) != first
+        np.testing.assert_array_equal(np.sign(o[keep]), np.sign(xr[keep]))
+        np.testing.assert_allclose(o[keep], (xr + t * (nr - xr))[keep],
+                                   rtol=0.0, atol=1e-12)
+    # a single row is a 1-d vector, as the search alone passes it
+    assert_bitwise_equal(solvers._first_crossing(x[0], new[0], cross[0]),
+                         out[0])
 
 
 def acceptance_prefix(scenario, seed, blocks):
