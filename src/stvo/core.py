@@ -54,6 +54,21 @@ class SliceOperator:
             return cls(A=A, mu=mu)
         return cls(Q=A.T @ A + mu * np.eye(A.shape[1]))
 
+    @classmethod
+    def grams(cls, A, mu):
+        """:meth:`gram` of every block of the (R, m, n) stack A, mu the (R,)
+        ridges: a factored operator holds its block as a view of A, and the
+        dense Q of all R blocks come from one np.matmul, bitwise each
+        block's own A'A + mu I, and must be finite (finite blocks can
+        overflow)."""
+        if 2 * A.shape[1] < A.shape[2]:
+            return [cls(A=a, mu=u) for a, u in zip(A, mu)]
+        Q = np.matmul(A.transpose(0, 2, 1), A)
+        Q += np.multiply.outer(mu, np.eye(A.shape[2]))
+        if not np.isfinite(Q).all():
+            raise ValueError("Q must be finite")
+        return [cls(Q=q) for q in Q]
+
     @property
     def factored(self):
         return self.A is not None
@@ -86,8 +101,8 @@ class SliceOperator:
         the Cholesky factor (c, lower) of the m x m G."""
         if self._factor is None:
             if self.A is None:
-                # Q is finite: the constructor checks a Q it is given, and
-                # elastic_net_problem the Q that gram forms
+                # Q is finite: the constructor checks a Q it is given,
+                # elastic_net_problem the Q that gram forms and grams its own
                 c, lower = scipy.linalg.cho_factor(
                     self._Q + np.eye(self.n), lower=False, overwrite_a=True,
                     check_finite=False)
@@ -110,10 +125,14 @@ class SliceOperator:
                                            overwrite_b=True)[0]) / s
 
     def eig_extremes(self):
-        """Smallest and largest eigenvalue of Q."""
+        """Smallest and largest eigenvalue of Q.  A dense Q goes through
+        numpy's eigvalsh, at half the call cost of scipy's and bitwise
+        equal to it on the dense slices of the shipped scenarios; the
+        factored m x m AA' keeps scipy's, from whose largest eigenvalue
+        numpy's differs by a few ulp on rss."""
         if self._eig is None:
             if self.A is None:
-                w = scipy.linalg.eigvalsh(self._Q)
+                w = np.linalg.eigvalsh(self._Q)
                 self._eig = (float(w[0]), float(w[-1]))
             else:
                 w = scipy.linalg.eigvalsh(self.A @ self.A.T)
@@ -237,6 +256,15 @@ class ElasticNetData:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
+
+    @classmethod
+    def _of(cls, A, y, lam, mu):
+        """Block of arrays and weights already checked, such as row slices
+        of a checked block."""
+        out = object.__new__(cls)
+        for name, value in (("A", A), ("y", y), ("lam", lam), ("mu", mu)):
+            object.__setattr__(out, name, value)
+        return out
 
     @property
     def m(self):

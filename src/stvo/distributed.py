@@ -91,18 +91,35 @@ def deal_rows(A, n_nodes):
     (extra, k + 1, n) and one (|V| - extra, k, n).  Returns (stack, groups):
     stack is the zero-padded (|V|, k_max, n) stack, node v's rows A_v on top
     of slab v and zero rows below where it has fewer than k_max (zero rows
-    add exactly nothing), and groups the two blocks as views of it.
+    add exactly nothing), and groups the two blocks as views of it.  A may
+    be a (..., m, n) stack of blocks, which are then dealt at once into a
+    (..., |V|, k_max, n) stack.
     """
-    m, n = A.shape
+    *lead, m, n = A.shape
     if not 1 <= n_nodes <= m:
         raise ValueError(f"block of {m} rows cannot feed {n_nodes} nodes")
     k, extra = divmod(m, n_nodes)
-    stack = np.zeros((n_nodes, -(-m // n_nodes), n))
-    groups = stack[:extra], stack[extra:, :k]
-    cut = extra * stack.shape[1]
-    groups[0][...] = A[:cut].reshape(groups[0].shape)
-    groups[1][...] = A[cut:].reshape(groups[1].shape)
+    stack = np.zeros((*lead, n_nodes, -(-m // n_nodes), n))
+    groups = stack[..., :extra, :, :], stack[..., extra:, :k, :]
+    cut = extra * stack.shape[-2]
+    groups[0][...] = A[..., :cut, :].reshape(groups[0].shape)
+    groups[1][...] = A[..., cut:, :].reshape(groups[1].shape)
     return stack, groups
+
+
+def node_phis(groups, y):
+    """phi_v = -A_v'y_v of every node, (..., |V|, n), for the row-count
+    groups of a :func:`deal_rows` stack and the block's measurements y,
+    (..., m); leading dimensions broadcast.  Each group forms its phi_v as
+    the row vectors -y_v' A_v, one np.matmul over its slabs, bitwise the
+    per-node -A_v'y_v; an empty group is skipped, so a deal into one group
+    copies nothing."""
+    cut = groups[0].shape[-3] * groups[0].shape[-2]
+    phis = [np.matmul(-ys.reshape(ys.shape[:-1] + slabs.shape[-3:-1])
+                      [..., None, :], slabs)[..., 0, :]
+            for ys, slabs in zip((y[..., :cut], y[..., cut:]), groups)
+            if slabs.shape[-3]]
+    return phis[0] if len(phis) == 1 else np.concatenate(phis, axis=-2)
 
 
 class RowStack:
@@ -119,21 +136,30 @@ class RowStack:
     __slots__ = ("A", "groups", "mu", "ops")
 
     def __init__(self, data, n_nodes):
-        self.A, self.groups = deal_rows(data.A, n_nodes)
-        self.mu = data.mu / n_nodes
-        self.ops = [SliceOperator.gram(slab, self.mu)
-                    for slabs in self.groups for slab in slabs]
+        self._hold(*deal_rows(data.A, n_nodes), data.mu / n_nodes)
+
+    @classmethod
+    def _dealt(cls, A, groups, mu):
+        """Stack of rows already dealt, such as one block of a stream-wide
+        :func:`deal_rows`, whose views it holds."""
+        out = object.__new__(cls)
+        out._hold(A, groups, mu)
+        return out
+
+    def _hold(self, A, groups, mu):
+        self.A, self.groups, self.mu = A, groups, mu
+        self.ops = [op for slabs in groups if len(slabs)
+                    for op in SliceOperator.grams(slabs, [mu] * len(slabs))]
 
     def nodes(self, y):
         """The nodes of a slice with measurements y: phi_v = -A_v'y_v, so
-        the node data sum back to the centralized elastic-net slice.  Each
-        row-count group forms its phi_v as the row vectors -y_v' A_v, one
-        np.matmul over the group's slabs, bitwise the per-node -A_v'y_v."""
-        cut = len(self.groups[0]) * self.A.shape[1]
-        phi = np.concatenate([
-            np.matmul(-ys.reshape(slabs.shape[:2])[:, None], slabs)
-            for ys, slabs in zip((y[:cut], y[cut:]), self.groups)])
-        return [NodeData(op, p, self) for op, p in zip(self.ops, phi[:, 0])]
+        the node data sum back to the centralized elastic-net slice."""
+        return self.with_phis(node_phis(self.groups, y))
+
+    def with_phis(self, phis):
+        """The nodes with the (|V|, n) linear terms phis, as :meth:`nodes`
+        returns them."""
+        return [NodeData(op, p, self) for op, p in zip(self.ops, phis)]
 
 
 class NodeData:

@@ -139,33 +139,43 @@ def tvarx_simulate(cfg, noise=True, params_fn=None, input_u=None):
         u = np.asarray(input_u, dtype=float)
         if u.shape != (N,):
             raise ValueError(f"input_u must have shape ({N},)")
-    if params_fn is None:
-        params_fn = lambda tt: experiment_params(cfg.experiment, tt)
-    a = np.empty(N)
-    b = np.empty(N)
-    for t in range(N):
+    if params_fn is None and cfg.experiment == "exp1":
+        # experiment_params' exp1 branches, compared over the whole clock
+        tt = np.arange(N) / cfg.sample_rate_hz
+        a = np.where(tt < 0.5, -0.9, 0.9)
+        b = np.select([tt < 0.2, tt < 0.4, tt < 0.7], [0.7, -0.8, 0.8], -0.7)
+    else:
+        if params_fn is None:
+            params_fn = lambda tt: experiment_params(cfg.experiment, tt)
         # exp1 runs on the wall clock, exp2 on the sample index (undefined
         # at index 0, so the first sample reuses index 1).
-        tt = max(t, 1) if cfg.experiment == "exp2" \
-            else t / cfg.sample_rate_hz
-        a[t], b[t] = params_fn(tt)
+        times = [max(t, 1) for t in range(N)] if cfg.experiment == "exp2" \
+            else (np.arange(N) / cfg.sample_rate_hz).tolist()
+        a, b = np.array([params_fn(tt) for tt in times], dtype=float).T
 
     def recurse(noise_seq):
-        y = np.zeros(N)
-        for t in range(N):
-            y_prev = y[t - 1] if t >= 1 else 0.0
-            u_prev = u[t - 1] if t >= 1 else 0.0
-            y[t] = a[t] * y_prev + b[t] * u_prev + noise_seq[t]
-        return y
+        # Python floats round as numpy's float64 scalars do, at less cost
+        y, y_prev, u_prev = [], 0.0, 0.0
+        for a_t, b_t, e_t, u_t in zip(a.tolist(), b.tolist(),
+                                      noise_seq.tolist(), u.tolist()):
+            y_prev = a_t * y_prev + b_t * u_prev + e_t
+            y.append(y_prev)
+            u_prev = u_t
+        return np.array(y)
 
     y_clean = recurse(np.zeros(N))
     if noise:
-        sigma = np.zeros(N)
         scale = 10.0 ** (-cfg.snr_db / 10.0)
-        for start in range(0, N, cfg.m):
-            block = y_clean[start:start + cfg.m]
-            sigma[start:start + cfg.m] = np.sqrt(
-                np.sum(block ** 2) * scale / block.size)
+        # the power of each m-block and of a shorter last one; a row sum of
+        # the full blocks is bitwise np.sum of each
+        sq = y_clean ** 2
+        full = N - N % cfg.m
+        power = sq[:full].reshape(-1, cfg.m).sum(axis=1)
+        sizes = [cfg.m] * power.size
+        if full < N:
+            power = np.append(power, np.sum(sq[full:]))
+            sizes.append(N - full)
+        sigma = np.repeat(np.sqrt(power * scale / sizes), sizes)
         # The AR loop turns white equation noise into output noise with
         # stationary variance sigma^2/(1 - a^2); deflate sigma so the
         # noise power observed in y matches the block target.
@@ -204,7 +214,8 @@ def tvarx_stream(cfg, sim=None):
 
     Early blocks reach into a zero warm-up of max(P_hat, Q_hat) samples so
     that the first anchor sits at t = 0.  The rows of every block are cut
-    from one regressor matrix over the whole horizon.
+    from one regressor matrix over the whole horizon, checked once as one
+    block whose row slices are the blocks.
     """
     if sim is None:
         sim = tvarx_simulate(cfg)
@@ -212,9 +223,11 @@ def tvarx_stream(cfg, sim=None):
     y_ext = np.concatenate([np.zeros(W), sim.y])
     u_ext = np.concatenate([np.zeros(W), sim.u])
     m, rows = cfg.m, cfg.n_blocks * cfg.m
-    A = regressor_matrix(y_ext, u_ext, W, rows, cfg.P_hat, cfg.Q_hat)
-    return [ElasticNetData(A=A[s:s + m], y=sim.y[s:s + m], lam=cfg.lam,
-                           mu=cfg.mu) for s in range(0, rows, m)]
+    whole = ElasticNetData(
+        A=regressor_matrix(y_ext, u_ext, W, rows, cfg.P_hat, cfg.Q_hat),
+        y=sim.y[:rows], lam=cfg.lam, mu=cfg.mu)
+    return [ElasticNetData._of(whole.A[s:s + m], whole.y[s:s + m], whole.lam,
+                               whole.mu) for s in range(0, rows, m)]
 
 
 # ---------------------------------------------------------------------------

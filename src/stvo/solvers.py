@@ -394,10 +394,10 @@ def _feature_sign(problem, x):
     up to the first crossing and a joining coordinate takes the sign it
     joins with, so no pattern repeats; _SIGN_STEPS bounds the loop where
     rounding would break that.
-    The returned x is the reduced solve on its own support and signs, which
-    is what _pattern_polish gives for the same pattern.  Returns None when
-    the cap is hit, a reduced system is singular or the support outgrows
-    _POLISH_CAP.
+    The returned x is the reduced solve on its own support and signs, +0.0
+    off it, which is what _pattern_polish gives for the same pattern.
+    Returns None when the cap is hit, a reduced system is singular or the
+    support outgrows _POLISH_CAP.
     """
     op, phi, lam = problem.op, problem.phi, problem.lam
     x = x.copy()
@@ -422,7 +422,8 @@ def _feature_sign(problem, x):
         viol = np.where(act, 0.0, np.abs(g))
         i = int(np.argmax(viol))
         if not viol[i] > lam:
-            return x
+            # zeros plus the active values: a -0.0 of the start stays out
+            return np.where(act, x, 0.0)
         act[i] = True
         sign[i] = -np.sign(g[i])
     return None

@@ -27,17 +27,29 @@ The loop builders at the end (:func:`loop_regressor_matrix`,
 :func:`node_rows`, :func:`padded_rows`, :func:`loop_node_phis`) are
 row-by-row, sensor-by-sensor, node-by-node and list-based forms of the
 package's whole-array setup builders; the tests hold the two equal bit for
-bit.
+bit.  So are the per-block stream builders after them:
+:func:`scalar_tvarx_simulate` runs the simulation's recursions over numpy
+scalars one index at a time, and :func:`per_block_problems`,
+:func:`per_run_block_taus`, :func:`per_run_partition` and
+:func:`per_run_odista_taus` build a stream's slices, step sizes and node
+data one shared run or block at a time.  These last four call the
+package's one-block builders (``elastic_net_problem``, ``with_phi``,
+``RowStack``, ``deal_rows``), which the tests check on their own, so that
+the stream-wide builds can be held to them bit for bit.
 """
 
 import numpy as np
 import scipy.linalg
 
-from stvo.core import QuadraticL1Problem
+from stvo.core import QuadraticL1Problem, elastic_net_problem
+from stvo.distributed import RowStack, deal_rows
 from stvo.scenarios import (
     STREAM_DICT,
+    STREAM_INPUT,
+    STREAM_NOISE,
     STREAM_PROBLEM,
     cell_centers,
+    experiment_params,
     rss_model_value,
     sensor_positions,
     substream,
@@ -436,3 +448,100 @@ def loop_node_phis(A, y, n_nodes):
     :func:`padded_rows` stack."""
     rows, stack = padded_rows(A, n_nodes)
     return [-stack[v, :idx.size].T @ y[idx] for v, idx in enumerate(rows)]
+
+
+def scalar_tvarx_simulate(cfg, noise=True):
+    """(u, y, x_true) of the default simulation of a TvarxConfig, sample by
+    sample: the parameters from experiment_params at every index, both
+    recursions over numpy scalars indexed one at a time and each block's
+    noise level from its own sum.  It reads the package's schedules and
+    named sub-streams, which it does not cross-check."""
+    N = cfg.n_samples
+    u = np.tile(substream(cfg.seed, STREAM_INPUT).standard_normal(cfg.m),
+                N // cfg.m + 1)[:N]
+    a = np.empty(N)
+    b = np.empty(N)
+    for t in range(N):
+        tt = max(t, 1) if cfg.experiment == "exp2" else t / cfg.sample_rate_hz
+        a[t], b[t] = experiment_params(cfg.experiment, tt)
+
+    def recurse(noise_seq):
+        y = np.zeros(N)
+        for t in range(N):
+            y_prev = y[t - 1] if t >= 1 else 0.0
+            u_prev = u[t - 1] if t >= 1 else 0.0
+            y[t] = a[t] * y_prev + b[t] * u_prev + noise_seq[t]
+        return y
+
+    y = recurse(np.zeros(N))
+    if noise:
+        sigma = np.zeros(N)
+        scale = 10.0 ** (-cfg.snr_db / 10.0)
+        for start in range(0, N, cfg.m):
+            block = y[start:start + cfg.m]
+            sigma[start:start + cfg.m] = np.sqrt(
+                np.sum(block ** 2) * scale / block.size)
+        sigma *= np.sqrt(np.maximum(1.0 - a ** 2, 0.0))
+        y = recurse(substream(cfg.seed, STREAM_NOISE).standard_normal(N)
+                    * sigma)
+    x_true = np.zeros((N, cfg.n))
+    x_true[:, 0] = a
+    x_true[:, cfg.P_hat] = b
+    return u, y, x_true
+
+
+def shared_runs(blocks):
+    """Consecutive blocks holding the same A object with equal lam and mu."""
+    runs = []
+    for b in blocks:
+        if runs and b.A is runs[-1][0].A and b.lam == runs[-1][0].lam \
+                and b.mu == runs[-1][0].mu:
+            runs[-1].append(b)
+        else:
+            runs.append([b])
+    return runs
+
+
+def per_block_problems(blocks):
+    """Slices one block at a time: a run's first block through
+    elastic_net_problem, every later one its with_phi(-A'y)."""
+    out = []
+    for run in shared_runs(blocks):
+        base = elastic_net_problem(run[0])
+        out.append(base)
+        out.extend(base.with_phi(-b.A.T @ b.y) for b in run[1:])
+    return out
+
+
+def per_run_block_taus(blocks):
+    """2 / ||A||_2^2 from one np.linalg.norm call per shared run."""
+    return [2.0 / float(np.linalg.norm(run[0].A, 2)) ** 2
+            for run in shared_runs(blocks) for _ in run]
+
+
+def per_run_partition(blocks, n_nodes):
+    """One RowStack per shared run and its nodes(y) slice by slice."""
+    out = []
+    for run in shared_runs(blocks):
+        stack = RowStack(run[0], n_nodes)
+        out.extend(stack.nodes(b.y) for b in run)
+    return out
+
+
+def per_run_odista_taus(blocks, n_nodes, rule):
+    """Node step sizes from one deal_rows and one eigvalsh of the node
+    Grams per shared run, or the ValueError a node of zero rows earns."""
+    taus = []
+    for run in shared_runs(blocks):
+        A, _ = deal_rows(run[0].A, n_nodes)
+        norms = np.linalg.eigvalsh(
+            A @ np.ascontiguousarray(A.transpose(0, 2, 1)))[:, -1]
+        if rule == "uniform_min":
+            norms = np.full(n_nodes, np.max(norms))
+        zero = np.flatnonzero(~(norms > 0.0))
+        if zero.size:
+            raise ValueError(
+                f"slice {len(taus)}: node {zero[0]} holds only zero rows, "
+                f"so its step 1/||A_v||^2 is not finite; use fewer nodes")
+        taus.extend([1.0 / norms] * len(run))
+    return taus

@@ -20,8 +20,8 @@ from stvo.core import (
     soft_threshold,
 )
 from stvo.metrics import assumption_bounds
-from stvo.runner import (play_odr, play_oist, problems_from_blocks,
-                         stream_oracles)
+from stvo.runner import (action_losses, play_odr, play_oist,
+                         problems_from_blocks, stream_oracles)
 from stvo.solvers import oracle_minimizer
 
 from oracles import objective_reference, soft_vector
@@ -290,16 +290,17 @@ def test_with_phi_shares_quadratic_term_and_caches():
 def test_slices_of_one_sensing_matrix_factor_and_solve_eig_once(monkeypatch):
     calls = {"cho_factor": 0, "eigvalsh": 0}
 
-    def counted(name):
-        fn = getattr(scipy.linalg, name)
+    def counted(owner, name):
+        fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(scipy.linalg, name, counted(name))
+    # a dense Q's extreme eigenvalues come from numpy's eigvalsh
+    counted(scipy.linalg, "cho_factor")
+    counted(np.linalg, "eigvalsh")
     rng = np.random.default_rng(12)
     A = rng.standard_normal((3, 5))
     blocks = [ElasticNetData(A=A, y=rng.standard_normal(3), lam=0.1, mu=0.2)
@@ -396,3 +397,36 @@ def test_elastic_net_data_validation():
             ElasticNetData(A=np.zeros((2, 2)), y=np.zeros(2), lam=lam, mu=mu)
     data = ElasticNetData(A=np.zeros((3, 4)), y=np.zeros(3), lam=0.1, mu=0.1)
     assert (data.m, data.n) == (3, 4)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 625),
+       rows=st.floats(0.1, 1.5), T=st.integers(1, 6), shared=st.booleans())
+def test_stream_losses_are_each_objective_value_bitwise(seed, n, rows, T,
+                                                        shared):
+    # dense (2m >= n) and factored slices; one shared A or one A per slice;
+    # actions with zeros, negative zeros and both signs
+    rng = np.random.default_rng(seed)
+    m = max(1, int(rows * n))
+    A = rng.standard_normal((m, n))
+    blocks = [ElasticNetData(A=A if shared else rng.standard_normal((m, n)),
+                             y=rng.standard_normal(m), lam=0.1 * (t + 1),
+                             mu=0.01) for t in range(T)]
+    problems = problems_from_blocks(blocks)
+    X = rng.standard_normal((T, n)) * (rng.random((T, n)) < 0.5)
+    X[rng.random((T, n)) < 0.2] = -0.0
+    want = np.array([objective_value(x, p) for x, p in zip(X, problems)])
+    assert action_losses(problems, X).tobytes() == want.tobytes()
+
+
+def test_stream_losses_refuse_a_count_of_actions_other_than_the_slices():
+    rng = np.random.default_rng(4)
+    problems = problems_from_blocks(
+        [ElasticNetData(A=rng.standard_normal((6, 5)),
+                        y=rng.standard_normal(6), lam=0.1, mu=0.01)
+         for _ in range(3)])
+    for X in (np.zeros((2, 5)), np.zeros((4, 5))):
+        with pytest.raises(ValueError, match="actions for 3 problems"):
+            action_losses(problems, X)
+    with pytest.raises(ValueError):
+        action_losses(problems, np.zeros((3, 4)))

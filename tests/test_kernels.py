@@ -74,6 +74,11 @@ from oracles import (
     loop_node_phis,
     mean_of_columns,
     padded_rows,
+    per_block_problems,
+    per_run_block_taus,
+    per_run_odista_taus,
+    per_run_partition,
+    shared_runs,
     stack_column_products,
 )
 
@@ -932,11 +937,15 @@ def test_every_slice_of_a_stream_gets_the_data_of_its_own_block():
     A = rng.standard_normal((6, 4))
 
     def block(A, lam, mu):
-        return ElasticNetData(A=A, y=rng.standard_normal(6), lam=lam, mu=mu)
+        return ElasticNetData(A=A, y=rng.standard_normal(len(A)), lam=lam,
+                              mu=mu)
 
-    # a shared-A run, then a mu change, a lam change and a fresh A
+    # a shared-A run, then a mu change, a lam change, a fresh A, and a run
+    # of two blocks on a fresh A of 7 rows, which 2 nodes deal unevenly
+    B = rng.standard_normal((7, 4))
     blocks = [block(A, 0.1, 0.2), block(A, 0.1, 0.2), block(A, 0.1, 5.0),
-              block(A, 0.3, 5.0), block(rng.standard_normal((6, 4)), 0.3, 5.0)]
+              block(A, 0.3, 5.0), block(rng.standard_normal((6, 4)), 0.3, 5.0),
+              block(B, 0.3, 5.0), block(B, 0.3, 5.0)]
     nodes = partition_stream(blocks, 2)
     problems = problems_from_blocks(blocks)
     taus = block_taus(blocks)
@@ -944,15 +953,95 @@ def test_every_slice_of_a_stream_gets_the_data_of_its_own_block():
     node_taus = [odista_taus(blocks, 2, rule) for rule in rules]
     for t, b in enumerate(blocks):
         for nd, ref in zip(nodes[t], partition_stream([b], 2)[0]):
-            np.testing.assert_array_equal(nd.Q, ref.Q)
-            np.testing.assert_array_equal(nd.phi, ref.phi)
+            assert_bitwise_equal(nd.Q, ref.Q)
+            assert_bitwise_equal(nd.phi, ref.phi)
+            assert_bitwise_equal(nd.stack.A, ref.stack.A)
         ref = problems_from_blocks([b])[0]
-        np.testing.assert_array_equal(problems[t].Q, ref.Q)
-        np.testing.assert_array_equal(problems[t].phi, ref.phi)
+        assert_bitwise_equal(problems[t].Q, ref.Q)
+        assert_bitwise_equal(problems[t].phi, ref.phi)
         assert problems[t].lam == ref.lam
         assert taus[t] == block_taus([b])[0]
         for rule, got in zip(rules, node_taus):
-            np.testing.assert_array_equal(got[t], odista_taus([b], 2, rule)[0])
+            assert_bitwise_equal(got[t], odista_taus([b], 2, rule)[0])
+    # the blocks of one run share one operator and one row stack; the three
+    # runs of one 6 x 4 block each are dealt at once, each stack a view of
+    # the deal
+    assert problems[1].op is problems[0].op
+    assert problems[6].op is problems[5].op
+    assert nodes[1][0].stack is nodes[0][0].stack
+    assert nodes[6][0].stack is nodes[5][0].stack
+    deal = nodes[2][0].stack.A.base
+    assert deal is not None and deal.shape == (3, 2, 3, 4)
+    assert all(nodes[t][0].stack.A.base is deal for t in (3, 4))
+    assert nodes[0][0].stack.A.base is not deal
+
+
+@SETTINGS
+@given(seed=seeds, m=st.integers(1, 12), n=st.integers(1, 24),
+       n_nodes=st.integers(1, 12),
+       runs=st.lists(st.tuples(st.sampled_from(["fresh", "mu", "lam", "rows"]),
+                               st.integers(1, 3)), min_size=1, max_size=6))
+# 12 rows on 5 nodes, dense: every run a new A, as on an ARX stream, and
+# more runs than one batch holds
+@example(seed=0, m=12, n=20, n_nodes=5, runs=[("fresh", 1)] * 45)
+# a single run, factored: one sensing matrix, as on rss
+@example(seed=0, m=6, n=40, n_nodes=4, runs=[("fresh", 3)])
+def test_stream_wide_setup_is_the_per_run_build_bitwise(seed, m, n, n_nodes,
+                                                        runs):
+    rng = np.random.default_rng(seed)
+    n_nodes = min(n_nodes, m)
+    blocks, A, lam, mu = [], None, 0.1, 0.2
+    for change, length in runs:
+        # every run starts with a change, so the runs are the ones drawn
+        if change == "fresh" or A is None:
+            A = rng.standard_normal((m, n))
+        elif change == "rows":
+            A = rng.standard_normal((m + 1, n))
+        elif change == "mu":
+            mu *= 3.0
+        else:
+            lam *= 3.0
+        blocks += [ElasticNetData(A=A, y=rng.standard_normal(len(A)), lam=lam,
+                                  mu=mu) for _ in range(length)]
+    assert len(shared_runs(blocks)) == len(runs)
+
+    problems, ref = problems_from_blocks(blocks), per_block_problems(blocks)
+    assert len(problems) == len(ref) == len(blocks)
+    for t, (p, q) in enumerate(zip(problems, ref)):
+        assert p.op.factored == q.op.factored == (2 * len(blocks[t].A) < n)
+        assert_bitwise_equal(p.Q, q.Q)
+        assert_bitwise_equal(p.phi, q.phi)
+        assert p.lam == q.lam and p.eig_extremes() == q.eig_extremes()
+        for s in range(t):
+            assert (p.op is problems[s].op) == (q.op is ref[s].op)
+    assert block_taus(blocks) == per_run_block_taus(blocks)
+    for rule in ("per_node", "uniform_min"):
+        for got, want in zip(odista_taus(blocks, n_nodes, rule),
+                             per_run_odista_taus(blocks, n_nodes, rule),
+                             strict=True):
+            assert_bitwise_equal(got, want)
+    nodes, ref = (partition_stream(blocks, n_nodes),
+                  per_run_partition(blocks, n_nodes))
+    assert len(nodes) == len(ref) == len(blocks)
+    for t, (data, want) in enumerate(zip(nodes, ref)):
+        stack = data[0].stack
+        assert stack.mu == want[0].stack.mu
+        assert_bitwise_equal(stack.A, want[0].stack.A)
+        for got_g, want_g in zip(stack.groups, want[0].stack.groups,
+                                 strict=True):
+            assert_bitwise_equal(got_g, want_g)
+        # one stack's nodes, in order, as the rounds require
+        theta_tau(data, 1.0)
+        for nd, wd in zip(data, want, strict=True):
+            assert nd.op.factored == wd.op.factored
+            assert_bitwise_equal(nd.phi, wd.phi)
+            assert_bitwise_equal(nd.Q, wd.Q)
+        for s in range(t):
+            assert (stack is nodes[s][0].stack) == (
+                want[0].stack is ref[s][0].stack)
+    if len(runs) == 1 and problems[0].op.factored:
+        # a stream of one run copies no block: its operator views the A
+        assert np.shares_memory(problems[0].op.A, blocks[0].A)
 
 
 def test_partition_and_node_steps_refuse_more_nodes_than_rows():

@@ -38,6 +38,7 @@ from oracles import (
     loop_regressor_matrix,
     loop_rss_dictionary,
     loop_tvarx_blocks,
+    scalar_tvarx_simulate,
 )
 
 # derandomized, so that a rerun draws the same examples as every other test
@@ -173,6 +174,38 @@ def test_noiseless_blocks_satisfy_the_linear_model():
     A = regressor_matrix(sim.y, sim.u, t, cfg.m, cfg.P_hat, cfg.Q_hat)
     resid = A @ sim.x_true[t] - sim.y[t:t + cfg.m]
     assert np.max(np.abs(resid)) < 1e-12
+
+
+@pytest.mark.parametrize("experiment", ["exp1", "exp2"])
+@pytest.mark.parametrize("seed", range(8))
+def test_simulation_is_the_scalar_recursion_bitwise(experiment, seed):
+    cfg = TvarxConfig(experiment=experiment, seed=seed)
+    sim = tvarx_simulate(cfg)
+    u, y, x_true = scalar_tvarx_simulate(cfg)
+    assert_bitwise_equal(sim.u, u)
+    assert_bitwise_equal(sim.y, y)
+    assert_bitwise_equal(sim.x_true, x_true)
+
+
+@pytest.mark.parametrize("experiment", ["exp1", "exp2"])
+def test_simulation_of_uneven_blocks_is_the_scalar_recursion(
+        experiment):
+    # 7-sample blocks leave a last block of 6 of the 1000 samples, with and
+    # without noise
+    cfg = TvarxConfig(experiment=experiment, m=7, P_hat=3, Q_hat=9, seed=5)
+    for noise in (False, True):
+        sim = tvarx_simulate(cfg, noise=noise)
+        u, y, x_true = scalar_tvarx_simulate(cfg, noise=noise)
+        assert_bitwise_equal(sim.y, y)
+        assert_bitwise_equal(sim.x_true, x_true)
+
+
+def test_stream_checks_the_simulation_once_for_all_its_blocks():
+    cfg = TvarxConfig(seed=2)
+    sim = tvarx_simulate(cfg)
+    sim.y[500] = np.nan
+    with pytest.raises(ValueError, match="A and y must be finite"):
+        tvarx_stream(cfg, sim)
 
 
 def test_stream_has_one_block_per_m_samples():

@@ -355,8 +355,8 @@ def test_oracle_equals_the_lowest_objective_search_bitwise(
     lam = 10.0 ** log_lam * float(np.max(np.abs(A.T @ y)))
     p = elastic_net_problem(ElasticNetData(A=A, y=y, lam=lam, mu=10.0 ** log_mu))
     assert p.op.factored is not dense
-    # zeros of +0.0: a -0.0 that neither search activates is kept as it is,
-    # and one that joins and leaves again comes back +0.0
+    # zeros of +0.0: the reference keeps a -0.0 that its search never
+    # activates, where the oracle answers +0.0
     x0 = (np.where(rng.random(n) < 0.5, rng.standard_normal(n), 0.0) if warm
           else np.zeros(n))
     ref = lowest_objective_feature_sign(p, x0)
@@ -365,6 +365,31 @@ def test_oracle_equals_the_lowest_objective_search_bitwise(
     x_star, z_star = oracle_minimizer(p, initial=x0)
     assert_bitwise_equal(x_star, ref[0])
     assert_bitwise_equal(z_star, ref[1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 24),
+       dense=st.booleans(), log_mu=st.floats(-4.0, -1.0),
+       log_lam=st.floats(-2.0, -0.5), warm=st.booleans())
+def test_oracle_answer_is_the_same_from_negative_zero_starts(
+        seed, n, dense, log_mu, log_lam, warm):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(-(-n // 2), 2 * n + 1) if dense
+            else rng.integers(1, -(-n // 2)))
+    A = rng.standard_normal((m, n))
+    y = rng.standard_normal(m)
+    lam = 10.0 ** log_lam * float(np.max(np.abs(A.T @ y)))
+    p = elastic_net_problem(ElasticNetData(A=A, y=y, lam=lam, mu=10.0 ** log_mu))
+    x0 = (np.where(rng.random(n) < 0.5, rng.standard_normal(n), 0.0) if warm
+          else np.zeros(n))
+    # the same start with every zero a -0.0
+    negative = np.where(x0 == 0.0, -0.0, x0)
+    assert np.signbit(negative[x0 == 0.0]).all()
+    x_star, z_star = oracle_minimizer(p, initial=x0)
+    x_neg, z_neg = oracle_minimizer(p, initial=negative)
+    assert_bitwise_equal(x_neg, x_star)
+    assert_bitwise_equal(z_neg, z_star)
+    assert not np.signbit(x_star[x_star == 0.0]).any()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
