@@ -47,20 +47,12 @@ class SliceOperator:
         self._factor = self._eig = None
 
     @classmethod
-    def gram(cls, A, mu):
-        """A'A + mu I: factored as (A, mu) when 2m < n, where A'(A x) takes
-        fewer flops than a dense Q x, and dense otherwise."""
-        if 2 * A.shape[0] < A.shape[1]:
-            return cls(A=A, mu=mu)
-        return cls(Q=A.T @ A + mu * np.eye(A.shape[1]))
-
-    @classmethod
     def grams(cls, A, mu):
-        """:meth:`gram` of every block of the (R, m, n) stack A, mu the (R,)
-        ridges: a factored operator holds its block as a view of A, and the
-        dense Q of all R blocks come from one np.matmul, bitwise each
-        block's own A'A + mu I, and must be finite (finite blocks can
-        overflow)."""
+        """A'A + mu I of every block of the (R, m, n) stack A, mu the (R,)
+        ridges.  Factored as (A_i, mu_i), a view of A, when 2m < n, where
+        A'(A x) takes fewer flops than a dense Q x; otherwise dense, all R
+        from one np.matmul, bitwise each block's own A'A + mu I, and checked
+        finite (finite blocks can overflow)."""
         if 2 * A.shape[1] < A.shape[2]:
             return [cls(A=a, mu=u) for a, u in zip(A, mu)]
         Q = np.matmul(A.transpose(0, 2, 1), A)
@@ -102,7 +94,7 @@ class SliceOperator:
         if self._factor is None:
             if self.A is None:
                 # Q is finite: the constructor checks a Q it is given,
-                # elastic_net_problem the Q that gram forms and grams its own
+                # grams the Q it forms
                 c, lower = scipy.linalg.cho_factor(
                     self._Q + np.eye(self.n), lower=False, overwrite_a=True,
                     check_finite=False)
@@ -157,7 +149,7 @@ class QuadraticL1Problem:
     Instances are treated as read-only after construction and are safe to
     share across threads.  The quadratic term is held as a
     :class:`SliceOperator` in ``op``: dense when built from Q, in the form
-    :meth:`SliceOperator.gram` picks when :func:`elastic_net_problem` builds
+    :meth:`SliceOperator.grams` picks when :func:`elastic_net_problem` builds
     it.  The operator computes the proximal factor and the extreme
     eigenvalues lazily and caches them;
     :meth:`with_phi` produces a slice with a different linear term that
@@ -348,20 +340,33 @@ def elastic_net_problem(data):
     The slice has Q = A'A + mu*I and phi = -A'y; the constant 0.5*||y||^2 is
     dropped, so objective values differ from the least-squares form by that
     constant while the minimizer is unchanged.  mu > 0 keeps Q positive
-    definite even when the block is underdetermined (m < n).
+    definite even when the block is underdetermined (m < n).  The block is
+    built as the one slice of :func:`elastic_net_slices`.
+    """
+    (p,), = elastic_net_slices(data.A[None], [data.mu], [data.lam],
+                               [data.y[None]])
+    return p
 
-    Q is held as :meth:`SliceOperator.gram` picks: factored as (A, mu) when
+
+def elastic_net_slices(A, mu, lam, ys):
+    """Elastic-net slices on the blocks of the (R, m, n) stack A, block i
+    with ridge mu[i] and l1 weight lam[i]; row i of the j-th (R, m) array
+    of ys is the y of block i's j-th slice.  Returns per block the list of
+    its slices, which hold one operator.
+
+    Q is held as :meth:`SliceOperator.grams` picks: factored as (A, mu) when
     2m < n, so the proximal solve works on an m x m factor, and otherwise
     dense.  Q is symmetric positive definite by construction, so only its
     finiteness is checked, with phi's: the products of finite data can
-    overflow.
+    overflow.  The phi = -A'y of the j-th slices of all R blocks are the row
+    vectors -y'A of one np.matmul.
     """
-    phi = -data.A.T @ data.y
-    op = SliceOperator.gram(data.A, data.mu)
-    if not (np.isfinite(phi).all()
-            and (op.factored or np.isfinite(op.Q).all())):
-        raise ValueError("Q and phi must be finite")
-    return QuadraticL1Problem._of(op, phi, data.lam)
+    phis = [np.matmul(-y[:, None], A)[:, 0] for y in ys]
+    if not all(np.isfinite(phi).all() for phi in phis):
+        raise ValueError("phi must be finite")
+    ops = SliceOperator.grams(A, mu)
+    return [[QuadraticL1Problem._of(op, phi[i], lam_i) for phi in phis]
+            for i, (op, lam_i) in enumerate(zip(ops, lam))]
 
 
 def contraction_constants(problem):

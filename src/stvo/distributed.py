@@ -129,7 +129,7 @@ class RowStack:
     each node adds, so the Gram parts A_v'(A_v x_v) of every node's
     Q_v x_v = A_v'(A_v x_v) + mu x_v come from one batched matmul pair over
     A, the second one on row vectors, (A_v x_v)' A_v.  ops[v] is node v's
-    operator, the :meth:`~stvo.core.SliceOperator.gram` of its unpadded
+    operator, the :meth:`~stvo.core.SliceOperator.grams` of its unpadded
     slab.
     """
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import metrics, scenarios
-from .core import QuadraticL1Problem, SliceOperator
+from .core import elastic_net_slices
 from .distributed import (NetworkState, OdistaRound, RowStack, deal_rows,
                           node_phis, odista_round, radius_graph, ring_graph)
 from .metrics import RunTrace
@@ -57,7 +57,7 @@ def _shared_runs(blocks):
 # C allocator's default 128 KiB mmap threshold.  Whole-stream stacks of
 # 160-265 KB on 83-block ARX streams raised the ARX workloads' peak RSS by
 # 0.16-0.19 MiB; batches of at most 40 such blocks lowered it by 0.25 MiB.
-BATCH_BYTES = 1 << 17
+_BATCH_BYTES = 1 << 17
 
 
 def _batched_runs(blocks, build):
@@ -65,7 +65,7 @@ def _batched_runs(blocks, build):
     order, with the runs: (runs, results).
 
     Runs whose first blocks have one shape of A and which hold equally many
-    blocks form batches of as many runs as fit BATCH_BYTES, and
+    blocks form batches of as many runs as fit _BATCH_BYTES, and
     build(A, runs) returns one result per run of a batch from A, their
     first blocks' A stacked (R, m, n).  A batch of one run stacks a view of
     its A, so a stream of one run copies nothing.
@@ -76,7 +76,7 @@ def _batched_runs(blocks, build):
         groups.setdefault((run[0].A.shape, len(run)), []).append(i)
     out = [None] * len(runs)
     for (shape, _), group in groups.items():
-        size = max(1, BATCH_BYTES // (8 * shape[1] * max(shape)))
+        size = max(1, _BATCH_BYTES // (8 * shape[1] * max(shape)))
         for idx in (group[lo:lo + size] for lo in range(0, len(group), size)):
             batch = [runs[i] for i in idx]
             A = np.stack([run[0].A for run in batch]) if len(batch) > 1 \
@@ -97,19 +97,14 @@ def problems_from_blocks(blocks):
 
     The slices of one shared run hold one operator, and so share one Q and
     its cache: the factorization and the extreme eigenvalues are computed
-    once for the run.  Each batch of runs forms its dense Q with one
-    np.matmul (:meth:`~stvo.core.SliceOperator.grams`), and the phi = -A'y
-    of the j-th slices of its runs as the row vectors -y'A with another.
+    once for the run.  Each batch of runs is built by one
+    :func:`~stvo.core.elastic_net_slices` call: its dense Q from one
+    np.matmul and the phi of the j-th slices of its runs from another.
     """
     def build(A, runs):
-        phis = [np.matmul(-_slice_ys(runs, j)[:, None], A)[:, 0]
-                for j in range(len(runs[0]))]
-        if not all(np.isfinite(phi).all() for phi in phis):
-            raise ValueError("phi must be finite")
-        ops = SliceOperator.grams(A, [run[0].mu for run in runs])
-        return [[QuadraticL1Problem._of(op, phi[i], run[0].lam)
-                 for phi in phis]
-                for i, (op, run) in enumerate(zip(ops, runs))]
+        return elastic_net_slices(
+            A, [run[0].mu for run in runs], [run[0].lam for run in runs],
+            (_slice_ys(runs, j) for j in range(len(runs[0]))))
 
     _, problems = _batched_runs(blocks, build)
     return [p for run in problems for p in run]
@@ -252,18 +247,14 @@ def action_losses(problems, actions):
             + lam * np.abs(X).sum(axis=1))
 
 
-def build_trace(problems, result, oracles, oracle_loss=None):
+def build_trace(problems, result, oracles):
     """The run record scored against oracles, the (x*, z*) arrays of
-    :func:`stream_oracles`; oracle_loss, the oracles' own
-    :func:`action_losses`, is computed when not given, so that every
-    algorithm played on a stream can share one."""
+    :func:`stream_oracles`."""
     xs, zs = oracles
-    if oracle_loss is None:
-        oracle_loss = action_losses(problems, xs)
     return RunTrace(t=np.arange(len(problems)), x=result.actions,
                     loss=action_losses(problems, result.actions),
-                    oracle_loss=oracle_loss, x_star=xs, z_star=zs,
-                    z=result.z)
+                    oracle_loss=action_losses(problems, xs), x_star=xs,
+                    z_star=zs, z=result.z)
 
 
 def calibrate_r(single_step, budget_ms, steps_per_call=1):
@@ -482,13 +473,13 @@ def run_experiment(scenario, cfg, algs, runs, r, budget_ms, seed, regret,
     r_alg, heads = [r] * len(algs), [None] * len(algs)
     traces, actions, regrets, bounds, dists = ([[] for _ in algs]
                                                for _ in range(5))
-    stream = oracles = oracle_loss = None
+    stream = oracles = None
     for run in range(runs):
         for ai, alg in enumerate(algs):
             if ai == 0 or not common_random:
                 key = (run,) if common_random else (ai, run)
                 # the last stream is dropped before the next is built
-                stream = oracles = oracle_loss = None
+                stream = oracles = None
                 stream = build_stream(scenario, cfg, derive_seed(seed, *key))
             if run == 0:
                 heads[ai] = (stream.cfg, stream.truth)
@@ -499,9 +490,7 @@ def run_experiment(scenario, cfg, algs, runs, r, budget_ms, seed, regret,
             if regret:
                 if oracles is None:
                     oracles = stream_oracles(stream.problems)
-                    oracle_loss = action_losses(stream.problems, oracles[0])
-                trace = build_trace(stream.problems, result, oracles,
-                                    oracle_loss)
+                trace = build_trace(stream.problems, result, oracles)
                 reg, reg_over_t = metrics.dynamic_regret(trace)
                 regrets[ai].append((reg, reg_over_t))
                 if alg == "odr":

@@ -84,25 +84,20 @@ def experiment_params(experiment, t):
     """True parameter pair (a1, b1) at time t.
 
     exp1 switches both parameters piecewise at fixed instants, with t in
-    seconds.  exp2 varies them smoothly as a1 = 0.8 (1 + 1/sqrt(t)) and
-    b1 = 0.9 + 0.1 sin(2 ln t), with t the (positive) sample index; on the
-    index scale a1 decays toward its limit with convergent path length and
-    b1 oscillates with logarithmic path length.  Seconds would put the
-    recursion in the unstable |a1| > 1 regime for the whole horizon.
+    seconds, one time or an array of times.  exp2 varies them smoothly as
+    a1 = 0.8 (1 + 1/sqrt(t)) and b1 = 0.9 + 0.1 sin(2 ln t), with t the
+    (positive) sample index; on the index scale a1 decays toward its limit
+    with convergent path length and b1 oscillates with logarithmic path
+    length.  Seconds would put the recursion in the unstable |a1| > 1 regime
+    for the whole horizon.
     """
     if experiment == "exp1":
-        if t < 0.0:
-            raise ValueError(f"t={t} before the start of the run")
-        a1 = -0.9 if t < 0.5 else 0.9
-        if t < 0.2:
-            b1 = 0.7
-        elif t < 0.4:
-            b1 = -0.8
-        elif t < 0.7:
-            b1 = 0.8
-        else:
-            b1 = -0.7
-        return a1, b1
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0.0):
+            raise ValueError(f"t={t.min()} before the start of the run")
+        a1 = np.where(t < 0.5, -0.9, 0.9)
+        b1 = np.select([t < 0.2, t < 0.4, t < 0.7], [0.7, -0.8, 0.8], -0.7)
+        return a1[()], b1[()]
     if experiment == "exp2":
         if not t > 0.0:
             raise ValueError(f"t={t} must be a positive sample index")
@@ -140,10 +135,8 @@ def tvarx_simulate(cfg, noise=True, params_fn=None, input_u=None):
         if u.shape != (N,):
             raise ValueError(f"input_u must have shape ({N},)")
     if params_fn is None and cfg.experiment == "exp1":
-        # experiment_params' exp1 branches, compared over the whole clock
-        tt = np.arange(N) / cfg.sample_rate_hz
-        a = np.where(tt < 0.5, -0.9, 0.9)
-        b = np.select([tt < 0.2, tt < 0.4, tt < 0.7], [0.7, -0.8, 0.8], -0.7)
+        # exp1's schedule compares the whole wall clock at once
+        a, b = experiment_params("exp1", np.arange(N) / cfg.sample_rate_hz)
     else:
         if params_fn is None:
             params_fn = lambda tt: experiment_params(cfg.experiment, tt)

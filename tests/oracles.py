@@ -32,16 +32,17 @@ bit.  So are the per-block stream builders after them:
 scalars one index at a time, and :func:`per_block_problems`,
 :func:`per_run_block_taus`, :func:`per_run_partition` and
 :func:`per_run_odista_taus` build a stream's slices, step sizes and node
-data one shared run or block at a time.  These last four call the
-package's one-block builders (``elastic_net_problem``, ``with_phi``,
-``RowStack``, ``deal_rows``), which the tests check on their own, so that
-the stream-wide builds can be held to them bit for bit.
+data one shared run or block at a time.  The slices are built literally,
+Q = A'A + mu I and phi = -A'y by plain products; the node data call the
+package's one-block builders (``RowStack``, ``deal_rows``), which the
+tests check on their own.  So the stream-wide builds can be held to them
+bit for bit.
 """
 
 import numpy as np
 import scipy.linalg
 
-from stvo.core import QuadraticL1Problem, elastic_net_problem
+from stvo.core import QuadraticL1Problem, SliceOperator
 from stvo.distributed import RowStack, deal_rows
 from stvo.scenarios import (
     STREAM_DICT,
@@ -503,13 +504,16 @@ def shared_runs(blocks):
 
 
 def per_block_problems(blocks):
-    """Slices one block at a time: a run's first block through
-    elastic_net_problem, every later one its with_phi(-A'y)."""
+    """Slices one block at a time: each shared run one operator on its first
+    block, dense A'A + mu I unless 2m < n, where it holds (A, mu), and
+    every block's phi = -A'y."""
     out = []
     for run in shared_runs(blocks):
-        base = elastic_net_problem(run[0])
-        out.append(base)
-        out.extend(base.with_phi(-b.A.T @ b.y) for b in run[1:])
+        A, mu = run[0].A, run[0].mu
+        op = (SliceOperator(A=A, mu=mu) if 2 * A.shape[0] < A.shape[1]
+              else SliceOperator(Q=A.T @ A + mu * np.eye(A.shape[1])))
+        out.extend(QuadraticL1Problem._of(op, -b.A.T @ b.y, b.lam)
+                   for b in run)
     return out
 
 

@@ -192,12 +192,38 @@ def test_elastic_net_underdetermined_still_positive_definite():
 
 
 def test_elastic_net_rejects_a_dense_gram_that_overflows():
-    # finite data whose Gram A'A overflows: the dense slice is not built
-    A = np.full((12, 20), 1e200)
-    data = ElasticNetData(A=A, y=np.ones(12), lam=0.1, mu=1e-3)
-    with np.errstate(over="ignore"), pytest.raises(ValueError,
-                                                  match="finite"):
-        elastic_net_problem(data)
+    # finite data whose Gram A'A or whose phi = -A'y overflows: no slice is
+    # built, alone or in a stream of one run or of several, dense or
+    # factored, whichever slice of its run overflows
+    rng = np.random.default_rng(5)
+
+    def block(A, y):
+        return ElasticNetData(A=A, y=y, lam=0.1, mu=1e-3)
+
+    # every entry of phi = -A'y is -m 1e308 on the all-ones A
+    big_A, ones, wide = np.full((12, 20), 1e200), np.ones((12, 20)), \
+        np.ones((3, 8))
+    big_y = np.full(12, 1e308)
+    cases = {
+        "Q must be finite": [
+            [block(big_A, np.ones(12))],
+            [block(big_A, np.ones(12)), block(big_A, np.ones(12))],
+            [block(rng.standard_normal((12, 20)), np.ones(12)),
+             block(big_A, np.ones(12))]],
+        "phi must be finite": [
+            [block(ones, big_y)],
+            [block(wide, big_y[:3])],
+            [block(ones, np.ones(12)), block(ones, big_y)],
+            [block(wide, np.ones(3)), block(np.ones((3, 8)), big_y[:3])]]}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for message, streams in cases.items():
+            for blocks in streams:
+                calls = [lambda blocks=blocks: problems_from_blocks(blocks)]
+                if len(blocks) == 1:
+                    calls.append(lambda b=blocks[0]: elastic_net_problem(b))
+                for call in calls:
+                    with pytest.raises(ValueError, match=message):
+                        call()
 
 
 def test_contraction_constants_identity():

@@ -1012,6 +1012,9 @@ def test_stream_wide_setup_is_the_per_run_build_bitwise(seed, m, n, n_nodes,
         assert_bitwise_equal(p.Q, q.Q)
         assert_bitwise_equal(p.phi, q.phi)
         assert p.lam == q.lam and p.eig_extremes() == q.eig_extremes()
+        one = elastic_net_problem(blocks[t])
+        assert_bitwise_equal(one.Q, q.Q)
+        assert_bitwise_equal(one.phi, q.phi)
         for s in range(t):
             assert (p.op is problems[s].op) == (q.op is ref[s].op)
     assert block_taus(blocks) == per_run_block_taus(blocks)
