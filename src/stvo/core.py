@@ -8,6 +8,7 @@ with Q symmetric positive definite and lam > 0.  Least-squares data enters
 through the elastic-net reduction implemented by :func:`elastic_net_problem`.
 """
 
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,19 +304,85 @@ def soft_threshold(z, beta):
     return _shrink(np.asarray(z, dtype=float), -beta, beta)
 
 
+def _numpy_clip():
+    """numpy's clip ufunc, public under no name: in numpy._core.umath from
+    numpy 2 on, in numpy.core.umath before."""
+    for name in ("numpy._core.umath", "numpy.core.umath"):
+        try:
+            return importlib.import_module(name).clip
+        except (ImportError, AttributeError):
+            pass
+    raise ImportError("numpy's clip ufunc is in neither numpy._core.umath "
+                      "nor numpy.core.umath")
+
+
+_clip = _numpy_clip()
+# The largest array clipped by the ufunc; a larger one takes maximum and
+# minimum, faster there.  Clip and subtract against the pair and subtract,
+# best of 7 (2-core VM, numpy 2.4.6): 0.80 against 1.13 us at 20 cells, even
+# from 320 to 500, 1.58 against 1.46 at 625, 34.4 against 23.5 at 22,500.
+_CLIP_MAX = 400
+
+
+def _max_min(y, lo, hi, out=None):
+    out = np.maximum(y, lo, out=out)
+    return np.minimum(out, hi, out=out)
+
+
+def _clip_for(size):
+    """The clip (y, lo, hi, out) of an array of size cells: the ufunc up to
+    _CLIP_MAX, :func:`_max_min` above; bitwise equal, but where a scalar
+    bound is a zero, whose sign the two read differently."""
+    return _clip if size <= _CLIP_MAX else _max_min
+
+
 def _shrink(z, lo, hi, out=None):
-    """z - clip(z, lo, hi): the one soft-threshold kernel, without checks.
+    """z - clip(z, lo, hi): the one-shot soft-threshold kernel, unchecked.
 
     At lo = c - t, hi = c + t it is S_t[z - c] up to rounding; at (-beta,
     beta) it is :func:`soft_threshold`, bitwise sign(z) max(|z| - beta, 0)
     outside the band and z - z = +0.0 inside (only z = -0.0 at a bound of
     +0.0 stays -0.0).  lo <= hi may be arrays that broadcast against z
-    without enlarging it.  Three passes, into out when it is given (out
-    must not overlap z).
+    without enlarging it.  Two or three passes by z's size
+    (:func:`_clip_for`), into out when it is given (out must not overlap z).
     """
-    out = np.maximum(z, lo, out=out)
-    np.minimum(out, hi, out=out)
+    out = _clip_for(z.size)(z, lo, hi, out=out)
     return np.subtract(z, out, out=out)
+
+
+class _Round:
+    """The one inner loop of the online rounds.  An iteration writes
+    y = affine(x), which may overwrite x, and then x <- y - clip(y, lo, hi),
+    S[y - c] at lo, hi = c -+ t, or with reflect x <- (y - clip) - clip,
+    odr's z+ = y - 2 clip(y, -lam, lam).  The clip goes into x, so the loop
+    holds x and y alone; :meth:`_arm` picks it once per round from x's size,
+    and an iteration makes no Python call of its own beyond the affine map.
+    """
+
+    __slots__ = ("_x", "_y", "_affine", "_clip", "_lo", "_hi", "_reflect")
+
+    def _arm(self, x, lo, hi, reflect=False):
+        """Loop on x, which the round owns; the round sets _affine."""
+        self._x, self._y, self._lo, self._hi = x, np.empty_like(x), lo, hi
+        self._clip, self._reflect = _clip_for(x.size), reflect
+
+    def step(self, k):
+        """k iterations."""
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        x, y, affine, clip, lo, hi, reflect = (
+            self._x, self._y, self._affine, self._clip, self._lo, self._hi,
+            self._reflect)
+        # out by position and a local subtract: each saves a share of the
+        # call overhead that is nearly all of an iteration at n = 20
+        subtract = np.subtract
+        for _ in range(k):
+            affine(x, y)
+            clip(y, lo, hi, x)
+            if reflect:
+                subtract(y, x, y)
+            subtract(y, x, x)
+        return self
 
 
 def prox_quadratic(z, problem):

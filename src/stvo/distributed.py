@@ -19,22 +19,20 @@ reads the mean of means ``Graph.W2`` = W @ W, so a round runs each pair as
 one map of X.  These sums run in another order than the literal per-node
 left folds; they agree with them to 1e-12 relative.
 
-Each pair is a linear map of X and then the shrink of :mod:`stvo.core`
-against the bounds b -+ lam h that a round makes once.  By one rule in
-:class:`OdistaRound`, the first ``LIFT_AFTER`` = 4 pairs of a round map X
-batched over the node rows, and on networks of |V| n <= ``LIFT_MAX`` = 160
-cells every later pair runs lifted, one dense (|V| n)^2 product on vec(X);
-the sweep behind the constants is recorded at their definition.  Rounds of
+Each pair is an iteration of the rounds' shared loop
+(:class:`stvo.core._Round`): a linear map, batched over the rows of X or
+lifted onto vec(X) by the rule at ``LIFT_MAX``, then the shrink.  Rounds of
 r < 8 half-steps, and every rss round (|V| n = 22,500), run batched pairs
 alone; exp1 at r = 400 runs 196 of its 200 pairs lifted.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuadraticL1Problem, SliceOperator, _shrink
+from .core import QuadraticL1Problem, SliceOperator, _Round
 
 
 @dataclass(eq=False)
@@ -280,7 +278,17 @@ LIFT_MAX = 160
 LIFT_AFTER = 4
 
 
-class OdistaRound:
+def _batched_pair(A, h, M, AX, AX_row, X_col, X_row, X, MX):
+    """The batched pair map MX = M X - h K(X) of :class:`OdistaRound`, with
+    X_col and X_row views of X and AX_row one of the scratch AX."""
+    np.matmul(A, X_col, out=AX)
+    np.multiply(h, AX, out=AX)
+    np.matmul(M, X, out=MX)
+    np.matmul(AX_row, A, out=X_row)
+    np.subtract(MX, X, out=MX)
+
+
+class OdistaRound(_Round):
     """Odista round on one slice, stepped in half-steps on node-major rows.
 
     :meth:`start` checks the inputs, among them that the state's X is
@@ -294,30 +302,18 @@ class OdistaRound:
     + phi_v)) / 2], cbar_v the neighborhood mean of C = W X.  A
     communication not yet followed by its descent leaves X as it is.
 
-    :meth:`step` runs its pairs in one loop.  A pair writes Y = M X - h K(X)
-    (batched) or y = G vec(X) (lifted) into the M X buffer, and then the
-    shrink Y - clip(Y, lo, hi), S_{lam h}[Y - b] with b in the bounds, over
-    X.  It takes its form from its index in the round alone (the rule at
-    ``LIFT_MAX`` and ``LIFT_AFTER``): pairs from index LIFT_AFTER on run
-    lifted when |V| n <= LIFT_MAX.  So a round stepped in chunks split
-    anywhere is bitwise the round stepped once by their sum, and a round of
-    fewer than 2 LIFT_AFTER half-steps, or one at |V| n > LIFT_MAX such as
-    rss, runs batched pairs alone.  G is built once, when the round reaches
-    pair LIFT_AFTER; it sums in another order than the batched pair, and
-    the two agree to 1e-12 relative.
-
-    A pair allocates nothing of the size of X: :meth:`start` makes the
-    scratch arrays for M X and for the (|V|, k_max) products A_v x_v once,
-    and a pair reads X into them and then writes the Gram part and the
-    shrink over X in place.  The Gram part h_v A_v'(A_v x_v) is the row
-    vector (h_v A_v x_v)' A_v.  So X is live: it is the round's own buffer,
-    which a later :meth:`step` overwrites, and :meth:`state` hands back a
-    copy.  :meth:`start` copies the state it is given into C order, so a
-    round never writes into a caller's array.
+    The pairs are the shared loop's iterations in two phases: batched,
+    Y = M X - h K(X), then lifted, y = G vec(X), from pair LIFT_AFTER on
+    when |V| n <= LIFT_MAX (G is built at that pair and agrees with the
+    batched map to 1e-12 relative).  The phase depends on a pair's index
+    alone, so a round stepped in chunks is bitwise the round stepped once.
+    No pair allocates: a batched pair writes (h_v A_v x_v)' A_v over X
+    through scratch made once.  X is the round's own C-order copy of the
+    caller's, overwritten by each :meth:`step`; :meth:`state` copies it.
     """
 
-    __slots__ = ("graph", "lam", "X", "_done", "_A", "_h", "_lo", "_hi",
-                 "_M", "_MX", "_AX", "_switch", "_lifted")
+    __slots__ = ("graph", "lam", "X", "_done", "_A", "_h", "_M", "_switch",
+                 "_lifted")
 
     def __init__(self, graph, lam):
         self.graph, self.lam = graph, lam
@@ -331,47 +327,45 @@ class OdistaRound:
             raise ValueError(f"state X {state.X.shape} is not (|V|, n)")
         h = _as_node_tau(tau, n_nodes).reshape(-1, 1) / 2.0
         self._A, self._h = stack.A, h[:, :, None]
-        # the shrink bounds b -+ lam h, b = h phi, flat as the pair reads X
+        # the shrink bounds b -+ lam h, b = h phi
         b = np.array([nd.phi for nd in data])
         b *= h
         thr = self.lam * h
-        self._lo = np.subtract(b, thr).reshape(-1)
-        self._hi = np.add(b, thr, out=b).reshape(-1)
+        lo = np.subtract(b, thr)
         # M = W2/2 + diag(1/2 - h mu), the diagonal added through a view
         self._M = 0.5 * self.graph.W2
         self._M.reshape(-1)[::n_nodes + 1] += 0.5 - h[:, 0] * stack.mu
-        self.X = state.X.copy()
-        self._MX = np.empty_like(self.X)
-        self._AX = np.empty((n_nodes, stack.A.shape[1], 1))
+        X = self.X = state.X.copy()
+        # batched pairs loop on X itself, (|V|, n), with scratch for A_v x_v
+        self._arm(X, lo, np.add(b, thr, out=b))
+        AX = np.empty((n_nodes, stack.A.shape[1], 1))
+        self._affine = functools.partial(
+            _batched_pair, stack.A, self._h, self._M, AX,
+            AX.reshape(n_nodes, 1, -1), X[..., None], X[:, None])
         # the form rule: the index of the first lifted pair, if any
-        self._switch = LIFT_AFTER if self.X.size <= LIFT_MAX else np.inf
+        self._switch = LIFT_AFTER if X.size <= LIFT_MAX else np.inf
         self._lifted = None
         self._done = 0
         return self
 
     def step(self, k):
+        """k half-steps: the pairs they complete, each in its phase."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        X, MX, AX, A, M, h = (self.X, self._MX, self._AX, self._A, self._M,
-                              self._h)
-        x, y, lo, hi = X.reshape(-1), MX.reshape(-1), self._lo, self._hi
-        X_col, X_row = X[:, :, None], X[:, None, :]
-        AX_row = AX.reshape(AX.shape[0], 1, AX.shape[1])
-        switch, G = self._switch, self._lifted
-        for i in range(self._done // 2, (self._done + k) // 2):
-            if i < switch:
-                np.matmul(A, X_col, out=AX)
-                np.multiply(h, AX, out=AX)
-                np.matmul(M, X, out=MX)
-                np.matmul(AX_row, A, out=X_row)
-                np.subtract(MX, X, out=MX)
-            else:
-                if G is None:
-                    G = self._lifted = self._lifted_map()
-                # np.dot: the gemv of np.matmul, with less call overhead
-                np.dot(G, x, out=y)
-            _shrink(y, lo, hi, out=x)
+        i, j = self._done // 2, (self._done + k) // 2
         self._done += k
+        mid = max(i, min(j, self._switch))
+        _Round.step(self, mid - i)
+        if j > mid:
+            if self._lifted is None:
+                self._lifted = self._lifted_map()
+                # G.dot: the gemv of np.matmul, with the least call overhead;
+                # the lifted map acts on vec(X), so the loop's arrays go flat
+                self._affine = self._lifted.dot
+                self._x, self._y, self._lo, self._hi = (
+                    a.reshape(-1) for a in (self._x, self._y, self._lo,
+                                            self._hi))
+            _Round.step(self, j - mid)
         return self
 
     def _lifted_map(self):

@@ -6,25 +6,23 @@ solve of the quadratic part and contracts linearly on the auxiliary
 sequence.  The thresholded-gradient family (``oist_round``) performs plain
 proximal-gradient sweeps.  Each online family steps a prepared round
 (:class:`OdrRound`, :class:`OistRound`) that pays its slice's setup and
-checks once.  Both rounds run one loop on every slice, an affine map y
-and a shrink or clip per iteration (odr in z alone); the slice operator
-decides only how y is formed, by one gemv with a matrix the round builds
-once on a dense Q, through the factors on a factored one.  ``dr_step`` is
-the literal step from any (x, z).  ``oracle_minimizer`` finds each
-slice's minimizer by a warm-started active-set (feature-sign) search whose
-answer is an exact reduced solve, falls back to restarted FISTA only when
-that answer does not certify, and certifies the result against the
-subgradient optimality condition; ``stream_warm_starts`` picks the start of
-each slice's call on a stream.
+checks once.  Both step the one loop of :class:`stvo.core._Round`, whose
+affine map the slice operator decides: one gemv with a matrix the round
+builds once on a dense Q, through the factors on a factored one.
+``dr_step`` is the literal step from any (x, z).  ``oracle_minimizer``
+finds each slice's minimizer by a warm-started active-set (feature-sign)
+search whose answer is an exact reduced solve, falls back to restarted
+FISTA only when that answer does not certify, and certifies the result
+against the subgradient optimality condition; ``stream_warm_starts`` picks
+the start of each slice's call on a stream.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _shrink, prox_quadratic, soft_threshold
+from .core import _Round, _shrink, prox_quadratic, soft_threshold
 
 
 class OracleError(RuntimeError):
@@ -101,25 +99,22 @@ def consistent_state(problem, z=None):
     return DRState(prox_quadratic(z, problem), z)
 
 
-class OdrRound:
+class OdrRound(_Round):
     """Splitting round on one slice, started from the state consistent with
     a given z: x = (Q + I)^{-1} (z - phi), the proximal image of z.
 
-    From a consistent state an iteration closes in z alone:
-    z+ = y - 2 clip(y, -lam, lam) with y = 2x - z.  Dense Q: y = B z - c,
-    one gemv, with B = 2P - I, c = 2 P phi and P = (Q + I)^{-1}, the
-    operator's cached :meth:`~stvo.core.SliceOperator.prox_factor`.
-    Factored Q: y = 2 (Q + I)^{-1} (z - phi) - z by the lemma's solve.  x
-    is formed only when read, by ``prox_quadratic``.  The round owns z and
-    two buffers; an iteration writes z+ into the spare and the two swap, so
-    the z a caller read before a :meth:`step` survives that step, but not
-    the next one.  The caller's z is never written, and :meth:`state`
-    hands back copies.  The iterates agree with the literal ones to 1e-12
-    relative; a round stepped in chunks is bitwise the round stepped once
-    by their sum.
+    From a consistent state an iteration closes in z alone, the shared
+    loop's reflection z+ = y - 2 clip(y, -lam, lam), y = 2x - z.  Dense Q:
+    y = B z - c, one gemv, with B = 2P - I, c = 2 P phi and P = (Q + I)^{-1},
+    the operator's cached :meth:`~stvo.core.SliceOperator.prox_factor`.
+    Factored Q: y = 2 (Q + I)^{-1} (z - phi) - z by the lemma's solve.  x is
+    formed only when read, by ``prox_quadratic``.  z is the round's own
+    copy, written in place by every :meth:`step`; :meth:`state` hands back
+    copies.  The iterates agree with the literal ones to 1e-12 relative; a
+    round stepped in chunks is bitwise the round stepped once by their sum.
     """
 
-    __slots__ = ("z", "_problem", "_affine", "_lo", "_hi", "_spare", "_clip")
+    __slots__ = ("_problem",)
 
     def start(self, problem, z):
         """Start on problem from the state consistent with z."""
@@ -137,40 +132,23 @@ class OdrRound:
             B = np.multiply(factor[0], 2.0, order="C")
             B.reshape(-1)[::problem.n + 1] -= 1.0
             c = solve(2.0 * phi)
-            self._affine = lambda z, y: np.subtract(np.dot(B, z, out=y), c,
-                                                    out=y)
+            self._affine = lambda z, y: np.subtract(B.dot(z, y), c, out=y)
         # the bounds as arrays: a ufunc takes them faster than a float
-        self._hi = np.full(problem.n, problem.lam)
-        self._lo = np.negative(self._hi)
-        self.z = np.array(z, dtype=float)
-        self._spare, self._clip = np.empty_like(self.z), np.empty_like(self.z)
+        hi = np.full(problem.n, problem.lam)
+        self._arm(np.array(z, dtype=float), np.negative(hi), hi, reflect=True)
         return self
+
+    z = property(lambda self: self._x)
 
     @property
     def x(self):
-        return prox_quadratic(self.z, self._problem)
-
-    def step(self, k):
-        """k iterations."""
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        z, y, t, affine, lo, hi = (self.z, self._spare, self._clip,
-                                   self._affine, self._lo, self._hi)
-        for _ in range(k):
-            affine(z, y)
-            np.maximum(y, lo, out=t)
-            np.minimum(t, hi, out=t)
-            np.subtract(y, t, out=y)
-            np.subtract(y, t, out=y)
-            z, y = y, z
-        self.z, self._spare = z, y
-        return self
+        return prox_quadratic(self._x, self._problem)
 
     def state(self):
-        return DRState(self.x, self.z.copy())
+        return DRState(self.x, self._x.copy())
 
 
-class OistRound:
+class OistRound(_Round):
     """Thresholded-gradient round on one slice: sweeps
     x <- S_{lam*tau}(x - tau*(Qx + phi)).
 
@@ -178,15 +156,14 @@ class OistRound:
     scales with tau, so each sweep exactly minimizes the majorizing
     surrogate, and the objective is non-increasing whenever
     tau * lambda_max(Q) <= 1; a larger step is warned about, not fatal.
-    A sweep forms y = x - tau Q x into a spare buffer, by one gemv with
-    B = I - tau Q on a dense Q and through the factors on a factored one,
-    and the shared shrink writes S_{lam*tau}[y - c] back over x, with
-    c = tau phi folded into its bounds c -+ lam tau.  The round owns x, a
-    copy of the one it is given, and :meth:`state` hands back a copy.  The
-    sweeps agree with the literal ones to 1e-12 relative.
+    A sweep is the shared loop's iteration with y = x - tau Q x, by one
+    gemv with B = I - tau Q on a dense Q, through the factors on a factored
+    one, and bounds c -+ lam tau, c = tau phi.  The round owns x, a copy of
+    the one it is given; :meth:`state` hands back a copy.  The sweeps agree
+    with the literal ones to 1e-12 relative.
     """
 
-    __slots__ = ("x", "_affine", "_lo", "_hi", "_spare")
+    __slots__ = ()
 
     def start(self, problem, tau, x):
         x = np.array(x, dtype=float)
@@ -210,28 +187,17 @@ class OistRound:
             # writes into B itself
             B = np.multiply(problem.Q, -tau, order="C")
             B.reshape(-1)[::problem.n + 1] += 1.0
-            # np.dot(B, x, y): the gemv of np.matmul, with less call overhead
-            self._affine = functools.partial(np.dot, B)
+            # B.dot(x, y): the gemv of np.matmul, with the least call overhead
+            self._affine = B.dot
         thr = problem.lam * tau
         c = tau * problem.phi
-        self._lo = np.subtract(c, thr)
-        self._hi = np.add(c, thr, out=c)
-        self.x = x
-        self._spare = np.empty_like(x)
+        self._arm(x, np.subtract(c, thr), np.add(c, thr, out=c))
         return self
 
-    def step(self, k):
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        x, y, affine, lo, hi = (self.x, self._spare, self._affine, self._lo,
-                                self._hi)
-        for _ in range(k):
-            affine(x, y)
-            _shrink(y, lo, hi, out=x)
-        return self
+    x = property(lambda self: self._x)
 
     def state(self):
-        return self.x.copy()
+        return self._x.copy()
 
 
 def dr_step(state, problem):
@@ -268,7 +234,7 @@ def batch_dr(problem, tol=1e-10, max_iter=10000):
     residuals = []
     converged = False
     for _ in range(max_iter):
-        z = rnd.z
+        z = rnd.z.copy()
         res = float(np.linalg.norm(rnd.step(1).z - z))
         residuals.append(res)
         if res <= tol:

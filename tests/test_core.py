@@ -1,6 +1,8 @@
 """Unit tests for the problem containers and proximal building blocks."""
 
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -9,9 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stvo.core import (
+    _CLIP_MAX,
     ContractionConstants,
     ElasticNetData,
     QuadraticL1Problem,
+    _clip,
+    _clip_for,
+    _max_min,
+    _numpy_clip,
     _shrink,
     contraction_constants,
     elastic_net_problem,
@@ -101,6 +108,70 @@ def test_shrink_is_z_minus_clip_bitwise_for_array_bounds(entries):
         np.testing.assert_array_equal(bits(got[~signed]), bits(want[~signed]))
         np.testing.assert_array_equal(got[signed], 0.0)
     assert _shrink(z, lo, hi, out=out) is out
+
+
+def clip_inputs(rng, size):
+    """y, lo <= hi of the given size: lo and hi normal, zeros of either
+    sign, equal or infinite, and y normal, NaN, infinite, a zero of either
+    sign or exactly at lo or hi."""
+    lo, hi = np.sort(rng.standard_normal((2, size)), axis=0)
+    pick = rng.integers(0, 8, size)
+    lo[pick == 0], hi[pick == 1] = 0.0, -0.0
+    lo[pick == 2], hi[pick == 3] = -0.0, 0.0
+    hi[pick == 4] = lo[pick == 4]
+    lo[pick == 5], hi[pick == 5] = -np.inf, np.inf
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    y = np.where(rng.random(size) < 0.5, rng.standard_normal(size),
+                 rng.choice(specials, size))
+    at = rng.integers(0, 4, size)
+    y[at == 0], y[at == 1] = lo[at == 0], hi[at == 1]
+    return y, lo, hi
+
+
+# both sides of the size rule; the smaller sizes draw several times, so
+# that every kind of entry meets every kind of bound
+@pytest.mark.parametrize("size, draws", [(1, 200), (20, 50), (_CLIP_MAX, 5),
+                                         (_CLIP_MAX + 1, 5), (22500, 1)])
+def test_size_chosen_clip_and_shrink_are_the_max_min_pair_bitwise(size,
+                                                                   draws):
+    clip = _clip_for(size)
+    assert clip is (_clip if size <= _CLIP_MAX else _max_min)
+    rng = np.random.default_rng(size)
+    # an infinite entry minus an infinite bound is NaN, on both sides
+    with np.errstate(invalid="ignore"):
+        for _ in range(draws):
+            check_clip(clip, *clip_inputs(rng, size),
+                       float(rng.choice([1e-300, 0.5, 3.0, np.inf])))
+
+
+def check_clip(clip, y, lo, hi, beta):
+    # array bounds, and soft_threshold's scalar ones
+    for a, b in ((lo, hi), (-beta, beta)):
+        want = np.minimum(np.maximum(y, a), b)
+        out = np.empty_like(y)
+        assert clip(y, a, b, out) is out
+        for got in (clip(y, a, b), clip(y, a, b, out=out), out):
+            np.testing.assert_array_equal(bits(got), bits(want))
+        for got in (_shrink(y, a, b), _shrink(y, a, b, out=out)):
+            np.testing.assert_array_equal(bits(got), bits(y - want))
+    np.testing.assert_array_equal(
+        bits(soft_threshold(y, beta)),
+        bits(y - np.minimum(np.maximum(y, -beta), beta)))
+
+
+def test_clip_ufunc_comes_from_numpy_core_umath_on_numpy_1(monkeypatch):
+    assert isinstance(_clip, np.ufunc) and _numpy_clip() is _clip
+    # numpy 1.x has no numpy._core.umath; its clip is numpy.core.umath's
+    umath = types.ModuleType("numpy.core.umath")
+    umath.clip = object()
+    monkeypatch.setitem(sys.modules, "numpy._core.umath", None)
+    monkeypatch.setitem(sys.modules, "numpy.core.umath", umath)
+    assert _numpy_clip() is umath.clip
+    # a numpy that has it in neither fails loudly, naming both
+    del umath.clip
+    with pytest.raises(ImportError, match=r"neither numpy\._core\.umath "
+                                          r"nor numpy\.core\.umath"):
+        _numpy_clip()
 
 
 def test_soft_threshold_firmly_nonexpansive():

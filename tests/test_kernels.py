@@ -1,9 +1,11 @@
 """Property tests: the round kernels against literal transcriptions.
 
 The online rounds iterate on plain arrays and check their inputs once per
-round.  The odr and oist rounds step lifted on every slice, an affine map
-and a shrink or clip per iteration: odr in z alone, y = 2 (Q + I)^{-1}
-(z - phi) - z, and oist y = x - tau Q x.  A dense slice forms y by one
+round.  The three rounds step one shared loop, an affine map and a clip per
+iteration, the clip picked once per round by the size of the array it
+clips; the rounds' chunks are checked on both sides of that rule.  odr
+steps in z alone, y = 2 (Q + I)^{-1} (z - phi) - z, and oist
+y = x - tau Q x.  A dense slice forms y by one
 gemv, with B = 2P - I (P = (Q + I)^{-1}) or B = I - tau Q, a factored
 slice through its factors.  Either sums in another order than the literal
 steps, so the rounds are held to ``direct_dr_step`` and
@@ -37,8 +39,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stvo.core import (ElasticNetData, QuadraticL1Problem, elastic_net_problem,
-                       prox_quadratic)
+from stvo.core import (_CLIP_MAX, ElasticNetData, QuadraticL1Problem, _clip,
+                       _max_min, elastic_net_problem, prox_quadratic)
 from stvo.distributed import (
     LIFT_AFTER,
     LIFT_MAX,
@@ -411,9 +413,13 @@ chunk_lists = st.builds(lambda first, rest: [first] + rest, st.integers(1, 6),
 @SETTINGS
 @given(seed=seeds, m=st.integers(1, 8), n=st.integers(1, 16),
        chunks=chunk_lists, step=st.floats(0.05, 0.95))
-# factored (2m < n) and dense operators
+# factored (2m < n) and dense operators, on either side of the size rule
+# of the rounds' clip
 @example(seed=0, m=2, n=12, chunks=[3, 0, 4], step=0.5)
 @example(seed=0, m=8, n=5, chunks=[1, 6], step=0.5)
+@example(seed=0, m=2, n=_CLIP_MAX + 1, chunks=[3, 0, 4], step=0.5)
+@example(seed=0, m=_CLIP_MAX // 2 + 1, n=_CLIP_MAX + 1, chunks=[1, 6],
+         step=0.5)
 def test_odr_and_oist_rounds_stepped_in_chunks_are_the_one_shot_rounds(
         seed, m, n, chunks, step):
     rng = np.random.default_rng(seed)
@@ -544,6 +550,10 @@ odista_chunk_lists = st.builds(
 # odd chunks across the switch: pair LIFT_AFTER runs inside the second one
 @example(seed=0, n=12, n_nodes=5, extra_rows=3, max_degree=3, lam=0.1,
          chunks=[2 * LIFT_AFTER - 1, 3, 0, 5], step=1.0)
+# 36 nodes of degree at most 5, as on the rss sensor graph: |V| n = 432 is
+# past the clip's size rule, and batched pairs alone run
+@example(seed=0, n=12, n_nodes=36, extra_rows=10, max_degree=5, lam=0.1,
+         chunks=[2 * LIFT_AFTER - 1, 3, 0, 5], step=1.0)
 def test_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
         seed, n, n_nodes, extra_rows, max_degree, lam, chunks, step):
     rng = np.random.default_rng(seed)
@@ -559,8 +569,10 @@ def test_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
         out = rnd.step(k).state()
         ref = odista_round(state, g, data, lam, taus, done)
         np.testing.assert_array_equal(out.X, ref.X)
-        # |V| n <= 96 here, so G exists once a lifted pair has run
-        assert (rnd._lifted is not None) == (done // 2 > LIFT_AFTER)
+        # G exists once a lifted pair has run, on |V| n <= LIFT_MAX cells:
+        # on all drawn networks, at most 96 cells, and not on the 432 above
+        lifts = n_nodes * n <= LIFT_MAX
+        assert (rnd._lifted is not None) == (lifts and done // 2 > LIFT_AFTER)
 
 
 def batched_round(state, graph, data, lam, taus, r):
@@ -629,6 +641,24 @@ def test_rounds_lift_only_after_lift_after_pairs_on_at_most_lift_max_cells(
     else:
         assert rnd._lifted is None
         np.testing.assert_array_equal(out.X, ref.X)
+
+
+# each side of the size rule, by the size of the array a round clips: 20
+# (odr and oist at the arx n), the rule's edge and one cell past it; the
+# odista round clips its |V| n = 4 n cells
+@pytest.mark.parametrize("n", [5, _CLIP_MAX // 4, _CLIP_MAX // 4 + 1])
+def test_rounds_pick_their_clip_once_by_size(n):
+    rng = np.random.default_rng(19)
+    p = elastic_net_problem(random_block(rng, 12, 4 * n))
+    block = random_block(rng, 12, n)
+    data = RowStack(block, 4).nodes(block.y)
+    tau = odista_taus([block], 4, "per_node")[0]
+    rounds = (OdrRound().start(p, np.zeros(4 * n)),
+              OistRound().start(p, 0.5 / p.lambda_max, np.zeros(4 * n)),
+              OdistaRound(ring_graph(4, 3), 0.025).start(
+                  data, tau, NetworkState.zeros(n, 4)))
+    for rnd in rounds:
+        assert rnd._clip is (_clip if 4 * n <= _CLIP_MAX else _max_min)
 
 
 def test_prepared_rounds_refuse_a_negative_step():
