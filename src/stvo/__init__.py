@@ -8,9 +8,8 @@ and the streaming scenarios used to exercise them.
 from .core import (ContractionConstants, ElasticNetData, QuadraticL1Problem,
                    contraction_constants, elastic_net_problem,
                    objective_value, prox_quadratic, soft_threshold)
-from .distributed import (Graph, NetworkState, NodeData, consensus_problem,
-                          global_objective, odista_round, radius_graph,
-                          ring_graph, theta_tau)
+from .distributed import (Graph, NetworkState, NodeData, odista_round,
+                          radius_graph, ring_graph, theta_tau)
 from .metrics import (BoundConstants, RunTrace, dynamic_regret,
                       measure_bound_constants, path_length, reference_paths,
                       theorem1_bound)
@@ -19,9 +18,8 @@ from .runner import (PlayResult, block_taus, build_trace, calibrate_r,
                      play_oist, problems_from_blocks, run_experiment,
                      stream_oracles)
 from .solvers import (BatchResult, DRState, OnlineConfig, OracleError,
-                      batch_dr, consistent_state, dr_step, initial_state,
-                      odr_round, oist_round, optimality_residual,
-                      oracle_minimizer)
+                      batch_dr, initial_state, odr_round, oist_round,
+                      optimality_residual, oracle_minimizer)
 
 __version__ = "0.1.0"
 
@@ -30,8 +28,7 @@ __all__ = [
     "ElasticNetData", "Graph", "NetworkState", "NodeData", "OnlineConfig",
     "OracleError", "PlayResult", "QuadraticL1Problem", "RunTrace",
     "batch_dr", "block_taus", "build_trace", "calibrate_r",
-    "consensus_problem", "consistent_state", "contraction_constants",
-    "dr_step", "dynamic_regret", "elastic_net_problem", "global_objective",
+    "contraction_constants", "dynamic_regret", "elastic_net_problem",
     "initial_state", "measure_bound_constants", "objective_value",
     "odista_round", "odista_taus", "odr_round", "oist_round",
     "optimality_residual", "oracle_minimizer", "partition_stream",

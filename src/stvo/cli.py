@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _svg, runner, scenarios
 from .core import QuadraticL1Problem, contraction_constants, objective_value
-from .distributed import RowStack, deal_rows, ring_graph
+from .distributed import deal_rows, ring_graph, theta_tau
 from .runner import build_stream, derive_seed, make_graph
 from .solvers import OracleError, batch_dr, optimality_residual
 
@@ -310,15 +310,24 @@ def cmd_check(args):
           + ("regular" if g.regular else
              "not regular; guarantee 9 assumes a regular graph"))
     try:
-        stack = RowStack(stream.blocks[0], g.n_nodes)
-        runner.odista_taus(stream.blocks, g.n_nodes, args.tau_rule)
-        print(f"ok: {sum(op.factored for op in stack.ops)} of {g.n_nodes} "
-              f"node operators factored, k_max={stack.A.shape[1]} of "
-              f"n={stream.n}")
+        nodes = runner.partition_stream(stream.blocks, g.n_nodes)
+        taus = runner.odista_taus(stream.blocks, g.n_nodes, args.tau_rule)
     except ValueError as err:
         if args.nodes is not None:  # refused as `stvo run` refuses it
             raise
         print(f"note: {err}")  # only the distributed solver needs the nodes
+    else:
+        stack = nodes[0][0].stack
+        print(f"ok: {sum(op.factored for op in stack.ops)} of {g.n_nodes} "
+              f"node operators factored, k_max={stack.A.shape[1]} of "
+              f"n={stream.n}")
+        theta = max(theta_tau(data, tau) for data, tau in zip(nodes, taus))
+        if not theta < 1.0:
+            print(f"fail: odista descent factor theta={theta!r} not below "
+                  f"one under {args.tau_rule} steps")
+            return 2
+        print(f"ok: odista descent factor theta={theta!r} over "
+              f"{len(nodes)} slices under {args.tau_rule} steps")
     losses = [float(np.linalg.norm(b.y)) for b in stream.blocks[:5]]
     if not all(math.isfinite(v) for v in losses):
         print("fail: non-finite measurements")

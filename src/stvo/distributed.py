@@ -11,9 +11,10 @@ never carried; a communication that ends a round (odd r) leaves X as it is.
 
 Node data comes only from a row partition: :meth:`RowStack.nodes` deals an
 elastic-net block's rows to the nodes as two reshapes (:func:`deal_rows`),
-Q_v = A_v'A_v + mu_v I, and every solver entry point takes exactly one
-stack's nodes, in order, so all products Q_v x_v are one batched product
-over the stacked rows.  Every neighborhood mean is one product with the graph's row-normalised weight
+Q_v = A_v'A_v + mu_v I.  The rounds and :func:`theta_tau`, the descent's
+contraction driver, take exactly one stack's nodes, in order, so all
+products Q_v x_v are one batched product over the stacked rows.  Every
+neighborhood mean is one product with the graph's row-normalised weight
 matrix ``Graph.W`` on the rows of X, and a communication and descent pair
 reads the mean of means ``Graph.W2`` = W @ W, so a round runs each pair as
 one map of X.  These sums run in another order than the literal per-node
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuadraticL1Problem, SliceOperator, _Round
+from .core import SliceOperator, _Round
 
 
 @dataclass(eq=False)
@@ -389,41 +390,13 @@ class OdistaRound(_Round):
 
 
 def odista_round(state, graph, data, lam, tau, r):
-    """One online round: r half-steps of :class:`OdistaRound`.
-
-    The round opens with a communication half-step, which refreshes C from
-    the carried X before any descent reads it; r = 2 is exactly one
-    communication followed by one descent.  An odd r ends on a communication,
-    whose C no descent reads, so the round returns the X of r - 1.  The state
-    in and out is node-major, (|V|, n), the layout the round steps.  The
-    iterates agree with the literal per-node half-steps to 1e-12 relative.
-    """
+    """One online round: r half-steps of :class:`OdistaRound` from the
+    carried node-major X.  It opens with a communication, so r = 2 is one
+    communication and one descent, and an odd r, which ends on a
+    communication no descent reads, returns the X of r - 1."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     return OdistaRound(graph, lam).start(data, tau, state).step(r).state()
-
-
-def global_objective(X, graph, data, lam, tau):
-    """Network objective: local costs plus the disagreement penalty.
-
-    sum_v [ 0.5 x_v'Q_v x_v + phi_v'x_v + lam ||x_v||_1
-            + 1/(2 d_v tau_v) sum_{w in N_v} ||xbar_w - x_v||^2 ]
-    with x_v row v of the node-major (|V|, n) X and xbar_w the neighborhood
-    mean of X at w.  Non-regular graphs use each node's own degree.  Each
-    Q_v x_v is applied by its node operator, so no factored node forms a
-    dense Q_v.
-    """
-    _stack_of(data, graph.n_nodes)
-    tau = _as_node_tau(tau, graph.n_nodes)
-    xbar = graph.W @ X
-    total = 0.0
-    for v, (nd, nbrs) in enumerate(zip(data, graph.neighbors)):
-        x_v = X[v]
-        total += (0.5 * x_v @ nd.op.matvec(x_v) + nd.phi @ x_v
-                  + lam * np.abs(x_v).sum())
-        coupling = sum(float(np.sum((xbar[w] - x_v) ** 2)) for w in nbrs)
-        total += coupling / (2.0 * len(nbrs) * tau[v])
-    return float(total)
 
 
 def theta_tau(data, tau):
@@ -442,19 +415,3 @@ def theta_tau(data, tau):
         worst = max(worst, (1.0 - t * sigma) ** 2, (1.0 - t * beta) ** 2)
     return float(worst)
 
-
-def consensus_problem(data, lam):
-    """Centralized slice whose minimizer is the network's consensus target.
-
-    Restricting the network objective to equal rows zeroes the
-    disagreement penalty and sums the local costs, giving Q = sum Q_v,
-    phi = sum phi_v and an l1 weight of |V| * lam.  Q is A'A of the stack's
-    padded rows, taken as one block, plus the summed ridge, so no node forms
-    its dense Q_v; that sums in another order than the Q_v and agrees with
-    their sum to rounding.
-    """
-    stack = _stack_of(data, len(data))
-    rows = stack.A.reshape(-1, stack.A.shape[2])
-    Q = rows.T @ rows + len(data) * stack.mu * np.eye(rows.shape[1])
-    phi = sum(nd.phi for nd in data)
-    return QuadraticL1Problem(Q, phi, len(data) * lam)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ElasticNetData, QuadraticL1Problem
+from .core import ElasticNetData
 
 # Named sub-stream tags; the tuple (seed, tag, *indices) seeds a Generator.
 STREAM_INPUT = 0
@@ -114,37 +114,27 @@ class TvarxData:
     x_true: np.ndarray
 
 
-def tvarx_simulate(cfg, noise=True, params_fn=None, input_u=None):
+def tvarx_simulate(cfg, noise=True):
     """Simulate y_t = a1_t y_{t-1} + b1_t u_{t-1} + e_t over the horizon.
 
-    The input is a standard Gaussian block of length m repeated periodically;
-    pass input_u to drive the recursion with a custom signal instead, and
-    params_fn (taking the experiment's time variable) to override the
-    coefficient schedules.  The equation noise e_t is white Gaussian, sized
-    per measurement block so the measured y-block sits at the configured
-    SNR: the recursion amplifies equation noise by roughly 1/(1 - a1_t^2)
-    in power, so sigma carries the matching sqrt(1 - a1_t^2) correction.
-    Lags reaching before t = 0 read an implicit zero warm-up.
+    The input is a standard Gaussian block of length m repeated
+    periodically.  The equation noise e_t is white Gaussian, sized per
+    measurement block so the measured y-block sits at the configured SNR:
+    the recursion amplifies equation noise by roughly 1/(1 - a1_t^2) in
+    power, so sigma carries the matching sqrt(1 - a1_t^2) correction.  Lags
+    reaching before t = 0 read an implicit zero warm-up.
     """
     N = cfg.n_samples
-    if input_u is None:
-        rng_u = substream(cfg.seed, STREAM_INPUT)
-        u = np.tile(rng_u.standard_normal(cfg.m), N // cfg.m + 1)[:N]
-    else:
-        u = np.asarray(input_u, dtype=float)
-        if u.shape != (N,):
-            raise ValueError(f"input_u must have shape ({N},)")
-    if params_fn is None and cfg.experiment == "exp1":
-        # exp1's schedule compares the whole wall clock at once
+    rng_u = substream(cfg.seed, STREAM_INPUT)
+    u = np.tile(rng_u.standard_normal(cfg.m), N // cfg.m + 1)[:N]
+    if cfg.experiment == "exp1":
+        # exp1 runs on the wall clock, compared for all samples at once
         a, b = experiment_params("exp1", np.arange(N) / cfg.sample_rate_hz)
     else:
-        if params_fn is None:
-            params_fn = lambda tt: experiment_params(cfg.experiment, tt)
-        # exp1 runs on the wall clock, exp2 on the sample index (undefined
-        # at index 0, so the first sample reuses index 1).
-        times = [max(t, 1) for t in range(N)] if cfg.experiment == "exp2" \
-            else (np.arange(N) / cfg.sample_rate_hz).tolist()
-        a, b = np.array([params_fn(tt) for tt in times], dtype=float).T
+        # exp2 runs on the sample index, undefined at index 0, so the first
+        # sample reuses index 1
+        a, b = np.array([experiment_params("exp2", max(t, 1))
+                         for t in range(N)], dtype=float).T
 
     def recurse(noise_seq):
         # Python floats round as numpy's float64 scalars do, at less cost
@@ -202,16 +192,15 @@ def regressor_matrix(y, u, t, m, P_hat, Q_hat):
     return np.hstack([lags_y, lags_u])
 
 
-def tvarx_stream(cfg, sim=None):
-    """Elastic-net data blocks of the identification run, one per m-block.
+def tvarx_stream(cfg, sim):
+    """Elastic-net data blocks of the simulated identification run sim, one
+    per m-block.
 
     Early blocks reach into a zero warm-up of max(P_hat, Q_hat) samples so
     that the first anchor sits at t = 0.  The rows of every block are cut
     from one regressor matrix over the whole horizon, checked once as one
     block whose row slices are the blocks.
     """
-    if sim is None:
-        sim = tvarx_simulate(cfg)
     W = max(cfg.P_hat, cfg.Q_hat)
     y_ext = np.concatenate([np.zeros(W), sim.y])
     u_ext = np.concatenate([np.zeros(W), sim.u])
@@ -371,6 +360,15 @@ def rss_measure(A, x_true, snr_db, seed, t):
     return y0 + e
 
 
+def _shared_blocks(A, ys, lam, mu):
+    """ElasticNetData(A, y, lam, mu) of each row y of ys, bitwise, sharing
+    A: A is checked once, with the first block, and ys at once, as one block
+    of no columns, so a bad block fails as its own construction would."""
+    first = ElasticNetData(A=A, y=ys[0], lam=lam, mu=mu)
+    ElasticNetData(A=np.empty((ys.size, 0)), y=ys.reshape(-1), lam=lam, mu=mu)
+    return [first] + [ElasticNetData._of(first.A, y, lam, mu) for y in ys[1:]]
+
+
 def rss_stream(cfg):
     """Per-round elastic-net slices of a tracking run.
 
@@ -389,40 +387,18 @@ def rss_stream(cfg):
     scale = np.linalg.norm(A_used, 2)
     A_used /= scale
     walk = target_walk(cfg)
-    blocks = []
+    ys = []
     for t, cell in enumerate(walk):
         x_true = np.zeros(cfg.n_cells)
         x_true[cell] = 1.0
-        y = rss_measure(A, x_true, cfg.snr_db, cfg.seed, t)
-        blocks.append(ElasticNetData(A=A_used, y=(y - offset) / scale,
-                                     lam=cfg.lam, mu=cfg.mu))
-    return blocks, walk
+        ys.append(rss_measure(A, x_true, cfg.snr_db, cfg.seed, t))
+    ys = (np.array(ys) - offset) / scale
+    return _shared_blocks(A_used, ys, cfg.lam, cfg.mu), walk
 
 
 # ---------------------------------------------------------------------------
-# Synthetic streams for property and contraction tests
+# Synthetic drifting regression
 # ---------------------------------------------------------------------------
-
-def random_problem(n, sigma, beta, seed, lam=0.1):
-    """Random slice with prescribed extreme eigenvalues of Q.
-
-    Q is a random rotation of eigenvalues spread over [sigma, beta] with the
-    endpoints attained exactly.
-    """
-    if not 0 < sigma <= beta:
-        raise ValueError("need 0 < sigma <= beta")
-    rng = substream(seed, STREAM_PROBLEM)
-    if n == 1:
-        Q = np.array([[sigma]])
-    else:
-        eigs = np.linspace(sigma, beta, n)
-        M = rng.standard_normal((n, n))
-        U, _ = np.linalg.qr(M)
-        Q = (U * eigs) @ U.T
-        Q = (Q + Q.T) / 2.0
-    phi = rng.standard_normal(n)
-    return QuadraticL1Problem(Q, phi, lam)
-
 
 @dataclass
 class SyntheticConfig:
@@ -454,7 +430,7 @@ def synthetic_stream(cfg):
     rng = substream(cfg.seed, STREAM_PROBLEM)
     A = rng.standard_normal((m, n)) / math.sqrt(m)
     supp = (0, n // 2)
-    out = []
+    ys = []
     truth = []
     noise_rng = substream(cfg.seed, STREAM_NOISE)
     scale = 10.0 ** (-cfg.snr_db / 20.0)
@@ -463,7 +439,7 @@ def synthetic_stream(cfg):
         x[supp[0]] = 1.0 + 0.3 * math.sin(2.0 * math.pi * drift * t)
         x[supp[1]] = -0.8 + 0.3 * math.cos(2.0 * math.pi * drift * t)
         y0 = A @ x
-        y = y0 + noise_rng.standard_normal(m) * np.linalg.norm(y0) * scale / math.sqrt(m)
-        out.append(ElasticNetData(A=A, y=y, lam=cfg.lam, mu=cfg.mu))
+        ys.append(y0 + noise_rng.standard_normal(m) * np.linalg.norm(y0)
+                  * scale / math.sqrt(m))
         truth.append(x)
-    return out, np.array(truth)
+    return _shared_blocks(A, np.array(ys), cfg.lam, cfg.mu), np.array(truth)

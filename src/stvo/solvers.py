@@ -1,20 +1,15 @@
 """Batch and online solvers for the quadratic-plus-l1 objective.
 
-Two families are provided.  The reflected-splitting family (``dr_step``,
-``batch_dr``, ``odr_round``) alternates soft thresholding with a proximal
-solve of the quadratic part and contracts linearly on the auxiliary
-sequence.  The thresholded-gradient family (``oist_round``) performs plain
-proximal-gradient sweeps.  Each online family steps a prepared round
-(:class:`OdrRound`, :class:`OistRound`) that pays its slice's setup and
-checks once.  Both step the one loop of :class:`stvo.core._Round`, whose
-affine map the slice operator decides: one gemv with a matrix the round
-builds once on a dense Q, through the factors on a factored one.
-``dr_step`` is the literal step from any (x, z).  ``oracle_minimizer``
-finds each slice's minimizer by a warm-started active-set (feature-sign)
-search whose answer is an exact reduced solve, falls back to restarted
-FISTA only when that answer does not certify, and certifies the result
-against the subgradient optimality condition; ``stream_warm_starts`` picks
-the start of each slice's call on a stream.
+The reflected-splitting family (``batch_dr``, ``odr_round``) alternates soft
+thresholding with a proximal solve of the quadratic part and contracts
+linearly on the auxiliary sequence; the thresholded-gradient family
+(``oist_round``) performs plain proximal-gradient sweeps.  An online round
+(:class:`OdrRound`, :class:`OistRound`) pays its slice's setup and checks
+once, then steps the one loop of :class:`stvo.core._Round`.
+``oracle_minimizer`` certifies each slice's minimizer: a warm-started
+feature-sign search whose answer is an exact reduced solve, restarted FISTA
+where that does not certify; ``stream_warm_starts`` picks the start of each
+slice's call on a stream.
 """
 
 import warnings
@@ -22,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _Round, _shrink, prox_quadratic, soft_threshold
+from .core import _Round, prox_quadratic, soft_threshold
 
 
 class OracleError(RuntimeError):
@@ -86,17 +81,6 @@ class BatchResult:
 def initial_state(n):
     """Zero state, the conventional cold start."""
     return DRState(np.zeros(n), np.zeros(n))
-
-
-def consistent_state(problem, z=None):
-    """State whose x is the proximal image of z under the given slice.
-
-    From such a state every subsequent transition equals one application of
-    the reflected-splitting operator, so the per-iteration contraction bound
-    applies from the very first step.
-    """
-    z = np.zeros(problem.n) if z is None else np.asarray(z, dtype=float)
-    return DRState(prox_quadratic(z, problem), z)
 
 
 class OdrRound(_Round):
@@ -200,23 +184,9 @@ class OistRound(_Round):
         return self._x.copy()
 
 
-def dr_step(state, problem):
-    """One literal splitting iteration from the given (x, z), which need not
-    be consistent.
-
-    u = S_lam(2x - z); z+ = z + 2(u - x); x+ = (Q + I)^{-1} (z+ - phi).
-    """
-    if state.z.shape != (problem.n,):
-        raise ValueError(
-            f"state must have shape ({problem.n},), got {state.z.shape}")
-    x, z = state.x, state.z
-    u = _shrink(2.0 * x - z, -problem.lam, problem.lam)
-    z = z + 2.0 * (u - x)
-    return DRState(prox_quadratic(z, problem), z)
-
-
 def batch_dr(problem, tol=1e-10, max_iter=10000):
-    """Iterate dr_step until the z-increment drops below tol.
+    """Step a splitting round from z = 0 one iteration at a time until
+    the z-increment drops below tol.
 
     Parameters
     ----------
@@ -245,16 +215,11 @@ def batch_dr(problem, tol=1e-10, max_iter=10000):
 
 
 def odr_round(state, problem, cfg):
-    """One online round of the splitting solver: r iterations on this slice.
-
-    The auxiliary z is the carried state.  x is first re-derived from z
-    through the current slice's proximal map; with the x carried from the
-    previous slice the first inner step would not be an application of the
-    current reflected operator and the per-round contraction guarantee would
-    pick up an extra drift term.  :class:`OdrRound` starts from z alone, so
-    on a static stream the round sequence coincides with the batch
-    iteration.
-    """
+    """One online round of the splitting solver: r iterations of
+    :class:`OdrRound` from the carried z.  x is re-derived from z through
+    this slice's proximal map, so every inner step applies the current
+    reflected operator and the per-round contraction bound takes no drift
+    term; on a static stream the rounds replay the batch iteration."""
     return OdrRound().start(problem, state.z).step(cfg.r).state()
 
 

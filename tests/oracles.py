@@ -3,11 +3,14 @@
 Everything here is written in the most literal style available: scalar
 branches, explicit loops, no helpers imported from the package.  Agreement
 between two independently written codepaths is evidence; calling the
-library from both sides would prove nothing.  Five exceptions, besides
+library from both sides would prove nothing.  Six exceptions, besides
 the grids :func:`loop_rss_dictionary` reads:
 :func:`prox_grad_minimize` iterates a stack of problems side by side, with
 array operations, so that a suite-sized reference fits its time budget;
-:func:`drifting_quadratic_stream` is test data made of package problems;
+:func:`spectrum_problem` and :func:`drifting_quadratic_stream` are test
+data made of package problems;
+:func:`consensus_problem`, the centralized slice whose minimizer the
+network reaches, sums its Q from a node partition's padded row stack;
 :func:`sequential_stream_oracles` keeps the package's slice-by-slice oracle
 loop, each call warm started from the previous slice's minimizer, as the
 reference its stream-wide warm start is held to bit for bit;
@@ -223,6 +226,44 @@ def direct_global_objective(X, neighbor_lists, Qs, phis, lam, taus):
             coup += float(np.sum((xbar_w - x) ** 2))
         total += coup / (2.0 * len(neighbor_lists[v]) * taus[v])
     return total
+
+
+def spectrum_problem(n, sigma, beta, seed, lam=0.1):
+    """Random slice with prescribed extreme eigenvalues of Q.
+
+    Q is a random rotation of eigenvalues spread over [sigma, beta] with the
+    endpoints attained exactly.
+    """
+    if not 0 < sigma <= beta:
+        raise ValueError("need 0 < sigma <= beta")
+    rng = substream(seed, STREAM_PROBLEM)
+    if n == 1:
+        Q = np.array([[sigma]])
+    else:
+        eigs = np.linspace(sigma, beta, n)
+        M = rng.standard_normal((n, n))
+        U, _ = np.linalg.qr(M)
+        Q = (U * eigs) @ U.T
+        Q = (Q + Q.T) / 2.0
+    phi = rng.standard_normal(n)
+    return QuadraticL1Problem(Q, phi, lam)
+
+
+def consensus_problem(data, lam):
+    """Centralized slice whose minimizer is the network's consensus target.
+
+    Restricting the network objective to equal rows zeroes the
+    disagreement penalty and sums the local costs, giving Q = sum Q_v,
+    phi = sum phi_v and an l1 weight of |V| * lam.  Q is A'A of the stack's
+    padded rows, taken as one block, plus the summed ridge, so no node forms
+    its dense Q_v; that sums in another order than the Q_v and agrees with
+    their sum to rounding.  data is one RowStack's nodes(y), in order.
+    """
+    stack = data[0].stack
+    rows = stack.A.reshape(-1, stack.A.shape[2])
+    Q = rows.T @ rows + len(data) * stack.mu * np.eye(rows.shape[1])
+    phi = sum(nd.phi for nd in data)
+    return QuadraticL1Problem(Q, phi, len(data) * lam)
 
 
 def drifting_quadratic_stream(n, rounds, sigma, beta, drift, seed, lam=0.05):

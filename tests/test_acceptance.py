@@ -18,12 +18,10 @@ from test_distributed import lifted_network_problem
 from stvo import cli, metrics, runner
 from stvo.core import (ElasticNetData, QuadraticL1Problem,
                        contraction_constants, elastic_net_problem)
-from stvo.distributed import (NetworkState, RowStack, consensus_problem,
-                              global_objective, odista_round, ring_graph,
-                              theta_tau)
-from stvo.scenarios import random_problem
-from stvo.solvers import (OnlineConfig, batch_dr, consistent_state, dr_step,
-                          odr_round, oracle_minimizer)
+from stvo.distributed import (NetworkState, RowStack, odista_round,
+                              ring_graph, theta_tau)
+from stvo.solvers import (OdrRound, OnlineConfig, batch_dr, odr_round,
+                          oracle_minimizer)
 
 # The deliberate 2/||A||^2 step of the thresholded-gradient family trips
 # the conservative precondition check; the warning is expected here.
@@ -50,14 +48,14 @@ def test_batch_splitting_contracts_every_iteration_at_the_predicted_rate():
     worst_slack = -np.inf
     for i in range(20):
         sigma, beta = pairs[i % 3]
-        prob = random_problem(n=15, sigma=sigma, beta=beta, seed=i, lam=0.1)
+        prob = oracles.spectrum_problem(n=15, sigma=sigma, beta=beta, seed=i,
+                                        lam=0.1)
         delta = contraction_constants(prob).delta
         z_star = batch_dr(prob, tol=1e-12, max_iter=100000).z_star
-        state = consistent_state(prob)
-        prev = float(np.linalg.norm(state.z - z_star))
+        rnd = OdrRound().start(prob, np.zeros(prob.n))
+        prev = float(np.linalg.norm(rnd.z - z_star))
         for _ in range(60):
-            state = dr_step(state, prob)
-            gap = float(np.linalg.norm(state.z - z_star))
+            gap = float(np.linalg.norm(rnd.step(1).z - z_star))
             worst_slack = max(worst_slack, gap - (delta * prev + 1e-9))
             prev = gap
     assert worst_slack <= 0.0
@@ -116,7 +114,7 @@ def test_online_splitting_lands_within_the_r_step_contraction_of_the_gap():
         stars = [oracle_minimizer(p) for p in probs]
         q = contraction_constants(probs[0]).q
         for r in (1, 2, 5):
-            state = consistent_state(probs[0], stars[0][1])
+            state = OdrRound().start(probs[0], stars[0][1]).state()
             for t, p in enumerate(probs):
                 gap = float(np.linalg.norm(state.z - stars[t][1]))
                 state = odr_round(state, p, OnlineConfig(r=r))
@@ -256,7 +254,8 @@ def test_distributed_solver_reaches_consensus_on_a_static_problem():
         X = state.X
         spread = max(float(np.max(np.abs(X[v] - X[w])))
                      for v in range(4) for w in range(v + 1, 4))
-        center = oracle_minimizer(consensus_problem(data, lam_node))[0]
+        center = oracle_minimizer(
+            oracles.consensus_problem(data, lam_node))[0]
         dist = float(np.max(np.abs(X - center)))
         worst_spread = max(worst_spread, spread)
         worst_center = max(worst_center, dist)
@@ -336,13 +335,20 @@ def test_network_objective_is_monotone_across_inner_iterations():
         lam_node = 3e-4 / n_nodes
         stack, ys, tau = _drifting_node_stream(seed, n_nodes=n_nodes)
         state = NetworkState.zeros(6, n_nodes)
+        neighbor_lists = [list(a) for a in graph.neighbors]
+
+        def objective(X, data):
+            return oracles.direct_global_objective(
+                X.T, neighbor_lists, [nd.Q for nd in data],
+                [nd.phi for nd in data], lam_node, [tau] * n_nodes)
+
         for y in ys:
             data = stack.nodes(y)
-            value = global_objective(state.X, graph, data, lam_node, tau)
+            value = objective(state.X, data)
             for _ in range(3):
                 # one communication and one descent
                 state = odista_round(state, graph, data, lam_node, tau, 2)
-                nxt = global_objective(state.X, graph, data, lam_node, tau)
+                nxt = objective(state.X, data)
                 worst_rise = max(worst_rise, nxt - value - 1e-9)
                 value = nxt
     assert worst_rise <= 0.0

@@ -638,6 +638,48 @@ def test_check_notes_a_default_ring_the_run_would_refuse(tmp_path, capsys):
     assert "node 0 holds only zero rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rule", ["per_node", "uniform_min"])
+def test_check_reports_the_odista_descent_factor_of_every_slice(
+        tmp_path, capsys, rule):
+    # every shipped scenario's odista descent contracts under either rule
+    for scenario in SCENARIOS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("check", "--scenario", scenario,
+                           "--tau-rule", rule) == 0
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if "descent factor" in ln]
+        assert line.startswith("ok: odista descent factor theta=")
+        assert line.endswith(f"under {rule} steps")
+    # a ridge of 25 per node outweighs the rows: per-node steps 1/||A_v||^2
+    # overshoot 2/lambda_max(Q_v), the smallest common step does not.  The
+    # reported theta is the largest (1 - tau_v lambda)^2 over every slice,
+    # node and eigenvalue of the dense Q_v
+    cfg = write_cfg(tmp_path, "mu = 100\nhorizon_s = 0.06\n")
+    stream = cli.build_stream("exp1", base_config("exp1", load_config(cfg)),
+                              derive_seed(0, 0))
+    theta = 0.0
+    for block in stream.blocks:
+        rows = np.array_split(block.A, 4)
+        norms = np.array([np.linalg.norm(A_v, 2) ** 2 for A_v in rows])
+        if rule == "uniform_min":
+            norms[:] = norms.max()
+        for A_v, norm in zip(rows, norms):
+            eigs = np.linalg.eigvalsh(A_v.T @ A_v + 25.0 * np.eye(20))
+            theta = max(theta, float(np.max((1.0 - eigs / norm) ** 2)))
+    code = run_cli("check", "--scenario", "exp1", "--config", cfg,
+                   "--tau-rule", rule)
+    out = capsys.readouterr().out
+    reported = float(out.split("theta=")[1].split()[0])
+    assert abs(reported - theta) <= 1e-12 * theta
+    if rule == "per_node":
+        assert theta > 1.0 and code == 2
+        assert f"fail: odista descent factor theta={reported!r} not below " \
+            "one under per_node steps" in out
+    else:
+        assert theta < 1.0 and code == 0
+
+
 # ---------------------------------------------------------------------------
 # input files from outside the program
 # ---------------------------------------------------------------------------

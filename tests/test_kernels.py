@@ -48,8 +48,6 @@ from stvo.distributed import (
     NetworkState,
     OdistaRound,
     RowStack,
-    consensus_problem,
-    global_objective,
     odista_round,
     radius_graph,
     ring_graph,
@@ -60,16 +58,16 @@ from stvo.runner import (block_taus, odista_taus, odr_step_timer,
                          problems_from_blocks)
 from stvo.scenarios import RssConfig, sensor_positions
 from stvo.solvers import (DRState, OdrRound, OistRound, OnlineConfig,
-                          consistent_state, dr_step, initial_state, odr_round,
-                          oist_round, oracle_minimizer)
+                          initial_state, odr_round, oist_round,
+                          oracle_minimizer)
 
 from oracles import (
     assert_bitwise_equal,
     assert_relatively_close,
     column_local_means,
     column_odista_round,
+    consensus_problem,
     direct_dr_step,
-    direct_global_objective,
     direct_odd_step,
     direct_oist_sweep,
     direct_prox,
@@ -318,10 +316,6 @@ def test_factored_descent_matches_dense_node_data(seed, n, n_nodes, extra_rows,
     # the scale max(1, theta)
     theta = max(float(np.max((1.0 - t * e) ** 2)) for t, e in zip(taus, eigs))
     assert abs(theta_tau(factored, taus) - theta) <= 1e-12 * max(1.0, theta)
-    objective = direct_global_objective(X, neighbor_lists, Qs, phis, lam,
-                                        taus)
-    assert (abs(global_objective(X.T, g, factored, lam, taus) - objective)
-            <= 1e-12 * abs(objective))
     pair = odista_round(state, g, factored, lam, taus, 2)
     assert_relatively_close(
         pair.X.T, direct_odd_step(X, column_local_means(X, neighbor_lists),
@@ -476,19 +470,16 @@ def test_lifted_rounds_are_the_literal_steps_and_the_one_shot_rounds(
     assert_bitwise_equal(odr.step(0).state().z, z)
     assert_bitwise_equal(odr.state().x, odr_0.x)
     assert_bitwise_equal(oist.step(0).state(), x0)
-    # the lifted rounds and dr_step, which steps (x, z) through P, agree
-    # with the literal steps to rounding; chunks are the one-shot rounds
+    # the lifted rounds agree with the literal steps to rounding; chunks are
+    # the one-shot rounds
     x_ref, z_ref = direct_prox(z, p.Q, p.phi), z
-    state, xo_ref, done = DRState(x_ref, z), x0, 0
+    xo_ref, done = x0, 0
     for k in chunks:
         odr.step(k)
         oist.step(k)
         for _ in range(k):
             x_ref, z_ref = direct_dr_step(x_ref, z_ref, p.Q, p.phi, lam)
-            state = dr_step(state, p)
             xo_ref = direct_oist_sweep(xo_ref, p.Q, p.phi, lam, tau)
-        assert_relatively_close(state.x, x_ref, z, p.phi)
-        assert_relatively_close(state.z, z_ref, z, p.phi)
         done += k
         out, xo = odr.state(), oist.state()
         assert_relatively_close(out.x, x_ref, z, p.phi)
@@ -828,13 +819,14 @@ def test_each_step_timer_call_is_one_more_iteration(seed, m, n, calls, step):
     p = elastic_net_problem(random_block(rng, m, n))
     tau = step / p.lambda_max
     odr, oist = odr_step_timer(p), oist_step_timer(p, tau)
-    state, x = consistent_state(p), np.zeros(n)
-    # the timer's round steps in z alone, dr_step literally from (x, z)
+    z = np.zeros(n)
+    x_ref, x = direct_prox(z, p.Q, p.phi), np.zeros(n)
+    # the timer's round steps in z alone, the literal step from (x, z)
     for _ in range(calls):
-        state = dr_step(state, p)
+        x_ref, z = direct_dr_step(x_ref, z, p.Q, p.phi, p.lam)
         out = odr().state()
-        assert_relatively_close(out.x, state.x, p.phi)
-        assert_relatively_close(out.z, state.z, p.phi)
+        assert_relatively_close(out.x, x_ref, p.phi)
+        assert_relatively_close(out.z, z, p.phi)
         x = oist_round(x, p, OnlineConfig(r=1, tau=tau))
         np.testing.assert_array_equal(oist().state(), x)
 
@@ -1112,18 +1104,15 @@ def test_rss_sized_partition_forms_no_dense_q_until_read():
     rng = np.random.default_rng(5)
     block = random_block(rng, 144, 625)
     dense_bytes = 625 * 625 * 8
-    X = rng.standard_normal((625, 36))
-    g = ring_graph(36, 3)
     tracemalloc.start()
     try:
         nodes = RowStack(block, 36).nodes(block.y)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         # the step sizes and the contraction driver from the k x k Gram
-        # matrices, the objective from A_v'(A_v x_v)
+        # matrices
         taus = [0.5 / nd.lambda_max for nd in nodes]
         theta_tau(nodes, taus)
-        global_objective(X.T, g, nodes, 0.1, taus)
         _, peak_read = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         nodes[0].Q

@@ -8,23 +8,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stvo.core import elastic_net_problem
+from stvo import scenarios
+from stvo.core import ElasticNetData, elastic_net_problem
 from stvo.distributed import RowStack
 from stvo.metrics import path_length
 from stvo.scenarios import (
+    STREAM_NOISE,
+    STREAM_PROBLEM,
     RssConfig,
     SyntheticConfig,
     TvarxConfig,
     cell_centers,
     experiment_params,
     feasible_moves,
-    random_problem,
     regressor_matrix,
     rss_dictionary,
     rss_measure,
     rss_model_value,
     rss_stream,
     sensor_positions,
+    substream,
     synthetic_stream,
     target_walk,
     tvarx_simulate,
@@ -39,6 +42,7 @@ from oracles import (
     loop_rss_dictionary,
     loop_tvarx_blocks,
     scalar_tvarx_simulate,
+    spectrum_problem,
 )
 
 # derandomized, so that a rerun draws the same examples as every other test
@@ -99,23 +103,6 @@ def test_experiment2_parameter_path_lengths():
     assert pb_2k / pb_1k < 2.0
 
 
-def test_simulate_zero_input_tap_keeps_output_at_zero():
-    cfg = TvarxConfig(seed=3)
-    sim = tvarx_simulate(cfg, noise=False, params_fn=lambda tt: (0.5, 0.0))
-    np.testing.assert_array_equal(sim.y, np.zeros(cfg.n_samples))
-
-
-def test_simulate_impulse_response_single_tap():
-    cfg = TvarxConfig(experiment="exp1", seed=3)
-    impulse = np.zeros(cfg.n_samples)
-    impulse[0] = 1.0
-    sim = tvarx_simulate(cfg, noise=False, input_u=impulse,
-                         params_fn=lambda tt: (0.0, experiment_params("exp1", tt)[1]))
-    expect = np.zeros(cfg.n_samples)
-    expect[1] = 0.7  # b1 at t = 1 ms
-    np.testing.assert_allclose(sim.y, expect)
-
-
 def test_simulate_places_truth_at_the_two_taps():
     cfg = TvarxConfig(experiment="exp1", seed=5)
     sim = tvarx_simulate(cfg, noise=False)
@@ -138,8 +125,6 @@ def test_simulate_input_is_m_periodic():
     cfg = TvarxConfig(seed=2)
     sim = tvarx_simulate(cfg, noise=False)
     np.testing.assert_array_equal(sim.u[:cfg.m], sim.u[cfg.m:2 * cfg.m])
-    with pytest.raises(ValueError):
-        tvarx_simulate(cfg, input_u=np.zeros(7))
 
 
 def test_regressor_matrix_smallest_case():
@@ -270,7 +255,7 @@ def test_regressor_matrix_is_the_row_by_row_loop(seed, size, t, m, P_hat,
 
 def test_first_block_reads_the_zero_warmup():
     cfg = TvarxConfig(seed=1)
-    blocks = tvarx_stream(cfg)
+    blocks = tvarx_stream(cfg, tvarx_simulate(cfg))
     np.testing.assert_array_equal(blocks[0].A[0], np.zeros(20))
 
 
@@ -285,7 +270,7 @@ def test_block_oracle_recovers_truth_on_clean_data():
 
 def test_node_partition_sums_back_to_the_block():
     cfg = TvarxConfig(seed=4)
-    blk = tvarx_stream(cfg)[10]
+    blk = tvarx_stream(cfg, tvarx_simulate(cfg))[10]
     nodes = RowStack(blk, 4).nodes(blk.y)
     assert len(nodes) == 4
     Q_sum = sum(nd.Q for nd in nodes)
@@ -409,19 +394,47 @@ def test_stream_normalizes_the_dictionary():
     assert np.linalg.norm(blocks[0].A, 2) == pytest.approx(1.0)
 
 
+def test_stream_is_the_per_round_blocks_bitwise(monkeypatch):
+    # the dictionary is checked once and shared; each round's block is the
+    # one built from its own measurement alone
+    cfg = RssConfig(seed=12, path_length_steps=6)
+    blocks, walk = rss_stream(cfg)
+    A = rss_dictionary(cfg)
+    offset = A.mean(axis=1)
+    A_used = A - offset[:, None]
+    scale = np.linalg.norm(A_used, 2)
+    A_used /= scale
+    for t, (blk, cell) in enumerate(zip(blocks, walk)):
+        x_true = np.zeros(cfg.n_cells)
+        x_true[cell] = 1.0
+        y = rss_measure(A, x_true, cfg.snr_db, cfg.seed, t)
+        ref = ElasticNetData(A=A_used, y=(y - offset) / scale, lam=cfg.lam,
+                             mu=cfg.mu)
+        assert blk.A is blocks[0].A
+        assert_bitwise_equal(blk.A, ref.A)
+        assert_bitwise_equal(blk.y, ref.y)
+        assert (blk.lam, blk.mu) == (ref.lam, ref.mu)
+    # a non-finite measurement past the first round fails as its block would
+    measure = scenarios.rss_measure
+    monkeypatch.setattr(scenarios, "rss_measure", lambda *args: measure(
+        *args) * (np.nan if args[-1] == 3 else 1.0))
+    with pytest.raises(ValueError, match="A and y must be finite"):
+        rss_stream(cfg)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic streams
 # ---------------------------------------------------------------------------
 
-def test_random_problem_attains_the_extreme_eigenvalues():
-    p = random_problem(8, 0.5, 3.0, seed=17)
+def test_spectrum_problem_attains_the_extreme_eigenvalues():
+    p = spectrum_problem(8, 0.5, 3.0, seed=17)
     eigs = np.linalg.eigvalsh(p.Q)
     assert eigs[0] == pytest.approx(0.5)
     assert eigs[-1] == pytest.approx(3.0)
-    p1 = random_problem(1, 2.0, 2.0, seed=17)
+    p1 = spectrum_problem(1, 2.0, 2.0, seed=17)
     np.testing.assert_array_equal(p1.Q, [[2.0]])
     with pytest.raises(ValueError):
-        random_problem(4, 0.0, 1.0, seed=17)
+        spectrum_problem(4, 0.0, 1.0, seed=17)
 
 
 def test_drifting_stream_shares_q_and_moves_linearly():
@@ -432,6 +445,26 @@ def test_drifting_stream_shares_q_and_moves_linearly():
     steps = [float(np.linalg.norm(probs[t].phi - probs[t - 1].phi))
              for t in range(1, 10)]
     np.testing.assert_allclose(steps, 1e-3, rtol=1e-9)
+
+
+def test_synthetic_stream_is_the_per_block_builds_bitwise():
+    cfg = SyntheticConfig(seed=4, blocks=9)
+    blocks, truth = synthetic_stream(cfg)
+    rng = substream(cfg.seed, STREAM_PROBLEM)
+    A = rng.standard_normal((cfg.m, cfg.n)) / math.sqrt(cfg.m)
+    noise_rng = substream(cfg.seed, STREAM_NOISE)
+    scale = 10.0 ** (-cfg.snr_db / 20.0)
+    for blk, x in zip(blocks, truth):
+        y0 = A @ x
+        y = (y0 + noise_rng.standard_normal(cfg.m) * np.linalg.norm(y0)
+             * scale / math.sqrt(cfg.m))
+        ref = ElasticNetData(A=A, y=y, lam=cfg.lam, mu=cfg.mu)
+        assert blk.A is blocks[0].A
+        assert_bitwise_equal(blk.A, ref.A)
+        assert_bitwise_equal(blk.y, ref.y)
+        assert (blk.lam, blk.mu) == (ref.lam, ref.mu)
+    with pytest.raises(ValueError, match="A and y must be finite"):
+        synthetic_stream(replace(cfg, drift=math.nan))
 
 
 def test_synthetic_stream_shapes_and_support():

@@ -22,10 +22,9 @@ from stvo.solvers import (
     BatchResult,
     DRState,
     OnlineConfig,
+    OdrRound,
     OracleError,
     batch_dr,
-    consistent_state,
-    dr_step,
     initial_state,
     odr_round,
     oist_round,
@@ -34,6 +33,7 @@ from stvo.solvers import (
 )
 
 from oracles import (assert_bitwise_equal, assert_relatively_close,
+                     direct_dr_step, direct_prox,
                      lowest_objective_feature_sign, prox_grad_minimize,
                      scalar_lasso, sequential_stream_oracles,
                      subgradient_violation)
@@ -48,23 +48,14 @@ def random_pd_problem(n, seed, lam=0.1, ridge=0.2):
 
 def test_dr_step_origin_fixed_point_without_linear_term():
     p = QuadraticL1Problem(np.eye(1), np.zeros(1), 10.0)
-    s = dr_step(DRState(np.zeros(1), np.zeros(1)), p)
+    s = OdrRound().start(p, np.zeros(1)).step(1).state()
     np.testing.assert_array_equal(s.x, [0.0])
     np.testing.assert_array_equal(s.z, [0.0])
 
 
-def test_dr_step_hand_case():
-    p = QuadraticL1Problem(np.eye(1), np.array([-3.0]), 1.0)
-    s = dr_step(DRState(np.zeros(1), np.zeros(1)), p)
-    np.testing.assert_allclose(s.z, [0.0])
-    np.testing.assert_allclose(s.x, [1.5])
-
-
 def test_dr_iteration_reaches_optimality():
     p = random_pd_problem(5, seed=10)
-    s = consistent_state(p)
-    for _ in range(500):
-        s = dr_step(s, p)
+    s = OdrRound().start(p, np.zeros(5)).step(500).state()
     assert subgradient_violation(s.x, p.Q, p.phi, p.lam) <= 1e-6
 
 
@@ -90,13 +81,12 @@ def test_batch_dr_per_iteration_contraction():
     p = random_pd_problem(6, seed=12)
     cc = contraction_constants(p)
     z_star = batch_dr(p, tol=1e-13, max_iter=20000).z_star
-    s = consistent_state(p)
+    rnd = OdrRound().start(p, np.zeros(6))
     for _ in range(60):
-        nxt = dr_step(s, p)
-        lhs = np.linalg.norm(nxt.z - z_star)
-        rhs = cc.delta * np.linalg.norm(s.z - z_star) + 1e-9
+        z = rnd.z.copy()
+        lhs = np.linalg.norm(rnd.step(1).z - z_star)
+        rhs = cc.delta * np.linalg.norm(z - z_star) + 1e-9
         assert lhs <= rhs
-        s = nxt
 
 
 def test_batch_dr_residual_history_non_increasing():
@@ -117,12 +107,13 @@ def test_batch_dr_flags_non_convergence_without_raising():
 
 def test_odr_round_single_iteration_equals_dr_step():
     p = random_pd_problem(4, seed=15)
-    s = consistent_state(p, np.linspace(-1, 1, 4))
+    z = np.linspace(-1, 1, 4)
+    s = OdrRound().start(p, z).state()
     a = odr_round(s, p, OnlineConfig(r=1))
-    b = dr_step(s, p)
-    # the round steps in z alone, dr_step literally from (x, z)
-    assert_relatively_close(a.x, b.x, s.z, p.phi)
-    assert_relatively_close(a.z, b.z, s.z, p.phi)
+    b = direct_dr_step(direct_prox(z, p.Q, p.phi), z, p.Q, p.phi, p.lam)
+    # the round steps in z alone, the literal step from (x, z)
+    assert_relatively_close(a.x, b[0], s.z, p.phi)
+    assert_relatively_close(a.z, b[1], s.z, p.phi)
 
 
 def test_odr_static_stream_replays_batch_iteration():
@@ -237,7 +228,7 @@ def test_dr_state_validation():
 def test_consistent_state_applies_proximal_map():
     p = random_pd_problem(4, seed=19)
     z = np.array([0.3, -1.0, 2.0, 0.0])
-    s = consistent_state(p, z)
+    s = OdrRound().start(p, z).state()
     np.testing.assert_array_equal(s.z, z)
     # x solves (Q + I) x = z - phi
     np.testing.assert_allclose((p.Q + np.eye(4)) @ s.x, z - p.phi, atol=1e-12)
