@@ -317,7 +317,7 @@ def cmd_check(args):
             raise
         print(f"note: {err}")  # only the distributed solver needs the nodes
     else:
-        stack = nodes[0][0].stack
+        stack = nodes[0].stack
         print(f"ok: {sum(op.factored for op in stack.ops)} of {g.n_nodes} "
               f"node operators factored, k_max={stack.A.shape[1]} of "
               f"n={stream.n}")

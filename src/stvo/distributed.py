@@ -9,11 +9,11 @@ using the neighborhood mean of C.  Both half-steps are synchronous: every
 node reads the pre-step state.  A round opens with a communication, so C is
 never carried; a communication that ends a round (odd r) leaves X as it is.
 
-Node data comes only from a row partition: :meth:`RowStack.nodes` deals an
-elastic-net block's rows to the nodes as two reshapes (:func:`deal_rows`),
-Q_v = A_v'A_v + mu_v I.  The rounds and :func:`theta_tau`, the descent's
-contraction driver, take exactly one stack's nodes, in order, so all
-products Q_v x_v are one batched product over the stacked rows.  Every
+Node data comes only from a row partition: :func:`deal_rows` deals an
+elastic-net block's rows to the nodes as two reshapes into a
+:class:`RowStack`, Q_v = A_v'A_v + mu_v I.  A slice's :class:`NodeData` is
+that stack and the (|V|, n) linear terms phi_v, so all products Q_v x_v are
+one batched product over the stacked rows.  Every
 neighborhood mean is one product with the graph's row-normalised weight
 matrix ``Graph.W`` on the rows of X, and a communication and descent pair
 reads the mean of means ``Graph.W2`` = W @ W, so a round runs each pair as
@@ -124,66 +124,47 @@ def node_phis(groups, y):
 class RowStack:
     """Row blocks of one partition's nodes, stacked once and shared.
 
-    A and groups are the :func:`deal_rows` of the block and mu the ridge
-    each node adds, so the Gram parts A_v'(A_v x_v) of every node's
-    Q_v x_v = A_v'(A_v x_v) + mu x_v come from one batched matmul pair over
-    A, the second one on row vectors, (A_v x_v)' A_v.  ops[v] is node v's
-    operator, the :meth:`~stvo.core.SliceOperator.grams` of its unpadded
-    slab.
+    A and groups are the :func:`deal_rows` of data's rows, or dealt, the
+    pair of rows already dealt, such as a run's views of a stream-wide
+    deal; mu is the ridge each node adds.  So the Gram parts A_v'(A_v x_v)
+    of every node's Q_v x_v = A_v'(A_v x_v) + mu x_v come from one batched
+    matmul pair over A, the second one on row vectors, (A_v x_v)' A_v.
+    ops[v] is node v's operator, the
+    :meth:`~stvo.core.SliceOperator.grams` of its unpadded slab.
     """
 
     __slots__ = ("A", "groups", "mu", "ops")
 
-    def __init__(self, data, n_nodes):
-        self._hold(*deal_rows(data.A, n_nodes), data.mu / n_nodes)
-
-    @classmethod
-    def _dealt(cls, A, groups, mu):
-        """Stack of rows already dealt, such as one block of a stream-wide
-        :func:`deal_rows`, whose views it holds."""
-        out = object.__new__(cls)
-        out._hold(A, groups, mu)
-        return out
-
-    def _hold(self, A, groups, mu):
-        self.A, self.groups, self.mu = A, groups, mu
-        self.ops = [op for slabs in groups if len(slabs)
+    def __init__(self, data, n_nodes, dealt=None):
+        self.A, self.groups = (deal_rows(data.A, n_nodes) if dealt is None
+                               else dealt)
+        self.mu = mu = data.mu / n_nodes
+        self.ops = [op for slabs in self.groups if len(slabs)
                     for op in SliceOperator.grams(slabs, [mu] * len(slabs))]
 
     def nodes(self, y):
-        """The nodes of a slice with measurements y: phi_v = -A_v'y_v, so
-        the node data sum back to the centralized elastic-net slice."""
-        return self.with_phis(node_phis(self.groups, y))
-
-    def with_phis(self, phis):
-        """The nodes with the (|V|, n) linear terms phis, as :meth:`nodes`
-        returns them."""
-        return [NodeData(op, p, self) for op, p in zip(self.ops, phis)]
+        """The node data of a slice with measurements y: phi_v = -A_v'y_v,
+        so the node data sum back to the centralized elastic-net slice."""
+        return NodeData(self, node_phis(self.groups, y))
 
 
+@dataclass(eq=False)
 class NodeData:
-    """Private quadratic data of one node: 0.5 x'Q x + phi'x.
-
-    Built by :meth:`RowStack.nodes`: the quadratic term is node v's
-    :class:`~stvo.core.SliceOperator` ``op`` in the shared ``stack``.
+    """Private quadratic data of the nodes on one slice: node v's
+    0.5 x'Q_v x + phi_v'x, Q_v the operator ``stack.ops[v]`` of the run's
+    :class:`RowStack` and phi_v the row ``phis[v]`` of the (|V|, n) linear
+    terms.  Its length is the node count, and iterating it yields the
+    operators in node order.
     """
 
-    __slots__ = ("op", "phi", "stack")
+    stack: RowStack
+    phis: np.ndarray
 
-    def __init__(self, op, phi, stack):
-        self.op, self.phi, self.stack = op, phi, stack
+    def __len__(self):
+        return len(self.stack.ops)
 
-    @property
-    def Q(self):
-        return self.op.Q
-
-    @property
-    def n(self):
-        return self.phi.shape[0]
-
-    @property
-    def lambda_max(self):
-        return self.op.eig_extremes()[1]
+    def __iter__(self):
+        return iter(self.stack.ops)
 
 
 @dataclass
@@ -249,17 +230,13 @@ def _as_node_tau(tau, n_nodes):
     return tau
 
 
-def _stack_of(data, n_nodes):
-    """The :class:`RowStack` whose ``nodes(y)`` data is, one per node of
-    n_nodes and in order, or a ValueError.  Operators are compared by
-    identity, which costs one pointer test per node and forms no Q_v."""
-    if len(data) != n_nodes:
-        raise ValueError("one NodeData per node required")
-    stack = data[0].stack
-    if (stack is None or len(stack.ops) != n_nodes
-            or any(nd.op is not op for nd, op in zip(data, stack.ops))):
-        raise ValueError("node data must be one RowStack's nodes(y), in order")
-    return stack
+def _check_nodes(data, n_nodes):
+    """A ValueError unless data is a :class:`NodeData` of n_nodes nodes
+    whose phis are (|V|, n)."""
+    if not (isinstance(data, NodeData) and len(data) == n_nodes
+            and data.phis.shape == (n_nodes, data.stack.A.shape[2])):
+        raise ValueError(f"node data must be a NodeData of {n_nodes} nodes "
+                         "with (|V|, n) phis")
 
 
 # The form rule of an odista pair.  Before its shrink a pair is linear in
@@ -321,7 +298,8 @@ class OdistaRound(_Round):
 
     def start(self, data, tau, state):
         n_nodes = self.graph.n_nodes
-        stack = _stack_of(data, n_nodes)
+        _check_nodes(data, n_nodes)
+        stack = data.stack
         if not 0.0 < self.lam < np.inf:
             raise ValueError(f"lam must be finite and positive, got {self.lam}")
         if state.X.shape != (n_nodes, stack.A.shape[2]):
@@ -329,8 +307,7 @@ class OdistaRound(_Round):
         h = _as_node_tau(tau, n_nodes).reshape(-1, 1) / 2.0
         self._A, self._h = stack.A, h[:, :, None]
         # the shrink bounds b -+ lam h, b = h phi
-        b = np.array([nd.phi for nd in data])
-        b *= h
+        b = np.multiply(data.phis, h)
         thr = self.lam * h
         lo = np.subtract(b, thr)
         # M = W2/2 + diag(1/2 - h mu), the diagonal added through a view
@@ -407,11 +384,11 @@ def theta_tau(data, tau):
     ((1 + theta) / 2)^(p/2).  |1 - tau_v lambda| is convex in lambda, so the
     extreme eigenvalues of Q_v, cached in its operator, attain the max.
     """
-    _stack_of(data, len(data))
+    _check_nodes(data, len(data))
     tau = _as_node_tau(tau, len(data))
     worst = 0.0
-    for t, nd in zip(tau, data):
-        sigma, beta = nd.op.eig_extremes()
+    for t, op in zip(tau, data):
+        sigma, beta = op.eig_extremes()
         worst = max(worst, (1.0 - t * sigma) ** 2, (1.0 - t * beta) ** 2)
     return float(worst)
 

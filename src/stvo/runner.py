@@ -16,12 +16,13 @@ import numpy as np
 
 from . import metrics, scenarios
 from .core import elastic_net_slices
-from .distributed import (NetworkState, OdistaRound, RowStack, deal_rows,
-                          node_phis, odista_round, radius_graph, ring_graph)
+from .distributed import (NetworkState, NodeData, OdistaRound, RowStack,
+                          deal_rows, node_phis, odista_round, radius_graph,
+                          ring_graph)
 from .metrics import RunTrace
-from .solvers import (OdrRound, OistRound, OnlineConfig, initial_state,
-                      odr_round, oist_round, oracle_minimizer,
-                      stream_warm_starts)
+from .solvers import (OdrRound, OistRound, OnlineConfig,
+                      _lockstep_feature_sign, initial_state, odr_round,
+                      oist_round, oracle_minimizer)
 
 ALGORITHMS = ("oist", "odr", "odista")
 
@@ -153,13 +154,14 @@ def odista_taus(blocks, n_nodes, rule):
 
 
 def partition_stream(blocks, n_nodes):
-    """Per-round node data lists.
+    """Per-round :class:`~stvo.distributed.NodeData`, one per slice.
 
     The slices of one shared run share its node partition, a
     :class:`~stvo.distributed.RowStack`: only the linear terms are rebuilt.
     A batch of runs is dealt to the nodes at once, each run's stack a view
     of that deal, and the phi_v of the j-th slices of its runs come from one
-    :func:`~stvo.distributed.node_phis`, so no array grows with a run's
+    :func:`~stvo.distributed.node_phis`, whose row for the run a slice's
+    node data holds without a copy, so no array grows with a run's
     length: one 6 MB array for the 34 slices of an rss run, in place of
     their 34 arrays of 180 KB, raised the process's peak RSS by 0.85 MiB.
     """
@@ -169,9 +171,9 @@ def partition_stream(blocks, n_nodes):
                 for j in range(len(runs[0]))]
         out = []
         for i, run in enumerate(runs):
-            rows = RowStack._dealt(stack[i], tuple(g[i] for g in groups),
-                                   run[0].mu / n_nodes)
-            out.append([rows.with_phis(phi[i]) for phi in phis])
+            rows = RowStack(run[0], n_nodes,
+                            (stack[i], tuple(g[i] for g in groups)))
+            out.append([NodeData(rows, phi[i]) for phi in phis])
         return out
 
     _, nodes = _batched_runs(blocks, build)
@@ -215,19 +217,22 @@ def stream_oracles(problems, opt_tol=1e-8):
     """Reference minimizers and fixed points of every slice.
 
     Every slice gets its own certified :func:`oracle_minimizer` call, in
-    stream order, started where :func:`stream_warm_starts` says:
-    on a stream of small dense slices from the sign pattern one lockstep
-    feature-sign search over all of them found, otherwise from the previous
-    slice's minimizer.  x* is the reduced solve on the final sign pattern of
-    the call's search, so the start changes the cost, not the answer.
+    stream order, started from its sign pattern where the stream's lockstep
+    feature-sign search finished it, otherwise from the previous slice's
+    minimizer.  x* is the reduced solve on the final pattern of the call's
+    own search, or its fallback's polish on the pattern that finds, so the
+    start changes the cost, not the bits.  The start is the pattern, not the
+    point the search reached: a start that already certifies is what the
+    fallback hands back, and a pattern certifies only where the minimizer
+    is zero.
     """
     xs = np.empty((len(problems), problems[0].n))
     zs = np.empty_like(xs)
-    start = stream_warm_starts(problems)
+    pattern, done = _lockstep_feature_sign(problems)
     for t, p in enumerate(problems):
-        xs[t], zs[t] = oracle_minimizer(
-            p, max_iter=200000, opt_tol=opt_tol,
-            initial=start(t, xs[t - 1] if t else None))
+        start = pattern[t] if done[t] else xs[t - 1] if t else None
+        xs[t], zs[t] = oracle_minimizer(p, max_iter=200000, opt_tol=opt_tol,
+                                        initial=start)
     return xs, zs
 
 

@@ -34,6 +34,14 @@ def substream(seed, tag, *indices):
 # Time-varying ARX identification
 # ---------------------------------------------------------------------------
 
+def _check_snr_db(snr_db):
+    """A ValueError below snr_db = -3080, where the noise power ratio
+    10^(-snr_db/10) that the builders form exceeds 1e308."""
+    if not snr_db >= -3080.0:
+        raise ValueError(f"snr_db={snr_db} is below -3080, where the noise "
+                         "power ratio 10^(-snr_db/10) overflows")
+
+
 @dataclass
 class TvarxConfig:
     """First-order time-varying ARX scenario, overparameterized on purpose.
@@ -66,6 +74,7 @@ class TvarxConfig:
         if self.n_blocks < 1:
             raise ValueError(
                 "the horizon must hold at least one block of m samples")
+        _check_snr_db(self.snr_db)
 
     @property
     def n(self):
@@ -253,6 +262,7 @@ class RssConfig:
         if not 0 < 8 * self.n_meas * cells <= MAX_DICTIONARY_BYTES:
             raise ValueError(f"a {self.n_meas} x {cells:.3g} dictionary is "
                              f"empty or over {MAX_DICTIONARY_BYTES >> 20} MiB")
+        _check_snr_db(self.snr_db)
 
     @property
     def cells_per_side(self):
@@ -418,6 +428,7 @@ class SyntheticConfig:
             raise ValueError("scenario dimensions must be positive")
         if self.lam <= 0 or self.mu <= 0:
             raise ValueError("lam and mu must be positive")
+        _check_snr_db(self.snr_db)
 
 
 def synthetic_stream(cfg):

@@ -8,8 +8,8 @@ linearly on the auxiliary sequence; the thresholded-gradient family
 once, then steps the one loop of :class:`stvo.core._Round`.
 ``oracle_minimizer`` certifies each slice's minimizer: a warm-started
 feature-sign search whose answer is an exact reduced solve, restarted FISTA
-where that does not certify; ``stream_warm_starts`` picks the start of each
-slice's call on a stream.
+where that does not certify; ``_lockstep_feature_sign`` finds warm starts
+for a whole stream of small dense slices at once.
 """
 
 import warnings
@@ -364,7 +364,9 @@ def _lockstep_feature_sign(problems):
     """Warm starts for the oracle calls of a stream of dense slices: the
     feature-sign search from the cold start, run on every slice at once.
     Returns the (T, n) sign patterns reached, -1, 0 or +1 per coordinate,
-    and the (T,) mask of the slices whose search finished.
+    and the (T,) mask of the slices whose search finished.  It runs on
+    dense slices of n at most _LOCKSTEP_N, below _POLISH_CAP, so no support
+    outgrows the cap; elsewhere it finishes no slice, patterns None.
 
     Each step makes one batched solve over the live slices, their systems
     written into one buffer: a slice's Q with unit columns on its zero set.
@@ -378,16 +380,16 @@ def _lockstep_feature_sign(problems):
     than in :func:`_feature_sign`'s reduced solves, so this is a heuristic
     whose pattern only starts the slice's own search:
     from a right pattern that search makes one reduced solve and returns.
-    :func:`stream_warm_starts` keeps n at most _LOCKSTEP_N, below
-    _POLISH_CAP, so no support outgrows the cap.
     """
+    T, n = len(problems), problems[0].n
+    done = np.zeros(T, dtype=bool)
+    if n > _LOCKSTEP_N or any(p.op.factored for p in problems):
+        return None, done
     Qs = [p.Q for p in problems]
     phi = np.stack([p.phi for p in problems])
     lam = np.array([p.lam for p in problems])
-    T, n = phi.shape
     # a slice's active set is where its sign is nonzero
     x, sign = np.zeros((T, n)), np.zeros((T, n))
-    done = np.zeros(T, dtype=bool)
     systems = np.empty((T, n, n))
 
     def advance(live):
@@ -428,33 +430,6 @@ def _lockstep_feature_sign(problems):
             break
         live = advance(live)
     return sign, done
-
-
-def stream_warm_starts(problems):
-    """The warm start of every slice's :func:`oracle_minimizer` call on a
-    stream, as a function start(t, previous) of the slice's index and the
-    previous slice's minimizer (None before the first slice).
-
-    When every slice is dense and n is at most _LOCKSTEP_N, one
-    :func:`_lockstep_feature_sign` runs over the stream first, and a slice
-    whose search it finished starts from its sign pattern.  Every other
-    slice starts from the previous minimizer, as when each slice searches
-    alone.  The call's answer is the reduced solve on the final pattern of
-    its own search, or its fallback's polish on the pattern that finds, so
-    the start changes the cost, not the bits.  The pattern, not the point
-    the batch reached, is the start: a start that already certifies is what
-    the fallback hands back, and a pattern certifies only where the
-    minimizer is zero.
-    """
-    pattern, done = None, np.zeros(len(problems), dtype=bool)
-    if problems[0].n <= _LOCKSTEP_N and not any(p.op.factored
-                                                for p in problems):
-        pattern, done = _lockstep_feature_sign(problems)
-
-    def start(t, previous):
-        return pattern[t] if done[t] else previous
-
-    return start
 
 
 def _fista_polish(problem, x, target, max_iter):

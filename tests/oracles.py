@@ -257,12 +257,12 @@ def consensus_problem(data, lam):
     phi = sum phi_v and an l1 weight of |V| * lam.  Q is A'A of the stack's
     padded rows, taken as one block, plus the summed ridge, so no node forms
     its dense Q_v; that sums in another order than the Q_v and agrees with
-    their sum to rounding.  data is one RowStack's nodes(y), in order.
+    their sum to rounding.  data is one slice's NodeData.
     """
-    stack = data[0].stack
+    stack = data.stack
     rows = stack.A.reshape(-1, stack.A.shape[2])
     Q = rows.T @ rows + len(data) * stack.mu * np.eye(rows.shape[1])
-    phi = sum(nd.phi for nd in data)
+    phi = sum(data.phis)
     return QuadraticL1Problem(Q, phi, len(data) * lam)
 
 

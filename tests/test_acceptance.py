@@ -248,7 +248,7 @@ def test_distributed_solver_reaches_consensus_on_a_static_problem():
     worst_center = 0.0
     for seed in range(5):
         data = _static_network(seed)
-        taus = [0.25 / nd.lambda_max for nd in data]
+        taus = [0.25 / op.eig_extremes()[1] for op in data]
         state = odista_round(NetworkState.zeros(6, 4), graph, data,
                              lam_node, taus, 2000)
         X = state.X
@@ -308,7 +308,7 @@ def test_distributed_rounds_contract_the_network_error_at_the_damped_rate():
                                       [tau] * 4)
         for y in ys:
             data = stack.nodes(y)
-            lifted = base.with_phi(np.concatenate([nd.phi for nd in data]))
+            lifted = base.with_phi(np.concatenate(data.phis))
             x_star = oracle_minimizer(lifted)[0].reshape(4, 6)
             theta = theta_tau(data, tau)
             factor = ((1.0 + theta) / 2.0) ** (r / 2.0)
@@ -339,8 +339,8 @@ def test_network_objective_is_monotone_across_inner_iterations():
 
         def objective(X, data):
             return oracles.direct_global_objective(
-                X.T, neighbor_lists, [nd.Q for nd in data],
-                [nd.phi for nd in data], lam_node, [tau] * n_nodes)
+                X.T, neighbor_lists, [op.Q for op in data],
+                list(data.phis), lam_node, [tau] * n_nodes)
 
         for y in ys:
             data = stack.nodes(y)

@@ -278,6 +278,24 @@ def test_config_refuses_keys_set_elsewhere(tmp_path, capsys, scenario, key,
     assert not out.exists()
 
 
+# 10^(-snr_db/10) overflows a float below snr_db = -3082.5; the config
+# refuses such a value before a builder raises OverflowError.
+@pytest.mark.parametrize("scenario", ["exp1", "exp2", "rss", "synthetic"])
+def test_config_refuses_an_snr_whose_noise_ratio_overflows(tmp_path, capsys,
+                                                          scenario):
+    cfg = write_cfg(tmp_path, "snr_db = -7000\n")
+    out = tmp_path / "out"
+    for command in ("run", "check"):
+        argv = [command, "--scenario", scenario, "--config", cfg]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "snr_db" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("budget", ["inf", "nan", "0", "-1"])
 def test_run_refuses_a_budget_that_is_not_finite_and_positive(
         tmp_path, capsys, monkeypatch, budget):

@@ -12,6 +12,7 @@ from stvo.core import ElasticNetData, QuadraticL1Problem
 from stvo.distributed import (
     Graph,
     NetworkState,
+    NodeData,
     OdistaRound,
     RowStack,
     odista_round,
@@ -80,7 +81,7 @@ def lifted_network_problem(graph, data, lam, taus):
     is an independent reference for the distributed fixed point.
     """
     V = graph.n_nodes
-    n = data[0].n
+    n = data.phis.shape[1]
     K = np.zeros((V, V))
     for v in range(V):
         d_v = len(graph.neighbors[v])
@@ -90,8 +91,8 @@ def lifted_network_problem(graph, data, lam, taus):
                 ell[u] += 1.0 / len(graph.neighbors[w])
             ell[v] -= 1.0
             K += np.outer(ell, ell) / (d_v * taus[v])
-    Q = scipy.linalg.block_diag(*[nd.Q for nd in data]) + np.kron(K, np.eye(n))
-    phi = np.concatenate([nd.phi for nd in data])
+    Q = scipy.linalg.block_diag(*[op.Q for op in data]) + np.kron(K, np.eye(n))
+    phi = np.concatenate(data.phis)
     return QuadraticL1Problem((Q + Q.T) / 2.0, phi, lam)
 
 
@@ -368,7 +369,7 @@ def test_odd_step_matches_literal_transcription():
     out = odista_round(state, g, data, lam=0.2, tau=taus, r=2)
     C = column_local_means(X, neighbor_lists(g))
     ref = direct_odd_step(X, C, neighbor_lists(g),
-                          [nd.Q for nd in data], [nd.phi for nd in data],
+                          [op.Q for op in data], list(data.phis),
                           0.2, taus)
     assert_relatively_close(out.X.T, ref, X)
 
@@ -389,7 +390,8 @@ def test_odd_step_synchronous_reads_pre_step_state():
     for v in reversed(range(4)):
         x = X[:, v]
         cbar = mean_of_columns(C, list(g.neighbors[v]))
-        arg = (x + cbar - tau * (data[v].Q @ x) - tau * data[v].phi) / 2.0
+        arg = (x + cbar - tau * (data.stack.ops[v].Q @ x)
+               - tau * data.phis[v]) / 2.0
         X_rev[:, v] = soft_vector(arg, 0.3 * tau / 2.0)
     assert_relatively_close(out.X.T, X_rev, X)
 
@@ -412,7 +414,7 @@ def test_round_of_two_is_even_then_odd():
     out = odista_round(state, g, data, lam=0.2, tau=0.05, r=2)
     C = column_local_means(X, neighbor_lists(g))
     ref = direct_odd_step(X, C, neighbor_lists(g),
-                          [nd.Q for nd in data], [nd.phi for nd in data],
+                          [op.Q for op in data], list(data.phis),
                           0.2, [0.05] * 4)
     # the round reads W2 X where the literal steps fold the means twice
     assert_relatively_close(out.X.T, ref, X)
@@ -440,38 +442,23 @@ def test_half_steps_reject_non_finite_or_non_positive_steps_and_weights():
 
 
 def node_data_callers(g, state):
-    """Every entry point that reads a node list, as calls on one list."""
+    """Every entry point that reads node data, as calls on one slice's
+    NodeData, with a step size for each node of g."""
+    tau = np.full(g.n_nodes, 0.05)
     return [
-        lambda data: odista_round(state, g, data, 0.2, 0.05, 2),
-        lambda data: OdistaRound(g, 0.2).start(data, 0.05, state),
-        lambda data: theta_tau(data, 0.05),
+        lambda data: odista_round(state, g, data, 0.2, tau, 2),
+        lambda data: OdistaRound(g, 0.2).start(data, tau, state),
+        lambda data: theta_tau(data, tau),
     ]
 
 
-def test_node_lists_out_of_partition_order_are_refused():
-    g = ring4()
-    rng = np.random.default_rng(48)
+def test_node_data_iterates_its_stack_operators_in_node_order():
+    rng = np.random.default_rng(52)
     data = random_node_data(rng, 3, 4)
-    state = NetworkState(rng.standard_normal((3, 4)).T)
-    for call in node_data_callers(g, state):
-        call(data)
-        with pytest.raises(ValueError, match="in order"):
-            call(data[::-1])
-
-
-def test_node_lists_mixing_two_partitions_are_refused():
-    g = ring4()
-    rng = np.random.default_rng(49)
-    rows = [rng.standard_normal((3, 3)) for _ in range(4)]
-    ys = [rng.standard_normal(3) for _ in rows]
-    # the same rows dealt twice: equal node data from two stacks
-    data = nodes_from_rows(rows, ys, 0.05)
-    twin = nodes_from_rows(rows, ys, 0.05)
-    state = NetworkState(rng.standard_normal((3, 4)).T)
-    for call in node_data_callers(g, state):
-        call(twin)
-        with pytest.raises(ValueError, match="in order"):
-            call(data[:2] + twin[2:])
+    assert len(data) == 4 and data.phis.shape == (4, 3)
+    ops = list(data)
+    assert len(ops) == 4
+    assert all(op is want for op, want in zip(ops, data.stack.ops))
 
 
 def test_short_node_lists_are_refused():
@@ -480,14 +467,37 @@ def test_short_node_lists_are_refused():
     data = random_node_data(rng, 3, 4)
     state = NetworkState(rng.standard_normal((3, 4)).T)
     for call in node_data_callers(g, state):
+        call(data)
         with pytest.raises(ValueError):
-            call(data[:3])
-    # three nodes of a four-node partition on a three-node graph
+            call(random_node_data(rng, 3, 3))
+    # four nodes' data on a three-node graph
     g3 = ring_graph(3, 3)
     state3 = NetworkState(state.X[:3])
     for call in node_data_callers(g3, state3):
-        with pytest.raises(ValueError, match="in order"):
-            call(data[:3])
+        with pytest.raises(ValueError):
+            call(data)
+
+
+def test_node_data_with_phis_of_another_shape_are_refused():
+    g = ring4()
+    rng = np.random.default_rng(49)
+    data = random_node_data(rng, 3, 4)
+    state = NetworkState(rng.standard_normal((3, 4)).T)
+    for phis in (data.phis[:3], data.phis[:, :2], data.phis.T, data.phis[0]):
+        for call in node_data_callers(g, state):
+            with pytest.raises(ValueError, match="phis"):
+                call(NodeData(data.stack, phis))
+
+
+def test_plain_node_lists_are_refused():
+    g = ring4()
+    rng = np.random.default_rng(48)
+    data = random_node_data(rng, 3, 4)
+    state = NetworkState(rng.standard_normal((3, 4)).T)
+    for plain in (list(data), list(zip(data, data.phis))):
+        for call in node_data_callers(g, state):
+            with pytest.raises(ValueError, match="must be a NodeData"):
+                call(plain)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +514,8 @@ FIXED_POINT_PAIRS = 1500
 def run_to_fixed_point(g, data, lam, tau, tol):
     """FIXED_POINT_PAIRS pairs from zeros, plus one pair whose X increment
     must stay within tol."""
-    state = odista_round(NetworkState.zeros(data[0].n, g.n_nodes), g, data,
-                         lam, tau, 2 * FIXED_POINT_PAIRS)
+    state = odista_round(NetworkState.zeros(data.phis.shape[1], g.n_nodes),
+                         g, data, lam, tau, 2 * FIXED_POINT_PAIRS)
     nxt = odista_round(state, g, data, lam, tau, 2)
     assert float(np.linalg.norm(nxt.X - state.X)) <= tol
     return nxt
@@ -536,7 +546,7 @@ def test_batch_dista_consensus_on_consistent_data():
         rows.append(A)
         ys.append(A @ x_true + 1e-7 * rng.standard_normal(8))
     data = nodes_from_rows(rows, ys, 1e-12)
-    taus = [0.25 / nd.lambda_max for nd in data]
+    taus = [0.25 / op.eig_extremes()[1] for op in data]
     state = run_to_fixed_point(g, data, 1e-5, taus, tol=1e-13)
     spread = max(np.linalg.norm(state.X[i] - state.X[j])
                  for i in range(4) for j in range(4))
@@ -546,8 +556,8 @@ def test_batch_dista_consensus_on_consistent_data():
 def global_objective(X, g, data, lam, tau):
     """The network objective of the node-major X, the direct summation."""
     return direct_global_objective(X.T, neighbor_lists(g),
-                                   [nd.Q for nd in data],
-                                   [nd.phi for nd in data], lam,
+                                   [op.Q for op in data],
+                                   list(data.phis), lam,
                                    np.broadcast_to(tau, len(data)))
 
 
@@ -564,8 +574,8 @@ def test_global_objective_consensus_reduces_to_sum_of_locals():
     x = rng.standard_normal(5)
     X = np.tile(x, (4, 1))
     lam = 0.3
-    expect = sum(0.5 * x @ (nd.Q @ x) + nd.phi @ x + lam * np.abs(x).sum()
-                 for nd in data)
+    expect = sum(0.5 * x @ (op.Q @ x) + phi @ x + lam * np.abs(x).sum()
+                 for op, phi in zip(data, data.phis))
     assert global_objective(X, g, data, lam, 0.1) == pytest.approx(
         expect, rel=1e-12)
 
@@ -574,7 +584,7 @@ def test_batch_descent_on_regular_graph():
     g = ring4()
     rng = np.random.default_rng(44)
     data = random_node_data(rng, 5, 4)
-    tau = 0.5 / max(nd.lambda_max for nd in data)
+    tau = 0.5 / max(op.eig_extremes()[1] for op in data)
     lam = 0.2
     state = NetworkState.zeros(5, 4)
     prev = global_objective(state.X, g, data, lam, tau)
@@ -637,8 +647,8 @@ def test_consensus_problem_aggregates_node_data():
     rng = np.random.default_rng(45)
     data = random_node_data(rng, 4, 3)
     p = consensus_problem(data, 0.1)
-    np.testing.assert_allclose(p.Q, sum(nd.Q for nd in data))
-    np.testing.assert_allclose(p.phi, sum(nd.phi for nd in data))
+    np.testing.assert_allclose(p.Q, sum(op.Q for op in data))
+    np.testing.assert_allclose(p.phi, sum(data.phis))
     assert p.lam == pytest.approx(0.3)
 
 

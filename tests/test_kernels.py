@@ -46,6 +46,7 @@ from stvo.distributed import (
     LIFT_MAX,
     Graph,
     NetworkState,
+    NodeData,
     OdistaRound,
     RowStack,
     odista_round,
@@ -309,8 +310,8 @@ def test_factored_descent_matches_dense_node_data(seed, n, n_nodes, extra_rows,
     neighbor_lists = [list(a) for a in g.neighbors]
     # the node operators answer from their own form: eigenvalues of the
     # k_v x k_v Gram matrix, A_v'(A_v x) + mu_v x
-    for nd, e in zip(factored, eigs):
-        assert abs(nd.lambda_max - e[-1]) <= 1e-12 * e[-1]
+    for op, e in zip(factored, eigs):
+        assert abs(op.eig_extremes()[1] - e[-1]) <= 1e-12 * e[-1]
     # theta is a max of (1 - tau lambda)^2 with tau lambda <= 1: the rounding
     # of 1 - tau lambda is on the scale of 1, so theta is held to 1e-12 on
     # the scale max(1, theta)
@@ -325,21 +326,17 @@ def test_factored_descent_matches_dense_node_data(seed, n, n_nodes, extra_rows,
                                    dense_column_products(Qs), phis, lam,
                                    taus, r)
     assert_relatively_close(out.X.T, ref_X, X)
-    if n_nodes > 1:
-        # the same nodes in another order are not one partition
-        with pytest.raises(ValueError, match="in order"):
-            odista_round(state, g, factored[::-1], lam, taus, r)
 
 
 def column_round(state, graph, data, lam, taus, r):
     """The column-major reference round on a node partition's shared stack,
     run on the columns state.X.T; returns its X transposed back to
     node-major rows."""
-    stack = data[0].stack
+    stack = data.stack
     X, _ = column_odista_round(
         state.X.T, [list(a) for a in graph.neighbors],
         stack_column_products(stack.A, stack.mu),
-        [nd.phi for nd in data], lam, taus, r)
+        list(data.phis), lam, taus, r)
     return X.T
 
 
@@ -363,7 +360,7 @@ def test_node_major_round_is_the_column_major_round(
     block = random_block(rng, n_nodes + extra_rows, n)
     g = random_graph(rng, n_nodes, max_degree)
     data = RowStack(block, n_nodes).nodes(block.y)
-    taus = np.array([step / nd.lambda_max for nd in data])
+    taus = np.array([step / op.eig_extremes()[1] for op in data])
     state = NetworkState(rng.standard_normal((n, n_nodes)).T)
     out = odista_round(state, g, data, lam, taus, r)
     X = column_round(state, g, data, lam, taus, r)
@@ -381,7 +378,7 @@ def test_rss_shaped_rounds_and_actions_are_the_column_major_ones(r):
     blocks = [ElasticNetData(A=A, y=rng.standard_normal(144), lam=0.1,
                              mu=0.05) for _ in range(3)]
     node_stream = partition_stream(blocks, 36)
-    assert node_stream[0][0].stack.A.shape == (36, 4, 625)
+    assert node_stream[0].stack.A.shape == (36, 4, 625)
     taus = odista_taus(blocks, 36, "per_node")
     lam = 0.1 / 36
     played = play_odista(node_stream, g, lam, taus, r, 625)
@@ -551,7 +548,7 @@ def test_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
     block = random_block(rng, n_nodes + extra_rows, n)
     g = random_graph(rng, n_nodes, max_degree)
     data = RowStack(block, n_nodes).nodes(block.y)
-    taus = np.array([step / nd.lambda_max for nd in data])
+    taus = np.array([step / op.eig_extremes()[1] for op in data])
     state = NetworkState(rng.standard_normal((n, n_nodes)).T)
     rnd = OdistaRound(g, lam).start(data, taus, state)
     done = 0
@@ -593,7 +590,7 @@ def test_lifted_rounds_are_the_batched_rounds(
     block = random_block(rng, n_nodes + extra_rows, n)
     g = random_graph(rng, n_nodes, max_degree)
     data = RowStack(block, n_nodes).nodes(block.y)
-    taus = np.array([step / nd.lambda_max for nd in data])
+    taus = np.array([step / op.eig_extremes()[1] for op in data])
     state = NetworkState(rng.standard_normal((n, n_nodes)).T)
     out = odista_round(state, g, data, lam, taus, r)
     ref = batched_round(state, g, data, lam, taus, r)
@@ -725,7 +722,7 @@ def test_odista_rounds_never_alias_caller_or_returned_states(shape):
     rng = np.random.default_rng(14)
     g, block, data, tau = odista_inputs(rng, shape)
     lam = block.lam / g.n_nodes
-    phis = [nd.phi.copy() for nd in data]
+    phis = data.phis.copy()
     X0 = rng.standard_normal((block.n, g.n_nodes)).T
     state = NetworkState(X0.copy())
     rnd = OdistaRound(g, lam).start(data, tau, state)
@@ -738,8 +735,7 @@ def test_odista_rounds_never_alias_caller_or_returned_states(shape):
     assert not np.array_equal(end_X, mid_X)
     np.testing.assert_array_equal(state.X, X0)
     np.testing.assert_array_equal(mid.X, mid_X)
-    for nd, phi in zip(data, phis):
-        np.testing.assert_array_equal(nd.phi, phi)
+    np.testing.assert_array_equal(data.phis, phis)
     # the one-shot round leaves its input as it is too
     odista_round(state, g, data, lam, tau, 10)
     np.testing.assert_array_equal(state.X, X0)
@@ -860,7 +856,7 @@ def test_weight_matrix_and_pair_map_match_the_literal_rounds(
     Qs, phis = dense_nodes(block, n_nodes)
     taus = np.array([step / np.linalg.eigvalsh(Q)[-1] for Q in Qs])
     state = NetworkState(rng.standard_normal((n, n_nodes)).T)
-    stack = data[0].stack
+    stack = data.stack
     # the kernel against the column-major round on either product rule
     for products in (stack_column_products(stack.A, stack.mu),
                      dense_column_products(Qs)):
@@ -887,7 +883,7 @@ def test_consensus_q_of_a_partition_is_the_node_sum_without_dense_q_v(
     np.testing.assert_array_equal(p.phi, sum(phis))
     assert p.lam == n_nodes * 0.1
     # a factored node operator is still unformed
-    assert all(nd.op._Q is None for nd in nodes if nd.op.factored)
+    assert all(op._Q is None for op in nodes if op.factored)
 
 
 @SETTINGS
@@ -897,10 +893,11 @@ def test_lazy_node_q_is_the_dense_formula_bitwise(seed, n, n_nodes, extra_rows):
     rng = np.random.default_rng(seed)
     block = random_block(rng, n_nodes + extra_rows, n)
     nodes = RowStack(block, n_nodes).nodes(block.y)
-    for nd, Q, phi in zip(nodes, *dense_nodes(block, n_nodes)):
-        np.testing.assert_array_equal(nd.Q, Q)
-        np.testing.assert_array_equal(nd.phi, phi)
-        assert nd.Q is nd.Q
+    for op, phi_v, Q, phi in zip(nodes, nodes.phis,
+                                 *dense_nodes(block, n_nodes)):
+        np.testing.assert_array_equal(op.Q, Q)
+        np.testing.assert_array_equal(phi_v, phi)
+        assert op.Q is op.Q
 
 
 @SETTINGS
@@ -927,12 +924,13 @@ def test_row_deal_is_the_node_by_node_build_bitwise(seed, n, n_nodes,
     assert len(slabs) == n_nodes
     mu_v = block.mu / n_nodes
     nodes = stack.nodes(block.y)
-    for v, (slab, nd, phi) in enumerate(
-            zip(slabs, nodes, loop_node_phis(block.A, block.y, n_nodes))):
+    for v, (slab, op, phi_v, phi) in enumerate(
+            zip(slabs, nodes, nodes.phis,
+                loop_node_phis(block.A, block.y, n_nodes))):
         A_v = ref[v, :rows[v].size]
         assert_bitwise_equal(slab, A_v)
-        assert_bitwise_equal(nd.phi, phi)
-        assert_bitwise_equal(nd.Q, A_v.T @ A_v + mu_v * np.eye(n))
+        assert_bitwise_equal(phi_v, phi)
+        assert_bitwise_equal(op.Q, A_v.T @ A_v + mu_v * np.eye(n))
 
 
 def test_slices_of_one_sensing_matrix_share_the_row_stack():
@@ -941,17 +939,33 @@ def test_slices_of_one_sensing_matrix_share_the_row_stack():
     blocks = [ElasticNetData(A=A, y=rng.standard_normal(7), lam=0.1, mu=0.2)
               for _ in range(4)]
     stream = partition_stream(blocks, 3)
-    stack = stream[0][0].stack
+    stack = stream[0].stack
     assert stack.A.shape == (3, 3, 5)
     for t, nodes in enumerate(stream):
-        assert all(nd.op is op for nd, op in zip(nodes, stack.ops))
-        assert all(nd.stack is stack for nd in nodes)
-        other = stack.nodes(np.ones(7))[1]
+        assert nodes.stack is stack
+        other = stack.nodes(np.ones(7))
         assert other.stack.A is stack.A
         # a dense Q read on one slice serves every slice
-        assert other.Q is stream[0][1].Q
-        for nd, phi in zip(nodes, dense_nodes(blocks[t], 3)[1]):
-            np.testing.assert_array_equal(nd.phi, phi)
+        assert list(other)[1].Q is list(stream[0])[1].Q
+        for phi_v, phi in zip(nodes.phis, dense_nodes(blocks[t], 3)[1]):
+            np.testing.assert_array_equal(phi_v, phi)
+
+
+def test_the_slices_of_one_shared_run_hold_one_stack():
+    rng = np.random.default_rng(53)
+    A, B = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
+    # two runs of three blocks, of one shape: one batch
+    blocks = [ElasticNetData(A=M, y=rng.standard_normal(6), lam=0.1, mu=0.2)
+              for M in (A, A, A, B, B, B)]
+    stream = partition_stream(blocks, 2)
+    assert all(type(data) is NodeData and len(data) == 2 for data in stream)
+    assert all(data.stack is stream[0].stack for data in stream[:3])
+    assert all(data.stack is stream[3].stack for data in stream[3:])
+    assert stream[0].stack is not stream[3].stack
+    # the j-th slices of both runs hold rows of one node_phis, not copies
+    for j in range(3):
+        base = stream[j].phis.base
+        assert base is not None and stream[3 + j].phis.base is base
 
 
 def test_every_slice_of_a_stream_gets_the_data_of_its_own_block():
@@ -974,10 +988,11 @@ def test_every_slice_of_a_stream_gets_the_data_of_its_own_block():
     rules = ("per_node", "uniform_min")
     node_taus = [odista_taus(blocks, 2, rule) for rule in rules]
     for t, b in enumerate(blocks):
-        for nd, ref in zip(nodes[t], partition_stream([b], 2)[0]):
-            assert_bitwise_equal(nd.Q, ref.Q)
-            assert_bitwise_equal(nd.phi, ref.phi)
-            assert_bitwise_equal(nd.stack.A, ref.stack.A)
+        ref = partition_stream([b], 2)[0]
+        for op, ref_op in zip(nodes[t], ref):
+            assert_bitwise_equal(op.Q, ref_op.Q)
+        assert_bitwise_equal(nodes[t].phis, ref.phis)
+        assert_bitwise_equal(nodes[t].stack.A, ref.stack.A)
         ref = problems_from_blocks([b])[0]
         assert_bitwise_equal(problems[t].Q, ref.Q)
         assert_bitwise_equal(problems[t].phi, ref.phi)
@@ -990,12 +1005,12 @@ def test_every_slice_of_a_stream_gets_the_data_of_its_own_block():
     # the deal
     assert problems[1].op is problems[0].op
     assert problems[6].op is problems[5].op
-    assert nodes[1][0].stack is nodes[0][0].stack
-    assert nodes[6][0].stack is nodes[5][0].stack
-    deal = nodes[2][0].stack.A.base
+    assert nodes[1].stack is nodes[0].stack
+    assert nodes[6].stack is nodes[5].stack
+    deal = nodes[2].stack.A.base
     assert deal is not None and deal.shape == (3, 2, 3, 4)
-    assert all(nodes[t][0].stack.A.base is deal for t in (3, 4))
-    assert nodes[0][0].stack.A.base is not deal
+    assert all(nodes[t].stack.A.base is deal for t in (3, 4))
+    assert nodes[0].stack.A.base is not deal
 
 
 @SETTINGS
@@ -1049,21 +1064,20 @@ def test_stream_wide_setup_is_the_per_run_build_bitwise(seed, m, n, n_nodes,
                   per_run_partition(blocks, n_nodes))
     assert len(nodes) == len(ref) == len(blocks)
     for t, (data, want) in enumerate(zip(nodes, ref)):
-        stack = data[0].stack
-        assert stack.mu == want[0].stack.mu
-        assert_bitwise_equal(stack.A, want[0].stack.A)
-        for got_g, want_g in zip(stack.groups, want[0].stack.groups,
+        stack = data.stack
+        assert stack.mu == want.stack.mu
+        assert_bitwise_equal(stack.A, want.stack.A)
+        for got_g, want_g in zip(stack.groups, want.stack.groups,
                                  strict=True):
             assert_bitwise_equal(got_g, want_g)
-        # one stack's nodes, in order, as the rounds require
+        # node data as the rounds require
         theta_tau(data, 1.0)
-        for nd, wd in zip(data, want, strict=True):
-            assert nd.op.factored == wd.op.factored
-            assert_bitwise_equal(nd.phi, wd.phi)
-            assert_bitwise_equal(nd.Q, wd.Q)
+        assert_bitwise_equal(data.phis, want.phis)
+        for op, want_op in zip(data, want, strict=True):
+            assert op.factored == want_op.factored
+            assert_bitwise_equal(op.Q, want_op.Q)
         for s in range(t):
-            assert (stack is nodes[s][0].stack) == (
-                want[0].stack is ref[s][0].stack)
+            assert (stack is nodes[s].stack) == (want.stack is ref[s].stack)
     if len(runs) == 1 and problems[0].op.factored:
         # a stream of one run copies no block: its operator views the A
         assert np.shares_memory(problems[0].op.A, blocks[0].A)
@@ -1111,17 +1125,17 @@ def test_rss_sized_partition_forms_no_dense_q_until_read():
         tracemalloc.reset_peak()
         # the step sizes and the contraction driver from the k x k Gram
         # matrices
-        taus = [0.5 / nd.lambda_max for nd in nodes]
+        taus = [0.5 / op.eig_extremes()[1] for op in nodes]
         theta_tau(nodes, taus)
         _, peak_read = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        nodes[0].Q
+        nodes.stack.ops[0].Q
         _, peak_q = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the stack holds the rows alone, 36 * 4 * 625 doubles
     assert peak < dense_bytes
     assert peak_read < dense_bytes
-    assert nodes[0].stack.A.nbytes == 720000
+    assert nodes.stack.A.nbytes == 720000
     # tracemalloc sees numpy's buffers: reading Q allocates it
     assert peak_q >= dense_bytes

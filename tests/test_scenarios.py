@@ -273,10 +273,10 @@ def test_node_partition_sums_back_to_the_block():
     blk = tvarx_stream(cfg, tvarx_simulate(cfg))[10]
     nodes = RowStack(blk, 4).nodes(blk.y)
     assert len(nodes) == 4
-    Q_sum = sum(nd.Q for nd in nodes)
+    Q_sum = sum(op.Q for op in nodes)
     prob = elastic_net_problem(blk)
     np.testing.assert_allclose(Q_sum, prob.Q, atol=1e-12)
-    np.testing.assert_allclose(sum(nd.phi for nd in nodes), prob.phi,
+    np.testing.assert_allclose(sum(nodes.phis), prob.phi,
                                atol=1e-12)
     A_norm = np.linalg.norm(blk.A, 2)
     for v, nd in enumerate(nodes):
