@@ -12,8 +12,6 @@ import importlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrs
 
 
 class SliceOperator:
@@ -21,16 +19,17 @@ class SliceOperator:
 
     Holds Q either dense, or factored as the pair (A, mu) with
     Q = A'A + mu I and fewer rows than columns (m < n).  The data of the
-    proximal solve (the inverse of Q + I when dense, a Cholesky factor when
-    factored) and the extreme eigenvalues are computed on first use and
-    cached, so every slice holding the operator by reference shares them.
-    Q is symmetric positive definite, so its spectral norm is its largest
-    eigenvalue.  On a factored operator
+    proximal solve (the inverse of Q + I when dense, the m x n G^{-1}A
+    below when factored) and the extreme eigenvalues are computed on first
+    use, with numpy's LAPACK, and cached, so every slice holding the
+    operator by reference shares them.  Q is symmetric positive definite,
+    so its spectral norm is its largest eigenvalue.  On a factored operator
 
     * Q x is A'(A x) + mu x;
     * the solve with Q + I is the matrix inversion lemma
-      (Q + I)^{-1} b = (b - A'G^{-1}A b) / (1 + mu) with the m x m
-      G = (1 + mu) I + AA' (Boyd et al., *ADMM*, 2011, section 4.2.4);
+      (Q + I)^{-1} b = (b - A'(H b)) / (1 + mu), H = G^{-1}A with the m x m
+      G = (1 + mu) I + AA' (Boyd et al., *ADMM*, 2011, section 4.2.4): two
+      matrix-vector products;
     * A'A is singular, so the extreme eigenvalues are mu and mu plus the
       largest eigenvalue of AA', and mu > 0 is what makes Q positive
       definite;
@@ -88,47 +87,37 @@ class SliceOperator:
     def prox_factor(self):
         """The cached data of the solve with Q + I, a tuple whose first
         entry is the array that persists with the operator.  Dense: (P,),
-        the inverse P = (Q + I)^{-1} itself, formed by one solve of the
-        Cholesky factor of Q + I with a Fortran-order identity; P is
-        symmetric, so its transpose is the C-order array held.  Factored:
-        the Cholesky factor (c, lower) of the m x m G."""
+        the inverse P = (Q + I)^{-1}.  Factored: (H,), H = G^{-1}A, the
+        m x n product of the inverse of the m x m G with A, the same size
+        as A (inv then a product: about half the time of a solve with A's
+        n right-hand sides)."""
         if self._factor is None:
             if self.A is None:
-                # Q is finite: the constructor checks a Q it is given,
-                # grams the Q it forms
-                c, lower = scipy.linalg.cho_factor(
-                    self._Q + np.eye(self.n), lower=False, overwrite_a=True,
-                    check_finite=False)
-                self._factor = (dpotrs(c, np.eye(self.n, order="F"),
-                                       lower=lower, overwrite_b=True)[0].T,)
+                self._factor = (np.linalg.inv(self._Q + np.eye(self.n)),)
             else:
                 G = self.A @ self.A.T + (1.0 + self.mu) * np.eye(len(self.A))
-                self._factor = scipy.linalg.cho_factor(G, lower=False)
+                self._factor = (np.linalg.inv(G) @ self.A,)
         return self._factor
 
     def solver(self, factor):
         """b -> (Q + I)^{-1} b given prox_factor(): one product with P when
-        dense, the lemma's solve when factored; b is left as it is."""
+        dense, the lemma's products with H and A' when factored; b is left
+        as it is."""
+        H, = factor
         if self.A is None:
-            P, = factor
-            return lambda b: np.dot(P, b)
-        c, lower = factor
+            return lambda b: np.dot(H, b)
         A, s = self.A, 1.0 + self.mu
-        return lambda b: (b - A.T @ dpotrs(c, A @ b, lower=lower,
-                                           overwrite_b=True)[0]) / s
+        return lambda b: (b - A.T @ (H @ b)) / s
 
     def eig_extremes(self):
-        """Smallest and largest eigenvalue of Q.  A dense Q goes through
-        numpy's eigvalsh, at half the call cost of scipy's and bitwise
-        equal to it on the dense slices of the shipped scenarios; the
-        factored m x m AA' keeps scipy's, from whose largest eigenvalue
-        numpy's differs by a few ulp on rss."""
+        """Smallest and largest eigenvalue of Q, from numpy's eigvalsh: of
+        Q when dense, of the m x m AA' when factored."""
         if self._eig is None:
             if self.A is None:
                 w = np.linalg.eigvalsh(self._Q)
                 self._eig = (float(w[0]), float(w[-1]))
             else:
-                w = scipy.linalg.eigvalsh(self.A @ self.A.T)
+                w = np.linalg.eigvalsh(self.A @ self.A.T)
                 self._eig = (self.mu, float(w[-1]) + self.mu)
         return self._eig
 
@@ -178,8 +167,8 @@ class QuadraticL1Problem:
             raise ValueError(f"lam must be positive and finite, got {lam}")
         try:
             # Cholesky succeeds iff Q is positive definite; cheaper than eigh.
-            scipy.linalg.cholesky(Q, lower=False)
-        except scipy.linalg.LinAlgError as err:
+            np.linalg.cholesky(Q)
+        except np.linalg.LinAlgError as err:
             raise ValueError("Q must be positive definite") from err
         self.op = SliceOperator(Q=Q)
         self.phi, self.lam, self.n = phi, float(lam), n
@@ -390,8 +379,9 @@ def prox_quadratic(z, problem):
 
     Applies (Q + I)^{-1} to z - phi through the operator's cached
     :meth:`~SliceOperator.prox_factor`: one product with the inverse when Q
-    is dense, the lemma's m x m solve when it is factored.  This map is
-    1/(1+sigma)-Lipschitz in z, with sigma the smallest eigenvalue of Q.
+    is dense, the lemma's products with H and A' when it is factored.  This
+    map is 1/(1+sigma)-Lipschitz in z, with sigma the smallest eigenvalue of
+    Q.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (problem.n,):

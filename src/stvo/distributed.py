@@ -224,6 +224,8 @@ def radius_graph(positions, radius):
 def _as_node_tau(tau, n_nodes):
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (n_nodes,):
+        if tau.ndim:
+            raise ValueError(f"{tau.size} step sizes for {n_nodes} nodes")
         tau = np.broadcast_to(tau, (n_nodes,))
     if not (np.minimum.reduce(tau) > 0 and np.maximum.reduce(tau) < np.inf):
         raise ValueError("all step sizes must be finite and positive")

@@ -262,6 +262,9 @@ class RssConfig:
         if not 0 < 8 * self.n_meas * cells <= MAX_DICTIONARY_BYTES:
             raise ValueError(f"a {self.n_meas} x {cells:.3g} dictionary is "
                              f"empty or over {MAX_DICTIONARY_BYTES >> 20} MiB")
+        if not 0 < self.round_ms < math.inf:
+            raise ValueError(
+                f"round_ms={self.round_ms} is not finite and positive")
         _check_snr_db(self.snr_db)
 
     @property

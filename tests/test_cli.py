@@ -3,6 +3,10 @@
 import csv
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stvo
 from stvo import cli, metrics, runner
 from stvo.cli import (
     SCENARIOS,
@@ -278,6 +283,40 @@ def test_config_refuses_keys_set_elsewhere(tmp_path, capsys, scenario, key,
     assert not out.exists()
 
 
+# Runs `stvo` in a fresh interpreter whose import system refuses scipy and
+# every scipy submodule, then fails unless no scipy module got loaded.
+WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"no module named {name!r}")
+
+sys.meta_path.insert(0, RefuseScipy())
+from stvo.cli import main
+code = main(sys.argv[1:])
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+sys.exit(f"scipy modules loaded: {loaded}" if loaded else code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "exp2", "--alg", "odr,oist,odista", "--r", "5",
+     "--regret", "on", "--runs", "1", "--out", "out"],
+    ["check", "--scenario", "rss"],
+], ids=["run_exp2", "check_rss"])
+def test_stvo_runs_where_scipy_cannot_be_imported(tmp_path, argv):
+    src = pathlib.Path(stvo.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    if argv[0] == "run":
+        assert (tmp_path / "out" / "summary.csv").is_file()
+
+
 # 10^(-snr_db/10) overflows a float below snr_db = -3082.5; the config
 # refuses such a value before a builder raises OverflowError.
 @pytest.mark.parametrize("scenario", ["exp1", "exp2", "rss", "synthetic"])
@@ -293,6 +332,24 @@ def test_config_refuses_an_snr_whose_noise_ratio_overflows(tmp_path, capsys,
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and "snr_db" in err[0]
+    assert not out.exists()
+
+
+# round_ms is the rss round window the benchmark harness reads; a config
+# file admits only finite numbers, and the config refuses the rest.
+@pytest.mark.parametrize("round_ms", ["0", "-5"])
+def test_rss_config_refuses_a_round_window_that_is_not_positive(
+        tmp_path, capsys, round_ms):
+    cfg = write_cfg(tmp_path, f"round_ms = {round_ms}\n")
+    out = tmp_path / "out"
+    for command in ("run", "check"):
+        argv = [command, "--scenario", "rss", "--config", cfg]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: bad config value: round_ms={round_ms} "
+                       "is not finite and positive"]
     assert not out.exists()
 
 

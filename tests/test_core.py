@@ -6,7 +6,6 @@ import types
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -385,7 +384,7 @@ def test_with_phi_shares_quadratic_term_and_caches():
 
 
 def test_slices_of_one_sensing_matrix_factor_and_solve_eig_once(monkeypatch):
-    calls = {"cho_factor": 0, "eigvalsh": 0}
+    calls = {"inv": 0, "eigvalsh": 0}
 
     def counted(owner, name):
         fn = getattr(owner, name)
@@ -395,8 +394,9 @@ def test_slices_of_one_sensing_matrix_factor_and_solve_eig_once(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    # a dense Q's extreme eigenvalues come from numpy's eigvalsh
-    counted(scipy.linalg, "cho_factor")
+    # a dense Q's proximal data is numpy's inverse of Q + I, its extreme
+    # eigenvalues come from numpy's eigvalsh
+    counted(np.linalg, "inv")
     counted(np.linalg, "eigvalsh")
     rng = np.random.default_rng(12)
     A = rng.standard_normal((3, 5))
@@ -408,7 +408,7 @@ def test_slices_of_one_sensing_matrix_factor_and_solve_eig_once(monkeypatch):
     for p in reversed(problems):
         p.prox_factor()
         p.eig_extremes()
-    assert calls == {"cho_factor": 1, "eigvalsh": 1}
+    assert calls == {"inv": 1, "eigvalsh": 1}
     assert all(p.prox_factor() is problems[0].prox_factor() for p in problems)
     # the bound's largest ||Q_t||_2 runs no SVD: it is bitwise the shared
     # lambda_max, whose eigvalsh has already run once for all of them
@@ -425,7 +425,7 @@ def test_slices_of_one_sensing_matrix_factor_and_solve_eig_once(monkeypatch):
     assert M_Q == problems[0].lambda_max
     assert assumption_bounds(problems[::-1])[0] == M_Q
     assert svds == []
-    assert calls == {"cho_factor": 1, "eigvalsh": 1}
+    assert calls == {"inv": 1, "eigvalsh": 1}
 
 
 def test_factored_slices_factor_and_solve_eig_once_at_size_m(monkeypatch):
@@ -446,10 +446,8 @@ def test_factored_slices_factor_and_solve_eig_once_at_size_m(monkeypatch):
             return fn(a, *args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("cho_factor", "cholesky", "eigvalsh", "eigh", "svd",
-                 "svdvals", "solve"):
-        record(scipy.linalg, name)
-    for name in ("cholesky", "eigvalsh", "eigh", "svd", "norm", "solve"):
+    for name in ("inv", "cholesky", "eigvalsh", "eigh", "svd", "norm",
+                 "solve"):
         record(np.linalg, name)
     tracemalloc.start()
     try:
@@ -466,8 +464,9 @@ def test_factored_slices_factor_and_solve_eig_once_at_size_m(monkeypatch):
         _, peak_q = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert shapes.pop("scipy.linalg.cho_factor") == [(m, m)]
-    assert shapes.pop("scipy.linalg.eigvalsh") == [(m, m)]
+    # one inverse of the m x m G, one eigensolve of the m x m AA'
+    assert shapes.pop("numpy.linalg.inv") == [(m, m)]
+    assert shapes.pop("numpy.linalg.eigvalsh") == [(m, m)]
     # the bound's ||Q||_2 is the cached largest eigenvalue: no SVD at all
     assert all(len(s) < 2 for s in shapes.pop("numpy.linalg.norm", []))
     # what remains is the oracle's reduced solves, none of them n x n

@@ -478,6 +478,22 @@ def test_short_node_lists_are_refused():
             call(data)
 
 
+def test_a_step_size_array_of_another_length_is_refused():
+    g = ring4()
+    rng = np.random.default_rng(47)
+    data = random_node_data(rng, 3, 4)
+    state = NetworkState(rng.standard_normal((3, 4)).T)
+    with pytest.raises(ValueError, match="^3 step sizes for 4 nodes$"):
+        theta_tau(data, [0.1] * 3)
+    for tau in ([0.05] * 5, np.full((4, 1), 0.05)):
+        with pytest.raises(ValueError, match="step sizes for 4 nodes"):
+            odista_round(state, g, data, 0.2, tau, 2)
+        with pytest.raises(ValueError, match="step sizes for 4 nodes"):
+            OdistaRound(g, 0.2).start(data, tau, state)
+    # one step size for every node is still a scalar
+    assert theta_tau(data, 0.05) == theta_tau(data, [0.05] * 4)
+
+
 def test_node_data_with_phis_of_another_shape_are_refused():
     g = ring4()
     rng = np.random.default_rng(49)
