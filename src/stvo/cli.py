@@ -34,9 +34,9 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 def load_config(path):
-    """Read `key = value` lines; # starts a comment; values become numbers
-    when they parse as such."""
-    out = {}
+    """Read `key = value` lines, each key once (lam and lambda are one key);
+    # starts a comment; values become numbers when they parse as such."""
+    out, lines = {}, {}
     try:
         text = pathlib.Path(path).read_text()
     except OSError as e:
@@ -50,6 +50,10 @@ def load_config(path):
         key, value = (s.strip() for s in line.split("=", 1))
         if not key or not value:
             raise UsageError(f"{path}:{ln}: expected key = value")
+        first = lines.setdefault("lam" if key == "lambda" else key, ln)
+        if first != ln:
+            raise UsageError(f"{path}:{ln}: {key!r} repeats the key set on "
+                             f"line {first}")
         for conv in (int, float):
             try:
                 value = conv(value)
@@ -195,22 +199,27 @@ def cmd_run(args):
             f"alone, which never descends")
     regret_on = args.regret == "on" or (args.regret == "auto"
                                         and args.scenario != "rss")
+    out = pathlib.Path(args.out or f"stvo_{args.scenario}")
+    held = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not held.is_dir():
+        raise UsageError(f"--out {out}: {held} is not a directory")
     tables = runner.run_experiment(
         args.scenario, cfg, algs, runs=args.runs, r=args.r, budget_ms=args.t_r,
         seed=args.seed, regret=regret_on, n_nodes=n_nodes,
         tau_rule=args.tau_rule, common_random=args.common_random)
-    # made only once the tables are in memory, so a failed run leaves none
-    out = pathlib.Path(args.out or f"stvo_{args.scenario}")
-    out.mkdir(parents=True, exist_ok=True)
     written = []
     try:
+        # made only once the tables are in memory, so a failed run leaves none
+        out.mkdir(parents=True, exist_ok=True)
         for table in tables:
             write_csv(out / table.name, table.header, table.rows, written)
         if args.svg:
             write_plots(out, algs, tables, written)
-    except Exception:
+    except Exception as e:
         for p in written:
             pathlib.Path(p).unlink(missing_ok=True)
+        if isinstance(e, OSError):
+            raise UsageError(f"cannot write {out}: {e}")
         raise
     return 0
 
@@ -404,6 +413,8 @@ def main(argv=None):
     except SystemExit as e:
         return 0 if not e.code else 1
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError("--seed must be a non-negative integer")
         if args.command == "run":
             args.common_random = args.common_random_flag == "on"
             if args.runs < 1:

@@ -1,7 +1,7 @@
 """Dynamic-regret instrumentation and the closed-form regret bound.
 
-A run is summarized by a :class:`RunTrace`: per round, the action played
-before the round's objective was revealed, its loss, the reference
+A run is summarized by a :class:`RunTrace`: per round, the loss of the
+action played before the round's objective was revealed, the reference
 minimizer's loss, and the reference points themselves.  Round indices start
 at 1; the row at t = 0 describes the initial action against the first
 revealed objective and contributes nothing to the regret.
@@ -18,14 +18,13 @@ from .core import contraction_constants
 class RunTrace:
     """Aligned per-round arrays of one online run.
 
-    x holds the played actions, x_star / z_star the reference minimizers and
-    fixed points, z the played auxiliary sequence when the algorithm has one.
+    loss scores the played actions, x_star / z_star are the reference
+    minimizers and fixed points, z the played auxiliary sequence if any.
     Runner-built traces start with the t = 0 row, whose action is the cold
     start; the bound's boundary terms read that row.
     """
 
     t: np.ndarray
-    x: np.ndarray
     loss: np.ndarray
     oracle_loss: np.ndarray
     x_star: np.ndarray | None = None

@@ -256,7 +256,7 @@ def build_trace(problems, result, oracles):
     """The run record scored against oracles, the (x*, z*) arrays of
     :func:`stream_oracles`."""
     xs, zs = oracles
-    return RunTrace(t=np.arange(len(problems)), x=result.actions,
+    return RunTrace(t=np.arange(len(problems)),
                     loss=action_losses(problems, result.actions),
                     oracle_loss=action_losses(problems, xs), x_star=xs,
                     z_star=zs, z=result.z)

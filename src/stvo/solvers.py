@@ -1,11 +1,11 @@
 """Batch and online solvers for the quadratic-plus-l1 objective.
 
-The reflected-splitting family (``batch_dr``, ``odr_round``) alternates soft
-thresholding with a proximal solve of the quadratic part and contracts
-linearly on the auxiliary sequence; the thresholded-gradient family
-(``oist_round``) performs plain proximal-gradient sweeps.  An online round
-(:class:`OdrRound`, :class:`OistRound`) pays its slice's setup and checks
-once, then steps the one loop of :class:`stvo.core._Round`.
+Their API is the rounds of the reflected-splitting family, :class:`OdrRound`,
+which contracts linearly on the auxiliary sequence, and of the
+thresholded-gradient family, :class:`OistRound`: each pays its slice's setup
+and checks once, then steps the one loop of :class:`stvo.core._Round`.
+``odr_round`` and ``oist_round``, a round in one call, are the form that the
+command line's play loops and the benchmark driver call.
 ``oracle_minimizer`` certifies each slice's minimizer: a warm-started
 feature-sign search whose answer is an exact reduced solve, restarted FISTA
 where that does not certify; ``_lockstep_feature_sign`` finds warm starts

@@ -15,7 +15,8 @@ import pytest
 import oracles
 from test_distributed import lifted_network_problem
 
-from stvo import cli, metrics, runner
+import stvo
+from stvo import cli, metrics, runner, scenarios
 from stvo.core import (ElasticNetData, QuadraticL1Problem,
                        contraction_constants, elastic_net_problem)
 from stvo.distributed import (NetworkState, RowStack, odista_round,
@@ -408,3 +409,58 @@ def test_repeated_cli_runs_produce_byte_identical_outputs(tmp_path):
     report("determinism",
            f"{len(outputs[0])} output files byte-identical across reruns",
            started)
+
+
+# ---------------------------------------------------------------------------
+# 12. Slices played as they are revealed give `stvo run`'s actions bitwise
+# ---------------------------------------------------------------------------
+
+def play_revealed(alg, blocks, r, graph):
+    """Actions of alg over blocks revealed one at a time, through stvo's
+    exports alone: each block's slice, step and node data are built when it
+    is revealed, each round starts from the state the previous one carried,
+    and row t is committed before block t is revealed."""
+    n, nodes = blocks[0].n, graph.n_nodes
+    actions = np.empty((len(blocks), n))
+    x, z = np.zeros(n), np.zeros(n)
+    state = stvo.NetworkState.zeros(n, nodes)
+    for t, block in enumerate(blocks):
+        actions[t] = state.X.mean(axis=0) if alg == "odista" else x
+        if alg == "odr":
+            rnd = stvo.OdrRound().start(stvo.elastic_net_problem(block), z)
+            x, z = rnd.step(r).x, rnd.z
+        elif alg == "oist":
+            x = stvo.OistRound().start(
+                stvo.elastic_net_problem(block), stvo.block_taus([block])[0],
+                x).step(r).state()
+        else:
+            data = stvo.RowStack(block, nodes).nodes(block.y)
+            taus = stvo.odista_taus([block], nodes, "per_node")[0]
+            state = stvo.OdistaRound(graph, block.lam / nodes).start(
+                data, taus, state).step(r).state()
+    return actions
+
+
+def test_slices_played_as_they_are_revealed_give_the_run_actions_bitwise():
+    started = time.perf_counter()
+    # exp1 at r = 400 runs odista's lifted pairs; rss slices are factored,
+    # on the 36-node sensor graph; every synthetic slice shares one operator
+    cases = [("exp1", 400, {}), ("exp2", 5, {}),
+             ("rss", 30, {"path_length_steps": 10}), ("synthetic", 20, {})]
+    for scenario, r, overrides in cases:
+        stream = runner.build_stream(scenario,
+                                     cli.base_config(scenario, overrides),
+                                     cli.derive_seed(0, 0))
+        if scenario == "rss":
+            graph = stvo.radius_graph(
+                scenarios.sensor_positions(stream.cfg),
+                stream.cfg.comm_radius_m)
+        else:
+            graph = stvo.ring_graph(4, runner.RING_DEGREE)
+        for alg in ("odr", "oist", "odista"):
+            played = runner.play(alg, stream, r, 4, "per_node").actions
+            revealed = play_revealed(alg, stream.blocks, r, graph)
+            # bytes, so that the signs of zeros count
+            assert revealed.tobytes() == played.tobytes(), (scenario, alg)
+    report("revealed play", "12 action arrays (3 solvers x 4 streams) "
+           "bitwise those of stvo run", started, limit_s=60)

@@ -353,12 +353,19 @@ def test_rss_config_refuses_a_round_window_that_is_not_positive(
     assert not out.exists()
 
 
+def no_stream(*args, **kwargs):
+    raise AssertionError("a stream was built")
+
+
+def refuse_streams(monkeypatch):
+    """Make building a stream fail, for `stvo run` and `stvo check` alike."""
+    for module in (runner, cli):
+        monkeypatch.setattr(module, "build_stream", no_stream)
+
+
 @pytest.mark.parametrize("budget", ["inf", "nan", "0", "-1"])
 def test_run_refuses_a_budget_that_is_not_finite_and_positive(
         tmp_path, capsys, monkeypatch, budget):
-    def no_stream(*args, **kwargs):
-        raise AssertionError("a stream was built")
-
     monkeypatch.setattr(runner, "build_stream", no_stream)
     out = tmp_path / "out"
     assert run_cli("run", "--scenario", "exp1", "--t-r", budget,
@@ -366,6 +373,70 @@ def test_run_refuses_a_budget_that_is_not_finite_and_positive(
     err = capsys.readouterr().err
     assert err == "error: --t-r must be a finite positive number\n"
     assert not out.exists()
+
+
+# An --out that names a file, or a path under one, is refused before any
+# stream is built, not after the whole run has played.
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_run_refuses_an_out_that_cannot_be_a_directory(tmp_path, capsys,
+                                                       monkeypatch, under):
+    refuse_streams(monkeypatch)
+    blocker = tmp_path / "F"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under else blocker
+    assert run_cli("run", "--scenario", "exp1", "--alg", "odr", "--r", "2",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --out {out}: {blocker} is not a directory"]
+    assert blocker.read_text() == "kept\n"
+
+
+def test_run_maps_a_write_failure_to_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "summary.csv").mkdir(parents=True)
+    cfg = write_cfg(tmp_path, "horizon_s = 0.1\n")
+    assert run_cli("run", "--scenario", "exp2", "--alg", "odr", "--r", "2",
+                   "--regret", "off", "--config", cfg, "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+    assert [p.name for p in out.iterdir()] == ["summary.csv"]
+
+
+# A key set twice is refused, lam and lambda counting as one key, naming
+# both lines; the last value used to win silently.
+@pytest.mark.parametrize("text, key", [
+    ("lam = 1e-2\nlambda = 5\n", "lambda"),
+    ("lambda = 1e-2\n# note\nlam = 5\n", "lam"),
+    ("mu = 1e-6\nm = 12\nmu = 1e-3\n", "mu")])
+def test_config_refuses_a_key_set_twice(tmp_path, capsys, monkeypatch, text,
+                                        key):
+    refuse_streams(monkeypatch)
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    first, again = (ln for ln, line in enumerate(text.splitlines(), start=1)
+                    if line.startswith(("lam", "mu")))
+    for command in ("run", "check"):
+        argv = [command, "--scenario", "exp1", "--config", cfg]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {cfg}:{again}: {key!r} repeats the key set "
+                       f"on line {first}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_a_negative_seed_is_refused_naming_the_flag(tmp_path, capsys,
+                                                    monkeypatch, command):
+    refuse_streams(monkeypatch)
+    argv = [command, "--scenario", "exp1", "--seed", "-1"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --seed must be a non-negative integer"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_r_and_t_r_exclude_each_other(tmp_path, capsys):

@@ -21,8 +21,7 @@ def make_trace(loss, oracle_loss, t=None, **kw):
     loss = np.asarray(loss, dtype=float)
     if t is None:
         t = np.arange(1, loss.size + 1)
-    x = np.zeros((loss.size, 2))
-    return RunTrace(t=t, x=x, loss=loss, oracle_loss=oracle_loss, **kw)
+    return RunTrace(t=t, loss=loss, oracle_loss=oracle_loss, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +83,8 @@ def test_trace_validation():
     with pytest.raises(ValueError):
         make_trace([], [])
     with pytest.raises(ValueError):
-        RunTrace(t=np.array([1, 2]), x=np.zeros((2, 1)),
-                 loss=np.array([1.0]), oracle_loss=np.array([1.0, 2.0]))
+        RunTrace(t=np.array([1, 2]), loss=np.array([1.0]),
+                 oracle_loss=np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="not optimal"):
         make_trace([1.0, 0.0], [1.0, 1.0])
     # sub-tolerance dips are rounding, not oracle failure
