@@ -22,7 +22,7 @@ from .distributed import deal_rows, ring_graph, theta_tau
 from .runner import build_stream, derive_seed, make_graph
 from .solvers import OracleError, batch_dr, optimality_residual
 
-SCENARIOS = ("exp1", "exp2", "rss", "synthetic")
+SCENARIOS = tuple(runner.CONFIGS)
 
 
 class UsageError(Exception):
@@ -117,13 +117,9 @@ def network_size(scenario, nodes, cfg, plays_odista):
 
 
 def base_config(scenario, overrides):
-    if scenario in ("exp1", "exp2"):
-        cfg = scenarios.TvarxConfig(experiment=scenario)
-    elif scenario == "rss":
-        cfg = scenarios.RssConfig()
-    else:
-        cfg = scenarios.SyntheticConfig()
-    return apply_overrides(cfg, overrides)
+    kind = runner.CONFIGS[scenario]
+    args = {"experiment": scenario} if kind is scenarios.TvarxConfig else {}
+    return apply_overrides(kind(**args), overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +195,8 @@ def cmd_run(args):
             f"alone, which never descends")
     regret_on = args.regret == "on" or (args.regret == "auto"
                                         and args.scenario != "rss")
+    if args.out == "":
+        raise UsageError("--out must name a directory, got ''")
     out = pathlib.Path(args.out or f"stvo_{args.scenario}")
     held = next((p for p in (out, *out.parents) if p.exists()), out)
     if not held.is_dir():

@@ -25,6 +25,8 @@ from .solvers import (OdrRound, OistRound, OnlineConfig,
                       oist_round, oracle_minimizer)
 
 ALGORITHMS = ("oist", "odr", "odista")
+CONFIGS = {"exp1": scenarios.TvarxConfig, "exp2": scenarios.TvarxConfig,
+           "rss": scenarios.RssConfig, "synthetic": scenarios.SyntheticConfig}
 
 
 @dataclass
@@ -220,8 +222,8 @@ def stream_oracles(problems, opt_tol=1e-8):
     stream order, started from its sign pattern where the stream's lockstep
     feature-sign search finished it, otherwise from the previous slice's
     minimizer.  x* is the reduced solve on the final pattern of the call's
-    own search, or its fallback's polish on the pattern that finds, so the
-    start changes the cost, not the bits.  The start is the pattern, not the
+    own search, or of a search its fallback starts, so the start changes
+    the cost, not the bits.  The start is the pattern, not the
     point the search reached: a start that already certifies is what the
     fallback hands back, and a pattern certifies only where the minimizer
     is zero.
@@ -473,8 +475,25 @@ def run_experiment(scenario, cfg, algs, runs, r, budget_ms, seed, regret,
 
     Returns the output tables: per algorithm one trace per run, the
     run-averaged regret (with regret on), the coefficient tracking (ARX) or
-    the target distance (rss); then one summary row per algorithm.
+    the target distance (rss); then one summary row per algorithm.  An
+    argument that cannot make such a run raises a ValueError that names it,
+    before any stream is built.
     """
+    least = 2 if "odista" in algs else 1  # odista counts half-steps
+    for ok, what in (
+            (isinstance(cfg, CONFIGS.get(scenario, ())) and getattr(
+                cfg, "experiment", scenario) == scenario,
+             f"scenario {scenario!r} does not match cfg {cfg!r}"),
+            (0 < len(set(algs)) == len(algs) and set(algs) <= set(ALGORITHMS),
+             f"algs must be distinct names of {ALGORITHMS}, got {algs!r}"),
+            (runs >= 1, f"runs must be at least 1, got {runs!r}"),
+            (seed >= 0, f"seed must be non-negative, got {seed!r}"),
+            (budget_ms is not None or r >= least,
+             f"r must be at least {least} for {algs!r}, got {r!r}"),
+            (budget_ms is None or 0 < budget_ms < math.inf,
+             f"budget_ms must be finite and positive, got {budget_ms!r}")):
+        if not ok:
+            raise ValueError(what)
     r_alg, heads = [r] * len(algs), [None] * len(algs)
     traces, actions, regrets, bounds, dists = ([[] for _ in algs]
                                                for _ in range(5))

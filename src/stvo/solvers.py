@@ -6,10 +6,11 @@ thresholded-gradient family, :class:`OistRound`: each pays its slice's setup
 and checks once, then steps the one loop of :class:`stvo.core._Round`.
 ``odr_round`` and ``oist_round``, a round in one call, are the form that the
 command line's play loops and the benchmark driver call.
-``oracle_minimizer`` certifies each slice's minimizer: a warm-started
-feature-sign search whose answer is an exact reduced solve, restarted FISTA
-where that does not certify; ``_lockstep_feature_sign`` finds warm starts
-for a whole stream of small dense slices at once.
+``oracle_minimizer`` certifies each slice's minimizer by one exact solver,
+a warm-started feature-sign search whose answer is a reduced solve; where
+that does not certify, restarted FISTA sweeps only find new starts for it.
+``_lockstep_feature_sign`` finds warm starts for a whole stream of small
+dense slices at once.
 """
 
 import warnings
@@ -270,30 +271,6 @@ def _sign_solve(problem, act, s):
         return None
 
 
-def _pattern_polish(problem, x):
-    """Exact solve of the stationarity system under x's sign pattern.
-
-    The pattern is read off the prox argument v = x - (Qx + phi): entries
-    with |v| > lam are taken active with sign(v), the rest pinned at zero.
-    Returns the candidate, or None when the reduced system is singular or
-    too large to be worth solving exactly.
-    """
-    g = problem.op.matvec(x) + problem.phi
-    v = x - g
-    act = np.abs(v) > problem.lam
-    k = int(act.sum())
-    if k == 0:
-        return np.zeros_like(x)
-    if k > _POLISH_CAP:
-        return None
-    xa = _sign_solve(problem, act, np.sign(v[act]))
-    if xa is None:
-        return None
-    out = np.zeros_like(x)
-    out[act] = xa
-    return out
-
-
 def _first_crossing(x, new, cross):
     """The point where each row's segment from x to new first crosses zero.
 
@@ -326,9 +303,8 @@ def _feature_sign(problem, x):
     joins with, so no pattern repeats; _SIGN_STEPS bounds the loop where
     rounding would break that.
     The returned x is the reduced solve on its own support and signs, +0.0
-    off it, which is what _pattern_polish gives for the same pattern.
-    Returns None when the cap is hit, a reduced system is singular or the
-    support outgrows _POLISH_CAP.
+    off it.  Returns None when the cap is hit, a reduced system is singular
+    or the support outgrows _POLISH_CAP.
     """
     op, phi, lam = problem.op, problem.phi, problem.lam
     x = x.copy()
@@ -433,24 +409,25 @@ def _lockstep_feature_sign(problems):
 
 
 def _fista_polish(problem, x, target, max_iter):
-    """Restarted FISTA from x, polishing the sign pattern every 100 sweeps.
+    """Restarted FISTA from x, starting the feature-sign search every 100
+    sweeps.
 
-    Accelerated proximal-gradient sweeps (with gradient-based restart)
-    identify the support; each polish solves the reduced stationarity system
-    exactly, which lands at machine precision once the pattern is right.
-    Returns the best candidate seen and its residual; the loop stops once
-    that residual is at most target.
+    Accelerated proximal-gradient sweeps (with gradient-based restart) only
+    find a start: S_lam(v), v = x - (Qx + phi), whose support {|v| > lam}
+    and signs are the pattern the sweep reads off x, so the search's first
+    reduced solve is the stationarity solve on that pattern, and from a
+    wrong pattern the search goes on.  The raw iterate is a candidate too,
+    the one left where the pattern outgrows _POLISH_CAP.  Returns the best
+    candidate seen and its residual; the loop stops once that residual is
+    at most target.
     """
-    check_every = 100
     best = x
     best_res = optimality_residual(x, problem)
 
     def consider(cand):
         nonlocal best, best_res
-        if cand is None:
-            return
-        r = optimality_residual(cand, problem)
-        if np.isfinite(r) and r < best_res:
+        r = np.inf if cand is None else optimality_residual(cand, problem)
+        if r < best_res:
             best, best_res = cand, r
 
     if best_res > target:
@@ -469,9 +446,11 @@ def _fista_polish(problem, x, target, max_iter):
                 y = x_new + ((t_m - 1.0) / t_next) * (x_new - x)
                 t_m = t_next
             x = x_new
-            if k % check_every == 0 or k == max_iter:
+            if k % 100 == 0 or k == max_iter:
                 consider(x.copy())
-                consider(_pattern_polish(problem, x))
+                v = x - (problem.op.matvec(x) + problem.phi)
+                consider(_feature_sign(problem,
+                                       soft_threshold(v, problem.lam)))
                 if best_res <= target:
                     break
     return best, best_res
@@ -485,7 +464,8 @@ def oracle_minimizer(problem, max_iter=100000, opt_tol=1e-8, initial=None):
     of small exact solves; its answer is the reduced stationarity solve on
     that pattern.  Only when that answer's residual exceeds
     min(_ORACLE_TARGET, opt_tol) (or the search gives up) does restarted
-    FISTA with a periodic pattern polish take over, from the same start.
+    FISTA take over from the same start, its sweeps finding new starts for
+    the search; the better of the two answers is kept.
     The splitting iteration itself is useless as an oracle here: on
     rank-deficient quadratics (tiny elastic-net mu) it stalls on near-flat
     reflection modes millions of iterations deep.  The subgradient
@@ -520,7 +500,9 @@ def oracle_minimizer(problem, max_iter=100000, opt_tol=1e-8, initial=None):
     best = _feature_sign(problem, x)
     best_res = np.inf if best is None else optimality_residual(best, problem)
     if not best_res <= target:
-        best, best_res = _fista_polish(problem, x, target, max_iter)
+        fista, fista_res = _fista_polish(problem, x, target, max_iter)
+        if fista_res < best_res:
+            best, best_res = fista, fista_res
     if best_res > opt_tol:
         raise OracleError(
             f"minimizer fails the optimality check after {max_iter} sweeps: "

@@ -375,6 +375,46 @@ def test_run_refuses_a_budget_that_is_not_finite_and_positive(
     assert not out.exists()
 
 
+def test_run_refuses_an_empty_out(tmp_path, capsys, monkeypatch):
+    refuse_streams(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("run", "--scenario", "exp1", "--alg", "odr", "--r", "2",
+                   "--regret", "off", "--out", "") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --out must name a directory, got ''"]
+    assert not any(tmp_path.iterdir())
+
+
+# run_experiment, called as a library, refuses what the command line refuses
+# before it gets there, each argument by its own name.
+RUN_ARGS = dict(scenario="exp1", algs=["odr"], runs=1, r=2, budget_ms=None,
+                seed=0, regret=False, n_nodes=4, tau_rule="per_node",
+                common_random=True)
+
+
+@pytest.mark.parametrize("name,changes", [
+    ("algs", {"algs": ["foo"]}),
+    ("algs", {"algs": []}),
+    ("algs", {"algs": ["odr", "odr"]}),
+    ("scenario", {"scenario": "exp2"}),
+    ("scenario", {"scenario": "rss"}),
+    ("scenario", {"scenario": "foo"}),
+    ("runs", {"runs": 0}),
+    ("seed", {"seed": -1}),
+    ("r", {"algs": ["odr", "odista"], "r": 1}),
+    ("r", {"r": 0}),
+    ("budget_ms", {"budget_ms": math.inf}),
+], ids=["unknown_alg", "no_alg", "repeated_alg", "exp2_of_exp1",
+        "rss_of_exp1", "unknown_scenario", "no_runs", "negative_seed",
+        "odista_r1", "r0", "infinite_budget"])
+def test_run_experiment_refuses_an_argument_it_cannot_play(monkeypatch, name,
+                                                           changes):
+    monkeypatch.setattr(runner, "build_stream", no_stream)
+    args = {**RUN_ARGS, "cfg": base_config("exp1", {}), **changes}
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        runner.run_experiment(**args)
+
+
 # An --out that names a file, or a path under one, is refused before any
 # stream is built, not after the whole run has played.
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])

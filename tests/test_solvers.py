@@ -431,13 +431,78 @@ def test_stream_oracles_certify_every_slice_without_the_fallback(
     assert max(optimality_residual(x, p) for x, p in zip(xs, problems)) <= 1e-12
 
 
+def first_searches_give_up(monkeypatch):
+    """Make each oracle call's own feature-sign search give up, so that
+    every slice reaches the FISTA fallback; the searches that the fallback
+    starts run as they are."""
+    search, fista, inside = solvers._feature_sign, solvers._fista_polish, []
+
+    def fallback(*args):
+        inside.append(True)
+        try:
+            return fista(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(solvers, "_fista_polish", fallback)
+    monkeypatch.setattr(solvers, "_feature_sign",
+                        lambda problem, x: search(problem, x) if inside else None)
+
+
 def test_stream_oracles_equal_the_fallback_only_path_bitwise(monkeypatch):
     problems = acceptance_prefix("exp2", 5, 25)
     xs, zs = stream_oracles(problems)
-    monkeypatch.setattr(solvers, "_feature_sign", lambda problem, x: None)
+    first_searches_give_up(monkeypatch)
     xs_ref, zs_ref = stream_oracles(problems)
     np.testing.assert_array_equal(xs, xs_ref)
     np.testing.assert_array_equal(zs, zs_ref)
+
+
+@pytest.mark.parametrize("scenario", ["exp1", "synthetic", "rss"])
+def test_stream_oracles_equal_the_fallback_only_path_bitwise_on_run_0_streams(
+        monkeypatch, scenario):
+    overrides = {"path_length_steps": 10} if scenario == "rss" else {}
+    cfg = cli.base_config(scenario, overrides)
+    problems = cli.build_stream(scenario, cfg, cli.derive_seed(0, 0)).problems
+    xs, zs = stream_oracles(problems)
+    first_searches_give_up(monkeypatch)
+    xs_ref, zs_ref = stream_oracles(problems)
+    assert_bitwise_equal(xs_ref, xs)
+    assert_bitwise_equal(zs_ref, zs)
+
+
+@pytest.mark.parametrize("t", [10, 40, 70])
+def test_the_fallback_certifies_at_its_first_checkpoint(monkeypatch, t):
+    p = acceptance_prefix("exp2", 0, 83)[t]
+    ref = oracle_minimizer(p)
+    first_searches_give_up(monkeypatch)
+    # 100 sweeps make one checkpoint, whose search finds the minimizer
+    x_star, z_star = oracle_minimizer(p, max_iter=100)
+    assert_bitwise_equal(x_star, ref[0])
+    assert_bitwise_equal(z_star, ref[1])
+
+
+def test_the_oracle_keeps_the_search_answer_when_the_fallback_ends_worse(
+        monkeypatch):
+    p = acceptance_prefix("exp2", 0, 83)[40]
+    x_star, _ = oracle_minimizer(p)
+    # an answer off by 3e-11 relative: inside opt_tol, above the target
+    near = x_star * (1.0 + 3e-11)
+    res = optimality_residual(near, p)
+    assert 1e-12 < res <= 1e-8
+    calls = []
+
+    def search(problem, x):
+        # the oracle's own search answers; every search of the fallback
+        # gives up, so that the fallback cannot certify
+        calls.append(x)
+        return near.copy() if len(calls) == 1 else None
+
+    monkeypatch.setattr(solvers, "_feature_sign", search)
+    x, z = oracle_minimizer(p, max_iter=100)
+    assert len(calls) == 2
+    assert_bitwise_equal(x, near)
+    assert_bitwise_equal(z, near + p.op.matvec(near) + p.phi)
 
 
 def random_dense_stream(n, m, T, seed, lam_frac=0.1, mu=1e-3):
@@ -531,7 +596,7 @@ def test_stream_oracles_equal_the_sequential_loop_when_every_search_gives_up(
     if cap is not None:
         # the lockstep search leaves the slices it has not finished
         monkeypatch.setattr(solvers, "_SIGN_STEPS", cap)
-    monkeypatch.setattr(solvers, "_feature_sign", lambda problem, x: None)
+    first_searches_give_up(monkeypatch)
     xs, zs = stream_oracles(problems)
     xs_ref, zs_ref = sequential_stream_oracles(problems)
     assert_bitwise_equal(xs, xs_ref)
