@@ -1,7 +1,8 @@
 """Command line front end: stream runs, one-off solves, scenario checks.
 
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
-numerical routine fails to deliver (oracle divergence, singular data).
+numerical routine fails to deliver (oracle divergence, singular data) or
+would diverge (odista where its descent factor is not below one).
 All CSV output is byte-deterministic for a fixed command line and BLAS
 thread count (rss files move by up to 5.3e-15 relative from one thread to
 two): floats are written with repr, which round-trips exactly.
@@ -18,15 +19,11 @@ import numpy as np
 
 from . import _svg, runner, scenarios
 from .core import QuadraticL1Problem, contraction_constants, objective_value
-from .distributed import deal_rows, ring_graph, theta_tau
+from .distributed import theta_tau
 from .runner import build_stream, derive_seed, make_graph
 from .solvers import OracleError, batch_dr, optimality_residual
 
 SCENARIOS = tuple(runner.CONFIGS)
-
-
-class UsageError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -40,19 +37,19 @@ def load_config(path):
     try:
         text = pathlib.Path(path).read_text()
     except OSError as e:
-        raise UsageError(f"cannot read config file: {e}")
+        raise ValueError(f"cannot read config file: {e}")
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{ln}: expected key = value")
+            raise ValueError(f"{path}:{ln}: expected key = value")
         key, value = (s.strip() for s in line.split("=", 1))
         if not key or not value:
-            raise UsageError(f"{path}:{ln}: expected key = value")
+            raise ValueError(f"{path}:{ln}: expected key = value")
         first = lines.setdefault("lam" if key == "lambda" else key, ln)
         if first != ln:
-            raise UsageError(f"{path}:{ln}: {key!r} repeats the key set on "
+            raise ValueError(f"{path}:{ln}: {key!r} repeats the key set on "
                              f"line {first}")
         for conv in (int, float):
             try:
@@ -83,36 +80,31 @@ def apply_overrides(cfg, overrides):
         if key == "lambda":
             key = "lam"
         if key in COMMAND_LINE_FIELDS:
-            raise UsageError(f"unknown config key {key!r}: "
+            raise ValueError(f"unknown config key {key!r}: "
                              f"{COMMAND_LINE_FIELDS[key]} sets it")
         if types.get(key) not in FIELD_VALUES:
-            raise UsageError(f"unknown config key {key!r} for this scenario")
+            raise ValueError(f"unknown config key {key!r} for this scenario")
         valid, what = FIELD_VALUES[types[key]]
         if not valid(value):
-            raise UsageError(
+            raise ValueError(
                 f"config key {key!r} must be {what}, got {value!r}")
         updates[key] = value
     try:
         return dataclasses.replace(cfg, **updates)
     except ValueError as e:
-        raise UsageError(f"bad config value: {e}")
+        raise ValueError(f"bad config value: {e}")
 
 
 def network_size(scenario, nodes, cfg, plays_odista):
     """The ring size outside rss, 4 by default, checked before anything is
-    written: a given --nodes, or the default when odista plays, must make a
-    ring of degree runner.RING_DEGREE and let deal_rows deal each node a
-    block row."""
+    written: a given --nodes, or the default when odista plays, must pass
+    runner.check_ring."""
     if scenario == "rss" and nodes is not None:
-        raise UsageError("--nodes does not apply to rss, whose network is "
+        raise ValueError("--nodes does not apply to rss, whose network is "
                          "the sensor grid")
     n_nodes = 4 if nodes is None else nodes
     if scenario != "rss" and (nodes is not None or plays_odista):
-        try:
-            ring_graph(n_nodes, runner.RING_DEGREE)
-            deal_rows(np.empty((cfg.m, 0)), n_nodes)
-        except ValueError as e:
-            raise UsageError(f"--nodes {n_nodes}: {e}")
+        runner.check_ring(n_nodes, cfg.m, "--nodes")
     return n_nodes
 
 
@@ -182,25 +174,25 @@ def cmd_run(args):
     for a in args.alg.split(","):
         a = a.strip()
         if a not in runner.ALGORITHMS:
-            raise UsageError(f"unknown algorithm {a!r}")
+            raise ValueError(f"unknown algorithm {a!r}")
         if a not in algs:
             algs.append(a)
     overrides = load_config(args.config) if args.config else {}
     cfg = base_config(args.scenario, overrides)
     n_nodes = network_size(args.scenario, args.nodes, cfg, "odista" in algs)
     if "odista" in algs and args.t_r is None and args.r < 2:
-        raise UsageError(
+        raise ValueError(
             f"odista needs --r 2 or more, got r = {args.r}: it counts r in "
             f"half-steps, and a round of one half-step is a communication "
             f"alone, which never descends")
     regret_on = args.regret == "on" or (args.regret == "auto"
                                         and args.scenario != "rss")
     if args.out == "":
-        raise UsageError("--out must name a directory, got ''")
+        raise ValueError("--out must name a directory, got ''")
     out = pathlib.Path(args.out or f"stvo_{args.scenario}")
     held = next((p for p in (out, *out.parents) if p.exists()), out)
     if not held.is_dir():
-        raise UsageError(f"--out {out}: {held} is not a directory")
+        raise ValueError(f"--out {out}: {held} is not a directory")
     tables = runner.run_experiment(
         args.scenario, cfg, algs, runs=args.runs, r=args.r, budget_ms=args.t_r,
         seed=args.seed, regret=regret_on, n_nodes=n_nodes,
@@ -217,7 +209,7 @@ def cmd_run(args):
         for p in written:
             pathlib.Path(p).unlink(missing_ok=True)
         if isinstance(e, OSError):
-            raise UsageError(f"cannot write {out}: {e}")
+            raise ValueError(f"cannot write {out}: {e}")
         raise
     return 0
 
@@ -232,22 +224,22 @@ def read_problem_file(path):
     try:
         text = pathlib.Path(path).read_text()
     except OSError as e:
-        raise UsageError(f"cannot read problem file: {e}")
+        raise ValueError(f"cannot read problem file: {e}")
     tokens = []
     for raw in text.splitlines():
         tokens.extend(raw.split("#", 1)[0].split())
     if not tokens:
-        raise UsageError("empty problem file")
+        raise ValueError("empty problem file")
     try:
         n = int(tokens[0])
         values = [float(v) for v in tokens[1:]]
     except ValueError as e:
-        raise UsageError(f"bad number in problem file: {e}")
+        raise ValueError(f"bad number in problem file: {e}")
     if n < 1:
-        raise UsageError(f"n must be at least 1, got {n}")
+        raise ValueError(f"n must be at least 1, got {n}")
     need = n * n + n + 1
     if len(values) != need:
-        raise UsageError(
+        raise ValueError(
             f"expected {need} values after n = {n}, found {len(values)}")
     Q = np.array(values[:n * n]).reshape(n, n)
     phi = np.array(values[n * n:n * n + n])
@@ -255,7 +247,7 @@ def read_problem_file(path):
     try:
         return QuadraticL1Problem(Q, phi, lam)
     except ValueError as e:
-        raise UsageError(f"invalid problem: {e}")
+        raise ValueError(f"invalid problem: {e}")
 
 
 def cmd_solve(args):
@@ -329,7 +321,7 @@ def cmd_check(args):
               f"node operators factored, k_max={stack.A.shape[1]} of "
               f"n={stream.n}")
         theta = max(theta_tau(data, tau) for data, tau in zip(nodes, taus))
-        if not theta < 1.0:
+        if not runner.odista_descends(nodes, taus):
             print(f"fail: odista descent factor theta={theta!r} not below "
                   f"one under {args.tau_rule} steps")
             return 2
@@ -398,7 +390,7 @@ def build_parser():
     p_check.set_defaults(func=cmd_check)
     # check runs the node step premise of the rule that run plays odista by
     for p in (p_run, p_check):
-        p.add_argument("--tau-rule", choices=("per_node", "uniform_min"),
+        p.add_argument("--tau-rule", choices=runner.TAU_RULES,
                        default="per_node", dest="tau_rule",
                        help="node step sizes of odista (default per_node)")
     return parser
@@ -412,26 +404,26 @@ def main(argv=None):
         return 0 if not e.code else 1
     try:
         if getattr(args, "seed", 0) < 0:
-            raise UsageError("--seed must be a non-negative integer")
+            raise ValueError("--seed must be a non-negative integer")
         if args.command == "run":
             args.common_random = args.common_random_flag == "on"
             if args.runs < 1:
-                raise UsageError("--runs must be at least 1")
+                raise ValueError("--runs must be at least 1")
             if args.r is not None and args.r < 1:
-                raise UsageError("--r must be at least 1")
+                raise ValueError("--r must be at least 1")
             if args.t_r is not None and not 0 < args.t_r < math.inf:
-                raise UsageError("--t-r must be a finite positive number")
+                raise ValueError("--t-r must be a finite positive number")
             args.r = 1 if args.r is None else args.r
         elif args.command == "solve" and args.max_iter < 1:
-            raise UsageError("--max-iter must be at least 1")
+            raise ValueError("--max-iter must be at least 1")
         elif args.command == "solve" and not 0 <= args.tol < math.inf:
-            raise UsageError("--tol must be a finite non-negative number")
+            raise ValueError("--tol must be a finite non-negative number")
         return args.func(args)
     # before ValueError, of which LinAlgError is a subclass
-    except (OracleError, np.linalg.LinAlgError) as e:
+    except (OracleError, runner.PremiseError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,23 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _vector(name, v, n):
+    """v as a float array, which must have shape (n,)."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
+    return v
+
+
+def _plus_diagonal(M, scale, diag):
+    """scale * M, a new C-order array, plus diag on its diagonal, added
+    through the flat view of the diagonal, which C order makes a view of
+    the array itself."""
+    out = np.multiply(M, scale, order="C")
+    out.reshape(-1)[::len(out) + 1] += diag
+    return out
+
+
 class SliceOperator:
     """The quadratic term Q of a slice and the data derived from it.
 
@@ -152,12 +169,10 @@ class QuadraticL1Problem:
 
     def __init__(self, Q, phi, lam):
         Q = np.asarray(Q, dtype=float)
-        phi = np.asarray(phi, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError(f"Q must be square, got shape {Q.shape}")
         n = Q.shape[0]
-        if phi.shape != (n,):
-            raise ValueError(f"phi must have shape ({n},), got {phi.shape}")
+        phi = _vector("phi", phi, n)
         if not np.isfinite(Q).all() or not np.isfinite(phi).all():
             raise ValueError("Q and phi must be finite")
         asym = np.max(np.abs(Q - Q.T)) if n else 0.0
@@ -199,9 +214,7 @@ class QuadraticL1Problem:
 
     def with_phi(self, phi):
         """New slice with a different linear term, sharing the operator."""
-        phi = np.asarray(phi, dtype=float)
-        if phi.shape != (self.n,):
-            raise ValueError(f"phi must have shape ({self.n},), got {phi.shape}")
+        phi = _vector("phi", phi, self.n)
         if not np.isfinite(phi).all():
             raise ValueError("phi must be finite")
         return QuadraticL1Problem._of(self.op, phi, self.lam)
@@ -224,12 +237,9 @@ class ElasticNetData:
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
-        y = np.asarray(self.y, dtype=float)
         if A.ndim != 2:
             raise ValueError(f"A must be 2-d, got ndim {A.ndim}")
-        if y.shape != (A.shape[0],):
-            raise ValueError(
-                f"y must have shape ({A.shape[0]},), got {y.shape}")
+        y = _vector("y", self.y, A.shape[0])
         if not np.isfinite(A).all() or not np.isfinite(y).all():
             raise ValueError("A and y must be finite")
         if not 0 < self.lam < np.inf:
@@ -383,9 +393,7 @@ def prox_quadratic(z, problem):
     map is 1/(1+sigma)-Lipschitz in z, with sigma the smallest eigenvalue of
     Q.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (problem.n,):
-        raise ValueError(f"z must have shape ({problem.n},), got {z.shape}")
+    z = _vector("z", z, problem.n)
     if not np.isfinite(z).all():
         raise ValueError("z must be finite")
     return problem.op.solver(problem.prox_factor())(z - problem.phi)
@@ -443,8 +451,6 @@ def contraction_constants(problem):
 
 def objective_value(x, problem):
     """Evaluate 0.5 x'Qx + phi'x + lam*||x||_1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.n,):
-        raise ValueError(f"x must have shape ({problem.n},), got {x.shape}")
+    x = _vector("x", x, problem.n)
     return float(0.5 * x @ problem.op.matvec(x) + problem.phi @ x
                  + problem.lam * np.abs(x).sum())

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SliceOperator, _Round
+from .core import SliceOperator, _plus_diagonal, _Round
 
 
 @dataclass(eq=False)
@@ -312,9 +312,7 @@ class OdistaRound(_Round):
         b = np.multiply(data.phis, h)
         thr = self.lam * h
         lo = np.subtract(b, thr)
-        # M = W2/2 + diag(1/2 - h mu), the diagonal added through a view
-        self._M = 0.5 * self.graph.W2
-        self._M.reshape(-1)[::n_nodes + 1] += 0.5 - h[:, 0] * stack.mu
+        self._M = _plus_diagonal(self.graph.W2, 0.5, 0.5 - h[:, 0] * stack.mu)
         X = self.X = state.X.copy()
         # batched pairs loop on X itself, (|V|, n), with scratch for A_v x_v
         self._arm(X, lo, np.add(b, thr, out=b))

@@ -25,6 +25,7 @@ from .solvers import (OdrRound, OistRound, OnlineConfig,
                       oist_round, oracle_minimizer)
 
 ALGORITHMS = ("oist", "odr", "odista")
+TAU_RULES = ("per_node", "uniform_min")
 CONFIGS = {"exp1": scenarios.TvarxConfig, "exp2": scenarios.TvarxConfig,
            "rss": scenarios.RssConfig, "synthetic": scenarios.SyntheticConfig}
 
@@ -133,7 +134,7 @@ def odista_taus(blocks, n_nodes, rule):
     eigenvalues).  A node of zero rows alone has no finite step: a
     ValueError names its slice and node.
     """
-    if rule not in ("uniform_min", "per_node"):
+    if rule not in TAU_RULES:
         raise ValueError(f"unknown step-size rule {rule!r}")
 
     def build(A, _):
@@ -359,6 +360,34 @@ def build_stream(scenario, cfg, seed):
 RING_DEGREE = 3
 
 
+def check_ring(n_nodes, m, name):
+    """Raise a ValueError that starts "{name} {n_nodes}:" unless n_nodes
+    nodes make a ring of degree RING_DEGREE and each get a row of a block
+    of m rows."""
+    try:
+        ring_graph(n_nodes, RING_DEGREE)
+        deal_rows(np.empty((m, 0)), n_nodes)
+    except ValueError as e:
+        raise ValueError(f"{name} {n_nodes}: {e}")
+
+
+class PremiseError(RuntimeError):
+    """Raised when a solver's convergence premise fails on the stream it
+    is to play."""
+
+
+def odista_descends(node_stream, taus):
+    """Whether odista's descent factor theta_tau is below one on every
+    slice, read off the step sizes: max_v tau_v mu_v < 1, mu_v = mu/|V| the
+    ridge of each node's Q_v = A_v'A_v + mu_v I.  Both step rules give
+    tau_v ||A_v||^2 <= 1, with equality at the node whose norm sets the
+    step, so max_v tau_v lambda_max(Q_v) = 1 + max_v tau_v mu_v, and
+    theta_tau is below one exactly where that is below two (up to
+    rounding)."""
+    mus = [[data.stack.mu] for data in node_stream]
+    return bool(np.max(np.multiply(taus, mus)) < 1.0)
+
+
 def make_graph(stream, n_nodes):
     """Network of the distributed solver: the rss sensor graph, else a ring
     of n_nodes and degree RING_DEGREE; returns the graph and its node
@@ -374,8 +403,14 @@ def _odista_inputs(stream, blocks, n_nodes, tau_rule):
     """Graph, node data stream, node step sizes and per-node l1 weight of
     the distributed solver on blocks of stream."""
     graph, n_nodes = make_graph(stream, n_nodes)
-    return (graph, partition_stream(blocks, n_nodes),
-            odista_taus(blocks, n_nodes, tau_rule), blocks[0].lam / n_nodes)
+    nodes = partition_stream(blocks, n_nodes)
+    taus = odista_taus(blocks, n_nodes, tau_rule)
+    if not odista_descends(nodes, taus):
+        raise PremiseError(
+            f"odista would diverge under {tau_rule} steps: a node's step "
+            f"tau_v times its ridge mu/|V| is not below one, so neither is "
+            f"the descent factor theta")
+    return graph, nodes, taus, blocks[0].lam / n_nodes
 
 
 def play(alg, stream, r, n_nodes, tau_rule):
@@ -477,7 +512,8 @@ def run_experiment(scenario, cfg, algs, runs, r, budget_ms, seed, regret,
     run-averaged regret (with regret on), the coefficient tracking (ARX) or
     the target distance (rss); then one summary row per algorithm.  An
     argument that cannot make such a run raises a ValueError that names it,
-    before any stream is built.
+    before any stream is built; a stream on which odista's descent factor
+    is not below one raises PremiseError before odista plays it.
     """
     least = 2 if "odista" in algs else 1  # odista counts half-steps
     for ok, what in (
@@ -491,9 +527,13 @@ def run_experiment(scenario, cfg, algs, runs, r, budget_ms, seed, regret,
             (budget_ms is not None or r >= least,
              f"r must be at least {least} for {algs!r}, got {r!r}"),
             (budget_ms is None or 0 < budget_ms < math.inf,
-             f"budget_ms must be finite and positive, got {budget_ms!r}")):
+             f"budget_ms must be finite and positive, got {budget_ms!r}"),
+            (tau_rule in TAU_RULES,
+             f"tau_rule must be one of {TAU_RULES}, got {tau_rule!r}")):
         if not ok:
             raise ValueError(what)
+    if "odista" in algs and scenario != "rss":
+        check_ring(n_nodes, cfg.m, "n_nodes")
     r_alg, heads = [r] * len(algs), [None] * len(algs)
     traces, actions, regrets, bounds, dists = ([[] for _ in algs]
                                                for _ in range(5))

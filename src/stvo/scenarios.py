@@ -288,21 +288,23 @@ def rss_model_value(d, cfg):
     return cfg.p0_dbm - 10.0 * cfg.exponent * np.log10(d / cfg.d0_m)
 
 
-def sensor_positions(cfg):
-    """Regular sensor grid, centered within the area."""
-    side = round(math.sqrt(cfg.sensors))
-    step = cfg.area_m / side
+def _grid_centers(side, step):
+    """Centers of the cells of a side x side grid of step-wide cells,
+    row-major, as (side^2, 2) points."""
     coords = (np.arange(side) + 0.5) * step
     xx, yy = np.meshgrid(coords, coords)
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
+def sensor_positions(cfg):
+    """Regular sensor grid, centered within the area."""
+    side = round(math.sqrt(cfg.sensors))
+    return _grid_centers(side, cfg.area_m / side)
+
+
 def cell_centers(cfg):
     """Centers of the unit cells, row-major over the grid."""
-    side = cfg.cells_per_side
-    coords = (np.arange(side) + 0.5) * cfg.cell_m
-    xx, yy = np.meshgrid(coords, coords)
-    return np.column_stack([xx.ravel(), yy.ravel()])
+    return _grid_centers(cfg.cells_per_side, cfg.cell_m)
 
 
 def rss_dictionary(cfg):

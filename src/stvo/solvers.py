@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _Round, prox_quadratic, soft_threshold
+from .core import (_plus_diagonal, _Round, _vector, prox_quadratic,
+                   soft_threshold)
 
 
 class OracleError(RuntimeError):
@@ -103,9 +104,7 @@ class OdrRound(_Round):
 
     def start(self, problem, z):
         """Start on problem from the state consistent with z."""
-        if z.shape != (problem.n,):
-            raise ValueError(
-                f"z must have shape ({problem.n},), got {z.shape}")
+        z = _vector("z", z, problem.n)
         factor = problem.prox_factor()
         solve, phi = problem.op.solver(factor), problem.phi
         self._problem = problem
@@ -113,9 +112,7 @@ class OdrRound(_Round):
             self._affine = lambda z, y: np.subtract(
                 np.multiply(solve(z - phi), 2.0, out=y), z, out=y)
         else:
-            # C order, so that the flat view below writes into B itself
-            B = np.multiply(factor[0], 2.0, order="C")
-            B.reshape(-1)[::problem.n + 1] -= 1.0
+            B = _plus_diagonal(factor[0], 2.0, -1.0)
             c = solve(2.0 * phi)
             self._affine = lambda z, y: np.subtract(B.dot(z, y), c, out=y)
         # the bounds as arrays: a ufunc takes them faster than a float
@@ -151,10 +148,7 @@ class OistRound(_Round):
     __slots__ = ()
 
     def start(self, problem, tau, x):
-        x = np.array(x, dtype=float)
-        if x.shape != (problem.n,):
-            raise ValueError(
-                f"x must have shape ({problem.n},), got {x.shape}")
+        x = _vector("x", x, problem.n).copy()
         if not 0 < tau < np.inf:
             raise ValueError(f"tau must be finite and positive, got {tau}")
         lambda_max = problem.lambda_max
@@ -168,10 +162,7 @@ class OistRound(_Round):
             self._affine = lambda x, y: np.subtract(
                 x, np.multiply(matvec(x), tau, out=y), out=y)
         else:
-            # C order whatever Q's layout, so that the flat view below
-            # writes into B itself
-            B = np.multiply(problem.Q, -tau, order="C")
-            B.reshape(-1)[::problem.n + 1] += 1.0
+            B = _plus_diagonal(problem.Q, -tau, 1.0)
             # B.dot(x, y): the gemv of np.matmul, with the least call overhead
             self._affine = B.dot
         thr = problem.lam * tau
@@ -490,10 +481,7 @@ def oracle_minimizer(problem, max_iter=100000, opt_tol=1e-8, initial=None):
     (x_star, z_star) : pair of ndarray
     """
     x = np.zeros(problem.n) if initial is None else \
-        np.array(initial, dtype=float)
-    if x.shape != (problem.n,):
-        raise ValueError(
-            f"initial must have shape ({problem.n},), got {x.shape}")
+        _vector("initial", initial, problem.n).copy()
     if not np.isfinite(x).all():
         raise ValueError("initial must be finite")
     target = min(_ORACLE_TARGET, opt_tol)

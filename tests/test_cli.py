@@ -20,7 +20,6 @@ import stvo
 from stvo import cli, metrics, runner
 from stvo.cli import (
     SCENARIOS,
-    UsageError,
     apply_overrides,
     base_config,
     derive_seed,
@@ -67,18 +66,18 @@ def test_load_config_parses_values_and_comments(tmp_path):
     cfg = load_config(f)
     assert cfg == {"m": 6, "snr_db": 20.5, "experiment": "exp2"}
     f.write_text("novalue\n")
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         load_config(f)
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         load_config(tmp_path / "missing.cfg")
 
 
 def test_apply_overrides_and_lambda_alias():
     cfg = base_config("exp1", {"m": 6, "lambda": 0.5})
     assert cfg.m == 6 and cfg.lam == 0.5
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         base_config("exp1", {"bogus": 1})
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         base_config("exp1", {"m": 30})  # breaks the compressed regime
     rss = base_config("rss", {"p0_dbm": -45, "d0_m": 1.5, "exponent": 2.5})
     assert (rss.p0_dbm, rss.d0_m, rss.exponent) == (-45, 1.5, 2.5)
@@ -160,9 +159,9 @@ def test_problem_file_comments_and_errors(tmp_path):
     f = problem_file(tmp_path, "# header\n1\n2 # Q\n-3\n1\n")
     p = read_problem_file(f)
     assert p.n == 1 and p.lam == 1.0
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         read_problem_file(problem_file(tmp_path, ""))
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         read_problem_file(problem_file(tmp_path, "1\nx\n0\n0.1\n"))
 
 
@@ -404,9 +403,14 @@ RUN_ARGS = dict(scenario="exp1", algs=["odr"], runs=1, r=2, budget_ms=None,
     ("r", {"algs": ["odr", "odista"], "r": 1}),
     ("r", {"r": 0}),
     ("budget_ms", {"budget_ms": math.inf}),
+    ("tau_rule", {"algs": ["odr", "odista"], "tau_rule": "bogus"}),
+    ("n_nodes", {"algs": ["odr", "odista"], "n_nodes": 2}),
+    ("n_nodes", {"algs": ["odr", "odista"], "n_nodes": 0}),
+    ("n_nodes", {"algs": ["odr", "odista"], "n_nodes": 13}),
 ], ids=["unknown_alg", "no_alg", "repeated_alg", "exp2_of_exp1",
         "rss_of_exp1", "unknown_scenario", "no_runs", "negative_seed",
-        "odista_r1", "r0", "infinite_budget"])
+        "odista_r1", "r0", "infinite_budget", "unknown_tau_rule",
+        "ring_of_2", "ring_of_0", "more_nodes_than_rows"])
 def test_run_experiment_refuses_an_argument_it_cannot_play(monkeypatch, name,
                                                            changes):
     monkeypatch.setattr(runner, "build_stream", no_stream)
@@ -864,6 +868,52 @@ def test_check_reports_the_odista_descent_factor_of_every_slice(
             "one under per_node steps" in out
     else:
         assert theta < 1.0 and code == 0
+
+
+# A ridge of 25 per node makes exp1's per-node steps overshoot, so odista
+# would diverge; `stvo run` refuses it with exit 2, as `stvo check` does,
+# before it makes the output directory.  The smallest common step descends.
+@pytest.mark.parametrize("rule,code", [("per_node", 2), ("uniform_min", 0)])
+def test_run_refuses_odista_where_its_descent_factor_is_not_below_one(
+        tmp_path, capsys, rule, code):
+    cfg = write_cfg(tmp_path, "mu = 100\nhorizon_s = 0.06\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", "exp1", "--alg", "odista", "--r",
+                   "20", "--regret", "off", "--tau-rule", rule, "--config",
+                   cfg, "--out", str(out)) == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert err == [
+            "numerical failure: odista would diverge under per_node steps: "
+            "a node's step tau_v times its ridge mu/|V| is not below one, so "
+            "neither is the descent factor theta"]
+    assert out.exists() == (not code)
+
+
+# Over a sweep of the ridge, the run refuses odista exactly where the check
+# fails, which is exactly where the theta it reports is not below one.
+@pytest.mark.parametrize("scenario,nodes", [
+    ("exp1", "4"), ("exp1", "5"), ("synthetic", "4"), ("synthetic", "5")])
+def test_run_refuses_odista_exactly_where_check_finds_theta_not_below_one(
+        tmp_path, capsys, scenario, nodes):
+    short = "horizon_s = 0.06\n" if scenario == "exp1" else "blocks = 5\n"
+    refusals = []
+    for mu in ("1e-6", "1", "10", "30", "100", "1000"):
+        cfg = write_cfg(tmp_path, f"mu = {mu}\n{short}")
+        for rule in ("per_node", "uniform_min"):
+            args = ("--scenario", scenario, "--nodes", nodes, "--config", cfg,
+                    "--tau-rule", rule)
+            failed = run_cli("check", *args) == 2
+            report = capsys.readouterr().out
+            theta = float(report.split("theta=")[1].split()[0])
+            out = tmp_path / f"out_{mu}_{rule}"
+            code = run_cli("run", *args, "--alg", "odista", "--r", "2",
+                           "--regret", "off", "--out", str(out))
+            capsys.readouterr()
+            assert (code == 2) == failed == (theta >= 1.0)
+            assert out.exists() == (code == 0)
+            refusals.append(code == 2)
+    assert any(refusals) and not all(refusals)
 
 
 # ---------------------------------------------------------------------------

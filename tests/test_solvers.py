@@ -205,6 +205,15 @@ def test_oist_round_refuses_an_x_of_the_wrong_shape():
                 oist_round(x, p, cfg)
 
 
+def test_odr_start_and_the_objective_refuse_a_vector_of_the_wrong_shape():
+    p = random_pd_problem(4, seed=22)
+    for v in (np.zeros((4, 1)), np.zeros(5), np.zeros(())):
+        with pytest.raises(ValueError, match=r"^z must have shape \(4,\), "):
+            OdrRound().start(p, v)
+        with pytest.raises(ValueError, match=r"^x must have shape \(4,\), "):
+            objective_value(v, p)
+
+
 def test_online_config_validation():
     with pytest.raises(ValueError):
         OnlineConfig(r=0)
