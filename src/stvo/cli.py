@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
 numerical routine fails to deliver (oracle divergence, singular data) or
-would diverge (odista where its descent factor is not below one).
+would diverge (odista where its descent factor is not below one) or did (a
+played action that is not finite).
 All CSV output is byte-deterministic for a fixed command line and BLAS
 thread count (rss files move by up to 5.3e-15 relative from one thread to
 two): floats are written with repr, which round-trips exactly.
@@ -17,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import _svg, runner, scenarios
+from . import _svg, runner
 from .core import QuadraticL1Problem, contraction_constants, objective_value
 from .distributed import theta_tau
 from .runner import build_stream, derive_seed, make_graph
@@ -69,19 +70,12 @@ FIELD_VALUES = {
 }
 
 
-# Fields the command line sets, and the flag that sets each.
-COMMAND_LINE_FIELDS = {"experiment": "--scenario", "seed": "--seed"}
-
-
 def apply_overrides(cfg, overrides):
     types = {f.name: f.type for f in dataclasses.fields(cfg)}
     updates = {}
     for key, value in overrides.items():
         if key == "lambda":
             key = "lam"
-        if key in COMMAND_LINE_FIELDS:
-            raise ValueError(f"unknown config key {key!r}: "
-                             f"{COMMAND_LINE_FIELDS[key]} sets it")
         if types.get(key) not in FIELD_VALUES:
             raise ValueError(f"unknown config key {key!r} for this scenario")
         valid, what = FIELD_VALUES[types[key]]
@@ -109,9 +103,7 @@ def network_size(scenario, nodes, cfg, plays_odista):
 
 
 def base_config(scenario, overrides):
-    kind = runner.CONFIGS[scenario]
-    args = {"experiment": scenario} if kind is scenarios.TvarxConfig else {}
-    return apply_overrides(kind(**args), overrides)
+    return apply_overrides(runner.CONFIGS[scenario](), overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ algorithm was judged on at round t.  Row 0 is always the cold start.
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -344,15 +344,14 @@ class Stream:
 
 
 def build_stream(scenario, cfg, seed):
-    cfg = replace(cfg, seed=seed)
     if scenario in ("exp1", "exp2"):
-        sim = scenarios.tvarx_simulate(cfg)
+        sim = scenarios.tvarx_simulate(cfg, scenario, seed)
         blocks = scenarios.tvarx_stream(cfg, sim)
         return Stream(scenario, cfg, blocks, truth=sim.x_true)
     if scenario == "rss":
-        blocks, walk = scenarios.rss_stream(cfg)
+        blocks, walk = scenarios.rss_stream(cfg, seed)
         return Stream(scenario, cfg, blocks, walk=walk)
-    blocks, truth = scenarios.synthetic_stream(cfg)
+    blocks, truth = scenarios.synthetic_stream(cfg, seed)
     return Stream(scenario, cfg, blocks, truth=truth)
 
 
@@ -373,7 +372,7 @@ def check_ring(n_nodes, m, name):
 
 class PremiseError(RuntimeError):
     """Raised when a solver's convergence premise fails on the stream it
-    is to play."""
+    is to play, or its play commits an action that is not finite."""
 
 
 def odista_descends(node_stream, taus):
@@ -513,12 +512,12 @@ def run_experiment(scenario, cfg, algs, runs, r, budget_ms, seed, regret,
     the target distance (rss); then one summary row per algorithm.  An
     argument that cannot make such a run raises a ValueError that names it,
     before any stream is built; a stream on which odista's descent factor
-    is not below one raises PremiseError before odista plays it.
+    is not below one raises PremiseError before odista plays it, and a play
+    that commits an action that is not finite raises it after.
     """
     least = 2 if "odista" in algs else 1  # odista counts half-steps
     for ok, what in (
-            (isinstance(cfg, CONFIGS.get(scenario, ())) and getattr(
-                cfg, "experiment", scenario) == scenario,
+            (isinstance(cfg, CONFIGS.get(scenario, ())),
              f"scenario {scenario!r} does not match cfg {cfg!r}"),
             (0 < len(set(algs)) == len(algs) and set(algs) <= set(ALGORITHMS),
              f"algs must be distinct names of {ALGORITHMS}, got {algs!r}"),
@@ -534,7 +533,7 @@ def run_experiment(scenario, cfg, algs, runs, r, budget_ms, seed, regret,
             raise ValueError(what)
     if "odista" in algs and scenario != "rss":
         check_ring(n_nodes, cfg.m, "n_nodes")
-    r_alg, heads = [r] * len(algs), [None] * len(algs)
+    r_alg, truths = [r] * len(algs), [None] * len(algs)
     traces, actions, regrets, bounds, dists = ([[] for _ in algs]
                                                for _ in range(5))
     stream = oracles = None
@@ -546,11 +545,15 @@ def run_experiment(scenario, cfg, algs, runs, r, budget_ms, seed, regret,
                 stream = oracles = None
                 stream = build_stream(scenario, cfg, derive_seed(seed, *key))
             if run == 0:
-                heads[ai] = (stream.cfg, stream.truth)
+                truths[ai] = stream.truth
                 if budget_ms is not None:
                     r_alg[ai] = calibrated_r(alg, stream, budget_ms, n_nodes,
                                              tau_rule)
             result = play(alg, stream, r_alg[ai], n_nodes, tau_rule)
+            bad = np.flatnonzero(~np.isfinite(result.actions).all(axis=1))
+            if bad.size:
+                raise PremiseError(f"{alg} diverged in run {run}: its action "
+                                   f"at round {bad[0]} is not finite")
             if regret:
                 if oracles is None:
                     oracles = stream_oracles(stream.problems)
@@ -585,7 +588,7 @@ def run_experiment(scenario, cfg, algs, runs, r, budget_ms, seed, regret,
             reg_over_t_final = float(reg_over_mean[-1])
         mse_final = median_dist = math.nan
         if scenario in ("exp1", "exp2"):
-            rows = tvarx_param_rows(*heads[ai], actions[ai])
+            rows = tvarx_param_rows(cfg, truths[ai], actions[ai])
             tables.append(Table(f"params_{alg}.csv",
                                 ("t_ms", "a1_true", "a1_est", "b1_true",
                                  "b1_est", "mse"), rows))

@@ -53,7 +53,6 @@ class TvarxConfig:
     per-block elastic net.
     """
 
-    experiment: str = "exp1"
     P_hat: int = 10
     Q_hat: int = 10
     m: int = 12
@@ -62,11 +61,8 @@ class TvarxConfig:
     sample_rate_hz: float = 1000.0
     lam: float = 1e-2
     mu: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
-        if self.experiment not in ("exp1", "exp2"):
-            raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.m >= self.P_hat + self.Q_hat:
             raise ValueError("m must stay below P_hat + Q_hat")
         if self.m < 1 or self.P_hat < 1 or self.Q_hat < 1:
@@ -123,7 +119,7 @@ class TvarxData:
     x_true: np.ndarray
 
 
-def tvarx_simulate(cfg, noise=True):
+def tvarx_simulate(cfg, experiment, seed, noise=True):
     """Simulate y_t = a1_t y_{t-1} + b1_t u_{t-1} + e_t over the horizon.
 
     The input is a standard Gaussian block of length m repeated
@@ -134,15 +130,15 @@ def tvarx_simulate(cfg, noise=True):
     reaching before t = 0 read an implicit zero warm-up.
     """
     N = cfg.n_samples
-    rng_u = substream(cfg.seed, STREAM_INPUT)
+    rng_u = substream(seed, STREAM_INPUT)
     u = np.tile(rng_u.standard_normal(cfg.m), N // cfg.m + 1)[:N]
-    if cfg.experiment == "exp1":
+    if experiment == "exp1":
         # exp1 runs on the wall clock, compared for all samples at once
         a, b = experiment_params("exp1", np.arange(N) / cfg.sample_rate_hz)
     else:
         # exp2 runs on the sample index, undefined at index 0, so the first
         # sample reuses index 1
-        a, b = np.array([experiment_params("exp2", max(t, 1))
+        a, b = np.array([experiment_params(experiment, max(t, 1))
                          for t in range(N)], dtype=float).T
 
     def recurse(noise_seq):
@@ -172,7 +168,7 @@ def tvarx_simulate(cfg, noise=True):
         # stationary variance sigma^2/(1 - a^2); deflate sigma so the
         # noise power observed in y matches the block target.
         sigma *= np.sqrt(np.maximum(1.0 - a ** 2, 0.0))
-        e = substream(cfg.seed, STREAM_NOISE).standard_normal(N) * sigma
+        e = substream(seed, STREAM_NOISE).standard_normal(N) * sigma
         y = recurse(e)
     else:
         y = y_clean
@@ -244,7 +240,6 @@ class RssConfig:
     comm_radius_m: float = 4.5
     round_ms: float = 50.0
     path_length_steps: int = 100
-    seed: int = 0
     p0_dbm: float = -40.0
     d0_m: float = 1.0
     exponent: float = 3.0
@@ -262,9 +257,14 @@ class RssConfig:
         if not 0 < 8 * self.n_meas * cells <= MAX_DICTIONARY_BYTES:
             raise ValueError(f"a {self.n_meas} x {cells:.3g} dictionary is "
                              f"empty or over {MAX_DICTIONARY_BYTES >> 20} MiB")
-        if not 0 < self.round_ms < math.inf:
-            raise ValueError(
-                f"round_ms={self.round_ms} is not finite and positive")
+        for key, ok, what in (
+                ("round_ms", 0 < self.round_ms < math.inf,
+                 "not finite and positive"),
+                ("path_length_steps", self.path_length_steps >= 1, "below 1"),
+                ("d0_m", self.d0_m > 0, "not positive"),
+                ("comm_radius_m", self.comm_radius_m >= 0, "negative")):
+            if not ok:
+                raise ValueError(f"{key}={getattr(self, key)} is {what}")
         _check_snr_db(self.snr_db)
 
     @property
@@ -307,7 +307,7 @@ def cell_centers(cfg):
     return _grid_centers(cfg.cells_per_side, cfg.cell_m)
 
 
-def rss_dictionary(cfg):
+def rss_dictionary(cfg, seed):
     """Fingerprint dictionary, meas_per_sensor rows per sensor.
 
     Entry (i, j) is the modeled power at sensor i from a source in cell j;
@@ -320,7 +320,7 @@ def rss_dictionary(cfg):
     diff = sensors[:, None, :] - cells[None, :, :]
     base = rss_model_value(np.sqrt((diff ** 2).sum(axis=2)), cfg)
     rms = np.sqrt(np.mean(base ** 2, axis=1))
-    noise = substream(cfg.seed, STREAM_DICT).standard_normal(
+    noise = substream(seed, STREAM_DICT).standard_normal(
         (cfg.n_meas, cfg.n_cells))
     scale = 10.0 ** (-cfg.snr_db / 20.0)
     rows = noise.reshape(cfg.sensors, cfg.meas_per_sensor, cfg.n_cells)
@@ -342,8 +342,8 @@ def feasible_moves(cell, side):
     return moves
 
 
-def target_walk(cfg):
-    """Random walk over the cell grid, one move per round.
+def target_walk(cfg, seed):
+    """Random walk over the cell grid, one move per round, drawn from seed.
 
     Each step picks uniformly among the in-bounds moves (staying put
     included), which realizes reflection at the borders; corners offer four
@@ -351,7 +351,7 @@ def target_walk(cfg):
     path_length_steps + 1.
     """
     side = cfg.cells_per_side
-    rng = substream(cfg.seed, STREAM_WALK)
+    rng = substream(seed, STREAM_WALK)
     cell = int(rng.integers(side * side))
     path = [cell]
     for _ in range(cfg.path_length_steps):
@@ -384,8 +384,8 @@ def _shared_blocks(A, ys, lam, mu):
     return [first] + [ElasticNetData._of(first.A, y, lam, mu) for y in ys[1:]]
 
 
-def rss_stream(cfg):
-    """Per-round elastic-net slices of a tracking run.
+def rss_stream(cfg, seed):
+    """Per-round elastic-net slices of the tracking run drawn from seed.
 
     Measurements are taken against the raw dBm dictionary.  For the solver
     the common offset (the mean column) is subtracted from both sides and
@@ -396,17 +396,17 @@ def rss_stream(cfg):
     the rescaled dictionary.  Returns (blocks, walk); every block holds the
     one rescaled dictionary as its A, so the slices reuse one factorization.
     """
-    A = rss_dictionary(cfg)
+    A = rss_dictionary(cfg, seed)
     offset = A.mean(axis=1)
     A_used = A - offset[:, None]
     scale = np.linalg.norm(A_used, 2)
     A_used /= scale
-    walk = target_walk(cfg)
+    walk = target_walk(cfg, seed)
     ys = []
     for t, cell in enumerate(walk):
         x_true = np.zeros(cfg.n_cells)
         x_true[cell] = 1.0
-        ys.append(rss_measure(A, x_true, cfg.snr_db, cfg.seed, t))
+        ys.append(rss_measure(A, x_true, cfg.snr_db, seed, t))
     ys = (np.array(ys) - offset) / scale
     return _shared_blocks(A_used, ys, cfg.lam, cfg.mu), walk
 
@@ -426,7 +426,6 @@ class SyntheticConfig:
     lam: float = 1e-2
     mu: float = 1e-6
     snr_db: float = 25.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 2 or self.m < 1 or self.blocks < 1:
@@ -436,19 +435,19 @@ class SyntheticConfig:
         _check_snr_db(self.snr_db)
 
 
-def synthetic_stream(cfg):
-    """Slowly drifting sparse regression stream in elastic-net form.
+def synthetic_stream(cfg, seed):
+    """Slowly drifting sparse regression stream of seed, in elastic-net form.
 
     A fixed Gaussian sensing matrix observes a two-sparse target whose
     nonzero entries move smoothly; measurement noise at cfg.snr_db.
     """
     n, m, drift = cfg.n, cfg.m, cfg.drift
-    rng = substream(cfg.seed, STREAM_PROBLEM)
+    rng = substream(seed, STREAM_PROBLEM)
     A = rng.standard_normal((m, n)) / math.sqrt(m)
     supp = (0, n // 2)
     ys = []
     truth = []
-    noise_rng = substream(cfg.seed, STREAM_NOISE)
+    noise_rng = substream(seed, STREAM_NOISE)
     scale = 10.0 ** (-cfg.snr_db / 20.0)
     for t in range(cfg.blocks):
         x = np.zeros(n)

@@ -415,7 +415,7 @@ def loop_tvarx_blocks(y, u, m, P_hat, Q_hat):
             for start in range(0, (len(y) // m) * m, m)]
 
 
-def loop_rss_dictionary(cfg):
+def loop_rss_dictionary(cfg, seed):
     """Fingerprint dictionary drawn one sensor and one row at a time.  It
     reads the package's sensor grid, cell grid and attenuation model, which
     it does not cross-check, and the dictionary's named sub-stream."""
@@ -423,7 +423,7 @@ def loop_rss_dictionary(cfg):
     cells = cell_centers(cfg)
     diff = sensors[:, None, :] - cells[None, :, :]
     base = rss_model_value(np.sqrt((diff ** 2).sum(axis=2)), cfg)
-    rng = substream(cfg.seed, STREAM_DICT)
+    rng = substream(seed, STREAM_DICT)
     scale = 10.0 ** (-cfg.snr_db / 20.0)
     rows = []
     for i in range(cfg.sensors):
@@ -492,20 +492,20 @@ def loop_node_phis(A, y, n_nodes):
     return [-stack[v, :idx.size].T @ y[idx] for v, idx in enumerate(rows)]
 
 
-def scalar_tvarx_simulate(cfg, noise=True):
+def scalar_tvarx_simulate(cfg, experiment, seed, noise=True):
     """(u, y, x_true) of the default simulation of a TvarxConfig, sample by
     sample: the parameters from experiment_params at every index, both
     recursions over numpy scalars indexed one at a time and each block's
     noise level from its own sum.  It reads the package's schedules and
     named sub-streams, which it does not cross-check."""
     N = cfg.n_samples
-    u = np.tile(substream(cfg.seed, STREAM_INPUT).standard_normal(cfg.m),
+    u = np.tile(substream(seed, STREAM_INPUT).standard_normal(cfg.m),
                 N // cfg.m + 1)[:N]
     a = np.empty(N)
     b = np.empty(N)
     for t in range(N):
-        tt = max(t, 1) if cfg.experiment == "exp2" else t / cfg.sample_rate_hz
-        a[t], b[t] = experiment_params(cfg.experiment, tt)
+        tt = max(t, 1) if experiment == "exp2" else t / cfg.sample_rate_hz
+        a[t], b[t] = experiment_params(experiment, tt)
 
     def recurse(noise_seq):
         y = np.zeros(N)
@@ -524,7 +524,7 @@ def scalar_tvarx_simulate(cfg, noise=True):
             sigma[start:start + cfg.m] = np.sqrt(
                 np.sum(block ** 2) * scale / block.size)
         sigma *= np.sqrt(np.maximum(1.0 - a ** 2, 0.0))
-        y = recurse(substream(cfg.seed, STREAM_NOISE).standard_normal(N)
+        y = recurse(substream(seed, STREAM_NOISE).standard_normal(N)
                     * sigma)
     x_true = np.zeros((N, cfg.n))
     x_true[:, 0] = a

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -27,7 +28,10 @@ from stvo.cli import (
     main,
     read_problem_file,
 )
+from stvo.scenarios import experiment_params
 from stvo.solvers import OracleError
+
+from oracles import assert_bitwise_equal
 
 
 def run_cli(*argv):
@@ -282,6 +286,23 @@ def test_config_refuses_keys_set_elsewhere(tmp_path, capsys, scenario, key,
     assert not out.exists()
 
 
+# The scenario alone names the ARX experiment: a config made for exp1 builds
+# exp2's stream under the name exp2, bit for bit the one its own config does.
+@pytest.mark.parametrize("seed", [0, 7])
+def test_build_stream_builds_the_experiment_it_is_named(seed):
+    stream = cli.build_stream("exp2", base_config("exp1", {}), seed)
+    own = cli.build_stream("exp2", base_config("exp2", {}), seed)
+    assert len(stream.blocks) == len(own.blocks)
+    for block, ref in zip(stream.blocks, own.blocks):
+        assert_bitwise_equal(block.A, ref.A)
+        assert_bitwise_equal(block.y, ref.y)
+    assert_bitwise_equal(stream.truth, own.truth)
+    a1, b1 = np.array([experiment_params("exp2", max(t, 1))
+                       for t in range(len(stream.truth))]).T
+    assert_bitwise_equal(stream.truth[:, 0], a1)
+    assert_bitwise_equal(stream.truth[:, stream.cfg.P_hat], b1)
+
+
 # Runs `stvo` in a fresh interpreter whose import system refuses scipy and
 # every scipy submodule, then fails unless no scipy module got loaded.
 WITHOUT_SCIPY = """
@@ -352,6 +373,30 @@ def test_rss_config_refuses_a_round_window_that_is_not_positive(
     assert not out.exists()
 
 
+# A walk of no steps, a reference distance that is not positive and a
+# negative radio range are refused on one line that names the key, before
+# any stream is built.
+@pytest.mark.parametrize("key,value,what", [
+    ("path_length_steps", "0", "below 1"),
+    ("path_length_steps", "-3", "below 1"),
+    ("d0_m", "0", "not positive"), ("d0_m", "-1", "not positive"),
+    ("comm_radius_m", "-1", "negative")])
+def test_rss_config_refuses_values_it_cannot_play(tmp_path, capsys,
+                                                  monkeypatch, key, value,
+                                                  what):
+    refuse_streams(monkeypatch)
+    cfg = write_cfg(tmp_path, f"{key} = {value}\n")
+    out = tmp_path / "out"
+    for command in ("run", "check"):
+        argv = [command, "--scenario", "rss", "--config", cfg]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: bad config value: {key}={value} is {what}"]
+    assert not out.exists()
+
+
 def no_stream(*args, **kwargs):
     raise AssertionError("a stream was built")
 
@@ -395,7 +440,6 @@ RUN_ARGS = dict(scenario="exp1", algs=["odr"], runs=1, r=2, budget_ms=None,
     ("algs", {"algs": ["foo"]}),
     ("algs", {"algs": []}),
     ("algs", {"algs": ["odr", "odr"]}),
-    ("scenario", {"scenario": "exp2"}),
     ("scenario", {"scenario": "rss"}),
     ("scenario", {"scenario": "foo"}),
     ("runs", {"runs": 0}),
@@ -407,8 +451,8 @@ RUN_ARGS = dict(scenario="exp1", algs=["odr"], runs=1, r=2, budget_ms=None,
     ("n_nodes", {"algs": ["odr", "odista"], "n_nodes": 2}),
     ("n_nodes", {"algs": ["odr", "odista"], "n_nodes": 0}),
     ("n_nodes", {"algs": ["odr", "odista"], "n_nodes": 13}),
-], ids=["unknown_alg", "no_alg", "repeated_alg", "exp2_of_exp1",
-        "rss_of_exp1", "unknown_scenario", "no_runs", "negative_seed",
+], ids=["unknown_alg", "no_alg", "repeated_alg", "rss_of_exp1",
+        "unknown_scenario", "no_runs", "negative_seed",
         "odista_r1", "r0", "infinite_budget", "unknown_tau_rule",
         "ring_of_2", "ring_of_0", "more_nodes_than_rows"])
 def test_run_experiment_refuses_an_argument_it_cannot_play(monkeypatch, name,
@@ -730,8 +774,8 @@ def test_check_builds_the_stream_of_run_zero(tmp_path, monkeypatch):
     build = runner.build_stream
 
     def recording(*args):
-        built.append(build(*args))
-        return built[-1]
+        built.append((args, build(*args)))
+        return built[-1][1]
 
     monkeypatch.setattr(cli, "build_stream", recording)
     monkeypatch.setattr(runner, "build_stream", recording)
@@ -741,10 +785,10 @@ def test_check_builds_the_stream_of_run_zero(tmp_path, monkeypatch):
     assert run_cli("run", "--scenario", "exp2", "--seed", "3", "--runs", "2",
                    "--regret", "off", "--config", cfg,
                    "--out", str(tmp_path / "out")) == 0
-    checked, run_0 = built[0].blocks[0], built[1].blocks[0]
+    checked, run_0 = built[0][1].blocks[0], built[1][1].blocks[0]
     np.testing.assert_array_equal(checked.A, run_0.A)
     np.testing.assert_array_equal(checked.y, run_0.y)
-    assert built[0].cfg.seed == derive_seed(3, 0)
+    assert built[0][0][2] == derive_seed(3, 0)
 
 
 @pytest.mark.parametrize("common_random", ["on", "off"])
@@ -887,6 +931,29 @@ def test_run_refuses_odista_where_its_descent_factor_is_not_below_one(
             "numerical failure: odista would diverge under per_node steps: "
             "a node's step tau_v times its ridge mu/|V| is not below one, so "
             "neither is the descent factor theta"]
+    assert out.exists() == (not code)
+
+
+# At a ridge of 100 oist's step overshoots, and its rounds grow until they
+# overflow: the run refuses the play with exit 2 on one line naming the
+# algorithm, the run and the first round, before it makes the output
+# directory.  odr plays the same stream.
+@pytest.mark.parametrize("alg,code", [("oist", 2), ("odr", 0)])
+def test_run_refuses_a_play_whose_actions_are_not_finite(tmp_path, capsys,
+                                                         alg, code):
+    cfg = write_cfg(tmp_path, "mu = 100\nhorizon_s = 0.06\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        # oist's step and its overflow warn before the refusal
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_cli("run", "--scenario", "exp1", "--alg", alg, "--r",
+                       "400", "--regret", "on", "--config", cfg,
+                       "--out", str(out)) == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert len(err) == 1
+        assert re.fullmatch(r"numerical failure: oist diverged in run 0: its "
+                            r"action at round \d+ is not finite", err[0])
     assert out.exists() == (not code)
 
 

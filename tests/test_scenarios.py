@@ -65,8 +65,8 @@ def test_config_defaults():
 def test_config_validation():
     with pytest.raises(ValueError):
         TvarxConfig(m=25)
-    with pytest.raises(ValueError):
-        TvarxConfig(experiment="exp3")
+    with pytest.raises(ValueError, match="unknown experiment 'exp3'"):
+        tvarx_simulate(TvarxConfig(), "exp3", 0)
 
 
 def test_experiment1_piecewise_values():
@@ -104,8 +104,8 @@ def test_experiment2_parameter_path_lengths():
 
 
 def test_simulate_places_truth_at_the_two_taps():
-    cfg = TvarxConfig(experiment="exp1", seed=5)
-    sim = tvarx_simulate(cfg, noise=False)
+    cfg = TvarxConfig()
+    sim = tvarx_simulate(cfg, "exp1", 5, noise=False)
     t = 300
     x = sim.x_true[t]
     assert x[0] == -0.9 and x[cfg.P_hat] == -0.8
@@ -113,17 +113,17 @@ def test_simulate_places_truth_at_the_two_taps():
 
 
 def test_simulate_is_deterministic():
-    cfg = TvarxConfig(experiment="exp2", seed=11)
-    s1 = tvarx_simulate(cfg)
-    s2 = tvarx_simulate(cfg)
+    cfg = TvarxConfig()
+    s1 = tvarx_simulate(cfg, "exp2", 11)
+    s2 = tvarx_simulate(cfg, "exp2", 11)
     np.testing.assert_array_equal(s1.u, s2.u)
     np.testing.assert_array_equal(s1.y, s2.y)
     np.testing.assert_array_equal(s1.x_true, s2.x_true)
 
 
 def test_simulate_input_is_m_periodic():
-    cfg = TvarxConfig(seed=2)
-    sim = tvarx_simulate(cfg, noise=False)
+    cfg = TvarxConfig()
+    sim = tvarx_simulate(cfg, "exp1", 2, noise=False)
     np.testing.assert_array_equal(sim.u[:cfg.m], sim.u[cfg.m:2 * cfg.m])
 
 
@@ -135,8 +135,8 @@ def test_regressor_matrix_smallest_case():
 
 
 def test_regressor_matrix_shape_and_lag_order():
-    cfg = TvarxConfig(seed=7)
-    sim = tvarx_simulate(cfg, noise=False)
+    cfg = TvarxConfig()
+    sim = tvarx_simulate(cfg, "exp1", 7, noise=False)
     A = regressor_matrix(sim.y, sim.u, t=50, m=cfg.m, P_hat=10, Q_hat=10)
     assert A.shape == (12, 20)
     np.testing.assert_array_equal(A[0, :10], sim.y[40:50][::-1])
@@ -152,8 +152,8 @@ def test_regressor_matrix_validation():
 
 
 def test_noiseless_blocks_satisfy_the_linear_model():
-    cfg = TvarxConfig(experiment="exp1", seed=9)
-    sim = tvarx_simulate(cfg, noise=False)
+    cfg = TvarxConfig()
+    sim = tvarx_simulate(cfg, "exp1", 9, noise=False)
     # anchor inside a constant-parameter segment
     t = 300
     A = regressor_matrix(sim.y, sim.u, t, cfg.m, cfg.P_hat, cfg.Q_hat)
@@ -164,9 +164,9 @@ def test_noiseless_blocks_satisfy_the_linear_model():
 @pytest.mark.parametrize("experiment", ["exp1", "exp2"])
 @pytest.mark.parametrize("seed", range(8))
 def test_simulation_is_the_scalar_recursion_bitwise(experiment, seed):
-    cfg = TvarxConfig(experiment=experiment, seed=seed)
-    sim = tvarx_simulate(cfg)
-    u, y, x_true = scalar_tvarx_simulate(cfg)
+    cfg = TvarxConfig()
+    sim = tvarx_simulate(cfg, experiment, seed)
+    u, y, x_true = scalar_tvarx_simulate(cfg, experiment, seed)
     assert_bitwise_equal(sim.u, u)
     assert_bitwise_equal(sim.y, y)
     assert_bitwise_equal(sim.x_true, x_true)
@@ -177,25 +177,25 @@ def test_simulation_of_uneven_blocks_is_the_scalar_recursion(
         experiment):
     # 7-sample blocks leave a last block of 6 of the 1000 samples, with and
     # without noise
-    cfg = TvarxConfig(experiment=experiment, m=7, P_hat=3, Q_hat=9, seed=5)
+    cfg = TvarxConfig(m=7, P_hat=3, Q_hat=9)
     for noise in (False, True):
-        sim = tvarx_simulate(cfg, noise=noise)
-        u, y, x_true = scalar_tvarx_simulate(cfg, noise=noise)
+        sim = tvarx_simulate(cfg, experiment, 5, noise=noise)
+        u, y, x_true = scalar_tvarx_simulate(cfg, experiment, 5, noise=noise)
         assert_bitwise_equal(sim.y, y)
         assert_bitwise_equal(sim.x_true, x_true)
 
 
 def test_stream_checks_the_simulation_once_for_all_its_blocks():
-    cfg = TvarxConfig(seed=2)
-    sim = tvarx_simulate(cfg)
+    cfg = TvarxConfig()
+    sim = tvarx_simulate(cfg, "exp1", 2)
     sim.y[500] = np.nan
     with pytest.raises(ValueError, match="A and y must be finite"):
         tvarx_stream(cfg, sim)
 
 
 def test_stream_has_one_block_per_m_samples():
-    cfg = TvarxConfig(seed=1)
-    sim = tvarx_simulate(cfg)
+    cfg = TvarxConfig()
+    sim = tvarx_simulate(cfg, "exp1", 1)
     blocks = tvarx_stream(cfg, sim)
     assert len(blocks) == 83
     for k, blk in enumerate(blocks):
@@ -221,9 +221,9 @@ def test_stream_blocks_are_the_row_by_row_regressors(seed, experiment, P_hat,
     m = min(m, P_hat + Q_hat - 1)
     if m < 1 or samples < m:
         return
-    cfg = TvarxConfig(experiment=experiment, P_hat=P_hat, Q_hat=Q_hat, m=m,
-                      horizon_s=samples / 1000.0, seed=seed)
-    sim = tvarx_simulate(cfg)
+    cfg = TvarxConfig(P_hat=P_hat, Q_hat=Q_hat, m=m,
+                      horizon_s=samples / 1000.0)
+    sim = tvarx_simulate(cfg, experiment, seed)
     blocks = tvarx_stream(cfg, sim)
     ref = loop_tvarx_blocks(sim.y, sim.u, m, P_hat, Q_hat)
     assert len(blocks) == len(ref) == samples // m
@@ -254,14 +254,14 @@ def test_regressor_matrix_is_the_row_by_row_loop(seed, size, t, m, P_hat,
 
 
 def test_first_block_reads_the_zero_warmup():
-    cfg = TvarxConfig(seed=1)
-    blocks = tvarx_stream(cfg, tvarx_simulate(cfg))
+    cfg = TvarxConfig()
+    blocks = tvarx_stream(cfg, tvarx_simulate(cfg, "exp1", 1))
     np.testing.assert_array_equal(blocks[0].A[0], np.zeros(20))
 
 
 def test_block_oracle_recovers_truth_on_clean_data():
-    cfg = TvarxConfig(experiment="exp1", seed=13)
-    sim = tvarx_simulate(cfg, noise=False)
+    cfg = TvarxConfig()
+    sim = tvarx_simulate(cfg, "exp1", 13, noise=False)
     blocks = tvarx_stream(cfg, sim=sim)
     s = 25  # anchor 300, inside a constant segment
     x_star, _ = oracle_minimizer(elastic_net_problem(blocks[s]))
@@ -269,8 +269,8 @@ def test_block_oracle_recovers_truth_on_clean_data():
 
 
 def test_node_partition_sums_back_to_the_block():
-    cfg = TvarxConfig(seed=4)
-    blk = tvarx_stream(cfg, tvarx_simulate(cfg))[10]
+    cfg = TvarxConfig()
+    blk = tvarx_stream(cfg, tvarx_simulate(cfg, "exp1", 4))[10]
     nodes = RowStack(blk, 4).nodes(blk.y)
     assert len(nodes) == 4
     Q_sum = sum(op.Q for op in nodes)
@@ -313,11 +313,11 @@ def test_rss_config_geometry():
 
 
 def test_dictionary_shape_and_distinct_columns():
-    cfg = RssConfig(seed=21)
-    A = rss_dictionary(cfg)
+    cfg = RssConfig()
+    A = rss_dictionary(cfg, 21)
     assert A.shape == (144, 625)
     assert np.unique(A, axis=1).shape[1] == 625
-    np.testing.assert_array_equal(A, rss_dictionary(cfg))
+    np.testing.assert_array_equal(A, rss_dictionary(cfg, 21))
 
 
 @SETTINGS
@@ -328,10 +328,10 @@ def test_dictionary_shape_and_distinct_columns():
 def test_dictionary_is_drawn_as_sensor_by_sensor_rows(seed, sensors,
                                                       meas_per_sensor,
                                                       area_m, snr_db):
-    cfg = RssConfig(seed=seed, sensors=sensors,
-                    meas_per_sensor=meas_per_sensor, area_m=area_m,
-                    snr_db=snr_db)
-    assert_bitwise_equal(rss_dictionary(cfg), loop_rss_dictionary(cfg))
+    cfg = RssConfig(sensors=sensors, meas_per_sensor=meas_per_sensor,
+                    area_m=area_m, snr_db=snr_db)
+    assert_bitwise_equal(rss_dictionary(cfg, seed),
+                         loop_rss_dictionary(cfg, seed))
 
 
 def test_feasible_moves_geometry():
@@ -343,34 +343,34 @@ def test_feasible_moves_geometry():
 
 
 def test_walk_stays_on_grid_with_single_cell_steps():
-    cfg = replace(RssConfig(seed=8), path_length_steps=200)
-    walk = target_walk(cfg)
+    cfg = replace(RssConfig(), path_length_steps=200)
+    walk = target_walk(cfg, 8)
     assert walk.shape == (201,)
     assert np.all((walk >= 0) & (walk < 625))
     rows, cols = np.divmod(walk, 25)
     cheb = np.maximum(np.abs(np.diff(rows)), np.abs(np.diff(cols)))
     assert np.all(cheb <= 1)
-    np.testing.assert_array_equal(walk, target_walk(cfg))
+    np.testing.assert_array_equal(walk, target_walk(cfg, 8))
 
 
 def test_measurement_noise_matches_the_snr():
-    cfg = RssConfig(seed=30)
-    A = rss_dictionary(cfg)
+    seed = 30
+    A = rss_dictionary(RssConfig(), seed)
     x = np.zeros(625)
     x[300] = 1.0
     y0 = A @ x
-    clean = rss_measure(A, x, 1e9, cfg.seed, 0)
+    clean = rss_measure(A, x, 1e9, seed, 0)
     np.testing.assert_allclose(clean, y0, atol=1e-30)
-    power = np.mean([np.sum((rss_measure(A, x, 25.0, cfg.seed, t) - y0) ** 2)
+    power = np.mean([np.sum((rss_measure(A, x, 25.0, seed, t) - y0) ** 2)
                      for t in range(1000)])
     assert power / np.sum(y0 ** 2) == pytest.approx(10 ** -2.5, rel=0.05)
-    np.testing.assert_array_equal(rss_measure(A, x, 25.0, cfg.seed, 5),
-                                  rss_measure(A, x, 25.0, cfg.seed, 5))
+    np.testing.assert_array_equal(rss_measure(A, x, 25.0, seed, 5),
+                                  rss_measure(A, x, 25.0, seed, 5))
 
 
 def test_stream_aligns_blocks_with_the_walk():
-    cfg = RssConfig(seed=12, path_length_steps=10)
-    blocks, walk = rss_stream(cfg)
+    cfg = RssConfig(path_length_steps=10)
+    blocks, walk = rss_stream(cfg, 12)
     assert len(blocks) == walk.size == 11
     assert blocks[0].A.shape == (144, 625)
     for blk in blocks:
@@ -382,24 +382,24 @@ def test_stream_centering_is_exact_for_one_hot_targets():
     # The offset subtraction must leave the linear model intact: with the
     # noise off, the preprocessed measurement equals the preprocessed
     # dictionary column of the occupied cell.
-    cfg = RssConfig(seed=12, path_length_steps=5, snr_db=500.0)
-    blocks, walk = rss_stream(cfg)
+    cfg = RssConfig(path_length_steps=5, snr_db=500.0)
+    blocks, walk = rss_stream(cfg, 12)
     for blk, cell in zip(blocks, walk):
         np.testing.assert_allclose(blk.y, blocks[0].A[:, cell], atol=1e-9)
 
 
 def test_stream_normalizes_the_dictionary():
-    cfg = RssConfig(seed=12, path_length_steps=3)
-    blocks, _ = rss_stream(cfg)
+    cfg = RssConfig(path_length_steps=3)
+    blocks, _ = rss_stream(cfg, 12)
     assert np.linalg.norm(blocks[0].A, 2) == pytest.approx(1.0)
 
 
 def test_stream_is_the_per_round_blocks_bitwise(monkeypatch):
     # the dictionary is checked once and shared; each round's block is the
     # one built from its own measurement alone
-    cfg = RssConfig(seed=12, path_length_steps=6)
-    blocks, walk = rss_stream(cfg)
-    A = rss_dictionary(cfg)
+    cfg, seed = RssConfig(path_length_steps=6), 12
+    blocks, walk = rss_stream(cfg, seed)
+    A = rss_dictionary(cfg, seed)
     offset = A.mean(axis=1)
     A_used = A - offset[:, None]
     scale = np.linalg.norm(A_used, 2)
@@ -407,7 +407,7 @@ def test_stream_is_the_per_round_blocks_bitwise(monkeypatch):
     for t, (blk, cell) in enumerate(zip(blocks, walk)):
         x_true = np.zeros(cfg.n_cells)
         x_true[cell] = 1.0
-        y = rss_measure(A, x_true, cfg.snr_db, cfg.seed, t)
+        y = rss_measure(A, x_true, cfg.snr_db, seed, t)
         ref = ElasticNetData(A=A_used, y=(y - offset) / scale, lam=cfg.lam,
                              mu=cfg.mu)
         assert blk.A is blocks[0].A
@@ -419,7 +419,7 @@ def test_stream_is_the_per_round_blocks_bitwise(monkeypatch):
     monkeypatch.setattr(scenarios, "rss_measure", lambda *args: measure(
         *args) * (np.nan if args[-1] == 3 else 1.0))
     with pytest.raises(ValueError, match="A and y must be finite"):
-        rss_stream(cfg)
+        rss_stream(cfg, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +448,11 @@ def test_drifting_stream_shares_q_and_moves_linearly():
 
 
 def test_synthetic_stream_is_the_per_block_builds_bitwise():
-    cfg = SyntheticConfig(seed=4, blocks=9)
-    blocks, truth = synthetic_stream(cfg)
-    rng = substream(cfg.seed, STREAM_PROBLEM)
+    cfg, seed = SyntheticConfig(blocks=9), 4
+    blocks, truth = synthetic_stream(cfg, seed)
+    rng = substream(seed, STREAM_PROBLEM)
     A = rng.standard_normal((cfg.m, cfg.n)) / math.sqrt(cfg.m)
-    noise_rng = substream(cfg.seed, STREAM_NOISE)
+    noise_rng = substream(seed, STREAM_NOISE)
     scale = 10.0 ** (-cfg.snr_db / 20.0)
     for blk, x in zip(blocks, truth):
         y0 = A @ x
@@ -464,12 +464,11 @@ def test_synthetic_stream_is_the_per_block_builds_bitwise():
         assert_bitwise_equal(blk.y, ref.y)
         assert (blk.lam, blk.mu) == (ref.lam, ref.mu)
     with pytest.raises(ValueError, match="A and y must be finite"):
-        synthetic_stream(replace(cfg, drift=math.nan))
+        synthetic_stream(replace(cfg, drift=math.nan), seed)
 
 
 def test_synthetic_stream_shapes_and_support():
-    blocks, truth = synthetic_stream(SyntheticConfig(n=10, m=6, blocks=20,
-                                                     seed=3))
+    blocks, truth = synthetic_stream(SyntheticConfig(n=10, m=6, blocks=20), 3)
     assert len(blocks) == 20 and truth.shape == (20, 10)
     assert all(b.A is blocks[0].A for b in blocks)
     nz = np.nonzero(truth[0])[0]
