@@ -293,8 +293,10 @@ def cmd_check(args):
             print("fail: walk leaves the grid")
             return 2
         print(f"ok: walk of {len(stream.walk)} positions stays on the grid")
-        state = "connected" if g.connected else "disconnected"
-        print(f"ok: sensor graph with {g.n_nodes} nodes is {state}")
+        if not g.connected:
+            print(f"fail: sensor graph with {g.n_nodes} nodes is disconnected")
+            return 2
+        print(f"ok: sensor graph with {g.n_nodes} nodes is connected")
     else:
         print(f"ok: ring of {g.n_nodes} nodes, degree {g.degree}")
     print(f"ok: graph degrees {g.degrees.min()}-{g.degrees.max()}, "

@@ -2,11 +2,12 @@
 
 Nodes hold private quadratic data (Q_v, phi_v) and a copy x_v of the
 decision variable; a :class:`NetworkState` holds the copies as the rows of a
-node-major (|V|, n) X.  The solver alternates a communication half-step, which
-sets each node's auxiliary variable c_v to the neighborhood mean of X, and
-a descent half-step, which applies a damped thresholded gradient update
-using the neighborhood mean of C.  Both half-steps are synchronous: every
-node reads the pre-step state.  A round opens with a communication, so C is
+node-major (|V|, n) X.  It is a plain record: the round that reads X
+refuses it unless it is (|V|, n).  The solver alternates a communication
+half-step, which sets each node's auxiliary variable c_v to the
+neighborhood mean of X, and a descent half-step, which applies a damped
+thresholded gradient update using the neighborhood mean of C.  Both
+half-steps are synchronous: every node reads the pre-step state.  A round opens with a communication, so C is
 never carried; a communication that ends a round (odd r) leaves X as it is.
 
 Node data comes only from a row partition: :func:`deal_rows` deals an
@@ -169,14 +170,13 @@ class NodeData:
 
 @dataclass
 class NetworkState:
-    """Stacked per-node estimates: row v of the node-major |V| x n X is x_v."""
+    """Stacked per-node estimates: row v of the node-major |V| x n X is x_v.
+    X is only made float; :meth:`OdistaRound.start` checks its shape."""
 
     X: np.ndarray
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
-        if self.X.ndim != 2:
-            raise ValueError(f"X must be 2-d, got shape {self.X.shape}")
 
     @classmethod
     def zeros(cls, n, n_nodes):

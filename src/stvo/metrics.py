@@ -210,8 +210,6 @@ def theorem1_bound(trace, constants):
     eta0 + eta1 * sum ||z*_t - z*_{t-1}|| + eta2 * sum ||z*_t - z*_{t-1}||^2
          + eta3 * sum ||x*_t - x*_{t-1}|| + eta4 * sum ||x*_t - x*_{t-1}||^2.
     """
-    if constants.delta ** constants.r >= 1.0:
-        raise ValueError("contraction factor must be below one")
     path_x, path_x_sq, path_z, path_z_sq = reference_paths(trace)
     return float(constants.eta0
                  + constants.eta1 * path_z + constants.eta2 * path_z_sq

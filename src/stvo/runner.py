@@ -402,6 +402,10 @@ def _odista_inputs(stream, blocks, n_nodes, tau_rule):
     """Graph, node data stream, node step sizes and per-node l1 weight of
     the distributed solver on blocks of stream."""
     graph, n_nodes = make_graph(stream, n_nodes)
+    if not graph.connected:
+        raise PremiseError(
+            f"odista cannot reach consensus: the graph of {n_nodes} nodes "
+            "is disconnected")
     nodes = partition_stream(blocks, n_nodes)
     taus = odista_taus(blocks, n_nodes, tau_rule)
     if not odista_descends(nodes, taus):
@@ -511,9 +515,10 @@ def run_experiment(scenario, cfg, algs, runs, r, budget_ms, seed, regret,
     run-averaged regret (with regret on), the coefficient tracking (ARX) or
     the target distance (rss); then one summary row per algorithm.  An
     argument that cannot make such a run raises a ValueError that names it,
-    before any stream is built; a stream on which odista's descent factor
-    is not below one raises PremiseError before odista plays it, and a play
-    that commits an action that is not finite raises it after.
+    before any stream is built; a disconnected graph, or a stream on which
+    odista's descent factor is not below one, raises PremiseError before
+    odista plays, and a play that commits an action that is not finite
+    raises it after.
     """
     least = 2 if "odista" in algs else 1  # odista counts half-steps
     for ok, what in (

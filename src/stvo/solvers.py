@@ -5,7 +5,9 @@ which contracts linearly on the auxiliary sequence, and of the
 thresholded-gradient family, :class:`OistRound`: each pays its slice's setup
 and checks once, then steps the one loop of :class:`stvo.core._Round`.
 ``odr_round`` and ``oist_round``, a round in one call, are the form that the
-command line's play loops and the benchmark driver call.
+command line's play loops and the benchmark driver call.  The records they
+carry are plain (:class:`OnlineConfig` checks only r): each round's
+``start`` refuses the inputs it reads.
 ``oracle_minimizer`` certifies each slice's minimizer by one exact solver,
 a warm-started feature-sign search whose answer is a reduced solve; where
 that does not certify, restarted FISTA sweeps only find new starts for it.
@@ -28,21 +30,11 @@ class OracleError(RuntimeError):
 
 @dataclass
 class DRState:
-    """Primal iterate x and auxiliary iterate z of the splitting iteration."""
+    """Primal iterate x and auxiliary iterate z of the splitting iteration,
+    unchecked: a round reads only z, and :meth:`OdrRound.start` checks it."""
 
     x: np.ndarray
     z: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        z = np.asarray(self.z, dtype=float)
-        if x.shape != z.shape or x.ndim != 1:
-            raise ValueError(
-                f"x and z must be 1-d with equal shape, got {x.shape}, {z.shape}")
-        if not (np.isfinite(x).all() and np.isfinite(z).all()):
-            raise ValueError("state must be finite")
-        self.x = x
-        self.z = z
 
 
 @dataclass
@@ -50,8 +42,8 @@ class OnlineConfig:
     """Per-round budget and step size of the online solvers.
 
     r counts inner iterations per round.  tau is the step of the
-    thresholded-gradient family, which requires it; the splitting family
-    ignores it.
+    thresholded-gradient family, which requires it and refuses it unless
+    finite and positive; the splitting family ignores it.
     """
 
     r: int = 1
@@ -60,8 +52,6 @@ class OnlineConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
-        if self.tau is not None and not 0 < self.tau < np.inf:
-            raise ValueError(f"tau must be finite and positive, got {self.tau}")
 
 
 @dataclass
@@ -105,6 +95,8 @@ class OdrRound(_Round):
     def start(self, problem, z):
         """Start on problem from the state consistent with z."""
         z = _vector("z", z, problem.n)
+        if not np.isfinite(z).all():
+            raise ValueError("z must be finite")
         factor = problem.prox_factor()
         solve, phi = problem.op.solver(factor), problem.phi
         self._problem = problem

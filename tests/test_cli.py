@@ -957,6 +957,46 @@ def test_run_refuses_a_play_whose_actions_are_not_finite(tmp_path, capsys,
     assert out.exists() == (not code)
 
 
+# An rss radio range of 0 isolates every sensor, so odista's nodes cannot
+# reach consensus: the run refuses odista with exit 2, under a fixed r and a
+# time budget alike, before it makes the output directory.  odr builds no
+# graph and plays the same stream.
+@pytest.mark.parametrize("alg,r_args,code", [
+    ("odista", ("--r", "30"), 2), ("odista", ("--t-r", "12"), 2),
+    ("odr", ("--r", "30"), 0)], ids=["odista-r", "odista-t-r", "odr"])
+def test_run_refuses_odista_on_a_disconnected_sensor_graph(tmp_path, capsys,
+                                                           alg, r_args, code):
+    cfg = write_cfg(tmp_path, "comm_radius_m = 0\npath_length_steps = 5\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        # radius_graph warns about the graph before the refusal
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_cli("run", "--scenario", "rss", "--alg", alg, *r_args,
+                       "--config", cfg, "--out", str(out)) == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert err == ["numerical failure: odista cannot reach consensus: "
+                       "the graph of 36 nodes is disconnected"]
+    assert out.exists() == (not code)
+
+
+# The check fails the graph the run refuses, and passes the default one.
+@pytest.mark.parametrize("radius,code,line", [
+    ("0", 2, "fail: sensor graph with 36 nodes is disconnected"),
+    ("4.5", 0, "ok: sensor graph with 36 nodes is connected")])
+def test_check_fails_a_disconnected_sensor_graph(tmp_path, capsys, radius,
+                                                 code, line):
+    cfg = write_cfg(tmp_path,
+                    f"comm_radius_m = {radius}\npath_length_steps = 5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_cli("check", "--scenario", "rss", "--config", cfg) == code
+    out = capsys.readouterr().out.splitlines()
+    assert line in out
+    # a failing check stops at its fail line
+    assert (out[-1] == line) == bool(code)
+
+
 # Over a sweep of the ridge, the run refuses odista exactly where the check
 # fails, which is exactly where the theta it reports is not below one.
 @pytest.mark.parametrize("scenario,nodes", [

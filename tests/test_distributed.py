@@ -669,9 +669,11 @@ def test_consensus_problem_aggregates_node_data():
 
 
 def test_network_state_validation():
-    for X in (np.zeros(3), np.zeros((2, 3, 4))):
-        with pytest.raises(ValueError, match="2-d"):
-            NetworkState(X)
+    # the round that reads X refuses it
+    for X in (np.zeros(3), np.zeros((4, 3, 4))):
+        with pytest.raises(ValueError, match=r"is not \(\|V\|, n\)"):
+            odista_round(NetworkState(X), ring4(), identity_nodes(3, 4),
+                         0.5, 0.1, 2)
     s = NetworkState.zeros(3, 5)
     assert s.X.shape == (5, 3) and s.X.flags.c_contiguous
 

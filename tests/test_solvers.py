@@ -217,21 +217,33 @@ def test_odr_start_and_the_objective_refuse_a_vector_of_the_wrong_shape():
 def test_online_config_validation():
     with pytest.raises(ValueError):
         OnlineConfig(r=0)
-    with pytest.raises(ValueError):
-        OnlineConfig(r=1, tau=-0.1)
+    # the round that reads tau refuses it
+    p = random_pd_problem(3, seed=7)
+    with pytest.raises(ValueError, match="finite and positive"):
+        oist_round(np.zeros(3), p, OnlineConfig(r=1, tau=-0.1))
 
 
 def test_online_config_rejects_non_finite_tau():
+    p = random_pd_problem(3, seed=7)
     for tau in (np.inf, np.nan, 0.0):
         with pytest.raises(ValueError, match="finite and positive"):
-            OnlineConfig(r=3, tau=tau)
+            oist_round(np.zeros(3), p, OnlineConfig(r=3, tau=tau))
 
 
 def test_dr_state_validation():
-    with pytest.raises(ValueError):
-        DRState(np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        DRState(np.array([np.nan, 0.0]), np.zeros(2))
+    # the round that reads z refuses it, before any iteration
+    p = random_pd_problem(2, seed=7)
+    cfg = OnlineConfig(r=3)
+    with pytest.raises(ValueError, match="z must have shape"):
+        odr_round(DRState(np.zeros(2), np.zeros(3)), p, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="z must be finite"):
+                odr_round(DRState(np.zeros(2), np.array([bad, 0.0])), p, cfg)
+    # no round reads x, so a state whose x has the wrong shape plays
+    out = odr_round(DRState(np.zeros(5), np.zeros(2)), p, cfg)
+    assert out.x.shape == out.z.shape == (2,)
 
 
 def test_consistent_state_applies_proximal_map():
