@@ -18,7 +18,7 @@ from . import metrics, scenarios
 from .core import elastic_net_slices
 from .distributed import (NetworkState, NodeData, OdistaRound, RowStack,
                           deal_rows, node_phis, odista_round, radius_graph,
-                          ring_graph)
+                          ring_graph, theta_tau)
 from .metrics import RunTrace
 from .solvers import (OdrRound, OistRound, OnlineConfig,
                       _lockstep_feature_sign, initial_state, odr_round,
@@ -119,7 +119,11 @@ def block_taus(blocks):
     norms of a batch of runs from one np.linalg.norm call."""
     runs, norms = _batched_runs(
         blocks, lambda A, _: np.linalg.norm(A, 2, axis=(1, 2)).tolist())
-    return [2.0 / s ** 2 for run, s in zip(runs, norms) for _ in run]
+    try:
+        return [2.0 / s ** 2 for run, s in zip(runs, norms) for _ in run]
+    except ZeroDivisionError:
+        raise ValueError("a slice whose A is zero has no finite step "
+                         "2/||A_t||^2") from None
 
 
 def odista_taus(blocks, n_nodes, rule):
@@ -375,18 +379,6 @@ class PremiseError(RuntimeError):
     is to play, or its play commits an action that is not finite."""
 
 
-def odista_descends(node_stream, taus):
-    """Whether odista's descent factor theta_tau is below one on every
-    slice, read off the step sizes: max_v tau_v mu_v < 1, mu_v = mu/|V| the
-    ridge of each node's Q_v = A_v'A_v + mu_v I.  Both step rules give
-    tau_v ||A_v||^2 <= 1, with equality at the node whose norm sets the
-    step, so max_v tau_v lambda_max(Q_v) = 1 + max_v tau_v mu_v, and
-    theta_tau is below one exactly where that is below two (up to
-    rounding)."""
-    mus = [[data.stack.mu] for data in node_stream]
-    return bool(np.max(np.multiply(taus, mus)) < 1.0)
-
-
 def make_graph(stream, n_nodes):
     """Network of the distributed solver: the rss sensor graph, else a ring
     of n_nodes and degree RING_DEGREE; returns the graph and its node
@@ -398,9 +390,9 @@ def make_graph(stream, n_nodes):
     return ring_graph(n_nodes, RING_DEGREE), n_nodes
 
 
-def _odista_inputs(stream, blocks, n_nodes, tau_rule):
-    """Graph, node data stream, node step sizes and per-node l1 weight of
-    the distributed solver on blocks of stream."""
+def odista_inputs(stream, blocks, n_nodes, tau_rule):
+    """Graph, node data, node steps and per-node l1 weight of odista on
+    blocks of stream, or the PremiseError `run` and `check` refuse it on."""
     graph, n_nodes = make_graph(stream, n_nodes)
     if not graph.connected:
         raise PremiseError(
@@ -408,11 +400,16 @@ def _odista_inputs(stream, blocks, n_nodes, tau_rule):
             "is disconnected")
     nodes = partition_stream(blocks, n_nodes)
     taus = odista_taus(blocks, n_nodes, tau_rule)
-    if not odista_descends(nodes, taus):
+    # Both step rules give tau_v ||A_v||^2 <= 1, with equality at the node
+    # whose norm sets the step, so max_v tau_v lambda_max(Q_v) = 1 + max_v
+    # tau_v mu_v, mu_v = mu/|V| the ridge of Q_v = A_v'A_v + mu_v I, and
+    # theta is below one exactly where every tau_v mu_v is (up to rounding)
+    if not np.max(np.multiply(taus, [[d.stack.mu] for d in nodes])) < 1.0:
+        theta = max(theta_tau(data, tau) for data, tau in zip(nodes, taus))
         raise PremiseError(
             f"odista would diverge under {tau_rule} steps: a node's step "
             f"tau_v times its ridge mu/|V| is not below one, so neither is "
-            f"the descent factor theta")
+            f"the descent factor theta={theta!r}")
     return graph, nodes, taus, blocks[0].lam / n_nodes
 
 
@@ -422,8 +419,8 @@ def play(alg, stream, r, n_nodes, tau_rule):
         return play_oist(stream.problems, block_taus(stream.blocks), r)
     if alg == "odr":
         return play_odr(stream.problems, r)
-    graph, node_stream, taus, lam_node = _odista_inputs(stream, stream.blocks,
-                                                       n_nodes, tau_rule)
+    graph, node_stream, taus, lam_node = odista_inputs(stream, stream.blocks,
+                                                      n_nodes, tau_rule)
     return play_odista(node_stream, graph, lam_node, taus, r, stream.n)
 
 
@@ -437,8 +434,8 @@ def calibrated_r(alg, stream, budget_ms, n_nodes, tau_rule):
     elif alg == "oist":
         step = oist_step_timer(p0, block_taus(stream.blocks[:1])[0])
     else:
-        graph, data, taus, lam_node = _odista_inputs(stream, stream.blocks[:1],
-                                                    n_nodes, tau_rule)
+        graph, data, taus, lam_node = odista_inputs(stream, stream.blocks[:1],
+                                                   n_nodes, tau_rule)
         step = odista_step_timer(graph, data[0], lam_node, taus[0], stream.n)
         steps_per_call = ODISTA_TIMED_HALF_STEPS
     r = calibrate_r(step, budget_ms, steps_per_call=steps_per_call)

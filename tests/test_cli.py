@@ -908,8 +908,9 @@ def test_check_reports_the_odista_descent_factor_of_every_slice(
     assert abs(reported - theta) <= 1e-12 * theta
     if rule == "per_node":
         assert theta > 1.0 and code == 2
-        assert f"fail: odista descent factor theta={reported!r} not below " \
-            "one under per_node steps" in out
+        assert ("fail: odista would diverge under per_node steps: a node's "
+                "step tau_v times its ridge mu/|V| is not below one, so "
+                f"neither is the descent factor theta={reported!r}") in out
     else:
         assert theta < 1.0 and code == 0
 
@@ -927,10 +928,13 @@ def test_run_refuses_odista_where_its_descent_factor_is_not_below_one(
                    cfg, "--out", str(out)) == code
     err = capsys.readouterr().err.splitlines()
     if code:
-        assert err == [
+        line, = err
+        head, theta = line.split("theta=")
+        assert head == (
             "numerical failure: odista would diverge under per_node steps: "
             "a node's step tau_v times its ridge mu/|V| is not below one, so "
-            "neither is the descent factor theta"]
+            "neither is the descent factor ")
+        assert float(theta) > 1.0
     assert out.exists() == (not code)
 
 
@@ -957,6 +961,22 @@ def test_run_refuses_a_play_whose_actions_are_not_finite(tmp_path, capsys,
     assert out.exists() == (not code)
 
 
+# At m = 1 exp1's first block is its zero warm-up row, which has no oist
+# step 2/||A||^2: the run refuses oist with exit 1 on one line, before it
+# makes the output directory, and the check notes it.
+def test_run_refuses_oist_on_a_slice_whose_A_is_zero(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "m = 1\nhorizon_s = 0.06\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", "exp1", "--alg", "oist", "--r", "2",
+                   "--config", cfg, "--out", str(out)) == 1
+    line = "a slice whose A is zero has no finite step 2/||A_t||^2"
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    assert not out.exists()
+    assert run_cli("check", "--scenario", "exp1", "--config", cfg) == 0
+    assert (f"note: {line}, so oist cannot play"
+            in capsys.readouterr().out.splitlines())
+
+
 # An rss radio range of 0 isolates every sensor, so odista's nodes cannot
 # reach consensus: the run refuses odista with exit 2, under a fixed r and a
 # time budget alike, before it makes the output directory.  odr builds no
@@ -980,10 +1000,14 @@ def test_run_refuses_odista_on_a_disconnected_sensor_graph(tmp_path, capsys,
     assert out.exists() == (not code)
 
 
-# The check fails the graph the run refuses, and passes the default one.
+# The check fails the graph the run refuses, on the run's refusal, and
+# passes the default one.  The case ids name the graph each case builds.
 @pytest.mark.parametrize("radius,code,line", [
-    ("0", 2, "fail: sensor graph with 36 nodes is disconnected"),
-    ("4.5", 0, "ok: sensor graph with 36 nodes is connected")])
+    ("0", 2, "fail: odista cannot reach consensus: the graph of 36 nodes is "
+             "disconnected"),
+    ("4.5", 0, "ok: sensor graph with 36 nodes is connected")],
+    ids=["0-2-fail: sensor graph with 36 nodes is disconnected",
+         "4.5-0-ok: sensor graph with 36 nodes is connected"])
 def test_check_fails_a_disconnected_sensor_graph(tmp_path, capsys, radius,
                                                  code, line):
     cfg = write_cfg(tmp_path,
@@ -1021,6 +1045,91 @@ def test_run_refuses_odista_exactly_where_check_finds_theta_not_below_one(
             assert out.exists() == (code == 0)
             refusals.append(code == 2)
     assert any(refusals) and not all(refusals)
+
+
+# `stvo check` exits 2 exactly where `stvo run` refuses odista before play,
+# and fails nothing that every solver plays.  A first slice whose delta
+# rounds to 1.0 (a ridge of 1e-17 on rss, or beta = 1.25e301 at snr_db =
+# -3000) or whose smallest eigenvalue rounds below zero (exp1 at a ridge of
+# 1e-17) gates no play, only odr's regret bound: the check notes it.
+SHORT_EXP1, SHORT_RSS = "horizon_s = 0.06\n", "path_length_steps = 5\n"
+
+
+@pytest.mark.parametrize("scenario,text,flags", [
+    *((scenario, "", ()) for scenario in SCENARIOS),
+    ("rss", "comm_radius_m = 0\n" + SHORT_RSS, ()),
+    ("exp1", "mu = 100\n" + SHORT_EXP1, ("--tau-rule", "per_node")),
+    ("exp1", "mu = 100\n" + SHORT_EXP1, ("--tau-rule", "uniform_min")),
+    ("rss", "mu = 1e-17\n" + SHORT_RSS, ()),
+    ("exp1", "snr_db = -3000\n" + SHORT_EXP1, ()),
+    ("exp1", "mu = 1e-17\n" + SHORT_EXP1, ()),
+    ("exp1", "", ("--nodes", "12", "--tau-rule", "per_node")),
+    ("exp1", "", ("--nodes", "12", "--tau-rule", "uniform_min"))],
+    ids=[*(f"{scenario}-default" for scenario in SCENARIOS),
+         "rss-disconnected", "exp1-mu100-per_node", "exp1-mu100-uniform_min",
+         "rss-mu1e-17", "exp1-snr-3000", "exp1-mu1e-17",
+         "exp1-nodes12-per_node", "exp1-nodes12-uniform_min"])
+def test_check_fails_exactly_where_run_refuses(tmp_path, capsys, scenario,
+                                               text, flags):
+    args = ["--scenario", scenario, *flags]
+    if text:
+        args += ["--config", write_cfg(tmp_path, text)]
+    runs, errs = {}, {}
+    with warnings.catch_warnings():
+        # oist's step and a disconnected radius graph warn
+        warnings.simplefilter("ignore", RuntimeWarning)
+        check = run_cli("check", *args)
+        report = capsys.readouterr().out
+        for alg in runner.ALGORITHMS:
+            runs[alg] = run_cli("run", *args, "--alg", alg, "--r", "2",
+                                "--regret", "off",
+                                "--out", str(tmp_path / alg))
+            errs[alg] = capsys.readouterr().err
+    assert (check == 2) == (runs["odista"] == 2)
+    assert check == 0 or any(runs.values())
+    # each fail line is the run's refusal of odista
+    fails = [ln.removeprefix("fail: ") for ln in report.splitlines()
+             if ln.startswith("fail: ")]
+    assert fails == [ln.removeprefix("numerical failure: ")
+                     for ln in errs["odista"].splitlines()
+                     if ln.startswith("numerical failure: ")]
+
+
+# Under python -W error::RuntimeWarning, radius_graph's warning about the
+# disconnected graph is raised: both commands exit 2 on one `numerical
+# failure:` line, and the run makes no output directory.
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_a_disconnected_graph_under_warnings_as_errors_exits_2(
+        tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, "comm_radius_m = 0\n" + SHORT_RSS)
+    out = tmp_path / "out"
+    argv = [command, "--scenario", "rss", "--config", cfg]
+    if command == "run":
+        argv += ["--alg", "odista", "--r", "30", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical failure: radius graph is disconnected"]
+    assert not out.exists()
+
+
+# The check notes oist's descent premise and the slices whose minimizer is
+# zero, and gates neither: at cell_m = 0.5, lam >= ||phi_t||_inf on every
+# rss slice.
+@pytest.mark.parametrize("text,trivial", [
+    ("", None), ("cell_m = 0.5\n", "note: 6 of 6 slices have lam >= "
+                 "||phi_t||_inf, so their minimizer is zero")])
+def test_check_notes_oist_premise_and_trivial_slices(tmp_path, capsys, text,
+                                                     trivial):
+    cfg = write_cfg(tmp_path, text + SHORT_RSS)
+    assert run_cli("check", "--scenario", "rss", "--config", cfg) == 0
+    out = capsys.readouterr().out.splitlines()
+    oist, = [ln for ln in out if "oist" in ln]
+    assert oist.startswith("note: oist's descent premise tau*lambda_max <= 1 "
+                           "breaks on 6 of 6 slices (max 2.02")
+    assert [ln for ln in out if "lam >=" in ln] == ([trivial] if trivial
+                                                    else [])
 
 
 # ---------------------------------------------------------------------------
