@@ -1,5 +1,10 @@
 """Command line front end: stream runs, one-off solves, scenario checks.
 
+Each argument rule is written once, in the library function that reads the
+argument, whose ValueError names it first; main prints that error with the
+flag (FLAGS) in the name's place. Only --out, --nodes on rss and the config
+file format are checked here.
+
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
 numerical routine fails to deliver (oracle divergence, singular data, a
 RuntimeWarning that python -W error raises) or a solver's premise fails
@@ -22,6 +27,7 @@ import numpy as np
 from . import _svg, runner
 from .core import QuadraticL1Problem, contraction_constants, objective_value
 from .distributed import theta_tau
+# make_graph is not called here: perfbench/harness.py reads cli.make_graph
 from .runner import build_stream, derive_seed, make_graph
 from .solvers import OracleError, batch_dr, optimality_residual
 
@@ -90,17 +96,17 @@ def apply_overrides(cfg, overrides):
         raise ValueError(f"bad config value: {e}")
 
 
-def network_size(scenario, nodes, cfg, plays_odista):
-    """The ring size outside rss, 4 by default, checked before anything is
-    written: a given --nodes, or the default when odista plays, must pass
-    runner.check_ring."""
-    if scenario == "rss" and nodes is not None:
+def network_size(scenario, nodes, cfg):
+    """The ring size outside rss, 4 by default.  A given --nodes must pass
+    runner.check_ring even where odista does not play; run_experiment
+    checks the ring it plays on."""
+    if nodes is None:
+        return 4
+    if scenario == "rss":
         raise ValueError("--nodes does not apply to rss, whose network is "
                          "the sensor grid")
-    n_nodes = 4 if nodes is None else nodes
-    if scenario != "rss" and (nodes is not None or plays_odista):
-        runner.check_ring(n_nodes, cfg.m, "--nodes")
-    return n_nodes
+    runner.check_ring(nodes, cfg.m)
+    return nodes
 
 
 def base_config(scenario, overrides):
@@ -163,21 +169,10 @@ def write_plots(out, algs, tables, written):
 # ---------------------------------------------------------------------------
 
 def cmd_run(args):
-    algs = []
-    for a in args.alg.split(","):
-        a = a.strip()
-        if a not in runner.ALGORITHMS:
-            raise ValueError(f"unknown algorithm {a!r}")
-        if a not in algs:
-            algs.append(a)
+    algs = list(dict.fromkeys(a.strip() for a in args.alg.split(",")))
     overrides = load_config(args.config) if args.config else {}
     cfg = base_config(args.scenario, overrides)
-    n_nodes = network_size(args.scenario, args.nodes, cfg, "odista" in algs)
-    if "odista" in algs and args.t_r is None and args.r < 2:
-        raise ValueError(
-            f"odista needs --r 2 or more, got r = {args.r}: it counts r in "
-            f"half-steps, and a round of one half-step is a communication "
-            f"alone, which never descends")
+    n_nodes = network_size(args.scenario, args.nodes, cfg)
     regret_on = args.regret == "on" or (args.regret == "auto"
                                         and args.scenario != "rss")
     if args.out == "":
@@ -187,9 +182,10 @@ def cmd_run(args):
     if not held.is_dir():
         raise ValueError(f"--out {out}: {held} is not a directory")
     tables = runner.run_experiment(
-        args.scenario, cfg, algs, runs=args.runs, r=args.r, budget_ms=args.t_r,
-        seed=args.seed, regret=regret_on, n_nodes=n_nodes,
-        tau_rule=args.tau_rule, common_random=args.common_random)
+        args.scenario, cfg, algs, runs=args.runs,
+        r=1 if args.r is None else args.r, budget_ms=args.t_r, seed=args.seed,
+        regret=regret_on, n_nodes=n_nodes, tau_rule=args.tau_rule,
+        common_random=args.common_random == "on")
     written = []
     try:
         # made only once the tables are in memory, so a failed run leaves none
@@ -267,7 +263,7 @@ def cmd_solve(args):
 def cmd_check(args):
     overrides = load_config(args.config) if args.config else {}
     cfg = base_config(args.scenario, overrides)
-    n_nodes = network_size(args.scenario, args.nodes, cfg, False)
+    n_nodes = network_size(args.scenario, args.nodes, cfg)
     stream = build_stream(args.scenario, cfg, derive_seed(args.seed, 0))
     print(f"ok: config {type(cfg).__name__} valid")
     print(f"ok: stream of {len(stream.blocks)} blocks, dimension {stream.n}")
@@ -325,8 +321,10 @@ def cmd_check(args):
               f"{g.n_nodes} node operators factored, "
               f"k_max={nodes[0].stack.A.shape[1]} of n={stream.n}")
         theta = max(theta_tau(data, tau) for data, tau in zip(nodes, taus))
-        print(f"ok: odista descent factor theta={theta!r} over "
-              f"{len(nodes)} slices under {args.tau_rule} steps")
+        line = (f"odista descent factor theta={theta!r} over {len(nodes)} "
+                f"slices under {args.tau_rule} steps")
+        print(f"ok: {line}" if theta < 1 else f"note: {line} rounds to one; "
+              "odista plays, since every tau_v*mu/|V| < 1")
     print("ok: measurements finite")
     return 0
 
@@ -363,7 +361,7 @@ def build_parser():
     p_run.add_argument("--nodes", type=int, default=None,
                        help="network size for odista outside rss (default 4)")
     p_run.add_argument("--common-random", choices=("on", "off"), default="on",
-                       dest="common_random_flag",
+                       dest="common_random",
                        help="share data streams across algorithms (on) or "
                             "draw fresh ones per algorithm (off)")
     p_run.add_argument("--svg", action="store_true",
@@ -392,6 +390,12 @@ def build_parser():
     return parser
 
 
+# The flag that sets each argument a library ValueError names first.
+FLAGS = {"algs": "--alg", "runs": "--runs", "r": "--r", "seed": "--seed",
+         "budget_ms": "--t-r", "n_nodes": "--nodes", "max_iter": "--max-iter",
+         "tol": "--tol"}
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -399,21 +403,6 @@ def main(argv=None):
     except SystemExit as e:
         return 0 if not e.code else 1
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError("--seed must be a non-negative integer")
-        if args.command == "run":
-            args.common_random = args.common_random_flag == "on"
-            if args.runs < 1:
-                raise ValueError("--runs must be at least 1")
-            if args.r is not None and args.r < 1:
-                raise ValueError("--r must be at least 1")
-            if args.t_r is not None and not 0 < args.t_r < math.inf:
-                raise ValueError("--t-r must be a finite positive number")
-            args.r = 1 if args.r is None else args.r
-        elif args.command == "solve" and args.max_iter < 1:
-            raise ValueError("--max-iter must be at least 1")
-        elif args.command == "solve" and not 0 <= args.tol < math.inf:
-            raise ValueError("--tol must be a finite non-negative number")
         return args.func(args)
     # before ValueError, of which LinAlgError is a subclass
     except (OracleError, runner.PremiseError, np.linalg.LinAlgError,
@@ -421,7 +410,8 @@ def main(argv=None):
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+        name, sep, rest = str(e).partition(" ")
+        print(f"error: {FLAGS.get(name, name)}{sep}{rest}", file=sys.stderr)
         return 1
 
 

@@ -176,14 +176,18 @@ def batch_dr(problem, tol=1e-10, max_iter=10000):
     ----------
     problem : QuadraticL1Problem
     tol : float
-        Stop once ||z_{k+1} - z_k||_2 <= tol.
+        Stop once ||z_{k+1} - z_k||_2 <= tol; finite and non-negative.
     max_iter : int
-        Iteration cap; hitting it flags the result instead of raising.
+        Iteration cap, at least 1; hitting it flags the result.
 
     Returns
     -------
     BatchResult
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if not 0 <= tol < np.inf:
+        raise ValueError("tol must be a finite non-negative number")
     rnd = OdrRound().start(problem, np.zeros(problem.n))
     residuals = []
     converged = False

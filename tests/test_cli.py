@@ -245,7 +245,7 @@ def test_run_all_algorithms_and_svg(tmp_path):
 def test_run_rejects_bad_usage(tmp_path, capsys):
     assert run_cli("run", "--scenario", "exp1", "--alg", "nope",
                    "--out", str(tmp_path / "x")) == 1
-    assert "unknown algorithm" in capsys.readouterr().err
+    assert "--alg must be distinct names of" in capsys.readouterr().err
     assert run_cli("run", "--scenario", "exp1", "--runs", "0",
                    "--out", str(tmp_path / "y")) == 1
     # argparse rejects unknown scenarios on its own
@@ -463,6 +463,50 @@ def test_run_experiment_refuses_an_argument_it_cannot_play(monkeypatch, name,
         runner.run_experiment(**args)
 
 
+# Each argument rule is written once, in the library function that reads the
+# argument: the command line prints that refusal with the flag in place of
+# the argument's name, exits 1 and writes nothing.
+@pytest.mark.parametrize("argv,changes", [
+    (["run", "--runs", "0"], {"runs": 0}),
+    (["run", "--r", "0"], {"r": 0}),
+    (["run", "--alg", "odr,odista", "--r", "1"],
+     {"algs": ["odr", "odista"], "r": 1}),
+    (["run", "--alg", "nope"], {"algs": ["nope"]}),
+    (["run", "--t-r", "inf"], {"budget_ms": math.inf}),
+    (["run", "--alg", "odr,odista", "--r", "2", "--nodes", "13"],
+     {"algs": ["odr", "odista"], "n_nodes": 13}),
+    (["check", "--nodes", "2"], {"algs": ["odista"], "n_nodes": 2}),
+    (["run", "--seed", "-1"], {"seed": -1}),
+    (["check", "--seed", "-1"], {"seed": -1}),
+    (["solve", "--max-iter", "0"], {"max_iter": 0}),
+    (["solve", "--tol=nan"], {"tol": math.nan}),
+], ids=["runs", "r", "odista_r1", "alg", "t_r", "nodes_run", "nodes_check",
+        "seed_run", "seed_check", "max_iter", "tol"])
+def test_the_command_line_names_the_flag_of_each_library_refusal(
+        tmp_path, capsys, monkeypatch, argv, changes):
+    refuse_streams(monkeypatch)
+    command, *flags = argv
+    out = tmp_path / "out"
+    f = problem_file(tmp_path, "1\n2\n-3\n1\n")
+    with pytest.raises(ValueError) as refused:
+        if command == "solve":
+            stvo.batch_dr(read_problem_file(f), **changes)
+        else:
+            runner.run_experiment(
+                **{**RUN_ARGS, "cfg": base_config("exp1", {}), **changes})
+    name, rest = str(refused.value).split(" ", 1)
+    if command == "solve":
+        argv = [command, f, *flags]
+    else:
+        argv = [command, "--scenario", "exp1", *flags]
+        argv += ["--out", str(out)] if command == "run" else []
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cli.FLAGS[name]} {rest}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # An --out that names a file, or a path under one, is refused before any
 # stream is built, not after the whole run has played.
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
@@ -602,7 +646,7 @@ def test_run_refuses_odista_at_one_half_step(tmp_path, capsys, r_args):
                    *r_args, "--out", str(out)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: odista needs --r 2 or more, got r = 1")
+    assert err[0].startswith("error: --r must be 2 or more with odista, got 1")
     assert "half-step" in err[0]
     assert not out.exists()
 
@@ -885,6 +929,18 @@ def test_check_reports_the_odista_descent_factor_of_every_slice(
                  if "descent factor" in ln]
         assert line.startswith("ok: odista descent factor theta=")
         assert line.endswith(f"under {rule} steps")
+    # a ridge of 1e-17 rounds theta to one, while every tau_v mu/|V| < 1, so
+    # odista plays there: the check notes theta and passes
+    for scenario, text, slices in (("rss", "mu = 1e-17\n" + SHORT_RSS, 6),
+                                   ("exp1", "mu = 1e-17\n" + SHORT_EXP1, 5)):
+        cfg = write_cfg(tmp_path, text)
+        assert run_cli("check", "--scenario", scenario, "--config", cfg,
+                       "--tau-rule", rule) == 0
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if "descent factor" in ln]
+        assert line == (f"note: odista descent factor theta=1.0 over {slices} "
+                        f"slices under {rule} steps rounds to one; odista "
+                        f"plays, since every tau_v*mu/|V| < 1")
     # a ridge of 25 per node outweighs the rows: per-node steps 1/||A_v||^2
     # overshoot 2/lambda_max(Q_v), the smallest common step does not.  The
     # reported theta is the largest (1 - tau_v lambda)^2 over every slice,

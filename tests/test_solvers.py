@@ -105,6 +105,18 @@ def test_batch_dr_flags_non_convergence_without_raising():
     assert res.iterations == 3
 
 
+# A cap below one would return an empty result that is not converged, and a
+# tolerance that is nan or negative would run every iteration of the cap.
+@pytest.mark.parametrize("name,kwargs", [
+    ("max_iter", {"max_iter": 0}), ("max_iter", {"max_iter": -1}),
+    ("tol", {"tol": np.nan}), ("tol", {"tol": -1.0}), ("tol", {"tol": np.inf})],
+    ids=["max_iter_0", "max_iter_-1", "tol_nan", "tol_-1", "tol_inf"])
+def test_batch_dr_refuses_an_argument_it_cannot_run(name, kwargs):
+    p = random_pd_problem(3, seed=16)
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        batch_dr(p, **kwargs)
+
+
 def test_odr_round_single_iteration_equals_dr_step():
     p = random_pd_problem(4, seed=15)
     z = np.linspace(-1, 1, 4)
