@@ -1,9 +1,8 @@
 """Network model and distributed thresholded-gradient solvers.
 
 Nodes hold private quadratic data (Q_v, phi_v) and a copy x_v of the
-decision variable; a :class:`NetworkState` holds the copies as the rows of a
-node-major (|V|, n) X.  It is a plain record: the round that reads X
-refuses it unless it is (|V|, n).  The solver alternates a communication
+decision variable; the copies are the rows of a node-major (|V|, n) array X,
+which the round takes and returns.  The solver alternates a communication
 half-step, which sets each node's auxiliary variable c_v to the
 neighborhood mean of X, and a descent half-step, which applies a damped
 thresholded gradient update using the neighborhood mean of C.  Both
@@ -170,8 +169,8 @@ class NodeData:
 
 @dataclass
 class NetworkState:
-    """Stacked per-node estimates: row v of the node-major |V| x n X is x_v.
-    X is only made float; :meth:`OdistaRound.start` checks its shape."""
+    """The record that the one-shot :func:`odista_round` carries: row v of
+    the node-major |V| x n X is x_v, made float and checked by the round."""
 
     X: np.ndarray
 
@@ -271,8 +270,8 @@ def _batched_pair(A, h, M, AX, AX_row, X_col, X_row, X, MX):
 class OdistaRound(_Round):
     """Odista round on one slice, stepped in half-steps on node-major rows.
 
-    :meth:`start` checks the inputs, among them that the state's X is
-    node-major (|V|, n), and builds, once, h = tau/2 per node, the pair map
+    :meth:`start` checks the inputs, among them that X is node-major
+    (|V|, n), and builds, once, h = tau/2 per node, the pair map
     M = W2/2 + diag(1/2 - h mu), mu the stack's ridge, and one pair of
     shrink bounds lo, hi = b -+ lam h with b = h phi.  Half-steps
     count from :meth:`start`, even ones communicate and odd ones descend.
@@ -289,7 +288,8 @@ class OdistaRound(_Round):
     alone, so a round stepped in chunks is bitwise the round stepped once.
     No pair allocates: a batched pair writes (h_v A_v x_v)' A_v over X
     through scratch made once.  X is the round's own C-order copy of the
-    caller's, overwritten by each :meth:`step`; :meth:`state` copies it.
+    caller's array-like, overwritten by each :meth:`step`; :meth:`state`
+    returns a copy.
     """
 
     __slots__ = ("graph", "lam", "X", "_done", "_A", "_h", "_M", "_switch",
@@ -298,14 +298,15 @@ class OdistaRound(_Round):
     def __init__(self, graph, lam):
         self.graph, self.lam = graph, lam
 
-    def start(self, data, tau, state):
+    def start(self, data, tau, X):
         n_nodes = self.graph.n_nodes
         _check_nodes(data, n_nodes)
         stack = data.stack
         if not 0.0 < self.lam < np.inf:
             raise ValueError(f"lam must be finite and positive, got {self.lam}")
-        if state.X.shape != (n_nodes, stack.A.shape[2]):
-            raise ValueError(f"state X {state.X.shape} is not (|V|, n)")
+        X = self.X = np.array(X, dtype=float, order="C")
+        if X.shape != (n_nodes, stack.A.shape[2]):
+            raise ValueError(f"state X {X.shape} is not (|V|, n)")
         h = _as_node_tau(tau, n_nodes).reshape(-1, 1) / 2.0
         self._A, self._h = stack.A, h[:, :, None]
         # the shrink bounds b -+ lam h, b = h phi
@@ -313,7 +314,6 @@ class OdistaRound(_Round):
         thr = self.lam * h
         lo = np.subtract(b, thr)
         self._M = _plus_diagonal(self.graph.W2, 0.5, 0.5 - h[:, 0] * stack.mu)
-        X = self.X = state.X.copy()
         # batched pairs loop on X itself, (|V|, n), with scratch for A_v x_v
         self._arm(X, lo, np.add(b, thr, out=b))
         AX = np.empty((n_nodes, stack.A.shape[1], 1))
@@ -363,17 +363,18 @@ class OdistaRound(_Round):
         return G
 
     def state(self):
-        return NetworkState(self.X.copy())
+        return self.X.copy()
 
 
 def odista_round(state, graph, data, lam, tau, r):
     """One online round: r half-steps of :class:`OdistaRound` from the
-    carried node-major X.  It opens with a communication, so r = 2 is one
-    communication and one descent, and an odd r, which ends on a
+    carried record's node-major X.  It opens with a communication, so r = 2
+    is one communication and one descent, and an odd r, which ends on a
     communication no descent reads, returns the X of r - 1."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    return OdistaRound(graph, lam).start(data, tau, state).step(r).state()
+    return NetworkState(
+        OdistaRound(graph, lam).start(data, tau, state.X).step(r).state())
 
 
 def theta_tau(data, tau):

@@ -36,7 +36,6 @@ class PlayResult:
 
     actions: np.ndarray
     z: np.ndarray | None = None
-    state: object | None = None
 
 
 def _shared_runs(blocks):
@@ -194,7 +193,7 @@ def play_oist(problems, taus, r):
     for t, (p, tau) in enumerate(zip(problems, taus)):
         actions[t] = x
         x = oist_round(x, p, OnlineConfig(r=r, tau=float(tau)))
-    return PlayResult(actions=actions, state=x)
+    return PlayResult(actions=actions)
 
 
 def play_odr(problems, r):
@@ -206,7 +205,7 @@ def play_odr(problems, r):
         actions[t] = state.x
         zs[t] = state.z
         state = odr_round(state, p, OnlineConfig(r=r))
-    return PlayResult(actions=actions, z=zs, state=state)
+    return PlayResult(actions=actions, z=zs)
 
 
 def play_odista(node_stream, graph, lam_node, taus, r, n):
@@ -217,7 +216,7 @@ def play_odista(node_stream, graph, lam_node, taus, r, n):
     for t, (data, tau) in enumerate(zip(node_stream, taus)):
         actions[t] = state.X.mean(axis=0)
         state = odista_round(state, graph, data, lam_node, tau, r)
-    return PlayResult(actions=actions, state=state)
+    return PlayResult(actions=actions)
 
 
 def stream_oracles(problems, opt_tol=1e-8):
@@ -313,8 +312,8 @@ def odista_step_timer(graph, data, lam_node, tau, n):
     """Closure timing ODISTA_TIMED_HALF_STEPS half-steps (whole pairs) of a
     round started from zero outside the timed call; calibrate with
     steps_per_call=ODISTA_TIMED_HALF_STEPS."""
-    rnd = OdistaRound(graph, lam_node).start(
-        data, tau, NetworkState.zeros(n, graph.n_nodes))
+    rnd = OdistaRound(graph, lam_node).start(data, tau,
+                                             np.zeros((graph.n_nodes, n)))
     return lambda: rnd.step(ODISTA_TIMED_HALF_STEPS)
 
 

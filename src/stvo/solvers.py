@@ -3,11 +3,10 @@
 Their API is the rounds of the reflected-splitting family, :class:`OdrRound`,
 which contracts linearly on the auxiliary sequence, and of the
 thresholded-gradient family, :class:`OistRound`: each pays its slice's setup
-and checks once, then steps the one loop of :class:`stvo.core._Round`.
-``odr_round`` and ``oist_round``, a round in one call, are the form that the
-command line's play loops and the benchmark driver call.  The records they
-carry are plain (:class:`OnlineConfig` checks only r): each round's
-``start`` refuses the inputs it reads.
+and checks once, then steps the one loop of :class:`stvo.core._Round`, and
+takes and returns its state as arrays.  ``odr_round`` and ``oist_round``, a
+round in one call, are the form that the command line's play loops and the
+benchmark driver call; odr's carries its (x, z) in a :class:`DRState`.
 ``oracle_minimizer`` certifies each slice's minimizer by one exact solver,
 a warm-started feature-sign search whose answer is a reduced solve; where
 that does not certify, restarted FISTA sweeps only find new starts for it.
@@ -30,8 +29,8 @@ class OracleError(RuntimeError):
 
 @dataclass
 class DRState:
-    """Primal iterate x and auxiliary iterate z of the splitting iteration,
-    unchecked: a round reads only z, and :meth:`OdrRound.start` checks it."""
+    """The record that the one-shot :func:`odr_round` carries: primal
+    iterate x and auxiliary iterate z, of which a round reads only z."""
 
     x: np.ndarray
     z: np.ndarray
@@ -86,8 +85,9 @@ class OdrRound(_Round):
     Factored Q: y = 2 (Q + I)^{-1} (z - phi) - z by the lemma's solve.  x is
     formed only when read, by ``prox_quadratic``.  z is the round's own
     copy, written in place by every :meth:`step`; :meth:`state` hands back
-    copies.  The iterates agree with the literal ones to 1e-12 relative; a
-    round stepped in chunks is bitwise the round stepped once by their sum.
+    copies, the pair (x, z).  The iterates agree with the literal ones to
+    1e-12 relative; a round stepped in chunks is bitwise the round stepped
+    once by their sum.
     """
 
     __slots__ = ("_problem",)
@@ -119,7 +119,7 @@ class OdrRound(_Round):
         return prox_quadratic(self._x, self._problem)
 
     def state(self):
-        return DRState(self.x, self._x.copy())
+        return self.x, self._x.copy()
 
 
 class OistRound(_Round):
@@ -208,7 +208,7 @@ def odr_round(state, problem, cfg):
     this slice's proximal map, so every inner step applies the current
     reflected operator and the per-round contraction bound takes no drift
     term; on a static stream the rounds replay the batch iteration."""
-    return OdrRound().start(problem, state.z).step(cfg.r).state()
+    return DRState(*OdrRound().start(problem, state.z).step(cfg.r).state())
 
 
 def oist_round(x, problem, cfg):

@@ -21,8 +21,8 @@ from stvo.core import (ElasticNetData, QuadraticL1Problem,
                        contraction_constants, elastic_net_problem)
 from stvo.distributed import (NetworkState, RowStack, odista_round,
                               ring_graph, theta_tau)
-from stvo.solvers import (OdrRound, OnlineConfig, batch_dr, odr_round,
-                          oracle_minimizer)
+from stvo.solvers import (DRState, OdrRound, OnlineConfig, batch_dr,
+                          odr_round, oracle_minimizer)
 
 # The deliberate 2/||A||^2 step of the thresholded-gradient family trips
 # the conservative precondition check; the warning is expected here.
@@ -115,7 +115,7 @@ def test_online_splitting_lands_within_the_r_step_contraction_of_the_gap():
         stars = [oracle_minimizer(p) for p in probs]
         q = contraction_constants(probs[0]).q
         for r in (1, 2, 5):
-            state = OdrRound().start(probs[0], stars[0][1]).state()
+            state = DRState(*OdrRound().start(probs[0], stars[0][1]).state())
             for t, p in enumerate(probs):
                 gap = float(np.linalg.norm(state.z - stars[t][1]))
                 state = odr_round(state, p, OnlineConfig(r=r))
@@ -418,17 +418,17 @@ def test_repeated_cli_runs_produce_byte_identical_outputs(tmp_path):
 def play_revealed(alg, blocks, r, graph):
     """Actions of alg over blocks revealed one at a time, through stvo's
     exports alone: each block's slice, step and node data are built when it
-    is revealed, each round starts from the state the previous one carried,
-    and row t is committed before block t is revealed."""
+    is revealed, each round starts from the arrays the previous one
+    returned, and row t is committed before block t is revealed."""
     n, nodes = blocks[0].n, graph.n_nodes
     actions = np.empty((len(blocks), n))
     x, z = np.zeros(n), np.zeros(n)
-    state = stvo.NetworkState.zeros(n, nodes)
+    X = np.zeros((nodes, n))
     for t, block in enumerate(blocks):
-        actions[t] = state.X.mean(axis=0) if alg == "odista" else x
+        actions[t] = X.mean(axis=0) if alg == "odista" else x
         if alg == "odr":
-            rnd = stvo.OdrRound().start(stvo.elastic_net_problem(block), z)
-            x, z = rnd.step(r).x, rnd.z
+            x, z = stvo.OdrRound().start(stvo.elastic_net_problem(block),
+                                         z).step(r).state()
         elif alg == "oist":
             x = stvo.OistRound().start(
                 stvo.elastic_net_problem(block), stvo.block_taus([block])[0],
@@ -436,8 +436,8 @@ def play_revealed(alg, blocks, r, graph):
         else:
             data = stvo.RowStack(block, nodes).nodes(block.y)
             taus = stvo.odista_taus([block], nodes, "per_node")[0]
-            state = stvo.OdistaRound(graph, block.lam / nodes).start(
-                data, taus, state).step(r).state()
+            X = stvo.OdistaRound(graph, block.lam / nodes).start(
+                data, taus, X).step(r).state()
     return actions
 
 

@@ -394,7 +394,6 @@ def test_rss_shaped_rounds_and_actions_are_the_column_major_ones(r):
         assert_node_major_layout(out, 625, 36)
         assert_relatively_close(out.X, X, state.X)
         state = out
-    np.testing.assert_array_equal(played.state.X, state.X)
 
 
 # chunk sizes of a prepared round: the first at least one, later ones
@@ -425,10 +424,12 @@ def test_odr_and_oist_rounds_stepped_in_chunks_are_the_one_shot_rounds(
     done = 0
     for k in chunks:
         done += k
-        out = odr.step(k).state()
+        x, z = odr.step(k).state()
         ref = odr_round(state, p, OnlineConfig(r=done))
-        np.testing.assert_array_equal(out.x, ref.x)
-        np.testing.assert_array_equal(out.z, ref.z)
+        np.testing.assert_array_equal(x, ref.x)
+        np.testing.assert_array_equal(z, ref.z)
+        # the z handed back is the caller's copy, not the round's own z
+        assert not np.shares_memory(z, odr.z)
         np.testing.assert_array_equal(
             oist.step(k).state(),
             oist_round(x0, p, OnlineConfig(r=done, tau=tau)))
@@ -506,9 +507,9 @@ def test_lifted_rounds_are_the_literal_steps_and_the_one_shot_rounds(
     z_in, x0_in = z.copy(), x0.copy()
     odr, oist = OdrRound().start(p, z), OistRound().start(p, tau, x0)
     # step(0) moves neither round
-    odr_0, oist_0 = odr.state(), oist.state()
-    assert_bitwise_equal(odr.step(0).state().z, z)
-    assert_bitwise_equal(odr.state().x, odr_0.x)
+    (x_0, z_0), oist_0 = odr.state(), oist.state()
+    assert_bitwise_equal(odr.step(0).state()[1], z)
+    assert_bitwise_equal(odr.state()[0], x_0)
     assert_bitwise_equal(oist.step(0).state(), x0)
     # the lifted rounds agree with the literal steps to rounding; chunks are
     # the one-shot rounds
@@ -521,20 +522,20 @@ def test_lifted_rounds_are_the_literal_steps_and_the_one_shot_rounds(
             x_ref, z_ref = direct_dr_step(x_ref, z_ref, p.Q, p.phi, lam)
             xo_ref = direct_oist_sweep(xo_ref, p.Q, p.phi, lam, tau)
         done += k
-        out, xo = odr.state(), oist.state()
-        assert_relatively_close(out.x, x_ref, z, p.phi)
-        assert_relatively_close(out.z, z_ref, z, p.phi)
+        (x, z_out), xo = odr.state(), oist.state()
+        assert_relatively_close(x, x_ref, z, p.phi)
+        assert_relatively_close(z_out, z_ref, z, p.phi)
         assert_relatively_close(xo, xo_ref, x0, tau * p.phi)
         if done:
             ref = odr_round(DRState(x0, z), p, OnlineConfig(r=done))
-            assert_bitwise_equal(out.x, ref.x)
-            assert_bitwise_equal(out.z, ref.z)
+            assert_bitwise_equal(x, ref.x)
+            assert_bitwise_equal(z_out, ref.z)
             assert_bitwise_equal(
                 xo, oist_round(x0, p, OnlineConfig(r=done, tau=tau)))
     # neither the caller's arrays nor the states handed back were written
     assert_bitwise_equal(z, z_in)
     assert_bitwise_equal(x0, x0_in)
-    assert_bitwise_equal(odr_0.z, z_in)
+    assert_bitwise_equal(z_0, z_in)
     assert_bitwise_equal(oist_0, x0_in)
 
 
@@ -593,13 +594,13 @@ def test_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
     data = RowStack(block, n_nodes).nodes(block.y)
     taus = np.array([step / op.eig_extremes()[1] for op in data])
     state = NetworkState(rng.standard_normal((n, n_nodes)).T)
-    rnd = OdistaRound(g, lam).start(data, taus, state)
+    rnd = OdistaRound(g, lam).start(data, taus, state.X)
     done = 0
     for k in chunks:
         done += k
         out = rnd.step(k).state()
         ref = odista_round(state, g, data, lam, taus, done)
-        np.testing.assert_array_equal(out.X, ref.X)
+        np.testing.assert_array_equal(out, ref.X)
         # G exists once a lifted pair has run, on |V| n <= LIFT_MAX cells:
         # on all drawn networks, at most 96 cells, and not on the 432 above
         lifts = n_nodes * n <= LIFT_MAX
@@ -656,22 +657,22 @@ def test_rounds_lift_only_after_lift_after_pairs_on_at_most_lift_max_cells(
     tau = odista_taus([block], n_nodes, "per_node")[0]
     lam = block.lam / n_nodes
     state = NetworkState(rng.standard_normal((n, n_nodes)).T)
-    rnd = OdistaRound(g, lam).start(data, tau, state)
+    rnd = OdistaRound(g, lam).start(data, tau, state.X)
     # a round of LIFT_AFTER pairs, and its trailing communication, builds
     # no G and is the batched round bitwise
     for r in (2 * LIFT_AFTER, 2 * LIFT_AFTER + 1):
         np.testing.assert_array_equal(
-            rnd.step(r - rnd._done).state().X,
+            rnd.step(r - rnd._done).state(),
             batched_round(state, g, data, lam, tau, r).X)
         assert rnd._lifted is None
     out = rnd.step(3).state()
     ref = batched_round(state, g, data, lam, tau, 2 * LIFT_AFTER + 4)
     if n_nodes * n <= LIFT_MAX:
         assert rnd._lifted is not None
-        assert_relatively_close(out.X, ref.X, state.X)
+        assert_relatively_close(out, ref.X, state.X)
     else:
         assert rnd._lifted is None
-        np.testing.assert_array_equal(out.X, ref.X)
+        np.testing.assert_array_equal(out, ref.X)
 
 
 # each side of the size rule, by the size of the array a round clips: 20
@@ -687,7 +688,7 @@ def test_rounds_pick_their_clip_once_by_size(n):
     rounds = (OdrRound().start(p, np.zeros(4 * n)),
               OistRound().start(p, 0.5 / p.lambda_max, np.zeros(4 * n)),
               OdistaRound(ring_graph(4, 3), 0.025).start(
-                  data, tau, NetworkState.zeros(n, 4)))
+                  data, tau, np.zeros((4, n))))
     for rnd in rounds:
         assert rnd._clip is (_clip if 4 * n <= _CLIP_MAX else _max_min)
 
@@ -701,20 +702,20 @@ def test_prepared_rounds_refuse_a_negative_step():
     state = NetworkState(rng.standard_normal((20, 4)).T)
     odr = OdrRound().start(p, np.zeros(20))
     oist = OistRound().start(p, 0.5 / p.lambda_max, np.zeros(20))
-    odista = OdistaRound(g, 0.025).start(data, tau, state)
+    odista = OdistaRound(g, 0.025).start(data, tau, state.X)
     for rnd in (odr, oist, odista):
         with pytest.raises(ValueError, match="k must be >= 0, got -3"):
             rnd.step(-3)
     # a refused call moves no round: the odista half-step count keeps its
     # parity, so the next four half-steps are two whole pairs
     np.testing.assert_array_equal(
-        odr.step(1).state().x,
+        odr.step(1).state()[0],
         odr_round(initial_state(20), p, OnlineConfig(r=1)).x)
     np.testing.assert_array_equal(
         oist.step(1).state(),
         oist_round(np.zeros(20), p, OnlineConfig(r=1, tau=0.5 / p.lambda_max)))
     np.testing.assert_array_equal(
-        odista.step(4).state().X,
+        odista.step(4).state(),
         odista_round(state, g, data, 0.025, tau, 4).X)
 
 
@@ -729,12 +730,12 @@ def test_rss_shaped_odista_rounds_stepped_in_chunks_are_the_one_shot_round(
     data = RowStack(block, 36).nodes(block.y)
     tau = odista_taus([block], 36, "per_node")[0]
     state = NetworkState(rng.standard_normal((625, 36)).T)
-    rnd = OdistaRound(g, 0.1 / 36).start(data, tau, state)
+    rnd = OdistaRound(g, 0.1 / 36).start(data, tau, state.X)
     for k in chunks:
         rnd.step(k)
     out = rnd.state()
     ref = odista_round(state, g, data, 0.1 / 36, tau, sum(chunks))
-    np.testing.assert_array_equal(out.X, ref.X)
+    np.testing.assert_array_equal(out, ref.X)
 
 
 def odista_inputs(rng, shape):
@@ -767,19 +768,23 @@ def test_odista_rounds_never_alias_caller_or_returned_states(shape):
     lam = block.lam / g.n_nodes
     phis = data.phis.copy()
     X0 = rng.standard_normal((block.n, g.n_nodes)).T
-    state = NetworkState(X0.copy())
-    rnd = OdistaRound(g, lam).start(data, tau, state)
-    np.testing.assert_array_equal(state.X, X0)
+    X = X0.copy()
+    rnd = OdistaRound(g, lam).start(data, tau, X)
+    np.testing.assert_array_equal(X, X0)
     mid = rnd.step(4).state()
-    mid_X = mid.X.copy()
-    end_X = rnd.step(2 * LIFT_AFTER).state().X
+    mid_X = mid.copy()
+    end = rnd.step(2 * LIFT_AFTER).state()
+    end_X = end.copy()
+    rnd.step(2)
     # the later steps moved the round, and wrote into none of its inputs
-    # nor into the state it handed back
+    # nor into any state it handed back
     assert not np.array_equal(end_X, mid_X)
-    np.testing.assert_array_equal(state.X, X0)
-    np.testing.assert_array_equal(mid.X, mid_X)
+    np.testing.assert_array_equal(X, X0)
+    np.testing.assert_array_equal(mid, mid_X)
+    np.testing.assert_array_equal(end, end_X)
     np.testing.assert_array_equal(data.phis, phis)
     # the one-shot round leaves its input as it is too
+    state = NetworkState(X)
     odista_round(state, g, data, lam, tau, 10)
     np.testing.assert_array_equal(state.X, X0)
 
@@ -788,7 +793,7 @@ def test_rss_odista_pairs_allocate_less_than_one_node_major_array():
     rng = np.random.default_rng(15)
     g, block, data, tau = odista_inputs(rng, "rss")
     rnd = OdistaRound(g, block.lam / 36).start(
-        data, tau, NetworkState(rng.standard_normal((625, 36)).T))
+        data, tau, rng.standard_normal((625, 36)).T)
     tracemalloc.start()
     try:
         rnd.step(20)
@@ -803,7 +808,7 @@ def test_lifted_odista_pairs_allocate_less_than_one_node_major_array():
     rng = np.random.default_rng(18)
     g, block, data, tau = odista_inputs(rng, "arx")
     rnd = OdistaRound(g, block.lam / 4).start(
-        data, tau, NetworkState(rng.standard_normal((20, 4)).T))
+        data, tau, rng.standard_normal((20, 4)).T)
     rnd.step(2 * LIFT_AFTER + 2)
     assert rnd._lifted is not None
     tracemalloc.start()
@@ -840,11 +845,11 @@ def test_a_round_ending_on_a_communication_is_the_round_before_it(shape):
     for r in (1, 3, 5, 7):
         np.testing.assert_array_equal(round_x(r), round_x(r - 1))
     # and so does one that ends a chunk of a prepared round
-    rnd = OdistaRound(g, lam).start(data, tau, state)
+    rnd = OdistaRound(g, lam).start(data, tau, state.X)
     done = 0
     for k in (3, 2, 4, 1, 1):
         done += k
-        np.testing.assert_array_equal(rnd.step(k).state().X,
+        np.testing.assert_array_equal(rnd.step(k).state(),
                                       round_x(done - done % 2))
 
 
@@ -863,9 +868,9 @@ def test_each_step_timer_call_is_one_more_iteration(seed, m, n, calls, step):
     # the timer's round steps in z alone, the literal step from (x, z)
     for _ in range(calls):
         x_ref, z = direct_dr_step(x_ref, z, p.Q, p.phi, p.lam)
-        out = odr().state()
-        assert_relatively_close(out.x, x_ref, p.phi)
-        assert_relatively_close(out.z, z, p.phi)
+        x_out, z_out = odr().state()
+        assert_relatively_close(x_out, x_ref, p.phi)
+        assert_relatively_close(z_out, z, p.phi)
         x = oist_round(x, p, OnlineConfig(r=1, tau=tau))
         np.testing.assert_array_equal(oist().state(), x)
 

@@ -48,15 +48,15 @@ def random_pd_problem(n, seed, lam=0.1, ridge=0.2):
 
 def test_dr_step_origin_fixed_point_without_linear_term():
     p = QuadraticL1Problem(np.eye(1), np.zeros(1), 10.0)
-    s = OdrRound().start(p, np.zeros(1)).step(1).state()
-    np.testing.assert_array_equal(s.x, [0.0])
-    np.testing.assert_array_equal(s.z, [0.0])
+    x, z = OdrRound().start(p, np.zeros(1)).step(1).state()
+    np.testing.assert_array_equal(x, [0.0])
+    np.testing.assert_array_equal(z, [0.0])
 
 
 def test_dr_iteration_reaches_optimality():
     p = random_pd_problem(5, seed=10)
-    s = OdrRound().start(p, np.zeros(5)).step(500).state()
-    assert subgradient_violation(s.x, p.Q, p.phi, p.lam) <= 1e-6
+    x, _ = OdrRound().start(p, np.zeros(5)).step(500).state()
+    assert subgradient_violation(x, p.Q, p.phi, p.lam) <= 1e-6
 
 
 def test_batch_dr_trivial_zero_linear_term():
@@ -120,7 +120,7 @@ def test_batch_dr_refuses_an_argument_it_cannot_run(name, kwargs):
 def test_odr_round_single_iteration_equals_dr_step():
     p = random_pd_problem(4, seed=15)
     z = np.linspace(-1, 1, 4)
-    s = OdrRound().start(p, z).state()
+    s = DRState(*OdrRound().start(p, z).state())
     a = odr_round(s, p, OnlineConfig(r=1))
     b = direct_dr_step(direct_prox(z, p.Q, p.phi), z, p.Q, p.phi, p.lam)
     # the round steps in z alone, the literal step from (x, z)
@@ -261,10 +261,10 @@ def test_dr_state_validation():
 def test_consistent_state_applies_proximal_map():
     p = random_pd_problem(4, seed=19)
     z = np.array([0.3, -1.0, 2.0, 0.0])
-    s = OdrRound().start(p, z).state()
-    np.testing.assert_array_equal(s.z, z)
+    x, z_out = OdrRound().start(p, z).state()
+    np.testing.assert_array_equal(z_out, z)
     # x solves (Q + I) x = z - phi
-    np.testing.assert_allclose((p.Q + np.eye(4)) @ s.x, z - p.phi, atol=1e-12)
+    np.testing.assert_allclose((p.Q + np.eye(4)) @ x, z - p.phi, atol=1e-12)
 
 
 def test_oracle_minimizer_zero_linear_term():
