@@ -6,6 +6,11 @@ The objective tracked throughout this package is, per time slice,
 
 with Q symmetric positive definite and lam > 0.  Least-squares data enters
 through the elastic-net reduction implemented by :func:`elastic_net_problem`.
+
+:class:`_Round` is the one inner loop that the online rounds step: an
+affine map into the pre-clip point y, then the clip w of y, with the
+round's iterate read from (y, w).  A map that reads the stack [y; w] whole
+makes a dense iteration one gemv and one clip.
 """
 
 import importlib
@@ -350,37 +355,63 @@ def _shrink(z, lo, hi, out=None):
 
 
 class _Round:
-    """The one inner loop of the online rounds.  An iteration writes
-    y = affine(x), which may overwrite x, and then x <- y - clip(y, lo, hi),
-    S[y - c] at lo, hi = c -+ t, or with reflect x <- (y - clip) - clip,
-    odr's z+ = y - 2 clip(y, -lam, lam).  The clip goes into x, so the loop
-    holds x and y alone; :meth:`_arm` picks it once per round from x's size,
-    and an iteration makes no Python call of its own beyond the affine map.
+    """The one inner loop of the online rounds, on the pre-clip point y and
+    its clip w = clip(y, lo, hi).  The round's iterate is read from them:
+    x = y - w, S[y - c] at lo, hi = c -+ t, for oist and odista, and
+    z = (y - w) - w, odr's reflection z+ = y - 2 clip(y, -lam, lam).
+
+    The loop holds two buffers (v, y, w).  An iteration is affine(v, y')
+    then clip(y', lo, hi, w') into the other buffer, and then the buffers
+    swap.  A stacked map reads v = [y; w], followed by a constant 1 where
+    the map reads one, so a dense round's iteration is one gemv and one
+    clip, with no Python call of its own.  Any other map reads the pair
+    v = (y, w): it forms its iterate over y and w, by the subtractions
+    that end an iteration of the literal loop, and then writes y' over y,
+    so its two buffers are one.  :meth:`_arm` picks the clip once per
+    round from the iterate's size.
     """
 
-    __slots__ = ("_x", "_y", "_affine", "_clip", "_lo", "_hi", "_reflect")
+    __slots__ = ("_bufs", "_affine", "_clip", "_lo", "_hi")
 
-    def _arm(self, x, lo, hi, reflect=False):
-        """Loop on x, which the round owns; the round sets _affine."""
-        self._x, self._y, self._lo, self._hi = x, np.empty_like(x), lo, hi
-        self._clip, self._reflect = _clip_for(x.size), reflect
+    def _arm(self, x, lo, hi, ones=None):
+        """Loop from the iterate x, y = x and w = 0, in buffers that the
+        round owns; the round sets _affine.  With ones given the map is
+        stacked, on flat stacks that end in that many 1s; otherwise y and
+        w take x's shape, in C order."""
+        if ones is None:
+            y = np.array(x, order="C")
+            w = np.zeros(y.shape)
+            self._bufs = (((y, w), y, w),) * 2
+        else:
+            size = x.size
+            n = 2 * size + ones
+            s = np.zeros(2 * n)
+            s[:size] = x
+            if ones:
+                s.reshape(2, n)[:, 2 * size:] = 1.0
+            self._bufs = ((s[:n], s[:size], s[size:2 * size]),
+                          (s[n:], s[n:n + size], s[n + size:n + 2 * size]))
+        self._lo, self._hi, self._clip = lo, hi, _clip_for(x.size)
+
+    @property
+    def _last(self):
+        """(y, w) of the last iteration, the round's own arrays."""
+        return self._bufs[0][1:]
 
     def step(self, k):
         """k iterations."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        x, y, affine, clip, lo, hi, reflect = (
-            self._x, self._y, self._affine, self._clip, self._lo, self._hi,
-            self._reflect)
-        # out by position and a local subtract: each saves a share of the
-        # call overhead that is nearly all of an iteration at n = 20
-        subtract = np.subtract
+        (v, y, w), (v2, y2, w2) = self._bufs
+        affine, clip, lo, hi = self._affine, self._clip, self._lo, self._hi
+        # out by position: it saves a share of the call overhead that is
+        # nearly all of an iteration at n = 20
         for _ in range(k):
-            affine(x, y)
-            clip(y, lo, hi, x)
-            if reflect:
-                subtract(y, x, y)
-            subtract(y, x, x)
+            affine(v, y2)
+            clip(y2, lo, hi, w2)
+            v, y, w, v2, y2, w2 = v2, y2, w2, v, y, w
+        if k % 2:
+            self._bufs = self._bufs[::-1]
         return self
 
 

@@ -21,10 +21,14 @@ one map of X.  These sums run in another order than the literal per-node
 left folds; they agree with them to 1e-12 relative.
 
 Each pair is an iteration of the rounds' shared loop
-(:class:`stvo.core._Round`): a linear map, batched over the rows of X or
-lifted onto vec(X) by the rule at ``LIFT_MAX``, then the shrink.  Rounds of
-r < 8 half-steps, and every rss round (|V| n = 22,500), run batched pairs
-alone; exp1 at r = 400 runs 196 of its 200 pairs lifted.
+(:class:`stvo.core._Round`) on the pre-clip point Y and its clip W, with
+X = Y - W: the pair forms X over W, applies a linear map, batched over the
+rows of X or lifted onto vec(X) by the rule at ``LIFT_MAX``, writes it over
+Y, and the loop clips Y into W.  So a pair's arithmetic is that of the
+literal three-step loop (the map, the clip, then X = Y - W), in its order,
+bitwise.  Rounds of r < 8 half-steps, and every rss round
+(|V| n = 22,500), run batched pairs alone; exp1 at r = 400 runs 196 of its
+200 pairs lifted.
 """
 
 import functools
@@ -257,9 +261,12 @@ LIFT_MAX = 160
 LIFT_AFTER = 4
 
 
-def _batched_pair(A, h, M, AX, AX_row, X_col, X_row, X, MX):
-    """The batched pair map MX = M X - h K(X) of :class:`OdistaRound`, with
-    X_col and X_row views of X and AX_row one of the scratch AX."""
+def _batched_pair(A, h, M, AX, AX_row, X_col, X_row, yw, MX):
+    """The batched pair map MX = M X - h K(X) of :class:`OdistaRound` on
+    the loop's one pair yw = (MX, X): X = MX - X over X first, with X_col
+    and X_row views of X and AX_row one of the scratch AX."""
+    X = yw[1]
+    np.subtract(MX, X, X)
     np.matmul(A, X_col, out=AX)
     np.multiply(h, AX, out=AX)
     np.matmul(M, X, out=MX)
@@ -284,15 +291,16 @@ class OdistaRound(_Round):
     The pairs are the shared loop's iterations in two phases: batched,
     Y = M X - h K(X), then lifted, y = G vec(X), from pair LIFT_AFTER on
     when |V| n <= LIFT_MAX (G is built at that pair and agrees with the
-    batched map to 1e-12 relative).  The phase depends on a pair's index
-    alone, so a round stepped in chunks is bitwise the round stepped once.
-    No pair allocates: a batched pair writes (h_v A_v x_v)' A_v over X
-    through scratch made once.  X is the round's own C-order copy of the
-    caller's array-like, overwritten by each :meth:`step`; :meth:`state`
-    returns a copy.
+    batched map to 1e-12 relative).  Each pair first forms X = y - w over
+    w, from the loop's one pair (y, w), then writes its map over y.  The
+    phase depends on a pair's index alone, so a round stepped in chunks is
+    bitwise the round stepped once.  No pair allocates: a batched pair
+    writes (h_v A_v x_v)' A_v over X through scratch made once.  The round
+    copies the caller's array-like into its own (y, w); X and
+    :meth:`state` are new C-order (|V|, n) arrays.
     """
 
-    __slots__ = ("graph", "lam", "X", "_done", "_A", "_h", "_M", "_switch",
+    __slots__ = ("graph", "lam", "_done", "_A", "_h", "_M", "_switch",
                  "_lifted")
 
     def __init__(self, graph, lam):
@@ -304,7 +312,7 @@ class OdistaRound(_Round):
         stack = data.stack
         if not 0.0 < self.lam < np.inf:
             raise ValueError(f"lam must be finite and positive, got {self.lam}")
-        X = self.X = np.array(X, dtype=float, order="C")
+        X = np.asarray(X, dtype=float)
         if X.shape != (n_nodes, stack.A.shape[2]):
             raise ValueError(f"state X {X.shape} is not (|V|, n)")
         h = _as_node_tau(tau, n_nodes).reshape(-1, 1) / 2.0
@@ -314,12 +322,14 @@ class OdistaRound(_Round):
         thr = self.lam * h
         lo = np.subtract(b, thr)
         self._M = _plus_diagonal(self.graph.W2, 0.5, 0.5 - h[:, 0] * stack.mu)
-        # batched pairs loop on X itself, (|V|, n), with scratch for A_v x_v
+        # batched pairs loop on (|V|, n) arrays, with scratch for A_v x_v;
+        # X is formed over w
         self._arm(X, lo, np.add(b, thr, out=b))
+        _, w = self._last
         AX = np.empty((n_nodes, stack.A.shape[1], 1))
         self._affine = functools.partial(
             _batched_pair, stack.A, self._h, self._M, AX,
-            AX.reshape(n_nodes, 1, -1), X[..., None], X[:, None])
+            AX.reshape(n_nodes, 1, -1), w[..., None], w[:, None])
         # the form rule: the index of the first lifted pair, if any
         self._switch = LIFT_AFTER if X.size <= LIFT_MAX else np.inf
         self._lifted = None
@@ -337,12 +347,11 @@ class OdistaRound(_Round):
         if j > mid:
             if self._lifted is None:
                 self._lifted = self._lifted_map()
-                # G.dot: the gemv of np.matmul, with the least call overhead;
-                # the lifted map acts on vec(X), so the loop's arrays go flat
-                self._affine = self._lifted.dot
-                self._x, self._y, self._lo, self._hi = (
-                    a.reshape(-1) for a in (self._x, self._y, self._lo,
-                                            self._hi))
+                # the lifted map acts on vec(X), through flat views of the
+                # loop's one pair: x = y - w over w, then y = G x
+                dot, subtract = self._lifted.dot, np.subtract
+                y, w = (a.reshape(-1) for a in self._last)
+                self._affine = lambda yw, out: dot(subtract(y, w, w), y)
             _Round.step(self, j - mid)
         return self
 
@@ -363,7 +372,9 @@ class OdistaRound(_Round):
         return G
 
     def state(self):
-        return self.X.copy()
+        return np.subtract(*self._last)
+
+    X = property(state)
 
 
 def odista_round(state, graph, data, lam, tau, r):

@@ -4,7 +4,12 @@ Their API is the rounds of the reflected-splitting family, :class:`OdrRound`,
 which contracts linearly on the auxiliary sequence, and of the
 thresholded-gradient family, :class:`OistRound`: each pays its slice's setup
 and checks once, then steps the one loop of :class:`stvo.core._Round`, and
-takes and returns its state as arrays.  ``odr_round`` and ``oist_round``, a
+takes and returns its state as arrays.  The loop carries the pre-clip point
+y and its clip w, from which a round reads its iterate: on a dense slice an
+iteration is one gemv on the stack [y; w] (and a 1 for odr) and one clip;
+on a factored slice it forms the iterate from (y, w) first, so it keeps
+the arithmetic of the literal three-step loop (the map, the clip, then the
+iterate) bitwise.  ``odr_round`` and ``oist_round``, a
 round in one call, are the form that the command line's play loops and the
 benchmark driver call; odr's carries its (x, z) in a :class:`DRState`.
 ``oracle_minimizer`` certifies each slice's minimizer by one exact solver,
@@ -79,15 +84,16 @@ class OdrRound(_Round):
     a given z: x = (Q + I)^{-1} (z - phi), the proximal image of z.
 
     From a consistent state an iteration closes in z alone, the shared
-    loop's reflection z+ = y - 2 clip(y, -lam, lam), y = 2x - z.  Dense Q:
-    y = B z - c, one gemv, with B = 2P - I, c = 2 P phi and P = (Q + I)^{-1},
-    the operator's cached :meth:`~stvo.core.SliceOperator.prox_factor`.
-    Factored Q: y = 2 (Q + I)^{-1} (z - phi) - z by the lemma's solve.  x is
-    formed only when read, by ``prox_quadratic``.  z is the round's own
-    copy, written in place by every :meth:`step`; :meth:`state` hands back
-    copies, the pair (x, z).  The iterates agree with the literal ones to
-    1e-12 relative; a round stepped in chunks is bitwise the round stepped
-    once by their sum.
+    loop's reflection z+ = (y - w) - w, w = clip(y, -lam, lam), with
+    y = 2x - z.  Dense Q: y = B z - c with B = 2P - I, c = 2 P phi and
+    P = (Q + I)^{-1}, the operator's cached
+    :meth:`~stvo.core.SliceOperator.prox_factor`; on the loop's stack
+    [y; w; 1] that is one gemv with M = [B, -2B, -c].  Factored Q: z is
+    formed from (y, w), then y = 2 (Q + I)^{-1} (z - phi) - z by the
+    lemma's solve.  z and x are formed only when read, x by
+    ``prox_quadratic``; :meth:`state` hands back the pair (x, z), new
+    arrays.  The iterates agree with the literal ones to 1e-12 relative; a
+    round stepped in chunks is bitwise the round stepped once by their sum.
     """
 
     __slots__ = ("_problem",)
@@ -100,26 +106,40 @@ class OdrRound(_Round):
         factor = problem.prox_factor()
         solve, phi = problem.op.solver(factor), problem.phi
         self._problem = problem
-        if problem.op.factored:
-            self._affine = lambda z, y: np.subtract(
-                np.multiply(solve(z - phi), 2.0, out=y), z, out=y)
-        else:
-            B = _plus_diagonal(factor[0], 2.0, -1.0)
-            c = solve(2.0 * phi)
-            self._affine = lambda z, y: np.subtract(B.dot(z, y), c, out=y)
         # the bounds as arrays: a ufunc takes them faster than a float
         hi = np.full(problem.n, problem.lam)
-        self._arm(np.array(z, dtype=float), np.negative(hi), hi, reflect=True)
+        if problem.op.factored:
+            def affine(yw, y):
+                # y is yw[0]: z = (y - w) - w over w, then
+                # y = 2 (Q + I)^{-1} (z - phi) - z
+                w = yw[1]
+                z = np.subtract(np.subtract(y, w, y), w, w)
+                np.subtract(np.multiply(solve(z - phi), 2.0, out=y), z, out=y)
+
+            self._affine = affine
+            self._arm(z, np.negative(hi), hi)
+        else:
+            B = _plus_diagonal(factor[0], 2.0, -1.0)
+            # M.dot(v, y): the gemv of np.matmul, with the least call
+            # overhead; -c = P (-2 phi), exactly
+            self._affine = np.concatenate(
+                (B, np.multiply(B, -2.0), solve(-2.0 * phi)[:, None]),
+                axis=1).dot
+            self._arm(z, np.negative(hi), hi, ones=1)
         return self
 
-    z = property(lambda self: self._x)
+    @property
+    def z(self):
+        y, w = self._last
+        return np.subtract(np.subtract(y, w), w)
 
     @property
     def x(self):
-        return prox_quadratic(self._x, self._problem)
+        return prox_quadratic(self.z, self._problem)
 
     def state(self):
-        return self.x, self._x.copy()
+        z = self.z
+        return prox_quadratic(z, self._problem), z
 
 
 class OistRound(_Round):
@@ -130,17 +150,18 @@ class OistRound(_Round):
     scales with tau, so each sweep exactly minimizes the majorizing
     surrogate, and the objective is non-increasing whenever
     tau * lambda_max(Q) <= 1; a larger step is warned about, not fatal.
-    A sweep is the shared loop's iteration with y = x - tau Q x, by one
-    gemv with B = I - tau Q on a dense Q, through the factors on a factored
-    one, and bounds c -+ lam tau, c = tau phi.  The round owns x, a copy of
-    the one it is given; :meth:`state` hands back a copy.  The sweeps agree
+    A sweep is the shared loop's iteration with y = x - tau Q x and bounds
+    c -+ lam tau, c = tau phi, so that x = y - w.  Dense Q: one gemv on the
+    loop's stack [y; w] with M = [B, -B], B = I - tau Q.  Factored Q: x is
+    formed from (y, w), then y goes through the factors.  x is formed only
+    when read; :meth:`state` hands back a new array.  The sweeps agree
     with the literal ones to 1e-12 relative.
     """
 
     __slots__ = ()
 
     def start(self, problem, tau, x):
-        x = _vector("x", x, problem.n).copy()
+        x = _vector("x", x, problem.n)
         if not 0 < tau < np.inf:
             raise ValueError(f"tau must be finite and positive, got {tau}")
         lambda_max = problem.lambda_max
@@ -149,23 +170,29 @@ class OistRound(_Round):
                 f"tau={tau:.3e} violates the descent precondition "
                 f"tau <= 1/lambda_max(Q) = {1.0 / lambda_max:.3e}; "
                 "iterating anyway", RuntimeWarning)
-        if problem.op.factored:
-            matvec = problem.op.matvec
-            self._affine = lambda x, y: np.subtract(
-                x, np.multiply(matvec(x), tau, out=y), out=y)
-        else:
-            B = _plus_diagonal(problem.Q, -tau, 1.0)
-            # B.dot(x, y): the gemv of np.matmul, with the least call overhead
-            self._affine = B.dot
         thr = problem.lam * tau
         c = tau * problem.phi
-        self._arm(x, np.subtract(c, thr), np.add(c, thr, out=c))
+        lo, hi = np.subtract(c, thr), np.add(c, thr, out=c)
+        if problem.op.factored:
+            matvec = problem.op.matvec
+
+            def affine(yw, y):
+                # y is yw[0]: x = y - w over w, then y = x - tau Q x
+                x = np.subtract(y, yw[1], yw[1])
+                np.subtract(x, np.multiply(matvec(x), tau, out=y), out=y)
+
+            self._affine = affine
+            self._arm(x, lo, hi)
+        else:
+            B = _plus_diagonal(problem.Q, -tau, 1.0)
+            self._affine = np.concatenate((B, np.negative(B)), axis=1).dot
+            self._arm(x, lo, hi, ones=0)
         return self
 
-    x = property(lambda self: self._x)
-
     def state(self):
-        return self._x.copy()
+        return np.subtract(*self._last)
+
+    x = property(state)
 
 
 def batch_dr(problem, tol=1e-10, max_iter=10000):
@@ -191,14 +218,16 @@ def batch_dr(problem, tol=1e-10, max_iter=10000):
     rnd = OdrRound().start(problem, np.zeros(problem.n))
     residuals = []
     converged = False
+    z = rnd.z
     for _ in range(max_iter):
-        z = rnd.z.copy()
-        res = float(np.linalg.norm(rnd.step(1).z - z))
+        z_prev, z = z, rnd.step(1).z
+        res = float(np.linalg.norm(z - z_prev))
         residuals.append(res)
         if res <= tol:
             converged = True
             break
-    return BatchResult(x_star=rnd.x, z_star=rnd.z, iterations=len(residuals),
+    return BatchResult(x_star=prox_quadratic(z, problem), z_star=z,
+                       iterations=len(residuals),
                        residual_history=np.array(residuals), converged=converged)
 
 
@@ -207,7 +236,8 @@ def odr_round(state, problem, cfg):
     :class:`OdrRound` from the carried z.  x is re-derived from z through
     this slice's proximal map, so every inner step applies the current
     reflected operator and the per-round contraction bound takes no drift
-    term; on a static stream the rounds replay the batch iteration."""
+    term; on a static stream the rounds replay the batch iteration to
+    rounding."""
     return DRState(*OdrRound().start(problem, state.z).step(cfg.r).state())
 
 

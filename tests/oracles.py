@@ -3,8 +3,12 @@
 Everything here is written in the most literal style available: scalar
 branches, explicit loops, no helpers imported from the package.  Agreement
 between two independently written codepaths is evidence; calling the
-library from both sides would prove nothing.  Six exceptions, besides
+library from both sides would prove nothing.  Seven exceptions, besides
 the grids :func:`loop_rss_dictionary` reads:
+:func:`factored_odr_loop` and :func:`factored_oist_loop` transcribe, array
+statement by array statement, the loop that factored rounds ran as three
+steps (y, its clip w, then the iterate), through the slice's own factors,
+so that the rounds' one loop can be held to it bit for bit;
 :func:`prox_grad_minimize` iterates a stack of problems side by side, with
 array operations, so that a suite-sized reference fits its time budget;
 :func:`spectrum_problem` and :func:`drifting_quadratic_stream` are test
@@ -189,6 +193,36 @@ def direct_oist_sweep(x, Q, phi, lam, tau):
     for i in range(x.size):
         v[i] = x[i] - tau * (g[i] + phi[i])
     return soft_vector(v, lam * tau)
+
+
+def factored_odr_loop(p, z, k):
+    """k odr iterations on a factored slice from z: y = 2 solve(z - phi) - z
+    with solve(b) = (b - A'(H b)) / (1 + mu), H the slice's cached factor,
+    then w = clip(y, -lam, lam) and z = (y - w) - w.  Returns z."""
+    A, s = p.op.A, 1.0 + p.op.mu
+    H, = p.prox_factor()
+    hi = np.full(p.n, p.lam)
+    lo = -hi
+    for _ in range(k):
+        b = z - p.phi
+        y = 2.0 * ((b - A.T @ (H @ b)) / s) - z
+        w = np.clip(y, lo, hi)
+        z = (y - w) - w
+    return z
+
+
+def factored_oist_loop(p, tau, x, k):
+    """k oist sweeps on a factored slice from x: y = x - tau Q x with
+    Q x = A'(A x) + mu x, then w = clip(y, c - lam tau, c + lam tau),
+    c = tau phi, and x = y - w.  Returns x."""
+    A, mu = p.op.A, p.op.mu
+    c = tau * p.phi
+    lo, hi = c - p.lam * tau, c + p.lam * tau
+    for _ in range(k):
+        y = x - (A.T @ (A @ x) + mu * x) * tau
+        w = np.clip(y, lo, hi)
+        x = y - w
+    return x
 
 
 def mean_of_columns(M, idx):

@@ -1,18 +1,23 @@
 """Property tests: the round kernels against literal transcriptions.
 
 The online rounds iterate on plain arrays and check their inputs once per
-round.  The three rounds step one shared loop, an affine map and a clip per
-iteration, the clip picked once per round by the size of the array it
-clips; the rounds' chunks are checked on both sides of that rule.  odr
-steps in z alone, y = 2 (Q + I)^{-1} (z - phi) - z, and oist
-y = x - tau Q x.  A dense slice forms y by one
-gemv, with B = 2P - I (P = (Q + I)^{-1}) or B = I - tau Q, a factored
-slice through its factors.  Either sums in another order than the literal
-steps, so the rounds are held to ``direct_dr_step`` and
-``direct_oist_sweep`` within 1e-12 relative for up to 400 iterations on
-both forms, and their chunks, step(0) and their ownership of the arrays
-they step are checked bitwise on both, their independence of Q's memory
-layout on dense slices.  The batched node products A_v'(A_v x_v) + mu_v x_v sum
+round.  The three rounds step one shared loop on the pre-clip point y and
+its clip w, an affine map and a clip per iteration, the clip picked once
+per round by the size of the array it clips; the rounds' chunks are
+checked on both sides of that rule.  odr steps in z = (y - w) - w alone,
+y = 2 (Q + I)^{-1} (z - phi) - z, and oist in x = y - w,
+y = x - tau Q x.  A dense slice forms y by one gemv on the stack [y; w],
+with B = 2P - I (P = (Q + I)^{-1}) or B = I - tau Q in its blocks, so it
+sums in another order than the literal steps: the rounds are held to
+``direct_dr_step`` and ``direct_oist_sweep`` within 1e-12 relative for up
+to 400 iterations on both forms, and their chunks, step(0) and their
+ownership of the arrays they step are checked bitwise on both, their
+independence of Q's memory layout on dense slices.  A dense iteration
+allocates nothing.  A factored slice forms its iterate from (y, w) and
+then goes through its factors, which is the arithmetic of the three-step
+loop (y, the clip, then the iterate) that ``factored_odr_loop`` and
+``factored_oist_loop`` transcribe, so its rounds are held to them bitwise.
+The batched node products A_v'(A_v x_v) + mu_v x_v sum
 in another order than the dense Q_v, and a factored slice operator solves
 through the matrix inversion lemma, so both are held to the dense formulas
 within 1e-12 relative.  The proximal map applies numpy's inverse of
@@ -26,7 +31,8 @@ and the dense (Q_v, phi_v) of its spec are the literal references.  A
 prepared round stepped in chunks is the
 one-shot round at their sum, bitwise, a round that ends on a communication
 is bitwise the round one half-step shorter, and each call of a step timer
-advances its round by exactly one iteration.  An odista round writes into
+advances its round by exactly one iteration; the oist timer after c calls
+is bitwise the round stepped c times.  An odista round writes into
 neither its caller's state nor a state it handed back, and its pairs
 allocate less than one node-major X.  Its lifted pairs, one dense product
 on vec(X), are held to the batched pairs within 1e-12 relative, and a
@@ -74,6 +80,8 @@ from oracles import (
     direct_odd_step,
     direct_oist_sweep,
     direct_prox,
+    factored_odr_loop,
+    factored_oist_loop,
     loop_node_phis,
     mean_of_columns,
     padded_rows,
@@ -433,6 +441,50 @@ def test_odr_and_oist_rounds_stepped_in_chunks_are_the_one_shot_rounds(
         np.testing.assert_array_equal(
             oist.step(k).state(),
             oist_round(x0, p, OnlineConfig(r=done, tau=tau)))
+
+
+@SETTINGS
+@given(seed=seeds, m=st.integers(1, 8), extra=st.integers(1, 16),
+       chunks=chunk_lists, step=st.floats(0.05, 0.95))
+# past the size rule of the rounds' clip, as on rss
+@example(seed=0, m=2, extra=_CLIP_MAX, chunks=[3, 0, 4], step=0.5)
+def test_factored_rounds_in_chunks_are_the_three_step_loop_bitwise(
+        seed, m, extra, chunks, step):
+    # a factored slice (2m < n) forms its iterate from (y, w) by the
+    # subtractions that ended the loop's three steps, so its rounds keep
+    # that loop's arithmetic
+    rng = np.random.default_rng(seed)
+    p = elastic_net_problem(random_block(rng, m, 2 * m + extra))
+    assert p.op.factored
+    tau = step / p.lambda_max
+    z0, x0 = 3.0 * rng.standard_normal(p.n), rng.standard_normal(p.n)
+    odr, oist = OdrRound().start(p, z0), OistRound().start(p, tau, x0)
+    done = 0
+    for k in chunks:
+        done += k
+        assert_bitwise_equal(odr.step(k).z, factored_odr_loop(p, z0, done))
+        assert_bitwise_equal(oist.step(k).x,
+                             factored_oist_loop(p, tau, x0, done))
+
+
+@pytest.mark.parametrize("alg", ["odr", "oist"])
+def test_dense_odr_and_oist_iterations_allocate_nothing(alg):
+    rng = np.random.default_rng(20)
+    p = elastic_net_problem(random_block(rng, 20, 40))
+    assert not p.op.factored
+    x0 = rng.standard_normal(40)
+    rnd = (OdrRound().start(p, x0) if alg == "odr"
+           else OistRound().start(p, 0.5 / p.lambda_max, x0))
+    rnd.step(3)
+    tracemalloc.start()
+    try:
+        rnd.step(1)
+        rnd.step(200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one iterate is 40 doubles, 320 bytes
+    assert peak < 40 * 8
 
 
 # The proximal data is numpy's inverse of Q + I (dense) or of the m x m G
@@ -864,15 +916,19 @@ def test_each_step_timer_call_is_one_more_iteration(seed, m, n, calls, step):
     tau = step / p.lambda_max
     odr, oist = odr_step_timer(p), oist_step_timer(p, tau)
     z = np.zeros(n)
-    x_ref, x = direct_prox(z, p.Q, p.phi), np.zeros(n)
+    x_ref = direct_prox(z, p.Q, p.phi)
     # the timer's round steps in z alone, the literal step from (x, z)
     for _ in range(calls):
         x_ref, z = direct_dr_step(x_ref, z, p.Q, p.phi, p.lam)
         x_out, z_out = odr().state()
         assert_relatively_close(x_out, x_ref, p.phi)
         assert_relatively_close(z_out, z, p.phi)
-        x = oist_round(x, p, OnlineConfig(r=1, tau=tau))
-        np.testing.assert_array_equal(oist().state(), x)
+    # the timer's oist round carries its (y, w), as a round stepped in
+    # chunks does, so after c calls it is the round stepped c times
+    for c in range(1, calls + 1):
+        assert_bitwise_equal(oist().state(),
+                             OistRound().start(p, tau, np.zeros(n)).step(c)
+                             .state())
 
 
 @SETTINGS

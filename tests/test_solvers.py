@@ -138,9 +138,15 @@ def test_odr_static_stream_replays_batch_iteration():
         hist.append(float(np.linalg.norm(new.z - s.z)))
         s = new
     res = batch_dr(p, tol=1e-300, max_iter=T)
-    np.testing.assert_array_equal(s.x, res.x_star)
-    np.testing.assert_array_equal(s.z, res.z_star)
-    np.testing.assert_array_equal(hist, res.residual_history)
+    # a restarted round forms its loop's y again from z, where the batch
+    # iteration carries (y, w), so the two agree to rounding
+    assert_relatively_close(s.x, res.x_star)
+    assert_relatively_close(s.z, res.z_star)
+    assert_relatively_close(np.array(hist), res.residual_history)
+    # the batch iteration is one round stepped T times, bitwise
+    rnd = OdrRound().start(p, np.zeros(5)).step(T)
+    np.testing.assert_array_equal(rnd.x, res.x_star)
+    np.testing.assert_array_equal(rnd.z, res.z_star)
 
 
 def test_oist_round_zero_stays_zero_without_linear_term():
