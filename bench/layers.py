@@ -3,22 +3,25 @@
 
     PYTHONPATH=src python bench/layers.py --out BENCH_layers.json
 
-Builds run 0 of an exp1 stream (n = 20, dense slices) and of an rss stream
-(n = 625, factored slices) on their default configs, and times on slice 5
-of each:
+Builds run 0 of ``stvo run --seed 1`` on exp1 and exp2 (n = 20, dense
+slices) and on rss (n = 625, factored slices), each on its default config,
+and times on slice 5 of each:
 
 * ``step(1)`` of a started odr and oist round, and ``step(2)``, one pair,
   of a started odista round; each layer first runs one untimed sample,
-  which takes odista past its batched first pairs (on exp1 it then runs
-  lifted pairs);
+  which takes odista past its batched first pairs (on exp1 and exp2 it
+  then runs lifted pairs);
 * one whole round, ``start``, ``step(r)`` and ``state()``, of each, at
-  r = 400 on exp1 and r = 30 on rss (half-steps for odista).
+  r = 400 on exp1, r = 5 on exp2, where ``start`` is most of a round, and
+  r = 30 on rss (half-steps for odista); a sample runs at least one
+  round, and about as many iterations as a sample of steps: 40 rounds at
+  r = 5, one elsewhere.
 
 oist steps at tau = 1/lambda_max, its descent step, and odista on the
 network and node steps of ``stvo run``.  Each sample times a ruler and then
 the layer: the ruler is a fixed numpy kernel of the layer's shape that
-calls no stvo code, 200 x (a 20 x 20 gemv and a clip) for exp1 and
-5 x (x -> A'(A x) with a 144 x 625 A, and a clip) for rss.  A host that
+calls no stvo code, 200 x (a 20 x 20 gemv and a clip) for exp1 and exp2
+and 5 x (x -> A'(A x) with a 144 x 625 A, and a clip) for rss.  A host that
 changes speed between samples moves both, so the layer's time in ruler
 units (the median of the per-sample ratios) moves less than its time in us.
 A ruler unit is a ratio, not a time: the round window is wall time, so the
@@ -45,14 +48,15 @@ import numpy as np
 import stvo
 from stvo import runner
 
+SEED = 1
 SLICE = 5
 NODES = 4
-SCENARIOS = {"exp1": 400, "rss": 30}
+SCENARIOS = {"exp1": 400, "exp2": 5, "rss": 30}
 clock = time.perf_counter
 
 
 def arx_ruler():
-    """The dense round's kernel, RULERS["exp1"]."""
+    """The dense rounds' kernel, RULERS["exp1"] and RULERS["exp2"]."""
     rng = np.random.default_rng(0)
     M = 0.05 * rng.standard_normal((20, 20))
     x, y = rng.standard_normal(20), np.empty(20)
@@ -79,13 +83,15 @@ def rss_ruler():
     return ruler
 
 
-RULERS = {"exp1": ("200 x (a 20 x 20 gemv and a clip)", arx_ruler),
+ARX_RULER = ("200 x (a 20 x 20 gemv and a clip)", arx_ruler)
+RULERS = {"exp1": ARX_RULER, "exp2": ARX_RULER,
           "rss": ("5 x (x -> A'(A x), A 144 x 625, and a clip)", rss_ruler)}
 
 
-def layers(scenario, r, seed):
+def layers(scenario, r):
     """{name: (call, calls per sample)} on slice SLICE of the scenario."""
-    stream = runner.build_stream(scenario, runner.CONFIGS[scenario](), seed)
+    stream = runner.build_stream(scenario, runner.CONFIGS[scenario](),
+                                 runner.derive_seed(SEED, 0))
     graph, n_nodes = runner.make_graph(stream, NODES)
     p, block = stream.problems[SLICE], stream.blocks[SLICE]
     tau = 1.0 / p.lambda_max
@@ -97,17 +103,20 @@ def layers(scenario, r, seed):
     oist = stvo.OistRound().start(p, tau, x0)
     odista = stvo.OdistaRound(graph, lam).start(data, taus, X0)
     steps = 200 if p.n <= 20 else 5
+    # at least one round, and about as many iterations as a sample of steps
+    rounds = max(1, steps // r)
     return {
         f"{scenario}.odr.step1": (lambda: odr.step(1), steps),
         f"{scenario}.oist.step1": (lambda: oist.step(1), steps),
         f"{scenario}.odista.step2": (lambda: odista.step(2), steps),
         f"{scenario}.odr.round_r{r}": (
-            lambda: stvo.OdrRound().start(p, x0).step(r).state(), 1),
+            lambda: stvo.OdrRound().start(p, x0).step(r).state(), rounds),
         f"{scenario}.oist.round_r{r}": (
-            lambda: stvo.OistRound().start(p, tau, x0).step(r).state(), 1),
+            lambda: stvo.OistRound().start(p, tau, x0).step(r).state(),
+            rounds),
         f"{scenario}.odista.round_r{r}": (
             lambda: stvo.OdistaRound(graph, lam).start(data, taus, X0)
-            .step(r).state(), 1),
+            .step(r).state(), rounds),
     }
 
 
@@ -159,15 +168,14 @@ def host():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--samples", type=int, default=101)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", default="BENCH_layers.json")
     args = parser.parse_args(argv)
-    record = {"host": host(), "seed": args.seed, "slice": SLICE,
+    record = {"host": host(), "seed": SEED, "slice": SLICE,
               "rulers": {k: text for k, (text, _) in RULERS.items()},
               "layers": {}}
     for scenario, r in SCENARIOS.items():
         ruler = RULERS[scenario][1]()
-        for name, (call, calls) in layers(scenario, r, args.seed).items():
+        for name, (call, calls) in layers(scenario, r).items():
             record["layers"][name] = measure(name, call, calls, ruler,
                                              args.samples)
     with open(args.out, "w") as f:

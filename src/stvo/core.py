@@ -402,16 +402,15 @@ class _Round:
         """k iterations."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        (v, y, w), (v2, y2, w2) = self._bufs
+        a, b = self._bufs
         affine, clip, lo, hi = self._affine, self._clip, self._lo, self._hi
         # out by position: it saves a share of the call overhead that is
         # nearly all of an iteration at n = 20
         for _ in range(k):
-            affine(v, y2)
-            clip(y2, lo, hi, w2)
-            v, y, w, v2, y2, w2 = v2, y2, w2, v, y, w
-        if k % 2:
-            self._bufs = self._bufs[::-1]
+            affine(a[0], b[1])
+            clip(b[1], lo, hi, b[2])
+            a, b = b, a
+        self._bufs = a, b
         return self
 
 
